@@ -35,7 +35,11 @@ from .kernels import (
     canonical_variant,
     gram_from_cache,
 )
-from .simplex import SimplexWeights, backprop_through_simplex
+from .simplex import (
+    SimplexWeights,
+    backprop_through_simplex,
+    check_on_simplex,
+)
 from .svm import SvmModel, TrainConfig, train_one_vs_rest
 
 
@@ -85,8 +89,39 @@ class PairBatch:
         return self.i.size
 
 
-def _all_pairs(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return np.triu_indices(labels.size, k=1)
+class _PairTable:
+    """Every pair i < j of a label vector with its +/-1 same-class label
+    and the positive and negative pair positions; built once, sampled
+    many times."""
+
+    def __init__(self, labels: np.ndarray):
+        self.i, self.j = np.triu_indices(labels.size, k=1)
+        self.y = np.where(labels[self.i] == labels[self.j], 1.0, -1.0)
+        self.pos = np.flatnonzero(self.y > 0)
+        self.neg = np.flatnonzero(self.y < 0)
+
+    def all(self) -> PairBatch:
+        return PairBatch(i=self.i, j=self.j, y=self.y)
+
+    def sample(self, n_pairs: int, rng: np.random.Generator,
+               positive_fraction: float | None) -> PairBatch:
+        if positive_fraction is None and n_pairs >= self.i.size:
+            # batch budget covers every pair: deterministic full batch,
+            # which turns plain gradient descent into exact (monotone)
+            # descent
+            return self.all()
+        if positive_fraction is None:
+            picks = rng.integers(0, self.i.size, size=n_pairs)
+        else:
+            if self.pos.size == 0 or self.neg.size == 0:
+                raise TooFewVideos("rebalancing needs both pair polarities")
+            n_pos = int(round(positive_fraction * n_pairs))
+            n_pos = min(max(n_pos, 1), n_pairs - 1)
+            picks = np.concatenate([
+                self.pos[rng.integers(0, self.pos.size, size=n_pos)],
+                self.neg[rng.integers(0, self.neg.size, size=n_pairs - n_pos)],
+            ])
+        return PairBatch(i=self.i[picks], j=self.j[picks], y=self.y[picks])
 
 
 def pair_labels(labels: np.ndarray, n_pairs: int | None = None,
@@ -100,37 +135,11 @@ def pair_labels(labels: np.ndarray, n_pairs: int | None = None,
     labels = np.asarray(labels)
     if labels.size < 2:
         raise TooFewVideos(f"need >= 2 videos, got {labels.size}")
+    table = _PairTable(labels)
     if n_pairs is None:
-        i_idx, j_idx = _all_pairs(labels)
-        return PairBatch(i=i_idx, j=j_idx,
-                         y=np.where(labels[i_idx] == labels[j_idx], 1.0, -1.0))
-    rng = np.random.default_rng(seed)
-    return _sample_pairs(labels, n_pairs, rng, positive_fraction)
-
-
-def _sample_pairs(labels: np.ndarray, n_pairs: int,
-                  rng: np.random.Generator,
-                  positive_fraction: float | None) -> PairBatch:
-    i_all, j_all = _all_pairs(labels)
-    y_all = np.where(labels[i_all] == labels[j_all], 1.0, -1.0)
-    if positive_fraction is None and n_pairs >= i_all.size:
-        # batch budget covers every pair: deterministic full batch, which
-        # turns plain gradient descent into exact (monotone) descent
-        return PairBatch(i=i_all, j=j_all, y=y_all)
-    if positive_fraction is None:
-        picks = rng.integers(0, i_all.size, size=n_pairs)
-    else:
-        pos = np.flatnonzero(y_all > 0)
-        neg = np.flatnonzero(y_all < 0)
-        if pos.size == 0 or neg.size == 0:
-            raise TooFewVideos("rebalancing needs both pair polarities")
-        n_pos = int(round(positive_fraction * n_pairs))
-        n_pos = min(max(n_pos, 1), n_pairs - 1)
-        picks = np.concatenate([
-            pos[rng.integers(0, pos.size, size=n_pos)],
-            neg[rng.integers(0, neg.size, size=n_pairs - n_pos)],
-        ])
-    return PairBatch(i=i_all[picks], j=j_all[picks], y=y_all[picks])
+        return table.all()
+    return table.sample(n_pairs, np.random.default_rng(seed),
+                        positive_fraction)
 
 
 def contrastive_loss(k_vals: np.ndarray, y: np.ndarray,
@@ -157,8 +166,18 @@ def _batch_forward(cache: NodeKernelCache, batch: PairBatch,
     blocks = cache.pair_blocks(batch.i, batch.j)  # (batch, m, m)
     weighted = blocks @ beta                      # (batch, m)
     k_vals = weighted @ beta
-    grads = weighted + np.einsum("bmn,m->bn", blocks, beta, optimize=True)
+    grads = weighted + beta @ blocks
     return k_vals, grads
+
+
+def _batch_scorer(cache: NodeKernelCache, batch: PairBatch, variant: str):
+    """Kernel values of a fixed batch as a function of beta; the batch's
+    node kernels are gathered once."""
+    if variant == CONCATENATION:
+        diag = cache.aligned()[:, batch.i, batch.j].T  # (batch, m)
+        return lambda beta: diag @ beta
+    flat = cache.pair_blocks(batch.i, batch.j).reshape(batch.size, -1)
+    return lambda beta: flat @ np.outer(beta, beta).ravel()
 
 
 def loss_grad(batch: PairBatch, cache: NodeKernelCache,
@@ -210,6 +229,7 @@ class DmklResult:
     loss_trace: np.ndarray
     beta_trace: np.ndarray          # weights at start plus after each step
     eval_batch: PairBatch = field(repr=False, compare=False, default=None)
+    cache: NodeKernelCache = field(repr=False, compare=False, default=None)
 
 
 def dmkl_fit(trees: list[PooledTree], labels: np.ndarray, variant: str,
@@ -232,15 +252,13 @@ def dmkl_fit(trees: list[PooledTree], labels: np.ndarray, variant: str,
         cache.cross()  # precompute once; batches gather from it
 
     eval_ss, batch_ss, init_ss = np.random.SeedSequence(cfg.seed).spawn(3)
-    total_pairs = labels.size * (labels.size - 1) // 2
-    if cfg.positive_fraction is None and total_pairs <= cfg.batch_pairs:
-        eval_batch = pair_labels(labels)
-    else:
-        # fixed eval batch drawn the same way training batches are, so
-        # the trace measures the objective actually being minimized
-        eval_batch = _sample_pairs(labels, cfg.batch_pairs,
-                                   np.random.default_rng(eval_ss),
-                                   cfg.positive_fraction)
+    table = _PairTable(labels)
+    # fixed eval batch drawn the same way training batches are (the full
+    # pair set when the budget covers it), so the trace measures the
+    # objective actually being minimized
+    eval_batch = table.sample(cfg.batch_pairs, np.random.default_rng(eval_ss),
+                              cfg.positive_fraction)
+    eval_k = _batch_scorer(cache, eval_batch, variant)
 
     weights = SimplexWeights.init(
         cache.nodes, cfg.beta_init,
@@ -249,25 +267,24 @@ def dmkl_fit(trees: list[PooledTree], labels: np.ndarray, variant: str,
     adam = AdamState.zeros(cache.nodes)
 
     def eval_loss(w: SimplexWeights) -> float:
-        k_vals, _ = _batch_forward(cache, eval_batch, w.beta, variant)
-        return contrastive_loss(k_vals, eval_batch.y, cfg.margin)
+        return contrastive_loss(eval_k(w.beta), eval_batch.y, cfg.margin)
 
     trace = [eval_loss(weights)]
-    beta_trace = [weights.beta.copy()]
+    beta_trace = [weights.beta]
     for _ in range(cfg.iterations):
-        batch = _sample_pairs(labels, cfg.batch_pairs, batch_rng,
-                              cfg.positive_fraction)
+        batch = table.sample(cfg.batch_pairs, batch_rng, cfg.positive_fraction)
         _, grad = loss_grad(batch, cache, weights, variant, cfg.margin)
         if cfg.optimizer == "adam":
             delta = adam.update(grad, cfg.learning_rate)
         else:
             delta = -cfg.learning_rate * grad
-        weights = weights.with_raw(weights.raw + delta)
+        weights = SimplexWeights._unchecked(weights.raw + delta)
         trace.append(eval_loss(weights))
-        beta_trace.append(weights.beta.copy())
+        beta_trace.append(weights.beta)
+    check_on_simplex(weights.beta)
     return DmklResult(weights=weights, loss_trace=np.asarray(trace),
                       beta_trace=np.asarray(beta_trace),
-                      eval_batch=eval_batch)
+                      eval_batch=eval_batch, cache=cache)
 
 
 @dataclass(frozen=True)
@@ -284,8 +301,8 @@ def dmkl_then_svm(trees: list[PooledTree], labels: np.ndarray, variant: str,
     """Freeze the contrastively-learned weights, build the Gram matrix,
     and train the one-vs-rest machines in one step."""
     fit = dmkl_fit(trees, labels, variant, cfg, kernel_cfg)
-    cache = NodeKernelCache(trees, kernel_cfg)
-    gram = gram_from_cache(cache, fit.weights.beta, canonical_variant(variant))
+    gram = gram_from_cache(fit.cache, fit.weights.beta,
+                           canonical_variant(variant))
     model = train_one_vs_rest(gram, np.asarray(labels), svm_cfg)
     return DmklPipelineResult(weights=fit.weights, model=model,
                               loss_trace=fit.loss_trace,

@@ -82,22 +82,27 @@ def beta_objective_coeffs(alpha: np.ndarray, labels: np.ndarray,
 
     Concatenation (``node_grams`` of shape (nodes, n, n)): vector with
     ``c[m] = 0.5 * sum_c (alpha_c * y_c)' kappa_m (alpha_c * y_c)`` —
-    non-negative since each kappa_m is PSD. Averaging (``node_grams`` of
-    shape (nodes, nodes, n, n)): the matrix of the same quadratic forms
-    over node pairs, symmetric PSD (a Gram matrix of per-node function
-    components).
+    non-negative since each kappa_m is PSD. Averaging (``node_grams`` the
+    pair-major cross tensor of shape (n, n, nodes, nodes)): the matrix of
+    the same quadratic forms over node pairs, symmetric PSD (a Gram
+    matrix of per-node function components).
     """
     variant = canonical_variant(variant)
     alpha = np.asarray(alpha, dtype=np.float64)
     labels = np.asarray(labels)
     class_ids = np.unique(labels)
-    if alpha.ndim != 2 or alpha.shape != (class_ids.size, labels.size):
+    n = labels.size
+    if alpha.ndim != 2 or alpha.shape != (class_ids.size, n):
         raise ShapeMismatch(
             f"alpha shape {alpha.shape}, expected "
-            f"({class_ids.size}, {labels.size})")
+            f"({class_ids.size}, {n})")
     node_grams = np.asarray(node_grams)
-    expected_ndim = 3 if variant == CONCATENATION else 4
-    if node_grams.ndim != expected_ndim or node_grams.shape[-1] != labels.size:
+    if variant == CONCATENATION:
+        ok = node_grams.ndim == 3 and node_grams.shape[1:] == (n, n)
+    else:
+        ok = (node_grams.ndim == 4 and node_grams.shape[:2] == (n, n)
+              and node_grams.shape[2] == node_grams.shape[3])
+    if not ok:
         raise ShapeMismatch(
             f"node_grams shape {node_grams.shape} wrong for {variant}")
     signed = alpha * np.stack(
@@ -105,8 +110,11 @@ def beta_objective_coeffs(alpha: np.ndarray, labels: np.ndarray,
     if variant == CONCATENATION:
         return 0.5 * np.einsum("ci,mij,cj->m", signed, node_grams, signed,
                                optimize=True)
-    return 0.5 * np.einsum("ci,mnij,cj->mn", signed, node_grams, signed,
-                           optimize=True)
+    m = node_grams.shape[2]
+    # contract the row videos in one GEMM, then the column videos
+    partial = signed @ node_grams.reshape(n, n * m * m)
+    quad = np.einsum("ci,cik->k", signed, partial.reshape(-1, n, m * m))
+    return 0.5 * quad.reshape(m, m)
 
 
 def beta_step_concat(coeffs: np.ndarray, beta_prev: np.ndarray,

@@ -16,7 +16,10 @@ Computing a Gram matrix re-weights a fixed set of elementary node
 kernels, so :class:`NodeKernelCache` evaluates them once per (tree set,
 kernel config) and every ``beta``-dependent quantity afterwards is a
 cheap contraction. This pairwise table is the quadratic-cost core of the
-whole method.
+whole method. The averaging variant's table is stored pair-major,
+``(rows, cols, nodes, nodes)``: one video pair's node-by-node block is
+contiguous, so a batch of pairs is one gather and a contraction with
+``outer(beta, beta)`` is one matrix-vector product.
 """
 
 from __future__ import annotations
@@ -45,10 +48,16 @@ VARIANTS = (CONCATENATION, AVERAGING)
 VARIANT_ALIASES = {"concat": CONCATENATION, "avg": AVERAGING,
                    CONCATENATION: CONCATENATION, AVERAGING: AVERAGING}
 
-# largest dense (nodes^2 x rows x cols) tensor we materialize; beyond this
-# the averaging contraction loops over node pairs. Size-based so the code
-# path, and therefore the bits, depend only on the inputs.
+# largest (rows x cols x nodes^2) cross tensor contrastive training
+# materializes; beyond this its pair blocks come from the feature vectors.
+# Size-based so the code path, and therefore the bits, depend only on the
+# inputs.
 _DENSE_LIMIT = 2 ** 25
+
+# elements of one row block of the cross tensor (at least one row video),
+# the unit in which it is built or streamed; bounds the working memory
+# beside the tensor itself
+_BLOCK_ELEMENTS = 2 ** 18
 
 
 def canonical_variant(name: str) -> str:
@@ -174,9 +183,13 @@ class NodeKernelCache:
     """Elementary node kernels between two tree sets, computed once.
 
     ``aligned()`` returns the (nodes, rows, cols) tensor of same-node
-    kernels; ``cross()`` the full (nodes, nodes, rows, cols) tensor.
-    ``combined(beta, variant)`` contracts either tensor with the weights
-    without touching feature vectors again.
+    kernels; ``cross()`` the pair-major (rows, cols, nodes, nodes) tensor
+    with ``cross()[i, j, m, n] = kappa(row_i[m], col_j[n])``, built one
+    block of row videos at a time. ``combined(beta, variant)`` contracts
+    either with the weights without touching feature vectors again; for
+    the averaging variant on a cache whose cross tensor is not built, it
+    contracts each row block as it is computed and never holds the whole
+    tensor.
     """
 
     def __init__(self, row_trees: list[PooledTree], cfg: KernelConfig,
@@ -192,6 +205,7 @@ class NodeKernelCache:
         self.nodes = self.rows.shape[1]
         self._aligned: np.ndarray | None = None
         self._cross: np.ndarray | None = None
+        self._row_sqnorms: np.ndarray | None = None
 
     def _cross_is_dense(self) -> bool:
         size = (self.nodes ** 2) * self.rows.shape[0] * self.cols.shape[0]
@@ -207,15 +221,26 @@ class NodeKernelCache:
             self._aligned = out
         return self._aligned
 
+    def _cross_blocks(self):
+        """Yield ``(r0, r1, block)`` with ``block`` the (r1 - r0, cols,
+        nodes, nodes) slice of the cross tensor, as a transposed view."""
+        m, d = self.nodes, self.rows.shape[2]
+        nr, nc = self.rows.shape[0], self.cols.shape[0]
+        flat_c = self.cols.reshape(nc * m, d)
+        step = max(1, _BLOCK_ELEMENTS // (nc * m * m))
+        for r0 in range(0, nr, step):
+            r1 = min(r0 + step, nr)
+            k = _kernel_matrix(self.rows[r0:r1].reshape(-1, d), flat_c,
+                               self.cfg)
+            yield r0, r1, k.reshape(r1 - r0, m, nc, m).transpose(0, 2, 1, 3)
+
     def cross(self) -> np.ndarray:
         if self._cross is None:
-            m, d = self.nodes, self.rows.shape[2]
-            nr, nc = self.rows.shape[0], self.cols.shape[0]
-            flat_r = self.rows.transpose(1, 0, 2).reshape(m * nr, d)
-            flat_c = self.cols.transpose(1, 0, 2).reshape(m * nc, d)
-            big = _kernel_matrix(flat_r, flat_c, self.cfg)
-            self._cross = np.ascontiguousarray(
-                big.reshape(m, nr, m, nc).transpose(0, 2, 1, 3))
+            m, nr, nc = self.nodes, self.rows.shape[0], self.cols.shape[0]
+            out = np.empty((nr, nc, m, m))
+            for r0, r1, block in self._cross_blocks():
+                out[r0:r1] = block
+            self._cross = out
         return self._cross
 
     def combined(self, beta: np.ndarray, variant: str) -> np.ndarray:
@@ -226,16 +251,14 @@ class NodeKernelCache:
                 f"beta has {beta.size} entries for {self.nodes} nodes")
         if variant == CONCATENATION:
             return np.tensordot(beta, self.aligned(), axes=1)
-        if self._cross is not None or self._cross_is_dense():
-            return np.einsum("mnab,m,n->ab", self.cross(), beta, beta,
-                             optimize=True)
-        # node-pair loop keeps memory at one (rows, cols) block
-        out = np.zeros((self.rows.shape[0], self.cols.shape[0]))
-        for m in range(self.nodes):
-            for n in range(self.nodes):
-                w = beta[m] * beta[n]
-                out += w * _kernel_matrix(self.rows[:, m, :],
-                                          self.cols[:, n, :], self.cfg)
+        nr, nc = self.rows.shape[0], self.cols.shape[0]
+        weights = np.outer(beta, beta).ravel()
+        if self._cross is not None:
+            return (self._cross.reshape(nr * nc, -1) @ weights).reshape(nr, nc)
+        out = np.empty((nr, nc))
+        for r0, r1, block in self._cross_blocks():
+            out[r0:r1] = (block.reshape((r1 - r0) * nc, -1) @ weights
+                          ).reshape(r1 - r0, nc)
         return out
 
     def pair_blocks(self, i_idx: np.ndarray, j_idx: np.ndarray) -> np.ndarray:
@@ -247,13 +270,16 @@ class NodeKernelCache:
         if self.cols is not self.rows:
             raise ShapeMismatch("pair_blocks needs a single tree set")
         if self._cross is not None:
-            return np.ascontiguousarray(
-                self._cross[:, :, i_idx, j_idx].transpose(2, 0, 1))
+            n, m = self.rows.shape[0], self.nodes
+            return self._cross.reshape(n * n, m, m).take(
+                np.asarray(i_idx) * n + np.asarray(j_idx), axis=0)
         a, b = self.rows[i_idx], self.rows[j_idx]
         dots = np.einsum("bmd,bnd->bmn", a, b, optimize=True)
         if self.cfg.kind == "linear":
             return dots
-        sqn = np.sum(self.rows * self.rows, axis=2)
+        if self._row_sqnorms is None:
+            self._row_sqnorms = np.sum(self.rows * self.rows, axis=2)
+        sqn = self._row_sqnorms
         sq = sqn[i_idx][:, :, None] + sqn[j_idx][:, None, :] - 2.0 * dots
         np.maximum(sq, 0.0, out=sq)
         return np.exp(-self.cfg.gamma * sq)

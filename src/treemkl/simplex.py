@@ -128,3 +128,16 @@ class SimplexWeights:
 
     def with_raw(self, raw: np.ndarray) -> "SimplexWeights":
         return SimplexWeights.from_raw(raw)
+
+    @classmethod
+    def _unchecked(cls, raw: np.ndarray) -> "SimplexWeights":
+        """The point for ``raw`` with one softmax and no consistency
+        check; for optimizer loops, which check the final point."""
+        self = object.__new__(cls)
+        raw = np.array(raw, dtype=np.float64)
+        beta = to_simplex(raw)
+        raw.flags.writeable = False
+        beta.flags.writeable = False
+        object.__setattr__(self, "raw", raw)
+        object.__setattr__(self, "beta", beta)
+        return self

@@ -107,3 +107,25 @@ def simplex_qp_projected_gradient(M: np.ndarray, x0: np.ndarray,
             break
         x = x_new
     return x
+
+
+def averaging_coeffs_oracle(alpha: np.ndarray, labels: np.ndarray,
+                            vectors: np.ndarray, gamma: float) -> np.ndarray:
+    """Averaging-variant alignment matrix, one node pair at a time.
+
+    ``out[p, q] = 0.5 * sum_c s_c' K_pq s_c`` with ``K_pq[i, j] =
+    exp(-gamma * ||x_i[p] - x_j[q]||^2)`` over the (n, nodes, dim) node
+    vectors and ``s_c = alpha[c] * (+1 for class c, -1 otherwise)``,
+    classes in sorted order.
+    """
+    classes = np.unique(labels)
+    nodes = vectors.shape[1]
+    out = np.zeros((nodes, nodes))
+    for p in range(nodes):
+        for q in range(nodes):
+            diff = vectors[:, None, p, :] - vectors[None, :, q, :]
+            K = np.exp(-gamma * np.sum(diff * diff, axis=2))
+            for ci, c in enumerate(classes):
+                s = alpha[ci] * np.where(labels == c, 1.0, -1.0)
+                out[p, q] += 0.5 * (s @ K @ s)
+    return out

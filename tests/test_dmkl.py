@@ -282,6 +282,21 @@ class TestDmklThenSvm:
         cols = kernel_columns(test, train, res.weights.beta, AVERAGING, kcfg)
         assert np.mean(predict(res.model, cols) == y_test) >= 0.95
 
+    def test_builds_cross_tensor_once(self, monkeypatch):
+        train, y_train, *_ = synth_setup(3, per_class=6)
+        kcfg = KernelConfig("rbf", median_gamma(train))
+        builds = []
+        original = NodeKernelCache.cross
+
+        def counting(cache):
+            builds.append(cache._cross is None)
+            return original(cache)
+
+        monkeypatch.setattr(NodeKernelCache, "cross", counting)
+        dmkl_then_svm(train, y_train, AVERAGING,
+                      ContrastiveConfig(iterations=5, seed=3), kcfg)
+        assert sum(builds) == 1
+
     def test_rerun_bit_identical(self):
         train, y_train, *_ = synth_setup(6)
         kcfg = KernelConfig("rbf", median_gamma(train))

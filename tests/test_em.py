@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_trees
-from oracles import simplex_qp_projected_gradient
+from oracles import averaging_coeffs_oracle, simplex_qp_projected_gradient
 from treemkl import errors
 from treemkl.em import (
     EmConfig,
@@ -74,6 +74,22 @@ class TestBetaObjectiveCoeffs:
                                       AVERAGING)
             np.testing.assert_allclose(m, m.T, atol=1e-12)
             assert np.linalg.eigvalsh(m)[0] >= -1e-8
+
+    def test_averaging_matches_node_pair_oracle(self, rng):
+        trees, labels, cache, model = trained_instance(rng, n=12, depth=3)
+        m = beta_objective_coeffs(model.alpha, labels, cache.cross(),
+                                  AVERAGING)
+        ref = averaging_coeffs_oracle(model.alpha, labels,
+                                      np.stack([t.vectors for t in trees]),
+                                      RBF.gamma)
+        np.testing.assert_allclose(m, ref, rtol=0, atol=1e-10)
+
+    def test_averaging_rejects_node_major_layout(self, rng):
+        trees, labels, cache, model = trained_instance(rng)
+        with pytest.raises(errors.ShapeMismatch):
+            beta_objective_coeffs(model.alpha, labels,
+                                  cache.cross().transpose(2, 3, 0, 1),
+                                  AVERAGING)
 
 
 class TestBetaStepConcat:

@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import random_trees
 from oracles import central_difference
-from treemkl import errors
+from treemkl import errors, kernels
 from treemkl.hierarchy import PooledTree
 from treemkl.kernels import (
     AVERAGING,
@@ -319,3 +321,68 @@ class TestNodeKernelCache:
         np.testing.assert_allclose(fresh.pair_blocks(i_idx, j_idx),
                                    cached.pair_blocks(i_idx, j_idx),
                                    atol=1e-12)
+
+    def test_cross_is_pair_major_across_row_blocks(self, rng, monkeypatch):
+        # 5 cols x 3 x 3 nodes = 45 elements per row video: blocks of 2
+        # rows over 7 rows, the last one ragged
+        monkeypatch.setattr(kernels, "_BLOCK_ELEMENTS", 100)
+        rows = random_trees(rng, n=7, depth=2)
+        cols = random_trees(rng, n=5, depth=2)
+        for cfg in (RBF, LIN):
+            cross = NodeKernelCache(rows, cfg, cols).cross()
+            assert cross.shape == (7, 5, 3, 3) and cross.flags.c_contiguous
+            for i, a in enumerate(rows):
+                for j, b in enumerate(cols):
+                    expected = [[elementary(a.vectors[m], b.vectors[n], cfg)
+                                 for n in range(3)] for m in range(3)]
+                    np.testing.assert_allclose(cross[i, j], expected,
+                                               rtol=0, atol=1e-12)
+
+    def test_streamed_combined_matches_built(self, rng, monkeypatch):
+        monkeypatch.setattr(kernels, "_BLOCK_ELEMENTS", 100)
+        rows = random_trees(rng, n=7, depth=2)
+        cols = random_trees(rng, n=5, depth=2)
+        beta = to_simplex(rng.standard_normal(3))
+        streamed = NodeKernelCache(rows, RBF, cols)
+        built = NodeKernelCache(rows, RBF, cols)
+        built.cross()
+        np.testing.assert_allclose(streamed.combined(beta, AVERAGING),
+                                   built.combined(beta, AVERAGING),
+                                   rtol=0, atol=1e-12)
+        assert streamed._cross is None
+
+
+class TestCrossMemory:
+    """Peak bytes allocated while the cross tensor is built or streamed.
+
+    numpy reports its buffers to ``tracemalloc``, so the peaks are exact
+    and repeat from run to run.
+    """
+
+    NR, NC, NODES = 140, 120, 15
+
+    @staticmethod
+    def peak_bytes(fn) -> int:
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def cache(self, rng):
+        return NodeKernelCache(random_trees(rng, n=self.NR, depth=4, dim=4),
+                               RBF, random_trees(rng, n=self.NC, depth=4,
+                                                 dim=4))
+
+    def test_build_peak_close_to_tensor(self, rng):
+        cache = self.cache(rng)
+        peak = self.peak_bytes(cache.cross)
+        assert peak < 1.5 * cache.cross().nbytes
+
+    def test_streamed_combined_never_holds_tensor(self, rng):
+        cache = self.cache(rng)
+        beta = to_simplex(rng.standard_normal(self.NODES))
+        peak = self.peak_bytes(lambda: cache.combined(beta, AVERAGING))
+        assert peak < self.NR * self.NC * self.NODES ** 2 * 8
+        assert cache._cross is None

@@ -142,6 +142,14 @@ class TestSimplexWeights:
         with pytest.raises(errors.NotOnSimplex):
             SimplexWeights(raw=np.zeros(3), beta=np.array([0.5, 0.25, 0.25]))
 
+    def test_unchecked_matches_from_raw(self, rng):
+        raw = rng.standard_normal(5)
+        fast = SimplexWeights._unchecked(raw)
+        checked = SimplexWeights.from_raw(raw)
+        np.testing.assert_array_equal(fast.raw, checked.raw)
+        np.testing.assert_array_equal(fast.beta, checked.beta)
+        assert not (fast.raw.flags.writeable or fast.beta.flags.writeable)
+
     def test_with_raw_returns_new_point(self):
         w = SimplexWeights.uniform(3)
         w2 = w.with_raw(np.array([1.0, 0.0, 0.0]))
