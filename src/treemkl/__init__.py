@@ -37,10 +37,7 @@ from .em import (
     EmConfig,
     EmResult,
     beta_objective_coeffs,
-    beta_step_averaging,
-    beta_step_concat,
     em_fit,
-    frank_wolfe_gap,
 )
 from .kernels import (
     AVERAGING,
@@ -54,9 +51,7 @@ from .kernels import (
     gram_matrix,
     kernel_columns,
     kernel_grad_beta,
-    load_gram_file,
     median_gamma,
-    write_gram_file,
 )
 from .pipeline import (
     PipelineConfig,
@@ -68,16 +63,13 @@ from .pipeline import (
 )
 from .simplex import (
     SimplexWeights,
-    accumulate_shared,
     backprop_through_simplex,
-    jacobian,
     to_simplex,
 )
 from .svm import (
     DualSolution,
     SvmModel,
     TrainConfig,
-    decision,
     decision_scores,
     predict,
     solve_dual,

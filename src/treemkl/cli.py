@@ -7,11 +7,7 @@ identical inputs, flags, and seeds produce byte-identical files (no
 timestamps, sorted keys, deterministic float formatting).
 
 Exit codes: 0 on success, 2 for validation problems (bad files, flags,
-or data), 3 for numerical failures (solver non-convergence, lost
-positive semi-definiteness).
-
-``TREEMKL_WORKERS`` sets the worker count used for loading and pooling
-feature files and has no effect on the computed bytes.
+or data), 3 when a solver does not converge.
 """
 
 from __future__ import annotations
@@ -37,15 +33,9 @@ from .pipeline import (
     train_dmkl_route,
     train_em_route,
 )
+from .simplex import INIT_SCHEMES
 from .svm import TrainConfig
 from .synth import SynthSpec, gen_dataset
-
-
-def _workers() -> int:
-    try:
-        return max(1, int(os.environ.get("TREEMKL_WORKERS", "1")))
-    except ValueError:
-        return 1
 
 
 class _OutDir:
@@ -153,8 +143,7 @@ def cmd_pool(args) -> int:
     cfg = _pipeline_config(args)
     for split in ("train", "test"):
         try:
-            trees, _ = load_split_trees(manifest, root, cfg, split,
-                                        _workers())
+            trees, _ = load_split_trees(manifest, root, cfg, split)
         except EmptySplit:
             continue
         for tree in trees:
@@ -195,7 +184,7 @@ def cmd_train_em(args) -> int:
                       eta=args.eta, beta_init=args.beta_init, seed=args.seed)
     result = train_em_route(manifest, _manifest_root(args.manifest),
                             _pipeline_config(args), em_cfg,
-                            _svm_config(args), _workers())
+                            _svm_config(args))
     return _emit_training(args, result)
 
 
@@ -208,7 +197,7 @@ def cmd_train_dmkl(args) -> int:
         optimizer=args.optimizer, beta_init=args.beta_init)
     result = train_dmkl_route(manifest, _manifest_root(args.manifest),
                               _pipeline_config(args), contrastive,
-                              _svm_config(args), _workers())
+                              _svm_config(args))
     return _emit_training(args, result)
 
 
@@ -217,7 +206,7 @@ def cmd_eval(args) -> int:
     artifact = load_artifact(args.model)
     manifest = load_manifest(args.manifest)
     metrics = evaluate_artifact(artifact, manifest,
-                                _manifest_root(args.manifest), _workers())
+                                _manifest_root(args.manifest))
     out.write_json("metrics.json", metrics)
     header, masses = _beta_level_rows(artifact)
     out.write_csv("beta_levels.csv", header, [masses])
@@ -232,8 +221,7 @@ def cmd_fuse_eval(args) -> int:
     manifest = load_manifest(args.manifest)
     metrics = fuse_evaluate(art_a, art_m, manifest,
                             _manifest_root(args.manifest),
-                            mode=args.mode, weight=args.weight,
-                            workers=_workers())
+                            mode=args.mode, weight=args.weight)
     out.write_json("metrics.json", metrics)
     out.finish()
     return 0
@@ -327,8 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta", type=float, default=0.5)
     p.add_argument("--max-iters", type=int, default=50)
     p.add_argument("--param-tol", type=float, default=1e-4)
-    p.add_argument("--beta-init", choices=("uniform", "random"),
-                   default="uniform")
+    p.add_argument("--beta-init", choices=INIT_SCHEMES, default="uniform")
     p.set_defaults(func=cmd_train_em)
 
     p = sub.add_parser("train-dmkl", help="contrastive kernel-weight training")
@@ -339,8 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--margin", type=float, default=0.0)
     p.add_argument("--positive-fraction", type=float, default=None)
     p.add_argument("--optimizer", choices=("adam", "sgd"), default="adam")
-    p.add_argument("--beta-init", choices=("uniform", "random"),
-                   default="uniform")
+    p.add_argument("--beta-init", choices=INIT_SCHEMES, default="uniform")
     p.set_defaults(func=cmd_train_dmkl)
 
     p = sub.add_parser("eval", help="score a trained model on the test split")

@@ -36,6 +36,7 @@ from .kernels import (
     gram_from_cache,
 )
 from .simplex import (
+    INIT_SCHEMES,
     SimplexWeights,
     backprop_through_simplex,
     check_on_simplex,
@@ -66,6 +67,8 @@ class ContrastiveConfig:
             raise ValidationError("positive_fraction must be in (0, 1)")
         if self.optimizer not in ("adam", "sgd"):
             raise ValidationError(f"unknown optimizer {self.optimizer!r}")
+        if self.beta_init not in INIT_SCHEMES:
+            raise ValidationError(f"unknown beta_init {self.beta_init!r}")
 
 
 @dataclass(frozen=True)

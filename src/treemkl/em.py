@@ -15,12 +15,12 @@ come in two shapes: a vector of per-node quadratic forms for the
 concatenation variant (the weight subproblem is then a simplex LP) and
 a PSD node-by-node matrix for the averaging variant (a simplex QP).
 
-``beta_step_concat`` and ``beta_step_averaging`` are the generic damped
-simplex minimizers for those subproblem shapes: a damped move to the
-best vertex for a linear objective, and a Frank-Wolfe step with exact
-line search for a PSD quadratic. ``em_fit`` descends the alternation
-objective by feeding the linear minimizer the objective's gradient,
-whose node entries are the negated alignment coefficients.
+``em_fit`` takes a damped Frank-Wolfe step on the alternation
+objective: its gradient in ``beta`` at the current ``alpha`` is the
+negated alignment (``-c`` for concatenation, ``-C beta`` for
+averaging), so the step moves toward the vertex of the smallest
+gradient entry and backtracks its length until the traced objective
+does not rise.
 """
 
 from __future__ import annotations
@@ -29,13 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    NonFinite,
-    NotPSD,
-    ShapeMismatch,
-    SingleClass,
-    ValidationError,
-)
+from .errors import ShapeMismatch, SingleClass, ValidationError
 from .hierarchy import PooledTree
 from .kernels import (
     CONCATENATION,
@@ -44,7 +38,7 @@ from .kernels import (
     canonical_variant,
     gram_from_cache,
 )
-from .simplex import check_on_simplex
+from .simplex import INIT_SCHEMES, SimplexWeights, check_on_simplex
 from .svm import SvmModel, TrainConfig, train_one_vs_rest
 
 
@@ -64,6 +58,8 @@ class EmConfig:
             raise ValidationError(f"param_tol must be > 0, got {self.param_tol}")
         if not (0.0 < self.eta <= 1.0):
             raise ValidationError(f"eta must be in (0, 1], got {self.eta}")
+        if self.beta_init not in INIT_SCHEMES:
+            raise ValidationError(f"unknown beta_init {self.beta_init!r}")
 
 
 @dataclass(frozen=True)
@@ -117,59 +113,6 @@ def beta_objective_coeffs(alpha: np.ndarray, labels: np.ndarray,
     return 0.5 * quad.reshape(m, m)
 
 
-def beta_step_concat(coeffs: np.ndarray, beta_prev: np.ndarray,
-                     eta: float) -> np.ndarray:
-    """Damped LP step: move toward the vertex minimizing ``<coeffs, .>``
-    (ties to the smallest index). The objective is linear, so the damped
-    point is never worse than ``beta_prev``."""
-    coeffs = np.asarray(coeffs, dtype=np.float64)
-    if not np.isfinite(coeffs).all():
-        raise NonFinite("LP coefficients contain non-finite values")
-    beta_prev = check_on_simplex(beta_prev)
-    if coeffs.shape != beta_prev.shape:
-        raise ShapeMismatch(f"{coeffs.shape} coeffs vs beta {beta_prev.shape}")
-    vertex = np.zeros_like(beta_prev)
-    vertex[int(np.argmin(coeffs))] = 1.0
-    return (1.0 - eta) * beta_prev + eta * vertex
-
-
-def beta_step_averaging(quad: np.ndarray, beta_prev: np.ndarray,
-                        eta: float, psd_tol: float = 1e-8) -> np.ndarray:
-    """One Frank-Wolfe step on ``0.5 * beta' Q beta`` over the simplex.
-
-    Direction is the vertex minimizing the gradient; the exact line
-    search for the quadratic is clipped to ``[0, eta]``, so the
-    objective never increases.
-    """
-    quad = np.asarray(quad, dtype=np.float64)
-    beta_prev = check_on_simplex(beta_prev)
-    n = beta_prev.size
-    if quad.shape != (n, n):
-        raise ShapeMismatch(f"quadratic {quad.shape} vs beta size {n}")
-    if np.abs(quad - quad.T).max(initial=0.0) > 1e-8:
-        raise ValidationError("quadratic term is not symmetric")
-    if float(np.linalg.eigvalsh(quad)[0]) < -psd_tol:
-        raise NotPSD(
-            f"min eigenvalue {np.linalg.eigvalsh(quad)[0]:.3e} < -{psd_tol}")
-    grad = quad @ beta_prev
-    vertex = np.zeros(n)
-    vertex[int(np.argmin(grad))] = 1.0
-    direction = vertex - beta_prev
-    curvature = direction @ quad @ direction
-    slope = grad @ direction
-    if curvature > 1e-15:
-        t = float(np.clip(-slope / curvature, 0.0, eta))
-    else:
-        t = eta if slope < 0 else 0.0
-    return beta_prev + t * direction
-
-
-def frank_wolfe_gap(quad: np.ndarray, beta: np.ndarray) -> float:
-    """Duality gap of the simplex QP at ``beta`` (0 at the optimum)."""
-    grad = np.asarray(quad) @ np.asarray(beta)
-    return float(grad @ beta - grad.min())
-
-
 def _classifier_objective(gram, model: SvmModel) -> float:
     """Sum over classes of the optimal dual values (primal optima)."""
     total = 0.0
@@ -199,13 +142,8 @@ def em_fit(trees: list[PooledTree], labels: np.ndarray, variant: str,
 
     if beta_init is not None:
         beta = check_on_simplex(np.asarray(beta_init, dtype=np.float64)).copy()
-    elif em_cfg.beta_init == "uniform":
-        beta = np.full(m, 1.0 / m)
-    elif em_cfg.beta_init == "random":
-        from .simplex import to_simplex
-        beta = to_simplex(np.random.default_rng(em_cfg.seed).standard_normal(m))
     else:
-        raise ValidationError(f"unknown beta_init {em_cfg.beta_init!r}")
+        beta = SimplexWeights.init(m, em_cfg.beta_init, em_cfg.seed).beta
 
     def solve(b):
         gram = gram_from_cache(cache, b, variant)

@@ -2,8 +2,7 @@
 
 Two branches matter to callers: :class:`ValidationError` (bad inputs,
 files, or configuration; CLI exit code 2) and :class:`NumericalError`
-(a solver failed to converge or a matrix lost positive
-semi-definiteness; CLI exit code 3).
+(a solver did not converge; CLI exit code 3).
 """
 
 from __future__ import annotations
@@ -128,10 +127,6 @@ class NoRuns(ValidationError):
 
 
 # --- numerical failures ------------------------------------------------------
-
-class NotPSD(NumericalError):
-    pass
-
 
 class NotConverged(NumericalError):
     """Solver hit its iteration budget with the KKT residual above tolerance.

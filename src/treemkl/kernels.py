@@ -24,25 +24,21 @@ contiguous, so a batch of pairs is one gather and a contraction with
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
-    BadMagic,
     DegenerateData,
     DimMismatch,
     IdMismatch,
     ShapeMismatch,
-    Truncated,
     ValidationError,
 )
 from .hierarchy import PooledTree
 
 CONCATENATION = "concatenation"
 AVERAGING = "averaging"
-VARIANTS = (CONCATENATION, AVERAGING)
 
 # alias map accepted on CLI surfaces
 VARIANT_ALIASES = {"concat": CONCATENATION, "avg": AVERAGING,
@@ -297,11 +293,7 @@ def gram_matrix(trees: list[PooledTree], beta: np.ndarray, variant: str,
                 cfg: KernelConfig) -> GramMatrix:
     """Pairwise combined kernel over one tree list, exactly symmetric
     (upper triangle mirrored)."""
-    cache = NodeKernelCache(trees, cfg)
-    values = cache.combined(beta, variant)
-    iu = np.triu_indices(values.shape[0], k=1)
-    values[(iu[1], iu[0])] = values[iu]
-    return GramMatrix(values=values, ids=tuple(cache.row_ids))
+    return gram_from_cache(NodeKernelCache(trees, cfg), beta, variant)
 
 
 def gram_from_cache(cache: NodeKernelCache, beta: np.ndarray,
@@ -353,50 +345,3 @@ def fuse_kernels(gram_a: GramMatrix, gram_b: GramMatrix,
                       + (1.0 - weight) * gram_b.values,
                       ids=gram_a.ids)
 
-
-# --- gram cache file -----------------------------------------------------------
-
-GRM1_MAGIC = b"GRM1"
-
-
-def write_gram_file(gram: GramMatrix, path) -> None:
-    """GRM1 layout: b"GRM1" | u32 n | n x (u32 len + utf-8 id) |
-    n(n+1)/2 upper-triangular f64 (row-major, diagonal included)."""
-    with open(path, "wb") as fh:
-        fh.write(GRM1_MAGIC)
-        fh.write(struct.pack("<I", gram.n))
-        for vid in gram.ids:
-            raw = vid.encode("utf-8")
-            fh.write(struct.pack("<I", len(raw)))
-            fh.write(raw)
-        iu = np.triu_indices(gram.n)
-        fh.write(gram.values[iu].astype("<f8").tobytes())
-
-
-def load_gram_file(path) -> GramMatrix:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:4] != GRM1_MAGIC:
-        raise BadMagic(f"{path}: offset 0: expected {GRM1_MAGIC!r}")
-    offset = 4
-    try:
-        (n,) = struct.unpack_from("<I", data, offset)
-        offset += 4
-        ids = []
-        for _ in range(n):
-            (length,) = struct.unpack_from("<I", data, offset)
-            offset += 4
-            ids.append(data[offset:offset + length].decode("utf-8"))
-            offset += length
-    except struct.error as exc:
-        raise Truncated(f"{path}: offset {offset}: header incomplete") from exc
-    count = n * (n + 1) // 2
-    need = offset + 8 * count
-    if len(data) < need:
-        raise Truncated(f"{path}: offset {len(data)}: expected {need} bytes")
-    upper = np.frombuffer(data, dtype="<f8", count=count, offset=offset)
-    values = np.zeros((n, n))
-    iu = np.triu_indices(n)
-    values[iu] = upper
-    values[(iu[1], iu[0])] = upper
-    return GramMatrix(values=values, ids=tuple(ids))

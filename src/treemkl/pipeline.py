@@ -10,7 +10,6 @@ thin argument-parsing layer over these functions.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,7 +34,13 @@ from .kernels import (
     median_gamma,
 )
 from .simplex import check_on_simplex
-from .svm import SvmModel, TrainConfig, train_one_vs_rest
+from .svm import (
+    SvmModel,
+    TrainConfig,
+    decision_scores,
+    predict,
+    train_one_vs_rest,
+)
 
 NORMS = ("none", "l2")
 
@@ -87,21 +92,16 @@ def _load_one(record: VideoRecord, root: str, cfg: PipelineConfig,
 
 
 def load_split_trees(manifest: DatasetManifest, root: str,
-                     cfg: PipelineConfig, split: str,
-                     workers: int = 1) -> tuple[list[PooledTree], np.ndarray]:
+                     cfg: PipelineConfig,
+                     split: str) -> tuple[list[PooledTree], np.ndarray]:
     """Pooled trees plus labels for one split of one stream, in manifest
-    order (deterministic regardless of worker count)."""
+    order."""
     records = [r for r in manifest.split(split)
                if r.path_for(cfg.stream) is not None]
     if not records:
         raise EmptySplit(f"no {split} records carry a {cfg.stream} stream")
     hierarchy = Hierarchy(cfg.depth)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            trees = list(pool.map(
-                lambda r: _load_one(r, root, cfg, hierarchy), records))
-    else:
-        trees = [_load_one(r, root, cfg, hierarchy) for r in records]
+    trees = [_load_one(r, root, cfg, hierarchy) for r in records]
     return trees, np.array([r.label for r in records])
 
 
@@ -196,9 +196,8 @@ class TrainOutput:
 
 
 def train_em_route(manifest: DatasetManifest, root: str, cfg: PipelineConfig,
-                   em_cfg: EmConfig, svm_cfg: TrainConfig,
-                   workers: int = 1) -> TrainOutput:
-    trees, labels = load_split_trees(manifest, root, cfg, "train", workers)
+                   em_cfg: EmConfig, svm_cfg: TrainConfig) -> TrainOutput:
+    trees, labels = load_split_trees(manifest, root, cfg, "train")
     kernel_cfg = resolve_gamma(trees, cfg)
     result = em_fit(trees, labels, cfg.variant, kernel_cfg, em_cfg, svm_cfg)
     artifact = build_artifact(cfg, "em", kernel_cfg, svm_cfg, result.beta,
@@ -210,8 +209,8 @@ def train_em_route(manifest: DatasetManifest, root: str, cfg: PipelineConfig,
 
 def train_dmkl_route(manifest: DatasetManifest, root: str,
                      cfg: PipelineConfig, contrastive_cfg: ContrastiveConfig,
-                     svm_cfg: TrainConfig, workers: int = 1) -> TrainOutput:
-    trees, labels = load_split_trees(manifest, root, cfg, "train", workers)
+                     svm_cfg: TrainConfig) -> TrainOutput:
+    trees, labels = load_split_trees(manifest, root, cfg, "train")
     kernel_cfg = resolve_gamma(trees, cfg)
     result = dmkl_then_svm(trees, labels, cfg.variant, contrastive_cfg,
                            kernel_cfg, svm_cfg)
@@ -236,8 +235,8 @@ def _support_ids(artifact: dict) -> list[str]:
 
 
 def _artifact_scores(artifact: dict, test_trees: list[PooledTree],
-                     manifest: DatasetManifest, root: str,
-                     workers: int = 1) -> tuple[np.ndarray, np.ndarray]:
+                     manifest: DatasetManifest,
+                     root: str) -> tuple[np.ndarray, np.ndarray]:
     """Decision scores (tests x classes) plus the sorted class ids."""
     cfg = artifact_pipeline_config(artifact)
     kernel_cfg = artifact_kernel_config(artifact)
@@ -251,23 +250,21 @@ def _artifact_scores(artifact: dict, test_trees: list[PooledTree],
     hierarchy = Hierarchy(cfg.depth)
     support_trees = [_load_one(by_id[v], root, cfg, hierarchy)
                      for v in support_ids]
-    support_labels = np.array([by_id[v].label for v in support_ids])
-    cols = kernel_columns(test_trees, support_trees, beta, cfg.variant,
-                          kernel_cfg)
     pos = {v: i for i, v in enumerate(support_ids)}
     class_ids = np.array(sorted(int(c) for c in artifact["classes"]))
-    scores = np.empty((len(test_trees), class_ids.size))
+    # each class's alpha is zero on the support videos of other classes
+    alpha = np.zeros((class_ids.size, len(support_ids)))
     for ci, c in enumerate(class_ids):
-        info = artifact["classes"][str(c)]
-        idx = np.array([pos[e["video_id"]] for e in info["support"]],
-                       dtype=int)
-        if idx.size:
-            alpha = np.array([e["alpha"] for e in info["support"]])
-            signs = np.where(support_labels[idx] == c, 1.0, -1.0)
-            scores[:, ci] = cols[:, idx] @ (alpha * signs) + info["b"]
-        else:
-            scores[:, ci] = info["b"]
-    return scores, class_ids
+        for e in artifact["classes"][str(c)]["support"]:
+            alpha[ci, pos[e["video_id"]]] = e["alpha"]
+    model = SvmModel(
+        train_ids=support_ids,
+        labels=np.array([by_id[v].label for v in support_ids]),
+        class_ids=class_ids, alpha=alpha,
+        b=np.array([artifact["classes"][str(c)]["b"] for c in class_ids]))
+    cols = kernel_columns(test_trees, support_trees, beta, cfg.variant,
+                          kernel_cfg)
+    return decision_scores(model, cols), class_ids
 
 
 def _metrics(preds: np.ndarray, truth: np.ndarray,
@@ -287,11 +284,11 @@ def _metrics(preds: np.ndarray, truth: np.ndarray,
             "confusion": confusion, "n_test": int(truth.size)}
 
 
-def evaluate_artifact(artifact: dict, manifest: DatasetManifest, root: str,
-                      workers: int = 1) -> dict:
+def evaluate_artifact(artifact: dict, manifest: DatasetManifest,
+                      root: str) -> dict:
     """Top-1 metrics of a trained artifact on the manifest's test split."""
     cfg = artifact_pipeline_config(artifact)
-    test_trees, truth = load_split_trees(manifest, root, cfg, "test", workers)
+    test_trees, truth = load_split_trees(manifest, root, cfg, "test")
     scores, class_ids = _artifact_scores(artifact, test_trees, manifest, root)
     preds = class_ids[np.argmax(scores, axis=1)]
     metrics = _metrics(preds, truth, manifest.label_names)
@@ -310,8 +307,8 @@ def _check_fusable(art_a: dict, art_m: dict) -> None:
 
 
 def fuse_evaluate(art_a: dict, art_m: dict, manifest: DatasetManifest,
-                  root: str, mode: str = "kernel-avg", weight: float = 0.5,
-                  workers: int = 1) -> dict:
+                  root: str, mode: str = "kernel-avg",
+                  weight: float = 0.5) -> dict:
     """Two-stream fusion on the test split.
 
     ``score-avg`` mixes the two artifacts' per-class decision scores.
@@ -325,10 +322,10 @@ def fuse_evaluate(art_a: dict, art_m: dict, manifest: DatasetManifest,
     _check_fusable(art_a, art_m)
     if mode == "score-avg":
         cfg_a = artifact_pipeline_config(art_a)
-        test_a, truth = load_split_trees(manifest, root, cfg_a, "test", workers)
+        test_a, truth = load_split_trees(manifest, root, cfg_a, "test")
         scores_a, class_ids = _artifact_scores(art_a, test_a, manifest, root)
         cfg_m = artifact_pipeline_config(art_m)
-        test_m, truth_m = load_split_trees(manifest, root, cfg_m, "test", workers)
+        test_m, truth_m = load_split_trees(manifest, root, cfg_m, "test")
         if [t.video_id for t in test_a] != [t.video_id for t in test_m]:
             raise ConfigMismatch("test splits differ between streams")
         scores_m, _ = _artifact_scores(art_m, test_m, manifest, root)
@@ -336,7 +333,7 @@ def fuse_evaluate(art_a: dict, art_m: dict, manifest: DatasetManifest,
         preds = class_ids[np.argmax(fused, axis=1)]
     elif mode == "kernel-avg":
         preds, truth = _kernel_avg_predict(art_a, art_m, manifest, root,
-                                           weight, workers)
+                                           weight)
     else:
         raise ValidationError(f"unknown fusion mode {mode!r}")
     metrics = _metrics(preds, truth, manifest.label_names)
@@ -347,15 +344,14 @@ def fuse_evaluate(art_a: dict, art_m: dict, manifest: DatasetManifest,
 
 
 def _kernel_avg_predict(art_a: dict, art_m: dict, manifest: DatasetManifest,
-                        root: str, weight: float, workers: int):
+                        root: str, weight: float):
     cfg_a = artifact_pipeline_config(art_a)
     cfg_m = artifact_pipeline_config(art_m)
     parts = []
     for art, cfg in ((art_a, cfg_a), (art_m, cfg_m)):
         train_trees, train_labels = load_split_trees(manifest, root, cfg,
-                                                     "train", workers)
-        test_trees, truth = load_split_trees(manifest, root, cfg, "test",
-                                             workers)
+                                                     "train")
+        test_trees, truth = load_split_trees(manifest, root, cfg, "test")
         beta = artifact_beta(art)
         kernel_cfg = artifact_kernel_config(art)
         gram = gram_matrix(train_trees, beta, cfg.variant, kernel_cfg)
@@ -371,5 +367,4 @@ def _kernel_avg_predict(art_a: dict, art_m: dict, manifest: DatasetManifest,
     fused_gram = fuse_kernels(gram_a, gram_m, weight)
     fused_cols = weight * cols_a + (1.0 - weight) * cols_m
     model = train_one_vs_rest(fused_gram, labels_a, artifact_svm_config(art_a))
-    from .svm import predict as svm_predict
-    return svm_predict(model, fused_cols), truth_a
+    return predict(model, fused_cols), truth_a

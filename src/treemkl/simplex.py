@@ -19,6 +19,9 @@ from .errors import NonFinite, NotOnSimplex, ShapeMismatch, ValidationError
 
 SIMPLEX_TOL = 1e-9
 
+# weight initialisations accepted by SimplexWeights.init and the trainers
+INIT_SCHEMES = ("uniform", "random")
+
 
 def to_simplex(raw: np.ndarray) -> np.ndarray:
     """Normalized exponentials of ``raw`` with max-subtraction for
@@ -47,15 +50,6 @@ def check_on_simplex(beta: np.ndarray, tol: float = SIMPLEX_TOL) -> np.ndarray:
     return beta
 
 
-def jacobian(beta: np.ndarray) -> np.ndarray:
-    """d(beta)/d(raw) at the point with softmax value ``beta``.
-
-    Entry [p, k] = beta[k] * (delta(p, k) - beta[p]).
-    """
-    beta = check_on_simplex(beta)
-    return beta[None, :] * (np.eye(beta.size) - beta[:, None])
-
-
 def backprop_through_simplex(de_dbeta: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """Pull a gradient w.r.t. ``beta`` back to the raw parameters.
 
@@ -68,18 +62,6 @@ def backprop_through_simplex(de_dbeta: np.ndarray, beta: np.ndarray) -> np.ndarr
         raise ShapeMismatch(
             f"gradient shape {de_dbeta.shape} != beta shape {beta.shape}")
     return beta * (de_dbeta - de_dbeta @ beta)
-
-
-def accumulate_shared(gradients: list[np.ndarray] | np.ndarray) -> np.ndarray:
-    """Average gradients that address the same shared parameters."""
-    arr = np.asarray(gradients, dtype=np.float64)
-    if arr.size == 0:
-        raise ShapeMismatch("no gradients to accumulate")
-    if arr.ndim == 1:
-        arr = arr[None, :]
-    if arr.ndim != 2:
-        raise ShapeMismatch(f"expected a list of vectors, got shape {arr.shape}")
-    return arr.mean(axis=0)
 
 
 @dataclass(frozen=True)
@@ -116,15 +98,9 @@ class SimplexWeights:
 
     @classmethod
     def init(cls, n: int, scheme: str, seed: int = 0) -> "SimplexWeights":
-        if scheme == "uniform":
-            return cls.uniform(n)
-        if scheme == "random":
-            return cls.random(n, seed)
-        raise ValidationError(f"unknown init scheme {scheme!r}")
-
-    @property
-    def size(self) -> int:
-        return self.raw.size
+        if scheme not in INIT_SCHEMES:
+            raise ValidationError(f"unknown init scheme {scheme!r}")
+        return cls.uniform(n) if scheme == "uniform" else cls.random(n, seed)
 
     def with_raw(self, raw: np.ndarray) -> "SimplexWeights":
         return SimplexWeights.from_raw(raw)

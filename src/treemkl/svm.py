@@ -51,10 +51,6 @@ class DualSolution:
     kkt_residual: float
     objective: float
 
-    def __iter__(self):
-        # allows `alpha, b = solve_dual(...)`
-        return iter((self.alpha, self.b))
-
 
 def _as_matrix(kernel) -> np.ndarray:
     values = getattr(kernel, "values", kernel)
@@ -178,12 +174,6 @@ class SvmModel:
         """y_ic: +1 where the training label equals class c, else -1."""
         return np.where(self.labels == c, 1.0, -1.0)
 
-    def class_index(self, c: int) -> int:
-        pos = np.searchsorted(self.class_ids, c)
-        if pos >= self.class_ids.size or self.class_ids[pos] != c:
-            raise ValidationError(f"class {c} not in model")
-        return int(pos)
-
 
 def train_one_vs_rest(gram: GramMatrix, labels: np.ndarray,
                       cfg: TrainConfig = TrainConfig()) -> SvmModel:
@@ -210,18 +200,6 @@ def train_one_vs_rest(gram: GramMatrix, labels: np.ndarray,
         b[ci] = sol.b
     return SvmModel(train_ids=gram.ids, labels=labels,
                     class_ids=class_ids, alpha=alpha, b=b)
-
-
-def decision(model: SvmModel, c: int, k_col: np.ndarray) -> float:
-    """Score of class ``c`` for one video given its kernel values
-    against the training set (aligned to ``model.train_ids``)."""
-    k_col = np.asarray(k_col, dtype=np.float64)
-    if k_col.shape != (model.n_train,):
-        raise ShapeMismatch(
-            f"kernel column has {k_col.size} entries for "
-            f"{model.n_train} training videos")
-    ci = model.class_index(c)
-    return float((model.alpha[ci] * model.signs_for(c)) @ k_col + model.b[ci])
 
 
 def decision_scores(model: SvmModel, k_cols: np.ndarray) -> np.ndarray:

@@ -1,8 +1,9 @@
 """Independent reference implementations used only to check the library.
 
 Nothing here shares code with the package: the QP oracle enumerates
-active sets, gradients come from central finite differences, and the
-simplex quadratic program is solved by projected gradient descent.
+active sets, gradients come from central finite differences, the softmax
+Jacobian is written out entry by entry, and artifact scores are summed
+one class and one support video list at a time.
 """
 
 from __future__ import annotations
@@ -81,34 +82,6 @@ def qp_enumeration_oracle(K: np.ndarray, y: np.ndarray, c_box: float):
     return best_alpha, best_obj
 
 
-def project_to_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex (sort-based)."""
-    v = np.asarray(v, dtype=np.float64)
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    rho = np.flatnonzero(u - css / np.arange(1, v.size + 1) > 0)[-1]
-    theta = css[rho] / (rho + 1.0)
-    return np.maximum(v - theta, 0.0)
-
-
-def simplex_qp_projected_gradient(M: np.ndarray, x0: np.ndarray,
-                                  iters: int = 20_000,
-                                  step: float | None = None) -> np.ndarray:
-    """Minimize 0.5 x'Mx over the simplex by projected gradient descent."""
-    M = np.asarray(M, dtype=np.float64)
-    x = project_to_simplex(np.asarray(x0, dtype=np.float64))
-    if step is None:
-        lmax = float(np.linalg.eigvalsh(M)[-1])
-        step = 1.0 / max(lmax, 1e-12)
-    for _ in range(iters):
-        x_new = project_to_simplex(x - step * (M @ x))
-        if np.max(np.abs(x_new - x)) < 1e-14:
-            x = x_new
-            break
-        x = x_new
-    return x
-
-
 def averaging_coeffs_oracle(alpha: np.ndarray, labels: np.ndarray,
                             vectors: np.ndarray, gamma: float) -> np.ndarray:
     """Averaging-variant alignment matrix, one node pair at a time.
@@ -129,3 +102,35 @@ def averaging_coeffs_oracle(alpha: np.ndarray, labels: np.ndarray,
                 s = alpha[ci] * np.where(labels == c, 1.0, -1.0)
                 out[p, q] += 0.5 * (s @ K @ s)
     return out
+
+
+def softmax_jacobian(beta: np.ndarray) -> np.ndarray:
+    """d(beta)/d(raw) of ``beta = softmax(raw)`` at the point ``beta``:
+    entry [p, k] = beta[k] * (delta(p, k) - beta[p])."""
+    beta = np.asarray(beta, dtype=np.float64)
+    return beta[None, :] * (np.eye(beta.size) - beta[:, None])
+
+
+def artifact_scores_oracle(artifact: dict, cols: np.ndarray,
+                           support_ids: list[str],
+                           support_labels: np.ndarray):
+    """Decision scores (tests x classes) of a model artifact and its
+    sorted class ids, class by class over each class's own support list.
+
+    ``cols`` holds the combined kernel between the test videos and the
+    videos ``support_ids`` (labels ``support_labels``), in that order.
+    """
+    pos = {v: i for i, v in enumerate(support_ids)}
+    class_ids = np.array(sorted(int(c) for c in artifact["classes"]))
+    scores = np.empty((cols.shape[0], class_ids.size))
+    for ci, c in enumerate(class_ids):
+        info = artifact["classes"][str(c)]
+        idx = np.array([pos[e["video_id"]] for e in info["support"]],
+                       dtype=int)
+        if idx.size:
+            alpha = np.array([e["alpha"] for e in info["support"]])
+            signs = np.where(support_labels[idx] == c, 1.0, -1.0)
+            scores[:, ci] = cols[:, idx] @ (alpha * signs) + info["b"]
+        else:
+            scores[:, ci] = info["b"]
+    return scores, class_ids

@@ -183,6 +183,10 @@ def synth_setup(seed, level=2, amplitude=1.5, per_class=25):
 
 
 class TestDmklFit:
+    def test_unknown_beta_init_rejected(self):
+        with pytest.raises(errors.ValidationError):
+            ContrastiveConfig(beta_init="bogus")
+
     def test_zero_learning_rate_is_inert(self):
         train, y_train, *_ = synth_setup(0)
         kcfg = KernelConfig("rbf", median_gamma(train))

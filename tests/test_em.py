@@ -2,16 +2,9 @@ import numpy as np
 import pytest
 
 from conftest import random_trees
-from oracles import averaging_coeffs_oracle, simplex_qp_projected_gradient
+from oracles import averaging_coeffs_oracle
 from treemkl import errors
-from treemkl.em import (
-    EmConfig,
-    beta_objective_coeffs,
-    beta_step_averaging,
-    beta_step_concat,
-    em_fit,
-    frank_wolfe_gap,
-)
+from treemkl.em import EmConfig, beta_objective_coeffs, em_fit
 from treemkl.hierarchy import Hierarchy, pool_sequence
 from treemkl.kernels import (
     AVERAGING,
@@ -22,6 +15,7 @@ from treemkl.kernels import (
     kernel_columns,
     median_gamma,
 )
+from treemkl.simplex import INIT_SCHEMES, SimplexWeights
 from treemkl.svm import TrainConfig, predict, train_one_vs_rest
 from treemkl.synth import SynthSpec, gen_sequences
 
@@ -90,76 +84,6 @@ class TestBetaObjectiveCoeffs:
             beta_objective_coeffs(model.alpha, labels,
                                   cache.cross().transpose(2, 3, 0, 1),
                                   AVERAGING)
-
-
-class TestBetaStepConcat:
-    def test_full_step_hits_vertex(self):
-        got = beta_step_concat(np.array([3.0, 1.0, 2.0]),
-                               np.full(3, 1.0 / 3), eta=1.0)
-        np.testing.assert_allclose(got, [0.0, 1.0, 0.0])
-
-    def test_constant_coeffs_tie_break(self):
-        beta = np.array([0.2, 0.3, 0.5])
-        got = beta_step_concat(np.ones(3), beta, eta=0.5)
-        # ties resolve to the first vertex; objective is unchanged
-        np.testing.assert_allclose(got, 0.5 * beta + 0.5 * np.eye(3)[0])
-        assert np.isclose(np.ones(3) @ got, np.ones(3) @ beta)
-
-    def test_damped_mix(self):
-        got = beta_step_concat(np.array([3.0, 1.0, 2.0]),
-                               np.full(3, 1.0 / 3), eta=0.5)
-        np.testing.assert_allclose(got, [1 / 6, 2 / 3, 1 / 6])
-
-    def test_objective_never_increases(self, rng):
-        for _ in range(25):
-            n = int(rng.integers(2, 10))
-            coeffs = rng.standard_normal(n)
-            beta = rng.dirichlet(np.ones(n))
-            eta = float(rng.uniform(0.05, 1.0))
-            stepped = beta_step_concat(coeffs, beta, eta)
-            assert coeffs @ stepped <= coeffs @ beta + 1e-12
-            np.testing.assert_allclose(stepped.sum(), 1.0, atol=1e-12)
-
-    def test_rejects_nonfinite(self):
-        with pytest.raises(errors.NonFinite):
-            beta_step_concat(np.array([np.nan, 0.0]), np.array([0.5, 0.5]), 0.5)
-
-
-class TestBetaStepAveraging:
-    def test_identity_from_vertex(self):
-        got = beta_step_averaging(np.eye(2), np.array([1.0, 0.0]), eta=0.9)
-        np.testing.assert_allclose(got, [0.5, 0.5])
-
-    def test_zero_matrix_no_move(self):
-        beta = np.array([0.3, 0.7])
-        got = beta_step_averaging(np.zeros((2, 2)), beta, eta=1.0)
-        np.testing.assert_allclose(got, beta)
-
-    def test_zero_step_at_minimizer(self, rng):
-        # optimum found independently by projected gradient descent
-        for _ in range(10):
-            n = int(rng.integers(2, 7))
-            a = rng.standard_normal((n, n + 2))
-            quad = a @ a.T
-            star = simplex_qp_projected_gradient(quad, np.full(n, 1.0 / n))
-            assert frank_wolfe_gap(quad, star) <= 1e-10
-            stepped = beta_step_averaging(quad, star, eta=1.0)
-            np.testing.assert_allclose(stepped, star, atol=1e-7)
-
-    def test_objective_never_increases(self, rng):
-        for _ in range(25):
-            n = int(rng.integers(2, 8))
-            a = rng.standard_normal((n, n))
-            quad = a @ a.T
-            beta = rng.dirichlet(np.ones(n))
-            eta = float(rng.uniform(0.05, 1.0))
-            stepped = beta_step_averaging(quad, beta, eta)
-            assert stepped @ quad @ stepped <= beta @ quad @ beta + 1e-12
-
-    def test_not_psd_rejected(self):
-        quad = np.array([[1.0, 0.0], [0.0, -1.0]])
-        with pytest.raises(errors.NotPSD):
-            beta_step_averaging(quad, np.array([0.5, 0.5]), eta=0.5)
 
 
 def synth_trees(seed, level=2, depth=None, per_class=25):
@@ -231,3 +155,16 @@ class TestEmFit:
         trees = random_trees(rng, n=6, depth=2)
         with pytest.raises(errors.SingleClass):
             em_fit(trees, np.ones(6, dtype=int), CONCATENATION, RBF)
+
+    def test_start_is_simplex_weights_init(self, rng):
+        trees = random_trees(rng, n=8, depth=3)
+        labels = np.array([1 + (i % 2) for i in range(8)])
+        for scheme in INIT_SCHEMES:
+            res = em_fit(trees, labels, AVERAGING, RBF,
+                         EmConfig(max_iters=0, beta_init=scheme, seed=5))
+            np.testing.assert_array_equal(
+                res.beta_trace[0], SimplexWeights.init(7, scheme, 5).beta)
+
+    def test_unknown_beta_init_rejected(self):
+        with pytest.raises(errors.ValidationError):
+            EmConfig(beta_init="bogus")

@@ -197,13 +197,12 @@ class TestKernelGrad:
         # (row and column slot); averaging the two occurrence gradients
         # must point along the analytic gradient (scaled by 1/2)
         from treemkl.kernels import _kernel_matrix
-        from treemkl.simplex import accumulate_shared
         trees = random_trees(rng, n=2, depth=3)
         beta = to_simplex(rng.standard_normal(7))
         cross = _kernel_matrix(trees[0].vectors, trees[1].vectors, RBF)
         row_slot = cross @ beta          # d k / d beta with column slot fixed
         col_slot = cross.T @ beta        # d k / d beta with row slot fixed
-        shared = accumulate_shared([row_slot, col_slot])
+        shared = np.mean([row_slot, col_slot], axis=0)
         analytic = kernel_grad_beta(*trees, beta, AVERAGING, RBF)
         np.testing.assert_allclose(2.0 * shared, analytic, atol=1e-12)
 
@@ -253,36 +252,6 @@ class TestFuseKernels:
         other = GramMatrix(values=np.eye(4), ids=("x0", "x1", "x2", "x3"))
         with pytest.raises(errors.IdMismatch):
             fuse_kernels(ka, other, 0.5)
-
-
-class TestGramFile:
-    def test_roundtrip(self, rng, tmp_path):
-        from treemkl.kernels import load_gram_file, write_gram_file
-        trees = random_trees(rng, n=7, depth=2)
-        beta = to_simplex(rng.standard_normal(3))
-        gram = gram_matrix(trees, beta, AVERAGING, RBF)
-        path = tmp_path / "cache.grm"
-        write_gram_file(gram, path)
-        back = load_gram_file(path)
-        assert back.ids == gram.ids
-        np.testing.assert_array_equal(back.values, gram.values)
-
-    def test_bad_magic(self, tmp_path):
-        from treemkl.kernels import load_gram_file
-        path = tmp_path / "x.grm"
-        path.write_bytes(b"NOPE" + b"\x00" * 16)
-        with pytest.raises(errors.BadMagic):
-            load_gram_file(path)
-
-    def test_truncated(self, rng, tmp_path):
-        from treemkl.kernels import load_gram_file, write_gram_file
-        trees = random_trees(rng, n=4, depth=1)
-        gram = gram_matrix(trees, np.array([1.0]), CONCATENATION, RBF)
-        path = tmp_path / "t.grm"
-        write_gram_file(gram, path)
-        path.write_bytes(path.read_bytes()[:-9])
-        with pytest.raises(errors.Truncated):
-            load_gram_file(path)
 
 
 class TestNodeKernelCache:

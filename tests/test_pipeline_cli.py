@@ -4,9 +4,12 @@ import os
 import numpy as np
 import pytest
 
-from treemkl import errors
+from oracles import artifact_scores_oracle
+from treemkl import errors, pipeline, svm
 from treemkl.cli import main
 from treemkl.dataio import load_artifact, load_manifest
+from treemkl.hierarchy import Hierarchy
+from treemkl.kernels import kernel_columns
 from treemkl.pipeline import evaluate_artifact, fuse_evaluate
 
 
@@ -151,6 +154,58 @@ class TestFusion:
             fuse_evaluate(art_a, art_b, manifest, str(workspace / "data"))
 
 
+class TestScoringPath:
+    def test_scores_match_per_class_oracle(self, workspace):
+        manifest = load_manifest(workspace / "data" / "manifest.jsonl")
+        root = str(workspace / "data")
+        by_id = manifest.by_id()
+        for run in ("em_a", "dm_a", "dm_m"):
+            art = load_artifact(workspace / run / "model.json")
+            cfg = pipeline.artifact_pipeline_config(art)
+            test_trees, _ = pipeline.load_split_trees(manifest, root, cfg,
+                                                      "test")
+            support_ids = pipeline._support_ids(art)
+            support_trees = [pipeline._load_one(by_id[v], root, cfg,
+                                                Hierarchy(cfg.depth))
+                             for v in support_ids]
+            cols = kernel_columns(test_trees, support_trees,
+                                  pipeline.artifact_beta(art), cfg.variant,
+                                  pipeline.artifact_kernel_config(art))
+            ref, ref_classes = artifact_scores_oracle(
+                art, cols, support_ids,
+                np.array([by_id[v].label for v in support_ids]))
+            got, classes = pipeline._artifact_scores(art, test_trees,
+                                                     manifest, root)
+            np.testing.assert_array_equal(classes, ref_classes)
+            np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(np.argmax(got, axis=1),
+                                          np.argmax(ref, axis=1))
+
+    @pytest.mark.parametrize("mode,calls", [("eval", 1), ("score-avg", 2),
+                                            ("kernel-avg", 1)])
+    def test_every_evaluation_reaches_decision_scores(self, workspace,
+                                                      monkeypatch, mode,
+                                                      calls):
+        seen = []
+        original = svm.decision_scores
+
+        def counted(*args, **kwargs):
+            seen.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(svm, "decision_scores", counted)
+        monkeypatch.setattr(pipeline, "decision_scores", counted)
+        manifest = load_manifest(workspace / "data" / "manifest.jsonl")
+        art_a = load_artifact(workspace / "dm_a" / "model.json")
+        art_m = load_artifact(workspace / "dm_m" / "model.json")
+        root = str(workspace / "data")
+        if mode == "eval":
+            evaluate_artifact(art_a, manifest, root)
+        else:
+            fuse_evaluate(art_a, art_m, manifest, root, mode=mode)
+        assert len(seen) == calls
+
+
 class TestReport:
     def test_grid_layout(self, workspace, tmp_path):
         runs = tmp_path / "runs"
@@ -196,16 +251,6 @@ class TestExitCodesAndWorkers:
                        "--variant", "concat", "--stream", "appearance",
                        "--kkt-tol", 1e-14, "--max-passes", 1, "--seed", 3)
         assert code == 3
-
-    def test_worker_count_does_not_change_bytes(self, workspace, tmp_path,
-                                                monkeypatch):
-        args = ["eval", "--model", workspace / "dm_a" / "model.json",
-                "--manifest", workspace / "data" / "manifest.jsonl"]
-        assert run_cli(*args, "--out", tmp_path / "w1") == 0
-        monkeypatch.setenv("TREEMKL_WORKERS", "4")
-        assert run_cli(*args, "--out", tmp_path / "w4") == 0
-        assert (tmp_path / "w1" / "metrics.json").read_bytes() == \
-            (tmp_path / "w4" / "metrics.json").read_bytes()
 
 
 class TestPoolCommand:

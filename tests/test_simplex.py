@@ -1,13 +1,11 @@
 import numpy as np
 import pytest
 
-from oracles import central_difference
+from oracles import central_difference, softmax_jacobian
 from treemkl import errors
 from treemkl.simplex import (
     SimplexWeights,
-    accumulate_shared,
     backprop_through_simplex,
-    jacobian,
     to_simplex,
 )
 
@@ -41,37 +39,36 @@ class TestToSimplex:
 
 
 class TestJacobian:
+    """The softmax Jacobian oracle that TestBackprop compares against."""
+
     def test_two_point_value(self):
-        np.testing.assert_allclose(jacobian(np.array([0.5, 0.5])),
+        np.testing.assert_allclose(softmax_jacobian(np.array([0.5, 0.5])),
                                    [[0.25, -0.25], [-0.25, 0.25]])
 
     def test_one_hot_vanishes(self):
-        np.testing.assert_allclose(jacobian(np.array([0.0, 1.0, 0.0])),
-                                   np.zeros((3, 3)), atol=1e-15)
+        np.testing.assert_allclose(
+            softmax_jacobian(np.array([0.0, 1.0, 0.0])), np.zeros((3, 3)),
+            atol=1e-15)
 
     def test_columns_sum_to_zero(self, rng):
         for _ in range(20):
             beta = to_simplex(rng.standard_normal(6))
-            np.testing.assert_allclose(jacobian(beta).sum(axis=0),
+            np.testing.assert_allclose(softmax_jacobian(beta).sum(axis=0),
                                        np.zeros(6), atol=1e-15)
 
     def test_uniform_point_closed_form(self):
         n = 5
         expected = np.eye(n) / n - np.ones((n, n)) / n ** 2
-        np.testing.assert_allclose(jacobian(np.full(n, 1.0 / n)), expected,
-                                   atol=1e-15)
+        np.testing.assert_allclose(softmax_jacobian(np.full(n, 1.0 / n)),
+                                   expected, atol=1e-15)
 
     def test_matches_finite_differences(self, rng):
         raw = rng.standard_normal(5)
         beta = to_simplex(raw)
-        J = jacobian(beta)
+        J = softmax_jacobian(beta)
         for p in range(5):
             fd = central_difference(lambda r: to_simplex(r)[p], raw)
             np.testing.assert_allclose(J[p], fd, atol=1e-9)
-
-    def test_rejects_off_simplex(self):
-        with pytest.raises(errors.NotOnSimplex):
-            jacobian(np.array([0.5, 0.6]))
 
 
 class TestBackprop:
@@ -89,7 +86,7 @@ class TestBackprop:
         beta = to_simplex(rng.standard_normal(6))
         g = rng.standard_normal(6)
         np.testing.assert_allclose(backprop_through_simplex(g, beta),
-                                   g @ jacobian(beta), atol=1e-14)
+                                   g @ softmax_jacobian(beta), atol=1e-14)
 
     def test_quadratic_finite_difference(self, rng):
         # E(beta) = beta' A beta for a random A, differentiated w.r.t. raw
@@ -103,25 +100,6 @@ class TestBackprop:
             fd = central_difference(
                 lambda r: to_simplex(r) @ A @ to_simplex(r), raw)
             np.testing.assert_allclose(got, fd, rtol=1e-6, atol=1e-9)
-
-
-class TestAccumulateShared:
-    def test_single(self, rng):
-        g = rng.standard_normal(4)
-        np.testing.assert_array_equal(accumulate_shared([g]), g)
-
-    def test_opposites_cancel(self, rng):
-        g = rng.standard_normal(4)
-        np.testing.assert_allclose(accumulate_shared([g, -g]), np.zeros(4),
-                                   atol=1e-15)
-
-    def test_repeats_identity(self, rng):
-        g = rng.standard_normal(4)
-        np.testing.assert_allclose(accumulate_shared([g, g, g]), g)
-
-    def test_empty_rejected(self):
-        with pytest.raises(errors.ShapeMismatch):
-            accumulate_shared([])
 
 
 class TestSimplexWeights:

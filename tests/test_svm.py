@@ -7,7 +7,6 @@ from treemkl.kernels import GramMatrix, KernelConfig, _kernel_matrix
 from treemkl.svm import (
     SvmModel,
     TrainConfig,
-    decision,
     decision_scores,
     dual_objective,
     predict,
@@ -188,16 +187,16 @@ class TestDecisionPredict:
     def test_zero_alpha_gives_shift(self, rng):
         model = self.model_with(np.zeros((2, 4)), np.array([1.5, -2.0]),
                                 [1, 1, 2, 2])
-        assert decision(model, 1, rng.standard_normal(4)) == 1.5
-        assert decision(model, 2, np.zeros(4)) == -2.0
+        scores = decision_scores(model, rng.standard_normal((3, 4)))
+        np.testing.assert_array_equal(scores, [[1.5, -2.0]] * 3)
 
     def test_support_vector_margin_sign(self, rng):
         gram, labels, _ = cluster_gram(rng, classes=2)
         model = train_one_vs_rest(gram, labels)
-        ci = model.class_index(1)
-        sv = int(np.argmax(model.alpha[ci]))
-        g = decision(model, 1, gram.values[sv])
-        assert np.sign(g) == model.signs_for(1)[sv]
+        scores = decision_scores(model, gram.values)
+        for ci, c in enumerate(model.class_ids):
+            sv = int(np.argmax(model.alpha[ci]))
+            assert np.sign(scores[sv, ci]) == model.signs_for(c)[sv]
 
     def test_argmax_and_tie_break(self):
         model = SvmModel(train_ids=("a", "b"), labels=np.array([1, 2]),
@@ -222,6 +221,6 @@ class TestDecisionPredict:
         gram, labels, _ = cluster_gram(rng, classes=2)
         model = train_one_vs_rest(gram, labels)
         with pytest.raises(errors.ShapeMismatch):
-            decision(model, 1, np.zeros(3))
+            decision_scores(model, np.zeros(3))
         with pytest.raises(errors.ShapeMismatch):
             decision_scores(model, np.zeros((2, 3)))
