@@ -7,12 +7,14 @@ here.
 
 File formats
 ------------
-GPF1 feature file (one video, one stream)::
+Feature files and pooled-tree files share one container::
 
-    b"GPF1" | u32 dim (LE) | u32 frame_count (LE) | frame_count*dim f32 (LE)
+    magic | u32 dim (LE) | u32 count (LE) | count*dim f32 (LE)
 
-payload is row-major (frame-major). Files store 32-bit floats;
-in-memory arithmetic is 64-bit throughout.
+with a row-major payload: ``b"GPF1"`` holds one video's frames for one
+stream, ``b"GPT1"`` the ``2**D - 1`` node vectors of one pooled tree
+(see :mod:`treemkl.hierarchy`). Files store 32-bit floats; in-memory
+arithmetic is 64-bit throughout.
 
 Manifest: JSON lines, one object per video with keys ``video_id``,
 ``label`` (int, classes are 1..C), optional ``appearance`` / ``motion``
@@ -47,6 +49,7 @@ from .errors import (
 )
 
 GPF1_MAGIC = b"GPF1"
+GPT1_MAGIC = b"GPT1"
 STREAMS = ("appearance", "motion")
 SPLITS = ("train", "test")
 
@@ -146,56 +149,74 @@ class DatasetManifest:
         return {r.video_id: r for r in self.records}
 
 
-# --- GPF1 feature files ------------------------------------------------------
+# --- GPF1/GPT1 container -----------------------------------------------------
 
-def write_feature_file(seq: StreamFeatureSequence, path: str | os.PathLike) -> None:
-    """Write ``seq`` in GPF1 form; loading it back recovers the float32
-    rounding of ``seq`` bit-exactly."""
-    rows32 = seq.rows.astype("<f4")
-    if not np.isfinite(rows32).all():
+def _write_container(path: str | os.PathLike, magic: bytes,
+                     values: np.ndarray) -> None:
+    """Write (count, dim) ``values`` as ``magic | u32 dim | u32 count |
+    count*dim <f4``; loading recovers their float32 rounding bit-exactly."""
+    values32 = values.astype("<f4")
+    if not np.isfinite(values32).all():
         raise NonFinite(f"{path}: values overflow float32")
     with open(path, "wb") as fh:
-        fh.write(GPF1_MAGIC)
-        fh.write(struct.pack("<II", seq.dim, seq.frame_count))
-        fh.write(rows32.tobytes(order="C"))
+        fh.write(magic)
+        fh.write(struct.pack("<II", values32.shape[1], values32.shape[0]))
+        fh.write(values32.tobytes(order="C"))
 
 
-def load_feature_file(path: str | os.PathLike, video_id: str | None = None,
-                      stream: str = "appearance") -> StreamFeatureSequence:
-    """Load and validate a GPF1 feature file.
+def _read_container(path: str | os.PathLike, magic: bytes,
+                    count_name: str) -> np.ndarray:
+    """Load and validate a container as a (count, dim) float64 array.
 
-    ``video_id`` defaults to the file stem. Errors name the file and the
-    byte offset where the problem was detected.
+    Errors name the file and the byte offset where the problem was
+    detected; ``count_name`` says what the rows are.
     """
     try:
         with open(path, "rb") as fh:
             data = fh.read()
     except FileNotFoundError as exc:
-        raise MissingPath(f"{path}: no such feature file") from exc
-    if len(data) < 4 or data[:4] != GPF1_MAGIC:
-        raise BadMagic(f"{path}: offset 0: expected {GPF1_MAGIC!r}, "
+        raise MissingPath(f"{path}: no such {magic.decode()} file") from exc
+    if len(data) < 4 or data[:4] != magic:
+        raise BadMagic(f"{path}: offset 0: expected {magic!r}, "
                        f"got {data[:4]!r}")
     if len(data) < 12:
         raise Truncated(f"{path}: offset {len(data)}: header incomplete")
-    dim, frames = struct.unpack_from("<II", data, 4)
-    if frames == 0:
-        raise ZeroFrames(f"{path}: offset 8: frame count is 0")
+    dim, count = struct.unpack_from("<II", data, 4)
+    if count == 0:
+        raise ZeroFrames(f"{path}: offset 8: {count_name} count is 0")
     if dim == 0:
         raise ZeroDim(f"{path}: offset 4: feature dim is 0")
-    need = 12 + 4 * dim * frames
+    need = 12 + 4 * dim * count
     if len(data) < need:
         raise Truncated(f"{path}: offset {len(data)}: payload declares "
-                        f"{frames}x{dim} floats ({need} bytes total)")
+                        f"{count}x{dim} floats ({need} bytes total)")
     if len(data) > need:
         raise TrailingData(f"{path}: offset {need}: {len(data) - need} "
                            f"unexpected trailing bytes")
-    raw = np.frombuffer(data, dtype="<f4", count=dim * frames, offset=12)
-    rows = raw.reshape(frames, dim).astype(np.float64)
-    if not np.isfinite(rows).all():
-        bad = int(np.flatnonzero(~np.isfinite(rows.ravel()))[0])
+    raw = np.frombuffer(data, dtype="<f4", count=dim * count, offset=12)
+    values = raw.reshape(count, dim).astype(np.float64)
+    if not np.isfinite(values).all():
+        bad = int(np.flatnonzero(~np.isfinite(values.ravel()))[0])
         raise NonFinite(f"{path}: offset {12 + 4 * bad}: non-finite value")
+    return values
+
+
+def _stem(path: str | os.PathLike) -> str:
+    return os.path.splitext(os.path.basename(os.fspath(path)))[0]
+
+
+def write_feature_file(seq: StreamFeatureSequence, path: str | os.PathLike) -> None:
+    """Write ``seq`` in GPF1 form."""
+    _write_container(path, GPF1_MAGIC, seq.rows)
+
+
+def load_feature_file(path: str | os.PathLike, video_id: str | None = None,
+                      stream: str = "appearance") -> StreamFeatureSequence:
+    """Load and validate a GPF1 feature file; ``video_id`` defaults to
+    the file stem."""
+    rows = _read_container(path, GPF1_MAGIC, "frame")
     if video_id is None:
-        video_id = os.path.splitext(os.path.basename(os.fspath(path)))[0]
+        video_id = _stem(path)
     return StreamFeatureSequence(video_id=video_id, stream=stream, rows=rows)
 
 

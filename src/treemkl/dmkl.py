@@ -154,9 +154,13 @@ def contrastive_loss(k_vals: np.ndarray, y: np.ndarray,
     y = np.asarray(y, dtype=np.float64)
     if k_vals.shape != y.shape:
         raise ShapeMismatch(f"{k_vals.shape} kernel values vs {y.shape} labels")
-    pos = (1.0 - k_vals) ** 2
-    neg = np.maximum(0.0, k_vals - margin) ** 2
-    return float(np.mean(np.where(y > 0, pos, neg)))
+    return float(np.mean(_residual(k_vals, y, margin) ** 2))
+
+
+def _residual(k_vals: np.ndarray, y: np.ndarray, margin: float) -> np.ndarray:
+    """Per-pair residual whose square is the pair loss: ``k - 1`` on
+    positive pairs, the hinge ``max(0, k - margin)`` on negative ones."""
+    return np.where(y > 0, k_vals - 1.0, np.maximum(0.0, k_vals - margin))
 
 
 def _batch_forward(cache: NodeKernelCache, batch: PairBatch,
@@ -192,8 +196,7 @@ def loss_grad(batch: PairBatch, cache: NodeKernelCache,
     variant = canonical_variant(variant)
     beta = weights.beta
     k_vals, k_grads = _batch_forward(cache, batch, beta, variant)
-    pos = batch.y > 0
-    resid = np.where(pos, k_vals - 1.0, np.maximum(0.0, k_vals - margin))
+    resid = _residual(k_vals, batch.y, margin)
     loss = float(np.mean(resid ** 2))
     de_dk = 2.0 * resid / batch.size
     de_dbeta = de_dk @ k_grads
@@ -231,7 +234,6 @@ class DmklResult:
     weights: SimplexWeights
     loss_trace: np.ndarray
     beta_trace: np.ndarray          # weights at start plus after each step
-    eval_batch: PairBatch = field(repr=False, compare=False, default=None)
     cache: NodeKernelCache = field(repr=False, compare=False, default=None)
 
 
@@ -281,13 +283,12 @@ def dmkl_fit(trees: list[PooledTree], labels: np.ndarray, variant: str,
             delta = adam.update(grad, cfg.learning_rate)
         else:
             delta = -cfg.learning_rate * grad
-        weights = SimplexWeights._unchecked(weights.raw + delta)
+        weights = SimplexWeights(weights.raw + delta)
         trace.append(eval_loss(weights))
         beta_trace.append(weights.beta)
     check_on_simplex(weights.beta)
     return DmklResult(weights=weights, loss_trace=np.asarray(trace),
-                      beta_trace=np.asarray(beta_trace),
-                      eval_batch=eval_batch, cache=cache)
+                      beta_trace=np.asarray(beta_trace), cache=cache)
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,7 @@ from .kernels import (
     gram_from_cache,
 )
 from .simplex import INIT_SCHEMES, SimplexWeights, check_on_simplex
-from .svm import SvmModel, TrainConfig, train_one_vs_rest
+from .svm import SvmModel, TrainConfig, dual_objective, train_one_vs_rest
 
 
 @dataclass(frozen=True)
@@ -113,15 +113,6 @@ def beta_objective_coeffs(alpha: np.ndarray, labels: np.ndarray,
     return 0.5 * quad.reshape(m, m)
 
 
-def _classifier_objective(gram, model: SvmModel) -> float:
-    """Sum over classes of the optimal dual values (primal optima)."""
-    total = 0.0
-    for ci, c in enumerate(model.class_ids):
-        ay = model.alpha[ci] * model.signs_for(c)
-        total += model.alpha[ci].sum() - 0.5 * ay @ gram.values @ ay
-    return float(total)
-
-
 def em_fit(trees: list[PooledTree], labels: np.ndarray, variant: str,
            kernel_cfg: KernelConfig, em_cfg: EmConfig = EmConfig(),
            svm_cfg: TrainConfig = TrainConfig(),
@@ -146,9 +137,12 @@ def em_fit(trees: list[PooledTree], labels: np.ndarray, variant: str,
         beta = SimplexWeights.init(m, em_cfg.beta_init, em_cfg.seed).beta
 
     def solve(b):
+        # objective: sum over classes of the optimal (negated) dual values
         gram = gram_from_cache(cache, b, variant)
         model = train_one_vs_rest(gram, labels, svm_cfg)
-        return model, _classifier_objective(gram, model)
+        return model, -sum(dual_objective(gram, model.alpha[ci],
+                                          model.signs_for(c))
+                           for ci, c in enumerate(model.class_ids))
 
     model, objective = solve(beta)
     trace = [objective]

@@ -10,25 +10,19 @@ every weight vector in the package follows it. Depth ``D`` gives
 from __future__ import annotations
 
 import os
-import struct
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .dataio import StreamFeatureSequence
-from .errors import (
-    BadMagic,
-    InsufficientFrames,
-    NonFinite,
-    TrailingData,
-    Truncated,
-    ValidationError,
-    ZeroDim,
-    ZeroFrames,
+from .dataio import (
+    GPT1_MAGIC,
+    StreamFeatureSequence,
+    _read_container,
+    _stem,
+    _write_container,
 )
-
-GPT1_MAGIC = b"GPT1"
+from .errors import InsufficientFrames, NonFinite, ValidationError
 
 
 @dataclass(frozen=True)
@@ -159,45 +153,22 @@ def pool_sequence(seq: StreamFeatureSequence, hierarchy: Hierarchy) -> PooledTre
                       depth=hierarchy.depth, vectors=vectors)
 
 
-# --- GPT1 container (pooled-tree export) --------------------------------------
+# --- GPT1 pooled-tree files (the container of dataio) ------------------------
 
 def write_pooled_file(tree: PooledTree, path: str | os.PathLike) -> None:
-    """GPT1 layout: b"GPT1" | u32 dim | u32 node_count | node_count*dim f32."""
-    vec32 = tree.vectors.astype("<f4")
-    if not np.isfinite(vec32).all():
-        raise NonFinite(f"{path}: values overflow float32")
-    with open(path, "wb") as fh:
-        fh.write(GPT1_MAGIC)
-        fh.write(struct.pack("<II", tree.dim, tree.node_count))
-        fh.write(vec32.tobytes(order="C"))
+    """Write ``tree`` in GPT1 form, nodes in canonical order."""
+    _write_container(path, GPT1_MAGIC, tree.vectors)
 
 
 def load_pooled_file(path: str | os.PathLike, video_id: str | None = None,
                      stream: str = "appearance") -> PooledTree:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if len(data) < 4 or data[:4] != GPT1_MAGIC:
-        raise BadMagic(f"{path}: offset 0: expected {GPT1_MAGIC!r}, "
-                       f"got {data[:4]!r}")
-    if len(data) < 12:
-        raise Truncated(f"{path}: offset {len(data)}: header incomplete")
-    dim, node_count = struct.unpack_from("<II", data, 4)
-    if node_count == 0:
-        raise ZeroFrames(f"{path}: offset 8: node count is 0")
-    if dim == 0:
-        raise ZeroDim(f"{path}: offset 4: dim is 0")
-    depth = (node_count + 1).bit_length() - 1
-    if 2 ** depth - 1 != node_count:
+    """Load a GPT1 file; its node count must be ``2**D - 1``."""
+    vectors = _read_container(path, GPT1_MAGIC, "node")
+    depth = vectors.shape[0].bit_length()
+    if 2 ** depth - 1 != vectors.shape[0]:
         raise ValidationError(
-            f"{path}: node count {node_count} is not 2**D - 1")
-    need = 12 + 4 * dim * node_count
-    if len(data) < need:
-        raise Truncated(f"{path}: offset {len(data)}: payload declares "
-                        f"{node_count}x{dim} floats")
-    if len(data) > need:
-        raise TrailingData(f"{path}: offset {need}: trailing bytes")
-    raw = np.frombuffer(data, dtype="<f4", count=dim * node_count, offset=12)
+            f"{path}: node count {vectors.shape[0]} is not 2**D - 1")
     if video_id is None:
-        video_id = os.path.splitext(os.path.basename(os.fspath(path)))[0]
+        video_id = _stem(path)
     return PooledTree(video_id=video_id, stream=stream, depth=depth,
-                      vectors=raw.reshape(node_count, dim).astype(np.float64))
+                      vectors=vectors)

@@ -90,13 +90,19 @@ def elementary(x: np.ndarray, y: np.ndarray, cfg: KernelConfig) -> float:
 
 
 def _kernel_matrix(X: np.ndarray, Y: np.ndarray, cfg: KernelConfig) -> np.ndarray:
-    """Pairwise kappa between rows of X (a, d) and rows of Y (b, d)."""
+    """Pairwise kappa between rows of X (..., a, d) and rows of Y
+    (..., b, d), shape (..., a, b); the rbf kernel is evaluated in two
+    output-sized buffers."""
+    dot = X @ np.swapaxes(Y, -1, -2)
     if cfg.kind == "linear":
-        return X @ Y.T
-    sq = (np.sum(X * X, axis=1)[:, None] + np.sum(Y * Y, axis=1)[None, :]
-          - 2.0 * (X @ Y.T))
+        return dot
+    dot *= 2.0
+    sq = (np.sum(X * X, axis=-1)[..., :, None]
+          + np.sum(Y * Y, axis=-1)[..., None, :])
+    np.subtract(sq, dot, out=sq)
     np.maximum(sq, 0.0, out=sq)
-    return np.exp(-cfg.gamma * sq)
+    sq *= -cfg.gamma
+    return np.exp(sq, out=sq)
 
 
 def stack_trees(trees: list[PooledTree]) -> tuple[np.ndarray, list[str]]:
@@ -201,7 +207,6 @@ class NodeKernelCache:
         self.nodes = self.rows.shape[1]
         self._aligned: np.ndarray | None = None
         self._cross: np.ndarray | None = None
-        self._row_sqnorms: np.ndarray | None = None
 
     def _cross_is_dense(self) -> bool:
         size = (self.nodes ** 2) * self.rows.shape[0] * self.cols.shape[0]
@@ -269,16 +274,7 @@ class NodeKernelCache:
             n, m = self.rows.shape[0], self.nodes
             return self._cross.reshape(n * n, m, m).take(
                 np.asarray(i_idx) * n + np.asarray(j_idx), axis=0)
-        a, b = self.rows[i_idx], self.rows[j_idx]
-        dots = np.einsum("bmd,bnd->bmn", a, b, optimize=True)
-        if self.cfg.kind == "linear":
-            return dots
-        if self._row_sqnorms is None:
-            self._row_sqnorms = np.sum(self.rows * self.rows, axis=2)
-        sqn = self._row_sqnorms
-        sq = sqn[i_idx][:, :, None] + sqn[j_idx][:, None, :] - 2.0 * dots
-        np.maximum(sq, 0.0, out=sq)
-        return np.exp(-self.cfg.gamma * sq)
+        return _kernel_matrix(self.rows[i_idx], self.rows[j_idx], self.cfg)
 
 
 def kernel_columns(row_trees: list[PooledTree], col_trees: list[PooledTree],

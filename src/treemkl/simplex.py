@@ -11,7 +11,7 @@ simplex vanish after the backward pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -66,17 +66,15 @@ def backprop_through_simplex(de_dbeta: np.ndarray, beta: np.ndarray) -> np.ndarr
 
 @dataclass(frozen=True)
 class SimplexWeights:
-    """Raw parameters and the simplex point they induce, kept consistent."""
+    """Raw parameters and the simplex point they induce; ``beta`` is
+    derived from ``raw`` on construction, so the two always agree."""
 
     raw: np.ndarray
-    beta: np.ndarray
+    beta: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        raw = np.asarray(self.raw, dtype=np.float64).copy()
+        raw = np.array(self.raw, dtype=np.float64)
         beta = to_simplex(raw)
-        got = np.asarray(self.beta, dtype=np.float64)
-        if got.shape != beta.shape or not np.allclose(got, beta, atol=1e-12):
-            raise NotOnSimplex("beta inconsistent with raw parameters")
         raw.flags.writeable = False
         beta.flags.writeable = False
         object.__setattr__(self, "raw", raw)
@@ -84,17 +82,16 @@ class SimplexWeights:
 
     @classmethod
     def from_raw(cls, raw: np.ndarray) -> "SimplexWeights":
-        raw = np.asarray(raw, dtype=np.float64)
-        return cls(raw=raw, beta=to_simplex(raw))
+        return cls(raw)
 
     @classmethod
     def uniform(cls, n: int) -> "SimplexWeights":
-        return cls.from_raw(np.zeros(n))
+        return cls(np.zeros(n))
 
     @classmethod
     def random(cls, n: int, seed: int) -> "SimplexWeights":
         rng = np.random.default_rng(seed)
-        return cls.from_raw(rng.standard_normal(n))
+        return cls(rng.standard_normal(n))
 
     @classmethod
     def init(cls, n: int, scheme: str, seed: int = 0) -> "SimplexWeights":
@@ -103,17 +100,4 @@ class SimplexWeights:
         return cls.uniform(n) if scheme == "uniform" else cls.random(n, seed)
 
     def with_raw(self, raw: np.ndarray) -> "SimplexWeights":
-        return SimplexWeights.from_raw(raw)
-
-    @classmethod
-    def _unchecked(cls, raw: np.ndarray) -> "SimplexWeights":
-        """The point for ``raw`` with one softmax and no consistency
-        check; for optimizer loops, which check the final point."""
-        self = object.__new__(cls)
-        raw = np.array(raw, dtype=np.float64)
-        beta = to_simplex(raw)
-        raw.flags.writeable = False
-        beta.flags.writeable = False
-        object.__setattr__(self, "raw", raw)
-        object.__setattr__(self, "beta", beta)
-        return self
+        return SimplexWeights(raw)

@@ -14,6 +14,7 @@ from treemkl.dataio import (
     write_feature_file,
     write_manifest,
 )
+from treemkl.hierarchy import load_pooled_file
 
 
 def make_seq(rows, video_id="v0", stream="appearance"):
@@ -78,40 +79,64 @@ class TestFeatureFileRoundtrip:
             write_feature_file(seq, tmp_path / "bad.gpf")
 
 
+# the two formats that share one container: (magic, loader)
+FORMATS = ((b"GPF1", load_feature_file), (b"GPT1", load_pooled_file))
+
+
+def assert_rejected(tmp_path, exc, payload):
+    """Both loaders raise ``exc`` on their own magic followed by
+    ``payload`` (``u32 dim | u32 count | floats``)."""
+    for magic, load in FORMATS:
+        path = tmp_path / magic.decode()
+        path.write_bytes(magic + payload)
+        with pytest.raises(exc):
+            load(path)
+
+
 class TestFeatureFileErrors:
     def test_bad_magic(self, tmp_path):
-        path = tmp_path / "bad.gpf"
-        path.write_bytes(b"NOPE" + struct.pack("<II", 1, 1) + b"\x00" * 4)
-        with pytest.raises(errors.BadMagic):
-            load_feature_file(path)
+        payload = struct.pack("<II", 1, 1) + b"\x00" * 4
+        for (_, load), (other, _) in zip(FORMATS, reversed(FORMATS)):
+            for wrong in (b"NOPE", other):
+                path = tmp_path / "bad"
+                path.write_bytes(wrong + payload)
+                with pytest.raises(errors.BadMagic):
+                    load(path)
 
     def test_zero_frames(self, tmp_path):
-        path = tmp_path / "zero.gpf"
-        path.write_bytes(b"GPF1" + struct.pack("<II", 2, 0))
-        with pytest.raises(errors.ZeroFrames):
-            load_feature_file(path)
+        assert_rejected(tmp_path, errors.ZeroFrames, struct.pack("<II", 2, 0))
+
+    def test_zero_dim(self, tmp_path):
+        assert_rejected(tmp_path, errors.ZeroDim, struct.pack("<II", 0, 1))
 
     def test_truncated_payload(self, tmp_path):
-        # header declares 4 frames but only 3 are present
-        path = tmp_path / "trunc.gpf"
-        path.write_bytes(b"GPF1" + struct.pack("<II", 2, 4)
-                         + struct.pack("<6f", *range(6)))
-        with pytest.raises(errors.Truncated):
-            load_feature_file(path)
+        # header declares 3 rows but only 2 are present
+        assert_rejected(tmp_path, errors.Truncated, struct.pack("<II", 2, 3)
+                        + struct.pack("<4f", *range(4)))
+        assert_rejected(tmp_path, errors.Truncated, struct.pack("<I", 2))
 
     def test_trailing_bytes(self, tmp_path):
-        path = tmp_path / "trail.gpf"
-        path.write_bytes(b"GPF1" + struct.pack("<II", 1, 1)
-                         + struct.pack("<f", 1.0) + b"junk")
-        with pytest.raises(errors.TrailingData):
-            load_feature_file(path)
+        assert_rejected(tmp_path, errors.TrailingData,
+                        struct.pack("<II", 1, 1) + struct.pack("<f", 1.0)
+                        + b"junk")
 
     def test_nonfinite_payload(self, tmp_path):
-        path = tmp_path / "inf.gpf"
-        path.write_bytes(b"GPF1" + struct.pack("<II", 1, 2)
-                         + struct.pack("<2f", 1.0, np.inf))
-        with pytest.raises(errors.NonFinite):
-            load_feature_file(path)
+        assert_rejected(tmp_path, errors.NonFinite,
+                        struct.pack("<II", 1, 3)
+                        + struct.pack("<3f", 1.0, np.inf, 2.0))
+
+    def test_missing_file(self, tmp_path):
+        for _, load in FORMATS:
+            with pytest.raises(errors.MissingPath):
+                load(tmp_path / "absent")
+
+    def test_node_count_not_full_tree(self, tmp_path):
+        # 4 node vectors fit no depth (1, 3, 7, ... nodes)
+        path = tmp_path / "four.gpt"
+        path.write_bytes(b"GPT1" + struct.pack("<II", 1, 4)
+                         + struct.pack("<4f", *range(4)))
+        with pytest.raises(errors.ValidationError, match=r"not 2\*\*D - 1"):
+            load_pooled_file(path)
 
     def test_roundtrip_property(self, rng, tmp_path):
         # any valid float32-representable sequence survives unchanged

@@ -268,28 +268,29 @@ class TestNodeKernelCache:
 
     def test_pair_blocks_match_elementary(self, rng):
         trees = random_trees(rng, n=5, depth=2)
-        cache = NodeKernelCache(trees, RBF)
         i_idx = np.array([0, 1, 3])
         j_idx = np.array([2, 4, 0])
-        blocks = cache.pair_blocks(i_idx, j_idx)
-        for b, (i, j) in enumerate(zip(i_idx, j_idx)):
-            for m in range(3):
-                for n in range(3):
-                    expected = elementary(trees[i].vectors[m],
-                                          trees[j].vectors[n], RBF)
-                    np.testing.assert_allclose(blocks[b, m, n], expected,
-                                               atol=1e-12)
+        for cfg in (RBF, LIN):
+            blocks = NodeKernelCache(trees, cfg).pair_blocks(i_idx, j_idx)
+            for b, (i, j) in enumerate(zip(i_idx, j_idx)):
+                for m in range(3):
+                    for n in range(3):
+                        expected = elementary(trees[i].vectors[m],
+                                              trees[j].vectors[n], cfg)
+                        np.testing.assert_allclose(blocks[b, m, n], expected,
+                                                   atol=1e-12)
 
     def test_pair_blocks_agree_with_cross_cache(self, rng):
         trees = random_trees(rng, n=5, depth=2)
-        fresh = NodeKernelCache(trees, RBF)
-        cached = NodeKernelCache(trees, RBF)
-        cached.cross()
         i_idx = np.array([0, 2, 4, 1])
         j_idx = np.array([1, 3, 0, 1])
-        np.testing.assert_allclose(fresh.pair_blocks(i_idx, j_idx),
-                                   cached.pair_blocks(i_idx, j_idx),
-                                   atol=1e-12)
+        for cfg in (RBF, LIN):
+            fresh = NodeKernelCache(trees, cfg)
+            cached = NodeKernelCache(trees, cfg)
+            cached.cross()
+            np.testing.assert_allclose(fresh.pair_blocks(i_idx, j_idx),
+                                       cached.pair_blocks(i_idx, j_idx),
+                                       atol=1e-12)
 
     def test_cross_is_pair_major_across_row_blocks(self, rng, monkeypatch):
         # 5 cols x 3 x 3 nodes = 45 elements per row video: blocks of 2
@@ -322,7 +323,8 @@ class TestNodeKernelCache:
 
 
 class TestCrossMemory:
-    """Peak bytes allocated while the cross tensor is built or streamed.
+    """Peak bytes allocated while node kernels are evaluated and the
+    cross tensor is built or streamed.
 
     numpy reports its buffers to ``tracemalloc``, so the peaks are exact
     and repeat from run to run.
@@ -348,6 +350,12 @@ class TestCrossMemory:
         cache = self.cache(rng)
         peak = self.peak_bytes(cache.cross)
         assert peak < 1.5 * cache.cross().nbytes
+
+    def test_kernel_matrix_peak_two_outputs(self, rng):
+        X = rng.standard_normal((600, 16))
+        Y = rng.standard_normal((500, 16))
+        peak = self.peak_bytes(lambda: kernels._kernel_matrix(X, Y, RBF))
+        assert peak < 2.5 * 600 * 500 * 8
 
     def test_streamed_combined_never_holds_tensor(self, rng):
         cache = self.cache(rng)

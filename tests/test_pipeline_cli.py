@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -265,6 +266,26 @@ class TestPoolCommand:
         from treemkl.hierarchy import load_pooled_file
         tree = load_pooled_file(out / "trees" / trees[0])
         assert tree.depth == 3
+
+    def test_reruns_byte_identical_with_gpt1_headers(self, workspace,
+                                                     tmp_path):
+        outs = [tmp_path / "a", tmp_path / "b"]
+        for out in outs:
+            assert run_cli("pool", "--manifest",
+                           workspace / "data" / "manifest.jsonl",
+                           "--out", out, "--depth", 3,
+                           "--stream", "appearance") == 0
+        names = json.loads((outs[0] / "files.json").read_text())["files"]
+        assert len(names) == 30
+        for name in names + ["files.json"]:
+            assert (outs[0] / name).read_bytes() == \
+                (outs[1] / name).read_bytes()
+        dim, nodes = 8, 7
+        for name in names:
+            data = (outs[0] / name).read_bytes()
+            assert len(data) == 12 + 4 * dim * nodes
+            assert data[:4] == b"GPT1"
+            assert struct.unpack_from("<II", data, 4) == (dim, nodes)
 
     def test_validation_exit_code(self, tmp_path):
         assert run_cli("pool", "--manifest", tmp_path / "missing.jsonl",

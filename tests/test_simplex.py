@@ -116,17 +116,13 @@ class TestSimplexWeights:
         b = SimplexWeights.random(6, seed=9)
         np.testing.assert_array_equal(a.beta, b.beta)
 
-    def test_inconsistent_rejected(self):
-        with pytest.raises(errors.NotOnSimplex):
-            SimplexWeights(raw=np.zeros(3), beta=np.array([0.5, 0.25, 0.25]))
-
-    def test_unchecked_matches_from_raw(self, rng):
+    def test_beta_is_derived_from_raw(self, rng):
         raw = rng.standard_normal(5)
-        fast = SimplexWeights._unchecked(raw)
-        checked = SimplexWeights.from_raw(raw)
-        np.testing.assert_array_equal(fast.raw, checked.raw)
-        np.testing.assert_array_equal(fast.beta, checked.beta)
-        assert not (fast.raw.flags.writeable or fast.beta.flags.writeable)
+        w = SimplexWeights(raw)
+        np.testing.assert_array_equal(w.beta, to_simplex(raw))
+        assert not (w.raw.flags.writeable or w.beta.flags.writeable)
+        with pytest.raises(TypeError):
+            SimplexWeights(raw=raw, beta=to_simplex(raw))
 
     def test_with_raw_returns_new_point(self):
         w = SimplexWeights.uniform(3)
