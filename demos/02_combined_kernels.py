@@ -15,11 +15,12 @@ from treemkl import (
     CONCATENATION,
     Hierarchy,
     KernelConfig,
+    NodeKernelCache,
     StreamFeatureSequence,
     combined_kernel,
     gram_matrix,
-    kernel_grad_beta,
     median_gamma,
+    node_weights_pullback,
     pool_sequence,
 )
 from treemkl.simplex import to_simplex
@@ -56,8 +57,12 @@ print("averaging:    ",
       combined_kernel(trees[0], trees[1], one_hot, AVERAGING, cfg))
 
 print("\n=== analytic weight gradient vs finite differences ===")
+cache = NodeKernelCache(trees, cfg)
 for variant in (CONCATENATION, AVERAGING):
-    grad = kernel_grad_beta(trees[0], trees[1], beta, variant, cfg)
+    # K(v0, v1) = pair_blocks @ node_weights(beta): pull its node kernels
+    # back through the weight map
+    grad = node_weights_pullback(cache.pair_blocks([0], [1], variant)[0],
+                                 beta, variant)
     step = 1e-6
     fd = np.zeros_like(beta)
     for m in range(beta.size):

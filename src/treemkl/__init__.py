@@ -50,8 +50,9 @@ from .kernels import (
     fuse_kernels,
     gram_matrix,
     kernel_columns,
-    kernel_grad_beta,
     median_gamma,
+    node_weights,
+    node_weights_pullback,
 )
 from .pipeline import (
     PipelineConfig,

@@ -27,6 +27,7 @@ from .hierarchy import Hierarchy, write_pooled_file
 from .kernels import VARIANT_ALIASES
 from .pipeline import (
     PipelineConfig,
+    artifact_beta,
     evaluate_artifact,
     fuse_evaluate,
     load_split_trees,
@@ -100,7 +101,7 @@ def _svm_config(args) -> TrainConfig:
 def _beta_level_rows(artifact: dict) -> tuple[list[str], list[float]]:
     depth = int(artifact["config"]["depth"])
     h = Hierarchy(depth)
-    beta = np.array([artifact["beta"][f"{l}:{k}"] for l, k in h.nodes])
+    beta = artifact_beta(artifact)
     header = [f"level_{l}" for l in range(1, depth + 1)]
     masses = [float(beta[h.level_slice(l)].sum())
               for l in range(1, depth + 1)]

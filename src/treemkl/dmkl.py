@@ -28,12 +28,12 @@ import numpy as np
 from .errors import ShapeMismatch, SingleClass, TooFewVideos, ValidationError
 from .hierarchy import PooledTree
 from .kernels import (
-    AVERAGING,
-    CONCATENATION,
     KernelConfig,
     NodeKernelCache,
     canonical_variant,
     gram_from_cache,
+    node_weights,
+    node_weights_pullback,
 )
 from .simplex import (
     INIT_SCHEMES,
@@ -163,28 +163,11 @@ def _residual(k_vals: np.ndarray, y: np.ndarray, margin: float) -> np.ndarray:
     return np.where(y > 0, k_vals - 1.0, np.maximum(0.0, k_vals - margin))
 
 
-def _batch_forward(cache: NodeKernelCache, batch: PairBatch,
-                   beta: np.ndarray, variant: str):
-    """Kernel values and their per-pair beta-gradients for a batch."""
-    if variant == CONCATENATION:
-        aligned = cache.aligned()  # (m, n, n)
-        diag = aligned[:, batch.i, batch.j].T  # (batch, m)
-        return diag @ beta, diag
-    blocks = cache.pair_blocks(batch.i, batch.j)  # (batch, m, m)
-    weighted = blocks @ beta                      # (batch, m)
-    k_vals = weighted @ beta
-    grads = weighted + beta @ blocks
-    return k_vals, grads
-
-
 def _batch_scorer(cache: NodeKernelCache, batch: PairBatch, variant: str):
     """Kernel values of a fixed batch as a function of beta; the batch's
     node kernels are gathered once."""
-    if variant == CONCATENATION:
-        diag = cache.aligned()[:, batch.i, batch.j].T  # (batch, m)
-        return lambda beta: diag @ beta
-    flat = cache.pair_blocks(batch.i, batch.j).reshape(batch.size, -1)
-    return lambda beta: flat @ np.outer(beta, beta).ravel()
+    flat = cache.pair_blocks(batch.i, batch.j, variant)
+    return lambda beta: flat @ node_weights(beta, variant)
 
 
 def loss_grad(batch: PairBatch, cache: NodeKernelCache,
@@ -195,11 +178,11 @@ def loss_grad(batch: PairBatch, cache: NodeKernelCache,
     dependence, and the simplex Jacobian."""
     variant = canonical_variant(variant)
     beta = weights.beta
-    k_vals, k_grads = _batch_forward(cache, batch, beta, variant)
-    resid = _residual(k_vals, batch.y, margin)
+    flat = cache.pair_blocks(batch.i, batch.j, variant)
+    resid = _residual(flat @ node_weights(beta, variant), batch.y, margin)
     loss = float(np.mean(resid ** 2))
-    de_dk = 2.0 * resid / batch.size
-    de_dbeta = de_dk @ k_grads
+    de_dbeta = node_weights_pullback((2.0 * resid / batch.size) @ flat,
+                                     beta, variant)
     return loss, backprop_through_simplex(de_dbeta, beta)
 
 
@@ -253,8 +236,6 @@ def dmkl_fit(trees: list[PooledTree], labels: np.ndarray, variant: str,
     if np.unique(labels).size < 2:
         raise SingleClass("need at least 2 classes")
     cache = NodeKernelCache(trees, kernel_cfg)
-    if cache._cross_is_dense() and variant == AVERAGING:
-        cache.cross()  # precompute once; batches gather from it
 
     eval_ss, batch_ss, init_ss = np.random.SeedSequence(cfg.seed).spawn(3)
     table = _PairTable(labels)

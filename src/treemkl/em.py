@@ -11,16 +11,17 @@ The traced objective is the sum over classes of the optimal dual values
 (equivalently the regularized primal optima) at the current ``beta`` —
 the quantity the alternation actually descends; it is non-increasing at
 every accepted iteration by construction. The alignment coefficients
-come in two shapes: a vector of per-node quadratic forms for the
-concatenation variant (the weight subproblem is then a simplex LP) and
-a PSD node-by-node matrix for the averaging variant (a simplex QP).
+are one quadratic form per node pair of the variant's node-kernel table:
+a vector over nodes for concatenation (the weight subproblem is then a
+simplex LP) and a PSD node-by-node matrix for averaging (a simplex QP).
 
 ``em_fit`` takes a damped Frank-Wolfe step on the alternation
-objective: its gradient in ``beta`` at the current ``alpha`` is the
-negated alignment (``-c`` for concatenation, ``-C beta`` for
-averaging), so the step moves toward the vertex of the smallest
-gradient entry and backtracks its length until the traced objective
-does not rise.
+objective. The objective is linear in the weight map
+``node_weights(beta, variant)`` with coefficients ``-c``, so its
+gradient in ``beta`` at the current ``alpha`` is
+``-node_weights_pullback(c, beta, variant)``; the step moves toward the
+vertex of the smallest gradient entry and backtracks its length until
+the traced objective does not rise.
 """
 
 from __future__ import annotations
@@ -32,11 +33,11 @@ import numpy as np
 from .errors import ShapeMismatch, SingleClass, ValidationError
 from .hierarchy import PooledTree
 from .kernels import (
-    CONCATENATION,
     KernelConfig,
     NodeKernelCache,
     canonical_variant,
     gram_from_cache,
+    node_weights_pullback,
 )
 from .simplex import INIT_SCHEMES, SimplexWeights, check_on_simplex
 from .svm import SvmModel, TrainConfig, dual_objective, train_one_vs_rest
@@ -69,21 +70,20 @@ class EmResult:
     objective_trace: np.ndarray
     beta_trace: np.ndarray          # weights at start plus after each step
     iterations: int
-    converged: bool
 
 
 def beta_objective_coeffs(alpha: np.ndarray, labels: np.ndarray,
-                          node_grams: np.ndarray, variant: str) -> np.ndarray:
+                          table: np.ndarray) -> np.ndarray:
     """Alignment of each node kernel with the current dual solutions.
 
-    Concatenation (``node_grams`` of shape (nodes, n, n)): vector with
-    ``c[m] = 0.5 * sum_c (alpha_c * y_c)' kappa_m (alpha_c * y_c)`` —
-    non-negative since each kappa_m is PSD. Averaging (``node_grams`` the
-    pair-major cross tensor of shape (n, n, nodes, nodes)): the matrix of
-    the same quadratic forms over node pairs, symmetric PSD (a Gram
+    ``table`` is a pair-major node-kernel table of shape (n, n, ...),
+    ``NodeKernelCache.table(variant)``. For each node pair ``p`` it
+    gives ``0.5 * sum_c (alpha_c * y_c)' kappa_p (alpha_c * y_c)``, in
+    the shape of the table's trailing axes: a vector over nodes for the
+    aligned table (non-negative since each kappa_m is PSD) and a
+    node-by-node matrix for the cross tensor (symmetric PSD, a Gram
     matrix of per-node function components).
     """
-    variant = canonical_variant(variant)
     alpha = np.asarray(alpha, dtype=np.float64)
     labels = np.asarray(labels)
     class_ids = np.unique(labels)
@@ -92,25 +92,16 @@ def beta_objective_coeffs(alpha: np.ndarray, labels: np.ndarray,
         raise ShapeMismatch(
             f"alpha shape {alpha.shape}, expected "
             f"({class_ids.size}, {n})")
-    node_grams = np.asarray(node_grams)
-    if variant == CONCATENATION:
-        ok = node_grams.ndim == 3 and node_grams.shape[1:] == (n, n)
-    else:
-        ok = (node_grams.ndim == 4 and node_grams.shape[:2] == (n, n)
-              and node_grams.shape[2] == node_grams.shape[3])
-    if not ok:
+    table = np.asarray(table)
+    if table.shape[:2] != (n, n):
         raise ShapeMismatch(
-            f"node_grams shape {node_grams.shape} wrong for {variant}")
+            f"table shape {table.shape} is not pair-major over {n} videos")
     signed = alpha * np.stack(
         [np.where(labels == c, 1.0, -1.0) for c in class_ids])
-    if variant == CONCATENATION:
-        return 0.5 * np.einsum("ci,mij,cj->m", signed, node_grams, signed,
-                               optimize=True)
-    m = node_grams.shape[2]
     # contract the row videos in one GEMM, then the column videos
-    partial = signed @ node_grams.reshape(n, n * m * m)
-    quad = np.einsum("ci,cik->k", signed, partial.reshape(-1, n, m * m))
-    return 0.5 * quad.reshape(m, m)
+    partial = signed @ table.reshape(n, -1)
+    quad = np.einsum("ci,cik->k", signed, partial.reshape(len(signed), n, -1))
+    return 0.5 * quad.reshape(table.shape[2:])
 
 
 def em_fit(trees: list[PooledTree], labels: np.ndarray, variant: str,
@@ -128,7 +119,7 @@ def em_fit(trees: list[PooledTree], labels: np.ndarray, variant: str,
     if np.unique(labels).size < 2:
         raise SingleClass("need at least 2 classes")
     cache = NodeKernelCache(trees, kernel_cfg)
-    node_grams = cache.aligned() if variant == CONCATENATION else cache.cross()
+    table = cache.table(variant)
     m = cache.nodes
 
     if beta_init is not None:
@@ -147,24 +138,17 @@ def em_fit(trees: list[PooledTree], labels: np.ndarray, variant: str,
     model, objective = solve(beta)
     trace = [objective]
     beta_trace = [beta.copy()]
-    converged = False
     iterations = 0
 
     for _ in range(em_cfg.max_iters):
         if m == 1:
-            converged = True
             break
-        coeffs = beta_objective_coeffs(model.alpha, labels, node_grams, variant)
-        # descend the alternation objective: its beta-gradient at the
-        # current alpha is -coeffs (vector case) / -coeffs @ beta (matrix)
-        if variant == CONCATENATION:
-            grad = -coeffs
-        else:
-            grad = -(coeffs @ beta)
+        coeffs = beta_objective_coeffs(model.alpha, labels, table)
+        # descend the alternation objective, linear in the weight map
+        grad = -node_weights_pullback(coeffs, beta, variant)
         vertex = np.zeros(m)
         vertex[int(np.argmin(grad))] = 1.0
         if np.allclose(vertex, beta):
-            converged = True
             break
 
         accepted = False
@@ -177,7 +161,6 @@ def em_fit(trees: list[PooledTree], labels: np.ndarray, variant: str,
                 break
             eta *= 0.5
         if not accepted:
-            converged = True
             break
 
         beta_delta = float(np.max(np.abs(candidate - beta)))
@@ -187,10 +170,9 @@ def em_fit(trees: list[PooledTree], labels: np.ndarray, variant: str,
         beta_trace.append(beta.copy())
         iterations += 1
         if beta_delta < em_cfg.param_tol and alpha_delta < em_cfg.param_tol:
-            converged = True
             break
 
     return EmResult(beta=beta, model=model,
                     objective_trace=np.asarray(trace),
                     beta_trace=np.asarray(beta_trace),
-                    iterations=iterations, converged=converged)
+                    iterations=iterations)

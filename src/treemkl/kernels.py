@@ -8,18 +8,20 @@ Two videos are compared through their pooled trees. With node weights
 * averaging variant:      ``K(A, B) = sum_{m,n} beta[m] beta[n] *
   kappa(a_m, b_n)``, all cross pairs — tolerant to misalignment.
 
-Both are positive semi-definite for any non-negative ``beta`` because
-sums and products preserve PSD-ness; with an RBF elementary kernel and
-``beta`` on the simplex all combined values stay in [0, 1].
+Both are the weighted sum ``table @ node_weights(beta, variant)`` of
+node kernels; the variant enters only through which node pairs the
+table holds and their weights. Both are positive semi-definite for any
+non-negative ``beta`` because sums and products preserve PSD-ness; with
+an RBF elementary kernel and ``beta`` on the simplex all combined values
+stay in [0, 1].
 
 Computing a Gram matrix re-weights a fixed set of elementary node
 kernels, so :class:`NodeKernelCache` evaluates them once per (tree set,
 kernel config) and every ``beta``-dependent quantity afterwards is a
 cheap contraction. This pairwise table is the quadratic-cost core of the
-whole method. The averaging variant's table is stored pair-major,
-``(rows, cols, nodes, nodes)``: one video pair's node-by-node block is
-contiguous, so a batch of pairs is one gather and a contraction with
-``outer(beta, beta)`` is one matrix-vector product.
+whole method. Both tables are stored pair-major, ``(rows, cols, ...)``:
+one video pair's node kernels are contiguous, so a batch of pairs is one
+gather and a contraction with the weights is one matrix-vector product.
 """
 
 from __future__ import annotations
@@ -61,6 +63,25 @@ def canonical_variant(name: str) -> str:
         return VARIANT_ALIASES[name]
     except KeyError:
         raise ValidationError(f"unknown combine variant {name!r}") from None
+
+
+def node_weights(beta: np.ndarray, variant: str) -> np.ndarray:
+    """The variant's weight on each node pair of its table: ``beta`` for
+    concatenation, ``outer(beta, beta).ravel()`` for averaging."""
+    if canonical_variant(variant) == CONCATENATION:
+        return beta
+    return np.outer(beta, beta).ravel()
+
+
+def node_weights_pullback(g: np.ndarray, beta: np.ndarray,
+                          variant: str) -> np.ndarray:
+    """Gradient in ``beta`` of ``g @ node_weights(beta, variant)``: ``g``
+    for concatenation, ``G @ beta + beta @ G`` with ``G`` the (nodes,
+    nodes) reshape of ``g`` for averaging."""
+    if canonical_variant(variant) == CONCATENATION:
+        return g
+    G = g.reshape(beta.size, beta.size)
+    return G @ beta + beta @ G
 
 
 @dataclass(frozen=True)
@@ -131,24 +152,15 @@ def _check_pair(a: PooledTree, b: PooledTree, beta: np.ndarray) -> np.ndarray:
 
 def combined_kernel(a: PooledTree, b: PooledTree, beta: np.ndarray,
                     variant: str, cfg: KernelConfig) -> float:
+    """The combined kernel of one tree pair, straight from its node
+    kernels; the per-pair reference the cached, batched paths are
+    checked against."""
     variant = canonical_variant(variant)
     beta = _check_pair(a, b, beta)
     cross = _kernel_matrix(a.vectors, b.vectors, cfg)
     if variant == CONCATENATION:
         return float(np.diag(cross) @ beta)
     return float(beta @ cross @ beta)
-
-
-def kernel_grad_beta(a: PooledTree, b: PooledTree, beta: np.ndarray,
-                     variant: str, cfg: KernelConfig) -> np.ndarray:
-    """d combined_kernel / d beta; constant in beta for concatenation,
-    ``(C + C^T) beta`` for averaging."""
-    variant = canonical_variant(variant)
-    beta = _check_pair(a, b, beta)
-    cross = _kernel_matrix(a.vectors, b.vectors, cfg)
-    if variant == CONCATENATION:
-        return np.diag(cross).copy()
-    return (cross + cross.T) @ beta
 
 
 @dataclass(frozen=True)
@@ -184,12 +196,12 @@ class GramMatrix:
 class NodeKernelCache:
     """Elementary node kernels between two tree sets, computed once.
 
-    ``aligned()`` returns the (nodes, rows, cols) tensor of same-node
-    kernels; ``cross()`` the pair-major (rows, cols, nodes, nodes) tensor
-    with ``cross()[i, j, m, n] = kappa(row_i[m], col_j[n])``, built one
-    block of row videos at a time. ``combined(beta, variant)`` contracts
-    either with the weights without touching feature vectors again; for
-    the averaging variant on a cache whose cross tensor is not built, it
+    Both tables are pair-major: ``aligned()[i, j, m] = kappa(row_i[m],
+    col_j[m])`` and ``cross()[i, j, m, n] = kappa(row_i[m], col_j[n])``,
+    the latter built one block of row videos at a time.
+    ``combined(beta, variant)`` contracts ``table(variant)`` with
+    ``node_weights`` without touching feature vectors again; for the
+    averaging variant on a cache whose cross tensor is not built, it
     contracts each row block as it is computed and never holds the whole
     tensor.
     """
@@ -215,10 +227,11 @@ class NodeKernelCache:
     def aligned(self) -> np.ndarray:
         if self._aligned is None:
             m, (nr, nc) = self.nodes, (self.rows.shape[0], self.cols.shape[0])
-            out = np.empty((m, nr, nc))
+            out = np.empty((nr, nc, m))
             for node in range(m):
-                out[node] = _kernel_matrix(self.rows[:, node, :],
-                                           self.cols[:, node, :], self.cfg)
+                out[:, :, node] = _kernel_matrix(self.rows[:, node, :],
+                                                 self.cols[:, node, :],
+                                                 self.cfg)
             self._aligned = out
         return self._aligned
 
@@ -244,37 +257,51 @@ class NodeKernelCache:
             self._cross = out
         return self._cross
 
+    def table(self, variant: str) -> np.ndarray:
+        """``aligned()`` for concatenation, ``cross()`` for averaging."""
+        if canonical_variant(variant) == CONCATENATION:
+            return self.aligned()
+        return self.cross()
+
     def combined(self, beta: np.ndarray, variant: str) -> np.ndarray:
         variant = canonical_variant(variant)
         beta = np.asarray(beta, dtype=np.float64)
         if beta.shape != (self.nodes,):
             raise ShapeMismatch(
                 f"beta has {beta.size} entries for {self.nodes} nodes")
-        if variant == CONCATENATION:
-            return np.tensordot(beta, self.aligned(), axes=1)
         nr, nc = self.rows.shape[0], self.cols.shape[0]
-        weights = np.outer(beta, beta).ravel()
-        if self._cross is not None:
-            return (self._cross.reshape(nr * nc, -1) @ weights).reshape(nr, nc)
+        weights = node_weights(beta, variant)
+        table = self.aligned() if variant == CONCATENATION else self._cross
+        if table is not None:
+            return (table.reshape(nr * nc, -1) @ weights).reshape(nr, nc)
         out = np.empty((nr, nc))
         for r0, r1, block in self._cross_blocks():
             out[r0:r1] = (block.reshape((r1 - r0) * nc, -1) @ weights
                           ).reshape(r1 - r0, nc)
         return out
 
-    def pair_blocks(self, i_idx: np.ndarray, j_idx: np.ndarray) -> np.ndarray:
-        """Node-kernel matrices for row/row index pairs: (batch, m, m).
+    def pair_blocks(self, i_idx: np.ndarray, j_idx: np.ndarray,
+                    variant: str) -> np.ndarray:
+        """The variant's node kernels for row/row index pairs, one flat
+        row per pair; both index arrays address ``row_trees``.
 
-        Both index arrays address ``row_trees``; used by pair-based
-        training where rows and cols are the same set.
+        The table is built on first use unless it is the cross tensor
+        and exceeds ``_DENSE_LIMIT``; then each batch is computed from
+        the feature vectors.
         """
         if self.cols is not self.rows:
             raise ShapeMismatch("pair_blocks needs a single tree set")
-        if self._cross is not None:
-            n, m = self.rows.shape[0], self.nodes
-            return self._cross.reshape(n * n, m, m).take(
-                np.asarray(i_idx) * n + np.asarray(j_idx), axis=0)
-        return _kernel_matrix(self.rows[i_idx], self.rows[j_idx], self.cfg)
+        variant = canonical_variant(variant)
+        i_idx, j_idx = np.asarray(i_idx), np.asarray(j_idx)
+        table = self._aligned if variant == CONCATENATION else self._cross
+        if table is None and (variant == CONCATENATION
+                              or self._cross_is_dense()):
+            table = self.table(variant)
+        if table is None:
+            return _kernel_matrix(self.rows[i_idx], self.rows[j_idx],
+                                  self.cfg).reshape(i_idx.size, -1)
+        n = self.rows.shape[0]
+        return table.reshape(n * n, -1).take(i_idx * n + j_idx, axis=0)
 
 
 def kernel_columns(row_trees: list[PooledTree], col_trees: list[PooledTree],

@@ -37,42 +37,38 @@ class TestBetaObjectiveCoeffs:
     def test_zero_alpha_gives_zero(self, rng):
         trees, labels, cache, model = trained_instance(rng)
         zero = np.zeros_like(model.alpha)
-        c = beta_objective_coeffs(zero, labels, cache.aligned(), CONCATENATION)
+        c = beta_objective_coeffs(zero, labels, cache.aligned())
         np.testing.assert_array_equal(c, np.zeros(cache.nodes))
-        m = beta_objective_coeffs(zero, labels, cache.cross(), AVERAGING)
+        m = beta_objective_coeffs(zero, labels, cache.cross())
         np.testing.assert_array_equal(m, np.zeros((cache.nodes, cache.nodes)))
 
     def test_concat_coeffs_nonnegative(self, rng):
         # each coefficient is a quadratic form in a PSD node kernel
         for _ in range(10):
             trees, labels, cache, model = trained_instance(rng)
-            c = beta_objective_coeffs(model.alpha, labels, cache.aligned(),
-                                      CONCATENATION)
+            c = beta_objective_coeffs(model.alpha, labels, cache.aligned())
             assert c.min() >= -1e-10
 
     def test_single_node_scalar(self, rng):
         trees, labels, cache, model = trained_instance(rng, depth=1)
-        c = beta_objective_coeffs(model.alpha, labels, cache.aligned(),
-                                  CONCATENATION)
+        c = beta_objective_coeffs(model.alpha, labels, cache.aligned())
         assert c.shape == (1,)
         signed = model.alpha * np.stack([model.signs_for(cl)
                                          for cl in model.class_ids])
-        expected = 0.5 * sum(s @ cache.aligned()[0] @ s for s in signed)
+        expected = 0.5 * sum(s @ cache.aligned()[:, :, 0] @ s for s in signed)
         np.testing.assert_allclose(c[0], expected)
         assert c[0] >= 0
 
     def test_averaging_matrix_psd(self, rng):
         for _ in range(10):
             trees, labels, cache, model = trained_instance(rng)
-            m = beta_objective_coeffs(model.alpha, labels, cache.cross(),
-                                      AVERAGING)
+            m = beta_objective_coeffs(model.alpha, labels, cache.cross())
             np.testing.assert_allclose(m, m.T, atol=1e-12)
             assert np.linalg.eigvalsh(m)[0] >= -1e-8
 
     def test_averaging_matches_node_pair_oracle(self, rng):
         trees, labels, cache, model = trained_instance(rng, n=12, depth=3)
-        m = beta_objective_coeffs(model.alpha, labels, cache.cross(),
-                                  AVERAGING)
+        m = beta_objective_coeffs(model.alpha, labels, cache.cross())
         ref = averaging_coeffs_oracle(model.alpha, labels,
                                       np.stack([t.vectors for t in trees]),
                                       RBF.gamma)
@@ -80,10 +76,10 @@ class TestBetaObjectiveCoeffs:
 
     def test_averaging_rejects_node_major_layout(self, rng):
         trees, labels, cache, model = trained_instance(rng)
-        with pytest.raises(errors.ShapeMismatch):
-            beta_objective_coeffs(model.alpha, labels,
-                                  cache.cross().transpose(2, 3, 0, 1),
-                                  AVERAGING)
+        for node_major in (cache.cross().transpose(2, 3, 0, 1),
+                           cache.aligned().transpose(2, 0, 1)):
+            with pytest.raises(errors.ShapeMismatch):
+                beta_objective_coeffs(model.alpha, labels, node_major)
 
 
 def synth_trees(seed, level=2, depth=None, per_class=25):

@@ -18,8 +18,8 @@ from treemkl.kernels import (
     fuse_kernels,
     gram_matrix,
     kernel_columns,
-    kernel_grad_beta,
     median_gamma,
+    node_weights_pullback,
 )
 from treemkl.simplex import to_simplex
 
@@ -164,19 +164,25 @@ class TestGramMatrix:
             np.testing.assert_allclose(cols_k, direct, atol=1e-12)
 
 
+def pair_grad(trees, beta, variant, cfg=RBF):
+    """Production gradient in beta of K(trees[0], trees[1]): the pair's
+    node kernels pulled back through the variant's weight map."""
+    blocks = NodeKernelCache(trees, cfg).pair_blocks([0], [1], variant)
+    return node_weights_pullback(blocks[0], np.asarray(beta, dtype=float),
+                                 variant)
+
+
 class TestKernelGrad:
     def test_concatenation_grad_constant_in_beta(self, rng):
         trees = random_trees(rng, n=2, depth=2)
-        g1 = kernel_grad_beta(*trees, np.array([0.2, 0.3, 0.5]),
-                              CONCATENATION, RBF)
-        g2 = kernel_grad_beta(*trees, np.array([1.0, 0.0, 0.0]),
-                              CONCATENATION, RBF)
+        g1 = pair_grad(trees, np.array([0.2, 0.3, 0.5]), CONCATENATION)
+        g2 = pair_grad(trees, np.array([1.0, 0.0, 0.0]), CONCATENATION)
         np.testing.assert_array_equal(g1, g2)
 
     def test_averaging_one_hot(self, rng):
         trees = random_trees(rng, n=2, depth=2)
         beta = np.array([0.0, 1.0, 0.0])
-        g = kernel_grad_beta(*trees, beta, AVERAGING, RBF)
+        g = pair_grad(trees, beta, AVERAGING)
         k_aligned = elementary(trees[0].vectors[1], trees[1].vectors[1], RBF)
         np.testing.assert_allclose(g[1], 2.0 * k_aligned, atol=1e-14)
 
@@ -186,7 +192,7 @@ class TestKernelGrad:
             trees = random_trees(rng, n=2, depth=int(rng.integers(1, 4)))
             beta = to_simplex(rng.standard_normal(trees[0].node_count))
             for variant in (CONCATENATION, AVERAGING):
-                got = kernel_grad_beta(*trees, beta, variant, RBF)
+                got = pair_grad(trees, beta, variant)
                 fd = central_difference(
                     lambda b: combined_kernel(*trees, b, variant, RBF), beta)
                 denom = max(float(np.linalg.norm(fd)), 1e-12)
@@ -203,7 +209,7 @@ class TestKernelGrad:
         row_slot = cross @ beta          # d k / d beta with column slot fixed
         col_slot = cross.T @ beta        # d k / d beta with row slot fixed
         shared = np.mean([row_slot, col_slot], axis=0)
-        analytic = kernel_grad_beta(*trees, beta, AVERAGING, RBF)
+        analytic = pair_grad(trees, beta, AVERAGING)
         np.testing.assert_allclose(2.0 * shared, analytic, atol=1e-12)
 
 
@@ -271,16 +277,23 @@ class TestNodeKernelCache:
         i_idx = np.array([0, 1, 3])
         j_idx = np.array([2, 4, 0])
         for cfg in (RBF, LIN):
-            blocks = NodeKernelCache(trees, cfg).pair_blocks(i_idx, j_idx)
-            for b, (i, j) in enumerate(zip(i_idx, j_idx)):
-                for m in range(3):
-                    for n in range(3):
+            cache = NodeKernelCache(trees, cfg)
+            for variant in (CONCATENATION, AVERAGING):
+                blocks = cache.pair_blocks(i_idx, j_idx, variant)
+                pairs = ([(m, m) for m in range(3)]
+                         if variant == CONCATENATION else
+                         [(m, n) for m in range(3) for n in range(3)])
+                assert blocks.shape == (3, len(pairs))
+                for b, (i, j) in enumerate(zip(i_idx, j_idx)):
+                    for p, (m, n) in enumerate(pairs):
                         expected = elementary(trees[i].vectors[m],
                                               trees[j].vectors[n], cfg)
-                        np.testing.assert_allclose(blocks[b, m, n], expected,
+                        np.testing.assert_allclose(blocks[b, p], expected,
                                                    atol=1e-12)
 
-    def test_pair_blocks_agree_with_cross_cache(self, rng):
+    def test_pair_blocks_agree_with_cross_cache(self, rng, monkeypatch):
+        # no tensor fits: the uncached cache gathers from feature vectors
+        monkeypatch.setattr(kernels, "_DENSE_LIMIT", 0)
         trees = random_trees(rng, n=5, depth=2)
         i_idx = np.array([0, 2, 4, 1])
         j_idx = np.array([1, 3, 0, 1])
@@ -288,9 +301,10 @@ class TestNodeKernelCache:
             fresh = NodeKernelCache(trees, cfg)
             cached = NodeKernelCache(trees, cfg)
             cached.cross()
-            np.testing.assert_allclose(fresh.pair_blocks(i_idx, j_idx),
-                                       cached.pair_blocks(i_idx, j_idx),
-                                       atol=1e-12)
+            np.testing.assert_allclose(
+                fresh.pair_blocks(i_idx, j_idx, AVERAGING),
+                cached.pair_blocks(i_idx, j_idx, AVERAGING), atol=1e-12)
+            assert fresh._cross is None
 
     def test_cross_is_pair_major_across_row_blocks(self, rng, monkeypatch):
         # 5 cols x 3 x 3 nodes = 45 elements per row video: blocks of 2
@@ -299,13 +313,18 @@ class TestNodeKernelCache:
         rows = random_trees(rng, n=7, depth=2)
         cols = random_trees(rng, n=5, depth=2)
         for cfg in (RBF, LIN):
-            cross = NodeKernelCache(rows, cfg, cols).cross()
+            cache = NodeKernelCache(rows, cfg, cols)
+            cross, aligned = cache.cross(), cache.aligned()
             assert cross.shape == (7, 5, 3, 3) and cross.flags.c_contiguous
+            assert aligned.shape == (7, 5, 3) and aligned.flags.c_contiguous
             for i, a in enumerate(rows):
                 for j, b in enumerate(cols):
                     expected = [[elementary(a.vectors[m], b.vectors[n], cfg)
                                  for n in range(3)] for m in range(3)]
                     np.testing.assert_allclose(cross[i, j], expected,
+                                               rtol=0, atol=1e-12)
+                    np.testing.assert_allclose(aligned[i, j],
+                                               np.diag(expected),
                                                rtol=0, atol=1e-12)
 
     def test_streamed_combined_matches_built(self, rng, monkeypatch):
