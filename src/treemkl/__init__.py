@@ -26,12 +26,10 @@ from .dmkl import (
     ContrastiveConfig,
     DmklPipelineResult,
     DmklResult,
-    PairBatch,
     contrastive_loss,
     dmkl_fit,
     dmkl_then_svm,
     loss_grad,
-    pair_labels,
 )
 from .em import (
     EmConfig,

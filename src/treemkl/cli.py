@@ -86,7 +86,11 @@ def _manifest_root(manifest_path: str) -> str:
 def _pipeline_config(args) -> PipelineConfig:
     gamma = args.gamma
     if gamma != "median":
-        gamma = float(gamma)
+        try:
+            gamma = float(gamma)
+        except ValueError:
+            raise ValidationError(
+                f"--gamma must be a number or 'median', got {gamma!r}") from None
     return PipelineConfig(depth=args.depth, variant=args.variant,
                           stream=args.stream, kernel_kind=args.kernel,
                           gamma=gamma, feature_norm=args.feature_norm,

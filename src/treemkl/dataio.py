@@ -222,6 +222,17 @@ def load_feature_file(path: str | os.PathLike, video_id: str | None = None,
 
 # --- manifests ----------------------------------------------------------------
 
+def _class_id(value, where: str) -> int:
+    """An integer, or a string of one; a float such as 1.7 is rejected
+    rather than truncated."""
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ValidationError(f"{where} {value!r} is not an integer class id")
+
+
 def load_manifest(path: str | os.PathLike) -> DatasetManifest:
     """Parse a JSON-lines manifest into a validated :class:`DatasetManifest`."""
     records: list[VideoRecord] = []
@@ -241,8 +252,12 @@ def load_manifest(path: str | os.PathLike) -> DatasetManifest:
                 if lineno != 1 and records:
                     raise ValidationError(
                         f"{path}:{lineno}: label_names must be the first line")
-                label_names = {int(k): str(v)
-                               for k, v in obj["label_names"].items()}
+                names = obj["label_names"]
+                if not isinstance(names, dict):
+                    raise ValidationError(
+                        f"{path}:{lineno}: label_names must be an object")
+                label_names = {_class_id(k, f"{path}:{lineno}: label_names key"):
+                               str(v) for k, v in names.items()}
                 continue
             missing = [k for k in ("video_id", "label", "split") if k not in obj]
             if missing:
@@ -251,7 +266,7 @@ def load_manifest(path: str | os.PathLike) -> DatasetManifest:
             try:
                 rec = VideoRecord(
                     video_id=str(obj["video_id"]),
-                    label=int(obj["label"]),
+                    label=_class_id(obj["label"], f"{path}:{lineno}: label"),
                     appearance=obj.get("appearance"),
                     motion=obj.get("motion"),
                     split=str(obj["split"]),
@@ -297,6 +312,21 @@ def save_artifact(artifact: dict, path: str | os.PathLike) -> None:
         fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
+# config entries the pipeline reads back from an artifact
+_ARTIFACT_CONFIG_KEYS = (
+    ("depth",), ("variant",), ("stream",), ("kernel", "kind"),
+    ("kernel", "gamma"), ("svm", "c_box"), ("svm", "kkt_tol"),
+    ("svm", "max_passes"))
+
+
+def _require(doc: dict, keys: tuple[str, ...], path) -> None:
+    node = doc
+    for key in keys:
+        if not isinstance(node, dict) or key not in node:
+            raise ArtifactMismatch(f"{path}: missing {'.'.join(keys)!r}")
+        node = node[key]
+
+
 def load_artifact(path: str | os.PathLike) -> dict:
     if not os.path.isfile(path):
         raise MissingPath(f"{path}: no such model artifact")
@@ -305,10 +335,27 @@ def load_artifact(path: str | os.PathLike) -> dict:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ArtifactMismatch(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ArtifactMismatch(f"{path}: not a JSON object")
     if doc.get("format") != ARTIFACT_FORMAT:
         raise ArtifactMismatch(
             f"{path}: format {doc.get('format')!r}, expected {ARTIFACT_FORMAT!r}")
     for key in ("config", "beta", "classes"):
         if key not in doc:
             raise ArtifactMismatch(f"{path}: missing {key!r} section")
+    for keys in _ARTIFACT_CONFIG_KEYS:
+        _require(doc, ("config",) + keys, path)
+    for key in ("beta", "classes"):
+        if not isinstance(doc[key], dict):
+            raise ArtifactMismatch(f"{path}: {key!r} is not an object")
+    for c, entry in doc["classes"].items():
+        for key in ("b", "support"):
+            _require(doc, ("classes", c, key), path)
+        support = entry["support"]
+        if not isinstance(support, list) or not all(
+                isinstance(sv, dict) and "video_id" in sv and "alpha" in sv
+                for sv in support):
+            raise ArtifactMismatch(f"{path}: classes.{c}.support must list "
+                                   f"objects with 'video_id' and 'alpha'")
     return doc
+

@@ -71,31 +71,10 @@ class ContrastiveConfig:
             raise ValidationError(f"unknown beta_init {self.beta_init!r}")
 
 
-@dataclass(frozen=True)
-class PairBatch:
-    """Index pairs (i < j for exhaustive batches) with +/-1 same-class labels."""
-
-    i: np.ndarray
-    j: np.ndarray
-    y: np.ndarray
-
-    def __post_init__(self):
-        for name in ("i", "j", "y"):
-            arr = np.asarray(getattr(self, name))
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-        if not (self.i.shape == self.j.shape == self.y.shape):
-            raise ShapeMismatch("pair index/label arrays differ in shape")
-
-    @property
-    def size(self) -> int:
-        return self.i.size
-
-
 class _PairTable:
     """Every pair i < j of a label vector with its +/-1 same-class label
     and the positive and negative pair positions; built once, sampled
-    many times."""
+    many times. The one source of pairs for the contrastive route."""
 
     def __init__(self, labels: np.ndarray):
         self.i, self.j = np.triu_indices(labels.size, k=1)
@@ -103,16 +82,21 @@ class _PairTable:
         self.pos = np.flatnonzero(self.y > 0)
         self.neg = np.flatnonzero(self.y < 0)
 
-    def all(self) -> PairBatch:
-        return PairBatch(i=self.i, j=self.j, y=self.y)
-
     def sample(self, n_pairs: int, rng: np.random.Generator,
-               positive_fraction: float | None) -> PairBatch:
+               positive_fraction: float | None
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Row indices, column indices and +/-1 labels of a batch.
+
+        Every pair (the table's own arrays) when ``positive_fraction``
+        is unset and ``n_pairs`` covers them; otherwise ``n_pairs``
+        draws with replacement, rebalanced to ``positive_fraction``
+        same-class pairs when it is set.
+        """
         if positive_fraction is None and n_pairs >= self.i.size:
             # batch budget covers every pair: deterministic full batch,
             # which turns plain gradient descent into exact (monotone)
             # descent
-            return self.all()
+            return self.i, self.j, self.y
         if positive_fraction is None:
             picks = rng.integers(0, self.i.size, size=n_pairs)
         else:
@@ -124,25 +108,7 @@ class _PairTable:
                 self.pos[rng.integers(0, self.pos.size, size=n_pos)],
                 self.neg[rng.integers(0, self.neg.size, size=n_pairs - n_pos)],
             ])
-        return PairBatch(i=self.i[picks], j=self.j[picks], y=self.y[picks])
-
-
-def pair_labels(labels: np.ndarray, n_pairs: int | None = None,
-                seed: int = 0,
-                positive_fraction: float | None = None) -> PairBatch:
-    """All pairs (default) or a seeded sample of ``n_pairs`` pairs.
-
-    Sampling draws with replacement, optionally rebalanced to a target
-    fraction of positive (same-class) pairs.
-    """
-    labels = np.asarray(labels)
-    if labels.size < 2:
-        raise TooFewVideos(f"need >= 2 videos, got {labels.size}")
-    table = _PairTable(labels)
-    if n_pairs is None:
-        return table.all()
-    return table.sample(n_pairs, np.random.default_rng(seed),
-                        positive_fraction)
+        return self.i[picks], self.j[picks], self.y[picks]
 
 
 def contrastive_loss(k_vals: np.ndarray, y: np.ndarray,
@@ -163,27 +129,28 @@ def _residual(k_vals: np.ndarray, y: np.ndarray, margin: float) -> np.ndarray:
     return np.where(y > 0, k_vals - 1.0, np.maximum(0.0, k_vals - margin))
 
 
-def _batch_scorer(cache: NodeKernelCache, batch: PairBatch, variant: str):
-    """Kernel values of a fixed batch as a function of beta; the batch's
-    node kernels are gathered once."""
-    flat = cache.pair_blocks(batch.i, batch.j, variant)
-    return lambda beta: flat @ node_weights(beta, variant)
-
-
-def loss_grad(batch: PairBatch, cache: NodeKernelCache,
-              weights: SimplexWeights, variant: str,
+def loss_grad(i: np.ndarray, j: np.ndarray, y: np.ndarray,
+              cache: NodeKernelCache, weights: SimplexWeights, variant: str,
               margin: float = 0.0) -> tuple[float, np.ndarray]:
-    """Batch loss and its gradient w.r.t. the raw (pre-softmax)
-    parameters, composing the pair losses, the kernel's weight
-    dependence, and the simplex Jacobian."""
+    """Loss over the pairs ``(i[p], j[p])`` with +/-1 labels ``y`` and
+    its gradient w.r.t. the raw (pre-softmax) parameters, composing the
+    pair losses, the kernel's weight dependence, and the simplex
+    Jacobian."""
     variant = canonical_variant(variant)
     beta = weights.beta
-    flat = cache.pair_blocks(batch.i, batch.j, variant)
-    resid = _residual(flat @ node_weights(beta, variant), batch.y, margin)
+    flat = cache.pair_blocks(i, j, variant)
+    resid = _residual(flat @ node_weights(beta, variant), y, margin)
     loss = float(np.mean(resid ** 2))
-    de_dbeta = node_weights_pullback((2.0 * resid / batch.size) @ flat,
+    de_dbeta = node_weights_pullback((2.0 * resid / y.size) @ flat,
                                      beta, variant)
     return loss, backprop_through_simplex(de_dbeta, beta)
+
+
+# Adam's moment decay rates and denominator guard, at their published
+# defaults (Kingma & Ba, ICLR 2015)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass
@@ -193,9 +160,6 @@ class AdamState:
     m: np.ndarray
     v: np.ndarray
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
     def zeros(cls, n: int) -> "AdamState":
@@ -205,11 +169,11 @@ class AdamState:
         if grad.shape != self.m.shape:
             raise ShapeMismatch(f"gradient {grad.shape} vs state {self.m.shape}")
         self.step += 1
-        self.m = self.beta1 * self.m + (1.0 - self.beta1) * grad
-        self.v = self.beta2 * self.v + (1.0 - self.beta2) * grad ** 2
-        m_hat = self.m / (1.0 - self.beta1 ** self.step)
-        v_hat = self.v / (1.0 - self.beta2 ** self.step)
-        return -learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
+        self.m = ADAM_BETA1 * self.m + (1.0 - ADAM_BETA1) * grad
+        self.v = ADAM_BETA2 * self.v + (1.0 - ADAM_BETA2) * grad ** 2
+        m_hat = self.m / (1.0 - ADAM_BETA1 ** self.step)
+        v_hat = self.v / (1.0 - ADAM_BETA2 ** self.step)
+        return -learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 @dataclass(frozen=True)
@@ -242,9 +206,9 @@ def dmkl_fit(trees: list[PooledTree], labels: np.ndarray, variant: str,
     # fixed eval batch drawn the same way training batches are (the full
     # pair set when the budget covers it), so the trace measures the
     # objective actually being minimized
-    eval_batch = table.sample(cfg.batch_pairs, np.random.default_rng(eval_ss),
-                              cfg.positive_fraction)
-    eval_k = _batch_scorer(cache, eval_batch, variant)
+    eval_i, eval_j, eval_y = table.sample(
+        cfg.batch_pairs, np.random.default_rng(eval_ss), cfg.positive_fraction)
+    eval_rows = cache.pair_blocks(eval_i, eval_j, variant)
 
     weights = SimplexWeights.init(
         cache.nodes, cfg.beta_init,
@@ -252,21 +216,19 @@ def dmkl_fit(trees: list[PooledTree], labels: np.ndarray, variant: str,
     batch_rng = np.random.default_rng(batch_ss)
     adam = AdamState.zeros(cache.nodes)
 
-    def eval_loss(w: SimplexWeights) -> float:
-        return contrastive_loss(eval_k(w.beta), eval_batch.y, cfg.margin)
-
-    trace = [eval_loss(weights)]
     beta_trace = [weights.beta]
     for _ in range(cfg.iterations):
-        batch = table.sample(cfg.batch_pairs, batch_rng, cfg.positive_fraction)
-        _, grad = loss_grad(batch, cache, weights, variant, cfg.margin)
+        i, j, y = table.sample(cfg.batch_pairs, batch_rng,
+                               cfg.positive_fraction)
+        _, grad = loss_grad(i, j, y, cache, weights, variant, cfg.margin)
         if cfg.optimizer == "adam":
             delta = adam.update(grad, cfg.learning_rate)
         else:
             delta = -cfg.learning_rate * grad
         weights = SimplexWeights(weights.raw + delta)
-        trace.append(eval_loss(weights))
         beta_trace.append(weights.beta)
+    trace = [contrastive_loss(eval_rows @ node_weights(beta, variant),
+                              eval_y, cfg.margin) for beta in beta_trace]
     check_on_simplex(weights.beta)
     return DmklResult(weights=weights, loss_trace=np.asarray(trace),
                       beta_trace=np.asarray(beta_trace), cache=cache)

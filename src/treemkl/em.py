@@ -39,8 +39,11 @@ from .kernels import (
     gram_from_cache,
     node_weights_pullback,
 )
-from .simplex import INIT_SCHEMES, SimplexWeights, check_on_simplex
+from .simplex import INIT_SCHEMES, SimplexWeights
 from .svm import SvmModel, TrainConfig, dual_objective, train_one_vs_rest
+
+# step-length halvings tried before an iteration gives up
+MAX_HALVINGS = 12
 
 
 @dataclass(frozen=True)
@@ -48,7 +51,6 @@ class EmConfig:
     max_iters: int = 50
     param_tol: float = 1e-4
     eta: float = 0.5
-    max_halvings: int = 12
     beta_init: str = "uniform"
     seed: int = 0
 
@@ -106,8 +108,7 @@ def beta_objective_coeffs(alpha: np.ndarray, labels: np.ndarray,
 
 def em_fit(trees: list[PooledTree], labels: np.ndarray, variant: str,
            kernel_cfg: KernelConfig, em_cfg: EmConfig = EmConfig(),
-           svm_cfg: TrainConfig = TrainConfig(),
-           beta_init: np.ndarray | None = None) -> EmResult:
+           svm_cfg: TrainConfig = TrainConfig()) -> EmResult:
     """Alternate dual solves and damped alignment steps on ``beta``.
 
     Stops when the iteration budget is exhausted, when both ``beta``
@@ -122,10 +123,7 @@ def em_fit(trees: list[PooledTree], labels: np.ndarray, variant: str,
     table = cache.table(variant)
     m = cache.nodes
 
-    if beta_init is not None:
-        beta = check_on_simplex(np.asarray(beta_init, dtype=np.float64)).copy()
-    else:
-        beta = SimplexWeights.init(m, em_cfg.beta_init, em_cfg.seed).beta
+    beta = SimplexWeights.init(m, em_cfg.beta_init, em_cfg.seed).beta
 
     def solve(b):
         # objective: sum over classes of the optimal (negated) dual values
@@ -153,7 +151,7 @@ def em_fit(trees: list[PooledTree], labels: np.ndarray, variant: str,
 
         accepted = False
         eta = em_cfg.eta
-        for _ in range(em_cfg.max_halvings + 1):
+        for _ in range(MAX_HALVINGS + 1):
             candidate = (1.0 - eta) * beta + eta * vertex
             cand_model, cand_objective = solve(candidate)
             if cand_objective <= objective + 1e-10:

@@ -81,10 +81,6 @@ class SimplexWeights:
         object.__setattr__(self, "beta", beta)
 
     @classmethod
-    def from_raw(cls, raw: np.ndarray) -> "SimplexWeights":
-        return cls(raw)
-
-    @classmethod
     def uniform(cls, n: int) -> "SimplexWeights":
         return cls(np.zeros(n))
 

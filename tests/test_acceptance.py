@@ -15,9 +15,9 @@ from conftest import random_trees
 from treemkl.cli import main as cli_main
 from treemkl.dmkl import (
     ContrastiveConfig,
+    _PairTable,
     dmkl_fit,
     loss_grad,
-    pair_labels,
 )
 from treemkl.em import EmConfig, em_fit
 from treemkl.hierarchy import Hierarchy, pool_sequence
@@ -157,14 +157,15 @@ def test_c01_gradient_correctness(rng):
         trees = random_trees(rng, n=4, depth=depth, frames=16, dim=3)
         labels = rng.integers(1, 3, size=4)
         labels[0], labels[1] = 1, 2
-        batch = pair_labels(labels)
+        batch = _PairTable(labels)
         cfg = KernelConfig("rbf", float(rng.uniform(0.2, 2.0)))
         cache = NodeKernelCache(trees, cfg)
         raw = rng.standard_normal(trees[0].node_count)
-        weights = SimplexWeights.from_raw(raw)
+        weights = SimplexWeights(raw)
         margin = float(rng.choice([0.0, 0.2]))
         for variant in VARIANTS:
-            _, grad = loss_grad(batch, cache, weights, variant, margin)
+            _, grad = loss_grad(batch.i, batch.j, batch.y, cache, weights,
+                                variant, margin)
 
             def composite(r):
                 beta = to_simplex(r)

@@ -1,4 +1,5 @@
 import json
+import re
 import struct
 
 import numpy as np
@@ -190,6 +191,31 @@ class TestManifest:
             {"video_id": "a", "label": 1, "split": "train"},
         ])
         with pytest.raises(errors.MissingPath):
+            load_manifest(path)
+
+    def test_non_integer_label_is_validation_error(self, tmp_path):
+        for label in ("x", 1.7):
+            path = self.write_lines(tmp_path, [
+                {"video_id": "a", "label": 1, "appearance": "a.gpf",
+                 "split": "train"},
+                {"video_id": "b", "label": label, "appearance": "b.gpf",
+                 "split": "train"},
+            ])
+            with pytest.raises(errors.ValidationError,
+                               match=re.escape(f"{path}:2: label {label!r}")):
+                load_manifest(path)
+
+    def test_non_integer_label_names_key_is_validation_error(self, tmp_path):
+        path = self.write_lines(tmp_path, [
+            {"label_names": {"one": "walk"}},
+            {"video_id": "a", "label": 1, "appearance": "a.gpf", "split": "train"},
+        ])
+        with pytest.raises(errors.ValidationError,
+                           match=re.escape(f"{path}:1: label_names key 'one'")):
+            load_manifest(path)
+        path = self.write_lines(tmp_path, [{"label_names": ["walk"]}])
+        with pytest.raises(errors.ValidationError,
+                           match=re.escape(f"{path}:1: label_names must be")):
             load_manifest(path)
 
     def test_roundtrip(self, tmp_path):

@@ -7,11 +7,11 @@ from treemkl import errors
 from treemkl.dmkl import (
     AdamState,
     ContrastiveConfig,
+    _PairTable,
     contrastive_loss,
     dmkl_fit,
     dmkl_then_svm,
     loss_grad,
-    pair_labels,
 )
 from treemkl.hierarchy import Hierarchy, pool_sequence
 from treemkl.kernels import (
@@ -31,41 +31,48 @@ from treemkl.synth import SynthSpec, gen_sequences
 RBF = KernelConfig("rbf", 0.6)
 
 
+def all_pairs(labels):
+    """Every pair of ``labels`` with its +/-1 label, as the contrastive
+    route's pair table returns it when the batch budget covers them."""
+    table = _PairTable(np.asarray(labels))
+    return table.sample(table.i.size, np.random.default_rng(0), None)
+
+
 class TestPairLabels:
     def test_definition(self):
-        batch = pair_labels(np.array([1, 1, 2]))
-        got = {(int(i), int(j)): int(y)
-               for i, j, y in zip(batch.i, batch.j, batch.y)}
+        i, j, y = all_pairs([1, 1, 2])
+        got = {(int(a), int(b)): int(c) for a, b, c in zip(i, j, y)}
         assert got == {(0, 1): 1, (0, 2): -1, (1, 2): -1}
 
     def test_all_same_class(self):
-        batch = pair_labels(np.array([3, 3, 3, 3]))
-        assert np.all(batch.y == 1.0)
-        assert batch.size == 6
+        _, _, y = all_pairs([3, 3, 3, 3])
+        assert np.all(y == 1.0)
+        assert y.size == 6
 
     def test_sampling_deterministic(self):
-        labels = np.array([1, 2, 1, 2, 1, 3])
-        a = pair_labels(labels, n_pairs=10, seed=11)
-        b = pair_labels(labels, n_pairs=10, seed=11)
-        np.testing.assert_array_equal(a.i, b.i)
-        np.testing.assert_array_equal(a.j, b.j)
-        np.testing.assert_array_equal(a.y, b.y)
+        table = _PairTable(np.array([1, 2, 1, 2, 1, 3]))
+        a = table.sample(10, np.random.default_rng(11), None)
+        b = table.sample(10, np.random.default_rng(11), None)
+        assert a[0].size == 10
+        for got, want in zip(a, b):
+            np.testing.assert_array_equal(got, want)
 
     def test_rebalanced_fraction(self):
-        labels = np.repeat([1, 2, 3, 4], 5)
-        batch = pair_labels(labels, n_pairs=1000, seed=0,
-                            positive_fraction=0.5)
-        assert abs(float(np.mean(batch.y > 0)) - 0.5) < 0.01
+        table = _PairTable(np.repeat([1, 2, 3, 4], 5))
+        _, _, y = table.sample(1000, np.random.default_rng(0), 0.5)
+        assert abs(float(np.mean(y > 0)) - 0.5) < 0.01
 
-    def test_too_few(self):
+    def test_too_few(self, rng):
+        trees = random_trees(rng, n=1, depth=2)
         with pytest.raises(errors.TooFewVideos):
-            pair_labels(np.array([1]))
+            dmkl_fit(trees, np.array([1]), AVERAGING, ContrastiveConfig(),
+                     RBF)
 
     def test_pair_supply_exceeds_label_count(self):
         # n(n-1)/2 supervision signals from n labels
         labels = np.arange(20) % 4 + 1
-        batch = pair_labels(labels)
-        assert batch.size == 20 * 19 // 2 > labels.size
+        _, _, y = all_pairs(labels)
+        assert y.size == 20 * 19 // 2 > labels.size
 
 
 class TestContrastiveLoss:
@@ -92,14 +99,15 @@ class TestContrastiveLoss:
             assert contrastive_loss(k, y, margin=float(rng.uniform(0, 0.5))) >= 0
 
 
-def fd_reference_loss(trees, batch, raw, variant, cfg, margin):
+def fd_reference_loss(trees, pairs, raw, variant, cfg, margin):
     """Independent loss path: per-pair combined kernels + the loss formula."""
     beta = to_simplex(raw)
-    k_vals = np.array([combined_kernel(trees[i], trees[j], beta, variant, cfg)
-                       for i, j in zip(batch.i, batch.j)])
+    i, j, y = pairs
+    k_vals = np.array([combined_kernel(trees[a], trees[b], beta, variant, cfg)
+                       for a, b in zip(i, j)])
     pos = (1.0 - k_vals) ** 2
     neg = np.maximum(0.0, k_vals - margin) ** 2
-    return float(np.mean(np.where(batch.y > 0, pos, neg)))
+    return float(np.mean(np.where(y > 0, pos, neg)))
 
 
 class TestLossGrad:
@@ -110,9 +118,8 @@ class TestLossGrad:
         trees = [PooledTree(video_id=f"v{i}", stream="appearance", depth=1,
                             vectors=base) for i in range(3)]
         cache = NodeKernelCache(trees, RBF)
-        batch = pair_labels(np.array([1, 1, 1]))
         w = SimplexWeights.uniform(1)
-        loss, grad = loss_grad(batch, cache, w, CONCATENATION)
+        loss, grad = loss_grad(*all_pairs([1, 1, 1]), cache, w, CONCATENATION)
         assert loss <= 1e-30
         np.testing.assert_allclose(grad, np.zeros(1), atol=1e-16)
 
@@ -122,17 +129,17 @@ class TestLossGrad:
             trees = random_trees(rng, n=5, depth=depth, frames=16, dim=4)
             labels = rng.integers(1, 3, size=5)
             labels[0], labels[1] = 1, 2
-            batch = pair_labels(labels)
+            pairs = all_pairs(labels)
             cache = NodeKernelCache(trees, RBF)
             raw = rng.standard_normal(trees[0].node_count)
-            w = SimplexWeights.from_raw(raw)
+            w = SimplexWeights(raw)
             margin = float(rng.choice([0.0, 0.2]))
             for variant in (CONCATENATION, AVERAGING):
-                loss, grad = loss_grad(batch, cache, w, variant, margin)
-                ref = fd_reference_loss(trees, batch, raw, variant, RBF, margin)
+                loss, grad = loss_grad(*pairs, cache, w, variant, margin)
+                ref = fd_reference_loss(trees, pairs, raw, variant, RBF, margin)
                 np.testing.assert_allclose(loss, ref, rtol=1e-10, atol=1e-12)
                 fd = central_difference(
-                    lambda r: fd_reference_loss(trees, batch, r, variant,
+                    lambda r: fd_reference_loss(trees, pairs, r, variant,
                                                 RBF, margin), raw)
                 denom = max(float(np.linalg.norm(fd)), 1e-10)
                 assert np.linalg.norm(grad - fd) / denom < 1e-5
@@ -141,10 +148,9 @@ class TestLossGrad:
         # at uniform weights the raw gradient is the centered node-kernel
         # response scaled by 1/n (the uniform-point softmax Jacobian)
         trees = random_trees(rng, n=2, depth=2, frames=8, dim=3)
-        batch = pair_labels(np.array([1, 2]))
         cache = NodeKernelCache(trees, RBF)
         w = SimplexWeights.uniform(3)
-        _, grad = loss_grad(batch, cache, w, CONCATENATION)
+        _, grad = loss_grad(*all_pairs([1, 2]), cache, w, CONCATENATION)
         kappa = np.array([combined_kernel(trees[0], trees[1],
                                           np.eye(3)[m], CONCATENATION, RBF)
                           for m in range(3)])

@@ -133,16 +133,15 @@ class TestEmFit:
         assert res.beta.min() >= 0.0
         assert abs(res.beta.sum() - 1.0) <= 1e-12
 
-    def test_one_hot_start_zero_iters_is_single_kernel_svm(self):
+    def test_zero_iters_is_plain_svm_at_config_start(self):
         train, y_train, test, y_test, h = synth_trees(0, level=2)
         kcfg = KernelConfig("rbf", median_gamma(train))
-        one_hot = np.zeros(h.node_count)
-        one_hot[1] = 1.0
-        res = em_fit(train, y_train, AVERAGING, kcfg,
-                     EmConfig(max_iters=0), beta_init=one_hot)
-        gram = gram_matrix(train, one_hot, AVERAGING, kcfg)
+        em_cfg = EmConfig(max_iters=0, beta_init="random", seed=5)
+        start = SimplexWeights.init(h.node_count, "random", 5).beta
+        res = em_fit(train, y_train, AVERAGING, kcfg, em_cfg)
+        gram = gram_matrix(train, start, AVERAGING, kcfg)
         plain = train_one_vs_rest(gram, y_train)
-        k_cols = kernel_columns(test, train, one_hot, AVERAGING, kcfg)
+        k_cols = kernel_columns(test, train, start, AVERAGING, kcfg)
         np.testing.assert_array_equal(predict(res.model, k_cols),
                                       predict(plain, k_cols))
         np.testing.assert_array_equal(res.model.alpha, plain.alpha)

@@ -244,7 +244,74 @@ class TestReport:
             (tmp_path / "b" / "report.csv").read_bytes()
 
 
+def assert_one_error_line(capsys, *needles):
+    err = capsys.readouterr().err
+    lines = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(lines) == 1 and "Traceback" not in err, err
+    for needle in needles:
+        assert needle in lines[0], err
+
+
 class TestExitCodesAndWorkers:
+    def test_non_numeric_gamma_is_validation_exit(self, workspace, tmp_path,
+                                                  capsys):
+        code = run_cli("train-em", "--manifest",
+                       workspace / "data" / "manifest.jsonl",
+                       "--out", tmp_path / "o", "--depth", 2,
+                       "--gamma", "abc")
+        assert code == 2
+        assert_one_error_line(capsys, "--gamma", "'abc'")
+
+    @pytest.mark.parametrize("keys", [
+        ("config", "depth"), ("config", "variant"), ("config", "stream"),
+        ("config", "kernel", "kind"), ("config", "kernel", "gamma"),
+        ("config", "svm", "c_box"), ("config", "svm", "kkt_tol"),
+        ("config", "svm", "max_passes"), ("classes", "1", "b"),
+        ("classes", "2", "support")])
+    def test_artifact_missing_key_is_named(self, workspace, tmp_path, keys):
+        doc = json.loads((workspace / "em_a" / "model.json").read_text())
+        node = doc
+        for key in keys[:-1]:
+            node = node[key]
+        del node[keys[-1]]
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(errors.ArtifactMismatch, match=".".join(keys)):
+            load_artifact(path)
+
+    def test_artifact_malformed_sections(self, workspace, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text("[]")
+        with pytest.raises(errors.ArtifactMismatch, match="not a JSON object"):
+            load_artifact(path)
+        good = (workspace / "em_a" / "model.json").read_text()
+        for section in ("beta", "classes"):
+            doc = json.loads(good)
+            doc[section] = []
+            path.write_text(json.dumps(doc))
+            with pytest.raises(errors.ArtifactMismatch,
+                               match=f"'{section}' is not an object"):
+                load_artifact(path)
+        for key in ("video_id", "alpha"):
+            doc = json.loads(good)
+            del doc["classes"]["1"]["support"][0][key]
+            path.write_text(json.dumps(doc))
+            with pytest.raises(errors.ArtifactMismatch,
+                               match=r"classes\.1\.support must list"):
+                load_artifact(path)
+
+    def test_eval_artifact_without_depth_is_validation_exit(
+            self, workspace, tmp_path, capsys):
+        doc = json.loads((workspace / "em_a" / "model.json").read_text())
+        del doc["config"]["depth"]
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc))
+        code = run_cli("eval", "--model", model,
+                       "--manifest", workspace / "data" / "manifest.jsonl",
+                       "--out", tmp_path / "o")
+        assert code == 2
+        assert_one_error_line(capsys, "'config.depth'")
+
     def test_not_converged_is_numerical_exit(self, workspace, tmp_path):
         code = run_cli("train-em", "--manifest",
                        workspace / "data" / "manifest.jsonl",

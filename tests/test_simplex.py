@@ -104,7 +104,7 @@ class TestBackprop:
 
 class TestSimplexWeights:
     def test_from_raw_consistent(self, rng):
-        w = SimplexWeights.from_raw(rng.standard_normal(5))
+        w = SimplexWeights(rng.standard_normal(5))
         np.testing.assert_allclose(w.beta, to_simplex(w.raw))
 
     def test_uniform(self):
