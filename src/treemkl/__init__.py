@@ -5,10 +5,8 @@ from .dataio import (
     DatasetManifest,
     StreamFeatureSequence,
     VideoRecord,
-    load_artifact,
     load_feature_file,
     load_manifest,
-    save_artifact,
     write_feature_file,
     write_manifest,
 )
@@ -53,10 +51,13 @@ from .kernels import (
     node_weights_pullback,
 )
 from .pipeline import (
+    ModelArtifact,
     PipelineConfig,
     evaluate_artifact,
     fuse_evaluate,
+    load_artifact,
     load_split_trees,
+    save_artifact,
     train_dmkl_route,
     train_em_route,
 )

@@ -19,18 +19,20 @@ import sys
 
 import numpy as np
 
-from .dataio import load_artifact, load_manifest, save_artifact
+from .dataio import load_manifest
 from .dmkl import ContrastiveConfig
 from .em import EmConfig
 from .errors import EmptySplit, NoRuns, NumericalError, ValidationError
 from .hierarchy import Hierarchy, write_pooled_file
 from .kernels import VARIANT_ALIASES
 from .pipeline import (
+    ModelArtifact,
     PipelineConfig,
-    artifact_beta,
     evaluate_artifact,
     fuse_evaluate,
+    load_artifact,
     load_split_trees,
+    save_artifact,
     train_dmkl_route,
     train_em_route,
 )
@@ -102,13 +104,11 @@ def _svm_config(args) -> TrainConfig:
                        max_passes=args.max_passes)
 
 
-def _beta_level_rows(artifact: dict) -> tuple[list[str], list[float]]:
-    depth = int(artifact["config"]["depth"])
-    h = Hierarchy(depth)
-    beta = artifact_beta(artifact)
-    header = [f"level_{l}" for l in range(1, depth + 1)]
-    masses = [float(beta[h.level_slice(l)].sum())
-              for l in range(1, depth + 1)]
+def _beta_level_rows(artifact: ModelArtifact) -> tuple[list[str], list[float]]:
+    h = Hierarchy(artifact.pipeline.depth)
+    header = [f"level_{l}" for l in range(1, h.depth + 1)]
+    masses = [float(artifact.beta[h.level_slice(l)].sum())
+              for l in range(1, h.depth + 1)]
     return header, masses
 
 
@@ -233,28 +233,30 @@ def cmd_fuse_eval(args) -> int:
 
 
 def cmd_report(args) -> int:
+    if not os.path.isdir(args.runs):
+        raise NoRuns(f"{args.runs}: no such runs directory")
     out = _OutDir(args.out)
+    header = ["run", "route", "variant", "depth", "stream", "accuracy"]
     rows = []
     for name in sorted(os.listdir(args.runs)):
         metrics_path = os.path.join(args.runs, name, "metrics.json")
         if not os.path.isfile(metrics_path):
             continue
-        with open(metrics_path, "r", encoding="utf-8") as fh:
-            metrics = json.load(fh)
-        cfg = metrics.get("config", {})
-        if "fusion" in cfg:
-            rows.append([name, "fusion:" + cfg["fusion"],
-                         cfg["stream_a"].get("variant", "?"),
-                         cfg["stream_a"].get("depth", "?"), "fusion",
+        try:
+            with open(metrics_path, "r", encoding="utf-8") as fh:
+                metrics = json.load(fh)
+            cfg = metrics.get("config", {})
+            if "fusion" in cfg:
+                cfg = dict(cfg["stream_a"], route="fusion:" + cfg["fusion"],
+                           stream="fusion")
+            rows.append([name, *(cfg.get(k, "?") for k in header[1:5]),
                          float(metrics["overall_accuracy"])])
-        else:
-            rows.append([name, cfg.get("route", "?"), cfg.get("variant", "?"),
-                         cfg.get("depth", "?"), cfg.get("stream", "?"),
-                         float(metrics["overall_accuracy"])])
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise ValidationError(
+                f"{metrics_path}: unreadable metrics: {exc!r}") from exc
     if not rows:
         raise NoRuns(f"no run directories with metrics.json under {args.runs}")
     rows.sort(key=lambda r: (str(r[2]), str(r[3]), str(r[4]), str(r[0])))
-    header = ["run", "route", "variant", "depth", "stream", "accuracy"]
     out.write_csv("report.csv", header, rows)
     widths = [max(len(str(r[i])) for r in rows + [header])
               for i in range(len(header))]

@@ -1,4 +1,4 @@
-"""Feature files, dataset manifests, and trained-model artifacts.
+"""Feature files and dataset manifests.
 
 This module is the boundary where per-frame feature vectors enter the
 system: upstream extraction (whatever produced the vectors) is out of
@@ -21,8 +21,6 @@ Manifest: JSON lines, one object per video with keys ``video_id``,
 paths, and ``split`` ("train" | "test"). An optional first line
 ``{"label_names": {"1": "...", ...}}`` names the classes; otherwise
 names default to ``class_<id>`` for ids 1..max(label).
-
-Model artifact: a single JSON document, see :func:`save_artifact`.
 """
 
 from __future__ import annotations
@@ -35,7 +33,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    ArtifactMismatch,
     BadMagic,
     DuplicateId,
     MissingPath,
@@ -291,71 +288,4 @@ def write_manifest(manifest: DatasetManifest, path: str | os.PathLike) -> None:
             if rec.motion is not None:
                 obj["motion"] = rec.motion
             fh.write(json.dumps(obj, sort_keys=True) + "\n")
-
-
-# --- model artifacts -----------------------------------------------------------
-
-ARTIFACT_FORMAT = "treemkl-model-v1"
-
-
-def save_artifact(artifact: dict, path: str | os.PathLike) -> None:
-    """Serialize a trained-model artifact to a single JSON document.
-
-    Expected keys: ``config`` (depth, variant, kernel kind, gamma, stream,
-    route, solver settings), ``beta`` (node weights keyed "l:k" in
-    canonical order), ``classes`` (per class id: ``b`` and ``support``
-    entries of video_id + alpha), ``label_names``.
-    """
-    doc = dict(artifact)
-    doc["format"] = ARTIFACT_FORMAT
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
-
-# config entries the pipeline reads back from an artifact
-_ARTIFACT_CONFIG_KEYS = (
-    ("depth",), ("variant",), ("stream",), ("kernel", "kind"),
-    ("kernel", "gamma"), ("svm", "c_box"), ("svm", "kkt_tol"),
-    ("svm", "max_passes"))
-
-
-def _require(doc: dict, keys: tuple[str, ...], path) -> None:
-    node = doc
-    for key in keys:
-        if not isinstance(node, dict) or key not in node:
-            raise ArtifactMismatch(f"{path}: missing {'.'.join(keys)!r}")
-        node = node[key]
-
-
-def load_artifact(path: str | os.PathLike) -> dict:
-    if not os.path.isfile(path):
-        raise MissingPath(f"{path}: no such model artifact")
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ArtifactMismatch(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ArtifactMismatch(f"{path}: not a JSON object")
-    if doc.get("format") != ARTIFACT_FORMAT:
-        raise ArtifactMismatch(
-            f"{path}: format {doc.get('format')!r}, expected {ARTIFACT_FORMAT!r}")
-    for key in ("config", "beta", "classes"):
-        if key not in doc:
-            raise ArtifactMismatch(f"{path}: missing {key!r} section")
-    for keys in _ARTIFACT_CONFIG_KEYS:
-        _require(doc, ("config",) + keys, path)
-    for key in ("beta", "classes"):
-        if not isinstance(doc[key], dict):
-            raise ArtifactMismatch(f"{path}: {key!r} is not an object")
-    for c, entry in doc["classes"].items():
-        for key in ("b", "support"):
-            _require(doc, ("classes", c, key), path)
-        support = entry["support"]
-        if not isinstance(support, list) or not all(
-                isinstance(sv, dict) and "video_id" in sv and "alpha" in sv
-                for sv in support):
-            raise ArtifactMismatch(f"{path}: classes.{c}.support must list "
-                                   f"objects with 'video_id' and 'alpha'")
-    return doc
 

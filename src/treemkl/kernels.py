@@ -92,10 +92,10 @@ class KernelConfig:
     def __post_init__(self):
         if self.kind not in ("rbf", "linear"):
             raise ValidationError(f"unknown kernel kind {self.kind!r}")
-        if self.kind == "rbf":
-            if self.gamma is None or not (self.gamma > 0):
-                raise ValidationError(
-                    f"rbf kernel needs gamma > 0, got {self.gamma}")
+        if self.kind == "rbf" and (self.gamma is None
+                                   or not 0 < self.gamma < np.inf):
+            raise ValidationError(
+                f"rbf kernel needs a finite gamma > 0, got {self.gamma}")
 
 
 def elementary(x: np.ndarray, y: np.ndarray, cfg: KernelConfig) -> float:

@@ -2,19 +2,22 @@
 
 Glue between the file formats and the numerical modules: loading and
 pooling one stream of a dataset, resolving the kernel bandwidth,
-running either training route, packaging/loading model artifacts, and
-scoring test splits (single stream or two-stream fusion). The CLI is a
-thin argument-parsing layer over these functions.
+running either training route, writing and reading the model artifact
+(the one owner of its format), and scoring test splits (single stream
+or two-stream fusion). The CLI is a thin argument-parsing layer over
+these functions.
 """
 
 from __future__ import annotations
 
+import json
+import math
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataio import DatasetManifest, VideoRecord, load_feature_file
+from .dataio import DatasetManifest, VideoRecord, _class_id, load_feature_file
 from .dmkl import ContrastiveConfig, dmkl_then_svm
 from .em import EmConfig, em_fit
 from .errors import (
@@ -22,6 +25,7 @@ from .errors import (
     ConfigMismatch,
     EmptySplit,
     MissingFeatures,
+    MissingPath,
     ValidationError,
 )
 from .hierarchy import Hierarchy, PooledTree, pool_sequence
@@ -43,6 +47,7 @@ from .svm import (
 )
 
 NORMS = ("none", "l2")
+ARTIFACT_FORMAT = "treemkl-model-v1"
 
 
 @dataclass(frozen=True)
@@ -150,38 +155,131 @@ def build_artifact(cfg: PipelineConfig, route: str, kernel_cfg: KernelConfig,
         "classes": classes,
         "label_names": {str(k): v
                         for k, v in sorted(manifest.label_names.items())},
+        "format": ARTIFACT_FORMAT,
     }
 
 
-def artifact_pipeline_config(artifact: dict) -> PipelineConfig:
-    c = artifact["config"]
-    return PipelineConfig(depth=int(c["depth"]), variant=c["variant"],
-                          stream=c["stream"], kernel_kind=c["kernel"]["kind"],
-                          gamma=c["kernel"]["gamma"] or "median",
-                          feature_norm=c.get("feature_norm", "none"),
-                          node_norm=c.get("node_norm", "none"),
-                          seed=int(c.get("seed", 0)))
+def save_artifact(artifact: dict, path: str | os.PathLike) -> None:
+    """Write a :func:`build_artifact` document as one JSON file."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(artifact, indent=2, sort_keys=True) + "\n")
 
 
-def artifact_beta(artifact: dict) -> np.ndarray:
-    hierarchy = Hierarchy(int(artifact["config"]["depth"]))
-    doc = artifact["beta"]
+@dataclass(frozen=True)
+class ModelArtifact:
+    """An artifact as :func:`load_artifact` checked it: ``config`` as
+    written, ``b`` and ``alpha`` rows by sorted class id, ``alpha`` columns
+    by support video, in order of first appearance over the classes."""
+
+    config: dict
+    pipeline: PipelineConfig
+    kernel: KernelConfig
+    svm: TrainConfig
+    beta: np.ndarray
+    class_ids: np.ndarray
+    b: np.ndarray
+    support_ids: list[str]
+    alpha: np.ndarray
+
+
+# what an artifact entry of each kind must hold; JSON yields exact types
+_KINDS = {
+    "an object": lambda v: isinstance(v, dict),
+    "a list": lambda v: isinstance(v, list),
+    "a string": lambda v: isinstance(v, str),
+    "an integer": lambda v: type(v) is int,
+    "a number": lambda v: type(v) in (int, float) and not math.isnan(v),
+    "a finite number": lambda v: type(v) in (int, float) and math.isfinite(v),
+    "a finite number or null":
+        lambda v: v is None or _KINDS["a finite number"](v),
+    "a finite number >= 0": lambda v: _KINDS["a finite number"](v) and v >= 0,
+}
+
+
+def _checked(value, name: str, kind: str, path):
+    if not _KINDS[kind](value):
+        raise ArtifactMismatch(f"{path}: {name!r} is not {kind}")
+    return value
+
+
+def _made(make, name: str, path, *args, **kwargs):
+    """``make(*args, **kwargs)``, a validation error naming entry ``name``."""
     try:
-        beta = np.array([doc[f"{l}:{k}"] for l, k in hierarchy.nodes])
-    except KeyError as exc:
-        raise ArtifactMismatch(f"beta is missing node {exc}") from exc
-    return check_on_simplex(beta)
+        return make(*args, **kwargs)
+    except ValidationError as exc:
+        raise ArtifactMismatch(f"{path}: {name!r}: {exc}") from exc
 
 
-def artifact_kernel_config(artifact: dict) -> KernelConfig:
-    k = artifact["config"]["kernel"]
-    return KernelConfig(kind=k["kind"], gamma=k["gamma"])
+def load_artifact(path: str | os.PathLike) -> ModelArtifact:
+    """Parse a :func:`save_artifact` file, checking once each entry that
+    evaluation reads; a missing or malformed one raises
+    :class:`ArtifactMismatch` naming its dotted key."""
+    if not os.path.isfile(path):
+        raise MissingPath(f"{path}: no such model artifact")
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ArtifactMismatch(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ArtifactMismatch(f"{path}: not a JSON object")
+    if doc.get("format") != ARTIFACT_FORMAT:
+        raise ArtifactMismatch(
+            f"{path}: format {doc.get('format')!r}, expected {ARTIFACT_FORMAT!r}")
 
+    def get(keys: str, kind: str):
+        node = doc
+        for key in keys.split("."):
+            if not isinstance(node, dict) or key not in node:
+                raise ArtifactMismatch(f"{path}: missing {keys!r}")
+            node = node[key]
+        return _checked(node, keys, kind, path)
 
-def artifact_svm_config(artifact: dict) -> TrainConfig:
-    s = artifact["config"]["svm"]
-    return TrainConfig(c_box=float(s["c_box"]), kkt_tol=float(s["kkt_tol"]),
-                       max_passes=int(s["max_passes"]))
+    config = get("config", "an object")
+    gamma = get("config.kernel.gamma", "a finite number or null")
+    cfg = _made(PipelineConfig, "config", path,
+                depth=get("config.depth", "an integer"),
+                variant=get("config.variant", "a string"),
+                stream=get("config.stream", "a string"),
+                kernel_kind=get("config.kernel.kind", "a string"),
+                gamma=gamma or "median",
+                feature_norm=config.get("feature_norm", "none"),
+                node_norm=config.get("node_norm", "none"))
+    kernel = _made(KernelConfig, "config.kernel", path,
+                   kind=cfg.kernel_kind, gamma=gamma)
+    svm = _made(TrainConfig, "config.svm", path,
+                c_box=float(get("config.svm.c_box", "a number")),
+                kkt_tol=float(get("config.svm.kkt_tol", "a finite number")),
+                max_passes=get("config.svm.max_passes", "an integer"))
+    nodes = [f"{l}:{k}" for l, k in Hierarchy(cfg.depth).nodes]
+    beta = get("beta", "an object")
+    if sorted(beta) != sorted(nodes):
+        raise ArtifactMismatch(f"{path}: 'beta' keys do not match 'config.depth'")
+    beta = check_on_simplex(np.array(
+        [_checked(beta[n], f"beta.{n}", "a finite number", path)
+         for n in nodes]))
+    keyed = sorted((_made(_class_id, "classes", path, key, "class key"), key)
+                   for key in get("classes", "an object"))
+    b, entries, columns = [], [], {}
+    for ci, (_, key) in enumerate(keyed):
+        b.append(get(f"classes.{key}.b", "a finite number"))
+        support = get(f"classes.{key}.support", "a list")
+        if not all(isinstance(sv, dict) and "video_id" in sv and "alpha" in sv
+                   for sv in support):
+            raise ArtifactMismatch(f"{path}: classes.{key}.support must list "
+                                   f"objects with 'video_id' and 'alpha'")
+        for i, sv in enumerate(support):
+            at = f"classes.{key}.support.{i}."
+            vid = _checked(sv["video_id"], at + "video_id", "a string", path)
+            entries.append((ci, columns.setdefault(vid, len(columns)),
+                            _checked(sv["alpha"], at + "alpha",
+                                     "a finite number >= 0", path)))
+    alpha = np.zeros((len(keyed), len(columns)))
+    for ci, j, a in entries:
+        alpha[ci, j] = a
+    return ModelArtifact(config, cfg, kernel, svm, beta,
+                         np.array([c for c, _ in keyed]),
+                         np.array(b, dtype=np.float64), list(columns), alpha)
 
 
 # --- training routes ------------------------------------------------------------
@@ -222,49 +320,25 @@ def train_dmkl_route(manifest: DatasetManifest, root: str,
 
 # --- evaluation -------------------------------------------------------------------
 
-def _support_ids(artifact: dict) -> list[str]:
-    ids: list[str] = []
-    seen = set()
-    for c in sorted(artifact["classes"], key=int):
-        for entry in artifact["classes"][c]["support"]:
-            vid = entry["video_id"]
-            if vid not in seen:
-                seen.add(vid)
-                ids.append(vid)
-    return ids
-
-
-def _artifact_scores(artifact: dict, test_trees: list[PooledTree],
-                     manifest: DatasetManifest,
-                     root: str) -> tuple[np.ndarray, np.ndarray]:
-    """Decision scores (tests x classes) plus the sorted class ids."""
-    cfg = artifact_pipeline_config(artifact)
-    kernel_cfg = artifact_kernel_config(artifact)
-    beta = artifact_beta(artifact)
+def _artifact_scores(artifact: ModelArtifact, test_trees: list[PooledTree],
+                     manifest: DatasetManifest, root: str) -> np.ndarray:
+    """Decision scores, tests x classes in ``artifact.class_ids`` order."""
     by_id = manifest.by_id()
-    support_ids = _support_ids(artifact)
-    missing = [v for v in support_ids if v not in by_id]
+    missing = [v for v in artifact.support_ids if v not in by_id]
     if missing:
         raise ArtifactMismatch(
             f"support videos absent from manifest: {missing[:5]}")
+    cfg = artifact.pipeline
     hierarchy = Hierarchy(cfg.depth)
     support_trees = [_load_one(by_id[v], root, cfg, hierarchy)
-                     for v in support_ids]
-    pos = {v: i for i, v in enumerate(support_ids)}
-    class_ids = np.array(sorted(int(c) for c in artifact["classes"]))
-    # each class's alpha is zero on the support videos of other classes
-    alpha = np.zeros((class_ids.size, len(support_ids)))
-    for ci, c in enumerate(class_ids):
-        for e in artifact["classes"][str(c)]["support"]:
-            alpha[ci, pos[e["video_id"]]] = e["alpha"]
+                     for v in artifact.support_ids]
     model = SvmModel(
-        train_ids=support_ids,
-        labels=np.array([by_id[v].label for v in support_ids]),
-        class_ids=class_ids, alpha=alpha,
-        b=np.array([artifact["classes"][str(c)]["b"] for c in class_ids]))
-    cols = kernel_columns(test_trees, support_trees, beta, cfg.variant,
-                          kernel_cfg)
-    return decision_scores(model, cols), class_ids
+        train_ids=artifact.support_ids,
+        labels=np.array([by_id[v].label for v in artifact.support_ids]),
+        class_ids=artifact.class_ids, alpha=artifact.alpha, b=artifact.b)
+    cols = kernel_columns(test_trees, support_trees, artifact.beta,
+                          cfg.variant, artifact.kernel)
+    return decision_scores(model, cols)
 
 
 def _metrics(preds: np.ndarray, truth: np.ndarray,
@@ -284,31 +358,30 @@ def _metrics(preds: np.ndarray, truth: np.ndarray,
             "confusion": confusion, "n_test": int(truth.size)}
 
 
-def evaluate_artifact(artifact: dict, manifest: DatasetManifest,
+def evaluate_artifact(artifact: ModelArtifact, manifest: DatasetManifest,
                       root: str) -> dict:
     """Top-1 metrics of a trained artifact on the manifest's test split."""
-    cfg = artifact_pipeline_config(artifact)
-    test_trees, truth = load_split_trees(manifest, root, cfg, "test")
-    scores, class_ids = _artifact_scores(artifact, test_trees, manifest, root)
-    preds = class_ids[np.argmax(scores, axis=1)]
+    test_trees, truth = load_split_trees(manifest, root, artifact.pipeline,
+                                         "test")
+    scores = _artifact_scores(artifact, test_trees, manifest, root)
+    preds = artifact.class_ids[np.argmax(scores, axis=1)]
     metrics = _metrics(preds, truth, manifest.label_names)
-    metrics["config"] = artifact["config"]
+    metrics["config"] = artifact.config
     return metrics
 
 
-def _check_fusable(art_a: dict, art_m: dict) -> None:
-    ca, cm = art_a["config"], art_m["config"]
+def _check_fusable(art_a: ModelArtifact, art_m: ModelArtifact) -> None:
     for key in ("depth", "variant"):
-        if ca[key] != cm[key]:
-            raise ConfigMismatch(
-                f"artifacts disagree on {key}: {ca[key]} vs {cm[key]}")
-    if sorted(art_a["classes"]) != sorted(art_m["classes"]):
+        va, vm = getattr(art_a.pipeline, key), getattr(art_m.pipeline, key)
+        if va != vm:
+            raise ConfigMismatch(f"artifacts disagree on {key}: {va} vs {vm}")
+    if not np.array_equal(art_a.class_ids, art_m.class_ids):
         raise ConfigMismatch("artifacts cover different class sets")
 
 
-def fuse_evaluate(art_a: dict, art_m: dict, manifest: DatasetManifest,
-                  root: str, mode: str = "kernel-avg",
-                  weight: float = 0.5) -> dict:
+def fuse_evaluate(art_a: ModelArtifact, art_m: ModelArtifact,
+                  manifest: DatasetManifest, root: str,
+                  mode: str = "kernel-avg", weight: float = 0.5) -> dict:
     """Two-stream fusion on the test split.
 
     ``score-avg`` mixes the two artifacts' per-class decision scores.
@@ -321,16 +394,15 @@ def fuse_evaluate(art_a: dict, art_m: dict, manifest: DatasetManifest,
         raise ValidationError(f"fusion weight {weight} outside [0, 1]")
     _check_fusable(art_a, art_m)
     if mode == "score-avg":
-        cfg_a = artifact_pipeline_config(art_a)
-        test_a, truth = load_split_trees(manifest, root, cfg_a, "test")
-        scores_a, class_ids = _artifact_scores(art_a, test_a, manifest, root)
-        cfg_m = artifact_pipeline_config(art_m)
-        test_m, truth_m = load_split_trees(manifest, root, cfg_m, "test")
+        (test_a, truth), (test_m, _) = (
+            load_split_trees(manifest, root, art.pipeline, "test")
+            for art in (art_a, art_m))
         if [t.video_id for t in test_a] != [t.video_id for t in test_m]:
             raise ConfigMismatch("test splits differ between streams")
-        scores_m, _ = _artifact_scores(art_m, test_m, manifest, root)
-        fused = weight * scores_a + (1.0 - weight) * scores_m
-        preds = class_ids[np.argmax(fused, axis=1)]
+        fused = (weight * _artifact_scores(art_a, test_a, manifest, root) +
+                 (1.0 - weight) * _artifact_scores(art_m, test_m, manifest,
+                                                   root))
+        preds = art_a.class_ids[np.argmax(fused, axis=1)]
     elif mode == "kernel-avg":
         preds, truth = _kernel_avg_predict(art_a, art_m, manifest, root,
                                            weight)
@@ -338,33 +410,28 @@ def fuse_evaluate(art_a: dict, art_m: dict, manifest: DatasetManifest,
         raise ValidationError(f"unknown fusion mode {mode!r}")
     metrics = _metrics(preds, truth, manifest.label_names)
     metrics["config"] = {"fusion": mode, "weight": weight,
-                         "stream_a": art_a["config"],
-                         "stream_m": art_m["config"]}
+                         "stream_a": art_a.config,
+                         "stream_m": art_m.config}
     return metrics
 
 
-def _kernel_avg_predict(art_a: dict, art_m: dict, manifest: DatasetManifest,
-                        root: str, weight: float):
-    cfg_a = artifact_pipeline_config(art_a)
-    cfg_m = artifact_pipeline_config(art_m)
+def _kernel_avg_predict(art_a: ModelArtifact, art_m: ModelArtifact,
+                        manifest: DatasetManifest, root: str, weight: float):
     parts = []
-    for art, cfg in ((art_a, cfg_a), (art_m, cfg_m)):
-        train_trees, train_labels = load_split_trees(manifest, root, cfg,
-                                                     "train")
+    for art in (art_a, art_m):
+        cfg = art.pipeline
+        train_trees, labels = load_split_trees(manifest, root, cfg, "train")
         test_trees, truth = load_split_trees(manifest, root, cfg, "test")
-        beta = artifact_beta(art)
-        kernel_cfg = artifact_kernel_config(art)
-        gram = gram_matrix(train_trees, beta, cfg.variant, kernel_cfg)
-        cols = kernel_columns(test_trees, train_trees, beta, cfg.variant,
-                              kernel_cfg)
-        parts.append((gram, cols, train_labels, truth,
-                      [t.video_id for t in train_trees],
-                      [t.video_id for t in test_trees]))
-    (gram_a, cols_a, labels_a, truth_a, train_ids_a, test_ids_a) = parts[0]
-    (gram_m, cols_m, labels_m, truth_m, train_ids_m, test_ids_m) = parts[1]
-    if train_ids_a != train_ids_m or test_ids_a != test_ids_m:
+        parts.append((
+            gram_matrix(train_trees, art.beta, cfg.variant, art.kernel),
+            kernel_columns(test_trees, train_trees, art.beta, cfg.variant,
+                           art.kernel),
+            ([t.video_id for t in train_trees],
+             [t.video_id for t in test_trees])))
+    (gram_a, cols_a, ids_a), (gram_m, cols_m, ids_m) = parts
+    if ids_a != ids_m:
         raise ConfigMismatch("splits differ between streams")
-    fused_gram = fuse_kernels(gram_a, gram_m, weight)
-    fused_cols = weight * cols_a + (1.0 - weight) * cols_m
-    model = train_one_vs_rest(fused_gram, labels_a, artifact_svm_config(art_a))
-    return predict(model, fused_cols), truth_a
+    # same videos from one manifest, so both streams share labels and truth
+    model = train_one_vs_rest(fuse_kernels(gram_a, gram_m, weight), labels,
+                              art_a.svm)
+    return predict(model, weight * cols_a + (1.0 - weight) * cols_m), truth

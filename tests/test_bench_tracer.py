@@ -3,7 +3,7 @@
 ``bench/tracer.py`` wraps package functions and methods by name; a
 rename or deletion in the package makes it fail before the command
 runs. This runs it in a child process, as the benchmark does, on tiny
-training runs of both routes.
+training runs of both routes and on ``eval`` of a tiny trained model.
 """
 
 import json
@@ -28,14 +28,25 @@ def manifest(tmp_path_factory):
     return data / "manifest.jsonl"
 
 
+@pytest.fixture(scope="module")
+def model(manifest):
+    out = manifest.parent.parent / "model"
+    assert main(["train-em", "--manifest", str(manifest), "--out", str(out),
+                 "--depth", "3", "--max-iters", "2"]) == 0
+    return out / "model.json"
+
+
 @pytest.mark.parametrize("command, flags, spans", [
-    ("train-dmkl", ["--iters", "20"],
+    ("train-dmkl", ["--depth", "3", "--variant", "avg", "--iters", "20"],
      ["dmkl.loss_grad", "kernels.pair_blocks"]),
-    ("train-em", ["--max-iters", "3"],
+    ("train-em", ["--depth", "3", "--variant", "avg", "--max-iters", "3"],
      ["em.em_fit", "em.beta_objective_coeffs"]),
+    ("eval", ["--model", "{model}"],
+     ["pipeline.evaluate_artifact", "kernels.kernel_columns"]),
 ])
-def test_tracer_runs_and_records_spans(manifest, tmp_path, command, flags,
-                                       spans):
+def test_tracer_runs_and_records_spans(manifest, model, tmp_path, command,
+                                       flags, spans):
+    flags = [flag.format(model=model) for flag in flags]
     out = tmp_path / "trace.json"
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(
@@ -43,7 +54,7 @@ def test_tracer_runs_and_records_spans(manifest, tmp_path, command, flags,
     proc = subprocess.run(
         [sys.executable, str(REPO / "bench" / "tracer.py"), str(out),
          command, "--manifest", str(manifest), "--out", str(tmp_path / "run"),
-         "--depth", "3", "--variant", "avg", *flags],
+         *flags],
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(out.read_text())

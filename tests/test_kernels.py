@@ -54,6 +54,13 @@ class TestElementary:
             elementary(np.zeros(2), np.zeros(3), LIN)
 
 
+class TestKernelConfig:
+    @pytest.mark.parametrize("gamma", [np.inf, np.nan, 0, -1, None])
+    def test_rbf_needs_finite_positive_gamma(self, gamma):
+        with pytest.raises(errors.ValidationError):
+            KernelConfig(kind="rbf", gamma=gamma)
+
+
 class TestCombinedKernel:
     def test_single_node_degenerates_to_elementary(self, rng):
         a = tree_from(rng.standard_normal((1, 4)), "a")

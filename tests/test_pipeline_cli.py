@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import os
+import re
 import struct
 
 import numpy as np
@@ -8,10 +10,11 @@ import pytest
 from oracles import artifact_scores_oracle
 from treemkl import errors, pipeline, svm
 from treemkl.cli import main
-from treemkl.dataio import load_artifact, load_manifest
-from treemkl.hierarchy import Hierarchy
+from treemkl.dataio import (StreamFeatureSequence, load_feature_file,
+                            load_manifest)
+from treemkl.hierarchy import Hierarchy, PooledTree, pool_sequence
 from treemkl.kernels import kernel_columns
-from treemkl.pipeline import evaluate_artifact, fuse_evaluate
+from treemkl.pipeline import evaluate_artifact, fuse_evaluate, load_artifact
 
 
 def run_cli(*argv):
@@ -43,14 +46,18 @@ def workspace(tmp_path_factory):
 
 class TestTrainingOutputs:
     def test_artifact_schema(self, workspace):
-        art = load_artifact(workspace / "em_a" / "model.json")
-        assert art["config"]["depth"] == 3
-        assert art["config"]["variant"] == "averaging"
-        assert set(art["classes"]) == {"1", "2", "3"}
-        beta = np.array(list(art["beta"].values()))
-        assert abs(beta.sum() - 1.0) < 1e-9
-        assert list(art["beta"]) == ["1:1", "2:1", "2:2",
-                                     "3:1", "3:2", "3:3", "3:4"]
+        path = workspace / "em_a" / "model.json"
+        art = load_artifact(path)
+        assert art.pipeline.depth == 3 and art.config["depth"] == 3
+        assert art.pipeline.variant == "averaging"
+        assert art.kernel.kind == "rbf" and art.kernel.gamma > 0
+        np.testing.assert_array_equal(art.class_ids, [1, 2, 3])
+        assert art.beta.shape == (7,) and abs(art.beta.sum() - 1.0) < 1e-9
+        assert art.b.shape == (3,)
+        assert art.alpha.shape == (3, len(art.support_ids))
+        assert len(set(art.support_ids)) == len(art.support_ids)
+        assert list(json.loads(path.read_text())["beta"]) == [
+            "1:1", "2:1", "2:2", "3:1", "3:2", "3:3", "3:4"]
 
     def test_trace_csv_headers(self, workspace):
         em_first = (workspace / "em_a" / "trace.csv").read_text().splitlines()
@@ -148,8 +155,8 @@ class TestFusion:
 
     def test_depth_mismatch_rejected(self, workspace, tmp_path):
         art_a = load_artifact(workspace / "dm_a" / "model.json")
-        art_b = json.loads(json.dumps(art_a))
-        art_b["config"]["depth"] = 2
+        art_b = dataclasses.replace(
+            art_a, pipeline=dataclasses.replace(art_a.pipeline, depth=2))
         manifest = load_manifest(workspace / "data" / "manifest.jsonl")
         with pytest.raises(errors.ConfigMismatch):
             fuse_evaluate(art_a, art_b, manifest, str(workspace / "data"))
@@ -161,26 +168,58 @@ class TestScoringPath:
         root = str(workspace / "data")
         by_id = manifest.by_id()
         for run in ("em_a", "dm_a", "dm_m"):
-            art = load_artifact(workspace / run / "model.json")
-            cfg = pipeline.artifact_pipeline_config(art)
+            path = workspace / run / "model.json"
+            art = load_artifact(path)
+            cfg = art.pipeline
             test_trees, _ = pipeline.load_split_trees(manifest, root, cfg,
                                                       "test")
-            support_ids = pipeline._support_ids(art)
             support_trees = [pipeline._load_one(by_id[v], root, cfg,
                                                 Hierarchy(cfg.depth))
-                             for v in support_ids]
-            cols = kernel_columns(test_trees, support_trees,
-                                  pipeline.artifact_beta(art), cfg.variant,
-                                  pipeline.artifact_kernel_config(art))
+                             for v in art.support_ids]
+            cols = kernel_columns(test_trees, support_trees, art.beta,
+                                  cfg.variant, art.kernel)
             ref, ref_classes = artifact_scores_oracle(
-                art, cols, support_ids,
-                np.array([by_id[v].label for v in support_ids]))
-            got, classes = pipeline._artifact_scores(art, test_trees,
-                                                     manifest, root)
-            np.testing.assert_array_equal(classes, ref_classes)
+                json.loads(path.read_text()), cols, art.support_ids,
+                np.array([by_id[v].label for v in art.support_ids]))
+            got = pipeline._artifact_scores(art, test_trees, manifest, root)
+            np.testing.assert_array_equal(art.class_ids, ref_classes)
             np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
             np.testing.assert_array_equal(np.argmax(got, axis=1),
                                           np.argmax(ref, axis=1))
+
+    def test_l2_norms_reach_scoring(self, workspace, tmp_path):
+        data = workspace / "data"
+        assert run_cli("train-dmkl", "--manifest", data / "manifest.jsonl",
+                       "--out", tmp_path / "m", "--depth", 3, "--iters", 50,
+                       "--feature-norm", "l2", "--node-norm", "l2",
+                       "--seed", 3) == 0
+        art = load_artifact(tmp_path / "m" / "model.json")
+        assert (art.pipeline.feature_norm, art.pipeline.node_norm) == (
+            "l2", "l2")
+
+        def unit_rows(rows):
+            return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+        def l2_tree(record):
+            rows = load_feature_file(data / record.appearance).rows
+            tree = pool_sequence(StreamFeatureSequence(
+                record.video_id, "appearance", unit_rows(rows)), Hierarchy(3))
+            return PooledTree(tree.video_id, tree.stream, tree.depth,
+                              unit_rows(tree.vectors))
+
+        manifest = load_manifest(data / "manifest.jsonl")
+        by_id = manifest.by_id()
+        cols = kernel_columns([l2_tree(r) for r in manifest.split("test")],
+                              [l2_tree(by_id[v]) for v in art.support_ids],
+                              art.beta, art.pipeline.variant, art.kernel)
+        ref, _ = artifact_scores_oracle(
+            json.loads((tmp_path / "m" / "model.json").read_text()), cols,
+            art.support_ids,
+            np.array([by_id[v].label for v in art.support_ids]))
+        test_trees, _ = pipeline.load_split_trees(manifest, str(data),
+                                                  art.pipeline, "test")
+        got = pipeline._artifact_scores(art, test_trees, manifest, str(data))
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("mode,calls", [("eval", 1), ("score-avg", 2),
                                             ("kernel-avg", 1)])
@@ -228,6 +267,17 @@ class TestReport:
         (tmp_path / "empty").mkdir()
         assert run_cli("report", "--runs", tmp_path / "empty",
                        "--out", tmp_path / "r") == 2
+
+    @pytest.mark.parametrize("metrics", [
+        None, "{not json", json.dumps({"config": {}}), "[]"])
+    def test_unreadable_runs_are_validation_exits(self, tmp_path, capsys,
+                                                  metrics):
+        runs = tmp_path / "runs"
+        if metrics is not None:
+            (runs / "r1").mkdir(parents=True)
+            (runs / "r1" / "metrics.json").write_text(metrics)
+        assert run_cli("report", "--runs", runs, "--out", tmp_path / "o") == 2
+        assert_one_error_line(capsys, str(runs))
 
     def test_rerun_byte_identical(self, workspace, tmp_path):
         runs = tmp_path / "runs"
@@ -278,6 +328,41 @@ class TestExitCodesAndWorkers:
         path.write_text(json.dumps(doc))
         with pytest.raises(errors.ArtifactMismatch, match=".".join(keys)):
             load_artifact(path)
+
+    @pytest.mark.parametrize("edit, named", [
+        (lambda d: d["config"].update(depth="abc"), "'config.depth'"),
+        (lambda d: d["config"].update(depth=3.7), "'config.depth'"),
+        (lambda d: d["config"]["kernel"].update(gamma="x"),
+         "'config.kernel.gamma'"),
+        (lambda d: d["config"]["svm"].update(c_box="x"),
+         "'config.svm.c_box'"),
+        (lambda d: d["beta"].update({"1:1": "x"}), "'beta.1:1'"),
+        (lambda d: d["classes"].update(one=d["classes"].pop("1")),
+         "'classes': class key 'one'"),
+        (lambda d: d["classes"]["1"]["support"][0].update(alpha="x"),
+         "'classes.1.support.0.alpha'"),
+        (lambda d: d["classes"]["1"]["support"][0].update(alpha=np.nan),
+         "'classes.1.support.0.alpha'"),
+        (lambda d: d["classes"]["1"]["support"][0].update(alpha=-1),
+         "'classes.1.support.0.alpha'"),
+        (lambda d: d["classes"]["1"].update(b=None), "'classes.1.b'"),
+        (lambda d: d["config"].update(depth=2), "'config.depth'"),
+    ], ids=["depth-abc", "depth-3.7", "gamma-x", "c_box-x", "beta-x",
+            "class-one", "alpha-x", "alpha-nan", "alpha-neg", "b-null",
+            "depth-2-on-3"])
+    def test_artifact_malformed_value_is_named(self, workspace, tmp_path,
+                                               capsys, edit, named):
+        doc = json.loads((workspace / "em_a" / "model.json").read_text())
+        edit(doc)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(errors.ArtifactMismatch, match=re.escape(named)):
+            load_artifact(path)
+        code = run_cli("eval", "--model", path,
+                       "--manifest", workspace / "data" / "manifest.jsonl",
+                       "--out", tmp_path / "o")
+        assert code == 2
+        assert_one_error_line(capsys, named)
 
     def test_artifact_malformed_sections(self, workspace, tmp_path):
         path = tmp_path / "model.json"
