@@ -67,8 +67,12 @@ class PipelineConfig:
         object.__setattr__(self, "variant", canonical_variant(self.variant))
         if self.feature_norm not in NORMS or self.node_norm not in NORMS:
             raise ValidationError("norms must be 'none' or 'l2'")
-        if isinstance(self.gamma, str) and self.gamma != "median":
-            raise ValidationError(f"gamma must be a number or 'median'")
+        if isinstance(self.gamma, str):
+            if self.gamma != "median":
+                raise ValidationError(f"gamma must be a number or 'median'")
+        elif self.kernel_kind == "rbf":
+            # the kernel's own rule, applied before any data is loaded
+            KernelConfig(kind="rbf", gamma=self.gamma)
 
 
 def _l2_rows(arr: np.ndarray) -> np.ndarray:

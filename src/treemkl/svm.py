@@ -12,6 +12,23 @@ KKT-violating pair (deterministic given input order). ``c_box = inf``
 removes the upper bound, matching the hard-margin formulation exactly;
 the finite default exists because real data is rarely separable.
 
+Each pair update costs a fixed number of length-n array operations.
+The textbook loop forms the gradient ``grad = Q @ alpha - 1``, then
+rebuilds the KKT index masks and the masked values of ``-y * grad``
+from scratch, although only two coordinates of ``alpha`` changed. Here
+the loop keeps ``vals = -y * grad`` itself and moves it by
+``t * (K[:, i] - K[:, j])``. Since ``y`` is +/-1 and rounding is
+symmetric in sign, this is bit for bit the negation of the textbook
+gradient update. The masks become two penalty vectors (0 or -inf, 0 or
++inf), rewritten only at ``i`` and ``j``. Adding a penalty to a finite
+value gives that value or the infinity that ``np.where`` would have
+put there. So the pair choices, steps, ``alpha``, update count and
+objective equal the textbook loop's bit for bit, and ``b`` and the
+KKT residual equal its values (an exact zero may come out +0.0 where
+the textbook loop has -0.0). ``tests/oracles.py`` keeps that loop as
+``solve_dual_reference``. This needs finite values, so a kernel with a
+non-finite entry is rejected up front.
+
 The decision function of class ``c`` is
 ``g_c(v) = sum_i alpha_i^c y_ic K(v, v_i) + b_c`` and prediction takes
 the class with the highest score (ties break to the smallest class id).
@@ -71,10 +88,18 @@ def solve_dual(K, y: np.ndarray, cfg: TrainConfig = TrainConfig()) -> DualSoluti
     a midpoint-of-KKT-bounds fallback when every support vector sits on
     a bound.
 
-    Raises :class:`SingleClass` when only one label is present and
+    Each update costs a fixed number of length-n array operations. The
+    loop keeps ``vals = -y * grad`` itself (``grad = Q @ alpha - 1``)
+    and two penalty vectors, ``up_pen`` (0 where ``y * alpha`` may rise
+    within the box, else -inf) and ``low_pen`` (0 where it may fall,
+    else +inf), rewritten only at the two updated coordinates. The
+    columns of ``K`` are read from one contiguous copy of ``K.T``.
+
+    Raises :class:`ValidationError` for a kernel with a non-finite
+    entry, :class:`SingleClass` when only one label is present and
     :class:`NotConverged` (carrying the best iterate) when the KKT
     residual is still above ``kkt_tol`` after ``max_passes * n`` pair
-    updates.
+    updates, or when ``c_box = inf`` and a step is unbounded.
     """
     K = _as_matrix(K)
     y = np.asarray(y, dtype=np.float64)
@@ -85,65 +110,96 @@ def solve_dual(K, y: np.ndarray, cfg: TrainConfig = TrainConfig()) -> DualSoluti
         raise SingleClass("labels are all one class")
     if not np.all(np.abs(y) == 1.0):
         raise ValidationError("labels must be +/-1")
+    if not np.all(np.isfinite(K)):
+        raise ValidationError("kernel matrix has a non-finite entry")
 
     c_box = cfg.c_box
-    alpha = np.zeros(n)
-    grad = -np.ones(n)  # gradient of the dual objective: Q @ alpha - 1
-    vals = np.empty(n)
+    cols = np.ascontiguousarray(K.T)  # row k holds column k of K
+    diag = K.diagonal().tolist()
+    signs = y.tolist()
+    # alpha as Python floats: the same IEEE arithmetic, cheaper per scalar
+    alpha = [0.0] * n
+    vals = y.copy()  # -y * grad at alpha = 0, where grad = -1
+    up_pen = np.empty(n)
+    low_pen = np.empty(n)
+    for k in range(n):
+        up_pen[k], low_pen[k] = _penalties(alpha[k], signs[k], c_box)
+    up_vals = np.empty(n)
+    low_vals = np.empty(n)
+    step = np.empty(n)
     max_updates = cfg.max_passes * n
     updates = 0
-    residual = math.inf
+    stop = None
 
     while True:
-        # -y * grad, the quantity whose spread measures KKT violation
-        np.multiply(y, grad, out=vals)
-        np.negative(vals, out=vals)
-        up = ((y > 0) & (alpha < c_box)) | ((y < 0) & (alpha > 0))
-        low = ((y < 0) & (alpha < c_box)) | ((y > 0) & (alpha > 0))
-        up_vals = np.where(up, vals, -np.inf)
-        low_vals = np.where(low, vals, np.inf)
-        i = int(np.argmax(up_vals))
-        j = int(np.argmin(low_vals))
+        np.add(vals, up_pen, out=up_vals)
+        np.add(vals, low_pen, out=low_vals)
+        i = int(up_vals.argmax())
+        j = int(low_vals.argmin())
         residual = float(up_vals[i] - low_vals[j])
         if residual <= cfg.kkt_tol:
             break
         if updates >= max_updates:
-            b = _shift(alpha, grad, y, vals, c_box)
-            raise NotConverged(
-                f"KKT residual {residual:.3e} > tol {cfg.kkt_tol:.3e} "
-                f"after {updates} pair updates",
-                alpha=alpha, b=b, residual=residual, updates=updates)
+            stop = (f"KKT residual {residual:.3e} > tol {cfg.kkt_tol:.3e} "
+                    f"after {updates} pair updates")
+            break
 
         # step along d = y_i e_i - y_j e_j (keeps sum(y * alpha) fixed)
-        quad = K[i, i] + K[j, j] - 2.0 * K[i, j]
-        t_max_i = (c_box - alpha[i]) if y[i] > 0 else alpha[i]
-        t_max_j = (c_box - alpha[j]) if y[j] < 0 else alpha[j]
+        y_i, y_j = signs[i], signs[j]
+        quad = diag[i] + diag[j] - 2.0 * float(K[i, j])
+        t_max_i = (c_box - alpha[i]) if y_i > 0 else alpha[i]
+        t_max_j = (c_box - alpha[j]) if y_j < 0 else alpha[j]
         t_max = min(t_max_i, t_max_j)
         if quad > 1e-12:
             t = min(residual / quad, t_max)
         else:
             t = t_max
-        alpha[i] += t * y[i]
-        alpha[j] -= t * y[j]
-        grad += t * y * (K[:, i] - K[:, j])
+        if not math.isfinite(t):
+            # only c_box = inf leaves t_max unbounded: no hard margin exists
+            stop = (f"dual unbounded along pair ({i}, {j}) after {updates} "
+                    f"pair updates: no hard margin separates the labels; "
+                    f"use a finite c_box")
+            break
+        alpha[i] += t * y_i
+        alpha[j] -= t * y_j
+        # grad moves by t * y * (K[:, i] - K[:, j]); as y is +/-1 and
+        # rounding is symmetric in sign, vals moves by exactly the negation
+        np.subtract(cols[i], cols[j], out=step)
+        step *= t
+        vals -= step
+        up_pen[i], low_pen[i] = _penalties(alpha[i], y_i, c_box)
+        up_pen[j], low_pen[j] = _penalties(alpha[j], y_j, c_box)
         updates += 1
 
+    alpha = np.array(alpha)
+    if stop is not None:
+        raise NotConverged(stop, alpha=alpha,
+                           b=_shift(alpha, vals, up_pen, low_pen, c_box),
+                           residual=residual, updates=updates)
     np.clip(alpha, 0.0, c_box if math.isfinite(c_box) else None, out=alpha)
-    b = _shift(alpha, grad, y, vals, c_box)
+    b = _shift(alpha, vals, up_pen, low_pen, c_box)
     return DualSolution(alpha=alpha, b=b, updates=updates,
                         kkt_residual=residual,
                         objective=dual_objective(K, alpha, y))
 
 
-def _shift(alpha, grad, y, vals, c_box, bound_tol=1e-9):
+def _penalties(a, y, c_box) -> tuple[float, float]:
+    """(up, low) penalties of one coordinate with ``alpha = a``: up is
+    0 when ``y * a`` may rise within the box, else -inf; low is 0 when
+    it may fall, else +inf."""
+    rise = a < c_box if y > 0 else a > 0
+    fall = a > 0 if y > 0 else a < c_box
+    return (0.0 if rise else -math.inf), (0.0 if fall else math.inf)
+
+
+def _shift(alpha, vals, up_pen, low_pen, c_box, bound_tol=1e-9):
     interior = (alpha > bound_tol) & (alpha < c_box - bound_tol)
     if interior.any():
-        # stationarity gives b = -y_i * grad_i on unbounded support vectors
-        return float(np.mean(-y[interior] * grad[interior]))
-    up = ((y > 0) & (alpha < c_box)) | ((y < 0) & (alpha > 0))
-    low = ((y < 0) & (alpha < c_box)) | ((y > 0) & (alpha > 0))
-    hi = np.max(np.where(up, vals, -np.inf))
-    lo = np.min(np.where(low, vals, np.inf))
+        # stationarity gives b = -y_i * grad_i = vals_i on unbounded
+        # support vectors
+        return float(np.mean(vals[interior]))
+    hi = np.max(vals + up_pen)
+    lo = np.min(vals + low_pen)
     return float((hi + lo) / 2.0)
 
 

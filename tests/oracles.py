@@ -2,14 +2,16 @@
 
 Nothing here shares code with the package: the QP oracle enumerates
 active sets, gradients come from central finite differences, the softmax
-Jacobian is written out entry by entry, and artifact scores are summed
-one class and one support video list at a time.
+Jacobian is written out entry by entry, artifact scores are summed one
+class and one support video list at a time, and the reference dual
+solver rebuilds every KKT quantity from the gradient at each update.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -80,6 +82,93 @@ def qp_enumeration_oracle(K: np.ndarray, y: np.ndarray, c_box: float):
             best_obj = obj
             best_alpha = alpha.copy()
     return best_alpha, best_obj
+
+
+@dataclass(frozen=True)
+class ReferenceDual:
+    """Outcome of :func:`solve_dual_reference`; ``objective`` is None
+    when the update budget ran out (``converged`` False)."""
+
+    alpha: np.ndarray
+    b: float
+    updates: int
+    kkt_residual: float
+    objective: float | None
+    converged: bool
+
+
+def solve_dual_reference(K: np.ndarray, y: np.ndarray, c_box: float,
+                         kkt_tol: float, max_passes: int) -> ReferenceDual:
+    """The textbook maximal-violating-pair loop for the SVM dual.
+
+    Same problem, pair choice, step and shift as ``svm.solve_dual``, but
+    every update forms the gradient ``Q @ alpha - 1`` and rebuilds both
+    KKT index masks and both masked value arrays from scratch. The
+    package's solver must agree with it bit for bit. Inputs are assumed
+    valid: a finite (n, n) ``K`` and labels of +/-1 with both signs.
+    """
+    K = np.asarray(K, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    n = y.size
+    alpha = np.zeros(n)
+    grad = -np.ones(n)  # gradient of the dual objective: Q @ alpha - 1
+    vals = np.empty(n)
+    max_updates = max_passes * n
+    updates = 0
+    residual = math.inf
+
+    while True:
+        # -y * grad, the quantity whose spread measures KKT violation
+        np.multiply(y, grad, out=vals)
+        np.negative(vals, out=vals)
+        up = ((y > 0) & (alpha < c_box)) | ((y < 0) & (alpha > 0))
+        low = ((y < 0) & (alpha < c_box)) | ((y > 0) & (alpha > 0))
+        up_vals = np.where(up, vals, -np.inf)
+        low_vals = np.where(low, vals, np.inf)
+        i = int(np.argmax(up_vals))
+        j = int(np.argmin(low_vals))
+        residual = float(up_vals[i] - low_vals[j])
+        if residual <= kkt_tol:
+            break
+        if updates >= max_updates:
+            b = _reference_shift(alpha, grad, y, vals, c_box)
+            return ReferenceDual(alpha=alpha, b=b, updates=updates,
+                                 kkt_residual=residual, objective=None,
+                                 converged=False)
+
+        # step along d = y_i e_i - y_j e_j (keeps sum(y * alpha) fixed)
+        quad = K[i, i] + K[j, j] - 2.0 * K[i, j]
+        t_max_i = (c_box - alpha[i]) if y[i] > 0 else alpha[i]
+        t_max_j = (c_box - alpha[j]) if y[j] < 0 else alpha[j]
+        t_max = min(t_max_i, t_max_j)
+        if quad > 1e-12:
+            t = min(residual / quad, t_max)
+        else:
+            t = t_max
+        alpha[i] += t * y[i]
+        alpha[j] -= t * y[j]
+        grad += t * y * (K[:, i] - K[:, j])
+        updates += 1
+
+    np.clip(alpha, 0.0, c_box if math.isfinite(c_box) else None, out=alpha)
+    b = _reference_shift(alpha, grad, y, vals, c_box)
+    ay = alpha * y
+    return ReferenceDual(alpha=alpha, b=b, updates=updates,
+                         kkt_residual=residual,
+                         objective=float(0.5 * ay @ K @ ay - alpha.sum()),
+                         converged=True)
+
+
+def _reference_shift(alpha, grad, y, vals, c_box, bound_tol=1e-9):
+    interior = (alpha > bound_tol) & (alpha < c_box - bound_tol)
+    if interior.any():
+        # stationarity gives b = -y_i * grad_i on unbounded support vectors
+        return float(np.mean(-y[interior] * grad[interior]))
+    up = ((y > 0) & (alpha < c_box)) | ((y < 0) & (alpha > 0))
+    low = ((y < 0) & (alpha < c_box)) | ((y > 0) & (alpha > 0))
+    hi = np.max(np.where(up, vals, -np.inf))
+    lo = np.min(np.where(low, vals, np.inf))
+    return float((hi + lo) / 2.0)
 
 
 def averaging_coeffs_oracle(alpha: np.ndarray, labels: np.ndarray,

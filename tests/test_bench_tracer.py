@@ -40,7 +40,7 @@ def model(manifest):
     ("train-dmkl", ["--depth", "3", "--variant", "avg", "--iters", "20"],
      ["dmkl.loss_grad", "kernels.pair_blocks"]),
     ("train-em", ["--depth", "3", "--variant", "avg", "--max-iters", "3"],
-     ["em.em_fit", "em.beta_objective_coeffs"]),
+     ["em.em_fit", "em.beta_objective_coeffs", "svm.solve_dual"]),
     ("eval", ["--model", "{model}"],
      ["pipeline.evaluate_artifact", "kernels.kernel_columns"]),
 ])
@@ -62,3 +62,5 @@ def test_tracer_runs_and_records_spans(manifest, model, tmp_path, command,
     assert Path(doc["package"]).resolve() == REPO / "src" / "treemkl"
     for name in spans:
         assert doc["names"].get(name, {}).get("calls", 0) > 0, name
+    if "svm.solve_dual" in spans:
+        assert doc["counts"]["svm.solve_dual.pair_updates"] > 0

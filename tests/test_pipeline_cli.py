@@ -312,6 +312,22 @@ class TestExitCodesAndWorkers:
         assert code == 2
         assert_one_error_line(capsys, "--gamma", "'abc'")
 
+    @pytest.mark.parametrize("gamma", ["inf", "nan", "0", "-1"])
+    def test_bad_numeric_gamma_exits_before_loading(self, workspace, tmp_path,
+                                                    capsys, monkeypatch,
+                                                    gamma):
+        loads = []
+        real = pipeline.load_split_trees
+        monkeypatch.setattr(pipeline, "load_split_trees",
+                            lambda *a, **k: loads.append(a) or real(*a, **k))
+        code = run_cli("train-em", "--manifest",
+                       workspace / "data" / "manifest.jsonl",
+                       "--out", tmp_path / "o", "--depth", 2,
+                       "--gamma", gamma)
+        assert code == 2
+        assert_one_error_line(capsys, "gamma")
+        assert loads == []
+
     @pytest.mark.parametrize("keys", [
         ("config", "depth"), ("config", "variant"), ("config", "stream"),
         ("config", "kernel", "kind"), ("config", "kernel", "gamma"),

@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from oracles import qp_enumeration_oracle
+from oracles import qp_enumeration_oracle, solve_dual_reference
 from treemkl import errors
 from treemkl.kernels import GramMatrix, KernelConfig, _kernel_matrix
 from treemkl.svm import (
@@ -116,6 +118,67 @@ class TestSolveDual:
         m2 = train_one_vs_rest(scaled, labels, cfg)
         np.testing.assert_array_equal(predict(m1, gram.values),
                                       predict(m2, scaled.values))
+
+    def test_matches_reference_loop_bit_for_bit(self, rng):
+        # 240 seeded problems over rbf, linear and non-symmetric kernels,
+        # c_box in {inf, 10, 0.5, 1e-3} (1e-3 leaves no interior support
+        # vector, so the shift takes its fallback) and budgets of 1, 2 or
+        # 200 passes, so about half of them stop on the budget
+        compared = stopped = unbounded = 0
+        for trial in range(240):
+            n = int(rng.integers(2, 40))
+            X = rng.standard_normal((n, int(rng.integers(1, 6))))
+            kind = ("rbf", "linear", "nonsym")[trial % 3]
+            if kind == "linear":
+                K = _kernel_matrix(X, X, KernelConfig("linear"))
+            else:
+                K = _kernel_matrix(X, X, KernelConfig("rbf", 0.5))
+                if kind == "nonsym":
+                    K = K + 0.05 * rng.standard_normal((n, n))
+            y = rng.choice([-1.0, 1.0], size=n)
+            y[:2] = (1.0, -1.0)
+            c_box = (math.inf, 10.0, 0.5, 1e-3)[(trial // 3) % 4]
+            passes = int(rng.choice([1, 2, 200]))
+            with np.errstate(all="ignore"):  # the unbounded cases overflow
+                ref = solve_dual_reference(K, y, c_box, 1e-6, passes)
+            cfg = TrainConfig(c_box=c_box, kkt_tol=1e-6, max_passes=passes)
+            if not np.all(np.isfinite(ref.alpha)):
+                # the reference takes an infinite step on an unbounded
+                # hard-margin dual; the solver stops there instead
+                with pytest.raises(errors.NotConverged, match="unbounded"), \
+                        np.errstate(all="ignore"):
+                    solve_dual(K, y, cfg)
+                unbounded += 1
+                continue
+            try:
+                sol = solve_dual(K, y, cfg)
+                got = (sol.alpha.tobytes(), sol.b, sol.updates,
+                       sol.kkt_residual, sol.objective)
+            except errors.NotConverged as exc:
+                got = (exc.alpha.tobytes(), exc.b, exc.updates,
+                       exc.residual, None)
+                stopped += 1
+            assert got == (ref.alpha.tobytes(), ref.b, ref.updates,
+                           ref.kkt_residual, ref.objective), f"trial {trial}"
+            compared += 1
+        assert compared >= 200 and stopped >= compared // 3 and unbounded
+
+    @pytest.mark.parametrize("where", [(0, 0), (0, 1)], ids=["diag", "off"])
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_non_finite_kernel_rejected(self, rng, where, value):
+        K, y = random_psd_instance(rng, 6)
+        K[where] = value
+        with pytest.raises(errors.ValidationError, match="non-finite"):
+            solve_dual(K, y, TrainConfig())
+
+    def test_unbounded_hard_margin_stops_with_finite_iterate(self):
+        # one point labelled both ways: no hard margin exists and the
+        # first step along the pair is infinite
+        y = np.array([1.0, -1.0])
+        with pytest.raises(errors.NotConverged, match="unbounded") as excinfo:
+            solve_dual(np.ones((2, 2)), y, TrainConfig(c_box=np.inf))
+        assert excinfo.value.updates == 0
+        assert np.all(np.isfinite(excinfo.value.alpha))
 
     def test_not_converged_carries_iterate(self, rng):
         K, y = random_psd_instance(rng, 30)
