@@ -42,7 +42,6 @@ from .kernels import (
     KernelConfig,
     NodeKernelCache,
     combined_kernel,
-    elementary,
     fuse_kernels,
     gram_matrix,
     kernel_columns,

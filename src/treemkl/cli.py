@@ -17,8 +17,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from .dataio import load_manifest
 from .dmkl import ContrastiveConfig
 from .em import EmConfig
@@ -116,13 +114,13 @@ def _beta_level_rows(artifact: ModelArtifact) -> tuple[list[str], list[float]]:
 
 
 def cmd_gen_synth(args) -> int:
-    out = _OutDir(args.out)
     spec = SynthSpec(num_classes=args.classes, per_class=args.per_class,
                      frames=args.frames, dim=args.dim,
                      signal_level=args.signal_level,
                      amplitude=args.amplitude, noise_sigma=args.noise_sigma,
                      detail_sigma=args.detail_sigma, seed=args.seed,
                      streams=args.streams)
+    out = _OutDir(args.out)
     manifest = gen_dataset(spec, args.out)
     for rec in manifest.records:
         for stream in ("appearance", "motion"):
@@ -145,7 +143,9 @@ def cmd_pool(args) -> int:
     out = _OutDir(args.out)
     manifest = load_manifest(args.manifest)
     root = _manifest_root(args.manifest)
-    cfg = _pipeline_config(args)
+    cfg = PipelineConfig(depth=args.depth, stream=args.stream,
+                         feature_norm=args.feature_norm,
+                         node_norm=args.node_norm)
     for split in ("train", "test"):
         try:
             trees, _ = load_split_trees(manifest, root, cfg, split)
@@ -158,27 +158,11 @@ def cmd_pool(args) -> int:
     return 0
 
 
-def _entropy(beta: np.ndarray) -> float:
-    positive = beta[beta > 0]
-    return float(-(positive * np.log(positive)).sum())
-
-
 def _emit_training(args, result) -> int:
     out = _OutDir(args.out)
     save_artifact(result.artifact, out.target("model.json"))
-    if result.trace_kind == "objective":
-        rows = [[i, float(v), _entropy(b)]
-                for i, (v, b) in enumerate(zip(result.trace,
-                                               result.beta_trace))]
-        out.write_csv("trace.csv", ["iteration", "objective", "beta_entropy"],
-                      rows)
-        out.write_json("training.json", {"iterations": len(result.trace) - 1,
-                                         "beta_entropy": _entropy(result.beta)})
-    else:
-        rows = [[i, float(v)] for i, v in enumerate(result.trace)]
-        out.write_csv("trace.csv", ["iteration", "loss"], rows)
-        out.write_json("training.json", {"iterations": len(result.trace) - 1,
-                                         "final_loss": float(result.trace[-1])})
+    out.write_csv("trace.csv", result.trace_header, result.trace_rows)
+    out.write_json("training.json", result.summary)
     out.finish()
     return 0
 
@@ -272,19 +256,23 @@ def cmd_report(args) -> int:
 # --- parser ---------------------------------------------------------------------
 
 
-def _add_common_train_flags(p: argparse.ArgumentParser) -> None:
+def _add_pool_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--variant", choices=sorted(VARIANT_ALIASES),
-                   default="avg")
     p.add_argument("--stream", choices=("appearance", "motion"),
                    default="appearance")
+    p.add_argument("--feature-norm", choices=("none", "l2"), default="none")
+    p.add_argument("--node-norm", choices=("none", "l2"), default="none")
+
+
+def _add_common_train_flags(p: argparse.ArgumentParser) -> None:
+    _add_pool_flags(p)
+    p.add_argument("--variant", choices=sorted(VARIANT_ALIASES),
+                   default="avg")
     p.add_argument("--kernel", choices=("rbf", "linear"), default="rbf")
     p.add_argument("--gamma", default="median",
                    help="rbf bandwidth, or 'median' for the data heuristic")
-    p.add_argument("--feature-norm", choices=("none", "l2"), default="none")
-    p.add_argument("--node-norm", choices=("none", "l2"), default="none")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--c-box", type=float, default=10.0)
     p.add_argument("--kkt-tol", type=float, default=1e-6)
@@ -313,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gen_synth)
 
     p = sub.add_parser("pool", help="write pooled trees for a manifest")
-    _add_common_train_flags(p)
+    _add_pool_flags(p)
     p.set_defaults(func=cmd_pool)
 
     p = sub.add_parser("train-em",

@@ -56,8 +56,9 @@ class ContrastiveConfig:
     beta_init: str = "uniform"
 
     def __post_init__(self):
-        if self.learning_rate < 0:
-            raise ValidationError("learning_rate must be >= 0")
+        if not (0 <= self.learning_rate < np.inf):
+            raise ValidationError(f"learning_rate must be finite and >= 0, "
+                                  f"got {self.learning_rate}")
         if self.batch_pairs < 1 or self.iterations < 0:
             raise ValidationError("batch_pairs must be >= 1, iterations >= 0")
         if not (0.0 <= self.margin < 1.0):
@@ -69,6 +70,8 @@ class ContrastiveConfig:
             raise ValidationError(f"unknown optimizer {self.optimizer!r}")
         if self.beta_init not in INIT_SCHEMES:
             raise ValidationError(f"unknown beta_init {self.beta_init!r}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
 
 
 class _PairTable:

@@ -63,6 +63,8 @@ class EmConfig:
             raise ValidationError(f"eta must be in (0, 1], got {self.eta}")
         if self.beta_init not in INIT_SCHEMES:
             raise ValidationError(f"unknown beta_init {self.beta_init!r}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

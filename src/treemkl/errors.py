@@ -76,10 +76,6 @@ class TooFewVideos(ValidationError):
 
 # --- numerics: shapes and domains -------------------------------------------
 
-class DimMismatch(ValidationError):
-    pass
-
-
 class ShapeMismatch(ValidationError):
     pass
 

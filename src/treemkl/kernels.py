@@ -32,7 +32,6 @@ import numpy as np
 
 from .errors import (
     DegenerateData,
-    DimMismatch,
     IdMismatch,
     ShapeMismatch,
     ValidationError,
@@ -56,6 +55,9 @@ _DENSE_LIMIT = 2 ** 25
 # the unit in which it is built or streamed; bounds the working memory
 # beside the tensor itself
 _BLOCK_ELEMENTS = 2 ** 18
+
+# most (video pair, node) samples median_gamma draws its median from
+_MEDIAN_GAMMA_CAP = 10_000
 
 
 def canonical_variant(name: str) -> str:
@@ -96,18 +98,6 @@ class KernelConfig:
                                    or not 0 < self.gamma < np.inf):
             raise ValidationError(
                 f"rbf kernel needs a finite gamma > 0, got {self.gamma}")
-
-
-def elementary(x: np.ndarray, y: np.ndarray, cfg: KernelConfig) -> float:
-    """kappa(x, y): rbf = exp(-gamma * ||x - y||^2), linear = <x, y>."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape or x.ndim != 1:
-        raise DimMismatch(f"vector shapes differ: {x.shape} vs {y.shape}")
-    if cfg.kind == "linear":
-        return float(x @ y)
-    d = x - y
-    return float(np.exp(-cfg.gamma * (d @ d)))
 
 
 def _kernel_matrix(X: np.ndarray, Y: np.ndarray, cfg: KernelConfig) -> np.ndarray:
@@ -329,27 +319,24 @@ def gram_from_cache(cache: NodeKernelCache, beta: np.ndarray,
     return GramMatrix(values=values, ids=tuple(cache.row_ids))
 
 
-def median_gamma(trees: list[PooledTree], cap: int = 10_000,
-                 seed: int = 0) -> float:
+def median_gamma(trees: list[PooledTree], seed: int = 0) -> float:
     """Bandwidth heuristic: 1 / median squared distance between aligned
-    node vectors of distinct trees, over a seeded sample capped at
-    ``cap`` pairs (all pairs when fewer)."""
+    node vectors of distinct trees, over a seeded sample of at most
+    ``_MEDIAN_GAMMA_CAP`` (pair, node) entries (all when fewer)."""
     if len(trees) < 2:
         raise ShapeMismatch("median_gamma needs at least 2 trees")
     vectors, _ = stack_trees(trees)
     n, m = vectors.shape[0], vectors.shape[1]
-    pairs = n * (n - 1) // 2
-    total = pairs * m
-    if total <= cap:
+    total = n * (n - 1) // 2 * m
+    if total <= _MEDIAN_GAMMA_CAP:
         picks = np.arange(total)
     else:
         rng = np.random.default_rng(seed)
-        picks = rng.choice(total, size=cap, replace=False)
+        picks = rng.choice(total, size=_MEDIAN_GAMMA_CAP, replace=False)
     pair_idx, node_idx = np.divmod(picks, m)
-    # decode linear upper-triangle index -> (i, j), row-major
-    row_starts = np.concatenate([[0], np.cumsum(n - 1 - np.arange(n - 1))])
-    i_idx = np.searchsorted(row_starts, pair_idx, side="right") - 1
-    j_idx = pair_idx - row_starts[i_idx] + i_idx + 1
+    # linear upper-triangle index -> (i, j), row-major
+    rows, cols = np.triu_indices(n, k=1)
+    i_idx, j_idx = rows[pair_idx], cols[pair_idx]
     diff = (vectors[i_idx, node_idx, :] - vectors[j_idx, node_idx, :])
     med = float(np.median(np.sum(diff * diff, axis=1)))
     if med <= 0.0:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from .errors import (
 )
 from .hierarchy import Hierarchy, PooledTree, pool_sequence
 from .kernels import (
+    AVERAGING,
     KernelConfig,
     canonical_variant,
     fuse_kernels,
@@ -53,7 +54,7 @@ ARTIFACT_FORMAT = "treemkl-model-v1"
 @dataclass(frozen=True)
 class PipelineConfig:
     depth: int
-    variant: str
+    variant: str = AVERAGING
     stream: str = "appearance"
     kernel_kind: str = "rbf"
     gamma: float | str = "median"
@@ -67,6 +68,8 @@ class PipelineConfig:
         object.__setattr__(self, "variant", canonical_variant(self.variant))
         if self.feature_norm not in NORMS or self.node_norm not in NORMS:
             raise ValidationError("norms must be 'none' or 'l2'")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if isinstance(self.gamma, str):
             if self.gamma != "median":
                 raise ValidationError(f"gamma must be a number or 'median'")
@@ -290,11 +293,17 @@ def load_artifact(path: str | os.PathLike) -> ModelArtifact:
 
 @dataclass(frozen=True)
 class TrainOutput:
+    """Model artifact, trace.csv header and rows, training.json summary."""
+
     artifact: dict
-    trace: np.ndarray
-    trace_kind: str
-    beta: np.ndarray = field(repr=False, default=None)
-    beta_trace: np.ndarray = field(repr=False, default=None)
+    trace_header: list[str]
+    trace_rows: list[list]
+    summary: dict
+
+
+def _entropy(beta: np.ndarray) -> float:
+    positive = beta[beta > 0]
+    return float(-(positive * np.log(positive)).sum())
 
 
 def train_em_route(manifest: DatasetManifest, root: str, cfg: PipelineConfig,
@@ -304,9 +313,11 @@ def train_em_route(manifest: DatasetManifest, root: str, cfg: PipelineConfig,
     result = em_fit(trees, labels, cfg.variant, kernel_cfg, em_cfg, svm_cfg)
     artifact = build_artifact(cfg, "em", kernel_cfg, svm_cfg, result.beta,
                               result.model, manifest)
-    return TrainOutput(artifact=artifact, trace=result.objective_trace,
-                       trace_kind="objective", beta=result.beta,
-                       beta_trace=result.beta_trace)
+    rows = [[i, float(v), _entropy(b)] for i, (v, b) in
+            enumerate(zip(result.objective_trace, result.beta_trace))]
+    return TrainOutput(artifact, ["iteration", "objective", "beta_entropy"],
+                       rows, {"iterations": result.iterations,
+                              "beta_entropy": _entropy(result.beta)})
 
 
 def train_dmkl_route(manifest: DatasetManifest, root: str,
@@ -318,8 +329,9 @@ def train_dmkl_route(manifest: DatasetManifest, root: str,
                            kernel_cfg, svm_cfg)
     artifact = build_artifact(cfg, "dmkl", kernel_cfg, svm_cfg,
                               result.weights.beta, result.model, manifest)
-    return TrainOutput(artifact=artifact, trace=result.loss_trace,
-                       trace_kind="loss", beta=result.weights.beta)
+    rows = [[i, float(v)] for i, v in enumerate(result.loss_trace)]
+    return TrainOutput(artifact, ["iteration", "loss"], rows,
+                       {"iterations": len(rows) - 1, "final_loss": rows[-1][1]})
 
 
 # --- evaluation -------------------------------------------------------------------

@@ -36,16 +36,16 @@ def to_simplex(raw: np.ndarray) -> np.ndarray:
     return e / e.sum()
 
 
-def check_on_simplex(beta: np.ndarray, tol: float = SIMPLEX_TOL) -> np.ndarray:
+def check_on_simplex(beta: np.ndarray) -> np.ndarray:
     beta = np.asarray(beta, dtype=np.float64)
     if beta.ndim != 1 or beta.size == 0:
         raise ShapeMismatch(f"beta must be a non-empty vector, got {beta.shape}")
     if not np.isfinite(beta).all():
         raise NotOnSimplex("beta contains non-finite values")
-    if beta.min() < -tol or beta.max() > 1 + tol:
+    if beta.min() < -SIMPLEX_TOL or beta.max() > 1 + SIMPLEX_TOL:
         raise NotOnSimplex(f"beta entries outside [0, 1]: "
                            f"min={beta.min()}, max={beta.max()}")
-    if abs(beta.sum() - 1.0) > tol:
+    if abs(beta.sum() - 1.0) > SIMPLEX_TOL:
         raise NotOnSimplex(f"beta sums to {beta.sum()}, not 1")
     return beta
 

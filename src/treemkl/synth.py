@@ -64,10 +64,14 @@ class SynthSpec:
             raise SpecInvalid(f"signal_level must be >= 1, got {self.signal_level}")
         if self.streams not in (1, 2):
             raise SpecInvalid(f"streams must be 1 or 2, got {self.streams}")
-        if not (self.amplitude > 0 and self.noise_sigma > 0):
-            raise SpecInvalid("amplitude and noise_sigma must be positive")
-        if self.detail_sigma < 0:
-            raise SpecInvalid("detail_sigma must be >= 0")
+        if self.dim < 1:
+            raise SpecInvalid(f"dim must be >= 1, got {self.dim}")
+        if not (0 < self.amplitude < np.inf and 0 < self.noise_sigma < np.inf):
+            raise SpecInvalid("amplitude and noise_sigma must be finite and > 0")
+        if not (0 <= self.detail_sigma < np.inf):
+            raise SpecInvalid("detail_sigma must be finite and >= 0")
+        if self.seed < 0:
+            raise SpecInvalid(f"seed must be >= 0, got {self.seed}")
         deepest = self.signal_level + (1 if self.streams == 2 else 0)
         if self.detail_sigma > 0:
             deepest += 1  # the detail flip needs one level below the signal

@@ -1,7 +1,8 @@
 """Independent reference implementations used only to check the library.
 
-Nothing here shares code with the package: the QP oracle enumerates
-active sets, gradients come from central finite differences, the softmax
+Nothing here shares code with the package: the elementary kernel is
+evaluated one vector pair at a time, the QP oracle enumerates active
+sets, gradients come from central finite differences, the softmax
 Jacobian is written out entry by entry, artifact scores are summed one
 class and one support video list at a time, and the reference dual
 solver rebuilds every KKT quantity from the gradient at each update.
@@ -14,6 +15,20 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+
+def elementary(x: np.ndarray, y: np.ndarray, cfg) -> float:
+    """kappa(x, y) of one vector pair under a kernel config ``cfg``
+    (``kind``, ``gamma``): rbf = exp(-gamma * ||x - y||^2), linear =
+    <x, y>. The per-pair reference for every batched kernel path."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if x.shape != y.shape or x.ndim != 1:
+        raise ValueError(f"vector shapes differ: {x.shape} vs {y.shape}")
+    if cfg.kind == "linear":
+        return float(x @ y)
+    d = x - y
+    return float(np.exp(-cfg.gamma * (d @ d)))
 
 
 def central_difference(f, x: np.ndarray, step: float = 1e-5) -> np.ndarray:

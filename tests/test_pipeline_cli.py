@@ -12,6 +12,8 @@ from treemkl import errors, pipeline, svm
 from treemkl.cli import main
 from treemkl.dataio import (StreamFeatureSequence, load_feature_file,
                             load_manifest)
+from treemkl.dmkl import ContrastiveConfig
+from treemkl.em import EmConfig
 from treemkl.hierarchy import Hierarchy, PooledTree, pool_sequence
 from treemkl.kernels import kernel_columns
 from treemkl.pipeline import evaluate_artifact, fuse_evaluate, load_artifact
@@ -58,6 +60,27 @@ class TestTrainingOutputs:
         assert len(set(art.support_ids)) == len(art.support_ids)
         assert list(json.loads(path.read_text())["beta"]) == [
             "1:1", "2:1", "2:2", "3:1", "3:2", "3:3", "3:4"]
+
+    @pytest.mark.parametrize("run, route, route_cfg", [
+        ("em_a", "train_em_route", EmConfig(max_iters=6, seed=3)),
+        ("dm_a", "train_dmkl_route",
+         ContrastiveConfig(iterations=200, positive_fraction=0.5, seed=3))])
+    def test_route_returns_the_written_documents(self, workspace, run, route,
+                                                 route_cfg):
+        manifest = workspace / "data" / "manifest.jsonl"
+        result = getattr(pipeline, route)(
+            load_manifest(manifest), str(manifest.parent),
+            pipeline.PipelineConfig(depth=3, variant="avg", seed=3),
+            route_cfg, svm.TrainConfig())
+        lines = (workspace / run / "trace.csv").read_text().splitlines()
+        assert lines[0].split(",") == result.trace_header
+        rows = [[float(cell) for cell in line.split(",")]
+                for line in lines[1:]]
+        assert rows == result.trace_rows
+        assert json.loads((workspace / run / "training.json").read_text()) \
+            == result.summary
+        assert json.loads((workspace / run / "model.json").read_text()) \
+            == result.artifact
 
     def test_trace_csv_headers(self, workspace):
         em_first = (workspace / "em_a" / "trace.csv").read_text().splitlines()
@@ -328,6 +351,37 @@ class TestExitCodesAndWorkers:
         assert_one_error_line(capsys, "gamma")
         assert loads == []
 
+    @pytest.mark.parametrize("command, flag, value, needle", [
+        ("train-em", "--seed", "-1", "seed"),
+        ("train-dmkl", "--seed", "-1", "seed"),
+        ("train-dmkl", "--lr", "nan", "learning_rate"),
+        ("train-dmkl", "--lr", "inf", "learning_rate")])
+    def test_bad_seed_or_rate_exits_before_loading(self, workspace, tmp_path,
+                                                   capsys, monkeypatch,
+                                                   command, flag, value,
+                                                   needle):
+        loads = []
+        real = pipeline.load_split_trees
+        monkeypatch.setattr(pipeline, "load_split_trees",
+                            lambda *a, **k: loads.append(a) or real(*a, **k))
+        code = run_cli(command, "--manifest",
+                       workspace / "data" / "manifest.jsonl",
+                       "--out", tmp_path / "o", "--depth", 2, flag, value)
+        assert code == 2
+        assert_one_error_line(capsys, needle)
+        assert loads == []
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--seed", "-1"), ("--dim", "-1"), ("--dim", "0"),
+        ("--detail-sigma", "nan"), ("--amplitude", "inf"),
+        ("--noise-sigma", "inf")])
+    def test_bad_synth_spec_exits_before_writing(self, tmp_path, capsys,
+                                                 flag, value):
+        out = tmp_path / "data"
+        assert run_cli("gen-synth", "--out", out, flag, value) == 2
+        assert_one_error_line(capsys, flag[2:].replace("-", "_"))
+        assert not out.exists()
+
     @pytest.mark.parametrize("keys", [
         ("config", "depth"), ("config", "variant"), ("config", "stream"),
         ("config", "kernel", "kind"), ("config", "kernel", "gamma"),
@@ -454,6 +508,21 @@ class TestPoolCommand:
             assert len(data) == 12 + 4 * dim * nodes
             assert data[:4] == b"GPT1"
             assert struct.unpack_from("<II", data, 4) == (dim, nodes)
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--variant", "avg"), ("--kernel", "rbf"), ("--gamma", "median"),
+        ("--seed", "0"), ("--c-box", "10"), ("--kkt-tol", "1e-6"),
+        ("--max-passes", "200")])
+    def test_training_flags_are_rejected(self, workspace, tmp_path, capsys,
+                                         flag, value):
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            run_cli("pool", "--manifest",
+                    workspace / "data" / "manifest.jsonl",
+                    "--out", out, "--depth", 3, flag, value)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_validation_exit_code(self, tmp_path):
         assert run_cli("pool", "--manifest", tmp_path / "missing.jsonl",

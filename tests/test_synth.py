@@ -19,6 +19,20 @@ class TestSpecValidation:
         with pytest.raises(errors.SpecInvalid):
             SynthSpec(streams=3)
 
+    @pytest.mark.parametrize("field, value, needle", [
+        ("dim", -1, "dim"), ("dim", 0, "dim"),
+        ("amplitude", np.inf, "amplitude"), ("amplitude", np.nan, "amplitude"),
+        ("amplitude", 0.0, "amplitude"),
+        ("noise_sigma", np.inf, "noise_sigma"),
+        ("noise_sigma", np.nan, "noise_sigma"),
+        ("detail_sigma", np.nan, "detail_sigma"),
+        ("detail_sigma", np.inf, "detail_sigma"),
+        ("detail_sigma", -0.5, "detail_sigma"),
+        ("seed", -1, "seed")])
+    def test_rejects_bad_value_before_generating(self, field, value, needle):
+        with pytest.raises(errors.SpecInvalid, match=needle):
+            SynthSpec(**{field: value})
+
 
 class TestGenSequences:
     def test_seed_determinism(self):
