@@ -21,11 +21,11 @@ from .dataio import load_manifest
 from .dmkl import ContrastiveConfig
 from .em import EmConfig
 from .errors import EmptySplit, NoRuns, NumericalError, ValidationError
-from .hierarchy import Hierarchy, write_pooled_file
+from .hierarchy import write_pooled_file
 from .kernels import VARIANT_ALIASES
 from .pipeline import (
-    ModelArtifact,
     PipelineConfig,
+    beta_level_rows,
     evaluate_artifact,
     fuse_evaluate,
     load_artifact,
@@ -100,14 +100,6 @@ def _pipeline_config(args) -> PipelineConfig:
 def _svm_config(args) -> TrainConfig:
     return TrainConfig(c_box=args.c_box, kkt_tol=args.kkt_tol,
                        max_passes=args.max_passes)
-
-
-def _beta_level_rows(artifact: ModelArtifact) -> tuple[list[str], list[float]]:
-    h = Hierarchy(artifact.pipeline.depth)
-    header = [f"level_{l}" for l in range(1, h.depth + 1)]
-    masses = [float(artifact.beta[h.level_slice(l)].sum())
-              for l in range(1, h.depth + 1)]
-    return header, masses
 
 
 # --- commands -------------------------------------------------------------------
@@ -197,8 +189,7 @@ def cmd_eval(args) -> int:
     metrics = evaluate_artifact(artifact, manifest,
                                 _manifest_root(args.manifest))
     out.write_json("metrics.json", metrics)
-    header, masses = _beta_level_rows(artifact)
-    out.write_csv("beta_levels.csv", header, [masses])
+    out.write_csv("beta_levels.csv", *beta_level_rows(artifact))
     out.finish()
     return 0
 

@@ -10,18 +10,24 @@ The alternation from a weight vector ``beta``:
 The traced objective is the sum over classes of the optimal dual values
 (equivalently the regularized primal optima) at the current ``beta`` —
 the quantity the alternation actually descends; it is non-increasing at
-every accepted iteration by construction. The alignment coefficients
-are one quadratic form per node pair of the variant's node-kernel table:
-a vector over nodes for concatenation (the weight subproblem is then a
-simplex LP) and a PSD node-by-node matrix for averaging (a simplex QP).
+every accepted iteration by construction.
 
-``em_fit`` takes a damped Frank-Wolfe step on the alternation
-objective. The objective is linear in the weight map
-``node_weights(beta, variant)`` with coefficients ``-c``, so its
-gradient in ``beta`` at the current ``alpha`` is
-``-node_weights_pullback(c, beta, variant)``; the step moves toward the
-vertex of the smallest gradient entry and backtracks its length until
-the traced objective does not rise.
+Both variants keep one pair-major (n, n, nodes) table ``T`` whose
+contraction ``T @ beta`` is the Gram matrix: the aligned node kernels
+for concatenation, and for averaging the half-contracted table
+``P[i, j, u] = sum_m beta[m] kappa(x_im, x_ju)``, which moves with
+``beta``. The alignment coefficients ``c = beta_objective_coeffs(alpha,
+y, T)`` give the gradient of the objective in ``beta`` at the current
+``alpha``: ``-c`` for concatenation, which is linear in ``beta``, and
+``-2 c`` for averaging, which is quadratic in it.
+
+``em_fit`` takes a damped Frank-Wolfe step (Jaggi, ICML 2013): it moves
+toward the vertex ``e_v`` of the smallest gradient entry and backtracks
+the step length until the traced objective does not rise. Along the
+averaging step ``(1 - eta) beta + eta e_v`` the table moves to ``(1 -
+eta) P + eta S_v``, where ``S_v = NodeKernelCache.node_slice(v)``, so a
+candidate's Gram is ``(1 - eta) P @ b + eta S_v @ b`` for the candidate
+weights ``b``. The (n, n, nodes, nodes) cross tensor is never built.
 """
 
 from __future__ import annotations
@@ -33,11 +39,13 @@ import numpy as np
 from .errors import ShapeMismatch, SingleClass, ValidationError
 from .hierarchy import PooledTree
 from .kernels import (
+    _DENSE_LIMIT,
+    AVERAGING,
     KernelConfig,
     NodeKernelCache,
     canonical_variant,
-    gram_from_cache,
-    node_weights_pullback,
+    contract_table,
+    mirrored_gram,
 )
 from .simplex import INIT_SCHEMES, SimplexWeights
 from .svm import SvmModel, TrainConfig, dual_objective, train_one_vs_rest
@@ -80,13 +88,14 @@ def beta_objective_coeffs(alpha: np.ndarray, labels: np.ndarray,
                           table: np.ndarray) -> np.ndarray:
     """Alignment of each node kernel with the current dual solutions.
 
-    ``table`` is a pair-major node-kernel table of shape (n, n, ...),
-    ``NodeKernelCache.table(variant)``. For each node pair ``p`` it
-    gives ``0.5 * sum_c (alpha_c * y_c)' kappa_p (alpha_c * y_c)``, in
-    the shape of the table's trailing axes: a vector over nodes for the
-    aligned table (non-negative since each kappa_m is PSD) and a
-    node-by-node matrix for the cross tensor (symmetric PSD, a Gram
-    matrix of per-node function components).
+    ``table`` is a pair-major node-kernel table of shape (n, n, ...).
+    For each trailing index ``p`` it gives ``0.5 * sum_c (alpha_c *
+    y_c)' table[:, :, p] (alpha_c * y_c)``, in the shape of the table's
+    trailing axes: a vector over nodes for the aligned table
+    (non-negative since each kappa_m is PSD), a node-by-node matrix for
+    the cross tensor (symmetric PSD, a Gram matrix of per-node function
+    components), and that matrix times ``beta`` for the half-contracted
+    table ``NodeKernelCache.half_contracted(beta)``.
     """
     alpha = np.asarray(alpha, dtype=np.float64)
     labels = np.asarray(labels)
@@ -116,52 +125,77 @@ def em_fit(trees: list[PooledTree], labels: np.ndarray, variant: str,
     Stops when the iteration budget is exhausted, when both ``beta``
     and every ``alpha`` move less than ``param_tol`` in max-norm, or
     when no backtracked step length still decreases the objective.
+    Averaging holds at most two (n, n, nodes) tables at once and
+    raises :class:`ValidationError` before allocating one larger than
+    ``_DENSE_LIMIT`` elements.
     """
     variant = canonical_variant(variant)
     labels = np.asarray(labels)
     if np.unique(labels).size < 2:
         raise SingleClass("need at least 2 classes")
     cache = NodeKernelCache(trees, kernel_cfg)
-    table = cache.table(variant)
-    m = cache.nodes
+    averaging = variant == AVERAGING
+    n, m = len(cache.row_ids), cache.nodes
+    if averaging and n * n * m > _DENSE_LIMIT:
+        raise ValidationError(
+            f"averaging EM over {n} videos and {m} nodes needs (n, n, nodes) "
+            f"tables of {n * n * m * 8} bytes each, above the "
+            f"{_DENSE_LIMIT * 8}-byte limit")
 
     beta = SimplexWeights.init(m, em_cfg.beta_init, em_cfg.seed).beta
+    table = cache.half_contracted(beta) if averaging else cache.aligned()
 
-    def solve(b):
+    def solve(values):
         # objective: sum over classes of the optimal (negated) dual values
-        gram = gram_from_cache(cache, b, variant)
+        gram = mirrored_gram(values, cache.row_ids)
         model = train_one_vs_rest(gram, labels, svm_cfg)
         return model, -sum(dual_objective(gram, model.alpha[ci],
                                           model.signs_for(c))
                            for ci, c in enumerate(model.class_ids))
 
-    model, objective = solve(beta)
+    model, objective = solve(contract_table(table, beta))
     trace = [objective]
     beta_trace = [beta.copy()]
     iterations = 0
+    slice_vertex, node_slice = -1, None
 
     for _ in range(em_cfg.max_iters):
         if m == 1:
             break
         coeffs = beta_objective_coeffs(model.alpha, labels, table)
-        # descend the alternation objective, linear in the weight map
-        grad = -node_weights_pullback(coeffs, beta, variant)
+        # descend the alternation objective: linear in beta for
+        # concatenation, quadratic for averaging
+        grad = -2.0 * coeffs if averaging else -coeffs
+        v = int(np.argmin(grad))
         vertex = np.zeros(m)
-        vertex[int(np.argmin(grad))] = 1.0
+        vertex[v] = 1.0
         if np.allclose(vertex, beta):
             break
+        if averaging and v != slice_vertex:
+            node_slice = None           # free the old slice before the new
+            node_slice, slice_vertex = cache.node_slice(v), v
 
         accepted = False
         eta = em_cfg.eta
         for _ in range(MAX_HALVINGS + 1):
             candidate = (1.0 - eta) * beta + eta * vertex
-            cand_model, cand_objective = solve(candidate)
+            values = contract_table(table, candidate)
+            if averaging:
+                values *= 1.0 - eta
+                values += eta * contract_table(node_slice, candidate)
+            cand_model, cand_objective = solve(values)
             if cand_objective <= objective + 1e-10:
                 accepted = True
                 break
             eta *= 0.5
         if not accepted:
             break
+        if averaging:
+            # half_contracted(candidate) = (1 - eta) P + eta S_v, written
+            # as (P - S_v)(1 - eta) + S_v to need no third table
+            table -= node_slice
+            table *= 1.0 - eta
+            table += node_slice
 
         beta_delta = float(np.max(np.abs(candidate - beta)))
         alpha_delta = float(np.max(np.abs(cand_model.alpha - model.alpha)))

@@ -19,9 +19,16 @@ Computing a Gram matrix re-weights a fixed set of elementary node
 kernels, so :class:`NodeKernelCache` evaluates them once per (tree set,
 kernel config) and every ``beta``-dependent quantity afterwards is a
 cheap contraction. This pairwise table is the quadratic-cost core of the
-whole method. Both tables are stored pair-major, ``(rows, cols, ...)``:
+whole method. Every table is stored pair-major, ``(rows, cols, ...)``:
 one video pair's node kernels are contiguous, so a batch of pairs is one
 gather and a contraction with the weights is one matrix-vector product.
+
+The averaging variant's full cross table has ``nodes**2`` entries per
+pair. Contracting ``beta`` on its row-node axis leaves the half-contracted
+table ``P[i, j, u] = sum_m beta[m] kappa(a_im, b_ju)`` with ``nodes``
+entries per pair, and ``K(beta) = P @ beta``. Alternating training keeps
+``P`` in place of the cross table; it is streamed from row blocks and
+never needs the cross table whole.
 """
 
 from __future__ import annotations
@@ -48,12 +55,12 @@ VARIANT_ALIASES = {"concat": CONCATENATION, "avg": AVERAGING,
 # largest (rows x cols x nodes^2) cross tensor contrastive training
 # materializes; beyond this its pair blocks come from the feature vectors.
 # Size-based so the code path, and therefore the bits, depend only on the
-# inputs.
+# inputs. Averaging EM refuses (n, n, nodes) tables above it.
 _DENSE_LIMIT = 2 ** 25
 
-# elements of one row block of the cross tensor (at least one row video),
-# the unit in which it is built or streamed; bounds the working memory
-# beside the tensor itself
+# elements of one row block of a kernel table (at least one row video),
+# the unit in which tables are built or streamed; bounds the working
+# memory beside the table itself
 _BLOCK_ELEMENTS = 2 ** 18
 
 # most (video pair, node) samples median_gamma draws its median from
@@ -186,14 +193,17 @@ class GramMatrix:
 class NodeKernelCache:
     """Elementary node kernels between two tree sets, computed once.
 
-    Both tables are pair-major: ``aligned()[i, j, m] = kappa(row_i[m],
+    The tables are pair-major: ``aligned()[i, j, m] = kappa(row_i[m],
     col_j[m])`` and ``cross()[i, j, m, n] = kappa(row_i[m], col_j[n])``,
-    the latter built one block of row videos at a time.
-    ``combined(beta, variant)`` contracts ``table(variant)`` with
+    the latter built one block of row videos at a time. Two (rows, cols,
+    nodes) tables serve the averaging variant without the cross tensor:
+    ``half_contracted(beta)``, the cross tensor with ``beta`` contracted
+    on its row-node axis, and ``node_slice(v)``, its row-node ``v`` slice.
+    ``combined(beta, variant)`` contracts the variant's table with
     ``node_weights`` without touching feature vectors again; for the
     averaging variant on a cache whose cross tensor is not built, it
-    contracts each row block as it is computed and never holds the whole
-    tensor.
+    reduces each row block of ``half_contracted(beta)`` with ``beta`` as
+    the block is computed and never holds the whole tensor.
     """
 
     def __init__(self, row_trees: list[PooledTree], cfg: KernelConfig,
@@ -214,6 +224,13 @@ class NodeKernelCache:
         size = (self.nodes ** 2) * self.rows.shape[0] * self.cols.shape[0]
         return size <= _DENSE_LIMIT
 
+    def _check_beta(self, beta: np.ndarray) -> np.ndarray:
+        beta = np.asarray(beta, dtype=np.float64)
+        if beta.shape != (self.nodes,):
+            raise ShapeMismatch(
+                f"beta has {beta.size} entries for {self.nodes} nodes")
+        return beta
+
     def aligned(self) -> np.ndarray:
         if self._aligned is None:
             m, (nr, nc) = self.nodes, (self.rows.shape[0], self.cols.shape[0])
@@ -226,8 +243,9 @@ class NodeKernelCache:
         return self._aligned
 
     def _cross_blocks(self):
-        """Yield ``(r0, r1, block)`` with ``block`` the (r1 - r0, cols,
-        nodes, nodes) slice of the cross tensor, as a transposed view."""
+        """Yield ``(r0, r1, block)`` with ``block[i, m, j, n] =
+        kappa(row_{r0+i}[m], col_j[n])``, shape (r1 - r0, nodes, cols,
+        nodes)."""
         m, d = self.nodes, self.rows.shape[2]
         nr, nc = self.rows.shape[0], self.cols.shape[0]
         flat_c = self.cols.reshape(nc * m, d)
@@ -236,38 +254,58 @@ class NodeKernelCache:
             r1 = min(r0 + step, nr)
             k = _kernel_matrix(self.rows[r0:r1].reshape(-1, d), flat_c,
                                self.cfg)
-            yield r0, r1, k.reshape(r1 - r0, m, nc, m).transpose(0, 2, 1, 3)
+            yield r0, r1, k.reshape(r1 - r0, m, nc, m)
+
+    def _half_contracted_blocks(self, beta: np.ndarray):
+        """Yield ``(r0, r1, rows r0:r1 of half_contracted(beta))``."""
+        for r0, r1, block in self._cross_blocks():
+            yield r0, r1, np.tensordot(beta, block, axes=(0, 1))
 
     def cross(self) -> np.ndarray:
         if self._cross is None:
             m, nr, nc = self.nodes, self.rows.shape[0], self.cols.shape[0]
             out = np.empty((nr, nc, m, m))
             for r0, r1, block in self._cross_blocks():
-                out[r0:r1] = block
+                out[r0:r1] = block.transpose(0, 2, 1, 3)
             self._cross = out
         return self._cross
 
-    def table(self, variant: str) -> np.ndarray:
-        """``aligned()`` for concatenation, ``cross()`` for averaging."""
-        if canonical_variant(variant) == CONCATENATION:
-            return self.aligned()
-        return self.cross()
+    def half_contracted(self, beta: np.ndarray) -> np.ndarray:
+        """``P[i, j, u] = sum_m beta[m] kappa(row_i[m], col_j[u])``, shape
+        (rows, cols, nodes), so that ``P @ beta`` is the averaging
+        variant's combined kernel. Built from row blocks of the cross
+        tensor, which is never held whole."""
+        beta = self._check_beta(beta)
+        out = np.empty((self.rows.shape[0], self.cols.shape[0], self.nodes))
+        for r0, r1, half in self._half_contracted_blocks(beta):
+            out[r0:r1] = half
+        return out
+
+    def node_slice(self, v: int) -> np.ndarray:
+        """``S[i, j, u] = kappa(row_i[v], col_j[u])``, shape (rows, cols,
+        nodes): ``half_contracted`` at the vertex ``beta = e_v``, built in
+        row blocks of about ``_BLOCK_ELEMENTS`` elements."""
+        m, d = self.nodes, self.rows.shape[2]
+        nr, nc = self.rows.shape[0], self.cols.shape[0]
+        flat_c = self.cols.reshape(nc * m, d)
+        out = np.empty((nr, nc, m))
+        step = max(1, _BLOCK_ELEMENTS // (nc * m))
+        for r0 in range(0, nr, step):
+            r1 = min(r0 + step, nr)
+            out[r0:r1] = _kernel_matrix(self.rows[r0:r1, v, :], flat_c,
+                                        self.cfg).reshape(r1 - r0, nc, m)
+        return out
 
     def combined(self, beta: np.ndarray, variant: str) -> np.ndarray:
         variant = canonical_variant(variant)
-        beta = np.asarray(beta, dtype=np.float64)
-        if beta.shape != (self.nodes,):
-            raise ShapeMismatch(
-                f"beta has {beta.size} entries for {self.nodes} nodes")
+        beta = self._check_beta(beta)
         nr, nc = self.rows.shape[0], self.cols.shape[0]
-        weights = node_weights(beta, variant)
         table = self.aligned() if variant == CONCATENATION else self._cross
         if table is not None:
-            return (table.reshape(nr * nc, -1) @ weights).reshape(nr, nc)
+            return contract_table(table, node_weights(beta, variant))
         out = np.empty((nr, nc))
-        for r0, r1, block in self._cross_blocks():
-            out[r0:r1] = (block.reshape((r1 - r0) * nc, -1) @ weights
-                          ).reshape(r1 - r0, nc)
+        for r0, r1, half in self._half_contracted_blocks(beta):
+            out[r0:r1] = contract_table(half, beta)
         return out
 
     def pair_blocks(self, i_idx: np.ndarray, j_idx: np.ndarray,
@@ -283,10 +321,10 @@ class NodeKernelCache:
             raise ShapeMismatch("pair_blocks needs a single tree set")
         variant = canonical_variant(variant)
         i_idx, j_idx = np.asarray(i_idx), np.asarray(j_idx)
-        table = self._aligned if variant == CONCATENATION else self._cross
-        if table is None and (variant == CONCATENATION
-                              or self._cross_is_dense()):
-            table = self.table(variant)
+        concat = variant == CONCATENATION
+        table = self._aligned if concat else self._cross
+        if table is None and (concat or self._cross_is_dense()):
+            table = self.aligned() if concat else self.cross()
         if table is None:
             return _kernel_matrix(self.rows[i_idx], self.rows[j_idx],
                                   self.cfg).reshape(i_idx.size, -1)
@@ -313,10 +351,22 @@ def gram_from_cache(cache: NodeKernelCache, beta: np.ndarray,
                     variant: str) -> GramMatrix:
     if cache.cols is not cache.rows:
         raise ShapeMismatch("gram needs a square cache")
-    values = cache.combined(beta, variant)
+    return mirrored_gram(cache.combined(beta, variant), cache.row_ids)
+
+
+def contract_table(table: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """``table @ weights`` over the flattened trailing axes of a
+    pair-major (rows, cols, ...) table, shape (rows, cols)."""
+    rows, cols = table.shape[:2]
+    return (table.reshape(rows * cols, -1) @ weights).reshape(rows, cols)
+
+
+def mirrored_gram(values: np.ndarray, ids) -> GramMatrix:
+    """The Gram matrix of square combined-kernel ``values``, made exactly
+    symmetric by mirroring the upper triangle (in place)."""
     iu = np.triu_indices(values.shape[0], k=1)
     values[(iu[1], iu[0])] = values[iu]
-    return GramMatrix(values=values, ids=tuple(cache.row_ids))
+    return GramMatrix(values=values, ids=tuple(ids))
 
 
 def median_gamma(trees: list[PooledTree], seed: int = 0) -> float:

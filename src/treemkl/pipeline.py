@@ -155,7 +155,10 @@ def build_artifact(cfg: PipelineConfig, route: str, kernel_cfg: KernelConfig,
             "feature_norm": cfg.feature_norm,
             "node_norm": cfg.node_norm,
             "seed": cfg.seed,
-            "svm": {"c_box": svm_cfg.c_box, "kkt_tol": svm_cfg.kkt_tol,
+            # null is the hard margin: JSON has no infinity
+            "svm": {"c_box": svm_cfg.c_box if math.isfinite(svm_cfg.c_box)
+                    else None,
+                    "kkt_tol": svm_cfg.kkt_tol,
                     "max_passes": svm_cfg.max_passes},
         },
         "beta": beta_doc,
@@ -167,9 +170,11 @@ def build_artifact(cfg: PipelineConfig, route: str, kernel_cfg: KernelConfig,
 
 
 def save_artifact(artifact: dict, path: str | os.PathLike) -> None:
-    """Write a :func:`build_artifact` document as one JSON file."""
+    """Write a :func:`build_artifact` document as one strict JSON file
+    (a non-finite number raises ``ValueError``)."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(artifact, indent=2, sort_keys=True) + "\n")
+        fh.write(json.dumps(artifact, indent=2, sort_keys=True,
+                            allow_nan=False) + "\n")
 
 
 @dataclass(frozen=True)
@@ -195,7 +200,8 @@ _KINDS = {
     "a list": lambda v: isinstance(v, list),
     "a string": lambda v: isinstance(v, str),
     "an integer": lambda v: type(v) is int,
-    "a number": lambda v: type(v) in (int, float) and not math.isnan(v),
+    "a number or null":
+        lambda v: v is None or type(v) in (int, float) and not math.isnan(v),
     "a finite number": lambda v: type(v) in (int, float) and math.isfinite(v),
     "a finite number or null":
         lambda v: v is None or _KINDS["a finite number"](v),
@@ -220,7 +226,8 @@ def _made(make, name: str, path, *args, **kwargs):
 def load_artifact(path: str | os.PathLike) -> ModelArtifact:
     """Parse a :func:`save_artifact` file, checking once each entry that
     evaluation reads; a missing or malformed one raises
-    :class:`ArtifactMismatch` naming its dotted key."""
+    :class:`ArtifactMismatch` naming its dotted key. A null
+    ``config.svm.c_box`` is the hard margin, ``inf``."""
     if not os.path.isfile(path):
         raise MissingPath(f"{path}: no such model artifact")
     with open(path, "r", encoding="utf-8") as fh:
@@ -254,8 +261,9 @@ def load_artifact(path: str | os.PathLike) -> ModelArtifact:
                 node_norm=config.get("node_norm", "none"))
     kernel = _made(KernelConfig, "config.kernel", path,
                    kind=cfg.kernel_kind, gamma=gamma)
+    c_box = get("config.svm.c_box", "a number or null")
     svm = _made(TrainConfig, "config.svm", path,
-                c_box=float(get("config.svm.c_box", "a number")),
+                c_box=math.inf if c_box is None else float(c_box),
                 kkt_tol=float(get("config.svm.kkt_tol", "a finite number")),
                 max_passes=get("config.svm.max_passes", "an integer"))
     nodes = [f"{l}:{k}" for l, k in Hierarchy(cfg.depth).nodes]
@@ -384,6 +392,16 @@ def evaluate_artifact(artifact: ModelArtifact, manifest: DatasetManifest,
     metrics = _metrics(preds, truth, manifest.label_names)
     metrics["config"] = artifact.config
     return metrics
+
+
+def beta_level_rows(artifact: ModelArtifact) -> tuple[list[str], list[list]]:
+    """beta_levels.csv header and its one row: the weight mass on each
+    level of the artifact's hierarchy."""
+    h = Hierarchy(artifact.pipeline.depth)
+    header = [f"level_{l}" for l in range(1, h.depth + 1)]
+    masses = [float(artifact.beta[h.level_slice(l)].sum())
+              for l in range(1, h.depth + 1)]
+    return header, [masses]
 
 
 def _check_fusable(art_a: ModelArtifact, art_m: ModelArtifact) -> None:

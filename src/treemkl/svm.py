@@ -54,8 +54,9 @@ class TrainConfig:
     def __post_init__(self):
         if not (self.c_box > 0):
             raise ValidationError(f"c_box must be positive, got {self.c_box}")
-        if not (self.kkt_tol > 0):
-            raise ValidationError(f"kkt_tol must be positive, got {self.kkt_tol}")
+        if not (0 < self.kkt_tol < math.inf):
+            raise ValidationError(
+                f"kkt_tol must be positive and finite, got {self.kkt_tol}")
         if self.max_passes < 1:
             raise ValidationError(f"max_passes must be >= 1, got {self.max_passes}")
 

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import random_trees
 from oracles import averaging_coeffs_oracle
-from treemkl import errors
+from treemkl import em, errors
 from treemkl.em import EmConfig, beta_objective_coeffs, em_fit
 from treemkl.hierarchy import Hierarchy, pool_sequence
 from treemkl.kernels import (
@@ -14,9 +14,11 @@ from treemkl.kernels import (
     gram_matrix,
     kernel_columns,
     median_gamma,
+    node_weights_pullback,
 )
-from treemkl.simplex import INIT_SCHEMES, SimplexWeights
-from treemkl.svm import TrainConfig, predict, train_one_vs_rest
+from treemkl.simplex import INIT_SCHEMES, SimplexWeights, to_simplex
+from treemkl.svm import (TrainConfig, dual_objective, predict,
+                         train_one_vs_rest)
 from treemkl.synth import SynthSpec, gen_sequences
 
 RBF = KernelConfig("rbf", 0.5)
@@ -74,6 +76,36 @@ class TestBetaObjectiveCoeffs:
                                       RBF.gamma)
         np.testing.assert_allclose(m, ref, rtol=0, atol=1e-10)
 
+    def test_averaging_gradient_from_half_contracted_table(self, rng):
+        # -2 c(P) is the pullback of the cross-tensor coefficients
+        trees, labels, cache, model = trained_instance(rng, n=12, depth=3)
+        beta = to_simplex(rng.standard_normal(cache.nodes))
+        got = -2.0 * beta_objective_coeffs(model.alpha, labels,
+                                           cache.half_contracted(beta))
+        coeffs = averaging_coeffs_oracle(model.alpha, labels,
+                                         np.stack([t.vectors for t in trees]),
+                                         RBF.gamma)
+        for ref in (-(coeffs + coeffs.T) @ beta,
+                    -node_weights_pullback(beta_objective_coeffs(
+                        model.alpha, labels, cache.cross()), beta,
+                        AVERAGING)):
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_half_contracted_moves_linearly_along_a_step(self, rng):
+        trees, labels, cache, model = trained_instance(rng, n=12, depth=3)
+        beta = to_simplex(rng.standard_normal(cache.nodes))
+        table = cache.half_contracted(beta)
+        for v, eta in ((0, 0.5), (4, 0.125), (6, 1.0)):
+            vertex = np.zeros(cache.nodes)
+            vertex[v] = 1.0
+            node_slice = cache.node_slice(v)
+            expected = cache.half_contracted((1.0 - eta) * beta + eta * vertex)
+            # the step as written and in em_fit's in-place order
+            for stepped in ((1.0 - eta) * table + eta * node_slice,
+                            (table - node_slice) * (1.0 - eta) + node_slice):
+                np.testing.assert_allclose(stepped, expected, rtol=0,
+                                           atol=1e-13)
+
     def test_averaging_rejects_node_major_layout(self, rng):
         trees, labels, cache, model = trained_instance(rng)
         for node_major in (cache.cross().transpose(2, 3, 0, 1),
@@ -126,6 +158,18 @@ class TestEmFit:
             res = em_fit(train, y_train, variant, kcfg, EmConfig(max_iters=10))
             assert np.all(np.diff(res.objective_trace) <= 1e-8)
 
+    def test_averaging_objective_is_dual_value_at_final_beta(self):
+        # the table em_fit moves along each step stays half_contracted(beta)
+        train, y_train, *_ = synth_trees(1, level=2)
+        kcfg = KernelConfig("rbf", median_gamma(train))
+        res = em_fit(train, y_train, AVERAGING, kcfg, EmConfig(max_iters=10))
+        assert res.iterations >= 2
+        gram = gram_matrix(train, res.beta, AVERAGING, kcfg)
+        expected = -sum(dual_objective(gram, res.model.alpha[ci],
+                                       res.model.signs_for(c))
+                        for ci, c in enumerate(res.model.class_ids))
+        assert res.objective_trace[-1] == pytest.approx(expected, rel=1e-10)
+
     def test_beta_stays_on_simplex(self):
         train, y_train, *_ = synth_trees(2, level=2)
         kcfg = KernelConfig("rbf", median_gamma(train))
@@ -145,6 +189,16 @@ class TestEmFit:
         np.testing.assert_array_equal(predict(res.model, k_cols),
                                       predict(plain, k_cols))
         np.testing.assert_array_equal(res.model.alpha, plain.alpha)
+
+    def test_averaging_tables_over_limit_rejected(self, rng, monkeypatch):
+        trees = random_trees(rng, n=8, depth=3)
+        labels = np.array([1 + (i % 2) for i in range(8)])
+        monkeypatch.setattr(em, "_DENSE_LIMIT", 8 * 8 * 7 - 1)
+        with pytest.raises(errors.ValidationError,
+                           match="8 videos and 7 nodes .* 3584 bytes"):
+            em_fit(trees, labels, AVERAGING, RBF)
+        monkeypatch.setattr(em, "_DENSE_LIMIT", 8 * 8 * 7)
+        em_fit(trees, labels, AVERAGING, RBF, EmConfig(max_iters=1))
 
     def test_single_class_rejected(self, rng):
         trees = random_trees(rng, n=6, depth=2)

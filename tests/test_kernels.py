@@ -6,6 +6,7 @@ import pytest
 from conftest import random_trees
 from oracles import central_difference, elementary
 from treemkl import errors, kernels
+from treemkl.em import EmConfig, em_fit
 from treemkl.hierarchy import PooledTree
 from treemkl.kernels import (
     AVERAGING,
@@ -347,6 +348,41 @@ class TestNodeKernelCache:
                                    rtol=0, atol=1e-12)
         assert streamed._cross is None
 
+    def test_half_contracted_and_node_slice_match_elementary(self, rng,
+                                                             monkeypatch):
+        # 100 elements per block: half_contracted streams 2 of the 7 rows
+        # at a time (45 elements each), node_slice 6 (15 each); both end
+        # on a ragged block
+        monkeypatch.setattr(kernels, "_BLOCK_ELEMENTS", 100)
+        rows = random_trees(rng, n=7, depth=2)
+        cols = random_trees(rng, n=5, depth=2)
+        beta = to_simplex(rng.standard_normal(3))
+        for cfg in (RBF, LIN):
+            cache = NodeKernelCache(rows, cfg, cols)
+            half = cache.half_contracted(beta)
+            slices = [cache.node_slice(v) for v in range(3)]
+            assert half.shape == (7, 5, 3) and half.flags.c_contiguous
+            for i, a in enumerate(rows):
+                for j, b in enumerate(cols):
+                    k = np.array([[elementary(a.vectors[m], b.vectors[u], cfg)
+                                   for u in range(3)] for m in range(3)])
+                    np.testing.assert_allclose(half[i, j], beta @ k,
+                                               rtol=0, atol=1e-12)
+                    for v in range(3):
+                        np.testing.assert_allclose(slices[v][i, j], k[v],
+                                                   rtol=0, atol=1e-12)
+            assert cache._cross is None
+
+    def test_streamed_combined_is_half_contracted_times_beta(self, rng,
+                                                              monkeypatch):
+        monkeypatch.setattr(kernels, "_BLOCK_ELEMENTS", 100)
+        trees = random_trees(rng, n=7, depth=2)
+        beta = to_simplex(rng.standard_normal(3))
+        cache = NodeKernelCache(trees, RBF)
+        np.testing.assert_array_equal(
+            cache.combined(beta, AVERAGING),
+            kernels.contract_table(cache.half_contracted(beta), beta))
+
 
 class TestCrossMemory:
     """Peak bytes allocated while node kernels are evaluated and the
@@ -382,6 +418,22 @@ class TestCrossMemory:
         Y = rng.standard_normal((500, 16))
         peak = self.peak_bytes(lambda: kernels._kernel_matrix(X, Y, RBF))
         assert peak < 2.5 * 600 * 500 * 8
+
+    def test_em_fit_averaging_holds_tables_not_tensor(self, rng,
+                                                      monkeypatch):
+        n = 200
+        trees = random_trees(rng, n=n, depth=4, dim=4)
+        labels = np.array([1 + (i % 2) for i in range(n)])
+
+        def no_cross(cache):
+            raise AssertionError("em_fit built the cross tensor")
+
+        monkeypatch.setattr(NodeKernelCache, "cross", no_cross)
+        res = []
+        peak = self.peak_bytes(lambda: res.append(em_fit(
+            trees, labels, AVERAGING, RBF, EmConfig(max_iters=2))))
+        assert res[0].iterations >= 1
+        assert peak < 5 * n * n * self.NODES * 8
 
     def test_streamed_combined_never_holds_tensor(self, rng):
         cache = self.cache(rng)

@@ -355,7 +355,11 @@ class TestExitCodesAndWorkers:
         ("train-em", "--seed", "-1", "seed"),
         ("train-dmkl", "--seed", "-1", "seed"),
         ("train-dmkl", "--lr", "nan", "learning_rate"),
-        ("train-dmkl", "--lr", "inf", "learning_rate")])
+        ("train-dmkl", "--lr", "inf", "learning_rate"),
+        # an infinite tolerance would be written into an artifact that
+        # load_artifact refuses
+        ("train-em", "--kkt-tol", "inf", "kkt_tol"),
+        ("train-dmkl", "--kkt-tol", "inf", "kkt_tol")])
     def test_bad_seed_or_rate_exits_before_loading(self, workspace, tmp_path,
                                                    capsys, monkeypatch,
                                                    command, flag, value,
@@ -370,6 +374,37 @@ class TestExitCodesAndWorkers:
         assert code == 2
         assert_one_error_line(capsys, needle)
         assert loads == []
+
+    def test_hard_margin_artifact_is_strict_json(self, workspace, tmp_path):
+        def no_constant(name):
+            raise ValueError(f"non-JSON constant {name}")
+
+        out = tmp_path / "hard"
+        assert run_cli("train-em", "--manifest",
+                       workspace / "data" / "manifest.jsonl",
+                       "--out", out, "--depth", 2, "--variant", "concat",
+                       "--max-iters", 1, "--c-box", "inf") == 0
+        text = (out / "model.json").read_text()
+        doc = json.loads(text, parse_constant=no_constant)
+        assert doc["config"]["svm"]["c_box"] is None
+        art = load_artifact(out / "model.json")
+        assert art.svm.c_box == np.inf
+        # the round trip writes the same bytes again
+        again = tmp_path / "again.json"
+        pipeline.save_artifact(doc, again)
+        assert again.read_text() == text
+        assert run_cli("eval", "--model", out / "model.json",
+                       "--manifest", workspace / "data" / "manifest.jsonl",
+                       "--out", tmp_path / "eval") == 0
+        metrics = (tmp_path / "eval" / "metrics.json").read_text()
+        json.loads(metrics, parse_constant=no_constant)
+
+    def test_save_artifact_refuses_non_finite_numbers(self, workspace,
+                                                      tmp_path):
+        doc = json.loads((workspace / "em_a" / "model.json").read_text())
+        doc["config"]["svm"]["kkt_tol"] = np.inf
+        with pytest.raises(ValueError):
+            pipeline.save_artifact(doc, tmp_path / "model.json")
 
     @pytest.mark.parametrize("flag, value", [
         ("--seed", "-1"), ("--dim", "-1"), ("--dim", "0"),
