@@ -2,8 +2,9 @@
 
 Every pair of training videos carries a binary supervision signal (same
 class or not), giving n(n-1)/2 examples from n labels. The weights
-descend a contrastive loss through the simplex reparametrization; the
-SVMs are trained once afterwards on the frozen kernel.
+descend a contrastive loss over every pair through the simplex
+reparametrization; the SVMs are trained once afterwards on the frozen
+kernel.
 """
 
 import numpy as np
@@ -38,7 +39,7 @@ kcfg = KernelConfig("rbf", median_gamma(train))
 cfg = ContrastiveConfig(iterations=1500, positive_fraction=0.5, seed=1)
 result = dmkl_then_svm(train, data.labels[tr], CONCATENATION, cfg, kcfg)
 
-print("\niter | eval loss | weight mass per level")
+print("\niter |      loss | weight mass per level")
 for it in range(0, cfg.iterations + 1, 250):
     beta = result.beta_trace[it]
     masses = " ".join(f"{beta[h.level_slice(l)].sum():.2f}"

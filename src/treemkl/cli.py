@@ -172,8 +172,7 @@ def cmd_train_em(args) -> int:
 def cmd_train_dmkl(args) -> int:
     manifest = load_manifest(args.manifest)
     contrastive = ContrastiveConfig(
-        learning_rate=args.lr, batch_pairs=args.batch,
-        iterations=args.iters, margin=args.margin, seed=args.seed,
+        learning_rate=args.lr, iterations=args.iters, seed=args.seed,
         positive_fraction=args.positive_fraction,
         optimizer=args.optimizer, beta_init=args.beta_init)
     result = train_dmkl_route(manifest, _manifest_root(args.manifest),
@@ -307,9 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train-dmkl", help="contrastive kernel-weight training")
     _add_common_train_flags(p)
     p.add_argument("--lr", type=float, default=0.0005)
-    p.add_argument("--batch", type=int, default=2048)
+    p.add_argument("--batch", type=int, help="ignored; every pair is used")
     p.add_argument("--iters", type=int, default=4000)
-    p.add_argument("--margin", type=float, default=0.0)
     p.add_argument("--positive-fraction", type=float, default=None)
     p.add_argument("--optimizer", choices=("adam", "sgd"), default="adam")
     p.add_argument("--beta-init", choices=INIT_SCHEMES, default="uniform")

@@ -7,16 +7,17 @@ positive pairs and below a margin on negative pairs::
 
     loss(k, +1) = (1 - k)^2        loss(k, -1) = max(0, k - margin)^2
 
-averaged over a batch. With n videos there are n(n-1)/2 supervised
-pairs, far more signal than n labels. Gradients flow through the
-combined kernel's weight dependence and then through the simplex
-reparametrization, so every optimizer step stays on the simplex. Once
-trained, the weights are frozen, the Gram matrix is built once, and the
+With n videos there are n(n-1)/2 supervised pairs, far more signal than
+n labels. Training sums the loss over every pair with weights ``c_p``.
+With the rbf kernel every kernel value is > 0, so at margin 0 the hinge
+never binds and the loss is exactly quadratic in ``w = node_weights(beta)``:
+``L(w) = w^T A w - 2 b^T w + c``, with ``A = sum_p c_p F_p F_p^T``,
+``b`` and ``c`` the sums of ``c_p F_p`` and ``c_p`` over positive pairs,
+and ``F_p`` pair p's row of node kernels. These moments are built once;
+each step then costs O(q^2) for q = nodes or nodes**2, whatever the
+number of videos, and stays on the simplex through its softmax
+reparametrization. The frozen weights give one Gram matrix, on which the
 one-vs-rest machines are trained in a single step.
-
-The recorded loss trace is evaluated on a fixed, seeded evaluation
-batch (the full pair set when small enough), so it reflects progress
-rather than batch noise.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ import numpy as np
 from .errors import ShapeMismatch, SingleClass, TooFewVideos, ValidationError
 from .hierarchy import PooledTree
 from .kernels import (
+    _DENSE_LIMIT,
+    CONCATENATION,
     KernelConfig,
     NodeKernelCache,
     canonical_variant,
@@ -47,9 +50,7 @@ from .svm import SvmModel, TrainConfig, train_one_vs_rest
 @dataclass(frozen=True)
 class ContrastiveConfig:
     learning_rate: float = 0.0005
-    batch_pairs: int = 2048
     iterations: int = 4000
-    margin: float = 0.0
     seed: int = 0
     positive_fraction: float | None = None
     optimizer: str = "adam"
@@ -59,10 +60,8 @@ class ContrastiveConfig:
         if not (0 <= self.learning_rate < np.inf):
             raise ValidationError(f"learning_rate must be finite and >= 0, "
                                   f"got {self.learning_rate}")
-        if self.batch_pairs < 1 or self.iterations < 0:
-            raise ValidationError("batch_pairs must be >= 1, iterations >= 0")
-        if not (0.0 <= self.margin < 1.0):
-            raise ValidationError(f"margin must be in [0, 1), got {self.margin}")
+        if self.iterations < 0:
+            raise ValidationError("iterations must be >= 0")
         if self.positive_fraction is not None and not (
                 0.0 < self.positive_fraction < 1.0):
             raise ValidationError("positive_fraction must be in (0, 1)")
@@ -75,50 +74,19 @@ class ContrastiveConfig:
 
 
 class _PairTable:
-    """Every pair i < j of a label vector with its +/-1 same-class label
-    and the positive and negative pair positions; built once, sampled
-    many times. The one source of pairs for the contrastive route."""
+    """Every pair i < j of a label vector, row-major, with its +/-1
+    same-class label; the contrastive route's one source of pairs."""
 
     def __init__(self, labels: np.ndarray):
         self.i, self.j = np.triu_indices(labels.size, k=1)
         self.y = np.where(labels[self.i] == labels[self.j], 1.0, -1.0)
-        self.pos = np.flatnonzero(self.y > 0)
-        self.neg = np.flatnonzero(self.y < 0)
-
-    def sample(self, n_pairs: int, rng: np.random.Generator,
-               positive_fraction: float | None
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Row indices, column indices and +/-1 labels of a batch.
-
-        Every pair (the table's own arrays) when ``positive_fraction``
-        is unset and ``n_pairs`` covers them; otherwise ``n_pairs``
-        draws with replacement, rebalanced to ``positive_fraction``
-        same-class pairs when it is set.
-        """
-        if positive_fraction is None and n_pairs >= self.i.size:
-            # batch budget covers every pair: deterministic full batch,
-            # which turns plain gradient descent into exact (monotone)
-            # descent
-            return self.i, self.j, self.y
-        if positive_fraction is None:
-            picks = rng.integers(0, self.i.size, size=n_pairs)
-        else:
-            if self.pos.size == 0 or self.neg.size == 0:
-                raise TooFewVideos("rebalancing needs both pair polarities")
-            n_pos = int(round(positive_fraction * n_pairs))
-            n_pos = min(max(n_pos, 1), n_pairs - 1)
-            picks = np.concatenate([
-                self.pos[rng.integers(0, self.pos.size, size=n_pos)],
-                self.neg[rng.integers(0, self.neg.size, size=n_pairs - n_pos)],
-            ])
-        return self.i[picks], self.j[picks], self.y[picks]
 
 
 def contrastive_loss(k_vals: np.ndarray, y: np.ndarray,
                      margin: float = 0.0) -> float:
     """Mean squared disagreement between kernel values and pair labels;
     zero exactly when positives sit at 1 and negatives at or below the
-    margin."""
+    margin. A per-pair oracle for the moment form."""
     k_vals = np.asarray(k_vals, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if k_vals.shape != y.shape:
@@ -138,7 +106,7 @@ def loss_grad(i: np.ndarray, j: np.ndarray, y: np.ndarray,
     """Loss over the pairs ``(i[p], j[p])`` with +/-1 labels ``y`` and
     its gradient w.r.t. the raw (pre-softmax) parameters, composing the
     pair losses, the kernel's weight dependence, and the simplex
-    Jacobian."""
+    Jacobian. The per-pair oracle for ``pair_moments``."""
     variant = canonical_variant(variant)
     beta = weights.beta
     flat = cache.pair_blocks(i, j, variant)
@@ -187,15 +155,43 @@ class DmklResult:
     cache: NodeKernelCache = field(repr=False, compare=False, default=None)
 
 
+def pair_moments(cache: NodeKernelCache, table: _PairTable, variant: str,
+                 positive_fraction: float | None
+                 ) -> tuple[np.ndarray, np.ndarray, float]:
+    """``A``, ``b``, ``c`` of the margin-0 loss over the pairs of ``table``,
+    weighted ``f / |pos|`` or ``(1 - f) / |neg|`` by polarity for
+    ``positive_fraction = f``, else ``1 / |pairs|``, from row blocks of the
+    node-kernel table. A (q, q) ``A`` over ``_DENSE_LIMIT`` is refused."""
+    variant = canonical_variant(variant)
+    q = cache.nodes if variant == CONCATENATION else cache.nodes ** 2
+    if q * q > _DENSE_LIMIT:
+        raise ValidationError(
+            f"{variant} contrastive training needs a ({q}, {q}) moment "
+            f"matrix of {q * q * 8} bytes, above the {_DENSE_LIMIT * 8} limit")
+    pos, f = table.y > 0, positive_fraction
+    if f is not None and (pos.all() or not pos.any()):
+        raise TooFewVideos("rebalancing needs both pair polarities")
+    coef = (np.full(pos.size, 1.0 / pos.size) if f is None
+            else np.where(pos, f / pos.sum(), (1.0 - f) / (~pos).sum()))
+    coef_pos = np.where(pos, coef, 0.0)
+    n = cache.rows.shape[0]
+    A, b = np.zeros((q, q)), np.zeros(q)
+    for r0, block in cache.table_blocks(variant):
+        lo, hi = np.searchsorted(table.i, (r0, r0 + block.shape[0] // n))
+        rows = block.take((table.i[lo:hi] - r0) * n + table.j[lo:hi], axis=0)
+        A += rows.T @ (coef[lo:hi, None] * rows)
+        b += coef_pos[lo:hi] @ rows
+    return A, b, float(coef_pos.sum())
+
+
 def dmkl_fit(trees: list[PooledTree], labels: np.ndarray, variant: str,
              cfg: ContrastiveConfig, kernel_cfg: KernelConfig) -> DmklResult:
-    """Minimize the contrastive disagreement over the simplex.
-
-    Deterministic given the seed: the evaluation batch, every training
-    batch, and any random initialization all derive from it. The trace
-    holds the evaluation-batch loss before training and after each of
-    the ``iterations`` steps.
-    """
+    """Minimize the contrastive loss over the simplex by Adam or SGD
+    steps on its exact gradient; the trace holds the loss before and after
+    each step. The seed only draws a random start. Needs the rbf kernel."""
+    if kernel_cfg.kind != "rbf":
+        raise ValidationError("contrastive training needs the rbf kernel, "
+                              f"got kernel {kernel_cfg.kind!r}")
     variant = canonical_variant(variant)
     labels = np.asarray(labels)
     if labels.size < 2:
@@ -203,37 +199,27 @@ def dmkl_fit(trees: list[PooledTree], labels: np.ndarray, variant: str,
     if np.unique(labels).size < 2:
         raise SingleClass("need at least 2 classes")
     cache = NodeKernelCache(trees, kernel_cfg)
-
-    eval_ss, batch_ss, init_ss = np.random.SeedSequence(cfg.seed).spawn(3)
-    table = _PairTable(labels)
-    # fixed eval batch drawn the same way training batches are (the full
-    # pair set when the budget covers it), so the trace measures the
-    # objective actually being minimized
-    eval_i, eval_j, eval_y = table.sample(
-        cfg.batch_pairs, np.random.default_rng(eval_ss), cfg.positive_fraction)
-    eval_rows = cache.pair_blocks(eval_i, eval_j, variant)
-
-    weights = SimplexWeights.init(
-        cache.nodes, cfg.beta_init,
-        seed=int(np.random.default_rng(init_ss).integers(2 ** 31)))
-    batch_rng = np.random.default_rng(batch_ss)
+    A, b, c = pair_moments(cache, _PairTable(labels), variant,
+                           cfg.positive_fraction)
+    weights = SimplexWeights.init(cache.nodes, cfg.beta_init, cfg.seed)
     adam = AdamState.zeros(cache.nodes)
-
-    beta_trace = [weights.beta]
-    for _ in range(cfg.iterations):
-        i, j, y = table.sample(cfg.batch_pairs, batch_rng,
-                               cfg.positive_fraction)
-        _, grad = loss_grad(i, j, y, cache, weights, variant, cfg.margin)
+    loss_trace, beta_trace = [], [weights.beta]
+    for step in range(cfg.iterations + 1):
+        w = node_weights(weights.beta, variant)
+        Aw = A @ w
+        loss_trace.append(float(w @ Aw - 2.0 * (b @ w) + c))
+        if step == cfg.iterations:
+            break
+        grad = backprop_through_simplex(node_weights_pullback(
+            2.0 * (Aw - b), weights.beta, variant), weights.beta)
         if cfg.optimizer == "adam":
             delta = adam.update(grad, cfg.learning_rate)
         else:
             delta = -cfg.learning_rate * grad
         weights = SimplexWeights(weights.raw + delta)
         beta_trace.append(weights.beta)
-    trace = [contrastive_loss(eval_rows @ node_weights(beta, variant),
-                              eval_y, cfg.margin) for beta in beta_trace]
     check_on_simplex(weights.beta)
-    return DmklResult(weights=weights, loss_trace=np.asarray(trace),
+    return DmklResult(weights=weights, loss_trace=np.asarray(loss_trace),
                       beta_trace=np.asarray(beta_trace), cache=cache)
 
 

@@ -52,10 +52,10 @@ AVERAGING = "averaging"
 VARIANT_ALIASES = {"concat": CONCATENATION, "avg": AVERAGING,
                    CONCATENATION: CONCATENATION, AVERAGING: AVERAGING}
 
-# largest (rows x cols x nodes^2) cross tensor contrastive training
-# materializes; beyond this its pair blocks come from the feature vectors.
-# Size-based so the code path, and therefore the bits, depend only on the
-# inputs. Averaging EM refuses (n, n, nodes) tables above it.
+# largest (rows x cols x nodes^2) cross tensor pair_blocks materializes;
+# size-based so the code path, and therefore the bits, depend only on the
+# inputs. Averaging EM refuses (n, n, nodes) tables above it, contrastive
+# training (q, q) moment matrices.
 _DENSE_LIMIT = 2 ** 25
 
 # elements of one row block of a kernel table (at least one row video),
@@ -195,8 +195,9 @@ class NodeKernelCache:
 
     The tables are pair-major: ``aligned()[i, j, m] = kappa(row_i[m],
     col_j[m])`` and ``cross()[i, j, m, n] = kappa(row_i[m], col_j[n])``,
-    the latter built one block of row videos at a time. Two (rows, cols,
-    nodes) tables serve the averaging variant without the cross tensor:
+    the latter built one block of row videos at a time, the blocks that
+    ``table_blocks`` streams. Two (rows, cols, nodes) tables serve the
+    averaging variant without the cross tensor:
     ``half_contracted(beta)``, the cross tensor with ``beta`` contracted
     on its row-node axis, and ``node_slice(v)``, its row-node ``v`` slice.
     ``combined(beta, variant)`` contracts the variant's table with
@@ -256,12 +257,25 @@ class NodeKernelCache:
                                self.cfg)
             yield r0, r1, k.reshape(r1 - r0, m, nc, m)
 
+    def table_blocks(self, variant: str):
+        """Yield ``(r0, rows)``: the variant's pair-major table from row
+        video r0 on, as a (row videos * cols, q) matrix: ``aligned()``
+        whole (q = nodes) or the cross tensor one row block at a time
+        (q = nodes**2), never held whole."""
+        if canonical_variant(variant) == CONCATENATION:
+            yield 0, self.aligned().reshape(-1, self.nodes)
+            return
+        for r0, _, block in self._cross_blocks():
+            yield r0, block.transpose(0, 2, 1, 3).reshape(-1, self.nodes ** 2)
+
     def _half_contracted_blocks(self, beta: np.ndarray):
         """Yield ``(r0, r1, rows r0:r1 of half_contracted(beta))``."""
         for r0, r1, block in self._cross_blocks():
             yield r0, r1, np.tensordot(beta, block, axes=(0, 1))
 
     def cross(self) -> np.ndarray:
+        """The whole cross tensor, built once and kept; no route reads
+        it. The dense oracle the streamed tables are checked against."""
         if self._cross is None:
             m, nr, nc = self.nodes, self.rows.shape[0], self.cols.shape[0]
             out = np.empty((nr, nc, m, m))
@@ -311,7 +325,8 @@ class NodeKernelCache:
     def pair_blocks(self, i_idx: np.ndarray, j_idx: np.ndarray,
                     variant: str) -> np.ndarray:
         """The variant's node kernels for row/row index pairs, one flat
-        row per pair; both index arrays address ``row_trees``.
+        row per pair; both index arrays address ``row_trees``. The
+        per-pair oracle for the streamed ``table_blocks``.
 
         The table is built on first use unless it is the cross tensor
         and exceeds ``_DENSE_LIMIT``; then each batch is computed from

@@ -38,7 +38,7 @@ def model(manifest):
 
 @pytest.mark.parametrize("command, flags, spans", [
     ("train-dmkl", ["--depth", "3", "--variant", "avg", "--iters", "20"],
-     ["dmkl.loss_grad", "kernels.pair_blocks"]),
+     ["dmkl.dmkl_fit", "kernels.combined"]),
     ("train-em", ["--depth", "3", "--variant", "avg", "--max-iters", "3"],
      ["em.em_fit", "em.beta_objective_coeffs", "svm.solve_dual"]),
     ("eval", ["--model", "{model}"],

@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import random_trees
 from oracles import central_difference
-from treemkl import errors
+from treemkl import dmkl, errors, kernels
 from treemkl.dmkl import (
     AdamState,
     ContrastiveConfig,
@@ -12,6 +14,7 @@ from treemkl.dmkl import (
     dmkl_fit,
     dmkl_then_svm,
     loss_grad,
+    pair_moments,
 )
 from treemkl.hierarchy import Hierarchy, pool_sequence
 from treemkl.kernels import (
@@ -23,8 +26,14 @@ from treemkl.kernels import (
     gram_matrix,
     kernel_columns,
     median_gamma,
+    node_weights,
+    node_weights_pullback,
 )
-from treemkl.simplex import SimplexWeights, to_simplex
+from treemkl.simplex import (
+    SimplexWeights,
+    backprop_through_simplex,
+    to_simplex,
+)
 from treemkl.svm import predict, train_one_vs_rest
 from treemkl.synth import SynthSpec, gen_sequences
 
@@ -32,10 +41,10 @@ RBF = KernelConfig("rbf", 0.6)
 
 
 def all_pairs(labels):
-    """Every pair of ``labels`` with its +/-1 label, as the contrastive
-    route's pair table returns it when the batch budget covers them."""
+    """Every pair of ``labels`` with its +/-1 label, from the contrastive
+    route's pair table."""
     table = _PairTable(np.asarray(labels))
-    return table.sample(table.i.size, np.random.default_rng(0), None)
+    return table.i, table.j, table.y
 
 
 class TestPairLabels:
@@ -48,19 +57,6 @@ class TestPairLabels:
         _, _, y = all_pairs([3, 3, 3, 3])
         assert np.all(y == 1.0)
         assert y.size == 6
-
-    def test_sampling_deterministic(self):
-        table = _PairTable(np.array([1, 2, 1, 2, 1, 3]))
-        a = table.sample(10, np.random.default_rng(11), None)
-        b = table.sample(10, np.random.default_rng(11), None)
-        assert a[0].size == 10
-        for got, want in zip(a, b):
-            np.testing.assert_array_equal(got, want)
-
-    def test_rebalanced_fraction(self):
-        table = _PairTable(np.repeat([1, 2, 3, 4], 5))
-        _, _, y = table.sample(1000, np.random.default_rng(0), 0.5)
-        assert abs(float(np.mean(y > 0)) - 0.5) < 0.01
 
     def test_too_few(self, rng):
         trees = random_trees(rng, n=1, depth=2)
@@ -161,6 +157,81 @@ class TestLossGrad:
         np.testing.assert_allclose(grad, expected, atol=1e-12)
 
 
+class TestPairMoments:
+    @pytest.mark.parametrize("fraction", [0.5, None])
+    @pytest.mark.parametrize("variant", [CONCATENATION, AVERAGING])
+    def test_match_loss_grad_oracle(self, rng, monkeypatch, variant,
+                                    fraction):
+        # 9 cols x 7 x 7 nodes = 441 elements per row video: averaging
+        # streams the 9 row videos 2 at a time, the last block ragged
+        monkeypatch.setattr(kernels, "_BLOCK_ELEMENTS", 1000)
+        trees = random_trees(rng, n=9, depth=3, frames=16, dim=3)
+        labels = np.array([1, 1, 2, 3, 2, 1, 3, 3, 2])
+        table = _PairTable(labels)
+        cache = NodeKernelCache(trees, RBF)
+        oracle = NodeKernelCache(trees, RBF)
+        A, b, c = pair_moments(cache, table, variant, fraction)
+        assert cache._cross is None
+        np.testing.assert_allclose(A, A.T, rtol=0,
+                                   atol=1e-14 * np.abs(A).max())
+        assert np.linalg.eigvalsh(A)[0] >= -1e-10 * np.trace(A)
+        for _ in range(5):
+            weights = SimplexWeights(rng.standard_normal(7))
+            beta = weights.beta
+            w = node_weights(beta, variant)
+            loss = w @ A @ w - 2.0 * (b @ w) + c
+            grad = backprop_through_simplex(node_weights_pullback(
+                2.0 * (A @ w - b), beta, variant), beta)
+            if fraction is None:
+                want_loss, want_grad = loss_grad(table.i, table.j, table.y,
+                                                 oracle, weights, variant)
+            else:
+                (pos_loss, pos_grad), (neg_loss, neg_grad) = [
+                    loss_grad(table.i[s], table.j[s], table.y[s], oracle,
+                              weights, variant)
+                    for s in (table.y > 0, table.y < 0)]
+                want_loss = fraction * pos_loss + (1 - fraction) * neg_loss
+                want_grad = fraction * pos_grad + (1 - fraction) * neg_grad
+            assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
+            assert (np.linalg.norm(grad - want_grad)
+                    <= 1e-12 * np.linalg.norm(want_grad))
+
+    def test_one_polarity_cannot_be_rebalanced(self, rng):
+        trees = random_trees(rng, n=3, depth=2)
+        cache = NodeKernelCache(trees, RBF)
+        with pytest.raises(errors.TooFewVideos):
+            pair_moments(cache, _PairTable(np.array([1, 2, 3])),
+                         CONCATENATION, 0.5)
+
+    def test_moment_matrix_over_limit_rejected_unallocated(self, rng):
+        # depth 7 averaging: A would hold 127**4 elements, 2 GB
+        trees = random_trees(rng, n=3, depth=7, frames=64, dim=2)
+        labels = np.array([1, 1, 2])
+        cfg = ContrastiveConfig(iterations=1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(errors.ValidationError,
+                               match="moment matrix"):
+                dmkl_fit(trees, labels, AVERAGING, cfg, RBF)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 24
+        res = dmkl_fit(trees, labels, CONCATENATION, cfg, RBF)
+        assert res.weights.beta.size == 127
+
+    def test_non_rbf_kernel_rejected_before_cache(self, rng, monkeypatch):
+        trees = random_trees(rng, n=4, depth=2)
+
+        def no_cache(*args, **kwargs):
+            raise AssertionError("cache built")
+
+        monkeypatch.setattr(dmkl, "NodeKernelCache", no_cache)
+        with pytest.raises(errors.ValidationError, match="'linear'"):
+            dmkl_fit(trees, np.array([1, 1, 2, 2]), AVERAGING,
+                     ContrastiveConfig(), KernelConfig("linear"))
+
+
 class TestAdamState:
     def test_first_step_magnitude(self):
         adam = AdamState.zeros(3)
@@ -243,6 +314,29 @@ class TestDmklFit:
         np.testing.assert_array_equal(r1.weights.raw, r2.weights.raw)
         np.testing.assert_array_equal(r1.loss_trace, r2.loss_trace)
 
+    def test_trace_is_the_exact_loss(self):
+        train, y_train, *_ = synth_setup(4, per_class=5)
+        kcfg = KernelConfig("rbf", median_gamma(train))
+        cache = NodeKernelCache(train, kcfg)
+        i, j, y = all_pairs(y_train)
+        res = dmkl_fit(train, y_train, AVERAGING,
+                       ContrastiveConfig(iterations=30, learning_rate=0.05),
+                       kcfg)
+        assert res.loss_trace.size == res.beta_trace.shape[0] == 31
+        for step in (0, 30):
+            want, _ = loss_grad(i, j, y, cache,
+                                SimplexWeights(np.log(res.beta_trace[step])),
+                                AVERAGING)
+            assert abs(res.loss_trace[step] - want) <= 1e-12 * want
+
+    def test_seed_draws_the_random_start(self):
+        train, y_train, *_ = synth_setup(2)
+        kcfg = KernelConfig("rbf", median_gamma(train))
+        cfg = ContrastiveConfig(iterations=0, seed=5, beta_init="random")
+        res = dmkl_fit(train, y_train, CONCATENATION, cfg, kcfg)
+        np.testing.assert_array_equal(res.weights.beta,
+                                      SimplexWeights.init(7, "random", 5).beta)
+
     def test_single_class_rejected(self, rng):
         trees = random_trees(rng, n=4, depth=2)
         with pytest.raises(errors.SingleClass):
@@ -250,13 +344,12 @@ class TestDmklFit:
                      CONCATENATION, ContrastiveConfig(iterations=1), RBF)
 
     def test_full_batch_plain_descent_is_monotone(self):
-        # when the batch budget covers every pair, sgd becomes exact
-        # gradient descent and the eval loss decreases at every step
+        # sgd on the exact gradient is plain gradient descent: the loss
+        # decreases at every step
         train, y_train, *_ = synth_setup(7, per_class=5)
         kcfg = KernelConfig("rbf", median_gamma(train))
-        total = len(train) * (len(train) - 1) // 2
         cfg = ContrastiveConfig(optimizer="sgd", learning_rate=0.05,
-                                iterations=150, batch_pairs=total, seed=7)
+                                iterations=150, seed=7)
         res = dmkl_fit(train, y_train, CONCATENATION, cfg, kcfg)
         assert np.all(np.diff(res.loss_trace) <= 1e-12)
         assert res.loss_trace[-1] < res.loss_trace[0]
@@ -293,19 +386,16 @@ class TestDmklThenSvm:
         assert np.mean(predict(res.model, cols) == y_test) >= 0.95
 
     def test_builds_cross_tensor_once(self, monkeypatch):
+        # the moments and the Gram matrix stream the cross tensor's row
+        # blocks; neither builds it
         train, y_train, *_ = synth_setup(3, per_class=6)
         kcfg = KernelConfig("rbf", median_gamma(train))
-        builds = []
-        original = NodeKernelCache.cross
-
-        def counting(cache):
-            builds.append(cache._cross is None)
-            return original(cache)
-
-        monkeypatch.setattr(NodeKernelCache, "cross", counting)
+        calls = []
+        monkeypatch.setattr(NodeKernelCache, "cross",
+                            lambda cache: calls.append(cache))
         dmkl_then_svm(train, y_train, AVERAGING,
                       ContrastiveConfig(iterations=5, seed=3), kcfg)
-        assert sum(builds) == 1
+        assert calls == []
 
     def test_rerun_bit_identical(self):
         train, y_train, *_ = synth_setup(6)

@@ -375,6 +375,43 @@ class TestExitCodesAndWorkers:
         assert_one_error_line(capsys, needle)
         assert loads == []
 
+    def test_contrastive_linear_kernel_is_validation_exit(self, workspace,
+                                                          tmp_path, capsys):
+        out = tmp_path / "o"
+        code = run_cli("train-dmkl", "--manifest",
+                       workspace / "data" / "manifest.jsonl", "--out", out,
+                       "--depth", 2, "--kernel", "linear")
+        assert code == 2
+        assert_one_error_line(capsys, "rbf", "'linear'")
+        assert not (out / "model.json").exists()
+
+    def test_contrastive_moments_over_limit_is_validation_exit(
+            self, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert run_cli("gen-synth", "--out", data, "--classes", 2,
+                       "--per-class", 4, "--frames", 64, "--dim", 2) == 0
+        out = tmp_path / "o"
+        code = run_cli("train-dmkl", "--manifest", data / "manifest.jsonl",
+                       "--out", out, "--depth", 7, "--variant", "avg")
+        assert code == 2
+        assert_one_error_line(capsys, "moment matrix")
+        assert not (out / "model.json").exists()
+
+    def test_contrastive_margin_is_gone_and_batch_inert(self, workspace,
+                                                         tmp_path, capsys):
+        common = ["train-dmkl", "--manifest",
+                  workspace / "data" / "manifest.jsonl", "--depth", 2,
+                  "--iters", 20]
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*common, "--out", tmp_path / "m", "--margin", 0.1)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --margin" in capsys.readouterr().err
+        assert run_cli(*common, "--out", tmp_path / "a") == 0
+        assert run_cli(*common, "--out", tmp_path / "b", "--batch", 7) == 0
+        for name in ("model.json", "trace.csv", "training.json"):
+            assert (tmp_path / "a" / name).read_bytes() == \
+                (tmp_path / "b" / name).read_bytes()
+
     def test_hard_margin_artifact_is_strict_json(self, workspace, tmp_path):
         def no_constant(name):
             raise ValueError(f"non-JSON constant {name}")
