@@ -39,7 +39,6 @@ import numpy as np
 from .errors import ShapeMismatch, SingleClass, ValidationError
 from .hierarchy import PooledTree
 from .kernels import (
-    _DENSE_LIMIT,
     AVERAGING,
     KernelConfig,
     NodeKernelCache,
@@ -125,9 +124,9 @@ def em_fit(trees: list[PooledTree], labels: np.ndarray, variant: str,
     Stops when the iteration budget is exhausted, when both ``beta``
     and every ``alpha`` move less than ``param_tol`` in max-norm, or
     when no backtracked step length still decreases the objective.
-    Averaging holds at most two (n, n, nodes) tables at once and
-    raises :class:`ValidationError` before allocating one larger than
-    ``_DENSE_LIMIT`` elements.
+    Each variant holds one (n, n, nodes) table, averaging a second while
+    it steps; ``NodeKernelCache`` raises :class:`ValidationError` before
+    allocating one above ``kernels._DENSE_LIMIT`` elements.
     """
     variant = canonical_variant(variant)
     labels = np.asarray(labels)
@@ -135,12 +134,7 @@ def em_fit(trees: list[PooledTree], labels: np.ndarray, variant: str,
         raise SingleClass("need at least 2 classes")
     cache = NodeKernelCache(trees, kernel_cfg)
     averaging = variant == AVERAGING
-    n, m = len(cache.row_ids), cache.nodes
-    if averaging and n * n * m > _DENSE_LIMIT:
-        raise ValidationError(
-            f"averaging EM over {n} videos and {m} nodes needs (n, n, nodes) "
-            f"tables of {n * n * m * 8} bytes each, above the "
-            f"{_DENSE_LIMIT * 8}-byte limit")
+    m = cache.nodes
 
     beta = SimplexWeights.init(m, em_cfg.beta_init, em_cfg.seed).beta
     table = cache.half_contracted(beta) if averaging else cache.aligned()

@@ -20,15 +20,17 @@ kernels, so :class:`NodeKernelCache` evaluates them once per (tree set,
 kernel config) and every ``beta``-dependent quantity afterwards is a
 cheap contraction. This pairwise table is the quadratic-cost core of the
 whole method. Every table is stored pair-major, ``(rows, cols, ...)``:
-one video pair's node kernels are contiguous, so a batch of pairs is one
-gather and a contraction with the weights is one matrix-vector product.
+one video pair's node kernels are contiguous, so a contraction with the
+weights is one matrix-vector product.
 
-The averaging variant's full cross table has ``nodes**2`` entries per
-pair. Contracting ``beta`` on its row-node axis leaves the half-contracted
-table ``P[i, j, u] = sum_m beta[m] kappa(a_im, b_ju)`` with ``nodes``
-entries per pair, and ``K(beta) = P @ beta``. Alternating training keeps
-``P`` in place of the cross table; it is streamed from row blocks and
-never needs the cross table whole.
+The averaging variant's cross kernels have ``nodes**2`` entries per
+pair, and no route holds them whole: they are computed one block of row
+videos at a time and reduced as each block is made. Contracting
+``beta`` on their row-node axis leaves the half-contracted table ``P[i,
+j, u] = sum_m beta[m] kappa(a_im, b_ju)`` with ``nodes`` entries per
+pair, and ``K(beta) = P @ beta``. The largest table any route allocates
+is therefore (rows, cols, nodes), and the cache refuses one above
+``_DENSE_LIMIT`` elements with a :class:`ValidationError`.
 """
 
 from __future__ import annotations
@@ -52,10 +54,9 @@ AVERAGING = "averaging"
 VARIANT_ALIASES = {"concat": CONCATENATION, "avg": AVERAGING,
                    CONCATENATION: CONCATENATION, AVERAGING: AVERAGING}
 
-# largest (rows x cols x nodes^2) cross tensor pair_blocks materializes;
-# size-based so the code path, and therefore the bits, depend only on the
-# inputs. Averaging EM refuses (n, n, nodes) tables above it, contrastive
-# training (q, q) moment matrices.
+# largest (rows, cols, nodes) table the cache allocates, or (q, q) moment
+# matrix contrastive training allocates, in elements; larger ones are
+# refused before allocation
 _DENSE_LIMIT = 2 ** 25
 
 # elements of one row block of a kernel table (at least one row video),
@@ -107,16 +108,19 @@ class KernelConfig:
                 f"rbf kernel needs a finite gamma > 0, got {self.gamma}")
 
 
-def _kernel_matrix(X: np.ndarray, Y: np.ndarray, cfg: KernelConfig) -> np.ndarray:
+def _kernel_matrix(X: np.ndarray, Y: np.ndarray, cfg: KernelConfig,
+                   y_sq: np.ndarray | None = None) -> np.ndarray:
     """Pairwise kappa between rows of X (..., a, d) and rows of Y
-    (..., b, d), shape (..., a, b); the rbf kernel is evaluated in two
-    output-sized buffers."""
+    (..., b, d), shape (..., a, b). The rbf kernel is evaluated in two
+    output-sized buffers beside the squared row norms of Y, which a
+    caller that reuses Y computes once and passes as ``y_sq``."""
     dot = X @ np.swapaxes(Y, -1, -2)
     if cfg.kind == "linear":
         return dot
     dot *= 2.0
-    sq = (np.sum(X * X, axis=-1)[..., :, None]
-          + np.sum(Y * Y, axis=-1)[..., None, :])
+    if y_sq is None:
+        y_sq = np.sum(Y * Y, axis=-1)
+    sq = np.sum(X * X, axis=-1)[..., :, None] + y_sq[..., None, :]
     np.subtract(sq, dot, out=sq)
     np.maximum(sq, 0.0, out=sq)
     sq *= -cfg.gamma
@@ -193,18 +197,17 @@ class GramMatrix:
 class NodeKernelCache:
     """Elementary node kernels between two tree sets, computed once.
 
-    The tables are pair-major: ``aligned()[i, j, m] = kappa(row_i[m],
-    col_j[m])`` and ``cross()[i, j, m, n] = kappa(row_i[m], col_j[n])``,
-    the latter built one block of row videos at a time, the blocks that
-    ``table_blocks`` streams. Two (rows, cols, nodes) tables serve the
-    averaging variant without the cross tensor:
-    ``half_contracted(beta)``, the cross tensor with ``beta`` contracted
-    on its row-node axis, and ``node_slice(v)``, its row-node ``v`` slice.
-    ``combined(beta, variant)`` contracts the variant's table with
-    ``node_weights`` without touching feature vectors again; for the
-    averaging variant on a cache whose cross tensor is not built, it
-    reduces each row block of ``half_contracted(beta)`` with ``beta`` as
-    the block is computed and never holds the whole tensor.
+    The tables are pair-major. ``aligned()[i, j, m] = kappa(row_i[m],
+    col_j[m])`` is built once and kept. The averaging variant's cross
+    kernels ``kappa(row_i[m], col_j[n])`` are never kept: the one loop
+    that computes them streams row blocks of about ``_BLOCK_ELEMENTS``
+    elements, and each consumer reduces a block as it is made.
+    ``table_blocks`` yields them pair-major, ``half_contracted(beta)``
+    contracts ``beta`` on their row-node axis, ``node_slice(v)`` keeps
+    row node ``v``, and ``combined(beta, AVERAGING)`` reduces each block
+    to kernel values. Every (rows, cols, nodes) table is refused above
+    ``_DENSE_LIMIT`` elements before it is allocated. ``cross()`` and
+    ``pair_blocks`` are test oracles that no route calls.
     """
 
     def __init__(self, row_trees: list[PooledTree], cfg: KernelConfig,
@@ -221,10 +224,6 @@ class NodeKernelCache:
         self._aligned: np.ndarray | None = None
         self._cross: np.ndarray | None = None
 
-    def _cross_is_dense(self) -> bool:
-        size = (self.nodes ** 2) * self.rows.shape[0] * self.cols.shape[0]
-        return size <= _DENSE_LIMIT
-
     def _check_beta(self, beta: np.ndarray) -> np.ndarray:
         beta = np.asarray(beta, dtype=np.float64)
         if beta.shape != (self.nodes,):
@@ -232,35 +231,48 @@ class NodeKernelCache:
                 f"beta has {beta.size} entries for {self.nodes} nodes")
         return beta
 
+    def _empty_table(self) -> np.ndarray:
+        """An uninitialized (rows, cols, nodes) table, refused with
+        :class:`ValidationError` above ``_DENSE_LIMIT`` elements."""
+        nr, nc, m = self.rows.shape[0], self.cols.shape[0], self.nodes
+        if nr * nc * m > _DENSE_LIMIT:
+            raise ValidationError(
+                f"{nr} x {nc} videos and {m} nodes need a node-kernel table "
+                f"of {nr * nc * m * 8} bytes, above the {_DENSE_LIMIT * 8}"
+                "-byte limit")
+        return np.empty((nr, nc, m))
+
     def aligned(self) -> np.ndarray:
         if self._aligned is None:
-            m, (nr, nc) = self.nodes, (self.rows.shape[0], self.cols.shape[0])
-            out = np.empty((nr, nc, m))
-            for node in range(m):
+            out = self._empty_table()
+            for node in range(self.nodes):
                 out[:, :, node] = _kernel_matrix(self.rows[:, node, :],
                                                  self.cols[:, node, :],
                                                  self.cfg)
             self._aligned = out
         return self._aligned
 
-    def _cross_blocks(self):
-        """Yield ``(r0, r1, block)`` with ``block[i, m, j, n] =
-        kappa(row_{r0+i}[m], col_j[n])``, shape (r1 - r0, nodes, cols,
-        nodes)."""
-        m, d = self.nodes, self.rows.shape[2]
-        nr, nc = self.rows.shape[0], self.cols.shape[0]
+    def _cross_blocks(self, row_nodes: slice = slice(None)):
+        """Yield ``(r0, r1, block)`` with ``block[i, a, j, n] =
+        kappa(row_{r0+i}[row_nodes][a], col_j[n])``, shape (r1 - r0,
+        row nodes, cols, nodes): the only loop that computes cross
+        kernels."""
+        rows = self.rows[:, row_nodes]
+        nr, a, d = rows.shape
+        nc, m = self.cols.shape[0], self.nodes
         flat_c = self.cols.reshape(nc * m, d)
-        step = max(1, _BLOCK_ELEMENTS // (nc * m * m))
+        col_sq = np.sum(flat_c * flat_c, axis=-1)
+        step = max(1, _BLOCK_ELEMENTS // (nc * m * a))
         for r0 in range(0, nr, step):
             r1 = min(r0 + step, nr)
-            k = _kernel_matrix(self.rows[r0:r1].reshape(-1, d), flat_c,
-                               self.cfg)
-            yield r0, r1, k.reshape(r1 - r0, m, nc, m)
+            k = _kernel_matrix(rows[r0:r1].reshape(-1, d), flat_c, self.cfg,
+                               col_sq)
+            yield r0, r1, k.reshape(r1 - r0, a, nc, m)
 
     def table_blocks(self, variant: str):
         """Yield ``(r0, rows)``: the variant's pair-major table from row
         video r0 on, as a (row videos * cols, q) matrix: ``aligned()``
-        whole (q = nodes) or the cross tensor one row block at a time
+        whole (q = nodes) or the cross kernels one row block at a time
         (q = nodes**2), never held whole."""
         if canonical_variant(variant) == CONCATENATION:
             yield 0, self.aligned().reshape(-1, self.nodes)
@@ -287,37 +299,27 @@ class NodeKernelCache:
     def half_contracted(self, beta: np.ndarray) -> np.ndarray:
         """``P[i, j, u] = sum_m beta[m] kappa(row_i[m], col_j[u])``, shape
         (rows, cols, nodes), so that ``P @ beta`` is the averaging
-        variant's combined kernel. Built from row blocks of the cross
-        tensor, which is never held whole."""
+        variant's combined kernel."""
         beta = self._check_beta(beta)
-        out = np.empty((self.rows.shape[0], self.cols.shape[0], self.nodes))
+        out = self._empty_table()
         for r0, r1, half in self._half_contracted_blocks(beta):
             out[r0:r1] = half
         return out
 
     def node_slice(self, v: int) -> np.ndarray:
         """``S[i, j, u] = kappa(row_i[v], col_j[u])``, shape (rows, cols,
-        nodes): ``half_contracted`` at the vertex ``beta = e_v``, built in
-        row blocks of about ``_BLOCK_ELEMENTS`` elements."""
-        m, d = self.nodes, self.rows.shape[2]
-        nr, nc = self.rows.shape[0], self.cols.shape[0]
-        flat_c = self.cols.reshape(nc * m, d)
-        out = np.empty((nr, nc, m))
-        step = max(1, _BLOCK_ELEMENTS // (nc * m))
-        for r0 in range(0, nr, step):
-            r1 = min(r0 + step, nr)
-            out[r0:r1] = _kernel_matrix(self.rows[r0:r1, v, :], flat_c,
-                                        self.cfg).reshape(r1 - r0, nc, m)
+        nodes): ``half_contracted`` at the vertex ``beta = e_v``."""
+        out = self._empty_table()
+        for r0, r1, block in self._cross_blocks(slice(v, v + 1)):
+            out[r0:r1] = block[:, 0]
         return out
 
     def combined(self, beta: np.ndarray, variant: str) -> np.ndarray:
         variant = canonical_variant(variant)
         beta = self._check_beta(beta)
-        nr, nc = self.rows.shape[0], self.cols.shape[0]
-        table = self.aligned() if variant == CONCATENATION else self._cross
-        if table is not None:
-            return contract_table(table, node_weights(beta, variant))
-        out = np.empty((nr, nc))
+        if variant == CONCATENATION:
+            return contract_table(self.aligned(), beta)
+        out = np.empty((self.rows.shape[0], self.cols.shape[0]))
         for r0, r1, half in self._half_contracted_blocks(beta):
             out[r0:r1] = contract_table(half, beta)
         return out
@@ -325,26 +327,16 @@ class NodeKernelCache:
     def pair_blocks(self, i_idx: np.ndarray, j_idx: np.ndarray,
                     variant: str) -> np.ndarray:
         """The variant's node kernels for row/row index pairs, one flat
-        row per pair; both index arrays address ``row_trees``. The
-        per-pair oracle for the streamed ``table_blocks``.
-
-        The table is built on first use unless it is the cross tensor
-        and exceeds ``_DENSE_LIMIT``; then each batch is computed from
-        the feature vectors.
-        """
+        row per pair, computed from the feature vectors; both index
+        arrays address ``row_trees``. The per-pair oracle for the
+        streamed ``table_blocks``."""
         if self.cols is not self.rows:
             raise ShapeMismatch("pair_blocks needs a single tree set")
-        variant = canonical_variant(variant)
-        i_idx, j_idx = np.asarray(i_idx), np.asarray(j_idx)
-        concat = variant == CONCATENATION
-        table = self._aligned if concat else self._cross
-        if table is None and (concat or self._cross_is_dense()):
-            table = self.aligned() if concat else self.cross()
-        if table is None:
-            return _kernel_matrix(self.rows[i_idx], self.rows[j_idx],
-                                  self.cfg).reshape(i_idx.size, -1)
-        n = self.rows.shape[0]
-        return table.reshape(n * n, -1).take(i_idx * n + j_idx, axis=0)
+        k = _kernel_matrix(self.rows[np.asarray(i_idx)],
+                           self.rows[np.asarray(j_idx)], self.cfg)
+        if canonical_variant(variant) == CONCATENATION:
+            return k.diagonal(axis1=1, axis2=2).copy()
+        return k.reshape(k.shape[0], -1)
 
 
 def kernel_columns(row_trees: list[PooledTree], col_trees: list[PooledTree],

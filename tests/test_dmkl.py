@@ -171,7 +171,6 @@ class TestPairMoments:
         cache = NodeKernelCache(trees, RBF)
         oracle = NodeKernelCache(trees, RBF)
         A, b, c = pair_moments(cache, table, variant, fraction)
-        assert cache._cross is None
         np.testing.assert_allclose(A, A.T, rtol=0,
                                    atol=1e-14 * np.abs(A).max())
         assert np.linalg.eigvalsh(A)[0] >= -1e-10 * np.trace(A)
@@ -219,6 +218,18 @@ class TestPairMoments:
         assert peak < 2 ** 24
         res = dmkl_fit(trees, labels, CONCATENATION, cfg, RBF)
         assert res.weights.beta.size == 127
+
+    def test_concatenation_table_over_limit_rejected(self, rng, monkeypatch):
+        # the aligned table, not the (7, 7) moment matrix, is over the limit
+        trees = random_trees(rng, n=8, depth=3)
+        labels = np.array([1 + (i % 2) for i in range(8)])
+        cfg = ContrastiveConfig(iterations=1)
+        monkeypatch.setattr(kernels, "_DENSE_LIMIT", 8 * 8 * 7 - 1)
+        with pytest.raises(errors.ValidationError,
+                           match="8 videos and 7 nodes .* 3584 bytes"):
+            dmkl_fit(trees, labels, CONCATENATION, cfg, RBF)
+        monkeypatch.setattr(kernels, "_DENSE_LIMIT", 8 * 8 * 7)
+        dmkl_fit(trees, labels, CONCATENATION, cfg, RBF)
 
     def test_non_rbf_kernel_rejected_before_cache(self, rng, monkeypatch):
         trees = random_trees(rng, n=4, depth=2)

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import random_trees
 from oracles import averaging_coeffs_oracle
-from treemkl import em, errors
+from treemkl import errors, kernels
 from treemkl.em import EmConfig, beta_objective_coeffs, em_fit
 from treemkl.hierarchy import Hierarchy, pool_sequence
 from treemkl.kernels import (
@@ -190,15 +190,16 @@ class TestEmFit:
                                       predict(plain, k_cols))
         np.testing.assert_array_equal(res.model.alpha, plain.alpha)
 
-    def test_averaging_tables_over_limit_rejected(self, rng, monkeypatch):
+    @pytest.mark.parametrize("variant", [AVERAGING, CONCATENATION])
+    def test_tables_over_limit_rejected(self, rng, monkeypatch, variant):
         trees = random_trees(rng, n=8, depth=3)
         labels = np.array([1 + (i % 2) for i in range(8)])
-        monkeypatch.setattr(em, "_DENSE_LIMIT", 8 * 8 * 7 - 1)
+        monkeypatch.setattr(kernels, "_DENSE_LIMIT", 8 * 8 * 7 - 1)
         with pytest.raises(errors.ValidationError,
                            match="8 videos and 7 nodes .* 3584 bytes"):
-            em_fit(trees, labels, AVERAGING, RBF)
-        monkeypatch.setattr(em, "_DENSE_LIMIT", 8 * 8 * 7)
-        em_fit(trees, labels, AVERAGING, RBF, EmConfig(max_iters=1))
+            em_fit(trees, labels, variant, RBF)
+        monkeypatch.setattr(kernels, "_DENSE_LIMIT", 8 * 8 * 7)
+        em_fit(trees, labels, variant, RBF, EmConfig(max_iters=1))
 
     def test_single_class_rejected(self, rng):
         trees = random_trees(rng, n=6, depth=2)

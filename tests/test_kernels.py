@@ -6,6 +6,7 @@ import pytest
 from conftest import random_trees
 from oracles import central_difference, elementary
 from treemkl import errors, kernels
+from treemkl.dmkl import ContrastiveConfig, dmkl_fit
 from treemkl.em import EmConfig, em_fit
 from treemkl.hierarchy import PooledTree
 from treemkl.kernels import (
@@ -19,6 +20,7 @@ from treemkl.kernels import (
     gram_matrix,
     kernel_columns,
     median_gamma,
+    node_weights,
     node_weights_pullback,
 )
 from treemkl.simplex import to_simplex
@@ -299,21 +301,6 @@ class TestNodeKernelCache:
                         np.testing.assert_allclose(blocks[b, p], expected,
                                                    atol=1e-12)
 
-    def test_pair_blocks_agree_with_cross_cache(self, rng, monkeypatch):
-        # no tensor fits: the uncached cache gathers from feature vectors
-        monkeypatch.setattr(kernels, "_DENSE_LIMIT", 0)
-        trees = random_trees(rng, n=5, depth=2)
-        i_idx = np.array([0, 2, 4, 1])
-        j_idx = np.array([1, 3, 0, 1])
-        for cfg in (RBF, LIN):
-            fresh = NodeKernelCache(trees, cfg)
-            cached = NodeKernelCache(trees, cfg)
-            cached.cross()
-            np.testing.assert_allclose(
-                fresh.pair_blocks(i_idx, j_idx, AVERAGING),
-                cached.pair_blocks(i_idx, j_idx, AVERAGING), atol=1e-12)
-            assert fresh._cross is None
-
     def test_cross_is_pair_major_across_row_blocks(self, rng, monkeypatch):
         # 5 cols x 3 x 3 nodes = 45 elements per row video: blocks of 2
         # rows over 7 rows, the last one ragged
@@ -336,17 +323,18 @@ class TestNodeKernelCache:
                                                rtol=0, atol=1e-12)
 
     def test_streamed_combined_matches_built(self, rng, monkeypatch):
+        # the row-block reduction against the whole cross tensor
+        # contracted with outer(beta, beta), over a ragged last block
         monkeypatch.setattr(kernels, "_BLOCK_ELEMENTS", 100)
         rows = random_trees(rng, n=7, depth=2)
         cols = random_trees(rng, n=5, depth=2)
         beta = to_simplex(rng.standard_normal(3))
-        streamed = NodeKernelCache(rows, RBF, cols)
-        built = NodeKernelCache(rows, RBF, cols)
-        built.cross()
-        np.testing.assert_allclose(streamed.combined(beta, AVERAGING),
-                                   built.combined(beta, AVERAGING),
-                                   rtol=0, atol=1e-12)
-        assert streamed._cross is None
+        cache = NodeKernelCache(rows, RBF, cols)
+        np.testing.assert_allclose(
+            cache.combined(beta, AVERAGING),
+            kernels.contract_table(cache.cross(),
+                                   node_weights(beta, AVERAGING)),
+            rtol=0, atol=1e-12)
 
     def test_half_contracted_and_node_slice_match_elementary(self, rng,
                                                              monkeypatch):
@@ -371,7 +359,6 @@ class TestNodeKernelCache:
                     for v in range(3):
                         np.testing.assert_allclose(slices[v][i, j], k[v],
                                                    rtol=0, atol=1e-12)
-            assert cache._cross is None
 
     def test_streamed_combined_is_half_contracted_times_beta(self, rng,
                                                               monkeypatch):
@@ -419,25 +406,57 @@ class TestCrossMemory:
         peak = self.peak_bytes(lambda: kernels._kernel_matrix(X, Y, RBF))
         assert peak < 2.5 * 600 * 500 * 8
 
-    def test_em_fit_averaging_holds_tables_not_tensor(self, rng,
-                                                      monkeypatch):
+    def test_em_fit_averaging_holds_tables_not_tensor(self, rng):
         n = 200
         trees = random_trees(rng, n=n, depth=4, dim=4)
         labels = np.array([1 + (i % 2) for i in range(n)])
-
-        def no_cross(cache):
-            raise AssertionError("em_fit built the cross tensor")
-
-        monkeypatch.setattr(NodeKernelCache, "cross", no_cross)
         res = []
         peak = self.peak_bytes(lambda: res.append(em_fit(
             trees, labels, AVERAGING, RBF, EmConfig(max_iters=2))))
         assert res[0].iterations >= 1
         assert peak < 5 * n * n * self.NODES * 8
 
+    @pytest.mark.parametrize("route", ["em_fit", "dmkl_fit", "gram_matrix",
+                                       "kernel_columns", "node_slice"])
+    def test_no_route_builds_cross_tensor(self, rng, monkeypatch, route):
+        trees = random_trees(rng, n=12, depth=3, dim=4)
+        labels = np.array([1 + (i % 3) for i in range(12)])
+        beta = to_simplex(rng.standard_normal(7))
+
+        def no_cross(cache):
+            raise AssertionError(f"{route} built the cross tensor")
+
+        monkeypatch.setattr(NodeKernelCache, "cross", no_cross)
+        runs = {
+            "em_fit": lambda: em_fit(trees, labels, AVERAGING, RBF,
+                                     EmConfig(max_iters=2)),
+            "dmkl_fit": lambda: dmkl_fit(trees, labels, AVERAGING,
+                                         ContrastiveConfig(iterations=2), RBF),
+            "gram_matrix": lambda: gram_matrix(trees, beta, AVERAGING, RBF),
+            "kernel_columns": lambda: kernel_columns(trees[:5], trees[5:],
+                                                     beta, AVERAGING, RBF),
+            "node_slice": lambda: NodeKernelCache(trees, RBF).node_slice(2),
+        }
+        runs[route]()
+
+    def test_wide_rows_stream_in_three_blocks(self, rng):
+        # 280 cols x 15 nodes x dim 128 is about two blocks: computing the
+        # column norms once per pass, not per block, leaves the previous
+        # block and the next one's two buffers as the working memory
+        cache = NodeKernelCache(random_trees(rng, n=40, depth=4, dim=128),
+                                RBF, random_trees(rng, n=280, depth=4,
+                                                  dim=128))
+        assert 280 * self.NODES * 128 > kernels._BLOCK_ELEMENTS
+        beta = to_simplex(rng.standard_normal(self.NODES))
+        gram_bytes = 40 * 280 * 8
+        for fn, out_bytes in (
+                (lambda: cache.half_contracted(beta), gram_bytes * self.NODES),
+                (lambda: cache.combined(beta, AVERAGING), gram_bytes)):
+            peak = self.peak_bytes(fn) - out_bytes
+            assert peak < 3.5 * kernels._BLOCK_ELEMENTS * 8
+
     def test_streamed_combined_never_holds_tensor(self, rng):
         cache = self.cache(rng)
         beta = to_simplex(rng.standard_normal(self.NODES))
         peak = self.peak_bytes(lambda: cache.combined(beta, AVERAGING))
         assert peak < self.NR * self.NC * self.NODES ** 2 * 8
-        assert cache._cross is None

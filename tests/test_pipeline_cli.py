@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from oracles import artifact_scores_oracle
-from treemkl import errors, pipeline, svm
+from treemkl import errors, kernels, pipeline, svm
 from treemkl.cli import main
 from treemkl.dataio import (StreamFeatureSequence, load_feature_file,
                             load_manifest)
@@ -395,6 +395,17 @@ class TestExitCodesAndWorkers:
                        "--out", out, "--depth", 7, "--variant", "avg")
         assert code == 2
         assert_one_error_line(capsys, "moment matrix")
+        assert not (out / "model.json").exists()
+
+    def test_concatenation_table_over_limit_is_validation_exit(
+            self, workspace, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(kernels, "_DENSE_LIMIT", 100)
+        out = tmp_path / "o"
+        code = run_cli("train-em", "--manifest",
+                       workspace / "data" / "manifest.jsonl", "--out", out,
+                       "--depth", 2, "--variant", "concat")
+        assert code == 2
+        assert_one_error_line(capsys, "videos and 3 nodes", "800-byte limit")
         assert not (out / "model.json").exists()
 
     def test_contrastive_margin_is_gone_and_batch_inert(self, workspace,
