@@ -173,8 +173,7 @@ def cmd_train_dmkl(args) -> int:
     manifest = load_manifest(args.manifest)
     contrastive = ContrastiveConfig(
         learning_rate=args.lr, iterations=args.iters, seed=args.seed,
-        positive_fraction=args.positive_fraction,
-        optimizer=args.optimizer, beta_init=args.beta_init)
+        positive_fraction=args.positive_fraction, beta_init=args.beta_init)
     result = train_dmkl_route(manifest, _manifest_root(args.manifest),
                               _pipeline_config(args), contrastive,
                               _svm_config(args))
@@ -309,7 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch", type=int, help="ignored; every pair is used")
     p.add_argument("--iters", type=int, default=4000)
     p.add_argument("--positive-fraction", type=float, default=None)
-    p.add_argument("--optimizer", choices=("adam", "sgd"), default="adam")
     p.add_argument("--beta-init", choices=INIT_SCHEMES, default="uniform")
     p.set_defaults(func=cmd_train_dmkl)
 

@@ -245,6 +245,8 @@ def load_manifest(path: str | os.PathLike) -> DatasetManifest:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValidationError(f"{path}:{lineno}: bad JSON: {exc}") from exc
+            if not isinstance(obj, dict):
+                raise ValidationError(f"{path}:{lineno}: not a JSON object")
             if "label_names" in obj and "video_id" not in obj:
                 if lineno != 1 and records:
                     raise ValidationError(
@@ -260,6 +262,10 @@ def load_manifest(path: str | os.PathLike) -> DatasetManifest:
             if missing:
                 raise ValidationError(
                     f"{path}:{lineno}: missing keys {missing}")
+            for key in STREAMS:
+                if not isinstance(obj.get(key, ""), (str, type(None))):
+                    raise ValidationError(
+                        f"{path}:{lineno}: {key} {obj[key]!r} is not a path")
             try:
                 rec = VideoRecord(
                     video_id=str(obj["video_id"]),

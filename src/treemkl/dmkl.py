@@ -30,7 +30,6 @@ from .errors import ShapeMismatch, SingleClass, TooFewVideos, ValidationError
 from .hierarchy import PooledTree
 from .kernels import (
     _DENSE_LIMIT,
-    CONCATENATION,
     KernelConfig,
     NodeKernelCache,
     canonical_variant,
@@ -53,7 +52,6 @@ class ContrastiveConfig:
     iterations: int = 4000
     seed: int = 0
     positive_fraction: float | None = None
-    optimizer: str = "adam"
     beta_init: str = "uniform"
 
     def __post_init__(self):
@@ -65,8 +63,6 @@ class ContrastiveConfig:
         if self.positive_fraction is not None and not (
                 0.0 < self.positive_fraction < 1.0):
             raise ValidationError("positive_fraction must be in (0, 1)")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ValidationError(f"unknown optimizer {self.optimizer!r}")
         if self.beta_init not in INIT_SCHEMES:
             raise ValidationError(f"unknown beta_init {self.beta_init!r}")
         if self.seed < 0:
@@ -160,10 +156,12 @@ def pair_moments(cache: NodeKernelCache, table: _PairTable, variant: str,
                  ) -> tuple[np.ndarray, np.ndarray, float]:
     """``A``, ``b``, ``c`` of the margin-0 loss over the pairs of ``table``,
     weighted ``f / |pos|`` or ``(1 - f) / |neg|`` by polarity for
-    ``positive_fraction = f``, else ``1 / |pairs|``, from row blocks of the
-    node-kernel table. A (q, q) ``A`` over ``_DENSE_LIMIT`` is refused."""
+    ``positive_fraction = f``, else ``1 / |pairs|``. Pair (i, j)'s row of q
+    node kernels, q = ``len(node_weights)``, is ``block[i - r0, j]`` of the
+    ``cache.table_blocks`` block from row video r0 on. A (q, q) ``A`` over
+    ``_DENSE_LIMIT`` is refused."""
     variant = canonical_variant(variant)
-    q = cache.nodes if variant == CONCATENATION else cache.nodes ** 2
+    q = node_weights(np.ones(cache.nodes), variant).size
     if q * q > _DENSE_LIMIT:
         raise ValidationError(
             f"{variant} contrastive training needs a ({q}, {q}) moment "
@@ -174,11 +172,10 @@ def pair_moments(cache: NodeKernelCache, table: _PairTable, variant: str,
     coef = (np.full(pos.size, 1.0 / pos.size) if f is None
             else np.where(pos, f / pos.sum(), (1.0 - f) / (~pos).sum()))
     coef_pos = np.where(pos, coef, 0.0)
-    n = cache.rows.shape[0]
     A, b = np.zeros((q, q)), np.zeros(q)
     for r0, block in cache.table_blocks(variant):
-        lo, hi = np.searchsorted(table.i, (r0, r0 + block.shape[0] // n))
-        rows = block.take((table.i[lo:hi] - r0) * n + table.j[lo:hi], axis=0)
+        lo, hi = np.searchsorted(table.i, (r0, r0 + len(block)))
+        rows = block[table.i[lo:hi] - r0, table.j[lo:hi]]
         A += rows.T @ (coef[lo:hi, None] * rows)
         b += coef_pos[lo:hi] @ rows
     return A, b, float(coef_pos.sum())
@@ -186,14 +183,16 @@ def pair_moments(cache: NodeKernelCache, table: _PairTable, variant: str,
 
 def dmkl_fit(trees: list[PooledTree], labels: np.ndarray, variant: str,
              cfg: ContrastiveConfig, kernel_cfg: KernelConfig) -> DmklResult:
-    """Minimize the contrastive loss over the simplex by Adam or SGD
-    steps on its exact gradient; the trace holds the loss before and after
-    each step. The seed only draws a random start. Needs the rbf kernel."""
+    """Minimize the contrastive loss over the simplex by Adam steps on its
+    exact gradient; the trace holds the loss before and after each step.
+    The seed only draws a random start. Needs the rbf kernel."""
     if kernel_cfg.kind != "rbf":
         raise ValidationError("contrastive training needs the rbf kernel, "
                               f"got kernel {kernel_cfg.kind!r}")
     variant = canonical_variant(variant)
     labels = np.asarray(labels)
+    if labels.shape != (len(trees),):
+        raise ShapeMismatch(f"{labels.size} labels for {len(trees)} videos")
     if labels.size < 2:
         raise TooFewVideos(f"need >= 2 videos, got {labels.size}")
     if np.unique(labels).size < 2:
@@ -212,10 +211,7 @@ def dmkl_fit(trees: list[PooledTree], labels: np.ndarray, variant: str,
             break
         grad = backprop_through_simplex(node_weights_pullback(
             2.0 * (Aw - b), weights.beta, variant), weights.beta)
-        if cfg.optimizer == "adam":
-            delta = adam.update(grad, cfg.learning_rate)
-        else:
-            delta = -cfg.learning_rate * grad
+        delta = adam.update(grad, cfg.learning_rate)
         weights = SimplexWeights(weights.raw + delta)
         beta_trace.append(weights.beta)
     check_on_simplex(weights.beta)

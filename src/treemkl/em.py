@@ -16,8 +16,8 @@ Both variants keep one pair-major (n, n, nodes) table ``T`` whose
 contraction ``T @ beta`` is the Gram matrix: the aligned node kernels
 for concatenation, and for averaging the half-contracted table
 ``P[i, j, u] = sum_m beta[m] kappa(x_im, x_ju)``, which moves with
-``beta``. The alignment coefficients ``c = beta_objective_coeffs(alpha,
-y, T)`` give the gradient of the objective in ``beta`` at the current
+``beta``. The alignment coefficients ``c = beta_objective_coeffs(model,
+T)`` give the gradient of the objective in ``beta`` at the current
 ``alpha``: ``-c`` for concatenation, which is linear in ``beta``, and
 ``-2 c`` for averaging, which is quadratic in it.
 
@@ -83,33 +83,25 @@ class EmResult:
     iterations: int
 
 
-def beta_objective_coeffs(alpha: np.ndarray, labels: np.ndarray,
-                          table: np.ndarray) -> np.ndarray:
-    """Alignment of each node kernel with the current dual solutions.
+def beta_objective_coeffs(model: SvmModel, table: np.ndarray) -> np.ndarray:
+    """Alignment of each node kernel with the dual solutions of ``model``.
 
-    ``table`` is a pair-major node-kernel table of shape (n, n, ...).
-    For each trailing index ``p`` it gives ``0.5 * sum_c (alpha_c *
-    y_c)' table[:, :, p] (alpha_c * y_c)``, in the shape of the table's
-    trailing axes: a vector over nodes for the aligned table
-    (non-negative since each kappa_m is PSD), a node-by-node matrix for
-    the cross tensor (symmetric PSD, a Gram matrix of per-node function
-    components), and that matrix times ``beta`` for the half-contracted
-    table ``NodeKernelCache.half_contracted(beta)``.
+    ``table`` is a pair-major node-kernel table of shape (n, n, ...)
+    over the model's training videos. With ``s_c`` row c of ``model.alpha
+    * model.signs``, each trailing index ``p`` gives ``0.5 * sum_c s_c'
+    table[:, :, p] s_c``, in the shape of the table's trailing axes: a
+    vector over nodes for the aligned table (non-negative since each
+    kappa_m is PSD), a node-by-node matrix for the cross tensor
+    (symmetric PSD, a Gram matrix of per-node function components), and
+    that matrix times ``beta`` for the half-contracted table
+    ``NodeKernelCache.half_contracted(beta)``.
     """
-    alpha = np.asarray(alpha, dtype=np.float64)
-    labels = np.asarray(labels)
-    class_ids = np.unique(labels)
-    n = labels.size
-    if alpha.ndim != 2 or alpha.shape != (class_ids.size, n):
-        raise ShapeMismatch(
-            f"alpha shape {alpha.shape}, expected "
-            f"({class_ids.size}, {n})")
+    n = model.n_train
     table = np.asarray(table)
     if table.shape[:2] != (n, n):
         raise ShapeMismatch(
             f"table shape {table.shape} is not pair-major over {n} videos")
-    signed = alpha * np.stack(
-        [np.where(labels == c, 1.0, -1.0) for c in class_ids])
+    signed = model.alpha * model.signs
     # contract the row videos in one GEMM, then the column videos
     partial = signed @ table.reshape(n, -1)
     quad = np.einsum("ci,cik->k", signed, partial.reshape(len(signed), n, -1))
@@ -143,9 +135,8 @@ def em_fit(trees: list[PooledTree], labels: np.ndarray, variant: str,
         # objective: sum over classes of the optimal (negated) dual values
         gram = mirrored_gram(values, cache.row_ids)
         model = train_one_vs_rest(gram, labels, svm_cfg)
-        return model, -sum(dual_objective(gram, model.alpha[ci],
-                                          model.signs_for(c))
-                           for ci, c in enumerate(model.class_ids))
+        return model, -sum(dual_objective(gram, a, y)
+                           for a, y in zip(model.alpha, model.signs))
 
     model, objective = solve(contract_table(table, beta))
     trace = [objective]
@@ -156,7 +147,7 @@ def em_fit(trees: list[PooledTree], labels: np.ndarray, variant: str,
     for _ in range(em_cfg.max_iters):
         if m == 1:
             break
-        coeffs = beta_objective_coeffs(model.alpha, labels, table)
+        coeffs = beta_objective_coeffs(model, table)
         # descend the alternation objective: linear in beta for
         # concatenation, quadratic for averaging
         grad = -2.0 * coeffs if averaging else -coeffs

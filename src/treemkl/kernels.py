@@ -261,7 +261,9 @@ class NodeKernelCache:
         nr, a, d = rows.shape
         nc, m = self.cols.shape[0], self.nodes
         flat_c = self.cols.reshape(nc * m, d)
-        col_sq = np.sum(flat_c * flat_c, axis=-1)
+        # squared norms in row chunks of about one block each
+        parts = np.array_split(flat_c, -(-flat_c.size // _BLOCK_ELEMENTS))
+        col_sq = np.concatenate([np.sum(p * p, axis=-1) for p in parts])
         step = max(1, _BLOCK_ELEMENTS // (nc * m * a))
         for r0 in range(0, nr, step):
             r1 = min(r0 + step, nr)
@@ -270,15 +272,16 @@ class NodeKernelCache:
             yield r0, r1, k.reshape(r1 - r0, a, nc, m)
 
     def table_blocks(self, variant: str):
-        """Yield ``(r0, rows)``: the variant's pair-major table from row
-        video r0 on, as a (row videos * cols, q) matrix: ``aligned()``
-        whole (q = nodes) or the cross kernels one row block at a time
-        (q = nodes**2), never held whole."""
+        """Yield ``(r0, block)``: the variant's pair-major table from row
+        video r0 on, shape (row videos, cols, q), q = ``node_weights``'
+        length: ``aligned()`` whole (q = nodes) or the cross kernels one
+        row block at a time (q = nodes**2), never held whole."""
         if canonical_variant(variant) == CONCATENATION:
-            yield 0, self.aligned().reshape(-1, self.nodes)
+            yield 0, self.aligned()
             return
-        for r0, _, block in self._cross_blocks():
-            yield r0, block.transpose(0, 2, 1, 3).reshape(-1, self.nodes ** 2)
+        for r0, r1, block in self._cross_blocks():
+            yield r0, block.transpose(0, 2, 1, 3).reshape(r1 - r0, -1,
+                                                          self.nodes ** 2)
 
     def _half_contracted_blocks(self, beta: np.ndarray):
         """Yield ``(r0, r1, rows r0:r1 of half_contracted(beta))``."""

@@ -72,7 +72,7 @@ class PipelineConfig:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if isinstance(self.gamma, str):
             if self.gamma != "median":
-                raise ValidationError(f"gamma must be a number or 'median'")
+                raise ValidationError("gamma must be a number or 'median'")
         elif self.kernel_kind == "rbf":
             # the kernel's own rule, applied before any data is loaded
             KernelConfig(kind="rbf", gamma=self.gamma)

@@ -37,7 +37,7 @@ the class with the highest score (ties break to the smallest class id).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -204,19 +204,28 @@ def _shift(alpha, vals, up_pen, low_pen, c_box, bound_tol=1e-9):
     return float((hi + lo) / 2.0)
 
 
+def _one_vs_rest_signs(labels, class_ids) -> np.ndarray:
+    """(classes, n) targets: +1 where a video's label is the row's class."""
+    return np.where(labels == class_ids[:, None], 1.0, -1.0)
+
+
 @dataclass(frozen=True)
 class SvmModel:
-    """One binary machine per class over a shared training set."""
+    """One binary machine per class over a shared training set; row c of
+    ``signs``, derived and never passed, holds class c's +/-1 targets."""
 
     train_ids: tuple[str, ...]
     labels: np.ndarray              # class id per training video
     class_ids: np.ndarray           # sorted distinct class ids
     alpha: np.ndarray               # (classes, n) dual coefficients
     b: np.ndarray                   # (classes,) shifts
+    signs: np.ndarray = field(init=False, repr=False)  # (classes, n)
 
     def __post_init__(self):
         object.__setattr__(self, "train_ids", tuple(self.train_ids))
-        for name in ("labels", "class_ids", "alpha", "b"):
+        object.__setattr__(self, "signs", _one_vs_rest_signs(
+            np.asarray(self.labels), np.asarray(self.class_ids)))
+        for name in ("labels", "class_ids", "alpha", "b", "signs"):
             arr = np.asarray(getattr(self, name))
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
@@ -226,10 +235,6 @@ class SvmModel:
     @property
     def n_train(self) -> int:
         return len(self.train_ids)
-
-    def signs_for(self, c: int) -> np.ndarray:
-        """y_ic: +1 where the training label equals class c, else -1."""
-        return np.where(self.labels == c, 1.0, -1.0)
 
 
 def train_one_vs_rest(gram: GramMatrix, labels: np.ndarray,
@@ -246,8 +251,8 @@ def train_one_vs_rest(gram: GramMatrix, labels: np.ndarray,
         raise SingleClass(f"need >= 2 classes, got {class_ids.size}")
     alpha = np.zeros((class_ids.size, gram.n))
     b = np.zeros(class_ids.size)
-    for ci, c in enumerate(class_ids):
-        y = np.where(labels == c, 1.0, -1.0)
+    signs = _one_vs_rest_signs(labels, class_ids)
+    for ci, (c, y) in enumerate(zip(class_ids, signs)):
         try:
             sol = solve_dual(gram, y, cfg)
         except NotConverged as exc:
@@ -267,9 +272,7 @@ def decision_scores(model: SvmModel, k_cols: np.ndarray) -> np.ndarray:
         raise ShapeMismatch(
             f"kernel columns have {k_cols.shape[1]} entries for "
             f"{model.n_train} training videos")
-    signed = model.alpha * np.stack(
-        [model.signs_for(c) for c in model.class_ids])
-    return k_cols @ signed.T + model.b
+    return k_cols @ (model.alpha * model.signs).T + model.b
 
 
 def predict(model: SvmModel, k_cols: np.ndarray) -> np.ndarray:

@@ -354,16 +354,21 @@ class TestDmklFit:
             dmkl_fit(trees, np.ones(4, dtype=int),
                      CONCATENATION, ContrastiveConfig(iterations=1), RBF)
 
-    def test_full_batch_plain_descent_is_monotone(self):
-        # sgd on the exact gradient is plain gradient descent: the loss
-        # decreases at every step
-        train, y_train, *_ = synth_setup(7, per_class=5)
-        kcfg = KernelConfig("rbf", median_gamma(train))
-        cfg = ContrastiveConfig(optimizer="sgd", learning_rate=0.05,
-                                iterations=150, seed=7)
-        res = dmkl_fit(train, y_train, CONCATENATION, cfg, kcfg)
-        assert np.all(np.diff(res.loss_trace) <= 1e-12)
-        assert res.loss_trace[-1] < res.loss_trace[0]
+    @pytest.mark.parametrize("variant", [CONCATENATION, AVERAGING])
+    @pytest.mark.parametrize("n_labels", [19, 21])
+    def test_label_count_must_match_trees(self, rng, monkeypatch, variant,
+                                          n_labels):
+        trees = random_trees(rng, n=20, depth=2)
+        labels = np.array([1 + (i % 2) for i in range(n_labels)])
+
+        def no_cache(*args):
+            raise AssertionError("the cache was built before the check")
+
+        monkeypatch.setattr(dmkl, "NodeKernelCache", no_cache)
+        with pytest.raises(errors.ShapeMismatch,
+                           match=f"{n_labels} labels for 20 videos"):
+            dmkl_fit(trees, labels, variant, ContrastiveConfig(iterations=1),
+                     RBF)
 
 
 class TestDmklThenSvm:

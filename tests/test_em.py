@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from conftest import random_trees
 from oracles import averaging_coeffs_oracle
-from treemkl import errors, kernels
+from treemkl import em, errors, kernels
 from treemkl.em import EmConfig, beta_objective_coeffs, em_fit
 from treemkl.hierarchy import Hierarchy, pool_sequence
 from treemkl.kernels import (
@@ -38,25 +40,24 @@ def trained_instance(rng, n=10, depth=2):
 class TestBetaObjectiveCoeffs:
     def test_zero_alpha_gives_zero(self, rng):
         trees, labels, cache, model = trained_instance(rng)
-        zero = np.zeros_like(model.alpha)
-        c = beta_objective_coeffs(zero, labels, cache.aligned())
+        zero = dataclasses.replace(model, alpha=np.zeros_like(model.alpha))
+        c = beta_objective_coeffs(zero, cache.aligned())
         np.testing.assert_array_equal(c, np.zeros(cache.nodes))
-        m = beta_objective_coeffs(zero, labels, cache.cross())
+        m = beta_objective_coeffs(zero, cache.cross())
         np.testing.assert_array_equal(m, np.zeros((cache.nodes, cache.nodes)))
 
     def test_concat_coeffs_nonnegative(self, rng):
         # each coefficient is a quadratic form in a PSD node kernel
         for _ in range(10):
             trees, labels, cache, model = trained_instance(rng)
-            c = beta_objective_coeffs(model.alpha, labels, cache.aligned())
+            c = beta_objective_coeffs(model, cache.aligned())
             assert c.min() >= -1e-10
 
     def test_single_node_scalar(self, rng):
         trees, labels, cache, model = trained_instance(rng, depth=1)
-        c = beta_objective_coeffs(model.alpha, labels, cache.aligned())
+        c = beta_objective_coeffs(model, cache.aligned())
         assert c.shape == (1,)
-        signed = model.alpha * np.stack([model.signs_for(cl)
-                                         for cl in model.class_ids])
+        signed = model.alpha * model.signs
         expected = 0.5 * sum(s @ cache.aligned()[:, :, 0] @ s for s in signed)
         np.testing.assert_allclose(c[0], expected)
         assert c[0] >= 0
@@ -64,13 +65,13 @@ class TestBetaObjectiveCoeffs:
     def test_averaging_matrix_psd(self, rng):
         for _ in range(10):
             trees, labels, cache, model = trained_instance(rng)
-            m = beta_objective_coeffs(model.alpha, labels, cache.cross())
+            m = beta_objective_coeffs(model, cache.cross())
             np.testing.assert_allclose(m, m.T, atol=1e-12)
             assert np.linalg.eigvalsh(m)[0] >= -1e-8
 
     def test_averaging_matches_node_pair_oracle(self, rng):
         trees, labels, cache, model = trained_instance(rng, n=12, depth=3)
-        m = beta_objective_coeffs(model.alpha, labels, cache.cross())
+        m = beta_objective_coeffs(model, cache.cross())
         ref = averaging_coeffs_oracle(model.alpha, labels,
                                       np.stack([t.vectors for t in trees]),
                                       RBF.gamma)
@@ -80,15 +81,14 @@ class TestBetaObjectiveCoeffs:
         # -2 c(P) is the pullback of the cross-tensor coefficients
         trees, labels, cache, model = trained_instance(rng, n=12, depth=3)
         beta = to_simplex(rng.standard_normal(cache.nodes))
-        got = -2.0 * beta_objective_coeffs(model.alpha, labels,
+        got = -2.0 * beta_objective_coeffs(model,
                                            cache.half_contracted(beta))
         coeffs = averaging_coeffs_oracle(model.alpha, labels,
                                          np.stack([t.vectors for t in trees]),
                                          RBF.gamma)
         for ref in (-(coeffs + coeffs.T) @ beta,
                     -node_weights_pullback(beta_objective_coeffs(
-                        model.alpha, labels, cache.cross()), beta,
-                        AVERAGING)):
+                        model, cache.cross()), beta, AVERAGING)):
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_half_contracted_moves_linearly_along_a_step(self, rng):
@@ -111,7 +111,7 @@ class TestBetaObjectiveCoeffs:
         for node_major in (cache.cross().transpose(2, 3, 0, 1),
                            cache.aligned().transpose(2, 0, 1)):
             with pytest.raises(errors.ShapeMismatch):
-                beta_objective_coeffs(model.alpha, labels, node_major)
+                beta_objective_coeffs(model, node_major)
 
 
 def synth_trees(seed, level=2, depth=None, per_class=25):
@@ -165,9 +165,8 @@ class TestEmFit:
         res = em_fit(train, y_train, AVERAGING, kcfg, EmConfig(max_iters=10))
         assert res.iterations >= 2
         gram = gram_matrix(train, res.beta, AVERAGING, kcfg)
-        expected = -sum(dual_objective(gram, res.model.alpha[ci],
-                                       res.model.signs_for(c))
-                        for ci, c in enumerate(res.model.class_ids))
+        expected = -sum(dual_objective(gram, a, y) for a, y in
+                        zip(res.model.alpha, res.model.signs))
         assert res.objective_trace[-1] == pytest.approx(expected, rel=1e-10)
 
     def test_beta_stays_on_simplex(self):
@@ -218,3 +217,46 @@ class TestEmFit:
     def test_unknown_beta_init_rejected(self):
         with pytest.raises(errors.ValidationError):
             EmConfig(beta_init="bogus")
+
+
+class TestEmStops:
+    """The early stops of ``em_fit`` on a small problem (8 videos per
+    class, depth 3), told apart by counting one-vs-rest solves: each
+    iteration solves one candidate per step length it tries."""
+
+    @pytest.fixture
+    def fit(self, monkeypatch):
+        train, y_train, *_ = synth_trees(0, level=3, depth=3, per_class=8)
+        kcfg = KernelConfig("rbf", median_gamma(train))
+        solved = []
+
+        def spy(*args):
+            solved.append(train_one_vs_rest(*args))
+            return solved[-1]
+
+        monkeypatch.setattr(em, "train_one_vs_rest", spy)
+        return lambda variant, cfg: (em_fit(train, y_train, variant, kcfg,
+                                            cfg), solved)
+
+    def test_vertex_reached(self, fit):
+        res, solved = fit(AVERAGING, EmConfig(eta=1.0))
+        assert res.iterations == 1
+        np.testing.assert_array_equal(res.beta, np.eye(7)[5])
+        # no candidate is tried once the step's vertex is beta itself
+        assert len(solved) == res.iterations + 1
+
+    @pytest.mark.parametrize("variant", [AVERAGING, CONCATENATION])
+    def test_param_tol(self, fit, variant):
+        res, solved = fit(variant, EmConfig(param_tol=1e9))
+        assert res.iterations == 1
+        assert len(solved) == 2 and res.model is solved[-1]
+        assert np.count_nonzero(res.beta) == 7
+
+    def test_no_accepted_step(self, fit, monkeypatch):
+        monkeypatch.setattr(em, "MAX_HALVINGS", 0)
+        res, solved = fit(CONCATENATION, EmConfig(eta=1.0))
+        assert res.iterations >= 1
+        assert np.count_nonzero(res.beta) == 1
+        # one more candidate than accepted steps, and it was rejected
+        assert len(solved) == res.iterations + 2
+        assert res.model is solved[-2]

@@ -439,14 +439,13 @@ class TestCrossMemory:
         }
         runs[route]()
 
-    def test_wide_rows_stream_in_three_blocks(self, rng):
-        # 280 cols x 15 nodes x dim 128 is about two blocks: computing the
-        # column norms once per pass, not per block, leaves the previous
-        # block and the next one's two buffers as the working memory
-        cache = NodeKernelCache(random_trees(rng, n=40, depth=4, dim=128),
+    def assert_wide_rows_stream_in_three_blocks(self, rng, dim):
+        """Peak minus output of ``half_contracted`` and averaging
+        ``combined`` over 40 x 280 trees of depth 4, below 3.5 blocks."""
+        cache = NodeKernelCache(random_trees(rng, n=40, depth=4, dim=dim),
                                 RBF, random_trees(rng, n=280, depth=4,
-                                                  dim=128))
-        assert 280 * self.NODES * 128 > kernels._BLOCK_ELEMENTS
+                                                  dim=dim))
+        assert 280 * self.NODES * dim > kernels._BLOCK_ELEMENTS
         beta = to_simplex(rng.standard_normal(self.NODES))
         gram_bytes = 40 * 280 * 8
         for fn, out_bytes in (
@@ -454,6 +453,17 @@ class TestCrossMemory:
                 (lambda: cache.combined(beta, AVERAGING), gram_bytes)):
             peak = self.peak_bytes(fn) - out_bytes
             assert peak < 3.5 * kernels._BLOCK_ELEMENTS * 8
+
+    def test_wide_rows_stream_in_three_blocks(self, rng):
+        # 280 cols x 15 nodes x dim 128 is about two blocks: computing the
+        # column norms once per pass, not per block, leaves the previous
+        # block and the next one's two buffers as the working memory
+        self.assert_wide_rows_stream_in_three_blocks(rng, 128)
+
+    def test_column_norms_stream_in_blocks(self, rng):
+        # at dim 256 the columns' squares made at once would be about four
+        # blocks; the pass makes them in row chunks of about one block
+        self.assert_wide_rows_stream_in_three_blocks(rng, 256)
 
     def test_streamed_combined_never_holds_tensor(self, rng):
         cache = self.cache(rng)

@@ -465,6 +465,15 @@ class TestExitCodesAndWorkers:
         assert_one_error_line(capsys, flag[2:].replace("-", "_"))
         assert not out.exists()
 
+    def test_optimizer_flag_is_gone(self, workspace, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("train-dmkl", "--manifest",
+                    workspace / "data" / "manifest.jsonl", "--depth", 2,
+                    "--out", tmp_path / "o", "--optimizer", "sgd")
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --optimizer" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("keys", [
         ("config", "depth"), ("config", "variant"), ("config", "stream"),
         ("config", "kernel", "kind"), ("config", "kernel", "gamma"),
@@ -557,6 +566,114 @@ class TestExitCodesAndWorkers:
                        "--variant", "concat", "--stream", "appearance",
                        "--kkt-tol", 1e-14, "--max-passes", 1, "--seed", 3)
         assert code == 3
+
+
+def manifest_objects(workspace):
+    """The workspace manifest's lines as objects, with absolute feature
+    paths so that a copy may live anywhere."""
+    data = workspace / "data"
+    objs = [json.loads(line) for line in
+            (data / "manifest.jsonl").read_text().splitlines()]
+    for obj in objs[1:]:
+        for stream in ("appearance", "motion"):
+            obj[stream] = str(data / obj[stream])
+    return objs
+
+
+def write_manifest_lines(path, lines):
+    path.write_text("".join((line if isinstance(line, str)
+                             else json.dumps(line)) + "\n" for line in lines))
+    return path
+
+
+class TestValidationExits:
+    """Bad inputs exit 2 with one ``error:`` line and no traceback."""
+
+    @pytest.mark.parametrize("edit, needle", [
+        (lambda ls: ls.insert(2, "5"), ":3: not a JSON object"),
+        (lambda ls: ls.insert(2, "null"), ":3: not a JSON object"),
+        (lambda ls: ls.insert(2, '"video_id label split"'),
+         ":3: not a JSON object"),
+        (lambda ls: ls[2].update(appearance=7), ":3: appearance 7 is not a"),
+        (lambda ls: ls.insert(2, "{not json"), ":3: bad JSON"),
+        (lambda ls: ls.insert(2, ls[0]), ":3: label_names must be the first"),
+        (lambda ls: ls[2].pop("split"), ":3: missing keys ['split']"),
+    ], ids=["int", "null", "string", "int-path", "bad-json",
+            "late-label-names", "missing-split"])
+    def test_bad_manifest_line_exits_before_reading_features(
+            self, workspace, tmp_path, capsys, monkeypatch, edit, needle):
+        reads = []
+        monkeypatch.setattr(pipeline, "load_feature_file",
+                            lambda *a, **k: reads.append(a))
+        lines = manifest_objects(workspace)
+        edit(lines)
+        path = write_manifest_lines(tmp_path / "manifest.jsonl", lines)
+        code = run_cli("train-em", "--manifest", path,
+                       "--out", tmp_path / "o", "--depth", 2)
+        assert code == 2
+        assert_one_error_line(capsys, f"{path}{needle}")
+        assert reads == []
+
+    def test_non_contiguous_class_ids(self, workspace, tmp_path, capsys):
+        lines = manifest_objects(workspace)
+        lines[0]["label_names"]["5"] = "class_5"
+        path = write_manifest_lines(tmp_path / "manifest.jsonl", lines)
+        code = run_cli("train-em", "--manifest", path,
+                       "--out", tmp_path / "o", "--depth", 2)
+        assert code == 2
+        assert_one_error_line(capsys, "not contiguous from 1")
+
+    def test_missing_feature_file(self, workspace, tmp_path, capsys):
+        lines = manifest_objects(workspace)
+        lines[1]["appearance"] = str(tmp_path / "gone.gpf")
+        path = write_manifest_lines(tmp_path / "manifest.jsonl", lines)
+        code = run_cli("train-em", "--manifest", path,
+                       "--out", tmp_path / "o", "--depth", 2)
+        assert code == 2
+        assert_one_error_line(capsys, "gone.gpf not found")
+
+    @pytest.mark.parametrize("text, needle", [
+        ("{not json", "not valid JSON"),
+        (None, "format 'treemkl-model-v0', expected 'treemkl-model-v1'")])
+    def test_artifact_unreadable(self, workspace, tmp_path, capsys, text,
+                                 needle):
+        if text is None:
+            doc = json.loads((workspace / "em_a" / "model.json").read_text())
+            doc["format"] = "treemkl-model-v0"
+            text = json.dumps(doc)
+        model = tmp_path / "model.json"
+        model.write_text(text)
+        code = run_cli("eval", "--model", model,
+                       "--manifest", workspace / "data" / "manifest.jsonl",
+                       "--out", tmp_path / "o")
+        assert code == 2
+        assert_one_error_line(capsys, str(model), needle)
+
+    def test_support_video_absent_from_manifest(self, workspace, tmp_path,
+                                                capsys):
+        model = workspace / "em_a" / "model.json"
+        gone = json.loads(model.read_text())["classes"]["1"]["support"][0]
+        lines = [obj for obj in manifest_objects(workspace)
+                 if obj.get("video_id") != gone["video_id"]]
+        path = write_manifest_lines(tmp_path / "manifest.jsonl", lines)
+        code = run_cli("eval", "--model", model, "--manifest", path,
+                       "--out", tmp_path / "o")
+        assert code == 2
+        assert_one_error_line(capsys, "support videos absent from manifest",
+                              gone["video_id"])
+
+    def test_fusion_over_different_class_sets(self, workspace, tmp_path,
+                                              capsys):
+        doc = json.loads((workspace / "dm_m" / "model.json").read_text())
+        del doc["classes"]["3"]
+        model_m = tmp_path / "model.json"
+        model_m.write_text(json.dumps(doc))
+        code = run_cli("fuse-eval", "--model-a", workspace / "dm_a" /
+                       "model.json", "--model-m", model_m,
+                       "--manifest", workspace / "data" / "manifest.jsonl",
+                       "--out", tmp_path / "o")
+        assert code == 2
+        assert_one_error_line(capsys, "different class sets")
 
 
 class TestPoolCommand:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -211,7 +212,22 @@ class TestOneVsRest:
     def test_two_class_complementary_labels(self, rng):
         gram, labels, _ = cluster_gram(rng, classes=2)
         model = train_one_vs_rest(gram, labels)
-        np.testing.assert_array_equal(model.signs_for(1), -model.signs_for(2))
+        np.testing.assert_array_equal(model.signs[0], -model.signs[1])
+
+    def test_signs_are_derived_and_read_only(self, rng):
+        gram, labels, _ = cluster_gram(rng, classes=3)
+        model = train_one_vs_rest(gram, labels)
+        np.testing.assert_array_equal(
+            model.signs, [np.where(labels == c, 1.0, -1.0)
+                          for c in model.class_ids])
+        with pytest.raises(ValueError):
+            model.signs[0, 0] = 5.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            model.signs = -model.signs
+        with pytest.raises(TypeError):
+            SvmModel(train_ids=model.train_ids, labels=labels,
+                     class_ids=model.class_ids, alpha=model.alpha,
+                     b=model.b, signs=model.signs)
 
     def test_separable_training_accuracy(self, rng):
         gram, labels, _ = cluster_gram(rng, classes=3)
@@ -265,7 +281,7 @@ class TestDecisionPredict:
         scores = decision_scores(model, gram.values)
         for ci, c in enumerate(model.class_ids):
             sv = int(np.argmax(model.alpha[ci]))
-            assert np.sign(scores[sv, ci]) == model.signs_for(c)[sv]
+            assert np.sign(scores[sv, ci]) == model.signs[ci, sv]
 
     def test_argmax_and_tie_break(self):
         model = SvmModel(train_ids=("a", "b"), labels=np.array([1, 2]),
