@@ -14,7 +14,7 @@ from treemkl import (
     ContrastiveConfig,
     Hierarchy,
     KernelConfig,
-    dmkl_then_svm,
+    dmkl_fit,
     gen_sequences,
     kernel_columns,
     median_gamma,
@@ -37,7 +37,7 @@ print(f"{n} training labels supply {n * (n - 1) // 2} supervised pairs")
 
 kcfg = KernelConfig("rbf", median_gamma(train))
 cfg = ContrastiveConfig(iterations=1500, positive_fraction=0.5, seed=1)
-result = dmkl_then_svm(train, data.labels[tr], CONCATENATION, cfg, kcfg)
+result = dmkl_fit(train, data.labels[tr], CONCATENATION, cfg, kcfg)
 
 print("\niter |      loss | weight mass per level")
 for it in range(0, cfg.iterations + 1, 250):

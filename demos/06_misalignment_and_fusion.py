@@ -18,7 +18,7 @@ from treemkl import (
     ContrastiveConfig,
     Hierarchy,
     KernelConfig,
-    dmkl_then_svm,
+    dmkl_fit,
     fuse_kernels,
     gen_sequences,
     gram_matrix,
@@ -44,10 +44,10 @@ shift = spec.frames // 8
 kcfg = KernelConfig("rbf", median_gamma(train))
 
 for variant in (CONCATENATION, AVERAGING):
-    res = dmkl_then_svm(train, data.labels[tr], variant,
-                        ContrastiveConfig(iterations=1500,
-                                          positive_fraction=0.5, seed=0),
-                        kcfg)
+    res = dmkl_fit(train, data.labels[tr], variant,
+                   ContrastiveConfig(iterations=1500, positive_fraction=0.5,
+                                     seed=0),
+                   kcfg)
 
     def accuracy(test_trees):
         cols = kernel_columns(test_trees, train, res.weights.beta,
@@ -72,9 +72,9 @@ for stream in ("appearance", "motion"):
     train_s = [strees[i] for i in tr2]
     test_s = [strees[i] for i in te2]
     kc = KernelConfig("rbf", median_gamma(train_s))
-    res = dmkl_then_svm(train_s, data2.labels[tr2], AVERAGING,
-                        ContrastiveConfig(iterations=1500,
-                                          positive_fraction=0.5, seed=3), kc)
+    res = dmkl_fit(train_s, data2.labels[tr2], AVERAGING,
+                   ContrastiveConfig(iterations=1500, positive_fraction=0.5,
+                                     seed=3), kc)
     gram = gram_matrix(train_s, res.weights.beta, AVERAGING, kc)
     cols = kernel_columns(test_s, train_s, res.weights.beta, AVERAGING, kc)
     parts[stream] = (gram, cols)

@@ -22,7 +22,6 @@ from .hierarchy import (
 from .dmkl import (
     AdamState,
     ContrastiveConfig,
-    DmklPipelineResult,
     DmklResult,
     contrastive_loss,
     dmkl_fit,

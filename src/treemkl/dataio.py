@@ -230,6 +230,13 @@ def _class_id(value, where: str) -> int:
     raise ValidationError(f"{where} {value!r} is not an integer class id")
 
 
+def _text(value, where: str) -> str:
+    """A string, rejected rather than passed through ``str()``."""
+    if not isinstance(value, str):
+        raise ValidationError(f"{where} {value!r} is not a string")
+    return value
+
+
 def load_manifest(path: str | os.PathLike) -> DatasetManifest:
     """Parse a JSON-lines manifest into a validated :class:`DatasetManifest`."""
     records: list[VideoRecord] = []
@@ -241,41 +248,41 @@ def load_manifest(path: str | os.PathLike) -> DatasetManifest:
             line = line.strip()
             if not line:
                 continue
+            at = f"{path}:{lineno}:"
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise ValidationError(f"{path}:{lineno}: bad JSON: {exc}") from exc
+                raise ValidationError(f"{at} bad JSON: {exc}") from exc
             if not isinstance(obj, dict):
-                raise ValidationError(f"{path}:{lineno}: not a JSON object")
+                raise ValidationError(f"{at} not a JSON object")
             if "label_names" in obj and "video_id" not in obj:
                 if lineno != 1 and records:
                     raise ValidationError(
-                        f"{path}:{lineno}: label_names must be the first line")
+                        f"{at} label_names must be the first line")
                 names = obj["label_names"]
                 if not isinstance(names, dict):
-                    raise ValidationError(
-                        f"{path}:{lineno}: label_names must be an object")
-                label_names = {_class_id(k, f"{path}:{lineno}: label_names key"):
-                               str(v) for k, v in names.items()}
+                    raise ValidationError(f"{at} label_names must be an object")
+                label_names = {_class_id(k, f"{at} label_names key"):
+                               _text(v, f"{at} label_names value")
+                               for k, v in names.items()}
                 continue
             missing = [k for k in ("video_id", "label", "split") if k not in obj]
             if missing:
-                raise ValidationError(
-                    f"{path}:{lineno}: missing keys {missing}")
+                raise ValidationError(f"{at} missing keys {missing}")
             for key in STREAMS:
                 if not isinstance(obj.get(key, ""), (str, type(None))):
                     raise ValidationError(
-                        f"{path}:{lineno}: {key} {obj[key]!r} is not a path")
+                        f"{at} {key} {obj[key]!r} is not a path")
             try:
                 rec = VideoRecord(
-                    video_id=str(obj["video_id"]),
-                    label=_class_id(obj["label"], f"{path}:{lineno}: label"),
+                    video_id=_text(obj["video_id"], f"{at} video_id"),
+                    label=_class_id(obj["label"], f"{at} label"),
                     appearance=obj.get("appearance"),
                     motion=obj.get("motion"),
-                    split=str(obj["split"]),
+                    split=_text(obj["split"], f"{at} split"),
                 )
             except MissingPath as exc:
-                raise MissingPath(f"{path}:{lineno}: {exc}") from exc
+                raise MissingPath(f"{at} {exc}") from exc
             records.append(rec)
     return DatasetManifest(records=records, label_names=label_names)
 

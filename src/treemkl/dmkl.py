@@ -16,24 +16,25 @@ never binds and the loss is exactly quadratic in ``w = node_weights(beta)``:
 and ``F_p`` pair p's row of node kernels. These moments are built once;
 each step then costs O(q^2) for q = nodes or nodes**2, whatever the
 number of videos, and stays on the simplex through its softmax
-reparametrization. The frozen weights give one Gram matrix, on which the
-one-vs-rest machines are trained in a single step.
+reparametrization. ``dmkl_fit`` then frees the moments, builds one Gram
+matrix from the frozen weights and its own node-kernel cache, and trains
+the one-vs-rest machines on it in a single step.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeMismatch, SingleClass, TooFewVideos, ValidationError
+from .errors import ShapeMismatch, TooFewVideos, ValidationError
 from .hierarchy import PooledTree
 from .kernels import (
     _DENSE_LIMIT,
     KernelConfig,
     NodeKernelCache,
     canonical_variant,
-    gram_from_cache,
+    mirrored_gram,
     node_weights,
     node_weights_pullback,
 )
@@ -43,7 +44,7 @@ from .simplex import (
     backprop_through_simplex,
     check_on_simplex,
 )
-from .svm import SvmModel, TrainConfig, train_one_vs_rest
+from .svm import SvmModel, TrainConfig, one_vs_rest_classes, train_one_vs_rest
 
 
 @dataclass(frozen=True)
@@ -146,9 +147,9 @@ class AdamState:
 @dataclass(frozen=True)
 class DmklResult:
     weights: SimplexWeights
+    model: SvmModel
     loss_trace: np.ndarray
     beta_trace: np.ndarray          # weights at start plus after each step
-    cache: NodeKernelCache = field(repr=False, compare=False, default=None)
 
 
 def pair_moments(cache: NodeKernelCache, table: _PairTable, variant: str,
@@ -182,21 +183,18 @@ def pair_moments(cache: NodeKernelCache, table: _PairTable, variant: str,
 
 
 def dmkl_fit(trees: list[PooledTree], labels: np.ndarray, variant: str,
-             cfg: ContrastiveConfig, kernel_cfg: KernelConfig) -> DmklResult:
+             cfg: ContrastiveConfig, kernel_cfg: KernelConfig,
+             svm_cfg: TrainConfig = TrainConfig()) -> DmklResult:
     """Minimize the contrastive loss over the simplex by Adam steps on its
-    exact gradient; the trace holds the loss before and after each step.
-    The seed only draws a random start. Needs the rbf kernel."""
+    exact gradient, then train the one-vs-rest machines on the Gram matrix
+    of the frozen weights; the trace holds the loss before and after each
+    step. The seed only draws a random start. Needs the rbf kernel."""
     if kernel_cfg.kind != "rbf":
         raise ValidationError("contrastive training needs the rbf kernel, "
                               f"got kernel {kernel_cfg.kind!r}")
     variant = canonical_variant(variant)
     labels = np.asarray(labels)
-    if labels.shape != (len(trees),):
-        raise ShapeMismatch(f"{labels.size} labels for {len(trees)} videos")
-    if labels.size < 2:
-        raise TooFewVideos(f"need >= 2 videos, got {labels.size}")
-    if np.unique(labels).size < 2:
-        raise SingleClass("need at least 2 classes")
+    one_vs_rest_classes(labels, len(trees))
     cache = NodeKernelCache(trees, kernel_cfg)
     A, b, c = pair_moments(cache, _PairTable(labels), variant,
                            cfg.positive_fraction)
@@ -215,27 +213,16 @@ def dmkl_fit(trees: list[PooledTree], labels: np.ndarray, variant: str,
         weights = SimplexWeights(weights.raw + delta)
         beta_trace.append(weights.beta)
     check_on_simplex(weights.beta)
-    return DmklResult(weights=weights, loss_trace=np.asarray(loss_trace),
-                      beta_trace=np.asarray(beta_trace), cache=cache)
-
-
-@dataclass(frozen=True)
-class DmklPipelineResult:
-    weights: SimplexWeights
-    model: SvmModel
-    loss_trace: np.ndarray
-    beta_trace: np.ndarray = field(repr=False, default=None)
+    del A, b  # free the moments first: averaging's A is 126 MB at depth 6
+    gram = mirrored_gram(cache.combined(weights.beta, variant), cache.row_ids)
+    return DmklResult(weights=weights,
+                      model=train_one_vs_rest(gram, labels, svm_cfg),
+                      loss_trace=np.asarray(loss_trace),
+                      beta_trace=np.asarray(beta_trace))
 
 
 def dmkl_then_svm(trees: list[PooledTree], labels: np.ndarray, variant: str,
                   cfg: ContrastiveConfig, kernel_cfg: KernelConfig,
-                  svm_cfg: TrainConfig = TrainConfig()) -> DmklPipelineResult:
-    """Freeze the contrastively-learned weights, build the Gram matrix,
-    and train the one-vs-rest machines in one step."""
-    fit = dmkl_fit(trees, labels, variant, cfg, kernel_cfg)
-    gram = gram_from_cache(fit.cache, fit.weights.beta,
-                           canonical_variant(variant))
-    model = train_one_vs_rest(gram, np.asarray(labels), svm_cfg)
-    return DmklPipelineResult(weights=fit.weights, model=model,
-                              loss_trace=fit.loss_trace,
-                              beta_trace=fit.beta_trace)
+                  svm_cfg: TrainConfig = TrainConfig()) -> DmklResult:
+    """:func:`dmkl_fit` under the name ``bench/tracer.py`` still wraps."""
+    return dmkl_fit(trees, labels, variant, cfg, kernel_cfg, svm_cfg)

@@ -22,12 +22,14 @@ T)`` give the gradient of the objective in ``beta`` at the current
 ``-2 c`` for averaging, which is quadratic in it.
 
 ``em_fit`` takes a damped Frank-Wolfe step (Jaggi, ICML 2013): it moves
-toward the vertex ``e_v`` of the smallest gradient entry and backtracks
-the step length until the traced objective does not rise. Along the
-averaging step ``(1 - eta) beta + eta e_v`` the table moves to ``(1 -
-eta) P + eta S_v``, where ``S_v = NodeKernelCache.node_slice(v)``, so a
-candidate's Gram is ``(1 - eta) P @ b + eta S_v @ b`` for the candidate
-weights ``b``. The (n, n, nodes, nodes) cross tensor is never built.
+toward the vertex ``e_v`` of the largest alignment coefficient, in both
+variants the smallest gradient entry (negation and doubling are exact,
+so ties pick the same index), and backtracks the step length until the
+traced objective does not rise. Along the averaging step ``(1 - eta)
+beta + eta e_v`` the table moves to ``(1 - eta) P + eta S_v``, where
+``S_v = NodeKernelCache.node_slice(v)``, so a candidate's Gram is ``(1 -
+eta) P @ b + eta S_v @ b`` for the candidate weights ``b``. The (n, n,
+nodes, nodes) cross tensor is never built.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeMismatch, SingleClass, ValidationError
+from .errors import ShapeMismatch, ValidationError
 from .hierarchy import PooledTree
 from .kernels import (
     AVERAGING,
@@ -47,7 +49,8 @@ from .kernels import (
     mirrored_gram,
 )
 from .simplex import INIT_SCHEMES, SimplexWeights
-from .svm import SvmModel, TrainConfig, dual_objective, train_one_vs_rest
+from .svm import (SvmModel, TrainConfig, dual_objective, one_vs_rest_classes,
+                  train_one_vs_rest)
 
 # step-length halvings tried before an iteration gives up
 MAX_HALVINGS = 12
@@ -122,8 +125,7 @@ def em_fit(trees: list[PooledTree], labels: np.ndarray, variant: str,
     """
     variant = canonical_variant(variant)
     labels = np.asarray(labels)
-    if np.unique(labels).size < 2:
-        raise SingleClass("need at least 2 classes")
+    one_vs_rest_classes(labels, len(trees))
     cache = NodeKernelCache(trees, kernel_cfg)
     averaging = variant == AVERAGING
     m = cache.nodes
@@ -147,11 +149,8 @@ def em_fit(trees: list[PooledTree], labels: np.ndarray, variant: str,
     for _ in range(em_cfg.max_iters):
         if m == 1:
             break
-        coeffs = beta_objective_coeffs(model, table)
-        # descend the alternation objective: linear in beta for
-        # concatenation, quadratic for averaging
-        grad = -2.0 * coeffs if averaging else -coeffs
-        v = int(np.argmin(grad))
+        # the smallest entry of the gradient, -c or -2 c
+        v = int(np.argmax(beta_objective_coeffs(model, table)))
         vertex = np.zeros(m)
         vertex[v] = 1.0
         if np.allclose(vertex, beta):

@@ -354,13 +354,7 @@ def gram_matrix(trees: list[PooledTree], beta: np.ndarray, variant: str,
                 cfg: KernelConfig) -> GramMatrix:
     """Pairwise combined kernel over one tree list, exactly symmetric
     (upper triangle mirrored)."""
-    return gram_from_cache(NodeKernelCache(trees, cfg), beta, variant)
-
-
-def gram_from_cache(cache: NodeKernelCache, beta: np.ndarray,
-                    variant: str) -> GramMatrix:
-    if cache.cols is not cache.rows:
-        raise ShapeMismatch("gram needs a square cache")
+    cache = NodeKernelCache(trees, cfg)
     return mirrored_gram(cache.combined(beta, variant), cache.row_ids)
 
 
@@ -373,7 +367,8 @@ def contract_table(table: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 def mirrored_gram(values: np.ndarray, ids) -> GramMatrix:
     """The Gram matrix of square combined-kernel ``values``, made exactly
-    symmetric by mirroring the upper triangle (in place)."""
+    symmetric by mirroring the upper triangle (in place); the one Gram
+    builder of ``gram_matrix`` and both training routes."""
     iu = np.triu_indices(values.shape[0], k=1)
     values[(iu[1], iu[0])] = values[iu]
     return GramMatrix(values=values, ids=tuple(ids))

@@ -17,8 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import DatasetManifest, VideoRecord, _class_id, load_feature_file
-from .dmkl import ContrastiveConfig, dmkl_then_svm
+from .dataio import (STREAMS, DatasetManifest, VideoRecord, _class_id,
+                     load_feature_file)
+from .dmkl import ContrastiveConfig, dmkl_fit
 from .em import EmConfig, em_fit
 from .errors import (
     ArtifactMismatch,
@@ -66,16 +67,17 @@ class PipelineConfig:
         if not (1 <= self.depth <= 8):
             raise ValidationError(f"depth {self.depth} outside 1..8")
         object.__setattr__(self, "variant", canonical_variant(self.variant))
+        if self.stream not in STREAMS:
+            raise ValidationError(f"unknown stream {self.stream!r}")
         if self.feature_norm not in NORMS or self.node_norm not in NORMS:
             raise ValidationError("norms must be 'none' or 'l2'")
         if self.seed < 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
-        if isinstance(self.gamma, str):
-            if self.gamma != "median":
-                raise ValidationError("gamma must be a number or 'median'")
-        elif self.kernel_kind == "rbf":
-            # the kernel's own rule, applied before any data is loaded
-            KernelConfig(kind="rbf", gamma=self.gamma)
+        if isinstance(self.gamma, str) and self.gamma != "median":
+            raise ValidationError("gamma must be a number or 'median'")
+        # the kernel's own rules; 1.0 stands in for the median bandwidth
+        KernelConfig(self.kernel_kind,
+                     1.0 if self.gamma == "median" else self.gamma)
 
 
 def _l2_rows(arr: np.ndarray) -> np.ndarray:
@@ -251,16 +253,15 @@ def load_artifact(path: str | os.PathLike) -> ModelArtifact:
 
     config = get("config", "an object")
     gamma = get("config.kernel.gamma", "a finite number or null")
+    kernel = _made(KernelConfig, "config.kernel", path,
+                   kind=get("config.kernel.kind", "a string"), gamma=gamma)
     cfg = _made(PipelineConfig, "config", path,
                 depth=get("config.depth", "an integer"),
                 variant=get("config.variant", "a string"),
                 stream=get("config.stream", "a string"),
-                kernel_kind=get("config.kernel.kind", "a string"),
-                gamma=gamma or "median",
+                kernel_kind=kernel.kind, gamma=gamma or "median",
                 feature_norm=config.get("feature_norm", "none"),
                 node_norm=config.get("node_norm", "none"))
-    kernel = _made(KernelConfig, "config.kernel", path,
-                   kind=cfg.kernel_kind, gamma=gamma)
     c_box = get("config.svm.c_box", "a number or null")
     svm = _made(TrainConfig, "config.svm", path,
                 c_box=math.inf if c_box is None else float(c_box),
@@ -333,8 +334,8 @@ def train_dmkl_route(manifest: DatasetManifest, root: str,
                      svm_cfg: TrainConfig) -> TrainOutput:
     trees, labels = load_split_trees(manifest, root, cfg, "train")
     kernel_cfg = resolve_gamma(trees, cfg)
-    result = dmkl_then_svm(trees, labels, cfg.variant, contrastive_cfg,
-                           kernel_cfg, svm_cfg)
+    result = dmkl_fit(trees, labels, cfg.variant, contrastive_cfg,
+                      kernel_cfg, svm_cfg)
     artifact = build_artifact(cfg, "dmkl", kernel_cfg, svm_cfg,
                               result.weights.beta, result.model, manifest)
     rows = [[i, float(v)] for i, v in enumerate(result.loss_trace)]

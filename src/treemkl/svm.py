@@ -41,7 +41,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NotConverged, ShapeMismatch, SingleClass, ValidationError
+from .errors import (NotConverged, ShapeMismatch, SingleClass, TooFewVideos,
+                     ValidationError)
 from .kernels import GramMatrix
 
 
@@ -204,6 +205,20 @@ def _shift(alpha, vals, up_pen, low_pen, c_box, bound_tol=1e-9):
     return float((hi + lo) / 2.0)
 
 
+def one_vs_rest_classes(labels: np.ndarray, n: int) -> np.ndarray:
+    """Sorted class ids of ``labels`` for ``n`` videos; the label rule of
+    every trainer: one label per video, >= 2 videos, >= 2 classes."""
+    labels = np.asarray(labels)
+    if labels.shape != (n,):
+        raise ShapeMismatch(f"{labels.size} labels for {n} videos")
+    if n < 2:
+        raise TooFewVideos(f"need >= 2 videos, got {n}")
+    class_ids = np.unique(labels)
+    if class_ids.size < 2:
+        raise SingleClass(f"need >= 2 classes, got {class_ids.size}")
+    return class_ids
+
+
 def _one_vs_rest_signs(labels, class_ids) -> np.ndarray:
     """(classes, n) targets: +1 where a video's label is the row's class."""
     return np.where(labels == class_ids[:, None], 1.0, -1.0)
@@ -244,11 +259,7 @@ def train_one_vs_rest(gram: GramMatrix, labels: np.ndarray,
     Per-class failures are re-raised with the class id attached.
     """
     labels = np.asarray(labels)
-    if labels.shape != (gram.n,):
-        raise ShapeMismatch(f"{labels.size} labels for {gram.n} videos")
-    class_ids = np.unique(labels)
-    if class_ids.size < 2:
-        raise SingleClass(f"need >= 2 classes, got {class_ids.size}")
+    class_ids = one_vs_rest_classes(labels, gram.n)
     alpha = np.zeros((class_ids.size, gram.n))
     b = np.zeros(class_ids.size)
     signs = _one_vs_rest_signs(labels, class_ids)

@@ -1,4 +1,5 @@
-"""Smoke test: every script under demos/ runs to completion."""
+"""Smoke tests: every script under demos/ runs to completion, and the
+README library quick start runs and classifies."""
 
 import os
 import subprocess
@@ -21,3 +22,12 @@ def test_demo_exits_cleanly(script, tmp_path):
                           env=env, capture_output=True, text=True,
                           timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+def test_readme_quick_start_classifies():
+    text = (REPO / "README.md").read_text(encoding="utf-8")
+    section = text.split("## Library quick start", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(compile(code, "README.md", "exec"), namespace)
+    assert namespace["accuracy"] >= 0.95

@@ -34,7 +34,7 @@ from treemkl.simplex import (
     backprop_through_simplex,
     to_simplex,
 )
-from treemkl.svm import predict, train_one_vs_rest
+from treemkl.svm import TrainConfig, predict, train_one_vs_rest
 from treemkl.synth import SynthSpec, gen_sequences
 
 RBF = KernelConfig("rbf", 0.6)
@@ -372,6 +372,37 @@ class TestDmklFit:
 
 
 class TestDmklThenSvm:
+    """The one-vs-rest machines ``dmkl_fit`` trains on its frozen weights,
+    and ``dmkl_then_svm``, its former name."""
+
+    @pytest.mark.parametrize("variant", [CONCATENATION, AVERAGING])
+    def test_model_is_svm_on_gram_matrix(self, variant):
+        train, y_train, *_ = synth_setup(7, per_class=6)
+        kcfg = KernelConfig("rbf", median_gamma(train))
+        svm_cfg = TrainConfig(c_box=3.0)
+        res = dmkl_fit(train, y_train, variant,
+                       ContrastiveConfig(iterations=40, seed=7), kcfg, svm_cfg)
+        gram = gram_matrix(train, res.weights.beta, variant, kcfg)
+        plain = train_one_vs_rest(gram, y_train, svm_cfg)
+        np.testing.assert_array_equal(res.model.alpha, plain.alpha)
+        np.testing.assert_array_equal(res.model.b, plain.b)
+        assert res.model.train_ids == gram.ids
+
+    def test_former_name_returns_the_same_result(self):
+        train, y_train, *_ = synth_setup(8, per_class=6)
+        kcfg = KernelConfig("rbf", median_gamma(train))
+        args = (train, y_train, AVERAGING,
+                ContrastiveConfig(iterations=30, seed=8), kcfg,
+                TrainConfig(c_box=2.0))
+        fit, alias = dmkl_fit(*args), dmkl_then_svm(*args)
+        for name in ("loss_trace", "beta_trace"):
+            np.testing.assert_array_equal(getattr(alias, name),
+                                          getattr(fit, name))
+        np.testing.assert_array_equal(alias.weights.raw, fit.weights.raw)
+        for name in ("alpha", "b", "labels", "class_ids"):
+            np.testing.assert_array_equal(getattr(alias.model, name),
+                                          getattr(fit.model, name))
+
     def test_depth1_equals_gap_svm(self):
         spec = SynthSpec(num_classes=3, per_class=12, frames=16, dim=8,
                          signal_level=1, amplitude=1.5, noise_sigma=0.5,
@@ -382,8 +413,8 @@ class TestDmklThenSvm:
         tr, te = data.split_indices("train"), data.split_indices("test")
         train, test = [trees[i] for i in tr], [trees[i] for i in te]
         kcfg = KernelConfig("rbf", median_gamma(train))
-        res = dmkl_then_svm(train, data.labels[tr], AVERAGING,
-                            ContrastiveConfig(iterations=30, seed=4), kcfg)
+        res = dmkl_fit(train, data.labels[tr], AVERAGING,
+                       ContrastiveConfig(iterations=30, seed=4), kcfg)
         np.testing.assert_array_equal(res.weights.beta, [1.0])
         gram = gram_matrix(train, np.array([1.0]), AVERAGING, kcfg)
         plain = train_one_vs_rest(gram, data.labels[tr])
@@ -395,9 +426,9 @@ class TestDmklThenSvm:
     def test_separable_test_accuracy(self):
         train, y_train, test, y_test, _ = synth_setup(5, per_class=30)
         kcfg = KernelConfig("rbf", median_gamma(train))
-        res = dmkl_then_svm(train, y_train, AVERAGING,
-                            ContrastiveConfig(seed=5, iterations=1000,
-                                              positive_fraction=0.5), kcfg)
+        res = dmkl_fit(train, y_train, AVERAGING,
+                       ContrastiveConfig(seed=5, iterations=1000,
+                                         positive_fraction=0.5), kcfg)
         cols = kernel_columns(test, train, res.weights.beta, AVERAGING, kcfg)
         assert np.mean(predict(res.model, cols) == y_test) >= 0.95
 
@@ -409,16 +440,16 @@ class TestDmklThenSvm:
         calls = []
         monkeypatch.setattr(NodeKernelCache, "cross",
                             lambda cache: calls.append(cache))
-        dmkl_then_svm(train, y_train, AVERAGING,
-                      ContrastiveConfig(iterations=5, seed=3), kcfg)
+        dmkl_fit(train, y_train, AVERAGING,
+                 ContrastiveConfig(iterations=5, seed=3), kcfg)
         assert calls == []
 
     def test_rerun_bit_identical(self):
         train, y_train, *_ = synth_setup(6)
         kcfg = KernelConfig("rbf", median_gamma(train))
         cfg = ContrastiveConfig(iterations=60, seed=6)
-        r1 = dmkl_then_svm(train, y_train, CONCATENATION, cfg, kcfg)
-        r2 = dmkl_then_svm(train, y_train, CONCATENATION, cfg, kcfg)
+        r1 = dmkl_fit(train, y_train, CONCATENATION, cfg, kcfg)
+        r2 = dmkl_fit(train, y_train, CONCATENATION, cfg, kcfg)
         np.testing.assert_array_equal(r1.model.alpha, r2.model.alpha)
         np.testing.assert_array_equal(r1.model.b, r2.model.b)
         np.testing.assert_array_equal(r1.weights.beta, r2.weights.beta)

@@ -31,8 +31,7 @@ def trained_instance(rng, n=10, depth=2):
     labels = np.array([1 + (i % 2) for i in range(n)])
     cache = NodeKernelCache(trees, RBF)
     beta = np.full(cache.nodes, 1.0 / cache.nodes)
-    from treemkl.kernels import gram_from_cache
-    gram = gram_from_cache(cache, beta, CONCATENATION)
+    gram = gram_matrix(trees, beta, CONCATENATION, RBF)
     model = train_one_vs_rest(gram, labels, TrainConfig(c_box=5.0))
     return trees, labels, cache, model
 
@@ -204,6 +203,21 @@ class TestEmFit:
         trees = random_trees(rng, n=6, depth=2)
         with pytest.raises(errors.SingleClass):
             em_fit(trees, np.ones(6, dtype=int), CONCATENATION, RBF)
+
+    @pytest.mark.parametrize("variant", [CONCATENATION, AVERAGING])
+    @pytest.mark.parametrize("n_labels", [199, 201])
+    def test_label_count_must_match_trees(self, rng, monkeypatch, variant,
+                                          n_labels):
+        trees = random_trees(rng, n=200, depth=4)
+        labels = np.array([1 + (i % 2) for i in range(n_labels)])
+
+        def no_cache(*args):
+            raise AssertionError("the cache was built before the check")
+
+        monkeypatch.setattr(em, "NodeKernelCache", no_cache)
+        with pytest.raises(errors.ShapeMismatch,
+                           match=f"{n_labels} labels for 200 videos"):
+            em_fit(trees, labels, variant, RBF)
 
     def test_start_is_simplex_weights_init(self, rng):
         trees = random_trees(rng, n=8, depth=3)

@@ -375,6 +375,11 @@ class TestExitCodesAndWorkers:
         assert_one_error_line(capsys, needle)
         assert loads == []
 
+    @pytest.mark.parametrize("field", ["kernel_kind", "stream"])
+    def test_config_refuses_unknown_kernel_kind_and_stream(self, field):
+        with pytest.raises(errors.ValidationError, match="unknown .* 'foo'"):
+            pipeline.PipelineConfig(depth=2, **{field: "foo"})
+
     def test_contrastive_linear_kernel_is_validation_exit(self, workspace,
                                                           tmp_path, capsys):
         out = tmp_path / "o"
@@ -509,9 +514,13 @@ class TestExitCodesAndWorkers:
          "'classes.1.support.0.alpha'"),
         (lambda d: d["classes"]["1"].update(b=None), "'classes.1.b'"),
         (lambda d: d["config"].update(depth=2), "'config.depth'"),
+        (lambda d: d["config"]["kernel"].update(kind="foo"),
+         "'config.kernel': unknown kernel kind 'foo'"),
+        (lambda d: d["config"].update(stream="foo"),
+         "'config': unknown stream 'foo'"),
     ], ids=["depth-abc", "depth-3.7", "gamma-x", "c_box-x", "beta-x",
             "class-one", "alpha-x", "alpha-nan", "alpha-neg", "b-null",
-            "depth-2-on-3"])
+            "depth-2-on-3", "kind-foo", "stream-foo"])
     def test_artifact_malformed_value_is_named(self, workspace, tmp_path,
                                                capsys, edit, named):
         doc = json.loads((workspace / "em_a" / "model.json").read_text())
@@ -598,8 +607,16 @@ class TestValidationExits:
         (lambda ls: ls.insert(2, "{not json"), ":3: bad JSON"),
         (lambda ls: ls.insert(2, ls[0]), ":3: label_names must be the first"),
         (lambda ls: ls[2].pop("split"), ":3: missing keys ['split']"),
+        (lambda ls: ls[2].update(video_id=None),
+         ":3: video_id None is not a string"),
+        (lambda ls: ls[2].update(video_id=["x"]),
+         ":3: video_id ['x'] is not a string"),
+        (lambda ls: ls[2].update(split=5), ":3: split 5 is not a string"),
+        (lambda ls: ls[0]["label_names"].update({"1": None}),
+         ":1: label_names value None is not a string"),
     ], ids=["int", "null", "string", "int-path", "bad-json",
-            "late-label-names", "missing-split"])
+            "late-label-names", "missing-split", "null-video-id",
+            "list-video-id", "int-split", "null-label-name"])
     def test_bad_manifest_line_exits_before_reading_features(
             self, workspace, tmp_path, capsys, monkeypatch, edit, needle):
         reads = []

@@ -254,6 +254,11 @@ class TestOneVsRest:
         with pytest.raises(errors.SingleClass):
             train_one_vs_rest(gram, np.ones_like(labels))
 
+    def test_one_video_is_too_few(self):
+        gram = GramMatrix(values=np.ones((1, 1)), ids=("v0",))
+        with pytest.raises(errors.TooFewVideos, match="got 1"):
+            train_one_vs_rest(gram, np.array([1]))
+
     def test_deterministic(self, rng):
         gram, labels, _ = cluster_gram(rng, classes=3)
         m1 = train_one_vs_rest(gram, labels)
