@@ -8,22 +8,28 @@ timestamps, sorted keys, deterministic float formatting).
 
 Exit codes: 0 on success, 2 for validation problems (bad files, flags,
 or data), 3 when a solver does not converge.
+
+A flag left out keeps the default of the config field or parameter it
+sets; defaults and allowed values have one owner, not this parser.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
 
-from .dataio import load_manifest
+from .dataio import STREAMS, load_manifest
 from .dmkl import ContrastiveConfig
 from .em import EmConfig
 from .errors import EmptySplit, NoRuns, NumericalError, ValidationError
 from .hierarchy import write_pooled_file
-from .kernels import VARIANT_ALIASES
+from .kernels import KERNEL_KINDS, VARIANT_ALIASES
 from .pipeline import (
+    FUSION_MODES,
+    NORMS,
     PipelineConfig,
     beta_level_rows,
     evaluate_artifact,
@@ -83,35 +89,32 @@ def _manifest_root(manifest_path: str) -> str:
     return os.path.dirname(os.path.abspath(manifest_path))
 
 
+def _given(args, names) -> dict:
+    """The flags among ``names`` that were given (argparse leaves out the
+    rest), by name."""
+    return {name: getattr(args, name) for name in names if name in args}
+
+
+def _config(cls, args):
+    """A ``cls`` from the given flags named like its fields."""
+    return cls(**_given(args, [f.name for f in dataclasses.fields(cls)]))
+
+
 def _pipeline_config(args) -> PipelineConfig:
-    gamma = args.gamma
-    if gamma != "median":
+    if "gamma" in args and args.gamma != "median":
         try:
-            gamma = float(gamma)
+            args.gamma = float(args.gamma)
         except ValueError:
-            raise ValidationError(
-                f"--gamma must be a number or 'median', got {gamma!r}") from None
-    return PipelineConfig(depth=args.depth, variant=args.variant,
-                          stream=args.stream, kernel_kind=args.kernel,
-                          gamma=gamma, feature_norm=args.feature_norm,
-                          node_norm=args.node_norm, seed=args.seed)
-
-
-def _svm_config(args) -> TrainConfig:
-    return TrainConfig(c_box=args.c_box, kkt_tol=args.kkt_tol,
-                       max_passes=args.max_passes)
+            raise ValidationError(f"--gamma must be a number or 'median', "
+                                  f"got {args.gamma!r}") from None
+    return _config(PipelineConfig, args)
 
 
 # --- commands -------------------------------------------------------------------
 
 
 def cmd_gen_synth(args) -> int:
-    spec = SynthSpec(num_classes=args.classes, per_class=args.per_class,
-                     frames=args.frames, dim=args.dim,
-                     signal_level=args.signal_level,
-                     amplitude=args.amplitude, noise_sigma=args.noise_sigma,
-                     detail_sigma=args.detail_sigma, seed=args.seed,
-                     streams=args.streams)
+    spec = _config(SynthSpec, args)
     out = _OutDir(args.out)
     manifest = gen_dataset(spec, args.out)
     for rec in manifest.records:
@@ -123,9 +126,7 @@ def cmd_gen_synth(args) -> int:
     out.write_json("dataset.json", {
         "videos": len(manifest.records),
         "classes": manifest.num_classes,
-        "spec": {k: getattr(spec, k) for k in (
-            "num_classes", "per_class", "frames", "dim", "signal_level",
-            "amplitude", "noise_sigma", "detail_sigma", "seed", "streams")},
+        "spec": dataclasses.asdict(spec),
     })
     out.finish()
     return 0
@@ -135,9 +136,7 @@ def cmd_pool(args) -> int:
     out = _OutDir(args.out)
     manifest = load_manifest(args.manifest)
     root = _manifest_root(args.manifest)
-    cfg = PipelineConfig(depth=args.depth, stream=args.stream,
-                         feature_norm=args.feature_norm,
-                         node_norm=args.node_norm)
+    cfg = _pipeline_config(args)
     for split in ("train", "test"):
         try:
             trees, _ = load_split_trees(manifest, root, cfg, split)
@@ -161,22 +160,18 @@ def _emit_training(args, result) -> int:
 
 def cmd_train_em(args) -> int:
     manifest = load_manifest(args.manifest)
-    em_cfg = EmConfig(max_iters=args.max_iters, param_tol=args.param_tol,
-                      eta=args.eta, beta_init=args.beta_init, seed=args.seed)
     result = train_em_route(manifest, _manifest_root(args.manifest),
-                            _pipeline_config(args), em_cfg,
-                            _svm_config(args))
+                            _pipeline_config(args), _config(EmConfig, args),
+                            _config(TrainConfig, args))
     return _emit_training(args, result)
 
 
 def cmd_train_dmkl(args) -> int:
     manifest = load_manifest(args.manifest)
-    contrastive = ContrastiveConfig(
-        learning_rate=args.lr, iterations=args.iters, seed=args.seed,
-        positive_fraction=args.positive_fraction, beta_init=args.beta_init)
     result = train_dmkl_route(manifest, _manifest_root(args.manifest),
-                              _pipeline_config(args), contrastive,
-                              _svm_config(args))
+                              _pipeline_config(args),
+                              _config(ContrastiveConfig, args),
+                              _config(TrainConfig, args))
     return _emit_training(args, result)
 
 
@@ -199,7 +194,7 @@ def cmd_fuse_eval(args) -> int:
     manifest = load_manifest(args.manifest)
     metrics = fuse_evaluate(art_a, art_m, manifest,
                             _manifest_root(args.manifest),
-                            mode=args.mode, weight=args.weight)
+                            **_given(args, ("mode", "weight")))
     out.write_json("metrics.json", metrics)
     out.finish()
     return 0
@@ -249,23 +244,21 @@ def _add_pool_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--stream", choices=("appearance", "motion"),
-                   default="appearance")
-    p.add_argument("--feature-norm", choices=("none", "l2"), default="none")
-    p.add_argument("--node-norm", choices=("none", "l2"), default="none")
+    p.add_argument("--stream", choices=STREAMS)
+    p.add_argument("--feature-norm", choices=NORMS)
+    p.add_argument("--node-norm", choices=NORMS)
 
 
 def _add_common_train_flags(p: argparse.ArgumentParser) -> None:
     _add_pool_flags(p)
-    p.add_argument("--variant", choices=sorted(VARIANT_ALIASES),
-                   default="avg")
-    p.add_argument("--kernel", choices=("rbf", "linear"), default="rbf")
-    p.add_argument("--gamma", default="median",
+    p.add_argument("--variant", choices=sorted(VARIANT_ALIASES))
+    p.add_argument("--kernel", dest="kernel_kind", choices=KERNEL_KINDS)
+    p.add_argument("--gamma",
                    help="rbf bandwidth, or 'median' for the data heuristic")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--c-box", type=float, default=10.0)
-    p.add_argument("--kkt-tol", type=float, default=1e-6)
-    p.add_argument("--max-passes", type=int, default=200)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--c-box", type=float)
+    p.add_argument("--kkt-tol", type=float)
+    p.add_argument("--max-passes", type=int)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -275,61 +268,63 @@ def build_parser() -> argparse.ArgumentParser:
                     "multi-granularity kernel weights")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen-synth", help="generate a synthetic dataset")
+    def add(name: str, summary: str) -> argparse.ArgumentParser:
+        return sub.add_parser(name, help=summary,
+                              argument_default=argparse.SUPPRESS)
+
+    p = add("gen-synth", "generate a synthetic dataset")
     p.add_argument("--out", required=True)
-    p.add_argument("--classes", type=int, default=4)
-    p.add_argument("--per-class", type=int, default=50)
-    p.add_argument("--frames", type=int, default=32)
-    p.add_argument("--dim", type=int, default=16)
-    p.add_argument("--signal-level", type=int, default=3)
-    p.add_argument("--amplitude", type=float, default=1.5)
-    p.add_argument("--noise-sigma", type=float, default=0.5)
-    p.add_argument("--detail-sigma", type=float, default=1.5)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--streams", type=int, choices=(1, 2), default=1)
+    p.add_argument("--classes", dest="num_classes", type=int)
+    p.add_argument("--per-class", type=int)
+    p.add_argument("--frames", type=int)
+    p.add_argument("--dim", type=int)
+    p.add_argument("--signal-level", type=int)
+    p.add_argument("--amplitude", type=float)
+    p.add_argument("--noise-sigma", type=float)
+    p.add_argument("--detail-sigma", type=float)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--streams", type=int)
     p.set_defaults(func=cmd_gen_synth)
 
-    p = sub.add_parser("pool", help="write pooled trees for a manifest")
+    p = add("pool", "write pooled trees for a manifest")
     _add_pool_flags(p)
     p.set_defaults(func=cmd_pool)
 
-    p = sub.add_parser("train-em",
-                       help="alternating kernel-weight / SVM training")
+    p = add("train-em", "alternating kernel-weight / SVM training")
     _add_common_train_flags(p)
-    p.add_argument("--eta", type=float, default=0.5)
-    p.add_argument("--max-iters", type=int, default=50)
-    p.add_argument("--param-tol", type=float, default=1e-4)
-    p.add_argument("--beta-init", choices=INIT_SCHEMES, default="uniform")
+    p.add_argument("--eta", type=float)
+    p.add_argument("--max-iters", type=int)
+    p.add_argument("--param-tol", type=float)
+    p.add_argument("--beta-init", choices=INIT_SCHEMES)
     p.set_defaults(func=cmd_train_em)
 
-    p = sub.add_parser("train-dmkl", help="contrastive kernel-weight training")
+    p = add("train-dmkl", "contrastive kernel-weight training")
     _add_common_train_flags(p)
-    p.add_argument("--lr", type=float, default=0.0005)
+    p.add_argument("--lr", dest="learning_rate", type=float)
     p.add_argument("--batch", type=int, help="ignored; every pair is used")
-    p.add_argument("--iters", type=int, default=4000)
-    p.add_argument("--positive-fraction", type=float, default=None)
-    p.add_argument("--beta-init", choices=INIT_SCHEMES, default="uniform")
+    p.add_argument("--iters", dest="iterations", type=int)
+    p.add_argument("--positive-fraction", type=float)
+    p.add_argument("--beta-init", choices=INIT_SCHEMES)
     p.set_defaults(func=cmd_train_dmkl)
 
-    p = sub.add_parser("eval", help="score a trained model on the test split")
+    p = add("eval", "score a trained model on the test split")
     p.add_argument("--model", required=True)
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("fuse-eval", help="two-stream fusion evaluation")
+    p = add("fuse-eval", "two-stream fusion evaluation")
     p.add_argument("--model-a", required=True,
                    help="appearance-stream model artifact")
     p.add_argument("--model-m", required=True,
                    help="motion-stream model artifact")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--mode", choices=("kernel-avg", "score-avg"),
-                   default="kernel-avg")
-    p.add_argument("--weight", type=float, default=0.5)
+    p.add_argument("--mode", choices=FUSION_MODES)
+    p.add_argument("--weight", type=float)
     p.set_defaults(func=cmd_fuse_eval)
 
-    p = sub.add_parser("report", help="summarize completed runs")
+    p = add("report", "summarize completed runs")
     p.add_argument("--runs", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_report)
@@ -338,9 +333,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        if os.path.exists(args.out) and not os.path.isdir(args.out):
+            raise ValidationError(f"--out {args.out}: not a directory")
         return args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

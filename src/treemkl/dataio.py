@@ -171,7 +171,7 @@ def _read_container(path: str | os.PathLike, magic: bytes,
     try:
         with open(path, "rb") as fh:
             data = fh.read()
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, IsADirectoryError) as exc:
         raise MissingPath(f"{path}: no such {magic.decode()} file") from exc
     if len(data) < 4 or data[:4] != magic:
         raise BadMagic(f"{path}: offset 0: expected {magic!r}, "
@@ -273,17 +273,15 @@ def load_manifest(path: str | os.PathLike) -> DatasetManifest:
                 if not isinstance(obj.get(key, ""), (str, type(None))):
                     raise ValidationError(
                         f"{at} {key} {obj[key]!r} is not a path")
+            entry = dict(video_id=_text(obj["video_id"], f"{at} video_id"),
+                         label=_class_id(obj["label"], f"{at} label"),
+                         appearance=obj.get("appearance"),
+                         motion=obj.get("motion"),
+                         split=_text(obj["split"], f"{at} split"))
             try:
-                rec = VideoRecord(
-                    video_id=_text(obj["video_id"], f"{at} video_id"),
-                    label=_class_id(obj["label"], f"{at} label"),
-                    appearance=obj.get("appearance"),
-                    motion=obj.get("motion"),
-                    split=_text(obj["split"], f"{at} split"),
-                )
-            except MissingPath as exc:
-                raise MissingPath(f"{at} {exc}") from exc
-            records.append(rec)
+                records.append(VideoRecord(**entry))
+            except ValidationError as exc:
+                raise type(exc)(f"{at} {exc}") from exc
     return DatasetManifest(records=records, label_names=label_names)
 
 

@@ -49,6 +49,7 @@ from .hierarchy import PooledTree
 
 CONCATENATION = "concatenation"
 AVERAGING = "averaging"
+KERNEL_KINDS = ("rbf", "linear")
 
 # alias map accepted on CLI surfaces
 VARIANT_ALIASES = {"concat": CONCATENATION, "avg": AVERAGING,
@@ -100,7 +101,7 @@ class KernelConfig:
     gamma: float | None = None
 
     def __post_init__(self):
-        if self.kind not in ("rbf", "linear"):
+        if self.kind not in KERNEL_KINDS:
             raise ValidationError(f"unknown kernel kind {self.kind!r}")
         if self.kind == "rbf" and (self.gamma is None
                                    or not 0 < self.gamma < np.inf):

@@ -49,6 +49,7 @@ from .svm import (
 )
 
 NORMS = ("none", "l2")
+FUSION_MODES = ("kernel-avg", "score-avg")
 ARTIFACT_FORMAT = "treemkl-model-v1"
 
 
@@ -92,8 +93,9 @@ def _load_one(record: VideoRecord, root: str, cfg: PipelineConfig,
         raise MissingFeatures(
             f"{record.video_id}: no {cfg.stream} stream in manifest")
     path = rel if os.path.isabs(rel) else os.path.join(root, rel)
-    if not os.path.exists(path):
-        raise MissingFeatures(f"{record.video_id}: {path} not found")
+    if not os.path.isfile(path):
+        raise MissingFeatures(
+            f"{record.video_id}: feature file {path} not found")
     seq = load_feature_file(path, video_id=record.video_id, stream=cfg.stream)
     if cfg.feature_norm == "l2":
         seq = type(seq)(video_id=seq.video_id, stream=seq.stream,
@@ -255,13 +257,14 @@ def load_artifact(path: str | os.PathLike) -> ModelArtifact:
     gamma = get("config.kernel.gamma", "a finite number or null")
     kernel = _made(KernelConfig, "config.kernel", path,
                    kind=get("config.kernel.kind", "a string"), gamma=gamma)
+    # a norm left out keeps PipelineConfig's default
+    norms = {k: config[k] for k in ("feature_norm", "node_norm")
+             if k in config}
     cfg = _made(PipelineConfig, "config", path,
                 depth=get("config.depth", "an integer"),
                 variant=get("config.variant", "a string"),
                 stream=get("config.stream", "a string"),
-                kernel_kind=kernel.kind, gamma=gamma or "median",
-                feature_norm=config.get("feature_norm", "none"),
-                node_norm=config.get("node_norm", "none"))
+                kernel_kind=kernel.kind, gamma=gamma or "median", **norms)
     c_box = get("config.svm.c_box", "a number or null")
     svm = _made(TrainConfig, "config.svm", path,
                 c_box=math.inf if c_box is None else float(c_box),
@@ -271,11 +274,16 @@ def load_artifact(path: str | os.PathLike) -> ModelArtifact:
     beta = get("beta", "an object")
     if sorted(beta) != sorted(nodes):
         raise ArtifactMismatch(f"{path}: 'beta' keys do not match 'config.depth'")
-    beta = check_on_simplex(np.array(
+    beta = _made(check_on_simplex, "beta", path, np.array(
         [_checked(beta[n], f"beta.{n}", "a finite number", path)
          for n in nodes]))
     keyed = sorted((_made(_class_id, "classes", path, key, "class key"), key)
                    for key in get("classes", "an object"))
+    ids = [c for c, _ in keyed]
+    if len(ids) < 2 or len(set(ids)) < len(ids):
+        raise ArtifactMismatch(f"{path}: 'classes' needs at least 2 classes, "
+                               f"each under one key, got keys "
+                               f"{[key for _, key in keyed]}")
     b, entries, columns = [], [], {}
     for ci, (_, key) in enumerate(keyed):
         b.append(get(f"classes.{key}.b", "a finite number"))
@@ -290,11 +298,12 @@ def load_artifact(path: str | os.PathLike) -> ModelArtifact:
             entries.append((ci, columns.setdefault(vid, len(columns)),
                             _checked(sv["alpha"], at + "alpha",
                                      "a finite number >= 0", path)))
+    if not columns:
+        raise ArtifactMismatch(f"{path}: 'classes' lists no support video")
     alpha = np.zeros((len(keyed), len(columns)))
     for ci, j, a in entries:
         alpha[ci, j] = a
-    return ModelArtifact(config, cfg, kernel, svm, beta,
-                         np.array([c for c, _ in keyed]),
+    return ModelArtifact(config, cfg, kernel, svm, beta, np.array(ids),
                          np.array(b, dtype=np.float64), list(columns), alpha)
 
 
@@ -427,6 +436,8 @@ def fuse_evaluate(art_a: ModelArtifact, art_m: ModelArtifact,
     """
     if not (0.0 <= weight <= 1.0):
         raise ValidationError(f"fusion weight {weight} outside [0, 1]")
+    if mode not in FUSION_MODES:
+        raise ValidationError(f"unknown fusion mode {mode!r}")
     _check_fusable(art_a, art_m)
     if mode == "score-avg":
         (test_a, truth), (test_m, _) = (
@@ -438,11 +449,9 @@ def fuse_evaluate(art_a: ModelArtifact, art_m: ModelArtifact,
                  (1.0 - weight) * _artifact_scores(art_m, test_m, manifest,
                                                    root))
         preds = art_a.class_ids[np.argmax(fused, axis=1)]
-    elif mode == "kernel-avg":
+    else:
         preds, truth = _kernel_avg_predict(art_a, art_m, manifest, root,
                                            weight)
-    else:
-        raise ValidationError(f"unknown fusion mode {mode!r}")
     metrics = _metrics(preds, truth, manifest.label_names)
     metrics["config"] = {"fusion": mode, "weight": weight,
                          "stream_a": art_a.config,

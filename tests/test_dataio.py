@@ -131,6 +131,11 @@ class TestFeatureFileErrors:
             with pytest.raises(errors.MissingPath):
                 load(tmp_path / "absent")
 
+    def test_directory_is_missing_file(self, tmp_path):
+        for _, load in FORMATS:
+            with pytest.raises(errors.MissingPath, match="no such"):
+                load(tmp_path)
+
     def test_node_count_not_full_tree(self, tmp_path):
         # 4 node vectors fit no depth (1, 3, 7, ... nodes)
         path = tmp_path / "four.gpt"

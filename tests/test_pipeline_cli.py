@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import json
 import os
 import re
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from oracles import artifact_scores_oracle
-from treemkl import errors, kernels, pipeline, svm
+from treemkl import cli, errors, kernels, pipeline, svm
 from treemkl.cli import main
 from treemkl.dataio import (StreamFeatureSequence, load_feature_file,
                             load_manifest)
@@ -17,6 +18,7 @@ from treemkl.em import EmConfig
 from treemkl.hierarchy import Hierarchy, PooledTree, pool_sequence
 from treemkl.kernels import kernel_columns
 from treemkl.pipeline import evaluate_artifact, fuse_evaluate, load_artifact
+from treemkl.synth import SynthSpec
 
 
 def run_cli(*argv):
@@ -518,9 +520,24 @@ class TestExitCodesAndWorkers:
          "'config.kernel': unknown kernel kind 'foo'"),
         (lambda d: d["config"].update(stream="foo"),
          "'config': unknown stream 'foo'"),
+        (lambda d: d["beta"].update({"1:1": d["beta"]["1:1"] + 0.5}),
+         "'beta': beta sums to"),
+        (lambda d: d.update(classes={}),
+         "'classes' needs at least 2 classes, each under one key, got "
+         "keys []"),
+        (lambda d: d.update(classes={"1": d["classes"]["1"]}),
+         "'classes' needs at least 2 classes, each under one key, got "
+         "keys ['1']"),
+        (lambda d: d.update(classes={"1": d["classes"]["1"],
+                                     "01": d["classes"]["2"]}),
+         "'classes' needs at least 2 classes, each under one key, got "
+         "keys ['01', '1']"),
+        (lambda d: [c.update(support=[]) for c in d["classes"].values()],
+         "'classes' lists no support video"),
     ], ids=["depth-abc", "depth-3.7", "gamma-x", "c_box-x", "beta-x",
             "class-one", "alpha-x", "alpha-nan", "alpha-neg", "b-null",
-            "depth-2-on-3", "kind-foo", "stream-foo"])
+            "depth-2-on-3", "kind-foo", "stream-foo", "beta-off-simplex",
+            "no-classes", "one-class", "class-1-and-01", "no-support"])
     def test_artifact_malformed_value_is_named(self, workspace, tmp_path,
                                                capsys, edit, named):
         doc = json.loads((workspace / "em_a" / "model.json").read_text())
@@ -631,6 +648,26 @@ class TestValidationExits:
         assert_one_error_line(capsys, f"{path}{needle}")
         assert reads == []
 
+    @pytest.mark.parametrize("edit, error, message", [
+        (lambda obj: obj.update(split="val"), errors.ValidationError,
+         "bad split 'val'"),
+        (lambda obj: [obj.pop(s) for s in ("appearance", "motion")],
+         errors.MissingPath, "no stream path present")],
+        ids=["val-split", "no-stream"])
+    def test_record_error_names_path_and_line(self, workspace, tmp_path,
+                                              capsys, edit, error, message):
+        lines = manifest_objects(workspace)
+        edit(lines[2])
+        path = write_manifest_lines(tmp_path / "manifest.jsonl", lines)
+        named = f"{path}:3: {lines[2]['video_id']}: {message}"
+        with pytest.raises(error) as exc:
+            load_manifest(path)
+        assert type(exc.value) is error and str(exc.value) == named
+        code = run_cli("train-em", "--manifest", path,
+                       "--out", tmp_path / "o", "--depth", 2)
+        assert code == 2
+        assert_one_error_line(capsys, named)
+
     def test_non_contiguous_class_ids(self, workspace, tmp_path, capsys):
         lines = manifest_objects(workspace)
         lines[0]["label_names"]["5"] = "class_5"
@@ -648,6 +685,24 @@ class TestValidationExits:
                        "--out", tmp_path / "o", "--depth", 2)
         assert code == 2
         assert_one_error_line(capsys, "gone.gpf not found")
+
+    @pytest.mark.parametrize("command", ["train-em", "eval"])
+    @pytest.mark.parametrize("feature_path", ["", "."])
+    def test_feature_path_that_is_no_file(self, workspace, tmp_path, capsys,
+                                          command, feature_path):
+        split, flags = (("train", ["--depth", 2]) if command == "train-em"
+                        else ("test", ["--model",
+                                       workspace / "em_a" / "model.json"]))
+        lines = manifest_objects(workspace)
+        record = next(obj for obj in lines[1:] if obj["split"] == split)
+        record["appearance"] = feature_path
+        path = write_manifest_lines(tmp_path / "manifest.jsonl", lines)
+        code = run_cli(command, "--manifest", path, "--out", tmp_path / "o",
+                       *flags)
+        assert code == 2
+        assert_one_error_line(
+            capsys, f"{record['video_id']}: feature file "
+                    f"{os.path.join(tmp_path, feature_path)} not found")
 
     @pytest.mark.parametrize("text, needle", [
         ("{not json", "not valid JSON"),
@@ -744,3 +799,102 @@ class TestPoolCommand:
     def test_validation_exit_code(self, tmp_path):
         assert run_cli("pool", "--manifest", tmp_path / "missing.jsonl",
                        "--out", tmp_path / "o", "--depth", 3) == 2
+
+
+def command_flags(workspace):
+    """Every command with its required flags but ``--out``."""
+    data = workspace / "data" / "manifest.jsonl"
+    model_a = workspace / "dm_a" / "model.json"
+    model_m = workspace / "dm_m" / "model.json"
+    return {
+        "gen-synth": [],
+        "pool": ["--manifest", data, "--depth", 2],
+        "train-em": ["--manifest", data, "--depth", 2],
+        "train-dmkl": ["--manifest", data, "--depth", 2],
+        "eval": ["--model", model_a, "--manifest", data],
+        "fuse-eval": ["--model-a", model_a, "--model-m", model_m,
+                      "--manifest", data],
+        "report": ["--runs", workspace],
+    }
+
+
+class TestOutDirectory:
+    @pytest.mark.parametrize("command", [
+        "gen-synth", "pool", "train-em", "train-dmkl", "eval", "fuse-eval",
+        "report"])
+    def test_out_that_is_a_file_exits_before_reading(
+            self, workspace, tmp_path, capsys, monkeypatch, command):
+        reads = []
+        for name in ("load_manifest", "load_artifact"):
+            monkeypatch.setattr(cli, name, lambda *a, **k: reads.append(a))
+        out = tmp_path / "out"
+        out.write_text("kept\n")
+        code = run_cli(command, *command_flags(workspace)[command],
+                       "--out", out)
+        assert code == 2
+        assert_one_error_line(capsys, f"--out {out}: not a directory")
+        assert reads == [] and out.read_text() == "kept\n"
+
+
+class TestFlagsLeftOut:
+    """A command given only its required flags builds every config equal
+    to the default of its dataclass or parameter."""
+
+    def test_gen_synth_spec(self, tmp_path):
+        assert run_cli("gen-synth", "--out", tmp_path / "d") == 0
+        doc = json.loads((tmp_path / "d" / "dataset.json").read_text())
+        assert doc["spec"] == dataclasses.asdict(SynthSpec())
+
+    @pytest.mark.parametrize("command, fit, route_arg, route_cfg", [
+        ("train-em", "em_fit", "em_cfg", EmConfig()),
+        ("train-dmkl", "dmkl_fit", "cfg", ContrastiveConfig())])
+    def test_training_configs(self, workspace, tmp_path, monkeypatch,
+                              command, fit, route_arg, route_cfg):
+        seen = {}
+        real_load = pipeline.load_split_trees
+        real_fit = getattr(pipeline, fit)
+
+        def load(manifest, root, cfg, split):
+            seen["pipeline"] = cfg
+            return real_load(manifest, root, cfg, split)
+
+        def spy(*args, **kwargs):
+            bound = inspect.signature(real_fit).bind(*args, **kwargs)
+            seen["route"] = bound.arguments[route_arg]
+            seen["svm"] = bound.arguments["svm_cfg"]
+            return real_fit(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "load_split_trees", load)
+        monkeypatch.setattr(pipeline, fit, spy)
+        out = tmp_path / "o"
+        assert run_cli(command, *command_flags(workspace)[command],
+                       "--out", out) == 0
+        assert seen == {"pipeline": pipeline.PipelineConfig(depth=2),
+                        "route": route_cfg, "svm": svm.TrainConfig()}
+        doc = json.loads((out / "model.json").read_text())
+        assert doc["config"]["svm"] == dataclasses.asdict(svm.TrainConfig())
+
+    def test_pool_config(self, workspace, tmp_path, monkeypatch):
+        seen = []
+        real = pipeline.load_split_trees
+        monkeypatch.setattr(cli, "load_split_trees",
+                            lambda m, r, cfg, split: seen.append(cfg)
+                            or real(m, r, cfg, split))
+        assert run_cli("pool", *command_flags(workspace)["pool"],
+                       "--out", tmp_path / "o") == 0
+        assert seen == [pipeline.PipelineConfig(depth=2)] * 2
+
+    def test_fuse_eval_mode_and_weight(self, workspace, tmp_path,
+                                       monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "fuse_evaluate",
+                            lambda *a, **k: calls.append(k)
+                            or fuse_evaluate(*a, **k))
+        out = tmp_path / "o"
+        assert run_cli("fuse-eval", *command_flags(workspace)["fuse-eval"],
+                       "--out", out) == 0
+        assert calls == [{}]
+        params = inspect.signature(fuse_evaluate).parameters
+        config = json.loads((out / "metrics.json").read_text())["config"]
+        assert (config["fusion"], config["weight"]) == (
+            params["mode"].default, params["weight"].default)
