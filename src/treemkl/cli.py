@@ -332,11 +332,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_out(path: str) -> None:
+    """Refuse an empty ``--out``, and one that is, or would be made
+    under, anything but a directory: its nearest existing ancestor
+    decides."""
+    if not path:
+        raise ValidationError("--out is empty")
+    probe = os.path.abspath(path)
+    while not os.path.lexists(probe):
+        probe = os.path.dirname(probe)
+    if not os.path.isdir(probe):
+        what = "" if probe == os.path.abspath(path) else f"{probe} is "
+        raise ValidationError(f"--out {path}: {what}not a directory")
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if os.path.exists(args.out) and not os.path.isdir(args.out):
-            raise ValidationError(f"--out {args.out}: not a directory")
+        _check_out(args.out)
         return args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -158,9 +158,10 @@ def pair_moments(cache: NodeKernelCache, table: _PairTable, variant: str,
     """``A``, ``b``, ``c`` of the margin-0 loss over the pairs of ``table``,
     weighted ``f / |pos|`` or ``(1 - f) / |neg|`` by polarity for
     ``positive_fraction = f``, else ``1 / |pairs|``. Pair (i, j)'s row of q
-    node kernels, q = ``len(node_weights)``, is ``block[i - r0, j]`` of the
-    ``cache.table_blocks`` block from row video r0 on. A (q, q) ``A`` over
-    ``_DENSE_LIMIT`` is refused."""
+    node kernels, q = ``len(node_weights)``, is ``block[i - r0, j - r0]``
+    of the ``cache.table_blocks`` block from row video r0 on (every pair
+    has ``j > i >= r0``). A (q, q) ``A`` over ``_DENSE_LIMIT`` is
+    refused."""
     variant = canonical_variant(variant)
     q = node_weights(np.ones(cache.nodes), variant).size
     if q * q > _DENSE_LIMIT:
@@ -176,7 +177,7 @@ def pair_moments(cache: NodeKernelCache, table: _PairTable, variant: str,
     A, b = np.zeros((q, q)), np.zeros(q)
     for r0, block in cache.table_blocks(variant):
         lo, hi = np.searchsorted(table.i, (r0, r0 + len(block)))
-        rows = block[table.i[lo:hi] - r0, table.j[lo:hi]]
+        rows = block[table.i[lo:hi] - r0, table.j[lo:hi] - r0]
         A += rows.T @ (coef[lo:hi, None] * rows)
         b += coef_pos[lo:hi] @ rows
     return A, b, float(coef_pos.sum())

@@ -31,6 +31,14 @@ j, u] = sum_m beta[m] kappa(a_im, b_ju)`` with ``nodes`` entries per
 pair, and ``K(beta) = P @ beta``. The largest table any route allocates
 is therefore (rows, cols, nodes), and the cache refuses one above
 ``_DENSE_LIMIT`` elements with a :class:`ValidationError`.
+
+Over one tree set (training) the cross kernels are symmetric,
+``kappa(a_im, a_ju) = kappa(a_ju, a_im)``, so a block of row videos
+``r0:r1`` is computed only against the videos from ``r0`` on: each
+video pair once, plus the lower half of the block's own square. The
+pairs ``(j, i)`` with ``j >= r1`` are read from the same block with the
+node axes swapped. Between two tree sets (test columns) every block
+covers every column video.
 """
 
 from __future__ import annotations
@@ -209,6 +217,14 @@ class NodeKernelCache:
     to kernel values. Every (rows, cols, nodes) table is refused above
     ``_DENSE_LIMIT`` elements before it is allocated. ``cross()`` and
     ``pair_blocks`` are test oracles that no route calls.
+
+    A cache over two tree sets streams every column video in each block.
+    A cache over one tree set streams, for the block of row videos
+    ``r0:r1``, only the column videos from ``r0`` on: ``table_blocks``
+    and the averaging ``combined`` cover the upper triangle of video
+    pairs (``combined`` mirrors it into the lower one), and
+    ``half_contracted`` fills its lower triangle from the same blocks.
+    ``node_slice`` and ``cross()`` still stream every column video.
     """
 
     def __init__(self, row_trees: list[PooledTree], cfg: KernelConfig,
@@ -253,14 +269,17 @@ class NodeKernelCache:
             self._aligned = out
         return self._aligned
 
-    def _cross_blocks(self, row_nodes: slice = slice(None)):
-        """Yield ``(r0, r1, block)`` with ``block[i, a, j, n] =
-        kappa(row_{r0+i}[row_nodes][a], col_j[n])``, shape (r1 - r0,
-        row nodes, cols, nodes): the only loop that computes cross
-        kernels."""
+    def _cross_blocks(self, row_nodes: slice = slice(None),
+                      all_cols: bool = False):
+        """Yield ``(r0, r1, c0, block)`` with ``block[i, a, j, n] =
+        kappa(row_{r0+i}[row_nodes][a], col_{c0+j}[n])``, shape (r1 - r0,
+        row nodes, cols - c0, nodes): the only loop that computes cross
+        kernels. ``c0 = r0`` for a one-set cache unless ``all_cols``,
+        else 0; the row blocks are the same either way."""
         rows = self.rows[:, row_nodes]
         nr, a, d = rows.shape
         nc, m = self.cols.shape[0], self.nodes
+        upper = self.cols is self.rows and not all_cols
         flat_c = self.cols.reshape(nc * m, d)
         # squared norms in row chunks of about one block each
         parts = np.array_split(flat_c, -(-flat_c.size // _BLOCK_ELEMENTS))
@@ -268,26 +287,26 @@ class NodeKernelCache:
         step = max(1, _BLOCK_ELEMENTS // (nc * m * a))
         for r0 in range(0, nr, step):
             r1 = min(r0 + step, nr)
-            k = _kernel_matrix(rows[r0:r1].reshape(-1, d), flat_c, self.cfg,
-                               col_sq)
-            yield r0, r1, k.reshape(r1 - r0, a, nc, m)
+            c0 = r0 if upper else 0
+            k = _kernel_matrix(rows[r0:r1].reshape(-1, d), flat_c[c0 * m:],
+                               self.cfg, col_sq[c0 * m:])
+            yield r0, r1, c0, k.reshape(r1 - r0, a, nc - c0, m)
 
     def table_blocks(self, variant: str):
-        """Yield ``(r0, block)``: the variant's pair-major table from row
-        video r0 on, shape (row videos, cols, q), q = ``node_weights``'
-        length: ``aligned()`` whole (q = nodes) or the cross kernels one
-        row block at a time (q = nodes**2), never held whole."""
+        """Yield ``(r0, block)``: the variant's pair-major table of a
+        one-set cache from row video r0 on, pair (i, j) with ``j >= r0``
+        at ``block[i - r0, j - r0]``, shape (row videos, videos - r0, q),
+        q = ``node_weights``' length: ``aligned()`` whole (r0 = 0, q =
+        nodes) or the cross kernels one row block at a time (q =
+        nodes**2), never held whole."""
+        if self.cols is not self.rows:
+            raise ShapeMismatch("table_blocks needs a single tree set")
         if canonical_variant(variant) == CONCATENATION:
             yield 0, self.aligned()
             return
-        for r0, r1, block in self._cross_blocks():
+        for r0, r1, _, block in self._cross_blocks():
             yield r0, block.transpose(0, 2, 1, 3).reshape(r1 - r0, -1,
                                                           self.nodes ** 2)
-
-    def _half_contracted_blocks(self, beta: np.ndarray):
-        """Yield ``(r0, r1, rows r0:r1 of half_contracted(beta))``."""
-        for r0, r1, block in self._cross_blocks():
-            yield r0, r1, np.tensordot(beta, block, axes=(0, 1))
 
     def cross(self) -> np.ndarray:
         """The whole cross tensor, built once and kept; no route reads
@@ -295,7 +314,7 @@ class NodeKernelCache:
         if self._cross is None:
             m, nr, nc = self.nodes, self.rows.shape[0], self.cols.shape[0]
             out = np.empty((nr, nc, m, m))
-            for r0, r1, block in self._cross_blocks():
+            for r0, r1, _, block in self._cross_blocks(all_cols=True):
                 out[r0:r1] = block.transpose(0, 2, 1, 3)
             self._cross = out
         return self._cross
@@ -303,30 +322,42 @@ class NodeKernelCache:
     def half_contracted(self, beta: np.ndarray) -> np.ndarray:
         """``P[i, j, u] = sum_m beta[m] kappa(row_i[m], col_j[u])``, shape
         (rows, cols, nodes), so that ``P @ beta`` is the averaging
-        variant's combined kernel."""
+        variant's combined kernel. A one-set cache fills ``P[j, i]`` for
+        ``j >= r1`` from block ``r0:r1`` by contracting ``beta`` on its
+        column-node axis."""
         beta = self._check_beta(beta)
         out = self._empty_table()
-        for r0, r1, half in self._half_contracted_blocks(beta):
-            out[r0:r1] = half
+        mirror = self.cols is self.rows
+        for r0, r1, c0, block in self._cross_blocks():
+            out[r0:r1, c0:] = np.tensordot(beta, block, axes=(0, 1))
+            if mirror:
+                # P[j, i, u] = sum_n beta[n] kappa(row_i[u], row_j[n])
+                below = block[:, :, r1 - r0:] @ beta
+                out[r1:, r0:r1] = below.transpose(2, 0, 1)
         return out
 
     def node_slice(self, v: int) -> np.ndarray:
         """``S[i, j, u] = kappa(row_i[v], col_j[u])``, shape (rows, cols,
         nodes): ``half_contracted`` at the vertex ``beta = e_v``."""
         out = self._empty_table()
-        for r0, r1, block in self._cross_blocks(slice(v, v + 1)):
+        for r0, r1, _, block in self._cross_blocks(slice(v, v + 1),
+                                                   all_cols=True):
             out[r0:r1] = block[:, 0]
         return out
 
     def combined(self, beta: np.ndarray, variant: str) -> np.ndarray:
+        """Combined-kernel values, shape (rows, cols); exactly symmetric
+        for an averaging one-set cache, whose upper triangle is computed
+        and mirrored."""
         variant = canonical_variant(variant)
         beta = self._check_beta(beta)
         if variant == CONCATENATION:
             return contract_table(self.aligned(), beta)
         out = np.empty((self.rows.shape[0], self.cols.shape[0]))
-        for r0, r1, half in self._half_contracted_blocks(beta):
-            out[r0:r1] = contract_table(half, beta)
-        return out
+        for r0, r1, c0, block in self._cross_blocks():
+            out[r0:r1, c0:] = contract_table(
+                np.tensordot(beta, block, axes=(0, 1)), beta)
+        return _mirror_upper(out) if self.cols is self.rows else out
 
     def pair_blocks(self, i_idx: np.ndarray, j_idx: np.ndarray,
                     variant: str) -> np.ndarray:
@@ -370,9 +401,15 @@ def mirrored_gram(values: np.ndarray, ids) -> GramMatrix:
     """The Gram matrix of square combined-kernel ``values``, made exactly
     symmetric by mirroring the upper triangle (in place); the one Gram
     builder of ``gram_matrix`` and both training routes."""
+    return GramMatrix(values=_mirror_upper(values), ids=tuple(ids))
+
+
+def _mirror_upper(values: np.ndarray) -> np.ndarray:
+    """Square ``values`` with the upper triangle copied onto the lower
+    one, in place."""
     iu = np.triu_indices(values.shape[0], k=1)
     values[(iu[1], iu[0])] = values[iu]
-    return GramMatrix(values=values, ids=tuple(ids))
+    return values
 
 
 def median_gamma(trees: list[PooledTree], seed: int = 0) -> float:

@@ -335,7 +335,9 @@ def train_em_route(manifest: DatasetManifest, root: str, cfg: PipelineConfig,
             enumerate(zip(result.objective_trace, result.beta_trace))]
     return TrainOutput(artifact, ["iteration", "objective", "beta_entropy"],
                        rows, {"iterations": result.iterations,
-                              "beta_entropy": _entropy(result.beta)})
+                              "beta_entropy": _entropy(result.beta),
+                              "dual_solves": result.dual_solves,
+                              "pair_updates": result.pair_updates})
 
 
 def train_dmkl_route(manifest: DatasetManifest, root: str,
@@ -349,7 +351,9 @@ def train_dmkl_route(manifest: DatasetManifest, root: str,
                               result.weights.beta, result.model, manifest)
     rows = [[i, float(v)] for i, v in enumerate(result.loss_trace)]
     return TrainOutput(artifact, ["iteration", "loss"], rows,
-                       {"iterations": len(rows) - 1, "final_loss": rows[-1][1]})
+                       {"iterations": len(rows) - 1, "final_loss": rows[-1][1],
+                        "dual_solves": result.model.class_ids.size,
+                        "pair_updates": result.model.pair_updates})
 
 
 # --- evaluation -------------------------------------------------------------------

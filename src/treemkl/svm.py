@@ -22,10 +22,10 @@ symmetric in sign, this is bit for bit the negation of the textbook
 gradient update. The masks become two penalty vectors (0 or -inf, 0 or
 +inf), rewritten only at ``i`` and ``j``. Adding a penalty to a finite
 value gives that value or the infinity that ``np.where`` would have
-put there. So the pair choices, steps, ``alpha``, update count and
-objective equal the textbook loop's bit for bit, and ``b`` and the
-KKT residual equal its values (an exact zero may come out +0.0 where
-the textbook loop has -0.0). ``tests/oracles.py`` keeps that loop as
+put there. So, from the same start, the pair choices, steps,
+``alpha``, update count and objective equal the textbook loop's bit for
+bit, and ``b`` and the KKT residual equal its values (an exact zero may
+come out +0.0 where the textbook loop has -0.0). ``tests/oracles.py`` keeps that loop as
 ``solve_dual_reference``. This needs finite values, so a kernel with a
 non-finite entry is rejected up front.
 
@@ -82,26 +82,33 @@ def dual_objective(K, alpha: np.ndarray, y: np.ndarray) -> float:
     return float(0.5 * ay @ K @ ay - alpha.sum())
 
 
-def solve_dual(K, y: np.ndarray, cfg: TrainConfig = TrainConfig()) -> DualSolution:
+def solve_dual(K, y: np.ndarray, cfg: TrainConfig = TrainConfig(),
+               alpha0: np.ndarray | None = None) -> DualSolution:
     """Solve the box-constrained dual; see the module docstring.
 
-    The dual objective decreases at every pair update. The shift ``b``
-    averages the stationarity values of unbounded support vectors, with
-    a midpoint-of-KKT-bounds fallback when every support vector sits on
-    a bound.
+    The loop starts from ``alpha0``, a feasible point (``0 <= alpha0 <=
+    c_box``, ``y @ alpha0 = 0``), or from ``alpha = 0`` when it is None.
+    A start near the optimum, such as the solution on a nearby kernel,
+    needs fewer pair updates. The dual objective decreases at every pair
+    update. The shift ``b`` averages the stationarity values of
+    unbounded support vectors, with a midpoint-of-KKT-bounds fallback
+    when every support vector sits on a bound.
 
     Each update costs a fixed number of length-n array operations. The
-    loop keeps ``vals = -y * grad`` itself (``grad = Q @ alpha - 1``)
-    and two penalty vectors, ``up_pen`` (0 where ``y * alpha`` may rise
-    within the box, else -inf) and ``low_pen`` (0 where it may fall,
-    else +inf), rewritten only at the two updated coordinates. The
-    columns of ``K`` are read from one contiguous copy of ``K.T``.
+    loop keeps ``vals = -y * grad`` itself (``grad = Q @ alpha - 1``),
+    which starts as ``y - K @ (alpha0 * y)`` (exactly ``y`` at the zero
+    start), and two penalty vectors, ``up_pen`` (0 where ``y * alpha``
+    may rise within the box, else -inf) and ``low_pen`` (0 where it may
+    fall, else +inf), set from the start and then rewritten only at the
+    two updated coordinates. The columns of ``K`` are read from one
+    contiguous copy of ``K.T``.
 
     Raises :class:`ValidationError` for a kernel with a non-finite
-    entry, :class:`SingleClass` when only one label is present and
-    :class:`NotConverged` (carrying the best iterate) when the KKT
-    residual is still above ``kkt_tol`` after ``max_passes * n`` pair
-    updates, or when ``c_box = inf`` and a step is unbounded.
+    entry or an infeasible ``alpha0``, :class:`SingleClass` when only
+    one label is present and :class:`NotConverged` (carrying the best
+    iterate) when the KKT residual is still above ``kkt_tol`` after
+    ``max_passes * n`` pair updates, or when ``c_box = inf`` and a step
+    is unbounded.
     """
     K = _as_matrix(K)
     y = np.asarray(y, dtype=np.float64)
@@ -116,12 +123,14 @@ def solve_dual(K, y: np.ndarray, cfg: TrainConfig = TrainConfig()) -> DualSoluti
         raise ValidationError("kernel matrix has a non-finite entry")
 
     c_box = cfg.c_box
+    start = _feasible_start(alpha0, y, c_box)
     cols = np.ascontiguousarray(K.T)  # row k holds column k of K
     diag = K.diagonal().tolist()
     signs = y.tolist()
     # alpha as Python floats: the same IEEE arithmetic, cheaper per scalar
-    alpha = [0.0] * n
-    vals = y.copy()  # -y * grad at alpha = 0, where grad = -1
+    alpha = start.tolist()
+    # -y * grad = y - y * y * (K @ (alpha * y)), and y * y is exactly 1
+    vals = y - K @ (start * y)
     up_pen = np.empty(n)
     low_pen = np.empty(n)
     for k in range(n):
@@ -185,6 +194,24 @@ def solve_dual(K, y: np.ndarray, cfg: TrainConfig = TrainConfig()) -> DualSoluti
                         objective=dual_objective(K, alpha, y))
 
 
+def _feasible_start(alpha0, y: np.ndarray, c_box: float) -> np.ndarray:
+    """``alpha0`` as a float array, zeros when None; an entry outside
+    ``[0, c_box]`` or ``|y @ alpha0|`` above ``1e-9 * max(1, sum)``
+    raises :class:`ValidationError`."""
+    if alpha0 is None:
+        return np.zeros(y.size)
+    start = np.array(alpha0, dtype=np.float64)
+    if start.shape != y.shape:
+        raise ShapeMismatch(f"start alpha {start.shape} vs {y.size} labels")
+    if not (np.isfinite(start).all() and start.min() >= 0.0
+            and start.max() <= c_box):
+        raise ValidationError(f"start alpha leaves the box [0, {c_box}]")
+    if abs(y @ start) > 1e-9 * max(1.0, start.sum()):
+        raise ValidationError(
+            f"start alpha has y @ alpha = {y @ start:.3e}, not 0")
+    return start
+
+
 def _penalties(a, y, c_box) -> tuple[float, float]:
     """(up, low) penalties of one coordinate with ``alpha = a``: up is
     0 when ``y * a`` may rise within the box, else -inf; low is 0 when
@@ -234,6 +261,7 @@ class SvmModel:
     class_ids: np.ndarray           # sorted distinct class ids
     alpha: np.ndarray               # (classes, n) dual coefficients
     b: np.ndarray                   # (classes,) shifts
+    pair_updates: int = 0           # over the classes' dual solves
     signs: np.ndarray = field(init=False, repr=False)  # (classes, n)
 
     def __post_init__(self):
@@ -253,8 +281,11 @@ class SvmModel:
 
 
 def train_one_vs_rest(gram: GramMatrix, labels: np.ndarray,
-                      cfg: TrainConfig = TrainConfig()) -> SvmModel:
-    """Train one binary dual per class (positive = that class).
+                      cfg: TrainConfig = TrainConfig(),
+                      start: SvmModel | None = None) -> SvmModel:
+    """Train one binary dual per class (positive = that class), each
+    from row c of ``start.alpha`` when a ``start`` model over the same
+    videos and labels is given, else from zero.
 
     Per-class failures are re-raised with the class id attached.
     """
@@ -263,16 +294,22 @@ def train_one_vs_rest(gram: GramMatrix, labels: np.ndarray,
     alpha = np.zeros((class_ids.size, gram.n))
     b = np.zeros(class_ids.size)
     signs = _one_vs_rest_signs(labels, class_ids)
+    if start is not None and (start.train_ids != gram.ids
+                              or not np.array_equal(start.signs, signs)):
+        raise ValidationError("start model covers other videos or labels")
+    updates = 0
     for ci, (c, y) in enumerate(zip(class_ids, signs)):
         try:
-            sol = solve_dual(gram, y, cfg)
+            sol = solve_dual(gram, y, cfg,
+                             None if start is None else start.alpha[ci])
         except NotConverged as exc:
             raise NotConverged(f"class {c}: {exc}", alpha=exc.alpha, b=exc.b,
                                residual=exc.residual, updates=exc.updates) from exc
         alpha[ci] = sol.alpha
         b[ci] = sol.b
-    return SvmModel(train_ids=gram.ids, labels=labels,
-                    class_ids=class_ids, alpha=alpha, b=b)
+        updates += sol.updates
+    return SvmModel(train_ids=gram.ids, labels=labels, class_ids=class_ids,
+                    alpha=alpha, b=b, pair_updates=updates)
 
 
 def decision_scores(model: SvmModel, k_cols: np.ndarray) -> np.ndarray:

@@ -113,20 +113,23 @@ class ReferenceDual:
 
 
 def solve_dual_reference(K: np.ndarray, y: np.ndarray, c_box: float,
-                         kkt_tol: float, max_passes: int) -> ReferenceDual:
+                         kkt_tol: float, max_passes: int,
+                         alpha0: np.ndarray | None = None) -> ReferenceDual:
     """The textbook maximal-violating-pair loop for the SVM dual.
 
-    Same problem, pair choice, step and shift as ``svm.solve_dual``, but
-    every update forms the gradient ``Q @ alpha - 1`` and rebuilds both
-    KKT index masks and both masked value arrays from scratch. The
-    package's solver must agree with it bit for bit. Inputs are assumed
-    valid: a finite (n, n) ``K`` and labels of +/-1 with both signs.
+    Same problem, start, pair choice, step and shift as
+    ``svm.solve_dual``, but every update forms the gradient ``Q @ alpha
+    - 1`` and rebuilds both KKT index masks and both masked value arrays
+    from scratch. The package's solver must agree with it bit for bit.
+    Inputs are assumed valid: a finite (n, n) ``K``, labels of +/-1 with
+    both signs and a feasible start ``alpha0`` (zeros when None).
     """
     K = np.asarray(K, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     n = y.size
-    alpha = np.zeros(n)
-    grad = -np.ones(n)  # gradient of the dual objective: Q @ alpha - 1
+    alpha = np.zeros(n) if alpha0 is None else np.array(alpha0, dtype=float)
+    # gradient of the dual objective: Q @ alpha - 1, Q = yy' * K
+    grad = y * (K @ (alpha * y)) - 1.0
     vals = np.empty(n)
     max_updates = max_passes * n
     updates = 0

@@ -6,7 +6,7 @@ import pytest
 from conftest import random_trees
 from oracles import central_difference, elementary
 from treemkl import errors, kernels
-from treemkl.dmkl import ContrastiveConfig, dmkl_fit
+from treemkl.dmkl import ContrastiveConfig, _PairTable, dmkl_fit, pair_moments
 from treemkl.em import EmConfig, em_fit
 from treemkl.hierarchy import PooledTree
 from treemkl.kernels import (
@@ -360,15 +360,60 @@ class TestNodeKernelCache:
                         np.testing.assert_allclose(slices[v][i, j], k[v],
                                                    rtol=0, atol=1e-12)
 
+    def test_one_set_streams_each_pair_once(self, rng, monkeypatch):
+        # 8 videos x 3 x 3 nodes = 72 elements per row video: blocks of 3
+        # rows, the last one partial, each against the videos from its
+        # first row on
+        monkeypatch.setattr(kernels, "_BLOCK_ELEMENTS", 250)
+        n, m, step = 8, 3, 3
+        trees = random_trees(rng, n=n, depth=2)
+        beta = to_simplex(rng.standard_normal(m))
+        evaluated = []
+        kernel_matrix = kernels._kernel_matrix
+
+        def counted(*args):
+            k = kernel_matrix(*args)
+            evaluated.append(k.size)
+            return k
+
+        monkeypatch.setattr(kernels, "_kernel_matrix", counted)
+        for cfg in (RBF, LIN):
+            cache = NodeKernelCache(trees, cfg)
+            evaluated.clear()
+            half = cache.half_contracted(beta)
+            assert len(evaluated) == 3
+            assert sum(evaluated) <= (n * (n + 1) // 2 + step * n) * m * m
+            for i, a in enumerate(trees):
+                for j, b in enumerate(trees):
+                    k = np.array([[elementary(a.vectors[p], b.vectors[u], cfg)
+                                   for u in range(m)] for p in range(m)])
+                    np.testing.assert_allclose(half[i, j], beta @ k,
+                                               rtol=0, atol=1e-12)
+        labels = np.array([1, 2, 1, 3, 2, 3, 1, 2])
+        table = _PairTable(labels)
+        cache = NodeKernelCache(trees, RBF)
+        A, b, c = pair_moments(cache, table, AVERAGING, None)
+        rows = cache.pair_blocks(table.i, table.j, AVERAGING)
+        coef = 1.0 / table.y.size
+        want_A = sum(coef * np.outer(row, row) for row in rows)
+        want_b = sum(coef * row for row, y in zip(rows, table.y) if y > 0)
+        np.testing.assert_allclose(A, want_A, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(b, want_b, rtol=0, atol=1e-12)
+
     def test_streamed_combined_is_half_contracted_times_beta(self, rng,
                                                               monkeypatch):
+        # a one-set combined computes the upper triangle, which is what
+        # mirrored_gram reads, and mirrors it
         monkeypatch.setattr(kernels, "_BLOCK_ELEMENTS", 100)
         trees = random_trees(rng, n=7, depth=2)
         beta = to_simplex(rng.standard_normal(3))
         cache = NodeKernelCache(trees, RBF)
+        got = cache.combined(beta, AVERAGING)
+        np.testing.assert_array_equal(got, got.T)
+        upper = np.triu_indices(7)
         np.testing.assert_array_equal(
-            cache.combined(beta, AVERAGING),
-            kernels.contract_table(cache.half_contracted(beta), beta))
+            got[upper],
+            kernels.contract_table(cache.half_contracted(beta), beta)[upper])
 
 
 class TestCrossMemory:

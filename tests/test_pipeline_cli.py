@@ -67,13 +67,27 @@ class TestTrainingOutputs:
         ("em_a", "train_em_route", EmConfig(max_iters=6, seed=3)),
         ("dm_a", "train_dmkl_route",
          ContrastiveConfig(iterations=200, positive_fraction=0.5, seed=3))])
-    def test_route_returns_the_written_documents(self, workspace, run, route,
-                                                 route_cfg):
+    def test_route_returns_the_written_documents(self, workspace, monkeypatch,
+                                                 run, route, route_cfg):
         manifest = workspace / "data" / "manifest.jsonl"
+        updates = []
+        solve_dual = svm.solve_dual
+
+        def spy(*args):
+            sol = solve_dual(*args)
+            updates.append(sol.updates)
+            return sol
+
+        monkeypatch.setattr(svm, "solve_dual", spy)
         result = getattr(pipeline, route)(
             load_manifest(manifest), str(manifest.parent),
             pipeline.PipelineConfig(depth=3, variant="avg", seed=3),
             route_cfg, svm.TrainConfig())
+        # every dual solve is counted, the alternating route's candidates
+        # included; its 3 classes are solved once per Gram matrix
+        assert result.summary["dual_solves"] == len(updates)
+        assert result.summary["pair_updates"] == sum(updates)
+        assert len(updates) == 3 if run == "dm_a" else len(updates) > 3
         lines = (workspace / run / "trace.csv").read_text().splitlines()
         assert lines[0].split(",") == result.trace_header
         rows = [[float(cell) for cell in line.split(",")]
@@ -834,6 +848,30 @@ class TestOutDirectory:
         assert code == 2
         assert_one_error_line(capsys, f"--out {out}: not a directory")
         assert reads == [] and out.read_text() == "kept\n"
+
+    @pytest.mark.parametrize("command", ["gen-synth", "train-em", "eval"])
+    def test_out_under_a_file_exits_before_reading(
+            self, workspace, tmp_path, capsys, monkeypatch, command):
+        reads = []
+        for name in ("load_manifest", "load_artifact"):
+            monkeypatch.setattr(cli, name, lambda *a, **k: reads.append(a))
+        afile = tmp_path / "afile"
+        afile.write_text("kept\n")
+        out = afile / "sub" / "run"
+        code = run_cli(command, *command_flags(workspace)[command],
+                       "--out", out)
+        assert code == 2
+        assert_one_error_line(capsys,
+                              f"--out {out}: {afile} is not a directory")
+        assert reads == [] and afile.read_text() == "kept\n"
+        assert os.listdir(tmp_path) == ["afile"]
+
+    def test_empty_out_exits_before_writing(self, tmp_path, capsys,
+                                            monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("gen-synth", "--out", "") == 2
+        assert_one_error_line(capsys, "--out is empty")
+        assert os.listdir(tmp_path) == []
 
 
 class TestFlagsLeftOut:

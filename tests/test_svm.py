@@ -170,6 +170,65 @@ class TestSolveDual:
             compared += 1
         assert compared >= 200 and stopped >= compared // 3 and unbounded
 
+    def test_warm_start_matches_reference_loop_bit_for_bit(self, rng):
+        # 90 seeded problems, each started from the solution on a kernel
+        # of perturbed features: feasible and close to the optimum.
+        # c_box in {10, 0.5, 1e-3} and budgets of 1 or 200 passes
+        rbf = KernelConfig("rbf", 0.5)
+        stopped = fewer = 0
+        for trial in range(90):
+            n = int(rng.integers(4, 40))
+            X = rng.standard_normal((n, int(rng.integers(1, 6))))
+            near = X + 0.05 * rng.standard_normal(X.shape)
+            K = _kernel_matrix(X, X, rbf)
+            y = rng.choice([-1.0, 1.0], size=n)
+            y[:2] = (1.0, -1.0)
+            c_box = (10.0, 0.5, 1e-3)[trial % 3]
+            passes = (1, 200)[(trial // 3) % 2]
+            cfg = TrainConfig(c_box=c_box, kkt_tol=1e-6, max_passes=passes)
+            start = solve_dual(_kernel_matrix(near, near, rbf), y,
+                               TrainConfig(c_box=c_box, kkt_tol=1e-6)).alpha
+            ref = solve_dual_reference(K, y, c_box, 1e-6, passes, start)
+            cold = solve_dual_reference(K, y, c_box, 1e-6, passes)
+            try:
+                sol = solve_dual(K, y, cfg, start)
+                got = (sol.alpha.tobytes(), sol.b, sol.updates,
+                       sol.kkt_residual, sol.objective)
+                fewer += sol.updates < cold.updates
+            except errors.NotConverged as exc:
+                got = (exc.alpha.tobytes(), exc.b, exc.updates,
+                       exc.residual, None)
+                stopped += 1
+            assert got == (ref.alpha.tobytes(), ref.b, ref.updates,
+                           ref.kkt_residual, ref.objective), f"trial {trial}"
+        assert stopped and fewer >= (90 - stopped) // 2
+
+    def test_infeasible_start_rejected(self, rng):
+        K, y = random_psd_instance(rng, 6)
+        cfg = TrainConfig(c_box=1.0)
+        pos, neg = np.flatnonzero(y > 0)[0], np.flatnonzero(y < 0)[0]
+        lopsided = np.zeros(6)
+        lopsided[pos] = 0.5
+        balanced = lopsided.copy()
+        balanced[neg] = 0.5
+        for start, match in ((3.0 * balanced, "box"), (-balanced, "box"),
+                             (np.full(6, np.nan), "box"),
+                             (lopsided, "y @ alpha")):
+            with pytest.raises(errors.ValidationError, match=match):
+                solve_dual(K, y, cfg, start)
+        with pytest.raises(errors.ShapeMismatch):
+            solve_dual(K, y, cfg, np.zeros(5))
+        assert solve_dual(K, y, cfg, balanced).kkt_residual <= cfg.kkt_tol
+
+    def test_one_vs_rest_start_must_match(self, rng):
+        gram, labels, _ = cluster_gram(rng, classes=3)
+        model = train_one_vs_rest(gram, labels)
+        warm = train_one_vs_rest(gram, labels, TrainConfig(), model)
+        assert warm.pair_updates < model.pair_updates
+        np.testing.assert_allclose(warm.alpha, model.alpha, atol=1e-4)
+        with pytest.raises(errors.ValidationError, match="other videos"):
+            train_one_vs_rest(gram, np.roll(labels, 1), TrainConfig(), model)
+
     @pytest.mark.parametrize("where", [(0, 0), (0, 1)], ids=["diag", "off"])
     @pytest.mark.parametrize("value", [np.inf, np.nan])
     def test_non_finite_kernel_rejected(self, rng, where, value):
