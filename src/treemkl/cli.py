@@ -292,7 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("train-em", "alternating kernel-weight / SVM training")
     _add_common_train_flags(p)
-    p.add_argument("--eta", type=float)
     p.add_argument("--max-iters", type=int)
     p.add_argument("--param-tol", type=float)
     p.add_argument("--beta-init", choices=INIT_SCHEMES)

@@ -4,8 +4,9 @@ The alternation from a weight vector ``beta``:
 
 1. solve one SVM dual per class on the combined kernel (``beta`` fixed);
 2. move ``beta`` toward the hierarchy node whose elementary kernel is
-   most aligned with the current classifiers (``alpha`` fixed), damped
-   by ``eta`` and backtracked so the traced objective never increases.
+   most aligned with the current classifiers (``alpha`` fixed), with a
+   step length found by a line search that never lets the traced
+   objective increase.
 
 The traced objective is the sum over classes of the optimal dual values
 (equivalently the regularized primal optima) at the current ``beta`` —
@@ -21,21 +22,27 @@ T)`` give the gradient of the objective in ``beta`` at the current
 ``alpha``: ``-c`` for concatenation, which is linear in ``beta``, and
 ``-2 c`` for averaging, which is quadratic in it.
 
-``em_fit`` takes a damped Frank-Wolfe step (Jaggi, ICML 2013): it moves
-toward the vertex ``e_v`` of the largest alignment coefficient, in both
-variants the smallest gradient entry (negation and doubling are exact,
-so ties pick the same index), and backtracks the step length until the
-traced objective does not rise. Along the averaging step ``(1 - eta)
-beta + eta e_v`` the table moves to ``(1 - eta) P + eta S_v``, where
-``S_v = NodeKernelCache.node_slice(v)``, so a candidate's Gram is ``(1 -
-eta) P @ b + eta S_v @ b`` for the candidate weights ``b``. The (n, n,
-nodes, nodes) cross tensor is never built.
+``em_fit`` takes Frank-Wolfe steps (Jaggi, ICML 2013): it moves along
+``d = e_v - beta`` toward the vertex of the largest alignment
+coefficient, in both variants the smallest gradient entry (negation and
+doubling are exact, so ties pick the same index). The line search tries
+the full step ``eta = 1`` first. A candidate whose objective rises is
+rejected, and the next ``eta`` minimizes the quadratic through ``J(0)``,
+``J(eta)`` and the exact slope ``J'(0) = -k (c_v - c @ beta)`` (Danskin:
+the gradient at the current ``alpha``, ``k = 1`` for concatenation and
+2 for averaging), clamped to ``[0.1 eta, 0.5 eta]`` (SimpleMKL's line
+search along its descent direction: Rakotomamonjy et al., JMLR 2008).
+Along the averaging step ``(1 - eta) beta + eta e_v`` the table moves
+to ``(1 - eta) P + eta S_v``, where ``S_v = NodeKernelCache.node_slice(v)``,
+so a candidate's Gram is ``(1 - eta) P @ b + eta S_v @ b`` for the
+candidate weights ``b``. The (n, n, nodes, nodes) cross tensor is never
+built.
 
 Every candidate's dual solves start from the last accepted model's
 ``alpha``, which is feasible for any kernel and close to the candidate's
-optimum (SimpleMKL: Rakotomamonjy et al., JMLR 2008); only the first
-solve starts from zero. ``EmResult`` counts the dual solves and their
-pair updates, candidates included.
+optimum (SimpleMKL); only the first solve starts from zero. ``EmResult``
+counts the dual solves and their pair updates, candidates included, the
+rejected candidates, and says why the alternation stopped.
 """
 
 from __future__ import annotations
@@ -58,15 +65,21 @@ from .simplex import INIT_SCHEMES, SimplexWeights
 from .svm import (SvmModel, TrainConfig, dual_objective, one_vs_rest_classes,
                   train_one_vs_rest)
 
-# step-length halvings tried before an iteration gives up
-MAX_HALVINGS = 12
+# rejected candidates an iteration tries before it gives up
+MAX_BACKTRACKS = 12
+# an interpolated step length is clamped to this share of the rejected one
+BACKTRACK_RANGE = (0.1, 0.5)
+
+# why em_fit stopped: one node, beta at the step's vertex, every candidate
+# rejected, beta and alpha settled, the iteration budget spent
+STOP_REASONS = ("single_node", "vertex", "no_accepted_step", "param_tol",
+                "max_iters")
 
 
 @dataclass(frozen=True)
 class EmConfig:
     max_iters: int = 50
     param_tol: float = 1e-4
-    eta: float = 0.5
     beta_init: str = "uniform"
     seed: int = 0
 
@@ -75,8 +88,6 @@ class EmConfig:
             raise ValidationError(f"max_iters must be >= 0, got {self.max_iters}")
         if not (self.param_tol > 0):
             raise ValidationError(f"param_tol must be > 0, got {self.param_tol}")
-        if not (0.0 < self.eta <= 1.0):
-            raise ValidationError(f"eta must be in (0, 1], got {self.eta}")
         if self.beta_init not in INIT_SCHEMES:
             raise ValidationError(f"unknown beta_init {self.beta_init!r}")
         if self.seed < 0:
@@ -92,6 +103,19 @@ class EmResult:
     iterations: int
     dual_solves: int                # binary duals solved, candidates included
     pair_updates: int               # over all those dual solves
+    backtracks: int                 # rejected candidates
+    stop_reason: str                # one of STOP_REASONS
+
+
+def backtracked_eta(eta: float, rise: float, slope: float) -> float:
+    """The step length to try after ``eta`` was rejected: the minimizer
+    of the quadratic ``q(t) = J(0) + slope t + a t^2`` with ``q(eta) =
+    J(0) + rise``, clamped to ``BACKTRACK_RANGE`` times ``eta``. A
+    rejected candidate has ``rise > 0`` and a descent direction ``slope
+    <= 0``, so the curvature ``a`` is positive."""
+    lo, hi = BACKTRACK_RANGE
+    curvature = (rise - slope * eta) / (eta * eta)
+    return float(np.clip(-slope / (2.0 * curvature), lo * eta, hi * eta))
 
 
 def beta_objective_coeffs(model: SvmModel, table: np.ndarray) -> np.ndarray:
@@ -122,11 +146,12 @@ def beta_objective_coeffs(model: SvmModel, table: np.ndarray) -> np.ndarray:
 def em_fit(trees: list[PooledTree], labels: np.ndarray, variant: str,
            kernel_cfg: KernelConfig, em_cfg: EmConfig = EmConfig(),
            svm_cfg: TrainConfig = TrainConfig()) -> EmResult:
-    """Alternate dual solves and damped alignment steps on ``beta``.
+    """Alternate dual solves and line-searched alignment steps on ``beta``.
 
-    Stops when the iteration budget is exhausted, when both ``beta``
-    and every ``alpha`` move less than ``param_tol`` in max-norm, or
-    when no backtracked step length still decreases the objective.
+    Stops when the iteration budget is exhausted, when ``beta`` is the
+    vertex the next step would move to, when both ``beta`` and every
+    ``alpha`` move less than ``param_tol`` in max-norm, or when no
+    candidate of the line search keeps the objective from rising.
     Each variant holds one (n, n, nodes) table, averaging a second while
     it steps; ``NodeKernelCache`` raises :class:`ValidationError` before
     allocating one above ``kernels._DENSE_LIMIT`` elements.
@@ -141,7 +166,7 @@ def em_fit(trees: list[PooledTree], labels: np.ndarray, variant: str,
     beta = SimplexWeights.init(m, em_cfg.beta_init, em_cfg.seed).beta
     table = cache.half_contracted(beta) if averaging else cache.aligned()
 
-    dual_solves = pair_updates = 0
+    dual_solves = pair_updates = backtracks = 0
 
     def solve(values, start):
         nonlocal dual_solves, pair_updates
@@ -158,23 +183,28 @@ def em_fit(trees: list[PooledTree], labels: np.ndarray, variant: str,
     beta_trace = [beta.copy()]
     iterations = 0
     slice_vertex, node_slice = -1, None
+    stop_reason = "max_iters"
 
     for _ in range(em_cfg.max_iters):
         if m == 1:
+            stop_reason = "single_node"
             break
+        coeffs = beta_objective_coeffs(model, table)
         # the smallest entry of the gradient, -c or -2 c
-        v = int(np.argmax(beta_objective_coeffs(model, table)))
+        v = int(np.argmax(coeffs))
         vertex = np.zeros(m)
         vertex[v] = 1.0
         if np.allclose(vertex, beta):
+            stop_reason = "vertex"
             break
         if averaging and v != slice_vertex:
             node_slice = None           # free the old slice before the new
             node_slice, slice_vertex = cache.node_slice(v), v
+        # J'(0) along vertex - beta: the gradient -k c dotted with it
+        slope = -(2.0 if averaging else 1.0) * (coeffs[v] - coeffs @ beta)
 
-        accepted = False
-        eta = em_cfg.eta
-        for _ in range(MAX_HALVINGS + 1):
+        eta = 1.0
+        for _ in range(MAX_BACKTRACKS + 1):
             candidate = (1.0 - eta) * beta + eta * vertex
             values = contract_table(table, candidate)
             if averaging:
@@ -182,10 +212,11 @@ def em_fit(trees: list[PooledTree], labels: np.ndarray, variant: str,
                 values += eta * contract_table(node_slice, candidate)
             cand_model, cand_objective = solve(values, model)
             if cand_objective <= objective + 1e-10:
-                accepted = True
                 break
-            eta *= 0.5
-        if not accepted:
+            backtracks += 1
+            eta = backtracked_eta(eta, cand_objective - objective, slope)
+        else:
+            stop_reason = "no_accepted_step"
             break
         if averaging:
             # half_contracted(candidate) = (1 - eta) P + eta S_v, written
@@ -201,10 +232,12 @@ def em_fit(trees: list[PooledTree], labels: np.ndarray, variant: str,
         beta_trace.append(beta.copy())
         iterations += 1
         if beta_delta < em_cfg.param_tol and alpha_delta < em_cfg.param_tol:
+            stop_reason = "param_tol"
             break
 
     return EmResult(beta=beta, model=model,
                     objective_trace=np.asarray(trace),
                     beta_trace=np.asarray(beta_trace),
                     iterations=iterations, dual_solves=dual_solves,
-                    pair_updates=pair_updates)
+                    pair_updates=pair_updates, backtracks=backtracks,
+                    stop_reason=stop_reason)

@@ -214,9 +214,12 @@ class NodeKernelCache:
     ``table_blocks`` yields them pair-major, ``half_contracted(beta)``
     contracts ``beta`` on their row-node axis, ``node_slice(v)`` keeps
     row node ``v``, and ``combined(beta, AVERAGING)`` reduces each block
-    to kernel values. Every (rows, cols, nodes) table is refused above
-    ``_DENSE_LIMIT`` elements before it is allocated. ``cross()`` and
-    ``pair_blocks`` are test oracles that no route calls.
+    to kernel values. ``combined`` evaluates only the nodes whose weight
+    is non-zero: the columns of ``aligned()`` for concatenation, both
+    node axes of the cross kernels for averaging. Every (rows, cols,
+    nodes) table is refused above ``_DENSE_LIMIT`` elements before it is
+    allocated. ``cross()`` and ``pair_blocks`` are test oracles that no
+    route calls.
 
     A cache over two tree sets streams every column video in each block.
     A cache over one tree set streams, for the block of row videos
@@ -248,10 +251,12 @@ class NodeKernelCache:
                 f"beta has {beta.size} entries for {self.nodes} nodes")
         return beta
 
-    def _empty_table(self) -> np.ndarray:
-        """An uninitialized (rows, cols, nodes) table, refused with
-        :class:`ValidationError` above ``_DENSE_LIMIT`` elements."""
-        nr, nc, m = self.rows.shape[0], self.cols.shape[0], self.nodes
+    def _empty_table(self, nodes: int | None = None) -> np.ndarray:
+        """An uninitialized (rows, cols, nodes) table, ``nodes`` defaulting
+        to every node, refused with :class:`ValidationError` above
+        ``_DENSE_LIMIT`` elements."""
+        nr, nc = self.rows.shape[0], self.cols.shape[0]
+        m = self.nodes if nodes is None else nodes
         if nr * nc * m > _DENSE_LIMIT:
             raise ValidationError(
                 f"{nr} x {nc} videos and {m} nodes need a node-kernel table "
@@ -261,26 +266,30 @@ class NodeKernelCache:
 
     def aligned(self) -> np.ndarray:
         if self._aligned is None:
-            out = self._empty_table()
-            for node in range(self.nodes):
-                out[:, :, node] = _kernel_matrix(self.rows[:, node, :],
-                                                 self.cols[:, node, :],
-                                                 self.cfg)
-            self._aligned = out
+            self._aligned = self._aligned_nodes(range(self.nodes))
         return self._aligned
 
-    def _cross_blocks(self, row_nodes: slice = slice(None),
+    def _aligned_nodes(self, nodes) -> np.ndarray:
+        """The columns ``nodes`` of ``aligned()``, computed afresh."""
+        out = self._empty_table(len(nodes))
+        for k, node in enumerate(nodes):
+            out[:, :, k] = _kernel_matrix(self.rows[:, node, :],
+                                          self.cols[:, node, :], self.cfg)
+        return out
+
+    def _cross_blocks(self, row_nodes=slice(None), col_nodes=slice(None),
                       all_cols: bool = False):
         """Yield ``(r0, r1, c0, block)`` with ``block[i, a, j, n] =
-        kappa(row_{r0+i}[row_nodes][a], col_{c0+j}[n])``, shape (r1 - r0,
-        row nodes, cols - c0, nodes): the only loop that computes cross
-        kernels. ``c0 = r0`` for a one-set cache unless ``all_cols``,
-        else 0; the row blocks are the same either way."""
-        rows = self.rows[:, row_nodes]
+        kappa(row_{r0+i}[row_nodes][a], col_{c0+j}[col_nodes][n])``, shape
+        (r1 - r0, row nodes, cols - c0, col nodes): the only loop that
+        computes cross kernels. ``c0 = r0`` for a one-set cache unless
+        ``all_cols``, else 0; the upper triangle of video pairs covers
+        every pair only when both node selections are the same."""
+        rows, cols = self.rows[:, row_nodes], self.cols[:, col_nodes]
         nr, a, d = rows.shape
-        nc, m = self.cols.shape[0], self.nodes
+        nc, m = cols.shape[:2]
         upper = self.cols is self.rows and not all_cols
-        flat_c = self.cols.reshape(nc * m, d)
+        flat_c = cols.reshape(nc * m, d)
         # squared norms in row chunks of about one block each
         parts = np.array_split(flat_c, -(-flat_c.size // _BLOCK_ELEMENTS))
         col_sq = np.concatenate([np.sum(p * p, axis=-1) for p in parts])
@@ -346,17 +355,25 @@ class NodeKernelCache:
         return out
 
     def combined(self, beta: np.ndarray, variant: str) -> np.ndarray:
-        """Combined-kernel values, shape (rows, cols); exactly symmetric
+        """Combined-kernel values, shape (rows, cols), from the node
+        kernels of the nodes with non-zero weight only; exactly symmetric
         for an averaging one-set cache, whose upper triangle is computed
         and mirrored."""
         variant = canonical_variant(variant)
         beta = self._check_beta(beta)
+        nodes = np.flatnonzero(beta)
+        dense = nodes.size == self.nodes
         if variant == CONCATENATION:
-            return contract_table(self.aligned(), beta)
+            if dense:
+                return contract_table(self.aligned(), beta)
+            return contract_table(self._aligned_nodes(nodes), beta[nodes])
+        if dense:
+            nodes = slice(None)         # views of every node, not copies
+        weights = beta[nodes]
         out = np.empty((self.rows.shape[0], self.cols.shape[0]))
-        for r0, r1, c0, block in self._cross_blocks():
+        for r0, r1, c0, block in self._cross_blocks(nodes, nodes):
             out[r0:r1, c0:] = contract_table(
-                np.tensordot(beta, block, axes=(0, 1)), beta)
+                np.tensordot(weights, block, axes=(0, 1)), weights)
         return _mirror_upper(out) if self.cols is self.rows else out
 
     def pair_blocks(self, i_idx: np.ndarray, j_idx: np.ndarray,

@@ -321,7 +321,8 @@ class TrainOutput:
 
 def _entropy(beta: np.ndarray) -> float:
     positive = beta[beta > 0]
-    return float(-(positive * np.log(positive)).sum())
+    # + 0.0 turns the -0.0 of a one-hot beta into 0.0
+    return float(-(positive * np.log(positive)).sum()) + 0.0
 
 
 def train_em_route(manifest: DatasetManifest, root: str, cfg: PipelineConfig,
@@ -337,7 +338,9 @@ def train_em_route(manifest: DatasetManifest, root: str, cfg: PipelineConfig,
                        rows, {"iterations": result.iterations,
                               "beta_entropy": _entropy(result.beta),
                               "dual_solves": result.dual_solves,
-                              "pair_updates": result.pair_updates})
+                              "pair_updates": result.pair_updates,
+                              "backtracks": result.backtracks,
+                              "stop_reason": result.stop_reason})
 
 
 def train_dmkl_route(manifest: DatasetManifest, root: str,

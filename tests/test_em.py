@@ -6,8 +6,9 @@ import pytest
 from conftest import random_trees
 from oracles import averaging_coeffs_oracle
 from treemkl import em, errors, kernels
-from treemkl.em import EmConfig, beta_objective_coeffs, em_fit
-from treemkl.hierarchy import Hierarchy, pool_sequence
+from treemkl.em import (BACKTRACK_RANGE, EmConfig, backtracked_eta,
+                        beta_objective_coeffs, em_fit)
+from treemkl.hierarchy import Hierarchy, PooledTree, pool_sequence
 from treemkl.kernels import (
     AVERAGING,
     CONCATENATION,
@@ -125,6 +126,27 @@ def synth_trees(seed, level=2, depth=None, per_class=25):
             [trees[i] for i in te], data.labels[te], h)
 
 
+def noisy_node_trees(seed, per_class=6, classes=3, dim=4, depth=3):
+    """Trees whose every node is its class mean plus independent noise.
+    Weight spread over the nodes averages the noise out, so no single
+    node separates the classes as well, and from the uniform start the
+    full step to a vertex is rejected in both variants."""
+    rng = np.random.default_rng(seed)
+    labels = np.repeat(np.arange(1, classes + 1), per_class)
+    means = rng.standard_normal((classes, dim))
+    nodes = 2 ** depth - 1
+    trees = [PooledTree(f"v{i}", "appearance", depth,
+                        means[c - 1] + 0.5 * rng.standard_normal((nodes, dim)))
+             for i, c in enumerate(labels)]
+    return trees, labels, KernelConfig("rbf", median_gamma(trees))
+
+
+def step_length(before, after):
+    """The ``eta`` of the Frank-Wolfe step from ``before`` to ``after``."""
+    v = int(np.argmax(after - before))
+    return (after[v] - before[v]) / (1.0 - before[v])
+
+
 class TestEmFit:
     def test_depth1_equals_plain_svm(self, rng):
         train, y_train, test, y_test, h = synth_trees(0, level=1, depth=1)
@@ -132,6 +154,7 @@ class TestEmFit:
         kcfg = KernelConfig("rbf", gamma)
         res = em_fit(train, y_train, CONCATENATION, kcfg)
         np.testing.assert_array_equal(res.beta, [1.0])
+        assert res.stop_reason == "single_node"
         gram = gram_matrix(train, np.array([1.0]), CONCATENATION, kcfg)
         plain = train_one_vs_rest(gram, y_train)
         np.testing.assert_array_equal(res.model.alpha, plain.alpha)
@@ -158,9 +181,10 @@ class TestEmFit:
             assert np.all(np.diff(res.objective_trace) <= 1e-8)
 
     def test_averaging_objective_is_dual_value_at_final_beta(self):
-        # the table em_fit moves along each step stays half_contracted(beta)
-        train, y_train, *_ = synth_trees(1, level=2)
-        kcfg = KernelConfig("rbf", median_gamma(train))
+        # the table em_fit moves along each step stays half_contracted(beta);
+        # partial steps leave beta inside the simplex, so the in-place
+        # update runs with 0 < eta < 1
+        train, y_train, kcfg = noisy_node_trees(0)
         res = em_fit(train, y_train, AVERAGING, kcfg, EmConfig(max_iters=10))
         assert res.iterations >= 2
         gram = gram_matrix(train, res.beta, AVERAGING, kcfg)
@@ -187,6 +211,7 @@ class TestEmFit:
         np.testing.assert_array_equal(predict(res.model, k_cols),
                                       predict(plain, k_cols))
         np.testing.assert_array_equal(res.model.alpha, plain.alpha)
+        assert res.stop_reason == "max_iters" and res.backtracks == 0
 
     @pytest.mark.parametrize("variant", [AVERAGING, CONCATENATION])
     def test_tables_over_limit_rejected(self, rng, monkeypatch, variant):
@@ -234,14 +259,12 @@ class TestEmFit:
 
 
 class TestEmStops:
-    """The early stops of ``em_fit`` on a small problem (8 videos per
-    class, depth 3), told apart by counting one-vs-rest solves: each
-    iteration solves one candidate per step length it tries."""
+    """The early stops of ``em_fit``, told apart by counting one-vs-rest
+    solves: each iteration solves one candidate per step length it
+    tries."""
 
     @pytest.fixture
-    def fit(self, monkeypatch):
-        train, y_train, *_ = synth_trees(0, level=3, depth=3, per_class=8)
-        kcfg = KernelConfig("rbf", median_gamma(train))
+    def solved(self, monkeypatch):
         solved = []
 
         def spy(*args):
@@ -249,28 +272,121 @@ class TestEmStops:
             return solved[-1]
 
         monkeypatch.setattr(em, "train_one_vs_rest", spy)
+        return solved
+
+    @pytest.fixture
+    def fit(self, solved):
+        # 8 videos per class, depth 3, the full step accepted
+        train, y_train, *_ = synth_trees(0, level=3, depth=3, per_class=8)
+        kcfg = KernelConfig("rbf", median_gamma(train))
         return lambda variant, cfg: (em_fit(train, y_train, variant, kcfg,
                                             cfg), solved)
 
     def test_vertex_reached(self, fit):
-        res, solved = fit(AVERAGING, EmConfig(eta=1.0))
+        res, solved = fit(AVERAGING, EmConfig())
         assert res.iterations == 1
         np.testing.assert_array_equal(res.beta, np.eye(7)[5])
         # no candidate is tried once the step's vertex is beta itself
         assert len(solved) == res.iterations + 1
+        assert res.stop_reason == "vertex" and res.backtracks == 0
+        # the full step comes first: 4 classes, the start and one candidate
+        assert res.dual_solves <= 8
 
     @pytest.mark.parametrize("variant", [AVERAGING, CONCATENATION])
-    def test_param_tol(self, fit, variant):
-        res, solved = fit(variant, EmConfig(param_tol=1e9))
-        assert res.iterations == 1
-        assert len(solved) == 2 and res.model is solved[-1]
+    def test_param_tol(self, solved, variant):
+        # the first step is partial, so the stop is param_tol's, not the
+        # vertex's: beta keeps every node
+        train, y_train, kcfg = noisy_node_trees(0)
+        res = em_fit(train, y_train, variant, kcfg, EmConfig(param_tol=1e9))
+        assert res.iterations == 1 and res.stop_reason == "param_tol"
+        assert res.backtracks >= 1
+        assert len(solved) == res.backtracks + 2 and res.model is solved[-1]
         assert np.count_nonzero(res.beta) == 7
 
     def test_no_accepted_step(self, fit, monkeypatch):
-        monkeypatch.setattr(em, "MAX_HALVINGS", 0)
-        res, solved = fit(CONCATENATION, EmConfig(eta=1.0))
+        monkeypatch.setattr(em, "MAX_BACKTRACKS", 0)
+        res, solved = fit(CONCATENATION, EmConfig())
         assert res.iterations >= 1
         assert np.count_nonzero(res.beta) == 1
         # one more candidate than accepted steps, and it was rejected
         assert len(solved) == res.iterations + 2
         assert res.model is solved[-2]
+        assert res.stop_reason == "no_accepted_step" and res.backtracks == 1
+
+
+def true_objective(trees, labels, beta, variant, kcfg, svm_cfg):
+    """The traced objective at ``beta``, from a Gram built from scratch."""
+    gram = gram_matrix(trees, beta, variant, kcfg)
+    model = train_one_vs_rest(gram, labels, svm_cfg)
+    return model, -sum(dual_objective(gram, a, y)
+                       for a, y in zip(model.alpha, model.signs))
+
+
+class TestLineSearch:
+    @pytest.mark.parametrize("variant", [CONCATENATION, AVERAGING])
+    def test_line_search_gets_the_exact_slope(self, monkeypatch, variant):
+        # the Danskin slope J'(0) = -k (c_v - c @ beta) that em_fit hands
+        # its first backtrack, against a central difference of J along the
+        # step it then takes, at depth 2
+        svm_cfg = TrainConfig(c_box=5.0, kkt_tol=1e-10, max_passes=10_000)
+        train, y_train, kcfg = noisy_node_trees(2, depth=2)
+        slopes = []
+        backtracked = em.backtracked_eta
+
+        def spy(eta, rise, slope):
+            slopes.append(slope)
+            return backtracked(eta, rise, slope)
+
+        monkeypatch.setattr(em, "backtracked_eta", spy)
+        res = em_fit(train, y_train, variant, kcfg, EmConfig(max_iters=1),
+                     svm_cfg)
+        assert res.backtracks >= 1
+        beta = res.beta_trace[0]
+        d = np.eye(3)[np.argmax(res.beta_trace[1] - beta)] - beta
+        h = 1e-4
+        ahead, behind = (true_objective(train, y_train, beta + t * d, variant,
+                                        kcfg, svm_cfg)[1] for t in (h, -h))
+        assert abs((ahead - behind) / (2 * h) - slopes[0]) \
+            <= 1e-5 * abs(slopes[0])
+
+    def test_backtracked_eta_minimizes_the_interpolating_quadratic(self):
+        # J(t) = J(0) + g t + a t^2 is interpolated exactly
+        g, a = -1.0, 2.0
+        for eta in (1.0, 0.75, 0.6):
+            rise = g * eta + a * eta * eta
+            assert backtracked_eta(eta, rise, g) == pytest.approx(0.25)
+        lo, hi = BACKTRACK_RANGE
+        # a steep rise clamps to the low end; as the rise shrinks to zero
+        # the minimizer rises to eta / 2, the high end
+        assert backtracked_eta(1.0, 100.0, -1.0) == lo
+        assert hi * 0.5 - 1e-8 < backtracked_eta(0.5, 1e-9, -1.0) <= hi * 0.5
+        # a zero slope (beta already optimal along d) still shrinks eta
+        assert backtracked_eta(1.0, 1.0, 0.0) == lo
+
+    def test_rejected_full_step(self, monkeypatch):
+        train, y_train, kcfg = noisy_node_trees(0)
+        res = em_fit(train, y_train, AVERAGING, kcfg, EmConfig(max_iters=1))
+        assert res.iterations == 1 and res.backtracks >= 1
+        # each backtrack shrinks eta into BACKTRACK_RANGE of the last one
+        lo, hi = BACKTRACK_RANGE
+        eta = step_length(*res.beta_trace)
+        assert lo ** res.backtracks <= eta <= hi ** res.backtracks
+        assert res.objective_trace[1] <= res.objective_trace[0] + 1e-10
+
+        # the averaging table handed to each iteration is
+        # half_contracted(beta) of the weights that iteration starts from
+        tables = []
+        coeffs = em.beta_objective_coeffs
+
+        def spy(model, table):
+            tables.append(table.copy())
+            return coeffs(model, table)
+
+        monkeypatch.setattr(em, "beta_objective_coeffs", spy)
+        res = em_fit(train, y_train, AVERAGING, kcfg, EmConfig(max_iters=4))
+        assert res.iterations == 4 and res.backtracks >= 4
+        cache = NodeKernelCache(train, kcfg)
+        for table, beta in zip(tables, res.beta_trace):
+            np.testing.assert_allclose(table, cache.half_contracted(beta),
+                                       rtol=0, atol=1e-12)
+        assert len(tables) == 4

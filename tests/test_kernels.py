@@ -282,6 +282,39 @@ class TestNodeKernelCache:
             np.testing.assert_allclose(cache.combined(beta, variant),
                                        expected, atol=1e-12)
 
+    @pytest.mark.parametrize("two_sets", [False, True])
+    @pytest.mark.parametrize("variant", [CONCATENATION, AVERAGING])
+    def test_combined_evaluates_only_weighted_nodes(self, rng, monkeypatch,
+                                                    variant, two_sets):
+        # a vertex and a three-node support against the untrimmed
+        # contraction, over ragged row blocks
+        monkeypatch.setattr(kernels, "_BLOCK_ELEMENTS", 100)
+        rows = random_trees(rng, n=7, depth=3)
+        cols = random_trees(rng, n=5, depth=3) if two_sets else None
+        evaluated = []
+        kernel_matrix = kernels._kernel_matrix
+
+        def counted(*args):
+            k = kernel_matrix(*args)
+            evaluated.append(k.size)
+            return k
+
+        for support in ([2], [0, 4, 6]):
+            beta = np.zeros(7)
+            beta[support] = to_simplex(rng.standard_normal(len(support)))
+            oracle = NodeKernelCache(rows, RBF, cols)
+            expected = kernels.contract_table(
+                oracle.aligned() if variant == CONCATENATION
+                else oracle.cross(), node_weights(beta, variant))
+            cache = NodeKernelCache(rows, RBF, cols)
+            monkeypatch.setattr(kernels, "_kernel_matrix", counted)
+            evaluated.clear()
+            got = cache.combined(beta, variant)
+            monkeypatch.setattr(kernels, "_kernel_matrix", kernel_matrix)
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+            pairs = len(support) ** (1 if variant == CONCATENATION else 2)
+            assert sum(evaluated) <= 7 * (5 if two_sets else 7) * pairs
+
     def test_pair_blocks_match_elementary(self, rng):
         trees = random_trees(rng, n=5, depth=2)
         i_idx = np.array([0, 1, 3])

@@ -14,7 +14,7 @@ from treemkl.cli import main
 from treemkl.dataio import (StreamFeatureSequence, load_feature_file,
                             load_manifest)
 from treemkl.dmkl import ContrastiveConfig
-from treemkl.em import EmConfig
+from treemkl.em import STOP_REASONS, EmConfig
 from treemkl.hierarchy import Hierarchy, PooledTree, pool_sequence
 from treemkl.kernels import kernel_columns
 from treemkl.pipeline import evaluate_artifact, fuse_evaluate, load_artifact
@@ -114,6 +114,24 @@ class TestTrainingOutputs:
         entropies = [float(line.split(",")[2]) for line in lines]
         assert entropies[0] == pytest.approx(np.log(7))  # uniform over 7 nodes
         assert entropies[-1] < entropies[0]
+
+    def test_em_summary_says_why_it_stopped(self, workspace):
+        summary = json.loads(
+            (workspace / "em_a" / "training.json").read_text())
+        assert set(summary) == {"iterations", "beta_entropy", "dual_solves",
+                                "pair_updates", "backtracks", "stop_reason"}
+        assert summary["stop_reason"] in STOP_REASONS
+        backtracks = summary["backtracks"]
+        assert type(backtracks) is int and backtracks >= 0
+
+    def test_vertex_entropy_is_written_as_zero(self, workspace):
+        # a one-hot beta has entropy 0.0, written without a sign
+        assert np.count_nonzero(
+            load_artifact(workspace / "em_a" / "model.json").beta) == 1
+        text = (workspace / "em_a" / "training.json").read_text()
+        assert '"beta_entropy": 0.0,' in text
+        last = (workspace / "em_a" / "trace.csv").read_text().splitlines()[-1]
+        assert last.endswith(",0.0")
 
     def test_files_listing(self, workspace):
         listing = json.loads((workspace / "em_a" / "files.json").read_text())
