@@ -2,9 +2,10 @@
 
 Every pair of training videos carries a binary supervision signal (same
 class or not), giving n(n-1)/2 examples from n labels. The weights
-descend a contrastive loss over every pair through the simplex
-reparametrization; the SVMs are trained once afterwards on the frozen
-kernel.
+descend a contrastive loss over every pair by pairwise Frank-Wolfe
+steps, each moving weight between two nodes by the exact minimizer
+along that segment, until the Frank-Wolfe gap says no step can help;
+the SVMs are trained once afterwards on the frozen kernel.
 """
 
 import numpy as np
@@ -36,17 +37,19 @@ n = len(train)
 print(f"{n} training labels supply {n * (n - 1) // 2} supervised pairs")
 
 kcfg = KernelConfig("rbf", median_gamma(train))
-cfg = ContrastiveConfig(iterations=1500, positive_fraction=0.5, seed=1)
+cfg = ContrastiveConfig(positive_fraction=0.5, seed=1)
 result = dmkl_fit(train, data.labels[tr], CONCATENATION, cfg, kcfg)
 
-print("\niter |      loss | weight mass per level")
-for it in range(0, cfg.iterations + 1, 250):
-    beta = result.beta_trace[it]
+print("\nstep |      loss | weight mass per level")
+for it, (loss, beta) in enumerate(zip(result.loss_trace, result.beta_trace)):
     masses = " ".join(f"{beta[h.level_slice(l)].sum():.2f}"
                       for l in range(1, h.depth + 1))
-    print(f"{it:4d} | {result.loss_trace[it]:9.4f} | {masses}")
+    print(f"{it:4d} | {loss:9.4f} | {masses}")
 
-print(f"\nloss: {result.loss_trace[0]:.4f} -> {result.loss_trace[-1]:.4f}")
+print(f"\nloss: {result.loss_trace[0]:.4f} -> {result.loss_trace[-1]:.4f} "
+      f"in {result.loss_trace.size - 1} steps")
+print(f"stopped on {result.stop_reason}: Frank-Wolfe gap {result.fw_gap:.1e}, "
+      "which bounds the loss's distance above its minimum")
 beta = result.weights.beta
 print("final weights:",
       {f"{l}:{k}": round(float(b), 3)

@@ -20,7 +20,6 @@ from .hierarchy import (
     write_pooled_file,
 )
 from .dmkl import (
-    AdamState,
     ContrastiveConfig,
     DmklResult,
     contrastive_loss,

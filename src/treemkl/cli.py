@@ -299,7 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("train-dmkl", "contrastive kernel-weight training")
     _add_common_train_flags(p)
-    p.add_argument("--lr", dest="learning_rate", type=float)
     p.add_argument("--batch", type=int, help="ignored; every pair is used")
     p.add_argument("--iters", dest="iterations", type=int)
     p.add_argument("--positive-fraction", type=float)

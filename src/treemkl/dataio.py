@@ -244,7 +244,11 @@ def load_manifest(path: str | os.PathLike) -> DatasetManifest:
     if not os.path.isfile(path):
         raise MissingPath(f"{path}: no such manifest")
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{path}: not valid UTF-8: {exc}") from exc
+        for lineno, line in enumerate(lines, start=1):
             line = line.strip()
             if not line:
                 continue

@@ -15,10 +15,11 @@ never binds and the loss is exactly quadratic in ``w = node_weights(beta)``:
 ``b`` and ``c`` the sums of ``c_p F_p`` and ``c_p`` over positive pairs,
 and ``F_p`` pair p's row of node kernels. These moments are built once;
 each step then costs O(q^2) for q = nodes or nodes**2, whatever the
-number of videos, and stays on the simplex through its softmax
-reparametrization. ``dmkl_fit`` then frees the moments, builds one Gram
-matrix from the frozen weights and its own node-kernel cache, and trains
-the one-vs-rest machines on it in a single step.
+number of videos, and is a pairwise Frank-Wolfe step of exact length
+(Lacoste-Julien & Jaggi, NeurIPS 2015). ``dmkl_fit`` then frees the
+moments, builds one Gram matrix from the frozen weights and its own
+node-kernel cache, and trains the one-vs-rest machines on it in a single
+step.
 """
 
 from __future__ import annotations
@@ -40,25 +41,29 @@ from .kernels import (
 )
 from .simplex import (
     INIT_SCHEMES,
+    SimplexPoint,
     SimplexWeights,
     backprop_through_simplex,
-    check_on_simplex,
 )
 from .svm import SvmModel, TrainConfig, one_vs_rest_classes, train_one_vs_rest
 
 
+# dmkl_fit stops once its Frank-Wolfe gap grad @ beta - min(grad) is at
+# most FW_GAP_TOL ("gap"), or at the step cap ("max_iters"). The gap
+# bounds L - min L for concatenation, whose L is convex (Jaggi, ICML
+# 2013), and measures first-order stationarity for averaging.
+FW_GAP_TOL = 1e-12
+STOP_REASONS = ("gap", "max_iters")
+
+
 @dataclass(frozen=True)
 class ContrastiveConfig:
-    learning_rate: float = 0.0005
-    iterations: int = 4000
+    iterations: int = 4000          # the step cap
     seed: int = 0
     positive_fraction: float | None = None
     beta_init: str = "uniform"
 
     def __post_init__(self):
-        if not (0 <= self.learning_rate < np.inf):
-            raise ValidationError(f"learning_rate must be finite and >= 0, "
-                                  f"got {self.learning_rate}")
         if self.iterations < 0:
             raise ValidationError("iterations must be >= 0")
         if self.positive_fraction is not None and not (
@@ -114,42 +119,14 @@ def loss_grad(i: np.ndarray, j: np.ndarray, y: np.ndarray,
     return loss, backprop_through_simplex(de_dbeta, beta)
 
 
-# Adam's moment decay rates and denominator guard, at their published
-# defaults (Kingma & Ba, ICLR 2015)
-ADAM_BETA1 = 0.9
-ADAM_BETA2 = 0.999
-ADAM_EPS = 1e-8
-
-
-@dataclass
-class AdamState:
-    """First/second moment accumulators for the raw parameters."""
-
-    m: np.ndarray
-    v: np.ndarray
-    step: int = 0
-
-    @classmethod
-    def zeros(cls, n: int) -> "AdamState":
-        return cls(m=np.zeros(n), v=np.zeros(n))
-
-    def update(self, grad: np.ndarray, learning_rate: float) -> np.ndarray:
-        if grad.shape != self.m.shape:
-            raise ShapeMismatch(f"gradient {grad.shape} vs state {self.m.shape}")
-        self.step += 1
-        self.m = ADAM_BETA1 * self.m + (1.0 - ADAM_BETA1) * grad
-        self.v = ADAM_BETA2 * self.v + (1.0 - ADAM_BETA2) * grad ** 2
-        m_hat = self.m / (1.0 - ADAM_BETA1 ** self.step)
-        v_hat = self.v / (1.0 - ADAM_BETA2 ** self.step)
-        return -learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-
-
 @dataclass(frozen=True)
 class DmklResult:
-    weights: SimplexWeights
+    weights: SimplexPoint
     model: SvmModel
     loss_trace: np.ndarray
     beta_trace: np.ndarray          # weights at start plus after each step
+    stop_reason: str                # one of STOP_REASONS
+    fw_gap: float                   # grad @ beta - min(grad) at the weights
 
 
 def pair_moments(cache: NodeKernelCache, table: _PairTable, variant: str,
@@ -183,12 +160,39 @@ def pair_moments(cache: NodeKernelCache, table: _PairTable, variant: str,
     return A, b, float(coef_pos.sum())
 
 
+def segment_quartic(A: np.ndarray, b: np.ndarray, c: float, beta: np.ndarray,
+                    d: np.ndarray, variant: str) -> np.ndarray:
+    """Coefficients, constant first, of the quartic ``L(beta + t d)``:
+    ``w(t) = W[0] + t W[1] + t^2 W[2]``, read off ``w(-1), w(0), w(1)``,
+    and the ``t^k`` term of ``w' A w`` sums ``(W A W')[i, j]``, i+j = k."""
+    w0 = node_weights(beta, variant)
+    up, down = node_weights(beta + d, variant), node_weights(beta - d, variant)
+    W = np.stack([w0, 0.5 * (up - down), 0.5 * (up + down) - w0])
+    M = np.fliplr(W @ (A @ W.T))
+    coeffs = np.array([M.trace(2 - k) for k in range(5)])
+    coeffs[:3] -= 2.0 * (W @ b)
+    coeffs[0] += c
+    return coeffs
+
+
+def quartic_argmin(coeffs: np.ndarray, t_max: float) -> float:
+    """The lowest of ``t_max`` and the derivative's roots in ``(0, t_max)``
+    for the polynomial ``coeffs``, constant first, with a negative slope
+    at 0. Real parts keep a double root that rounding split into a
+    complex pair."""
+    roots = np.roots((coeffs[1:] * np.arange(1, coeffs.size))[::-1]).real
+    candidates = np.append(roots[(roots > 0) & (roots < t_max)], t_max)
+    return float(candidates[np.argmin(np.polyval(coeffs[::-1], candidates))])
+
+
 def dmkl_fit(trees: list[PooledTree], labels: np.ndarray, variant: str,
              cfg: ContrastiveConfig, kernel_cfg: KernelConfig,
              svm_cfg: TrainConfig = TrainConfig()) -> DmklResult:
-    """Minimize the contrastive loss over the simplex by Adam steps on its
-    exact gradient, then train the one-vs-rest machines on the Gram matrix
-    of the frozen weights; the trace holds the loss before and after each
+    """Minimize the contrastive loss over the simplex, then train the
+    one-vs-rest machines on the Gram matrix of the frozen weights. Each
+    step moves weight from the support node of largest gradient to the
+    node of smallest, by the exact minimizer along that segment, so it
+    can drop a node to 0. The trace holds the loss before and after each
     step. The seed only draws a random start. Needs the rbf kernel."""
     if kernel_cfg.kind != "rbf":
         raise ValidationError("contrastive training needs the rbf kernel, "
@@ -199,27 +203,35 @@ def dmkl_fit(trees: list[PooledTree], labels: np.ndarray, variant: str,
     cache = NodeKernelCache(trees, kernel_cfg)
     A, b, c = pair_moments(cache, _PairTable(labels), variant,
                            cfg.positive_fraction)
-    weights = SimplexWeights.init(cache.nodes, cfg.beta_init, cfg.seed)
-    adam = AdamState.zeros(cache.nodes)
-    loss_trace, beta_trace = [], [weights.beta]
+    beta = SimplexWeights.init(cache.nodes, cfg.beta_init, cfg.seed).beta.copy()
+    loss_trace, beta_trace = [], [beta.copy()]
     for step in range(cfg.iterations + 1):
-        w = node_weights(weights.beta, variant)
+        w = node_weights(beta, variant)
         Aw = A @ w
         loss_trace.append(float(w @ Aw - 2.0 * (b @ w) + c))
-        if step == cfg.iterations:
+        grad = node_weights_pullback(2.0 * (Aw - b), beta, variant)
+        toward = int(np.argmin(grad))
+        fw_gap = float(grad @ beta - grad[toward])
+        if fw_gap <= FW_GAP_TOL or step == cfg.iterations:
             break
-        grad = backprop_through_simplex(node_weights_pullback(
-            2.0 * (Aw - b), weights.beta, variant), weights.beta)
-        delta = adam.update(grad, cfg.learning_rate)
-        weights = SimplexWeights(weights.raw + delta)
-        beta_trace.append(weights.beta)
-    check_on_simplex(weights.beta)
+        # a positive gap puts a support entry above grad[toward]
+        away = int(np.argmax(np.where(beta > 0, grad, -np.inf)))
+        d = np.zeros_like(beta)
+        d[toward], d[away] = 1.0, -1.0
+        t_max = beta[away]
+        t = quartic_argmin(segment_quartic(A, b, c, beta, d, variant), t_max)
+        beta[toward] += t
+        beta[away] = 0.0 if t == t_max else beta[away] - t
+        beta_trace.append(beta.copy())
+    stop_reason = "gap" if fw_gap <= FW_GAP_TOL else "max_iters"
+    weights = SimplexPoint(beta)
     del A, b  # free the moments first: averaging's A is 126 MB at depth 6
     gram = mirrored_gram(cache.combined(weights.beta, variant), cache.row_ids)
     return DmklResult(weights=weights,
                       model=train_one_vs_rest(gram, labels, svm_cfg),
                       loss_trace=np.asarray(loss_trace),
-                      beta_trace=np.asarray(beta_trace))
+                      beta_trace=np.asarray(beta_trace),
+                      stop_reason=stop_reason, fw_gap=fw_gap)
 
 
 def dmkl_then_svm(trees: list[PooledTree], labels: np.ndarray, variant: str,

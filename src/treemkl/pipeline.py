@@ -237,6 +237,8 @@ def load_artifact(path: str | os.PathLike) -> ModelArtifact:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise ArtifactMismatch(f"{path}: not valid UTF-8: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ArtifactMismatch(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
@@ -356,7 +358,9 @@ def train_dmkl_route(manifest: DatasetManifest, root: str,
     return TrainOutput(artifact, ["iteration", "loss"], rows,
                        {"iterations": len(rows) - 1, "final_loss": rows[-1][1],
                         "dual_solves": result.model.class_ids.size,
-                        "pair_updates": result.model.pair_updates})
+                        "pair_updates": result.model.pair_updates,
+                        "stop_reason": result.stop_reason,
+                        "fw_gap": result.fw_gap})
 
 
 # --- evaluation -------------------------------------------------------------------

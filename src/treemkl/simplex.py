@@ -1,12 +1,16 @@
-"""Simplex reparametrization of node weights and its backward pass.
+"""Node weights on the simplex: the softmax point, its backward pass,
+and a checked holder for points with exact zeros.
 
 Node weights live on the probability simplex (entries in [0, 1], summing
-to 1). Optimizers work on free real parameters ``raw``; the constrained
-vector is ``beta = exp(raw) / sum(exp(raw))``, so every optimizer step
-lands back on the simplex by construction. The softmax Jacobian has the
-closed form ``J[p, k] = beta[k] * (delta(p, k) - beta[p])``; its columns
-sum to zero, which is why gradients of any loss that is constant on the
-simplex vanish after the backward pass.
+to 1). ``SimplexWeights`` holds free real parameters ``raw`` and the
+point ``beta = exp(raw) / sum(exp(raw))`` they induce; the trainers
+draw their start from it, and the contrastive loss's softmax gradient
+(``dmkl.loss_grad``) is pulled back through it. The softmax Jacobian has
+the closed form ``J[p, k] = beta[k] * (delta(p, k) - beta[p])``; its
+columns sum to zero, which is why gradients of any loss that is constant
+on the simplex vanish after the backward pass. A softmax point is never
+exactly 0, so weights that a step drops to zero are held by
+``SimplexPoint``, which stores ``beta`` itself.
 """
 
 from __future__ import annotations
@@ -62,6 +66,18 @@ def backprop_through_simplex(de_dbeta: np.ndarray, beta: np.ndarray) -> np.ndarr
         raise ShapeMismatch(
             f"gradient shape {de_dbeta.shape} != beta shape {beta.shape}")
     return beta * (de_dbeta - de_dbeta @ beta)
+
+
+@dataclass(frozen=True)
+class SimplexPoint:
+    """A read-only ``beta`` that passed :func:`check_on_simplex`."""
+
+    beta: np.ndarray
+
+    def __post_init__(self):
+        beta = check_on_simplex(np.array(self.beta, dtype=np.float64))
+        beta.flags.writeable = False
+        object.__setattr__(self, "beta", beta)
 
 
 @dataclass(frozen=True)

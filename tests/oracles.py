@@ -1,11 +1,12 @@
 """Independent reference implementations used only to check the library.
 
 Nothing here shares code with the package: the elementary kernel is
-evaluated one vector pair at a time, the QP oracle enumerates active
-sets, gradients come from central finite differences, the softmax
-Jacobian is written out entry by entry, artifact scores are summed one
-class and one support video list at a time, and the reference dual
-solver rebuilds every KKT quantity from the gradient at each update.
+evaluated one vector pair at a time, the QP oracles enumerate active
+sets or supports, gradients come from central finite differences, the
+softmax Jacobian is written out entry by entry, artifact scores are
+summed one class and one support video list at a time, and the
+reference dual solver rebuilds every KKT quantity from the gradient at
+each update.
 """
 
 from __future__ import annotations
@@ -97,6 +98,45 @@ def qp_enumeration_oracle(K: np.ndarray, y: np.ndarray, c_box: float):
             best_obj = obj
             best_alpha = alpha.copy()
     return best_alpha, best_obj
+
+
+def simplex_qp_oracle(A: np.ndarray, b: np.ndarray, c: float):
+    """Global minimum of ``L(w) = w'Aw - 2 b'w + c`` over the simplex, for
+    a PSD ``A`` of order m <= 7, by exhaustive support search.
+
+    For each of the 2^m - 1 supports S, stationarity on the face of S,
+    ``A_SS w_S - b_S = mu 1`` with ``1'w_S = 1``, is solved as one linear
+    system and the candidate kept if it is consistent and non-negative.
+    The minimizer of smallest support is the unique stationary point of
+    its face, so the best kept candidate is the global minimum. Returns
+    the minimizer and its value.
+    """
+    A = np.asarray(A, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    m = b.size
+    if m > 7:
+        raise ValueError(f"support enumeration needs m <= 7, got {m}")
+    best_w, best_val = None, math.inf
+    for size in range(1, m + 1):
+        for support in itertools.combinations(range(m), size):
+            s = list(support)
+            K = np.zeros((size + 1, size + 1))
+            K[:size, :size] = A[np.ix_(s, s)]
+            K[:size, -1] = -1.0
+            K[-1, :size] = 1.0
+            rhs = np.concatenate([b[s], [1.0]])
+            sol, *_ = np.linalg.lstsq(K, rhs, rcond=None)
+            if not np.allclose(K @ sol, rhs, atol=1e-10):
+                continue
+            if sol[:size].min() < -1e-12:
+                continue
+            w = np.zeros(m)
+            w[s] = np.maximum(sol[:size], 0.0)
+            w /= w.sum()
+            val = float(w @ A @ w - 2.0 * (b @ w) + c)
+            if val < best_val:
+                best_w, best_val = w, val
+    return best_w, best_val
 
 
 @dataclass(frozen=True)

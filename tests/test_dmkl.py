@@ -2,12 +2,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as P
 
 from conftest import random_trees
-from oracles import central_difference
+from oracles import central_difference, simplex_qp_oracle
 from treemkl import dmkl, errors, kernels
 from treemkl.dmkl import (
-    AdamState,
+    FW_GAP_TOL,
+    STOP_REASONS,
     ContrastiveConfig,
     _PairTable,
     contrastive_loss,
@@ -15,6 +17,8 @@ from treemkl.dmkl import (
     dmkl_then_svm,
     loss_grad,
     pair_moments,
+    quartic_argmin,
+    segment_quartic,
 )
 from treemkl.hierarchy import Hierarchy, pool_sequence
 from treemkl.kernels import (
@@ -243,21 +247,6 @@ class TestPairMoments:
                      ContrastiveConfig(), KernelConfig("linear"))
 
 
-class TestAdamState:
-    def test_first_step_magnitude(self):
-        adam = AdamState.zeros(3)
-        delta = adam.update(np.array([1.0, -2.0, 0.5]), learning_rate=0.1)
-        # bias-corrected first step moves each coordinate by ~lr against
-        # the gradient sign
-        np.testing.assert_allclose(np.abs(delta), 0.1, rtol=1e-6)
-        assert np.all(np.sign(delta) == [-1.0, 1.0, -1.0])
-
-    def test_shape_check(self):
-        adam = AdamState.zeros(3)
-        with pytest.raises(errors.ShapeMismatch):
-            adam.update(np.zeros(4), 0.1)
-
-
 def synth_setup(seed, level=2, amplitude=1.5, per_class=25):
     spec = SynthSpec(num_classes=4, per_class=per_class, frames=32, dim=16,
                      signal_level=level, amplitude=amplitude,
@@ -275,21 +264,22 @@ class TestDmklFit:
         with pytest.raises(errors.ValidationError):
             ContrastiveConfig(beta_init="bogus")
 
-    def test_zero_learning_rate_is_inert(self):
+    def test_zero_step_cap_keeps_the_start(self):
         train, y_train, *_ = synth_setup(0)
         kcfg = KernelConfig("rbf", median_gamma(train))
-        cfg = ContrastiveConfig(learning_rate=0.0, iterations=20, seed=3)
+        cfg = ContrastiveConfig(iterations=0, seed=3)
         res = dmkl_fit(train, y_train, CONCATENATION, cfg, kcfg)
         np.testing.assert_array_equal(res.weights.beta,
                                       SimplexWeights.uniform(7).beta)
-        assert np.all(res.loss_trace == res.loss_trace[0])
+        assert res.loss_trace.size == res.beta_trace.shape[0] == 1
+        assert res.stop_reason == "max_iters" and res.fw_gap > FW_GAP_TOL
 
     def test_loss_halves_on_separable_data(self):
         train, y_train, *_ = synth_setup(0, amplitude=2.0)
         kcfg = KernelConfig("rbf", median_gamma(train))
         cfg = ContrastiveConfig(seed=0, positive_fraction=0.5)
         res = dmkl_fit(train, y_train, AVERAGING, cfg, kcfg)
-        assert res.loss_trace.size == cfg.iterations + 1
+        assert res.stop_reason == "gap" and res.fw_gap <= FW_GAP_TOL
         assert res.loss_trace[-1] < 0.5 * res.loss_trace[0]
 
     def test_concentrates_like_em(self):
@@ -322,23 +312,22 @@ class TestDmklFit:
         cfg = ContrastiveConfig(iterations=40, seed=9)
         r1 = dmkl_fit(train, y_train, CONCATENATION, cfg, kcfg)
         r2 = dmkl_fit(train, y_train, CONCATENATION, cfg, kcfg)
-        np.testing.assert_array_equal(r1.weights.raw, r2.weights.raw)
+        np.testing.assert_array_equal(r1.weights.beta, r2.weights.beta)
         np.testing.assert_array_equal(r1.loss_trace, r2.loss_trace)
 
-    def test_trace_is_the_exact_loss(self):
+    @pytest.mark.parametrize("variant", [CONCATENATION, AVERAGING])
+    def test_trace_is_the_exact_loss(self, variant):
+        # every row, exact zeros of beta included, against the per-pair
+        # loss of the kernel values that row's weights give
         train, y_train, *_ = synth_setup(4, per_class=5)
         kcfg = KernelConfig("rbf", median_gamma(train))
-        cache = NodeKernelCache(train, kcfg)
         i, j, y = all_pairs(y_train)
-        res = dmkl_fit(train, y_train, AVERAGING,
-                       ContrastiveConfig(iterations=30, learning_rate=0.05),
-                       kcfg)
-        assert res.loss_trace.size == res.beta_trace.shape[0] == 31
-        for step in (0, 30):
-            want, _ = loss_grad(i, j, y, cache,
-                                SimplexWeights(np.log(res.beta_trace[step])),
-                                AVERAGING)
-            assert abs(res.loss_trace[step] - want) <= 1e-12 * want
+        rows = NodeKernelCache(train, kcfg).pair_blocks(i, j, variant)
+        res = dmkl_fit(train, y_train, variant, ContrastiveConfig(), kcfg)
+        assert res.loss_trace.size == res.beta_trace.shape[0] > 2
+        for loss, beta in zip(res.loss_trace, res.beta_trace):
+            want = contrastive_loss(rows @ node_weights(beta, variant), y)
+            assert abs(loss - want) <= 1e-12 * want
 
     def test_seed_draws_the_random_start(self):
         train, y_train, *_ = synth_setup(2)
@@ -371,6 +360,110 @@ class TestDmklFit:
                      RBF)
 
 
+def fw_moments(seed, variant):
+    """The data, kernel and margin-0 moments of a small depth-3 (7 node)
+    contrastive fit rebalanced to ``positive_fraction`` 0.5."""
+    train, y_train, *_ = synth_setup(seed, per_class=5)
+    kcfg = KernelConfig("rbf", median_gamma(train))
+    A, b, c = pair_moments(NodeKernelCache(train, kcfg), _PairTable(y_train),
+                           variant, 0.5)
+    return train, y_train, kcfg, (A, b, c)
+
+
+def fw_segments(rng, A, b, variant, count=10):
+    """Pairwise Frank-Wolfe steps of the loss with moments ``A``, ``b``
+    from random points of 7 nodes with a zero or two: the point, the
+    direction e_toward - e_away and the step cap."""
+    for _ in range(count):
+        beta = rng.dirichlet(np.ones(7))
+        beta[rng.choice(7, size=int(rng.integers(0, 3)), replace=False)] = 0.0
+        beta /= beta.sum()
+        grad = node_weights_pullback(
+            2.0 * (A @ node_weights(beta, variant) - b), beta, variant)
+        support = np.flatnonzero(beta > 0)
+        away = int(support[np.argmax(grad[support])])
+        toward = int(np.argmin(grad))
+        d = np.zeros(7)
+        d[toward], d[away] = 1.0, -1.0
+        yield beta, d, beta[away]
+
+
+class TestFrankWolfe:
+    @pytest.mark.parametrize("iterations", [0, 3, 4000])
+    def test_concatenation_matches_simplex_qp_oracle(self, iterations):
+        for seed in (0, 1, 2):
+            train, y_train, kcfg, moments = fw_moments(seed, CONCATENATION)
+            want_beta, want = simplex_qp_oracle(*moments)
+            res = dmkl_fit(train, y_train, CONCATENATION,
+                           ContrastiveConfig(iterations=iterations,
+                                             positive_fraction=0.5), kcfg)
+            # the gap bounds the suboptimality of a convex L
+            assert res.fw_gap >= res.loss_trace[-1] - want - 1e-15
+            if iterations == 4000:
+                assert res.stop_reason == "gap"
+                assert abs(res.loss_trace[-1] - want) <= 1e-6
+                np.testing.assert_allclose(res.weights.beta, want_beta,
+                                           atol=1e-6)
+
+    @pytest.mark.parametrize("variant", [CONCATENATION, AVERAGING])
+    def test_quartic_is_the_loss_along_the_segment(self, rng, variant):
+        *_, (A, b, c) = fw_moments(3, variant)
+        for beta, d, t_max in fw_segments(rng, A, b, variant):
+            coeffs = segment_quartic(A, b, c, beta, d, variant)
+            for t in np.linspace(-0.5, 1.0, 5) * t_max:
+                w = node_weights(beta + t * d, variant)
+                want = w @ A @ w - 2.0 * (b @ w) + c
+                assert abs(P.polyval(t, coeffs) - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("variant", [CONCATENATION, AVERAGING])
+    def test_exact_step_beats_a_dense_grid(self, rng, variant):
+        *_, (A, b, c) = fw_moments(4, variant)
+        for beta, d, t_max in fw_segments(rng, A, b, variant):
+            coeffs = segment_quartic(A, b, c, beta, d, variant)
+            assert coeffs[1] < 0
+            # the unit segment runs past the simplex, where L is the same
+            # quartic; its minimizer is more often interior
+            for cap in (t_max, 1.0):
+                t = quartic_argmin(coeffs, cap)
+                assert 0 < t <= cap
+                grid = P.polyval(np.linspace(0.0, cap, 20001), coeffs)
+                assert (P.polyval(t, coeffs)
+                        <= grid.min() + 1e-14 * abs(coeffs[0]))
+
+    @pytest.mark.parametrize("tilt", [-0.01, 0.01])
+    def test_argmin_picks_the_lower_well(self, tilt):
+        # wells near 0.2 and 0.8, the lower one set by the tilt; the root
+        # between them is a maximum
+        wells = P.polyadd(P.polymul(P.polymul([-0.2, 1], [-0.2, 1]),
+                                    P.polymul([-0.8, 1], [-0.8, 1])),
+                          [0.0, tilt])
+        t = quartic_argmin(wells, 1.0)
+        assert abs(t - (0.8 if tilt < 0 else 0.2)) < 0.05
+        assert abs(P.polyval(t, P.polyder(wells))) < 1e-12
+        assert quartic_argmin(wells, 0.4) == pytest.approx(0.2, abs=0.05)
+
+    def test_argmin_ignores_rounding_noise_terms(self):
+        # concatenation's quartic: a quadratic plus rounding noise
+        noisy = np.array([1.0, -1.0, 1.0, 1e-17, 1e-33])
+        assert quartic_argmin(noisy, 1.0) == pytest.approx(0.5, abs=1e-15)
+        assert quartic_argmin(noisy, 0.3) == 0.3
+
+    @pytest.mark.parametrize("variant", [CONCATENATION, AVERAGING])
+    def test_steps_descend_and_drop_nodes_to_exact_zeros(self, variant):
+        train, y_train, *_ = synth_setup(5, per_class=8)
+        kcfg = KernelConfig("rbf", median_gamma(train))
+        res = dmkl_fit(train, y_train, variant,
+                       ContrastiveConfig(positive_fraction=0.5), kcfg)
+        assert res.stop_reason in STOP_REASONS
+        assert np.all(np.diff(res.loss_trace)
+                      <= 1e-14 * res.loss_trace[0])
+        # each step moves mass between exactly two nodes
+        moved = np.count_nonzero(np.diff(res.beta_trace, axis=0), axis=1)
+        assert np.all(moved == 2)
+        assert np.any(res.weights.beta == 0.0)
+        assert not res.weights.beta.flags.writeable
+
+
 class TestDmklThenSvm:
     """The one-vs-rest machines ``dmkl_fit`` trains on its frozen weights,
     and ``dmkl_then_svm``, its former name."""
@@ -398,7 +491,7 @@ class TestDmklThenSvm:
         for name in ("loss_trace", "beta_trace"):
             np.testing.assert_array_equal(getattr(alias, name),
                                           getattr(fit, name))
-        np.testing.assert_array_equal(alias.weights.raw, fit.weights.raw)
+        np.testing.assert_array_equal(alias.weights.beta, fit.weights.beta)
         for name in ("alpha", "b", "labels", "class_ids"):
             np.testing.assert_array_equal(getattr(alias.model, name),
                                           getattr(fit.model, name))

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import inspect
 import json
@@ -9,11 +10,11 @@ import numpy as np
 import pytest
 
 from oracles import artifact_scores_oracle
-from treemkl import cli, errors, kernels, pipeline, svm
+from treemkl import cli, dmkl, errors, kernels, pipeline, svm
 from treemkl.cli import main
 from treemkl.dataio import (StreamFeatureSequence, load_feature_file,
                             load_manifest)
-from treemkl.dmkl import ContrastiveConfig
+from treemkl.dmkl import FW_GAP_TOL, ContrastiveConfig
 from treemkl.em import STOP_REASONS, EmConfig
 from treemkl.hierarchy import Hierarchy, PooledTree, pool_sequence
 from treemkl.kernels import kernel_columns
@@ -39,6 +40,11 @@ def workspace(tmp_path_factory):
               "--seed", 3]
     assert run_cli("train-em", "--out", root / "em_a", "--stream",
                    "appearance", "--max-iters", 6, *common) == 0
+    # averaging reaches its vertex in one step; concatenation takes
+    # several partial steps
+    assert run_cli("train-em", "--out", root / "em_c", "--stream",
+                   "appearance", "--max-iters", 6, *common,
+                   "--variant", "concat") == 0
     assert run_cli("train-dmkl", "--out", root / "dm_a", "--stream",
                    "appearance", "--iters", 200,
                    "--positive-fraction", 0.5, *common) == 0
@@ -46,6 +52,10 @@ def workspace(tmp_path_factory):
                    "motion", "--iters", 200,
                    "--positive-fraction", 0.5, *common) == 0
     return root
+
+
+def summary_of(workspace, run):
+    return json.loads((workspace / run / "training.json").read_text())
 
 
 class TestTrainingOutputs:
@@ -105,13 +115,16 @@ class TestTrainingOutputs:
         assert dm_first[0] == "iteration,loss"
 
     def test_em_trace_non_increasing(self, workspace):
-        lines = (workspace / "em_a" / "trace.csv").read_text().splitlines()[1:]
+        lines = (workspace / "em_c" / "trace.csv").read_text().splitlines()[1:]
         vals = [float(line.split(",")[1]) for line in lines]
+        iterations = summary_of(workspace, "em_c")["iterations"]
+        assert iterations == len(vals) - 1 >= 2
         assert np.all(np.diff(vals) <= 1e-8)
 
     def test_em_entropy_column_tracks_concentration(self, workspace):
-        lines = (workspace / "em_a" / "trace.csv").read_text().splitlines()[1:]
+        lines = (workspace / "em_c" / "trace.csv").read_text().splitlines()[1:]
         entropies = [float(line.split(",")[2]) for line in lines]
+        assert len(entropies) >= 3
         assert entropies[0] == pytest.approx(np.log(7))  # uniform over 7 nodes
         assert entropies[-1] < entropies[0]
 
@@ -123,6 +136,15 @@ class TestTrainingOutputs:
         assert summary["stop_reason"] in STOP_REASONS
         backtracks = summary["backtracks"]
         assert type(backtracks) is int and backtracks >= 0
+
+    def test_dmkl_summary_says_why_it_stopped(self, workspace):
+        summary = summary_of(workspace, "dm_a")
+        assert set(summary) == {"iterations", "final_loss", "dual_solves",
+                                "pair_updates", "stop_reason", "fw_gap"}
+        assert summary["stop_reason"] in dmkl.STOP_REASONS
+        gap = summary["fw_gap"]
+        assert type(gap) is float and gap >= 0.0
+        assert (gap <= FW_GAP_TOL) == (summary["stop_reason"] == "gap")
 
     def test_vertex_entropy_is_written_as_zero(self, workspace):
         # a one-hot beta has entropy 0.0, written without a sign
@@ -388,8 +410,8 @@ class TestExitCodesAndWorkers:
     @pytest.mark.parametrize("command, flag, value, needle", [
         ("train-em", "--seed", "-1", "seed"),
         ("train-dmkl", "--seed", "-1", "seed"),
-        ("train-dmkl", "--lr", "nan", "learning_rate"),
-        ("train-dmkl", "--lr", "inf", "learning_rate"),
+        ("train-dmkl", "--iters", "-1", "iterations"),
+        ("train-dmkl", "--positive-fraction", "1", "positive_fraction"),
         # an infinite tolerance would be written into an artifact that
         # load_artifact refuses
         ("train-em", "--kkt-tol", "inf", "kkt_tol"),
@@ -504,13 +526,16 @@ class TestExitCodesAndWorkers:
         assert_one_error_line(capsys, flag[2:].replace("-", "_"))
         assert not out.exists()
 
-    def test_optimizer_flag_is_gone(self, workspace, tmp_path, capsys):
+    @pytest.mark.parametrize("flag, value", [("--optimizer", "sgd"),
+                                             ("--lr", "0.01")])
+    def test_optimizer_flag_is_gone(self, workspace, tmp_path, capsys, flag,
+                                    value):
         with pytest.raises(SystemExit) as exc:
             run_cli("train-dmkl", "--manifest",
                     workspace / "data" / "manifest.jsonl", "--depth", 2,
-                    "--out", tmp_path / "o", "--optimizer", "sgd")
+                    "--out", tmp_path / "o", flag, value)
         assert exc.value.code == 2
-        assert "unrecognized arguments: --optimizer" in capsys.readouterr().err
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("keys", [
@@ -753,6 +778,24 @@ class TestValidationExits:
         assert code == 2
         assert_one_error_line(capsys, str(model), needle)
 
+    @pytest.mark.parametrize("command", ["train-em", "eval"])
+    def test_file_not_utf8_is_validation_exit(self, workspace, tmp_path,
+                                              capsys, command):
+        # a UTF-16 byte order mark, then the file as it was
+        if command == "train-em":
+            src = workspace / "data" / "manifest.jsonl"
+            bad = tmp_path / "bad.jsonl"
+            argv = ["--manifest", bad, "--depth", 2]
+        else:
+            src = workspace / "em_a" / "model.json"
+            bad = tmp_path / "model.json"
+            argv = ["--model", bad,
+                    "--manifest", workspace / "data" / "manifest.jsonl"]
+        bad.write_bytes(b"\xff\xfe" + src.read_bytes())
+        code = run_cli(command, *argv, "--out", tmp_path / "o")
+        assert code == 2
+        assert_one_error_line(capsys, str(bad), "not valid UTF-8")
+
     def test_support_video_absent_from_manifest(self, workspace, tmp_path,
                                                 capsys):
         model = workspace / "em_a" / "model.json"
@@ -954,3 +997,17 @@ class TestFlagsLeftOut:
         config = json.loads((out / "metrics.json").read_text())["config"]
         assert (config["fusion"], config["weight"]) == (
             params["mode"].default, params["weight"].default)
+
+
+def test_readme_command_line_flags_exist():
+    # every flag the README's command-line section names is one that some
+    # subcommand's parser takes
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        section = fh.read().split("## Command line", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*[a-z]", section))
+    commands = next(a for a in cli.build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    known = {flag for p in commands.values()
+             for flag in p._option_string_actions}
+    assert len(named) > 10 and named <= known, sorted(named - known)

@@ -4,6 +4,7 @@ import pytest
 from oracles import central_difference, softmax_jacobian
 from treemkl import errors
 from treemkl.simplex import (
+    SimplexPoint,
     SimplexWeights,
     backprop_through_simplex,
     to_simplex,
@@ -128,3 +129,16 @@ class TestSimplexWeights:
         w = SimplexWeights.uniform(3)
         w2 = w.with_raw(np.array([1.0, 0.0, 0.0]))
         assert w2.beta[0] > w.beta[0]
+
+
+class TestSimplexPoint:
+    def test_holds_exact_zeros_read_only(self):
+        p = SimplexPoint([0.0, 0.25, 0.75])
+        np.testing.assert_array_equal(p.beta, [0.0, 0.25, 0.75])
+        assert not p.beta.flags.writeable
+
+    @pytest.mark.parametrize("beta", [[0.5, 0.6], [-0.1, 1.1], [np.nan, 1.0],
+                                      []])
+    def test_refuses_points_off_the_simplex(self, beta):
+        with pytest.raises(errors.ValidationError):
+            SimplexPoint(beta)
