@@ -32,11 +32,15 @@ rejected, and the next ``eta`` minimizes the quadratic through ``J(0)``,
 the gradient at the current ``alpha``, ``k = 1`` for concatenation and
 2 for averaging), clamped to ``[0.1 eta, 0.5 eta]`` (SimpleMKL's line
 search along its descent direction: Rakotomamonjy et al., JMLR 2008).
-Along the averaging step ``(1 - eta) beta + eta e_v`` the table moves
-to ``(1 - eta) P + eta S_v``, where ``S_v = NodeKernelCache.node_slice(v)``,
-so a candidate's Gram is ``(1 - eta) P @ b + eta S_v @ b`` for the
-candidate weights ``b``. The (n, n, nodes, nodes) cross tensor is never
-built.
+
+A candidate's Gram is linear (concatenation) or quadratic (averaging)
+in ``eta``, so ``stepped_gram`` builds it from the last accepted Gram
+and n x n slices, never by contracting a whole table. Once a step is
+accepted, ``NodeKernelCache.step_half_contracted`` moves the averaging
+table in place to ``(1 - eta) P + eta S_v``, ``S_v[i, j, u] =
+kappa(x_iv, x_ju)``, streaming ``S_v`` in row blocks. So averaging
+holds one (n, n, nodes) table, as concatenation does, and the (n, n,
+nodes, nodes) cross tensor is never built.
 
 Every candidate's dual solves start from the last accepted model's
 ``alpha``, which is feasible for any kernel and close to the candidate's
@@ -118,6 +122,22 @@ def backtracked_eta(eta: float, rise: float, slope: float) -> float:
     return float(np.clip(-slope / (2.0 * curvature), lo * eta, hi * eta))
 
 
+def stepped_gram(gram: np.ndarray, table_v: np.ndarray, eta: float,
+                 vertex_gram: np.ndarray | None = None) -> np.ndarray:
+    """The Gram at ``(1 - eta) beta + eta e_v`` from ``gram``, the Gram at
+    ``beta``: ``(1 - eta) gram + eta table_v`` with ``table_v = T[:, :,
+    v]`` for concatenation, or ``(1 - eta)^2 gram + eta (1 - eta) table_v
+    + eta^2 vertex_gram`` for averaging, with ``vertex_gram[i, j] =
+    kappa(x_iv, x_jv)`` and ``table_v = P_v + P_v'`` (``P_v = P[:, :,
+    v]``), which holds both cross terms since kappa is symmetric."""
+    if vertex_gram is None:
+        return (1.0 - eta) * gram + eta * table_v
+    values = (1.0 - eta) ** 2 * gram
+    values += eta * (1.0 - eta) * table_v
+    values += eta * eta * vertex_gram
+    return values
+
+
 def beta_objective_coeffs(model: SvmModel, table: np.ndarray) -> np.ndarray:
     """Alignment of each node kernel with the dual solutions of ``model``.
 
@@ -152,9 +172,10 @@ def em_fit(trees: list[PooledTree], labels: np.ndarray, variant: str,
     vertex the next step would move to, when both ``beta`` and every
     ``alpha`` move less than ``param_tol`` in max-norm, or when no
     candidate of the line search keeps the objective from rising.
-    Each variant holds one (n, n, nodes) table, averaging a second while
-    it steps; ``NodeKernelCache`` raises :class:`ValidationError` before
-    allocating one above ``kernels._DENSE_LIMIT`` elements.
+    Each variant holds one (n, n, nodes) table and, beside it, n x n
+    Grams and row blocks only; ``NodeKernelCache`` raises
+    :class:`ValidationError` before allocating a table above
+    ``kernels._DENSE_LIMIT`` elements.
     """
     variant = canonical_variant(variant)
     labels = np.asarray(labels)
@@ -175,14 +196,13 @@ def em_fit(trees: list[PooledTree], labels: np.ndarray, variant: str,
         model = train_one_vs_rest(gram, labels, svm_cfg, start)
         dual_solves += model.class_ids.size
         pair_updates += model.pair_updates
-        return model, -sum(dual_objective(gram, a, y)
-                           for a, y in zip(model.alpha, model.signs))
+        return gram, model, -sum(dual_objective(gram, a, y)
+                                 for a, y in zip(model.alpha, model.signs))
 
-    model, objective = solve(contract_table(table, beta), None)
+    gram, model, objective = solve(contract_table(table, beta), None)
     trace = [objective]
     beta_trace = [beta.copy()]
     iterations = 0
-    slice_vertex, node_slice = -1, None
     stop_reason = "max_iters"
 
     for _ in range(em_cfg.max_iters):
@@ -197,20 +217,20 @@ def em_fit(trees: list[PooledTree], labels: np.ndarray, variant: str,
         if np.allclose(vertex, beta):
             stop_reason = "vertex"
             break
-        if averaging and v != slice_vertex:
-            node_slice = None           # free the old slice before the new
-            node_slice, slice_vertex = cache.node_slice(v), v
         # J'(0) along vertex - beta: the gradient -k c dotted with it
         slope = -(2.0 if averaging else 1.0) * (coeffs[v] - coeffs @ beta)
+        # the Gram moves along the step through n x n slices only
+        table_v, vertex_gram = table[:, :, v], None
+        if averaging:
+            # (S_v beta)[i, j] = P[j, i, v], kappa being symmetric
+            table_v = table_v + table_v.T
+            vertex_gram = cache.combined(vertex, AVERAGING)
 
         eta = 1.0
         for _ in range(MAX_BACKTRACKS + 1):
             candidate = (1.0 - eta) * beta + eta * vertex
-            values = contract_table(table, candidate)
-            if averaging:
-                values *= 1.0 - eta
-                values += eta * contract_table(node_slice, candidate)
-            cand_model, cand_objective = solve(values, model)
+            cand_gram, cand_model, cand_objective = solve(
+                stepped_gram(gram.values, table_v, eta, vertex_gram), model)
             if cand_objective <= objective + 1e-10:
                 break
             backtracks += 1
@@ -219,15 +239,12 @@ def em_fit(trees: list[PooledTree], labels: np.ndarray, variant: str,
             stop_reason = "no_accepted_step"
             break
         if averaging:
-            # half_contracted(candidate) = (1 - eta) P + eta S_v, written
-            # as (P - S_v)(1 - eta) + S_v to need no third table
-            table -= node_slice
-            table *= 1.0 - eta
-            table += node_slice
+            cache.step_half_contracted(table, v, eta)
 
         beta_delta = float(np.max(np.abs(candidate - beta)))
         alpha_delta = float(np.max(np.abs(cand_model.alpha - model.alpha)))
-        beta, model, objective = candidate, cand_model, cand_objective
+        beta, gram, model, objective = (candidate, cand_gram, cand_model,
+                                        cand_objective)
         trace.append(objective)
         beta_trace.append(beta.copy())
         iterations += 1

@@ -139,16 +139,29 @@ def build_intervals(frame_count: int, depth: int) -> list[NodeInterval]:
     return out
 
 
+@lru_cache(maxsize=256)
+def _node_bounds(frame_count: int,
+                 depth: int) -> tuple[tuple[tuple[int, int], ...], np.ndarray]:
+    """``build_intervals`` as ``(start, end)`` pairs, with the frame count
+    of each node as a read-only (nodes, 1) float column."""
+    intervals = build_intervals(frame_count, depth)
+    counts = np.array([[iv.end - iv.start] for iv in intervals], dtype=float)
+    counts.flags.writeable = False
+    return tuple((iv.start, iv.end) for iv in intervals), counts
+
+
 def pool_sequence(seq: StreamFeatureSequence, hierarchy: Hierarchy) -> PooledTree:
     """Mean-pool ``seq`` over every node interval of ``hierarchy``.
 
     The root vector equals the global mean of all frames; deeper nodes
     average shorter, better-localized spans.
     """
-    intervals = build_intervals(seq.frame_count, hierarchy.depth)
+    bounds, counts = _node_bounds(seq.frame_count, hierarchy.depth)
     vectors = np.empty((hierarchy.node_count, seq.dim))
-    for pos, iv in enumerate(intervals):
-        vectors[pos] = seq.rows[iv.start:iv.end].mean(axis=0)
+    # the sum and the division of ndarray.mean, one pass per node
+    for pos, (start, end) in enumerate(bounds):
+        np.add.reduce(seq.rows[start:end], axis=0, out=vectors[pos])
+    vectors /= counts
     return PooledTree(video_id=seq.video_id, stream=seq.stream,
                       depth=hierarchy.depth, vectors=vectors)
 

@@ -69,8 +69,8 @@ VARIANT_ALIASES = {"concat": CONCATENATION, "avg": AVERAGING,
 _DENSE_LIMIT = 2 ** 25
 
 # elements of one row block of a kernel table (at least one row video),
-# the unit in which tables are built or streamed; bounds the working
-# memory beside the table itself
+# the unit in which tables are built or streamed, and of one chunk of
+# median_gamma's sample; bounds the working memory beside the table itself
 _BLOCK_ELEMENTS = 2 ** 18
 
 # most (video pair, node) samples median_gamma draws its median from
@@ -212,10 +212,13 @@ class NodeKernelCache:
     that computes them streams row blocks of about ``_BLOCK_ELEMENTS``
     elements, and each consumer reduces a block as it is made.
     ``table_blocks`` yields them pair-major, ``half_contracted(beta)``
-    contracts ``beta`` on their row-node axis, ``node_slice(v)`` keeps
-    row node ``v``, and ``combined(beta, AVERAGING)`` reduces each block
-    to kernel values. ``combined`` evaluates only the nodes whose weight
-    is non-zero: the columns of ``aligned()`` for concatenation, both
+    contracts ``beta`` on their row-node axis,
+    ``step_half_contracted(table, v, eta)`` moves such a table in place
+    toward row node ``v`` block by block, and ``combined(beta,
+    AVERAGING)`` reduces each block to kernel values. So a training run
+    holds at most one (rows, cols, nodes) table, and beside it row
+    blocks. ``combined`` evaluates only the nodes whose weight is
+    non-zero: the columns of ``aligned()`` for concatenation, both
     node axes of the cross kernels for averaging. Every (rows, cols,
     nodes) table is refused above ``_DENSE_LIMIT`` elements before it is
     allocated. ``cross()`` and ``pair_blocks`` are test oracles that no
@@ -227,7 +230,8 @@ class NodeKernelCache:
     and the averaging ``combined`` cover the upper triangle of video
     pairs (``combined`` mirrors it into the lower one), and
     ``half_contracted`` fills its lower triangle from the same blocks.
-    ``node_slice`` and ``cross()`` still stream every column video.
+    ``step_half_contracted`` and ``cross()`` still stream every column
+    video.
     """
 
     def __init__(self, row_trees: list[PooledTree], cfg: KernelConfig,
@@ -345,14 +349,19 @@ class NodeKernelCache:
                 out[r1:, r0:r1] = below.transpose(2, 0, 1)
         return out
 
-    def node_slice(self, v: int) -> np.ndarray:
-        """``S[i, j, u] = kappa(row_i[v], col_j[u])``, shape (rows, cols,
-        nodes): ``half_contracted`` at the vertex ``beta = e_v``."""
-        out = self._empty_table()
+    def step_half_contracted(self, table: np.ndarray, v: int,
+                             eta: float) -> np.ndarray:
+        """Move ``table = half_contracted(beta)`` in place to
+        ``half_contracted((1 - eta) beta + eta e_v)``: ``table <- (1 -
+        eta) table + eta S_v`` with ``S_v[i, j, u] = kappa(row_i[v],
+        col_j[u])``, whose row blocks are streamed and never held whole."""
         for r0, r1, _, block in self._cross_blocks(slice(v, v + 1),
                                                    all_cols=True):
-            out[r0:r1] = block[:, 0]
-        return out
+            part = table[r0:r1]
+            part *= 1.0 - eta
+            block *= eta
+            part += block[:, 0]
+        return table
 
     def combined(self, beta: np.ndarray, variant: str) -> np.ndarray:
         """Combined-kernel values, shape (rows, cols), from the node
@@ -432,7 +441,10 @@ def _mirror_upper(values: np.ndarray) -> np.ndarray:
 def median_gamma(trees: list[PooledTree], seed: int = 0) -> float:
     """Bandwidth heuristic: 1 / median squared distance between aligned
     node vectors of distinct trees, over a seeded sample of at most
-    ``_MEDIAN_GAMMA_CAP`` (pair, node) entries (all when fewer)."""
+    ``_MEDIAN_GAMMA_CAP`` (pair, node) entries (all when fewer). The
+    sampled differences are squared in chunks of at most
+    ``_BLOCK_ELEMENTS`` elements, so its memory beside the stacked trees
+    does not grow with the feature dimension."""
     if len(trees) < 2:
         raise ShapeMismatch("median_gamma needs at least 2 trees")
     vectors, _ = stack_trees(trees)
@@ -444,11 +456,27 @@ def median_gamma(trees: list[PooledTree], seed: int = 0) -> float:
         rng = np.random.default_rng(seed)
         picks = rng.choice(total, size=_MEDIAN_GAMMA_CAP, replace=False)
     pair_idx, node_idx = np.divmod(picks, m)
-    # linear upper-triangle index -> (i, j), row-major
-    rows, cols = np.triu_indices(n, k=1)
-    i_idx, j_idx = rows[pair_idx], cols[pair_idx]
-    diff = (vectors[i_idx, node_idx, :] - vectors[j_idx, node_idx, :])
-    med = float(np.median(np.sum(diff * diff, axis=1)))
+    # linear upper-triangle index -> (i, j), row-major: row i holds the
+    # pairs (i, i + 1) .. (i, n - 1) from index start[i] on
+    start = np.concatenate(([0], np.cumsum(np.arange(n - 1, 0, -1))))
+    i_idx = np.searchsorted(start, pair_idx, side="right") - 1
+    j_idx = pair_idx - start[i_idx] + i_idx + 1
+    # squared distances in chunks of at most one block; each row's sum is
+    # the same whatever the chunk
+    dist = np.empty(picks.size)
+    step = max(1, _BLOCK_ELEMENTS // vectors.shape[2])
+    for s in range(0, picks.size, step):
+        at = slice(s, s + step)
+        diff = vectors[i_idx[at], node_idx[at]]
+        diff -= vectors[j_idx[at], node_idx[at]]
+        diff *= diff
+        dist[at] = np.sum(diff, axis=1)
+    # the median as np.median takes it, without np.median's lazy numpy.ma
+    # import
+    half = dist.size // 2
+    part = np.partition(dist, (half - 1, half))
+    med = float(part[half] if dist.size % 2
+                else (part[half - 1] + part[half]) / 2.0)
     if med <= 0.0:
         raise DegenerateData("median aligned node distance is zero")
     return 1.0 / med

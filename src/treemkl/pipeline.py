@@ -32,6 +32,7 @@ from .errors import (
 from .hierarchy import Hierarchy, PooledTree, pool_sequence
 from .kernels import (
     AVERAGING,
+    CONCATENATION,
     KernelConfig,
     canonical_variant,
     fuse_kernels,
@@ -360,7 +361,12 @@ def train_dmkl_route(manifest: DatasetManifest, root: str,
                         "dual_solves": result.model.class_ids.size,
                         "pair_updates": result.model.pair_updates,
                         "stop_reason": result.stop_reason,
-                        "fw_gap": result.fw_gap})
+                        "fw_gap": result.fw_gap,
+                        # the loss is convex in beta for concatenation,
+                        # where the gap bounds L - min L; for averaging
+                        # it only measures stationarity
+                        "fw_gap_bounds_suboptimality":
+                            cfg.variant == CONCATENATION})
 
 
 # --- evaluation -------------------------------------------------------------------
@@ -396,7 +402,7 @@ def _metrics(preds: np.ndarray, truth: np.ndarray,
         if mask.any():
             per_class[str(c)] = float(np.mean(preds[mask] == c))
             row: dict[str, int] = {}
-            for p in np.unique(preds[mask]):
+            for p in sorted(set(preds[mask].tolist())):
                 row[str(int(p))] = int(np.sum(preds[mask] == p))
             confusion[str(c)] = row
     return {"overall_accuracy": overall, "per_class": per_class,

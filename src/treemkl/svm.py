@@ -240,7 +240,10 @@ def one_vs_rest_classes(labels: np.ndarray, n: int) -> np.ndarray:
         raise ShapeMismatch(f"{labels.size} labels for {n} videos")
     if n < 2:
         raise TooFewVideos(f"need >= 2 videos, got {n}")
-    class_ids = np.unique(labels)
+    # sorted distinct labels, as np.unique gives them without its lazy
+    # numpy.ma import
+    ordered = np.sort(labels)
+    class_ids = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
     if class_ids.size < 2:
         raise SingleClass(f"need >= 2 classes, got {class_ids.size}")
     return class_ids

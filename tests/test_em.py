@@ -91,20 +91,47 @@ class TestBetaObjectiveCoeffs:
                         model, cache.cross()), beta, AVERAGING)):
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
-    def test_half_contracted_moves_linearly_along_a_step(self, rng):
+    def test_half_contracted_moves_linearly_along_a_step(self, rng,
+                                                         monkeypatch):
+        # 12 videos x 7 nodes = 84 elements per row video of S_v: blocks
+        # of 5 rows, the last one ragged (2 rows)
+        monkeypatch.setattr(kernels, "_BLOCK_ELEMENTS", 420)
         trees, labels, cache, model = trained_instance(rng, n=12, depth=3)
         beta = to_simplex(rng.standard_normal(cache.nodes))
-        table = cache.half_contracted(beta)
         for v, eta in ((0, 0.5), (4, 0.125), (6, 1.0)):
             vertex = np.zeros(cache.nodes)
             vertex[v] = 1.0
-            node_slice = cache.node_slice(v)
+            table = cache.half_contracted(beta)
+            stepped = cache.step_half_contracted(table, v, eta)
+            assert stepped is table
             expected = cache.half_contracted((1.0 - eta) * beta + eta * vertex)
-            # the step as written and in em_fit's in-place order
-            for stepped in ((1.0 - eta) * table + eta * node_slice,
-                            (table - node_slice) * (1.0 - eta) + node_slice):
-                np.testing.assert_allclose(stepped, expected, rtol=0,
-                                           atol=1e-13)
+            np.testing.assert_allclose(stepped, expected, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("variant", [CONCATENATION, AVERAGING])
+    def test_stepped_gram_matches_contracted_stepped_table(self, rng,
+                                                           variant):
+        # em_fit's candidate Gram from n x n slices, against contracting
+        # the whole table of the candidate weights
+        trees, labels, cache, model = trained_instance(rng, n=12, depth=3)
+        beta = to_simplex(rng.standard_normal(cache.nodes))
+        for v, eta in ((0, 0.5), (4, 0.125), (6, 1.0), (2, 0.03)):
+            vertex = np.zeros(cache.nodes)
+            vertex[v] = 1.0
+            candidate = (1.0 - eta) * beta + eta * vertex
+            if variant == CONCATENATION:
+                table = cache.aligned()
+                gram = kernels.contract_table(table, beta)
+                got = em.stepped_gram(gram, table[:, :, v], eta)
+                want = kernels.contract_table(table, candidate)
+            else:
+                table = cache.half_contracted(beta)
+                gram = kernels.contract_table(table, beta)
+                p_v = table[:, :, v]
+                got = em.stepped_gram(gram, p_v + p_v.T, eta,
+                                      cache.combined(vertex, AVERAGING))
+                want = kernels.contract_table(
+                    cache.half_contracted(candidate), candidate)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_averaging_rejects_node_major_layout(self, rng):
         trees, labels, cache, model = trained_instance(rng)

@@ -96,6 +96,18 @@ class TestPoolSequence:
             err = np.abs(tree.root - ref) / np.maximum(np.abs(ref), 1e-300)
             assert err.max() < 1e-12
 
+    def test_matches_per_node_mean_bit_for_bit(self, rng):
+        # one reduction per node and one division: the arithmetic of
+        # ndarray.mean per node interval, so every bit agrees
+        for frames, depth in ((1, 1), (7, 3), (33, 4), (512, 5)):
+            seq = random_sequence(rng, frames=frames, dim=6)
+            seq = type(seq)(video_id="s", stream="appearance",
+                            rows=seq.rows * 37.5)
+            want = [seq.rows[iv.start:iv.end].mean(axis=0)
+                    for iv in build_intervals(frames, depth)]
+            np.testing.assert_array_equal(
+                pool_sequence(seq, Hierarchy(depth)).vectors, want)
+
     def test_duplication_invariance(self, rng):
         # repeating every frame r times leaves all node means unchanged
         for repeat in (2, 3, 5):

@@ -241,6 +241,23 @@ class TestMedianGamma:
         trees = random_trees(rng, n=30, depth=3, frames=32, dim=8)
         assert median_gamma(trees, seed=5) == median_gamma(trees, seed=5)
 
+    @pytest.mark.parametrize("cap", [100, 101])
+    def test_chunked_median_is_bit_identical(self, rng, monkeypatch, cap):
+        # chunks of 3 samples, the last one ragged, and an even and an odd
+        # sample count, against the whole sample's np.median
+        monkeypatch.setattr(kernels, "_MEDIAN_GAMMA_CAP", cap)
+        monkeypatch.setattr(kernels, "_BLOCK_ELEMENTS", 3 * 8 + 2)
+        trees = random_trees(rng, n=30, depth=3, frames=32, dim=8)
+        vectors = np.stack([t.vectors for t in trees])
+        picks = np.random.default_rng(5).choice(30 * 29 // 2 * 7, size=cap,
+                                                replace=False)
+        pair_idx, node_idx = np.divmod(picks, 7)
+        rows, cols = np.triu_indices(30, k=1)
+        diff = (vectors[rows[pair_idx], node_idx]
+                - vectors[cols[pair_idx], node_idx])
+        want = 1.0 / float(np.median(np.sum(diff * diff, axis=1)))
+        assert median_gamma(trees, seed=5) == want
+
 
 class TestFuseKernels:
     def grams(self, rng):
@@ -369,19 +386,21 @@ class TestNodeKernelCache:
                                    node_weights(beta, AVERAGING)),
             rtol=0, atol=1e-12)
 
-    def test_half_contracted_and_node_slice_match_elementary(self, rng,
-                                                             monkeypatch):
+    def test_half_contracted_and_its_step_match_elementary(self, rng,
+                                                           monkeypatch):
         # 100 elements per block: half_contracted streams 2 of the 7 rows
-        # at a time (45 elements each), node_slice 6 (15 each); both end
-        # on a ragged block
+        # at a time (45 elements each), step_half_contracted 6 (15 each);
+        # both end on a ragged block
         monkeypatch.setattr(kernels, "_BLOCK_ELEMENTS", 100)
         rows = random_trees(rng, n=7, depth=2)
         cols = random_trees(rng, n=5, depth=2)
         beta = to_simplex(rng.standard_normal(3))
+        eta = 0.375
         for cfg in (RBF, LIN):
             cache = NodeKernelCache(rows, cfg, cols)
             half = cache.half_contracted(beta)
-            slices = [cache.node_slice(v) for v in range(3)]
+            steps = [cache.step_half_contracted(half.copy(), v, eta)
+                     for v in range(3)]
             assert half.shape == (7, 5, 3) and half.flags.c_contiguous
             for i, a in enumerate(rows):
                 for j, b in enumerate(cols):
@@ -390,8 +409,10 @@ class TestNodeKernelCache:
                     np.testing.assert_allclose(half[i, j], beta @ k,
                                                rtol=0, atol=1e-12)
                     for v in range(3):
-                        np.testing.assert_allclose(slices[v][i, j], k[v],
-                                                   rtol=0, atol=1e-12)
+                        np.testing.assert_allclose(
+                            steps[v][i, j],
+                            (1.0 - eta) * beta @ k + eta * k[v],
+                            rtol=0, atol=1e-12)
 
     def test_one_set_streams_each_pair_once(self, rng, monkeypatch):
         # 8 videos x 3 x 3 nodes = 72 elements per row video: blocks of 3
@@ -484,7 +505,9 @@ class TestCrossMemory:
         peak = self.peak_bytes(lambda: kernels._kernel_matrix(X, Y, RBF))
         assert peak < 2.5 * 600 * 500 * 8
 
-    def test_em_fit_averaging_holds_tables_not_tensor(self, rng):
+    def test_em_fit_averaging_holds_one_table(self, rng):
+        # the half-contracted table, and beside it row blocks of S_v and
+        # n x n Grams; holding S_v whole read 3.3-3.6 tables here
         n = 200
         trees = random_trees(rng, n=n, depth=4, dim=4)
         labels = np.array([1 + (i % 2) for i in range(n)])
@@ -492,10 +515,20 @@ class TestCrossMemory:
         peak = self.peak_bytes(lambda: res.append(em_fit(
             trees, labels, AVERAGING, RBF, EmConfig(max_iters=2))))
         assert res[0].iterations >= 1
-        assert peak < 5 * n * n * self.NODES * 8
+        assert peak <= (n * n * self.NODES * 8
+                        + 4 * kernels._BLOCK_ELEMENTS * 8)
+
+    def test_median_gamma_squares_in_blocks(self, rng):
+        # 60 trees of 4,096-d node vectors: the stacked trees and a few
+        # blocks, not three 10,000 x 4,096 sample arrays (654 MB)
+        trees = random_trees(rng, n=60, depth=4, frames=8, dim=4096)
+        peak = self.peak_bytes(lambda: median_gamma(trees))
+        stacked = 60 * self.NODES * 4096 * 8
+        assert peak <= stacked + 4 * kernels._BLOCK_ELEMENTS * 8
 
     @pytest.mark.parametrize("route", ["em_fit", "dmkl_fit", "gram_matrix",
-                                       "kernel_columns", "node_slice"])
+                                       "kernel_columns",
+                                       "step_half_contracted"])
     def test_no_route_builds_cross_tensor(self, rng, monkeypatch, route):
         trees = random_trees(rng, n=12, depth=3, dim=4)
         labels = np.array([1 + (i % 3) for i in range(12)])
@@ -503,6 +536,10 @@ class TestCrossMemory:
 
         def no_cross(cache):
             raise AssertionError(f"{route} built the cross tensor")
+
+        def step_half_contracted():
+            cache = NodeKernelCache(trees, RBF)
+            cache.step_half_contracted(cache.half_contracted(beta), 2, 0.5)
 
         monkeypatch.setattr(NodeKernelCache, "cross", no_cross)
         runs = {
@@ -513,7 +550,7 @@ class TestCrossMemory:
             "gram_matrix": lambda: gram_matrix(trees, beta, AVERAGING, RBF),
             "kernel_columns": lambda: kernel_columns(trees[:5], trees[5:],
                                                      beta, AVERAGING, RBF),
-            "node_slice": lambda: NodeKernelCache(trees, RBF).node_slice(2),
+            "step_half_contracted": step_half_contracted,
         }
         runs[route]()
 

@@ -5,6 +5,8 @@ import json
 import os
 import re
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -140,11 +142,25 @@ class TestTrainingOutputs:
     def test_dmkl_summary_says_why_it_stopped(self, workspace):
         summary = summary_of(workspace, "dm_a")
         assert set(summary) == {"iterations", "final_loss", "dual_solves",
-                                "pair_updates", "stop_reason", "fw_gap"}
+                                "pair_updates", "stop_reason", "fw_gap",
+                                "fw_gap_bounds_suboptimality"}
         assert summary["stop_reason"] in dmkl.STOP_REASONS
         gap = summary["fw_gap"]
         assert type(gap) is float and gap >= 0.0
         assert (gap <= FW_GAP_TOL) == (summary["stop_reason"] == "gap")
+
+    def test_dmkl_summary_says_what_the_gap_bounds(self, workspace,
+                                                   tmp_path):
+        # concatenation's loss is convex in beta, so its gap bounds the
+        # suboptimality; averaging's gap only measures stationarity
+        assert summary_of(workspace, "dm_a")[
+            "fw_gap_bounds_suboptimality"] is False
+        assert run_cli("train-dmkl", "--out", tmp_path / "dm_c",
+                       "--manifest", workspace / "data" / "manifest.jsonl",
+                       "--depth", 3, "--variant", "concat", "--iters", 200,
+                       "--positive-fraction", 0.5) == 0
+        assert summary_of(tmp_path, "dm_c")[
+            "fw_gap_bounds_suboptimality"] is True
 
     def test_vertex_entropy_is_written_as_zero(self, workspace):
         # a one-hot beta has entropy 0.0, written without a sign
@@ -1011,3 +1027,38 @@ def test_readme_command_line_flags_exist():
     known = {flag for p in commands.values()
              for flag in p._option_string_actions}
     assert len(named) > 10 and named <= known, sorted(named - known)
+
+
+# numpy imports these lazily, on first use, at tens of milliseconds each
+# (np.unique and np.median reach numpy.ma); no command needs them
+LAZY_NUMPY_MODULES = ("numpy.ma", "numpy.polynomial")
+
+STARTUP_PROBE = """\
+import json, sys
+from treemkl.cli import main
+code = main(sys.argv[1:])
+print(json.dumps([code, [m for m in {lazy!r} if m in sys.modules]]))
+""".format(lazy=LAZY_NUMPY_MODULES)
+
+
+@pytest.mark.parametrize("command", ["train-em", "train-dmkl", "eval"])
+def test_command_imports_no_lazy_numpy_module(workspace, tmp_path, command):
+    # each command in a fresh interpreter, as the command line runs it
+    manifest = workspace / "data" / "manifest.jsonl"
+    flags = {
+        "train-em": ["--manifest", manifest, "--depth", 3, "--max-iters", 2],
+        "train-dmkl": ["--manifest", manifest, "--depth", 3, "--iters", 20],
+        "eval": ["--model", workspace / "em_a" / "model.json",
+                 "--manifest", manifest],
+    }[command]
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pipeline.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", STARTUP_PROBE, command,
+         *map(str, flags), "--out", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    code, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert code == 0 and loaded == [], proc.stderr[-2000:]

@@ -13,6 +13,7 @@ from treemkl.svm import (
     decision_scores,
     dual_objective,
     predict,
+    one_vs_rest_classes,
     solve_dual,
     train_one_vs_rest,
 )
@@ -307,6 +308,16 @@ class TestOneVsRest:
                                   TrainConfig(c_box=1.0, kkt_tol=1e-4,
                                               max_passes=50))
         assert model.alpha.shape == (n_classes, n)
+
+    def test_class_ids_are_np_unique(self, rng):
+        # sorted distinct labels, dtype kept, for shuffled and gapped ids
+        for labels in (rng.permutation(np.repeat([7, 2, 30, 5], 3)),
+                       np.array([3, 1], dtype=np.int32),
+                       rng.integers(1, 200, size=50)):
+            got = one_vs_rest_classes(labels, labels.size)
+            want = np.unique(labels)
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
 
     def test_single_class_rejected(self, rng):
         gram, labels, _ = cluster_gram(rng, classes=2)
