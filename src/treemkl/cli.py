@@ -7,7 +7,8 @@ identical inputs, flags, and seeds produce byte-identical files (no
 timestamps, sorted keys, deterministic float formatting).
 
 Exit codes: 0 on success, 2 for validation problems (bad files, flags,
-or data), 3 when a solver does not converge.
+or data) and for a path that cannot be read or written, 3 when a solver
+does not converge.
 
 A flag left out keeps the default of the config field or parameter it
 sets; defaults and allowed values have one owner, not this parser.
@@ -351,6 +352,10 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        where = "" if exc.filename is None else f"{exc.filename}: "
+        print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

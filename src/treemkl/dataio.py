@@ -152,13 +152,13 @@ def _write_container(path: str | os.PathLike, magic: bytes,
                      values: np.ndarray) -> None:
     """Write (count, dim) ``values`` as ``magic | u32 dim | u32 count |
     count*dim <f4``; loading recovers their float32 rounding bit-exactly."""
-    values32 = values.astype("<f4")
+    values32 = np.ascontiguousarray(values, dtype="<f4")
     if not np.isfinite(values32).all():
         raise NonFinite(f"{path}: values overflow float32")
     with open(path, "wb") as fh:
         fh.write(magic)
         fh.write(struct.pack("<II", values32.shape[1], values32.shape[0]))
-        fh.write(values32.tobytes(order="C"))
+        fh.write(values32)
 
 
 def _read_container(path: str | os.PathLike, magic: bytes,

@@ -22,6 +22,11 @@ signal simply shifts the global mean and plain average pooling suffices.
 Two-stream datasets put an independent copy of the construction in the
 motion stream one level deeper, so the streams carry complementary
 granularity.
+
+Generation holds one video at a time: each video draws from its own
+seed into reused buffers, and :func:`gen_dataset` writes its feature
+files before the next one is drawn, so memory does not grow with the
+dataset.
 """
 
 from __future__ import annotations
@@ -32,10 +37,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataio import (
+    GPF1_MAGIC,
     DatasetManifest,
     StreamFeatureSequence,
     VideoRecord,
-    write_feature_file,
+    _write_container,
     write_manifest,
 )
 from .errors import ShiftTooLarge, SpecInvalid
@@ -104,29 +110,24 @@ def _signal_profile(frames: int, level: int, block_vectors: np.ndarray,
     intervals; each pair gets +vector on its first interval and -vector
     on its second. At level 1 the single vector covers everything.
     """
-    dim = block_vectors.shape[-1]
-    out = np.zeros((frames, dim))
-    if level == 1:
-        out[:] = amplitude * block_vectors[0]
-        return out
-    level_ivs = [iv for iv in build_intervals(frames, level)
-                 if iv.level == level]
-    for block, (plus, minus) in enumerate(zip(level_ivs[::2], level_ivs[1::2])):
-        out[plus.start:plus.end] = amplitude * block_vectors[block]
-        out[minus.start:minus.end] = -amplitude * block_vectors[block]
+    out = np.empty((frames, block_vectors.shape[-1]))
+    for iv in build_intervals(frames, level):
+        if iv.level == level:
+            sign = 1.0 if iv.index % 2 else -1.0
+            out[iv.start:iv.end] = (sign * amplitude
+                                    * block_vectors[(iv.index - 1) // 2])
     return out
 
 
-def _detail_profile(frames: int, level: int, vector: np.ndarray) -> np.ndarray:
-    """Video-specific detail: +vector / -vector on the two halves of
-    every level interval, cancelling exactly at the level's pooling
-    (up to one frame when interval lengths are odd)."""
-    out = np.zeros((frames, vector.size))
-    children = [iv for iv in build_intervals(frames, level + 1)
-                if iv.level == level + 1]
-    for first, second in zip(children[::2], children[1::2]):
-        out[first.start:first.end] = vector
-        out[second.start:second.end] = -vector
+def _detail_signs(frames: int, level: int) -> np.ndarray:
+    """(frames, 1) column of +1 on the first and -1 on the second half of
+    every level interval; times a detail vector, it cancels exactly at the
+    level's pooling (up to one frame when interval lengths are odd). The
+    halves are the level + 1 intervals, which cover every frame."""
+    out = np.empty((frames, 1))
+    for iv in build_intervals(frames, level + 1):
+        if iv.level == level + 1:
+            out[iv.start:iv.end] = 1.0 if iv.index % 2 else -1.0
     return out
 
 
@@ -137,8 +138,14 @@ def _stream_plan(spec: SynthSpec) -> list[tuple[str, int]]:
     return plan
 
 
-def gen_sequences(spec: SynthSpec) -> SynthDataset:
-    """Generate the dataset in memory; byte-deterministic under the seed."""
+def _videos(spec: SynthSpec):
+    """Draw the dataset one video at a time, in manifest order.
+
+    Yields ``(video_id, label, split, rows)``, where ``rows`` maps each
+    stream to a (frames, dim) float64 buffer that the next video
+    overwrites. Each video draws from its own seed, per stream its
+    frames x dim noise and then its dim-sized detail vector.
+    """
     root_ss = np.random.SeedSequence(spec.seed)
     vec_ss, video_ss = root_ss.spawn(2)
     vec_rng = np.random.default_rng(vec_ss)
@@ -150,62 +157,72 @@ def gen_sequences(spec: SynthSpec) -> SynthDataset:
         raw = vec_rng.standard_normal((spec.num_classes, blocks, spec.dim))
         class_vectors[stream] = raw / np.linalg.norm(raw, axis=2, keepdims=True)
 
-    video_ids: list[str] = []
-    labels = np.empty(spec.total, dtype=int)
-    splits: list[str] = []
-    sequences: dict[str, list[StreamFeatureSequence]] = {s: [] for s, _ in plan}
+    signs = {stream: _detail_signs(spec.frames, level)
+             for stream, level in plan}
+    rows = {stream: np.empty((spec.frames, spec.dim)) for stream, _ in plan}
+    detail_rows = np.empty((spec.frames, spec.dim))
+    detail_scale = spec.detail_sigma / np.sqrt(spec.dim)
     train_per_class = max(1, min(spec.per_class - 1,
                                  int(round(0.7 * spec.per_class))))
-    video_seeds = video_ss.spawn(spec.total)
+    video_seeds = iter(video_ss.spawn(spec.total))
 
-    idx = 0
     for c in range(1, spec.num_classes + 1):
+        signal = {stream: _signal_profile(spec.frames, level,
+                                          class_vectors[stream][c - 1],
+                                          spec.amplitude)
+                  for stream, level in plan}
         for v in range(spec.per_class):
-            vid = f"synth_c{c:02d}_v{v:03d}"
-            video_ids.append(vid)
-            labels[idx] = c
-            splits.append("train" if v < train_per_class else "test")
-            rng = np.random.default_rng(video_seeds[idx])
-            for stream, level in plan:
-                signal = _signal_profile(spec.frames, level,
-                                         class_vectors[stream][c - 1],
-                                         spec.amplitude)
-                rows = (spec.noise_sigma
-                        * rng.standard_normal((spec.frames, spec.dim))
-                        + signal)
+            rng = np.random.default_rng(next(video_seeds))
+            for stream, buf in rows.items():
+                # the operations of noise_sigma * noise + signal, in place
+                rng.standard_normal(out=buf)
+                buf *= spec.noise_sigma
+                buf += signal[stream]
                 if spec.detail_sigma > 0:
-                    detail = (spec.detail_sigma / np.sqrt(spec.dim)
-                              * rng.standard_normal(spec.dim))
-                    rows += _detail_profile(spec.frames, level, detail)
-                # float32 rounding here keeps in-memory use identical to
-                # a write/load cycle through feature files
-                rows = rows.astype(np.float32).astype(np.float64)
-                sequences[stream].append(StreamFeatureSequence(
-                    video_id=vid, stream=stream, rows=rows))
-            idx += 1
-    return SynthDataset(spec=spec, video_ids=video_ids, labels=labels,
+                    detail = detail_scale * rng.standard_normal(spec.dim)
+                    buf += np.multiply(signs[stream], detail, out=detail_rows)
+            yield (f"synth_c{c:02d}_v{v:03d}", c,
+                   "train" if v < train_per_class else "test", rows)
+
+
+def gen_sequences(spec: SynthSpec) -> SynthDataset:
+    """Generate the dataset in memory; byte-deterministic under the seed."""
+    video_ids: list[str] = []
+    labels: list[int] = []
+    splits: list[str] = []
+    sequences: dict[str, list[StreamFeatureSequence]] = {
+        s: [] for s, _ in _stream_plan(spec)}
+    for vid, label, split, rows in _videos(spec):
+        video_ids.append(vid)
+        labels.append(label)
+        splits.append(split)
+        for stream, buf in rows.items():
+            # float32 rounding here keeps in-memory use identical to a
+            # write/load cycle through feature files
+            sequences[stream].append(StreamFeatureSequence(
+                video_id=vid, stream=stream,
+                rows=buf.astype(np.float32).astype(np.float64)))
+    return SynthDataset(spec=spec, video_ids=video_ids,
+                        labels=np.asarray(labels, dtype=int),
                         splits=splits, sequences=sequences)
 
 
 def gen_dataset(spec: SynthSpec, out_dir: str | os.PathLike) -> DatasetManifest:
     """Write feature files plus a manifest under ``out_dir`` and return
-    the manifest (70/30 stratified train/test split)."""
-    data = gen_sequences(spec)
+    the manifest (70/30 stratified train/test split). Each video's files
+    are written as soon as it is drawn, so memory does not grow with the
+    dataset."""
     out_dir = os.fspath(out_dir)
-    feat_dir = os.path.join(out_dir, "features")
-    os.makedirs(feat_dir, exist_ok=True)
+    os.makedirs(os.path.join(out_dir, "features"), exist_ok=True)
     records = []
-    for i, vid in enumerate(data.video_ids):
+    for vid, label, split, rows in _videos(spec):
         paths = {}
-        for stream in data.sequences:
-            rel = os.path.join("features", f"{vid}.{stream}.gpf")
-            write_feature_file(data.sequences[stream][i],
-                               os.path.join(out_dir, rel))
-            paths[stream] = rel
-        records.append(VideoRecord(
-            video_id=vid, label=int(data.labels[i]),
-            appearance=paths.get("appearance"), motion=paths.get("motion"),
-            split=data.splits[i]))
+        for stream, buf in rows.items():
+            paths[stream] = os.path.join("features", f"{vid}.{stream}.gpf")
+            _write_container(os.path.join(out_dir, paths[stream]),
+                             GPF1_MAGIC, buf)
+        records.append(VideoRecord(video_id=vid, label=label, split=split,
+                                   **paths))
     manifest = DatasetManifest(records=records)
     write_manifest(manifest, os.path.join(out_dir, "manifest.jsonl"))
     return manifest

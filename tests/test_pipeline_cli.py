@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import errno
 import inspect
 import json
 import os
@@ -943,6 +944,26 @@ class TestOutDirectory:
         assert reads == [] and afile.read_text() == "kept\n"
         assert os.listdir(tmp_path) == ["afile"]
 
+    @pytest.mark.parametrize("command, blocked, code", [
+        ("gen-synth", "features", errno.EEXIST),
+        ("gen-synth", "files.json", errno.EISDIR),
+        ("gen-synth", "manifest.jsonl", errno.EISDIR),
+        ("train-em", "model.json", errno.EISDIR)])
+    def test_blocked_output_path_is_validation_exit(
+            self, workspace, tmp_path, capsys, command, blocked, code):
+        # a file where a directory goes, or a directory where a file goes
+        out = tmp_path / "out"
+        path = out / blocked
+        if code == errno.EEXIST:
+            out.mkdir()
+            path.write_text("kept\n")
+        else:
+            path.mkdir(parents=True)
+        assert run_cli(command, *command_flags(workspace)[command],
+                       "--out", out) == 2
+        assert_one_error_line(capsys,
+                              f"error: {path}: {os.strerror(code)}")
+
     def test_empty_out_exits_before_writing(self, tmp_path, capsys,
                                             monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -1041,11 +1062,13 @@ print(json.dumps([code, [m for m in {lazy!r} if m in sys.modules]]))
 """.format(lazy=LAZY_NUMPY_MODULES)
 
 
-@pytest.mark.parametrize("command", ["train-em", "train-dmkl", "eval"])
+@pytest.mark.parametrize("command",
+                         ["gen-synth", "train-em", "train-dmkl", "eval"])
 def test_command_imports_no_lazy_numpy_module(workspace, tmp_path, command):
     # each command in a fresh interpreter, as the command line runs it
     manifest = workspace / "data" / "manifest.jsonl"
     flags = {
+        "gen-synth": [],
         "train-em": ["--manifest", manifest, "--depth", 3, "--max-iters", 2],
         "train-dmkl": ["--manifest", manifest, "--depth", 3, "--iters", 20],
         "eval": ["--model", workspace / "em_a" / "model.json",

@@ -1,7 +1,11 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from treemkl import errors
+from treemkl.dataio import load_feature_file
 from treemkl.hierarchy import Hierarchy, pool_sequence
 from treemkl.synth import SynthSpec, gen_dataset, gen_sequences, misalign
 
@@ -120,7 +124,66 @@ class TestGenSequences:
         assert np.abs(app - mot).max() > 0.1
 
 
+# two streams with the detail flip, and an odd frame count so that
+# interval lengths are uneven
+GOLDEN_SPEC = SynthSpec(num_classes=2, per_class=2, frames=37, dim=3,
+                        signal_level=2, streams=2, seed=11)
+GOLDEN_SHA256 = {
+    "features/synth_c01_v000.appearance.gpf":
+        "aa6507da54b3c8ba12bbe4fd736b3a12a7fa6b310a79c1e3527220d1c5a75d0e",
+    "features/synth_c01_v000.motion.gpf":
+        "15b9ee7275d4dc35ba3bc1633904983c9eb47f5cdb5c7ea048b28408924b9942",
+    "features/synth_c01_v001.appearance.gpf":
+        "155ef8167c41382d45860b6801ecedee99d1827480c1551342089a201c86c7d3",
+    "features/synth_c01_v001.motion.gpf":
+        "d1fc7d35b3e13fca3bd7f25f7556641fcdbc5095c22c5bf3c783b753ef065885",
+    "features/synth_c02_v000.appearance.gpf":
+        "5aa7e4f72d133a5f60af80167d1ec9ca871d874b6c28e171945e569f66ab1d9e",
+    "features/synth_c02_v000.motion.gpf":
+        "805d23f1dd2038c9bed6e42c1bc2b2aaf7a3256738e05336fb2638d3821b04d6",
+    "features/synth_c02_v001.appearance.gpf":
+        "13eb58d405ce88033e22239d4277d0d0f56799ca49deaabf67a4119818913e13",
+    "features/synth_c02_v001.motion.gpf":
+        "89150359c243a7acf18189126fbc911bbafe30b20fb0bbd58fb75dc40e1d5507",
+    "manifest.jsonl":
+        "96c2f43df54bace8a22d78a90847b7839600f6fc25f1049f896f2861393de8a1",
+}
+
+
 class TestGenDataset:
+    def test_files_match_golden_digests(self, tmp_path):
+        gen_dataset(GOLDEN_SPEC, tmp_path)
+        digests = {path.relative_to(tmp_path).as_posix():
+                   hashlib.sha256(path.read_bytes()).hexdigest()
+                   for path in tmp_path.rglob("*") if path.is_file()}
+        assert digests == GOLDEN_SHA256
+
+    def test_files_hold_the_in_memory_rows(self, tmp_path):
+        manifest = gen_dataset(GOLDEN_SPEC, tmp_path)
+        data = gen_sequences(GOLDEN_SPEC)
+        assert [r.video_id for r in manifest.records] == data.video_ids
+        assert [r.label for r in manifest.records] == data.labels.tolist()
+        assert [r.split for r in manifest.records] == data.splits
+        for stream, seqs in data.sequences.items():
+            for rec, seq in zip(manifest.records, seqs, strict=True):
+                back = load_feature_file(tmp_path / rec.path_for(stream))
+                np.testing.assert_array_equal(back.rows, seq.rows)
+
+    def test_peak_memory_does_not_grow_with_dataset(self, tmp_path):
+        # videos are written as they are drawn: quadrupling the dataset
+        # adds less than one video-stream to the peak
+        def peak(per_class):
+            spec = SynthSpec(per_class=per_class, frames=256, dim=64)
+            tracemalloc.start()
+            try:
+                gen_dataset(spec, tmp_path / str(per_class))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(2)  # first-call allocations that no size repeats
+        assert peak(32) - peak(8) < 256 * 64 * 8
+
     def test_writes_loadable_files(self, tmp_path):
         spec = SynthSpec(num_classes=2, per_class=3, frames=16, dim=4,
                          signal_level=2, seed=2)
