@@ -1,10 +1,11 @@
-"""Alternating optimization of node weights and SVMs.
+"""Alternating optimization of level weights and SVMs.
 
 The synthetic generator hides its class signal at one hierarchy level;
 pooling coarser than that level sees nothing, pooling finer sees extra
-video-specific detail. The alternation discovers the right granularity:
-the traced objective decreases monotonically while the weight mass
-migrates to the signal level.
+video-specific detail. The alternation learns one weight per level,
+shared evenly by the level's nodes, and discovers the right
+granularity: the traced objective decreases monotonically while the
+weight mass migrates to the signal level.
 """
 
 import numpy as np
@@ -46,8 +47,7 @@ for it, (obj, beta) in enumerate(zip(result.objective_trace,
     print(f"{it:4d} | {obj:9.3f} | {pretty}")
 
 mass = result.beta[h.level_slice(SIGNAL_LEVEL)].sum()
-share = 2 ** (SIGNAL_LEVEL - 1) / h.node_count
-print(f"\nsignal-level mass {mass:.3f} vs uniform share {share:.3f}")
+print(f"\nsignal-level mass {mass:.3f} vs uniform start {1 / h.depth:.3f}")
 
 cols = kernel_columns(test, train, result.beta, AVERAGING, kcfg)
 acc = float(np.mean(predict(result.model, cols) == data.labels[te]))

@@ -1,52 +1,37 @@
-"""Alternating kernel-weight / SVM optimization over the simplex.
+"""Alternating kernel-weight / SVM optimization over the level simplex.
 
-The alternation from a weight vector ``beta``:
+The route learns one weight per hierarchy level, ``gamma`` on the
+D-simplex, shared evenly by the level's nodes: ``beta = M gamma`` with
+``M = Hierarchy.level_matrix``, as the pyramid match kernel (Grauman &
+Darrell, ICCV 2005) and spatial pyramid matching (Lazebnik, Schmid &
+Ponce, CVPR 2006) weight their levels. From a weight vector ``gamma``:
 
-1. solve one SVM dual per class on the combined kernel (``beta`` fixed);
-2. move ``beta`` toward the hierarchy node whose elementary kernel is
-   most aligned with the current classifiers (``alpha`` fixed), with a
-   step length found by a line search that never lets the traced
-   objective increase.
+1. solve one SVM dual per class on the combined kernel (``gamma``
+   fixed);
+2. take a Frank-Wolfe step (Jaggi, ICML 2013) along ``d = e_v - gamma``
+   toward the level v of the smallest gradient entry (``alpha`` fixed).
 
-The traced objective is the sum over classes of the optimal dual values
-(equivalently the regularized primal optima) at the current ``beta`` —
-the quantity the alternation actually descends; it is non-increasing at
-every accepted iteration by construction.
+The traced objective ``J`` is the sum over classes of the optimal dual
+values at the current ``gamma``; it is non-increasing at every accepted
+iteration by construction. The line search tries the full step ``eta =
+1`` first. A candidate whose objective rises is rejected, and the next
+``eta`` minimizes the quadratic through ``J(0)``, ``J(eta)`` and the
+exact slope ``J'(0) = grad @ d``, clamped to ``[0.1 eta, 0.5 eta]``
+(SimpleMKL: Rakotomamonjy et al., JMLR 2008).
 
-Both variants keep one pair-major (n, n, nodes) table ``T`` whose
-contraction ``T @ beta`` is the Gram matrix: the aligned node kernels
-for concatenation, and for averaging the half-contracted table
-``P[i, j, u] = sum_m beta[m] kappa(x_im, x_ju)``, which moves with
-``beta``. The alignment coefficients ``c = beta_objective_coeffs(model,
-T)`` give the gradient of the objective in ``beta`` at the current
-``alpha``: ``-c`` for concatenation, which is linear in ``beta``, and
-``-2 c`` for averaging, which is quadratic in it.
+Both variants hold one fixed table ``T = cache.level_table(M,
+variant)``, built once, and the variant enters only through
+``node_weights`` and its pullback: every Gram, start and candidates
+alike, is ``T @ node_weights(gamma, variant)``, and the gradient in
+``gamma`` at the current ``alpha`` is ``-node_weights_pullback(c, gamma,
+variant)`` with ``c = beta_objective_coeffs(model, T)`` (Danskin).
 
-``em_fit`` takes Frank-Wolfe steps (Jaggi, ICML 2013): it moves along
-``d = e_v - beta`` toward the vertex of the largest alignment
-coefficient, in both variants the smallest gradient entry (negation and
-doubling are exact, so ties pick the same index). The line search tries
-the full step ``eta = 1`` first. A candidate whose objective rises is
-rejected, and the next ``eta`` minimizes the quadratic through ``J(0)``,
-``J(eta)`` and the exact slope ``J'(0) = -k (c_v - c @ beta)`` (Danskin:
-the gradient at the current ``alpha``, ``k = 1`` for concatenation and
-2 for averaging), clamped to ``[0.1 eta, 0.5 eta]`` (SimpleMKL's line
-search along its descent direction: Rakotomamonjy et al., JMLR 2008).
-
-A candidate's Gram is linear (concatenation) or quadratic (averaging)
-in ``eta``, so ``stepped_gram`` builds it from the last accepted Gram
-and n x n slices, never by contracting a whole table. Once a step is
-accepted, ``NodeKernelCache.step_half_contracted`` moves the averaging
-table in place to ``(1 - eta) P + eta S_v``, ``S_v[i, j, u] =
-kappa(x_iv, x_ju)``, streaming ``S_v`` in row blocks. So averaging
-holds one (n, n, nodes) table, as concatenation does, and the (n, n,
-nodes, nodes) cross tensor is never built.
-
-Every candidate's dual solves start from the last accepted model's
-``alpha``, which is feasible for any kernel and close to the candidate's
-optimum (SimpleMKL); only the first solve starts from zero. ``EmResult``
-counts the dual solves and their pair updates, candidates included, the
-rejected candidates, and says why the alternation stopped.
+Every candidate's dual solves start from the last accepted ``alpha``,
+which is feasible for any kernel and close to the candidate's optimum
+(SimpleMKL). ``EmResult`` carries the node weights ``beta = M gamma``
+and their trace, counts the dual solves and their pair updates,
+candidates included, and the rejected candidates, and says why the
+alternation stopped.
 """
 
 from __future__ import annotations
@@ -56,14 +41,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeMismatch, ValidationError
-from .hierarchy import PooledTree
+from .hierarchy import Hierarchy, PooledTree
 from .kernels import (
-    AVERAGING,
     KernelConfig,
     NodeKernelCache,
     canonical_variant,
     contract_table,
     mirrored_gram,
+    node_weights,
+    node_weights_pullback,
 )
 from .simplex import INIT_SCHEMES, SimplexWeights
 from .svm import (SvmModel, TrainConfig, dual_objective, one_vs_rest_classes,
@@ -74,8 +60,8 @@ MAX_BACKTRACKS = 12
 # an interpolated step length is clamped to this share of the rejected one
 BACKTRACK_RANGE = (0.1, 0.5)
 
-# why em_fit stopped: one node, beta at the step's vertex, every candidate
-# rejected, beta and alpha settled, the iteration budget spent
+# why em_fit stopped: one level, gamma at the step's vertex, every
+# candidate rejected, gamma and alpha settled, the iteration budget spent
 STOP_REASONS = ("single_node", "vertex", "no_accepted_step", "param_tol",
                 "max_iters")
 
@@ -122,34 +108,16 @@ def backtracked_eta(eta: float, rise: float, slope: float) -> float:
     return float(np.clip(-slope / (2.0 * curvature), lo * eta, hi * eta))
 
 
-def stepped_gram(gram: np.ndarray, table_v: np.ndarray, eta: float,
-                 vertex_gram: np.ndarray | None = None) -> np.ndarray:
-    """The Gram at ``(1 - eta) beta + eta e_v`` from ``gram``, the Gram at
-    ``beta``: ``(1 - eta) gram + eta table_v`` with ``table_v = T[:, :,
-    v]`` for concatenation, or ``(1 - eta)^2 gram + eta (1 - eta) table_v
-    + eta^2 vertex_gram`` for averaging, with ``vertex_gram[i, j] =
-    kappa(x_iv, x_jv)`` and ``table_v = P_v + P_v'`` (``P_v = P[:, :,
-    v]``), which holds both cross terms since kappa is symmetric."""
-    if vertex_gram is None:
-        return (1.0 - eta) * gram + eta * table_v
-    values = (1.0 - eta) ** 2 * gram
-    values += eta * (1.0 - eta) * table_v
-    values += eta * eta * vertex_gram
-    return values
-
-
 def beta_objective_coeffs(model: SvmModel, table: np.ndarray) -> np.ndarray:
-    """Alignment of each node kernel with the dual solutions of ``model``.
-
-    ``table`` is a pair-major node-kernel table of shape (n, n, ...)
-    over the model's training videos. With ``s_c`` row c of ``model.alpha
-    * model.signs``, each trailing index ``p`` gives ``0.5 * sum_c s_c'
-    table[:, :, p] s_c``, in the shape of the table's trailing axes: a
-    vector over nodes for the aligned table (non-negative since each
-    kappa_m is PSD), a node-by-node matrix for the cross tensor
-    (symmetric PSD, a Gram matrix of per-node function components), and
-    that matrix times ``beta`` for the half-contracted table
-    ``NodeKernelCache.half_contracted(beta)``.
+    """Alignment of each kernel of a pair-major (n, n, ...) ``table``
+    over the model's training videos with its dual solutions: with
+    ``s_c`` row c of ``model.alpha * model.signs``, ``0.5 * sum_c s_c'
+    table[:, :, p] s_c`` for each trailing index ``p``, in the shape of
+    the trailing axes. That is a non-negative vector for the aligned
+    node kernels or the concatenation level table, and a symmetric PSD
+    matrix (a Gram matrix of per-node or per-level function components)
+    for the cross tensor or the averaging level table reshaped square.
+    Minus its ``node_weights_pullback`` is ``em_fit``'s gradient.
     """
     n = model.n_train
     table = np.asarray(table)
@@ -166,71 +134,66 @@ def beta_objective_coeffs(model: SvmModel, table: np.ndarray) -> np.ndarray:
 def em_fit(trees: list[PooledTree], labels: np.ndarray, variant: str,
            kernel_cfg: KernelConfig, em_cfg: EmConfig = EmConfig(),
            svm_cfg: TrainConfig = TrainConfig()) -> EmResult:
-    """Alternate dual solves and line-searched alignment steps on ``beta``.
+    """Alternate dual solves and line-searched alignment steps on the
+    level weights ``gamma``; returns node weights ``beta = M gamma``.
 
-    Stops when the iteration budget is exhausted, when ``beta`` is the
-    vertex the next step would move to, when both ``beta`` and every
+    Stops when the iteration budget is exhausted, when ``gamma`` is the
+    vertex the next step would move to, when both ``gamma`` and every
     ``alpha`` move less than ``param_tol`` in max-norm, or when no
     candidate of the line search keeps the objective from rising.
-    Each variant holds one (n, n, nodes) table and, beside it, n x n
-    Grams and row blocks only; ``NodeKernelCache`` raises
-    :class:`ValidationError` before allocating a table above
-    ``kernels._DENSE_LIMIT`` elements.
+    Holds one fixed level table and, beside it, n x n Grams;
+    ``NodeKernelCache`` raises :class:`ValidationError` before
+    allocating a table above ``kernels._DENSE_LIMIT`` elements.
     """
     variant = canonical_variant(variant)
     labels = np.asarray(labels)
     one_vs_rest_classes(labels, len(trees))
     cache = NodeKernelCache(trees, kernel_cfg)
-    averaging = variant == AVERAGING
-    m = cache.nodes
+    tie = Hierarchy(trees[0].depth).level_matrix
+    table = cache.level_table(tie, variant)
+    levels = tie.shape[1]
 
-    beta = SimplexWeights.init(m, em_cfg.beta_init, em_cfg.seed).beta
-    table = cache.half_contracted(beta) if averaging else cache.aligned()
-
+    gamma = SimplexWeights.init(levels, em_cfg.beta_init, em_cfg.seed).beta
     dual_solves = pair_updates = backtracks = 0
 
-    def solve(values, start):
+    def solve(weights, start):
         nonlocal dual_solves, pair_updates
         # objective: sum over classes of the optimal (negated) dual values
-        gram = mirrored_gram(values, cache.row_ids)
+        gram = mirrored_gram(
+            contract_table(table, node_weights(weights, variant)),
+            cache.row_ids)
         model = train_one_vs_rest(gram, labels, svm_cfg, start)
         dual_solves += model.class_ids.size
         pair_updates += model.pair_updates
-        return gram, model, -sum(dual_objective(gram, a, y)
-                                 for a, y in zip(model.alpha, model.signs))
+        return model, -sum(dual_objective(gram, a, y)
+                           for a, y in zip(model.alpha, model.signs))
 
-    gram, model, objective = solve(contract_table(table, beta), None)
+    model, objective = solve(gamma, None)
     trace = [objective]
-    beta_trace = [beta.copy()]
+    gamma_trace = [gamma]
     iterations = 0
     stop_reason = "max_iters"
 
     for _ in range(em_cfg.max_iters):
-        if m == 1:
+        if levels == 1:
             stop_reason = "single_node"
             break
-        coeffs = beta_objective_coeffs(model, table)
-        # the smallest entry of the gradient, -c or -2 c
+        # the objective's gradient in gamma is -coeffs
+        coeffs = node_weights_pullback(
+            beta_objective_coeffs(model, table).ravel(), gamma, variant)
         v = int(np.argmax(coeffs))
-        vertex = np.zeros(m)
+        vertex = np.zeros(levels)
         vertex[v] = 1.0
-        if np.allclose(vertex, beta):
+        if np.allclose(vertex, gamma):
             stop_reason = "vertex"
             break
-        # J'(0) along vertex - beta: the gradient -k c dotted with it
-        slope = -(2.0 if averaging else 1.0) * (coeffs[v] - coeffs @ beta)
-        # the Gram moves along the step through n x n slices only
-        table_v, vertex_gram = table[:, :, v], None
-        if averaging:
-            # (S_v beta)[i, j] = P[j, i, v], kappa being symmetric
-            table_v = table_v + table_v.T
-            vertex_gram = cache.combined(vertex, AVERAGING)
+        # J'(0) along vertex - gamma
+        slope = -(coeffs[v] - coeffs @ gamma)
 
         eta = 1.0
         for _ in range(MAX_BACKTRACKS + 1):
-            candidate = (1.0 - eta) * beta + eta * vertex
-            cand_gram, cand_model, cand_objective = solve(
-                stepped_gram(gram.values, table_v, eta, vertex_gram), model)
+            candidate = (1.0 - eta) * gamma + eta * vertex
+            cand_model, cand_objective = solve(candidate, model)
             if cand_objective <= objective + 1e-10:
                 break
             backtracks += 1
@@ -238,23 +201,20 @@ def em_fit(trees: list[PooledTree], labels: np.ndarray, variant: str,
         else:
             stop_reason = "no_accepted_step"
             break
-        if averaging:
-            cache.step_half_contracted(table, v, eta)
 
-        beta_delta = float(np.max(np.abs(candidate - beta)))
+        gamma_delta = float(np.max(np.abs(candidate - gamma)))
         alpha_delta = float(np.max(np.abs(cand_model.alpha - model.alpha)))
-        beta, gram, model, objective = (candidate, cand_gram, cand_model,
-                                        cand_objective)
+        gamma, model, objective = candidate, cand_model, cand_objective
         trace.append(objective)
-        beta_trace.append(beta.copy())
+        gamma_trace.append(gamma)
         iterations += 1
-        if beta_delta < em_cfg.param_tol and alpha_delta < em_cfg.param_tol:
+        if gamma_delta < em_cfg.param_tol and alpha_delta < em_cfg.param_tol:
             stop_reason = "param_tol"
             break
 
-    return EmResult(beta=beta, model=model,
+    return EmResult(beta=tie @ gamma, model=model,
                     objective_trace=np.asarray(trace),
-                    beta_trace=np.asarray(beta_trace),
+                    beta_trace=np.asarray(gamma_trace) @ tie.T,
                     iterations=iterations, dual_solves=dual_solves,
                     pair_updates=pair_updates, backtracks=backtracks,
                     stop_reason=stop_reason)

@@ -56,12 +56,31 @@ class Hierarchy:
         first = self.node_position(level, 1)
         return slice(first, first + 2 ** (level - 1))
 
+    @property
+    def level_matrix(self) -> np.ndarray:
+        """``M``, shape (nodes, depth), read-only: ``M[m, l - 1] =
+        2**-(l - 1)`` for every node m of level l, else 0. Each column
+        sums to 1, so ``beta = M @ gamma`` is on the node simplex for any
+        ``gamma`` on the level simplex, and the mass of level l is
+        ``gamma[l - 1]``: one weight per level, shared evenly by its
+        nodes, as the pyramid match kernel weights its levels."""
+        return _level_matrix(self.depth)
+
 
 @lru_cache(maxsize=None)
 def _nodes(depth: int) -> tuple[tuple[int, int], ...]:
     return tuple((l, k)
                  for l in range(1, depth + 1)
                  for k in range(1, 2 ** (l - 1) + 1))
+
+
+@lru_cache(maxsize=None)
+def _level_matrix(depth: int) -> np.ndarray:
+    levels = np.array([l for l, _ in _nodes(depth)])
+    out = np.where(levels[:, None] == np.arange(1, depth + 1),
+                   0.5 ** (levels[:, None] - 1.0), 0.0)
+    out.flags.writeable = False
+    return out
 
 
 @dataclass(frozen=True)

@@ -25,12 +25,14 @@ weights is one matrix-vector product.
 
 The averaging variant's cross kernels have ``nodes**2`` entries per
 pair, and no route holds them whole: they are computed one block of row
-videos at a time and reduced as each block is made. Contracting
-``beta`` on their row-node axis leaves the half-contracted table ``P[i,
-j, u] = sum_m beta[m] kappa(a_im, b_ju)`` with ``nodes`` entries per
-pair, and ``K(beta) = P @ beta``. The largest table any route allocates
-is therefore (rows, cols, nodes), and the cache refuses one above
-``_DENSE_LIMIT`` elements with a :class:`ValidationError`.
+videos at a time and reduced as each block is made. The alternating
+route ties the node weights per level, ``beta = M gamma``, and
+contracts each block with ``M`` on both node axes into a fixed level
+table with ``levels**2`` entries per pair, whose contraction with
+``outer(gamma, gamma)`` is ``K``; concatenation's level table is
+``aligned() @ M``. The largest table any route allocates is therefore
+(rows, cols, nodes) or (rows, cols, levels**2), and the cache refuses
+one above ``_DENSE_LIMIT`` elements with a :class:`ValidationError`.
 
 Over one tree set (training) the cross kernels are symmetric,
 ``kappa(a_im, a_ju) = kappa(a_ju, a_im)``, so a block of row videos
@@ -71,7 +73,7 @@ _DENSE_LIMIT = 2 ** 25
 # elements of one row block of a kernel table (at least one row video),
 # the unit in which tables are built or streamed, and of one chunk of
 # median_gamma's sample; bounds the working memory beside the table itself
-_BLOCK_ELEMENTS = 2 ** 18
+_BLOCK_ELEMENTS = 2 ** 16
 
 # most (video pair, node) samples median_gamma draws its median from
 _MEDIAN_GAMMA_CAP = 10_000
@@ -211,26 +213,22 @@ class NodeKernelCache:
     kernels ``kappa(row_i[m], col_j[n])`` are never kept: the one loop
     that computes them streams row blocks of about ``_BLOCK_ELEMENTS``
     elements, and each consumer reduces a block as it is made.
-    ``table_blocks`` yields them pair-major, ``half_contracted(beta)``
-    contracts ``beta`` on their row-node axis,
-    ``step_half_contracted(table, v, eta)`` moves such a table in place
-    toward row node ``v`` block by block, and ``combined(beta,
-    AVERAGING)`` reduces each block to kernel values. So a training run
-    holds at most one (rows, cols, nodes) table, and beside it row
+    ``table_blocks`` yields them pair-major, ``level_table(M, variant)``
+    contracts each node axis with ``M`` into a fixed table, and
+    ``combined(beta, AVERAGING)`` reduces each block to kernel values.
+    So a training run holds at most one table, and beside it row
     blocks. ``combined`` evaluates only the nodes whose weight is
     non-zero: the columns of ``aligned()`` for concatenation, both
-    node axes of the cross kernels for averaging. Every (rows, cols,
-    nodes) table is refused above ``_DENSE_LIMIT`` elements before it is
-    allocated. ``cross()`` and ``pair_blocks`` are test oracles that no
-    route calls.
+    node axes of the cross kernels for averaging. Every table is refused
+    above ``_DENSE_LIMIT`` elements before it is allocated. ``cross()``
+    and ``pair_blocks`` are test oracles that no route calls.
 
     A cache over two tree sets streams every column video in each block.
     A cache over one tree set streams, for the block of row videos
-    ``r0:r1``, only the column videos from ``r0`` on: ``table_blocks``
-    and the averaging ``combined`` cover the upper triangle of video
-    pairs (``combined`` mirrors it into the lower one), and
-    ``half_contracted`` fills its lower triangle from the same blocks.
-    ``step_half_contracted`` and ``cross()`` still stream every column
+    ``r0:r1``, only the column videos from ``r0`` on: ``table_blocks``,
+    the averaging ``level_table`` and the averaging ``combined`` cover
+    the upper triangle of video pairs, and the latter two fill the lower
+    one from the same blocks. ``cross()`` still streams every column
     video.
     """
 
@@ -255,18 +253,17 @@ class NodeKernelCache:
                 f"beta has {beta.size} entries for {self.nodes} nodes")
         return beta
 
-    def _empty_table(self, nodes: int | None = None) -> np.ndarray:
-        """An uninitialized (rows, cols, nodes) table, ``nodes`` defaulting
-        to every node, refused with :class:`ValidationError` above
-        ``_DENSE_LIMIT`` elements."""
+    def _empty_table(self, width: int, what: str = "nodes") -> np.ndarray:
+        """An uninitialized (rows, cols, width) table, refused with
+        :class:`ValidationError` above ``_DENSE_LIMIT`` elements; ``what``
+        names the trailing axis in the message."""
         nr, nc = self.rows.shape[0], self.cols.shape[0]
-        m = self.nodes if nodes is None else nodes
-        if nr * nc * m > _DENSE_LIMIT:
+        if nr * nc * width > _DENSE_LIMIT:
             raise ValidationError(
-                f"{nr} x {nc} videos and {m} nodes need a node-kernel table "
-                f"of {nr * nc * m * 8} bytes, above the {_DENSE_LIMIT * 8}"
-                "-byte limit")
-        return np.empty((nr, nc, m))
+                f"{nr} x {nc} videos and {width} {what} need a node-kernel "
+                f"table of {nr * nc * width * 8} bytes, above the "
+                f"{_DENSE_LIMIT * 8}-byte limit")
+        return np.empty((nr, nc, width))
 
     def aligned(self) -> np.ndarray:
         if self._aligned is None:
@@ -332,36 +329,44 @@ class NodeKernelCache:
             self._cross = out
         return self._cross
 
-    def half_contracted(self, beta: np.ndarray) -> np.ndarray:
-        """``P[i, j, u] = sum_m beta[m] kappa(row_i[m], col_j[u])``, shape
-        (rows, cols, nodes), so that ``P @ beta`` is the averaging
-        variant's combined kernel. A one-set cache fills ``P[j, i]`` for
-        ``j >= r1`` from block ``r0:r1`` by contracting ``beta`` on its
-        column-node axis."""
-        beta = self._check_beta(beta)
-        out = self._empty_table()
+    def level_table(self, tie: np.ndarray, variant: str) -> np.ndarray:
+        """The variant's node kernels with each node axis contracted with
+        ``tie``, shape (nodes, k): a pair-major table whose contraction
+        with ``node_weights(gamma, variant)`` is the combined kernel at
+        ``beta = tie @ gamma``. Concatenation gives ``aligned() @ tie``,
+        (rows, cols, k), accumulated one node at a time; averaging gives
+        ``T[i, j, l, l'] = sum_{m,n} tie[m, l] tie[n, l'] kappa(row_i[m],
+        col_j[n])``, flattened to (rows, cols, k * k), from the streamed
+        cross kernels contracted block by block on the column-node axis,
+        then on the row-node one. A one-set cache fills ``T[j, i]`` for
+        ``j >= r1`` from block ``r0:r1`` with the level axes swapped.
+        Refused above ``_DENSE_LIMIT`` elements before allocation."""
+        tie = np.asarray(tie, dtype=np.float64)
+        if tie.ndim != 2 or tie.shape[0] != self.nodes:
+            raise ShapeMismatch(
+                f"tie has shape {tie.shape} for {self.nodes} nodes")
+        k = tie.shape[1]
+        if canonical_variant(variant) == CONCATENATION:
+            out = self._empty_table(k, "levels")
+            out.fill(0.0)
+            for node in range(self.nodes):
+                out += _kernel_matrix(self.rows[:, node, :],
+                                      self.cols[:, node, :],
+                                      self.cfg)[:, :, None] * tie[node]
+            return out
+        out = self._empty_table(k * k, "level pairs")
+        nr, nc = out.shape[:2]
+        table = out.reshape(nr, nc, k, k)
         mirror = self.cols is self.rows
         for r0, r1, c0, block in self._cross_blocks():
-            out[r0:r1, c0:] = np.tensordot(beta, block, axes=(0, 1))
+            # (r, nodes, c, nodes) -> (r, nodes, c, k) -> (r, c, k, k)
+            partial = (block.reshape(-1, self.nodes) @ tie).reshape(
+                *block.shape[:3], k)
+            table[r0:r1, c0:] = np.tensordot(tie, partial, axes=(0, 1)
+                                             ).transpose(1, 2, 0, 3)
             if mirror:
-                # P[j, i, u] = sum_n beta[n] kappa(row_i[u], row_j[n])
-                below = block[:, :, r1 - r0:] @ beta
-                out[r1:, r0:r1] = below.transpose(2, 0, 1)
+                table[r1:, r0:r1] = table[r0:r1, r1:].transpose(1, 0, 3, 2)
         return out
-
-    def step_half_contracted(self, table: np.ndarray, v: int,
-                             eta: float) -> np.ndarray:
-        """Move ``table = half_contracted(beta)`` in place to
-        ``half_contracted((1 - eta) beta + eta e_v)``: ``table <- (1 -
-        eta) table + eta S_v`` with ``S_v[i, j, u] = kappa(row_i[v],
-        col_j[u])``, whose row blocks are streamed and never held whole."""
-        for r0, r1, _, block in self._cross_blocks(slice(v, v + 1),
-                                                   all_cols=True):
-            part = table[r0:r1]
-            part *= 1.0 - eta
-            block *= eta
-            part += block[:, 0]
-        return table
 
     def combined(self, beta: np.ndarray, variant: str) -> np.ndarray:
         """Combined-kernel values, shape (rows, cols), from the node

@@ -77,60 +77,42 @@ class TestBetaObjectiveCoeffs:
                                       RBF.gamma)
         np.testing.assert_allclose(m, ref, rtol=0, atol=1e-10)
 
-    def test_averaging_gradient_from_half_contracted_table(self, rng):
-        # -2 c(P) is the pullback of the cross-tensor coefficients
+    @pytest.mark.parametrize("variant", [CONCATENATION, AVERAGING])
+    def test_level_gradient_is_node_gradient_pulled_through_tie(self, rng,
+                                                                variant):
+        # d/dgamma of the objective at beta = M gamma is M' times its
+        # node gradient; both sides from the coefficients of em_fit's
+        # level table and of the per-node table
         trees, labels, cache, model = trained_instance(rng, n=12, depth=3)
-        beta = to_simplex(rng.standard_normal(cache.nodes))
-        got = -2.0 * beta_objective_coeffs(model,
-                                           cache.half_contracted(beta))
-        coeffs = averaging_coeffs_oracle(model.alpha, labels,
-                                         np.stack([t.vectors for t in trees]),
-                                         RBF.gamma)
-        for ref in (-(coeffs + coeffs.T) @ beta,
-                    -node_weights_pullback(beta_objective_coeffs(
-                        model, cache.cross()), beta, AVERAGING)):
-            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
-
-    def test_half_contracted_moves_linearly_along_a_step(self, rng,
-                                                         monkeypatch):
-        # 12 videos x 7 nodes = 84 elements per row video of S_v: blocks
-        # of 5 rows, the last one ragged (2 rows)
-        monkeypatch.setattr(kernels, "_BLOCK_ELEMENTS", 420)
-        trees, labels, cache, model = trained_instance(rng, n=12, depth=3)
-        beta = to_simplex(rng.standard_normal(cache.nodes))
-        for v, eta in ((0, 0.5), (4, 0.125), (6, 1.0)):
-            vertex = np.zeros(cache.nodes)
-            vertex[v] = 1.0
-            table = cache.half_contracted(beta)
-            stepped = cache.step_half_contracted(table, v, eta)
-            assert stepped is table
-            expected = cache.half_contracted((1.0 - eta) * beta + eta * vertex)
-            np.testing.assert_allclose(stepped, expected, rtol=0, atol=1e-13)
+        tie = Hierarchy(3).level_matrix
+        gamma = to_simplex(rng.standard_normal(3))
+        beta = tie @ gamma
+        table = cache.level_table(tie, variant)
+        got = -node_weights_pullback(
+            beta_objective_coeffs(model, table).ravel(), gamma, variant)
+        if variant == CONCATENATION:
+            node_grad = -beta_objective_coeffs(model, cache.aligned())
+        else:
+            coeffs = averaging_coeffs_oracle(
+                model.alpha, labels, np.stack([t.vectors for t in trees]),
+                RBF.gamma)
+            node_grad = -(coeffs + coeffs.T) @ beta
+        ref = tie.T @ node_grad
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("variant", [CONCATENATION, AVERAGING])
-    def test_stepped_gram_matches_contracted_stepped_table(self, rng,
-                                                           variant):
-        # em_fit's candidate Gram from n x n slices, against contracting
-        # the whole table of the candidate weights
+    def test_level_table_gram_is_combined_kernel_at_tied_beta(self, rng,
+                                                              variant):
+        # every Gram em_fit solves on, start and candidates alike, is the
+        # fixed table contracted with node_weights(gamma)
         trees, labels, cache, model = trained_instance(rng, n=12, depth=3)
-        beta = to_simplex(rng.standard_normal(cache.nodes))
-        for v, eta in ((0, 0.5), (4, 0.125), (6, 1.0), (2, 0.03)):
-            vertex = np.zeros(cache.nodes)
-            vertex[v] = 1.0
-            candidate = (1.0 - eta) * beta + eta * vertex
-            if variant == CONCATENATION:
-                table = cache.aligned()
-                gram = kernels.contract_table(table, beta)
-                got = em.stepped_gram(gram, table[:, :, v], eta)
-                want = kernels.contract_table(table, candidate)
-            else:
-                table = cache.half_contracted(beta)
-                gram = kernels.contract_table(table, beta)
-                p_v = table[:, :, v]
-                got = em.stepped_gram(gram, p_v + p_v.T, eta,
-                                      cache.combined(vertex, AVERAGING))
-                want = kernels.contract_table(
-                    cache.half_contracted(candidate), candidate)
+        tie = Hierarchy(3).level_matrix
+        table = cache.level_table(tie, variant)
+        for gamma in (to_simplex(rng.standard_normal(3)), np.eye(3)[2],
+                      np.array([0.5, 0.0, 0.5])):
+            got = kernels.contract_table(table,
+                                         kernels.node_weights(gamma, variant))
+            want = cache.combined(tie @ gamma, variant)
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_averaging_rejects_node_major_layout(self, rng):
@@ -153,23 +135,34 @@ def synth_trees(seed, level=2, depth=None, per_class=25):
             [trees[i] for i in te], data.labels[te], h)
 
 
-def noisy_node_trees(seed, per_class=6, classes=3, dim=4, depth=3):
-    """Trees whose every node is its class mean plus independent noise.
-    Weight spread over the nodes averages the noise out, so no single
-    node separates the classes as well, and from the uniform start the
-    full step to a vertex is rejected in both variants."""
+def noisy_level_trees(seed, per_class=6, classes=3, dim=4, depth=3):
+    """Trees whose every level holds its class mean plus noise drawn once
+    per (video, level) and shared by the level's nodes. Weight spread
+    over the levels averages the noise out, so no single level separates
+    the classes as well, and from the uniform start the full step to a
+    vertex is rejected in both variants."""
     rng = np.random.default_rng(seed)
     labels = np.repeat(np.arange(1, classes + 1), per_class)
     means = rng.standard_normal((classes, dim))
-    nodes = 2 ** depth - 1
+    tie = Hierarchy(depth).level_matrix
     trees = [PooledTree(f"v{i}", "appearance", depth,
-                        means[c - 1] + 0.5 * rng.standard_normal((nodes, dim)))
+                        means[c - 1] + 0.5 * (tie > 0)
+                        @ rng.standard_normal((depth, dim)))
              for i, c in enumerate(labels)]
     return trees, labels, KernelConfig("rbf", median_gamma(trees))
 
 
-def step_length(before, after):
-    """The ``eta`` of the Frank-Wolfe step from ``before`` to ``after``."""
+def level_masses(beta, depth):
+    """The level weights ``gamma`` of node weights ``beta = M gamma``."""
+    h = Hierarchy(depth)
+    return np.array([beta[h.level_slice(l)].sum()
+                     for l in range(1, depth + 1)])
+
+
+def step_length(before, after, depth=3):
+    """The ``eta`` of the Frank-Wolfe step between node weights ``before``
+    and ``after``, read from their level masses."""
+    before, after = level_masses(before, depth), level_masses(after, depth)
     v = int(np.argmax(after - before))
     return (after[v] - before[v]) / (1.0 - before[v])
 
@@ -208,10 +201,10 @@ class TestEmFit:
             assert np.all(np.diff(res.objective_trace) <= 1e-8)
 
     def test_averaging_objective_is_dual_value_at_final_beta(self):
-        # the table em_fit moves along each step stays half_contracted(beta);
-        # partial steps leave beta inside the simplex, so the in-place
-        # update runs with 0 < eta < 1
-        train, y_train, kcfg = noisy_node_trees(0)
+        # the Grams em_fit contracts from its level table are those of the
+        # node weights it returns; partial steps leave gamma inside the
+        # simplex, so every level keeps weight
+        train, y_train, kcfg = noisy_level_trees(2)
         res = em_fit(train, y_train, AVERAGING, kcfg, EmConfig(max_iters=10))
         assert res.iterations >= 2
         gram = gram_matrix(train, res.beta, AVERAGING, kcfg)
@@ -230,25 +223,36 @@ class TestEmFit:
         train, y_train, test, y_test, h = synth_trees(0, level=2)
         kcfg = KernelConfig("rbf", median_gamma(train))
         em_cfg = EmConfig(max_iters=0, beta_init="random", seed=5)
-        start = SimplexWeights.init(h.node_count, "random", 5).beta
+        start = h.level_matrix @ SimplexWeights.init(h.depth, "random",
+                                                     5).beta
         res = em_fit(train, y_train, AVERAGING, kcfg, em_cfg)
         gram = gram_matrix(train, start, AVERAGING, kcfg)
         plain = train_one_vs_rest(gram, y_train)
         k_cols = kernel_columns(test, train, start, AVERAGING, kcfg)
         np.testing.assert_array_equal(predict(res.model, k_cols),
                                       predict(plain, k_cols))
-        np.testing.assert_array_equal(res.model.alpha, plain.alpha)
+        # em_fit contracts its level table, gram_matrix the node kernels:
+        # the two Grams agree to rounding
+        np.testing.assert_allclose(res.model.alpha, plain.alpha, rtol=0,
+                                   atol=1e-9)
+        np.testing.assert_array_equal(res.beta, start)
         assert res.stop_reason == "max_iters" and res.backtracks == 0
 
-    @pytest.mark.parametrize("variant", [AVERAGING, CONCATENATION])
-    def test_tables_over_limit_rejected(self, rng, monkeypatch, variant):
+    @pytest.mark.parametrize("variant, width, what",
+                             [(AVERAGING, 9, "level pairs"),
+                              (CONCATENATION, 3, "levels")])
+    def test_tables_over_limit_rejected(self, rng, monkeypatch, variant,
+                                        width, what):
+        # depth 3: an (n, n, 3 * 3) averaging table, (n, n, 3) for
+        # concatenation
         trees = random_trees(rng, n=8, depth=3)
         labels = np.array([1 + (i % 2) for i in range(8)])
-        monkeypatch.setattr(kernels, "_DENSE_LIMIT", 8 * 8 * 7 - 1)
+        monkeypatch.setattr(kernels, "_DENSE_LIMIT", 8 * 8 * width - 1)
         with pytest.raises(errors.ValidationError,
-                           match="8 videos and 7 nodes .* 3584 bytes"):
+                           match=f"8 videos and {width} {what} .* "
+                                 f"{8 * 8 * width * 8} bytes"):
             em_fit(trees, labels, variant, RBF)
-        monkeypatch.setattr(kernels, "_DENSE_LIMIT", 8 * 8 * 7)
+        monkeypatch.setattr(kernels, "_DENSE_LIMIT", 8 * 8 * width)
         em_fit(trees, labels, variant, RBF, EmConfig(max_iters=1))
 
     def test_single_class_rejected(self, rng):
@@ -278,7 +282,9 @@ class TestEmFit:
             res = em_fit(trees, labels, AVERAGING, RBF,
                          EmConfig(max_iters=0, beta_init=scheme, seed=5))
             np.testing.assert_array_equal(
-                res.beta_trace[0], SimplexWeights.init(7, scheme, 5).beta)
+                res.beta_trace[0],
+                Hierarchy(3).level_matrix
+                @ SimplexWeights.init(3, scheme, 5).beta)
 
     def test_unknown_beta_init_rejected(self):
         with pytest.raises(errors.ValidationError):
@@ -312,7 +318,8 @@ class TestEmStops:
     def test_vertex_reached(self, fit):
         res, solved = fit(AVERAGING, EmConfig())
         assert res.iterations == 1
-        np.testing.assert_array_equal(res.beta, np.eye(7)[5])
+        # all the weight on level 3, shared evenly by its four nodes
+        np.testing.assert_array_equal(res.beta, [0, 0, 0, .25, .25, .25, .25])
         # no candidate is tried once the step's vertex is beta itself
         assert len(solved) == res.iterations + 1
         assert res.stop_reason == "vertex" and res.backtracks == 0
@@ -322,23 +329,25 @@ class TestEmStops:
     @pytest.mark.parametrize("variant", [AVERAGING, CONCATENATION])
     def test_param_tol(self, solved, variant):
         # the first step is partial, so the stop is param_tol's, not the
-        # vertex's: beta keeps every node
-        train, y_train, kcfg = noisy_node_trees(0)
+        # vertex's: beta keeps every level
+        train, y_train, kcfg = noisy_level_trees(2)
         res = em_fit(train, y_train, variant, kcfg, EmConfig(param_tol=1e9))
         assert res.iterations == 1 and res.stop_reason == "param_tol"
         assert res.backtracks >= 1
         assert len(solved) == res.backtracks + 2 and res.model is solved[-1]
         assert np.count_nonzero(res.beta) == 7
 
-    def test_no_accepted_step(self, fit, monkeypatch):
+    @pytest.mark.parametrize("variant", [AVERAGING, CONCATENATION])
+    def test_no_accepted_step(self, solved, monkeypatch, variant):
+        # the full step is rejected and no backtrack is left
         monkeypatch.setattr(em, "MAX_BACKTRACKS", 0)
-        res, solved = fit(CONCATENATION, EmConfig())
-        assert res.iterations >= 1
-        assert np.count_nonzero(res.beta) == 1
+        train, y_train, kcfg = noisy_level_trees(2)
+        res = em_fit(train, y_train, variant, kcfg)
         # one more candidate than accepted steps, and it was rejected
         assert len(solved) == res.iterations + 2
         assert res.model is solved[-2]
         assert res.stop_reason == "no_accepted_step" and res.backtracks == 1
+        np.testing.assert_array_equal(res.beta, res.beta_trace[-1])
 
 
 def true_objective(trees, labels, beta, variant, kcfg, svm_cfg):
@@ -352,11 +361,11 @@ def true_objective(trees, labels, beta, variant, kcfg, svm_cfg):
 class TestLineSearch:
     @pytest.mark.parametrize("variant", [CONCATENATION, AVERAGING])
     def test_line_search_gets_the_exact_slope(self, monkeypatch, variant):
-        # the Danskin slope J'(0) = -k (c_v - c @ beta) that em_fit hands
+        # the Danskin slope J'(0) = grad @ (e_v - gamma) that em_fit hands
         # its first backtrack, against a central difference of J along the
-        # step it then takes, at depth 2
+        # step it then takes, beta = M gamma, at depth 2
         svm_cfg = TrainConfig(c_box=5.0, kkt_tol=1e-10, max_passes=10_000)
-        train, y_train, kcfg = noisy_node_trees(2, depth=2)
+        train, y_train, kcfg = noisy_level_trees(2, depth=2)
         slopes = []
         backtracked = em.backtracked_eta
 
@@ -369,7 +378,9 @@ class TestLineSearch:
                      svm_cfg)
         assert res.backtracks >= 1
         beta = res.beta_trace[0]
-        d = np.eye(3)[np.argmax(res.beta_trace[1] - beta)] - beta
+        gamma, after = (level_masses(b, 2) for b in res.beta_trace)
+        d = Hierarchy(2).level_matrix @ (np.eye(2)[np.argmax(after - gamma)]
+                                         - gamma)
         h = 1e-4
         ahead, behind = (true_objective(train, y_train, beta + t * d, variant,
                                         kcfg, svm_cfg)[1] for t in (h, -h))
@@ -391,7 +402,7 @@ class TestLineSearch:
         assert backtracked_eta(1.0, 1.0, 0.0) == lo
 
     def test_rejected_full_step(self, monkeypatch):
-        train, y_train, kcfg = noisy_node_trees(0)
+        train, y_train, kcfg = noisy_level_trees(2)
         res = em_fit(train, y_train, AVERAGING, kcfg, EmConfig(max_iters=1))
         assert res.iterations == 1 and res.backtracks >= 1
         # each backtrack shrinks eta into BACKTRACK_RANGE of the last one
@@ -400,20 +411,20 @@ class TestLineSearch:
         assert lo ** res.backtracks <= eta <= hi ** res.backtracks
         assert res.objective_trace[1] <= res.objective_trace[0] + 1e-10
 
-        # the averaging table handed to each iteration is
-        # half_contracted(beta) of the weights that iteration starts from
+        # every iteration reads the one fixed level table, whatever the
+        # weights it starts from
         tables = []
         coeffs = em.beta_objective_coeffs
 
         def spy(model, table):
-            tables.append(table.copy())
+            tables.append(table)
             return coeffs(model, table)
 
         monkeypatch.setattr(em, "beta_objective_coeffs", spy)
         res = em_fit(train, y_train, AVERAGING, kcfg, EmConfig(max_iters=4))
         assert res.iterations == 4 and res.backtracks >= 4
-        cache = NodeKernelCache(train, kcfg)
-        for table, beta in zip(tables, res.beta_trace):
-            np.testing.assert_allclose(table, cache.half_contracted(beta),
-                                       rtol=0, atol=1e-12)
         assert len(tables) == 4
+        assert all(table is tables[0] for table in tables)
+        want = NodeKernelCache(train, kcfg).level_table(
+            Hierarchy(3).level_matrix, AVERAGING)
+        np.testing.assert_array_equal(tables[0], want)

@@ -31,6 +31,29 @@ class TestHierarchyShape:
         assert [h.nodes[i] for i in range(*h.level_slice(3).indices(7))] == \
             [(3, 1), (3, 2), (3, 3), (3, 4)]
 
+    @pytest.mark.parametrize("depth", [1, 2, 4, 8])
+    def test_level_matrix_columns_sum_to_one(self, depth):
+        M = Hierarchy(depth).level_matrix
+        assert M.shape == (2 ** depth - 1, depth)
+        np.testing.assert_array_equal(M.sum(axis=0), np.ones(depth))
+        assert not M.flags.writeable
+
+    def test_level_matrix_shares_each_level_evenly(self, rng):
+        h = Hierarchy(4)
+        M = h.level_matrix
+        for level in range(1, 5):
+            column = np.zeros(h.node_count)
+            column[h.level_slice(level)] = 0.5 ** (level - 1)
+            np.testing.assert_array_equal(M[:, level - 1], column)
+        # beta = M gamma is on the node simplex and its level masses are
+        # gamma
+        gamma = rng.dirichlet(np.ones(4))
+        beta = M @ gamma
+        assert beta.min() >= 0.0 and beta.sum() == pytest.approx(1.0,
+                                                                abs=1e-15)
+        masses = [beta[h.level_slice(l)].sum() for l in range(1, 5)]
+        np.testing.assert_allclose(masses, gamma, rtol=0, atol=1e-15)
+
 
 class TestBuildIntervals:
     def test_exact_division(self):

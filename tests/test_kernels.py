@@ -8,7 +8,7 @@ from oracles import central_difference, elementary
 from treemkl import errors, kernels
 from treemkl.dmkl import ContrastiveConfig, _PairTable, dmkl_fit, pair_moments
 from treemkl.em import EmConfig, em_fit
-from treemkl.hierarchy import PooledTree
+from treemkl.hierarchy import Hierarchy, PooledTree
 from treemkl.kernels import (
     AVERAGING,
     CONCATENATION,
@@ -386,33 +386,27 @@ class TestNodeKernelCache:
                                    node_weights(beta, AVERAGING)),
             rtol=0, atol=1e-12)
 
-    def test_half_contracted_and_its_step_match_elementary(self, rng,
-                                                           monkeypatch):
-        # 100 elements per block: half_contracted streams 2 of the 7 rows
-        # at a time (45 elements each), step_half_contracted 6 (15 each);
-        # both end on a ragged block
+    @pytest.mark.parametrize("two_sets", [False, True])
+    @pytest.mark.parametrize("variant", [CONCATENATION, AVERAGING])
+    def test_level_table_is_node_table_contracted_with_tie(
+            self, rng, monkeypatch, variant, two_sets):
+        # 100 elements per block: a two-set cache streams 2 of the 7 rows
+        # at a time (45 elements each), a one-set cache 2 against the
+        # videos from the first on (63, then fewer); both end ragged
         monkeypatch.setattr(kernels, "_BLOCK_ELEMENTS", 100)
         rows = random_trees(rng, n=7, depth=2)
-        cols = random_trees(rng, n=5, depth=2)
-        beta = to_simplex(rng.standard_normal(3))
-        eta = 0.375
+        cols = random_trees(rng, n=5, depth=2) if two_sets else None
+        tie = Hierarchy(2).level_matrix
         for cfg in (RBF, LIN):
             cache = NodeKernelCache(rows, cfg, cols)
-            half = cache.half_contracted(beta)
-            steps = [cache.step_half_contracted(half.copy(), v, eta)
-                     for v in range(3)]
-            assert half.shape == (7, 5, 3) and half.flags.c_contiguous
-            for i, a in enumerate(rows):
-                for j, b in enumerate(cols):
-                    k = np.array([[elementary(a.vectors[m], b.vectors[u], cfg)
-                                   for u in range(3)] for m in range(3)])
-                    np.testing.assert_allclose(half[i, j], beta @ k,
-                                               rtol=0, atol=1e-12)
-                    for v in range(3):
-                        np.testing.assert_allclose(
-                            steps[v][i, j],
-                            (1.0 - eta) * beta @ k + eta * k[v],
-                            rtol=0, atol=1e-12)
+            got = cache.level_table(tie, variant)
+            if variant == CONCATENATION:
+                want = cache.aligned() @ tie
+            else:
+                want = np.einsum("ijmn,ml,nk->ijlk", cache.cross(), tie,
+                                 tie).reshape(*got.shape[:2], 4)
+            assert got.shape == want.shape and got.flags.c_contiguous
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_one_set_streams_each_pair_once(self, rng, monkeypatch):
         # 8 videos x 3 x 3 nodes = 72 elements per row video: blocks of 3
@@ -421,7 +415,7 @@ class TestNodeKernelCache:
         monkeypatch.setattr(kernels, "_BLOCK_ELEMENTS", 250)
         n, m, step = 8, 3, 3
         trees = random_trees(rng, n=n, depth=2)
-        beta = to_simplex(rng.standard_normal(m))
+        tie = Hierarchy(2).level_matrix
         evaluated = []
         kernel_matrix = kernels._kernel_matrix
 
@@ -434,14 +428,15 @@ class TestNodeKernelCache:
         for cfg in (RBF, LIN):
             cache = NodeKernelCache(trees, cfg)
             evaluated.clear()
-            half = cache.half_contracted(beta)
+            table = cache.level_table(tie, AVERAGING)
             assert len(evaluated) == 3
             assert sum(evaluated) <= (n * (n + 1) // 2 + step * n) * m * m
             for i, a in enumerate(trees):
                 for j, b in enumerate(trees):
                     k = np.array([[elementary(a.vectors[p], b.vectors[u], cfg)
                                    for u in range(m)] for p in range(m)])
-                    np.testing.assert_allclose(half[i, j], beta @ k,
+                    np.testing.assert_allclose(table[i, j],
+                                               (tie.T @ k @ tie).ravel(),
                                                rtol=0, atol=1e-12)
         labels = np.array([1, 2, 1, 3, 2, 3, 1, 2])
         table = _PairTable(labels)
@@ -454,8 +449,8 @@ class TestNodeKernelCache:
         np.testing.assert_allclose(A, want_A, rtol=0, atol=1e-12)
         np.testing.assert_allclose(b, want_b, rtol=0, atol=1e-12)
 
-    def test_streamed_combined_is_half_contracted_times_beta(self, rng,
-                                                              monkeypatch):
+    def test_streamed_combined_mirrors_its_upper_triangle(self, rng,
+                                                          monkeypatch):
         # a one-set combined computes the upper triangle, which is what
         # mirrored_gram reads, and mirrors it
         monkeypatch.setattr(kernels, "_BLOCK_ELEMENTS", 100)
@@ -464,10 +459,15 @@ class TestNodeKernelCache:
         cache = NodeKernelCache(trees, RBF)
         got = cache.combined(beta, AVERAGING)
         np.testing.assert_array_equal(got, got.T)
-        upper = np.triu_indices(7)
-        np.testing.assert_array_equal(
-            got[upper],
-            kernels.contract_table(cache.half_contracted(beta), beta)[upper])
+        np.testing.assert_allclose(
+            got, kernels.contract_table(cache.cross(),
+                                        node_weights(beta, AVERAGING)),
+            rtol=0, atol=1e-12)
+
+    def test_level_table_checks_tie_shape(self, rng):
+        cache = NodeKernelCache(random_trees(rng, n=4, depth=2), RBF)
+        with pytest.raises(errors.ShapeMismatch, match="3 nodes"):
+            cache.level_table(Hierarchy(3).level_matrix, AVERAGING)
 
 
 class TestCrossMemory:
@@ -506,8 +506,8 @@ class TestCrossMemory:
         assert peak < 2.5 * 600 * 500 * 8
 
     def test_em_fit_averaging_holds_one_table(self, rng):
-        # the half-contracted table, and beside it row blocks of S_v and
-        # n x n Grams; holding S_v whole read 3.3-3.6 tables here
+        # the fixed (n, n, 4 * 4) level table, and beside it row blocks of
+        # the cross kernels and n x n Grams
         n = 200
         trees = random_trees(rng, n=n, depth=4, dim=4)
         labels = np.array([1 + (i % 2) for i in range(n)])
@@ -515,8 +515,7 @@ class TestCrossMemory:
         peak = self.peak_bytes(lambda: res.append(em_fit(
             trees, labels, AVERAGING, RBF, EmConfig(max_iters=2))))
         assert res[0].iterations >= 1
-        assert peak <= (n * n * self.NODES * 8
-                        + 4 * kernels._BLOCK_ELEMENTS * 8)
+        assert peak <= n * n * 16 * 8 + 4 * kernels._BLOCK_ELEMENTS * 8
 
     def test_median_gamma_squares_in_blocks(self, rng):
         # 60 trees of 4,096-d node vectors: the stacked trees and a few
@@ -527,8 +526,7 @@ class TestCrossMemory:
         assert peak <= stacked + 4 * kernels._BLOCK_ELEMENTS * 8
 
     @pytest.mark.parametrize("route", ["em_fit", "dmkl_fit", "gram_matrix",
-                                       "kernel_columns",
-                                       "step_half_contracted"])
+                                       "kernel_columns", "level_table"])
     def test_no_route_builds_cross_tensor(self, rng, monkeypatch, route):
         trees = random_trees(rng, n=12, depth=3, dim=4)
         labels = np.array([1 + (i % 3) for i in range(12)])
@@ -536,10 +534,6 @@ class TestCrossMemory:
 
         def no_cross(cache):
             raise AssertionError(f"{route} built the cross tensor")
-
-        def step_half_contracted():
-            cache = NodeKernelCache(trees, RBF)
-            cache.step_half_contracted(cache.half_contracted(beta), 2, 0.5)
 
         monkeypatch.setattr(NodeKernelCache, "cross", no_cross)
         runs = {
@@ -550,12 +544,13 @@ class TestCrossMemory:
             "gram_matrix": lambda: gram_matrix(trees, beta, AVERAGING, RBF),
             "kernel_columns": lambda: kernel_columns(trees[:5], trees[5:],
                                                      beta, AVERAGING, RBF),
-            "step_half_contracted": step_half_contracted,
+            "level_table": lambda: NodeKernelCache(trees, RBF).level_table(
+                Hierarchy(3).level_matrix, AVERAGING),
         }
         runs[route]()
 
     def assert_wide_rows_stream_in_three_blocks(self, rng, dim):
-        """Peak minus output of ``half_contracted`` and averaging
+        """Peak minus output of the averaging ``level_table`` and
         ``combined`` over 40 x 280 trees of depth 4, below 3.5 blocks."""
         cache = NodeKernelCache(random_trees(rng, n=40, depth=4, dim=dim),
                                 RBF, random_trees(rng, n=280, depth=4,
@@ -564,7 +559,8 @@ class TestCrossMemory:
         beta = to_simplex(rng.standard_normal(self.NODES))
         gram_bytes = 40 * 280 * 8
         for fn, out_bytes in (
-                (lambda: cache.half_contracted(beta), gram_bytes * self.NODES),
+                (lambda: cache.level_table(Hierarchy(4).level_matrix,
+                                           AVERAGING), gram_bytes * 16),
                 (lambda: cache.combined(beta, AVERAGING), gram_bytes)):
             peak = self.peak_bytes(fn) - out_bytes
             assert peak < 3.5 * kernels._BLOCK_ELEMENTS * 8

@@ -44,7 +44,7 @@ def workspace(tmp_path_factory):
     assert run_cli("train-em", "--out", root / "em_a", "--stream",
                    "appearance", "--max-iters", 6, *common) == 0
     # averaging reaches its vertex in one step; concatenation takes
-    # several partial steps
+    # partial steps
     assert run_cli("train-em", "--out", root / "em_c", "--stream",
                    "appearance", "--max-iters", 6, *common,
                    "--variant", "concat") == 0
@@ -128,7 +128,8 @@ class TestTrainingOutputs:
         lines = (workspace / "em_c" / "trace.csv").read_text().splitlines()[1:]
         entropies = [float(line.split(",")[2]) for line in lines]
         assert len(entropies) >= 3
-        assert entropies[0] == pytest.approx(np.log(7))  # uniform over 7 nodes
+        # uniform over 3 levels: beta = (1/3, 1/6, 1/6, 1/12 x 4)
+        assert entropies[0] == pytest.approx(np.log(6))
         assert entropies[-1] < entropies[0]
 
     def test_em_summary_says_why_it_stopped(self, workspace):
@@ -163,14 +164,23 @@ class TestTrainingOutputs:
         assert summary_of(tmp_path, "dm_c")[
             "fw_gap_bounds_suboptimality"] is True
 
-    def test_vertex_entropy_is_written_as_zero(self, workspace):
-        # a one-hot beta has entropy 0.0, written without a sign
-        assert np.count_nonzero(
-            load_artifact(workspace / "em_a" / "model.json").beta) == 1
-        text = (workspace / "em_a" / "training.json").read_text()
-        assert '"beta_entropy": 0.0,' in text
+    def test_vertex_entropy_is_level_entropy(self, workspace):
+        # a level-l vertex spreads beta evenly over the level's 2**(l-1)
+        # nodes, so its entropy is (l - 1) ln 2
+        beta = load_artifact(workspace / "em_a" / "model.json").beta
+        level = int(np.count_nonzero(beta)).bit_length()
+        assert np.count_nonzero(beta) == 2 ** (level - 1)
+        np.testing.assert_array_equal(beta[beta > 0], 0.5 ** (level - 1))
+        summary = summary_of(workspace, "em_a")
+        assert summary["stop_reason"] == "vertex"
+        assert summary["beta_entropy"] == pytest.approx((level - 1)
+                                                        * np.log(2))
         last = (workspace / "em_a" / "trace.csv").read_text().splitlines()[-1]
-        assert last.endswith(",0.0")
+        assert float(last.split(",")[2]) == summary["beta_entropy"]
+
+    def test_root_vertex_entropy_is_written_as_zero(self):
+        # a one-hot beta has entropy 0.0, written without a sign
+        assert json.dumps(pipeline._entropy(np.eye(7)[0])) == "0.0"
 
     def test_files_listing(self, workspace):
         listing = json.loads((workspace / "em_a" / "files.json").read_text())
@@ -483,7 +493,7 @@ class TestExitCodesAndWorkers:
                        workspace / "data" / "manifest.jsonl", "--out", out,
                        "--depth", 2, "--variant", "concat")
         assert code == 2
-        assert_one_error_line(capsys, "videos and 3 nodes", "800-byte limit")
+        assert_one_error_line(capsys, "videos and 2 levels", "800-byte limit")
         assert not (out / "model.json").exists()
 
     def test_contrastive_margin_is_gone_and_batch_inert(self, workspace,
