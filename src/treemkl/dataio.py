@@ -16,6 +16,12 @@ stream, ``b"GPT1"`` the ``2**D - 1`` node vectors of one pooled tree
 (see :mod:`treemkl.hierarchy`). Files store 32-bit floats; in-memory
 arithmetic is 64-bit throughout.
 
+:func:`write_feature_file` and :func:`load_feature_file` are the GPF1
+format API: an upstream extractor writes each video's frames for one
+stream with the former, and the pipeline reads them with the latter.
+The package's own synthetic generator (``gen-synth``) writes the same
+container through a reused buffer, so no command calls the writer.
+
 Manifest: JSON lines, one object per video with keys ``video_id``,
 ``label`` (int, classes are 1..C), optional ``appearance`` / ``motion``
 paths, and ``split`` ("train" | "test"). An optional first line
@@ -203,7 +209,8 @@ def _stem(path: str | os.PathLike) -> str:
 
 
 def write_feature_file(seq: StreamFeatureSequence, path: str | os.PathLike) -> None:
-    """Write ``seq`` in GPF1 form."""
+    """Write ``seq`` in GPF1 form: the writer an upstream feature
+    extractor uses to produce input for the pipeline."""
     _write_container(path, GPF1_MAGIC, seq.rows)
 
 

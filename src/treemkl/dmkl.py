@@ -135,10 +135,10 @@ def pair_moments(cache: NodeKernelCache, table: _PairTable, variant: str,
     """``A``, ``b``, ``c`` of the margin-0 loss over the pairs of ``table``,
     weighted ``f / |pos|`` or ``(1 - f) / |neg|`` by polarity for
     ``positive_fraction = f``, else ``1 / |pairs|``. Pair (i, j)'s row of q
-    node kernels, q = ``len(node_weights)``, is ``block[i - r0, j - r0]``
-    of the ``cache.table_blocks`` block from row video r0 on (every pair
-    has ``j > i >= r0``). A (q, q) ``A`` over ``_DENSE_LIMIT`` is
-    refused."""
+    node kernels, q = ``len(node_weights)``, is ``tile[i - r0, j - c0]``
+    of the ``cache.table_blocks`` tile whose row range holds i and whose
+    column range holds j (every pair has ``j > i``, in the upper triangle
+    the tiles cover). A (q, q) ``A`` over ``_DENSE_LIMIT`` is refused."""
     variant = canonical_variant(variant)
     q = node_weights(np.ones(cache.nodes), variant).size
     if q * q > _DENSE_LIMIT:
@@ -152,11 +152,13 @@ def pair_moments(cache: NodeKernelCache, table: _PairTable, variant: str,
             else np.where(pos, f / pos.sum(), (1.0 - f) / (~pos).sum()))
     coef_pos = np.where(pos, coef, 0.0)
     A, b = np.zeros((q, q)), np.zeros(q)
-    for r0, block in cache.table_blocks(variant):
-        lo, hi = np.searchsorted(table.i, (r0, r0 + len(block)))
-        rows = block[table.i[lo:hi] - r0, table.j[lo:hi] - r0]
-        A += rows.T @ (coef[lo:hi, None] * rows)
-        b += coef_pos[lo:hi] @ rows
+    for r0, c0, tile in cache.table_blocks(variant):
+        lo, hi = np.searchsorted(table.i, (r0, r0 + tile.shape[0]))
+        j = table.j[lo:hi]
+        at = lo + np.flatnonzero((j >= c0) & (j < c0 + tile.shape[1]))
+        rows = tile[table.i[at] - r0, table.j[at] - c0]
+        A += rows.T @ (coef[at, None] * rows)
+        b += coef_pos[at] @ rows
     return A, b, float(coef_pos.sum())
 
 

@@ -5,6 +5,11 @@ intervals; a node is identified by ``(level, index)`` with ``index`` in
 ``1..2**(l-1)``. The canonical node order is level-major then index, and
 every weight vector in the package follows it. Depth ``D`` gives
 ``2**D - 1`` nodes; the root (level 1) is plain global average pooling.
+
+:func:`write_pooled_file` and :func:`load_pooled_file` are the GPT1
+format API: ``pool`` writes one pooled tree per video with the former,
+and the latter reads that output back (training pools from the feature
+files and does not read it).
 """
 
 from __future__ import annotations
@@ -194,7 +199,8 @@ def write_pooled_file(tree: PooledTree, path: str | os.PathLike) -> None:
 
 def load_pooled_file(path: str | os.PathLike, video_id: str | None = None,
                      stream: str = "appearance") -> PooledTree:
-    """Load a GPT1 file; its node count must be ``2**D - 1``."""
+    """Load a GPT1 file, such as ``pool`` writes; its node count must be
+    ``2**D - 1``."""
     vectors = _read_container(path, GPT1_MAGIC, "node")
     depth = vectors.shape[0].bit_length()
     if 2 ** depth - 1 != vectors.shape[0]:

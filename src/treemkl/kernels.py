@@ -24,23 +24,27 @@ one video pair's node kernels are contiguous, so a contraction with the
 weights is one matrix-vector product.
 
 The averaging variant's cross kernels have ``nodes**2`` entries per
-pair, and no route holds them whole: they are computed one block of row
-videos at a time and reduced as each block is made. The alternating
-route ties the node weights per level, ``beta = M gamma``, and
-contracts each block with ``M`` on both node axes into a fixed level
-table with ``levels**2`` entries per pair, whose contraction with
+pair, and no route holds them whole: they are computed one tile of row
+videos by column videos at a time and reduced as each tile is made. A
+tile spans at least ``_TILE_ROWS`` kernel rows, so each kernel product
+has a panel shape BLAS runs at full rate, and as many column videos as
+keep it within ``_BLOCK_ELEMENTS``. The alternating route ties the node
+weights per level, ``beta = M gamma``, and contracts each tile with
+``M`` on both node axes into a fixed level table with ``levels**2``
+entries per pair, whose contraction with
 ``outer(gamma, gamma)`` is ``K``; concatenation's level table is
 ``aligned() @ M``. The largest table any route allocates is therefore
 (rows, cols, nodes) or (rows, cols, levels**2), and the cache refuses
 one above ``_DENSE_LIMIT`` elements with a :class:`ValidationError`.
 
-Over one tree set (training) the cross kernels are symmetric,
-``kappa(a_im, a_ju) = kappa(a_ju, a_im)``, so a block of row videos
-``r0:r1`` is computed only against the videos from ``r0`` on: each
-video pair once, plus the lower half of the block's own square. The
-pairs ``(j, i)`` with ``j >= r1`` are read from the same block with the
-node axes swapped. Between two tree sets (test columns) every block
-covers every column video.
+Over one tree set (training) the node kernels are symmetric,
+``kappa(a_im, a_ju) = kappa(a_ju, a_im)``, so the row videos ``r0:r1``
+are computed only against the videos from ``r0`` on: each video pair
+once, plus the lower half of the tiles' square on the diagonal. The
+pairs ``(j, i)`` with ``j >= r1`` are read from the same tile with the
+node axes swapped; ``aligned()`` is computed the same way, one node at
+a time, and mirrored. Between two tree sets (test columns) the tiles
+of each row range cover every column video.
 """
 
 from __future__ import annotations
@@ -70,10 +74,18 @@ VARIANT_ALIASES = {"concat": CONCATENATION, "avg": AVERAGING,
 # refused before allocation
 _DENSE_LIMIT = 2 ** 25
 
-# elements of one row block of a kernel table (at least one row video),
-# the unit in which tables are built or streamed, and of one chunk of
+# elements of one tile of a kernel table (at least one column video), the
+# unit in which tables are built or streamed, and of one chunk of
 # median_gamma's sample; bounds the working memory beside the table itself
 _BLOCK_ELEMENTS = 2 ** 16
+
+# fewest kernel rows of a tile, when the row set has that many: panel shape,
+# not flop count, sets a GEMM's speed. The upper-triangle kernel GEMMs of 280
+# videos x 15 nodes at dim 128 (2-core Xeon VM, OpenBLAS on one thread, min /
+# median of 7 interleaved runs) took 0.096 / 0.101 s in panels 15 rows tall,
+# 0.057 / 0.079 s at 30 rows, 0.049 / 0.061 s at 60 and at 75 rows, and
+# 0.047 / 0.053 s in tiles of 75 rows by 58 column videos
+_TILE_ROWS = 64
 
 # most (video pair, node) samples median_gamma draws its median from
 _MEDIAN_GAMMA_CAP = 10_000
@@ -211,25 +223,26 @@ class NodeKernelCache:
     The tables are pair-major. ``aligned()[i, j, m] = kappa(row_i[m],
     col_j[m])`` is built once and kept. The averaging variant's cross
     kernels ``kappa(row_i[m], col_j[n])`` are never kept: the one loop
-    that computes them streams row blocks of about ``_BLOCK_ELEMENTS``
-    elements, and each consumer reduces a block as it is made.
-    ``table_blocks`` yields them pair-major, ``level_table(M, variant)``
-    contracts each node axis with ``M`` into a fixed table, and
-    ``combined(beta, AVERAGING)`` reduces each block to kernel values.
-    So a training run holds at most one table, and beside it row
-    blocks. ``combined`` evaluates only the nodes whose weight is
+    that computes them, ``_cross_blocks``, streams tiles of at least
+    ``_TILE_ROWS`` kernel rows and at most ``_BLOCK_ELEMENTS`` elements,
+    and each consumer reduces a tile as it is made. ``table_blocks``
+    yields them pair-major, ``level_table(M, variant)`` contracts each
+    node axis with ``M`` into a fixed table, and ``combined(beta,
+    AVERAGING)`` reduces each tile to kernel values. So a training run
+    holds at most one table, and beside it tiles. ``combined``
+    evaluates only the nodes whose weight is
     non-zero: the columns of ``aligned()`` for concatenation, both
     node axes of the cross kernels for averaging. Every table is refused
     above ``_DENSE_LIMIT`` elements before it is allocated. ``cross()``
     and ``pair_blocks`` are test oracles that no route calls.
 
-    A cache over two tree sets streams every column video in each block.
-    A cache over one tree set streams, for the block of row videos
-    ``r0:r1``, only the column videos from ``r0`` on: ``table_blocks``,
-    the averaging ``level_table`` and the averaging ``combined`` cover
-    the upper triangle of video pairs, and the latter two fill the lower
-    one from the same blocks. ``cross()`` still streams every column
-    video.
+    A cache over two tree sets streams every column video for each
+    row tile. A cache over one tree set streams, for the row videos
+    ``r0:r1``, only the column videos from ``r0`` on: ``aligned()``,
+    ``table_blocks``, both ``level_table`` variants and both ``combined``
+    variants cover the upper triangle of video pairs, and all but
+    ``table_blocks`` fill the lower one from it. ``cross()`` still
+    streams every column video.
     """
 
     def __init__(self, row_trees: list[PooledTree], cfg: KernelConfig,
@@ -271,21 +284,40 @@ class NodeKernelCache:
         return self._aligned
 
     def _aligned_nodes(self, nodes) -> np.ndarray:
-        """The columns ``nodes`` of ``aligned()``, computed afresh."""
+        """The columns ``nodes`` of ``aligned()``, computed afresh; a
+        one-set cache computes the upper triangle and mirrors it."""
         out = self._empty_table(len(nodes))
         for k, node in enumerate(nodes):
-            out[:, :, k] = _kernel_matrix(self.rows[:, node, :],
-                                          self.cols[:, node, :], self.cfg)
-        return out
+            for r0, r1, c0, c1, tile in self._aligned_tiles(node):
+                out[r0:r1, c0:c1, k] = tile
+        return self._mirrored(out)
+
+    def _aligned_tiles(self, node: int):
+        """``_cross_blocks`` of the one node's aligned kernels, each tile
+        of shape (row videos, col videos)."""
+        at = slice(node, node + 1)
+        for r0, r1, c0, c1, tile in self._cross_blocks(at, at):
+            yield r0, r1, c0, c1, tile[:, 0, :, 0]
+
+    def _mirrored(self, table: np.ndarray) -> np.ndarray:
+        """A pair-major table of a one-set cache with its upper triangle
+        of video pairs copied onto the lower one, in place; a two-set
+        table as it is."""
+        return _mirror_upper(table) if self.cols is self.rows else table
 
     def _cross_blocks(self, row_nodes=slice(None), col_nodes=slice(None),
                       all_cols: bool = False):
-        """Yield ``(r0, r1, c0, block)`` with ``block[i, a, j, n] =
+        """Yield ``(r0, r1, c0, c1, tile)`` with ``tile[i, a, j, n] =
         kappa(row_{r0+i}[row_nodes][a], col_{c0+j}[col_nodes][n])``, shape
-        (r1 - r0, row nodes, cols - c0, col nodes): the only loop that
-        computes cross kernels. ``c0 = r0`` for a one-set cache unless
-        ``all_cols``, else 0; the upper triangle of video pairs covers
-        every pair only when both node selections are the same."""
+        (r1 - r0, row nodes, c1 - c0, col nodes): the only loop that
+        computes cross kernels. The row videos are split evenly into
+        tiles of at least ``_TILE_ROWS`` kernel rows (all of them when
+        there are fewer), and each row tile's columns into tiles of at
+        most ``_BLOCK_ELEMENTS`` elements, at least one column video
+        wide. A one-set cache starts the column tiles of row tile
+        ``r0:r1`` at ``c0 = r0`` unless ``all_cols``, else at 0; that
+        upper triangle of video pairs covers every pair only when both
+        node selections are the same."""
         rows, cols = self.rows[:, row_nodes], self.cols[:, col_nodes]
         nr, a, d = rows.shape
         nc, m = cols.shape[:2]
@@ -294,29 +326,33 @@ class NodeKernelCache:
         # squared norms in row chunks of about one block each
         parts = np.array_split(flat_c, -(-flat_c.size // _BLOCK_ELEMENTS))
         col_sq = np.concatenate([np.sum(p * p, axis=-1) for p in parts])
-        step = max(1, _BLOCK_ELEMENTS // (nc * m * a))
-        for r0 in range(0, nr, step):
-            r1 = min(r0 + step, nr)
-            c0 = r0 if upper else 0
-            k = _kernel_matrix(rows[r0:r1].reshape(-1, d), flat_c[c0 * m:],
-                               self.cfg, col_sq[c0 * m:])
-            yield r0, r1, c0, k.reshape(r1 - r0, a, nc - c0, m)
+        count = max(1, nr // -(-_TILE_ROWS // a))
+        width = max(1, _BLOCK_ELEMENTS // (-(-nr // count) * a * m))
+        for t in range(count):
+            r0, r1 = t * nr // count, (t + 1) * nr // count
+            x = rows[r0:r1].reshape(-1, d)
+            for c0 in range(r0 if upper else 0, nc, width):
+                c1 = min(c0 + width, nc)
+                yield r0, r1, c0, c1, _kernel_matrix(
+                    x, flat_c[c0 * m:c1 * m], self.cfg,
+                    col_sq[c0 * m:c1 * m]).reshape(r1 - r0, a, c1 - c0, m)
 
     def table_blocks(self, variant: str):
-        """Yield ``(r0, block)``: the variant's pair-major table of a
-        one-set cache from row video r0 on, pair (i, j) with ``j >= r0``
-        at ``block[i - r0, j - r0]``, shape (row videos, videos - r0, q),
-        q = ``node_weights``' length: ``aligned()`` whole (r0 = 0, q =
-        nodes) or the cross kernels one row block at a time (q =
-        nodes**2), never held whole."""
+        """Yield ``(r0, c0, tile)``: the variant's pair-major table of a
+        one-set cache in tiles, pair (i, j) at ``tile[i - r0, j - c0]``,
+        shape (row videos, col videos, q), q = ``node_weights``' length:
+        ``aligned()`` whole (r0 = c0 = 0, q = nodes) or the cross
+        kernels of the upper triangle of video pairs one
+        ``_cross_blocks`` tile at a time (q = nodes**2), never held
+        whole."""
         if self.cols is not self.rows:
             raise ShapeMismatch("table_blocks needs a single tree set")
         if canonical_variant(variant) == CONCATENATION:
-            yield 0, self.aligned()
+            yield 0, 0, self.aligned()
             return
-        for r0, r1, _, block in self._cross_blocks():
-            yield r0, block.transpose(0, 2, 1, 3).reshape(r1 - r0, -1,
-                                                          self.nodes ** 2)
+        for r0, r1, c0, c1, tile in self._cross_blocks():
+            yield r0, c0, tile.transpose(0, 2, 1, 3).reshape(
+                r1 - r0, c1 - c0, self.nodes ** 2)
 
     def cross(self) -> np.ndarray:
         """The whole cross tensor, built once and kept; no route reads
@@ -324,8 +360,8 @@ class NodeKernelCache:
         if self._cross is None:
             m, nr, nc = self.nodes, self.rows.shape[0], self.cols.shape[0]
             out = np.empty((nr, nc, m, m))
-            for r0, r1, _, block in self._cross_blocks(all_cols=True):
-                out[r0:r1] = block.transpose(0, 2, 1, 3)
+            for r0, r1, c0, c1, tile in self._cross_blocks(all_cols=True):
+                out[r0:r1, c0:c1] = tile.transpose(0, 2, 1, 3)
             self._cross = out
         return self._cross
 
@@ -334,13 +370,16 @@ class NodeKernelCache:
         ``tie``, shape (nodes, k): a pair-major table whose contraction
         with ``node_weights(gamma, variant)`` is the combined kernel at
         ``beta = tie @ gamma``. Concatenation gives ``aligned() @ tie``,
-        (rows, cols, k), accumulated one node at a time; averaging gives
+        (rows, cols, k), accumulated one node and one tile at a time
+        into the levels where ``tie`` is non-zero; averaging gives
         ``T[i, j, l, l'] = sum_{m,n} tie[m, l] tie[n, l'] kappa(row_i[m],
         col_j[n])``, flattened to (rows, cols, k * k), from the streamed
-        cross kernels contracted block by block on the column-node axis,
-        then on the row-node one. A one-set cache fills ``T[j, i]`` for
-        ``j >= r1`` from block ``r0:r1`` with the level axes swapped.
-        Refused above ``_DENSE_LIMIT`` elements before allocation."""
+        cross kernels contracted tile by tile on the column-node axis,
+        then on the row-node one. A one-set cache fills the lower
+        triangle of video pairs from the upper one: averaging fills
+        ``T[j, i]`` for ``j >= r1`` from tile ``r0:r1`` with the level
+        axes swapped. Refused above ``_DENSE_LIMIT`` elements before
+        allocation."""
         tie = np.asarray(tie, dtype=np.float64)
         if tie.ndim != 2 or tie.shape[0] != self.nodes:
             raise ShapeMismatch(
@@ -350,22 +389,26 @@ class NodeKernelCache:
             out = self._empty_table(k, "levels")
             out.fill(0.0)
             for node in range(self.nodes):
-                out += _kernel_matrix(self.rows[:, node, :],
-                                      self.cols[:, node, :],
-                                      self.cfg)[:, :, None] * tie[node]
-            return out
+                levels = np.flatnonzero(tie[node])
+                for r0, r1, c0, c1, tile in self._aligned_tiles(node):
+                    out[r0:r1, c0:c1, levels] += (tile[:, :, None]
+                                                  * tie[node, levels])
+            return self._mirrored(out)
         out = self._empty_table(k * k, "level pairs")
         nr, nc = out.shape[:2]
         table = out.reshape(nr, nc, k, k)
         mirror = self.cols is self.rows
-        for r0, r1, c0, block in self._cross_blocks():
-            # (r, nodes, c, nodes) -> (r, nodes, c, k) -> (r, c, k, k)
-            partial = (block.reshape(-1, self.nodes) @ tie).reshape(
-                *block.shape[:3], k)
-            table[r0:r1, c0:] = np.tensordot(tie, partial, axes=(0, 1)
-                                             ).transpose(1, 2, 0, 3)
-            if mirror:
-                table[r1:, r0:r1] = table[r0:r1, r1:].transpose(1, 0, 3, 2)
+        for r0, r1, c0, c1, tile in self._cross_blocks():
+            r, a, c, m = tile.shape
+            # (r, a, c, m) -> (r, a, c * k) -> (r, k, c * k) -> (r, c, k, k)
+            partial = (tile.reshape(-1, m) @ tie).reshape(r, a, c * k)
+            table[r0:r1, c0:c1] = np.matmul(tie.T, partial).reshape(
+                r, k, c, k).transpose(0, 2, 1, 3)
+            if mirror and c1 > r1:
+                j0 = max(c0, r1)
+                table[j0:c1, r0:r1] = table[r0:r1, j0:c1].transpose(
+                    1, 0, 3, 2)
+            del tile, partial           # freed before the next tile is made
         return out
 
     def combined(self, beta: np.ndarray, variant: str) -> np.ndarray:
@@ -385,10 +428,11 @@ class NodeKernelCache:
             nodes = slice(None)         # views of every node, not copies
         weights = beta[nodes]
         out = np.empty((self.rows.shape[0], self.cols.shape[0]))
-        for r0, r1, c0, block in self._cross_blocks(nodes, nodes):
-            out[r0:r1, c0:] = contract_table(
-                np.tensordot(weights, block, axes=(0, 1)), weights)
-        return _mirror_upper(out) if self.cols is self.rows else out
+        for r0, r1, c0, c1, tile in self._cross_blocks(nodes, nodes):
+            out[r0:r1, c0:c1] = contract_table(
+                np.tensordot(weights, tile, axes=(0, 1)), weights)
+            del tile                    # freed before the next tile is made
+        return self._mirrored(out)
 
     def pair_blocks(self, i_idx: np.ndarray, j_idx: np.ndarray,
                     variant: str) -> np.ndarray:
@@ -436,8 +480,8 @@ def mirrored_gram(values: np.ndarray, ids) -> GramMatrix:
 
 
 def _mirror_upper(values: np.ndarray) -> np.ndarray:
-    """Square ``values`` with the upper triangle copied onto the lower
-    one, in place."""
+    """``values`` of shape (n, n, ...) with the upper triangle of its
+    first two axes copied onto the lower one, in place."""
     iu = np.triu_indices(values.shape[0], k=1)
     values[(iu[1], iu[0])] = values[iu]
     return values

@@ -166,9 +166,11 @@ class TestPairMoments:
     @pytest.mark.parametrize("variant", [CONCATENATION, AVERAGING])
     def test_match_loss_grad_oracle(self, rng, monkeypatch, variant,
                                     fraction):
-        # 9 cols x 7 x 7 nodes = 441 elements per row video: averaging
-        # streams the 9 row videos 2 at a time, the last block ragged
+        # averaging streams the 9 videos of 7 nodes in row tiles of 2, 2,
+        # 2 and 3 videos (at least 14 kernel rows), each over column tiles
+        # of 6 videos (882 elements) from its first video on, ragged
         monkeypatch.setattr(kernels, "_BLOCK_ELEMENTS", 1000)
+        monkeypatch.setattr(kernels, "_TILE_ROWS", 14)
         trees = random_trees(rng, n=9, depth=3, frames=16, dim=3)
         labels = np.array([1, 1, 2, 3, 2, 1, 3, 3, 2])
         table = _PairTable(labels)

@@ -29,6 +29,30 @@ RBF = KernelConfig(kind="rbf", gamma=0.7)
 LIN = KernelConfig(kind="linear")
 
 
+@pytest.fixture
+def small_tiles(monkeypatch):
+    """Tiles of at least 4 kernel rows and at most 100 elements: over
+    trees of 3 nodes, 7 row videos split 2, 2, 3 and column tiles of 3
+    videos, the last ones ragged."""
+    monkeypatch.setattr(kernels, "_BLOCK_ELEMENTS", 100)
+    monkeypatch.setattr(kernels, "_TILE_ROWS", 4)
+
+
+def counting_kernel_matrix(monkeypatch):
+    """Patch ``_kernel_matrix`` to record the size of every kernel
+    matrix it makes; returns the list of sizes."""
+    evaluated = []
+    kernel_matrix = kernels._kernel_matrix
+
+    def counted(*args):
+        k = kernel_matrix(*args)
+        evaluated.append(k.size)
+        return k
+
+    monkeypatch.setattr(kernels, "_kernel_matrix", counted)
+    return evaluated
+
+
 def tree_from(vectors, video_id="t", depth=None):
     vectors = np.asarray(vectors, dtype=np.float64)
     if depth is None:
@@ -302,20 +326,13 @@ class TestNodeKernelCache:
     @pytest.mark.parametrize("two_sets", [False, True])
     @pytest.mark.parametrize("variant", [CONCATENATION, AVERAGING])
     def test_combined_evaluates_only_weighted_nodes(self, rng, monkeypatch,
-                                                    variant, two_sets):
+                                                    small_tiles, variant,
+                                                    two_sets):
         # a vertex and a three-node support against the untrimmed
-        # contraction, over ragged row blocks
-        monkeypatch.setattr(kernels, "_BLOCK_ELEMENTS", 100)
+        # contraction, over ragged tiles
         rows = random_trees(rng, n=7, depth=3)
         cols = random_trees(rng, n=5, depth=3) if two_sets else None
-        evaluated = []
-        kernel_matrix = kernels._kernel_matrix
-
-        def counted(*args):
-            k = kernel_matrix(*args)
-            evaluated.append(k.size)
-            return k
-
+        evaluated = counting_kernel_matrix(monkeypatch)
         for support in ([2], [0, 4, 6]):
             beta = np.zeros(7)
             beta[support] = to_simplex(rng.standard_normal(len(support)))
@@ -323,11 +340,8 @@ class TestNodeKernelCache:
             expected = kernels.contract_table(
                 oracle.aligned() if variant == CONCATENATION
                 else oracle.cross(), node_weights(beta, variant))
-            cache = NodeKernelCache(rows, RBF, cols)
-            monkeypatch.setattr(kernels, "_kernel_matrix", counted)
             evaluated.clear()
-            got = cache.combined(beta, variant)
-            monkeypatch.setattr(kernels, "_kernel_matrix", kernel_matrix)
+            got = NodeKernelCache(rows, RBF, cols).combined(beta, variant)
             np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
             pairs = len(support) ** (1 if variant == CONCATENATION else 2)
             assert sum(evaluated) <= 7 * (5 if two_sets else 7) * pairs
@@ -351,10 +365,8 @@ class TestNodeKernelCache:
                         np.testing.assert_allclose(blocks[b, p], expected,
                                                    atol=1e-12)
 
-    def test_cross_is_pair_major_across_row_blocks(self, rng, monkeypatch):
-        # 5 cols x 3 x 3 nodes = 45 elements per row video: blocks of 2
-        # rows over 7 rows, the last one ragged
-        monkeypatch.setattr(kernels, "_BLOCK_ELEMENTS", 100)
+    def test_cross_is_pair_major_across_tiles(self, rng, small_tiles):
+        # row tiles of 2, 2 and 3 videos, each over column tiles of 3 and 2
         rows = random_trees(rng, n=7, depth=2)
         cols = random_trees(rng, n=5, depth=2)
         for cfg in (RBF, LIN):
@@ -372,10 +384,9 @@ class TestNodeKernelCache:
                                                np.diag(expected),
                                                rtol=0, atol=1e-12)
 
-    def test_streamed_combined_matches_built(self, rng, monkeypatch):
-        # the row-block reduction against the whole cross tensor
-        # contracted with outer(beta, beta), over a ragged last block
-        monkeypatch.setattr(kernels, "_BLOCK_ELEMENTS", 100)
+    def test_streamed_combined_matches_built(self, rng, small_tiles):
+        # the tile-by-tile reduction against the whole cross tensor
+        # contracted with outer(beta, beta), over ragged tiles
         rows = random_trees(rng, n=7, depth=2)
         cols = random_trees(rng, n=5, depth=2)
         beta = to_simplex(rng.standard_normal(3))
@@ -389,11 +400,11 @@ class TestNodeKernelCache:
     @pytest.mark.parametrize("two_sets", [False, True])
     @pytest.mark.parametrize("variant", [CONCATENATION, AVERAGING])
     def test_level_table_is_node_table_contracted_with_tie(
-            self, rng, monkeypatch, variant, two_sets):
-        # 100 elements per block: a two-set cache streams 2 of the 7 rows
-        # at a time (45 elements each), a one-set cache 2 against the
-        # videos from the first on (63, then fewer); both end ragged
-        monkeypatch.setattr(kernels, "_BLOCK_ELEMENTS", 100)
+            self, rng, small_tiles, variant, two_sets):
+        # row tiles of 2, 2 and 3 videos over column tiles of 3 videos:
+        # a two-set cache's 5 columns end in a tile of 2, a one-set
+        # cache's from each row tile's first video on in tiles of 1, 2
+        # and 3
         rows = random_trees(rng, n=7, depth=2)
         cols = random_trees(rng, n=5, depth=2) if two_sets else None
         tie = Hierarchy(2).level_matrix
@@ -409,28 +420,24 @@ class TestNodeKernelCache:
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_one_set_streams_each_pair_once(self, rng, monkeypatch):
-        # 8 videos x 3 x 3 nodes = 72 elements per row video: blocks of 3
-        # rows, the last one partial, each against the videos from its
-        # first row on
-        monkeypatch.setattr(kernels, "_BLOCK_ELEMENTS", 250)
-        n, m, step = 8, 3, 3
+        # 9 videos x 3 nodes: row tiles of 2, 2, 2 and 3 videos (at least
+        # 6 kernel rows), column tiles of 3 videos (81 elements) from each
+        # row tile's first video on: 3 + 3 + 2 + 1 tiles covering
+        # 2 * 9 + 2 * 7 + 2 * 5 + 3 * 3 = 51 video pairs, each of the 45
+        # unordered pairs once plus the 1 + 1 + 1 + 3 pairs below the
+        # diagonal of the square tiles
+        monkeypatch.setattr(kernels, "_BLOCK_ELEMENTS", 100)
+        monkeypatch.setattr(kernels, "_TILE_ROWS", 6)
+        n, m = 9, 3
         trees = random_trees(rng, n=n, depth=2)
         tie = Hierarchy(2).level_matrix
-        evaluated = []
-        kernel_matrix = kernels._kernel_matrix
-
-        def counted(*args):
-            k = kernel_matrix(*args)
-            evaluated.append(k.size)
-            return k
-
-        monkeypatch.setattr(kernels, "_kernel_matrix", counted)
+        evaluated = counting_kernel_matrix(monkeypatch)
         for cfg in (RBF, LIN):
             cache = NodeKernelCache(trees, cfg)
             evaluated.clear()
             table = cache.level_table(tie, AVERAGING)
-            assert len(evaluated) == 3
-            assert sum(evaluated) <= (n * (n + 1) // 2 + step * n) * m * m
+            assert len(evaluated) == 9
+            assert sum(evaluated) == (45 + 6) * m * m
             for i, a in enumerate(trees):
                 for j, b in enumerate(trees):
                     k = np.array([[elementary(a.vectors[p], b.vectors[u], cfg)
@@ -438,10 +445,12 @@ class TestNodeKernelCache:
                     np.testing.assert_allclose(table[i, j],
                                                (tie.T @ k @ tie).ravel(),
                                                rtol=0, atol=1e-12)
-        labels = np.array([1, 2, 1, 3, 2, 3, 1, 2])
+        labels = np.array([1, 2, 1, 3, 2, 3, 1, 2, 3])
         table = _PairTable(labels)
         cache = NodeKernelCache(trees, RBF)
+        evaluated.clear()
         A, b, c = pair_moments(cache, table, AVERAGING, None)
+        assert sum(evaluated) == (45 + 6) * m * m
         rows = cache.pair_blocks(table.i, table.j, AVERAGING)
         coef = 1.0 / table.y.size
         want_A = sum(coef * np.outer(row, row) for row in rows)
@@ -449,11 +458,36 @@ class TestNodeKernelCache:
         np.testing.assert_allclose(A, want_A, rtol=0, atol=1e-12)
         np.testing.assert_allclose(b, want_b, rtol=0, atol=1e-12)
 
+    def test_one_set_aligned_computes_each_pair_once(self, rng, monkeypatch):
+        # one node at a time: row tiles of 2, 2, 2 and 3 of the 9 videos,
+        # each against the videos from its first on, then mirrored
+        monkeypatch.setattr(kernels, "_TILE_ROWS", 2)
+        n, m = 9, 3
+        trees = random_trees(rng, n=n, depth=2)
+        tie = Hierarchy(2).level_matrix
+        evaluated = counting_kernel_matrix(monkeypatch)
+        for cfg in (RBF, LIN):
+            evaluated.clear()
+            aligned = NodeKernelCache(trees, cfg).aligned()
+            assert sum(evaluated) == (45 + 6) * m
+            np.testing.assert_array_equal(aligned, aligned.transpose(1, 0, 2))
+            for i, a in enumerate(trees):
+                for j, b in enumerate(trees):
+                    want = [elementary(a.vectors[p], b.vectors[p], cfg)
+                            for p in range(m)]
+                    np.testing.assert_allclose(aligned[i, j], want,
+                                               rtol=0, atol=1e-12)
+            evaluated.clear()
+            table = NodeKernelCache(trees, cfg).level_table(tie,
+                                                            CONCATENATION)
+            assert sum(evaluated) == (45 + 6) * m
+            np.testing.assert_allclose(table, aligned @ tie, rtol=0,
+                                       atol=1e-12)
+
     def test_streamed_combined_mirrors_its_upper_triangle(self, rng,
-                                                          monkeypatch):
+                                                          small_tiles):
         # a one-set combined computes the upper triangle, which is what
         # mirrored_gram reads, and mirrors it
-        monkeypatch.setattr(kernels, "_BLOCK_ELEMENTS", 100)
         trees = random_trees(rng, n=7, depth=2)
         beta = to_simplex(rng.standard_normal(3))
         cache = NodeKernelCache(trees, RBF)
@@ -468,6 +502,70 @@ class TestNodeKernelCache:
         cache = NodeKernelCache(random_trees(rng, n=4, depth=2), RBF)
         with pytest.raises(errors.ShapeMismatch, match="3 nodes"):
             cache.level_table(Hierarchy(3).level_matrix, AVERAGING)
+
+
+class TestTiles:
+    """The tiles of ``_cross_blocks``: at most ``_BLOCK_ELEMENTS``
+    elements unless one column video wide, at least ``_TILE_ROWS`` kernel
+    rows whenever the row set has that many, every video pair of a
+    two-set cache once, and of a one-set cache each row tile against the
+    videos from its first row video on, once."""
+
+    @staticmethod
+    def check_tiles(cache, nodes=slice(None), all_cols=False):
+        rows, cols = cache.rows[:, nodes], cache.cols[:, nodes]
+        (nr, a), (nc, m) = rows.shape[:2], cols.shape[:2]
+        covered = np.zeros((nr, nc), dtype=int)
+        row_tiles = set()
+        for r0, r1, c0, c1, tile in cache._cross_blocks(nodes, nodes,
+                                                        all_cols):
+            assert tile.shape == (r1 - r0, a, c1 - c0, m)
+            assert tile.size <= kernels._BLOCK_ELEMENTS or c1 - c0 == 1
+            assert (r1 - r0) * a >= min(kernels._TILE_ROWS, nr * a)
+            row_tiles.add((r0, r1))
+            covered[r0:r1, c0:c1] += 1
+            want = kernels._kernel_matrix(rows[r0:r1, None],
+                                          cols[None, c0:c1], cache.cfg)
+            np.testing.assert_allclose(tile.transpose(0, 2, 1, 3), want,
+                                       rtol=0, atol=1e-12)
+        starts = sorted(row_tiles)
+        assert [r0 for r0, _ in starts] == [0] + [r1 for _, r1 in starts[:-1]]
+        assert starts[-1][1] == nr
+        if cache.cols is not cache.rows or all_cols:
+            np.testing.assert_array_equal(covered, 1)
+            return
+        for r0, r1 in starts:
+            np.testing.assert_array_equal(covered[r0:r1, :r0], 0)
+            np.testing.assert_array_equal(covered[r0:r1, r0:], 1)
+
+    @pytest.mark.parametrize("nodes", [slice(None), slice(3, 4),
+                                       np.array([0, 4, 6])])
+    @pytest.mark.parametrize("n", [3, 12, 130])
+    def test_tile_contract(self, rng, n, nodes):
+        # depth 4 at the real sizes. All 15 nodes: row tiles of at least
+        # 5 videos (75 kernel rows), column tiles of 58 videos. One node:
+        # row tiles of at least 64 videos; three leaves: at least 22.
+        # Fewer than 64 kernel rows in all (3 videos, or 12 videos of one
+        # or three nodes) make one row tile.
+        trees = random_trees(rng, n=n, depth=4, dim=2)
+        if isinstance(nodes, np.ndarray):
+            nodes = nodes + 7       # leaves of a depth-4 tree
+        for cache, all_cols in (
+                (NodeKernelCache(trees, RBF), False),
+                (NodeKernelCache(trees, RBF), True),
+                (NodeKernelCache(trees, LIN,
+                                 random_trees(rng, n=70, depth=4, dim=2)),
+                 False)):
+            self.check_tiles(cache, nodes, all_cols)
+
+    @pytest.mark.parametrize("n", [7, 9, 10])
+    def test_ragged_tiles(self, rng, small_tiles, n):
+        trees = random_trees(rng, n=n, depth=2)
+        for cache in (NodeKernelCache(trees, RBF),
+                      NodeKernelCache(trees, RBF,
+                                      random_trees(rng, n=5, depth=2))):
+            for nodes in (slice(None), slice(1, 2)):
+                self.check_tiles(cache, nodes)
 
 
 class TestCrossMemory:
@@ -506,8 +604,8 @@ class TestCrossMemory:
         assert peak < 2.5 * 600 * 500 * 8
 
     def test_em_fit_averaging_holds_one_table(self, rng):
-        # the fixed (n, n, 4 * 4) level table, and beside it row blocks of
-        # the cross kernels and n x n Grams
+        # the fixed (n, n, 4 * 4) level table, and beside it tiles of the
+        # cross kernels and n x n Grams
         n = 200
         trees = random_trees(rng, n=n, depth=4, dim=4)
         labels = np.array([1 + (i % 2) for i in range(n)])
@@ -567,8 +665,9 @@ class TestCrossMemory:
 
     def test_wide_rows_stream_in_three_blocks(self, rng):
         # 280 cols x 15 nodes x dim 128 is about two blocks: computing the
-        # column norms once per pass, not per block, leaves the previous
-        # block and the next one's two buffers as the working memory
+        # column norms once per pass, not per tile, leaves at most the
+        # previous tile and the next one's two buffers as the working
+        # memory
         self.assert_wide_rows_stream_in_three_blocks(rng, 128)
 
     def test_column_norms_stream_in_blocks(self, rng):
