@@ -7,7 +7,10 @@ files, or configuration; CLI exit code 2) and :class:`NumericalError`
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class TreemklError(Exception):

@@ -80,6 +80,11 @@ def _nodes(depth: int) -> tuple[tuple[int, int], ...]:
 
 
 @lru_cache(maxsize=None)
+def _positions(depth: int) -> tuple[int, ...]:
+    return tuple(range(2 ** depth - 1))
+
+
+@lru_cache(maxsize=None)
 def _level_matrix(depth: int) -> np.ndarray:
     levels = np.array([l for l, _ in _nodes(depth)])
     out = np.where(levels[:, None] == np.arange(1, depth + 1),
@@ -102,29 +107,46 @@ class NodeInterval:
 class PooledTree:
     """Node-wise mean vectors for one video and stream.
 
-    ``vectors`` has shape (node_count, dim) in canonical node order.
+    ``nodes`` lists the canonical positions the tree holds, increasing;
+    it defaults to every node of ``depth``, and scoring holds only the
+    nodes a model weights. ``vectors`` has shape (len(nodes), dim), row
+    ``k`` the mean over node ``nodes[k]``.
     """
 
     video_id: str
     stream: str
     depth: int
     vectors: np.ndarray
+    nodes: tuple[int, ...] | None = None
 
     def __post_init__(self):
         vec = np.ascontiguousarray(np.asarray(self.vectors, dtype=np.float64))
         if vec.ndim != 2:
             raise ValidationError(f"vectors must be 2-D, got {vec.shape}")
-        if vec.shape[0] != 2 ** self.depth - 1:
+        if self.depth < 1:
+            raise ValidationError(f"depth must be >= 1, got {self.depth}")
+        if self.nodes is None:
+            nodes = _positions(self.depth)      # one tuple per depth
+        else:
+            nodes, last = tuple(int(n) for n in self.nodes), 2 ** self.depth - 2
+            if not (nodes and 0 <= nodes[0] and nodes[-1] <= last
+                    and all(a < b for a, b in zip(nodes, nodes[1:]))):
+                raise ValidationError(
+                    f"{self.video_id}: nodes {nodes} are not increasing "
+                    f"positions in 0..{last}")
+        if vec.shape[0] != len(nodes):
             raise ValidationError(
-                f"{self.video_id}: {vec.shape[0]} node vectors for depth "
-                f"{self.depth} (expected {2 ** self.depth - 1})")
+                f"{self.video_id}: {vec.shape[0]} node vectors for "
+                f"{len(nodes)} nodes of depth {self.depth}")
         if not np.isfinite(vec).all():
             raise NonFinite(f"{self.video_id}/{self.stream}: non-finite pooled value")
         vec.flags.writeable = False
         object.__setattr__(self, "vectors", vec)
+        object.__setattr__(self, "nodes", nodes)
 
     @property
     def node_count(self) -> int:
+        """Nodes held, ``len(nodes)``."""
         return self.vectors.shape[0]
 
     @property
@@ -133,6 +155,8 @@ class PooledTree:
 
     @property
     def root(self) -> np.ndarray:
+        if self.nodes[0] != 0:
+            raise ValidationError(f"{self.video_id}: tree holds no root node")
         return self.vectors[0]
 
 
@@ -174,26 +198,39 @@ def _node_bounds(frame_count: int,
     return tuple((iv.start, iv.end) for iv in intervals), counts
 
 
-def pool_sequence(seq: StreamFeatureSequence, hierarchy: Hierarchy) -> PooledTree:
-    """Mean-pool ``seq`` over every node interval of ``hierarchy``.
+def pool_sequence(seq: StreamFeatureSequence, hierarchy: Hierarchy,
+                  nodes=None) -> PooledTree:
+    """Mean-pool ``seq`` over the node intervals of ``hierarchy``: every
+    node, or only the canonical positions ``nodes`` (increasing). The
+    intervals are laid out for the whole depth either way, so a sequence
+    too short for its leaves raises :class:`InsufficientFrames` whichever
+    nodes are asked for.
 
     The root vector equals the global mean of all frames; deeper nodes
     average shorter, better-localized spans.
     """
     bounds, counts = _node_bounds(seq.frame_count, hierarchy.depth)
-    vectors = np.empty((hierarchy.node_count, seq.dim))
+    if nodes is not None:
+        nodes = tuple(int(n) for n in nodes)
+        bounds, counts = [bounds[n] for n in nodes], counts[list(nodes)]
+    vectors = np.empty((len(bounds), seq.dim))
     # the sum and the division of ndarray.mean, one pass per node
     for pos, (start, end) in enumerate(bounds):
         np.add.reduce(seq.rows[start:end], axis=0, out=vectors[pos])
     vectors /= counts
     return PooledTree(video_id=seq.video_id, stream=seq.stream,
-                      depth=hierarchy.depth, vectors=vectors)
+                      depth=hierarchy.depth, vectors=vectors, nodes=nodes)
 
 
 # --- GPT1 pooled-tree files (the container of dataio) ------------------------
 
 def write_pooled_file(tree: PooledTree, path: str | os.PathLike) -> None:
-    """Write ``tree`` in GPT1 form, nodes in canonical order."""
+    """Write ``tree`` in GPT1 form, nodes in canonical order. GPT1 stores
+    all ``2**D - 1`` nodes, so a tree that holds fewer is refused."""
+    if tree.node_count != 2 ** tree.depth - 1:
+        raise ValidationError(
+            f"{tree.video_id}: GPT1 stores every node of depth {tree.depth}, "
+            f"the tree holds {tree.node_count}")
     _write_container(path, GPT1_MAGIC, tree.vectors)
 
 

@@ -151,15 +151,20 @@ def _kernel_matrix(X: np.ndarray, Y: np.ndarray, cfg: KernelConfig,
 
 
 def stack_trees(trees: list[PooledTree]) -> tuple[np.ndarray, list[str]]:
-    """Stack homogeneous trees into an (n, nodes, dim) array + id list."""
+    """Stack homogeneous trees, same depth, dim and held nodes, into an
+    (n, nodes, dim) array + id list."""
     if not trees:
         raise ShapeMismatch("empty tree list")
-    depth, dim = trees[0].depth, trees[0].dim
+    first = trees[0]
     for t in trees:
-        if t.depth != depth or t.dim != dim:
+        if t.depth != first.depth or t.dim != first.dim:
             raise ShapeMismatch(
                 f"tree {t.video_id}: depth/dim ({t.depth},{t.dim}) != "
-                f"({depth},{dim})")
+                f"({first.depth},{first.dim})")
+        if t.nodes != first.nodes:
+            raise ShapeMismatch(
+                f"tree {t.video_id} holds nodes {t.nodes}, tree "
+                f"{first.video_id} holds {first.nodes}")
     return np.stack([t.vectors for t in trees]), [t.video_id for t in trees]
 
 
@@ -253,9 +258,12 @@ class NodeKernelCache:
             self.cols, self.col_ids = self.rows, self.row_ids
         else:
             self.cols, self.col_ids = stack_trees(col_trees)
-            if self.cols.shape[1:] != self.rows.shape[1:]:
-                raise ShapeMismatch("row/col trees have mismatched shapes")
+            if (self.cols.shape[1:] != self.rows.shape[1:]
+                    or col_trees[0].nodes != row_trees[0].nodes):
+                raise ShapeMismatch(
+                    "row/col trees have mismatched shapes or node sets")
         self.nodes = self.rows.shape[1]
+        self._every_node = self.nodes == 2 ** row_trees[0].depth - 1
         self._aligned: np.ndarray | None = None
         self._cross: np.ndarray | None = None
 
@@ -424,8 +432,14 @@ class NodeKernelCache:
             if dense:
                 return contract_table(self.aligned(), beta)
             return contract_table(self._aligned_nodes(nodes), beta[nodes])
-        if dense:
-            nodes = slice(None)         # views of every node, not copies
+        if dense and self._every_node:
+            # views of every node, not copies. A one-set tile whose row
+            # and column videos coincide is then one array times its own
+            # transpose, which BLAS runs as a symmetric rank-k update and
+            # rounds otherwise than a general product of copies; so trees
+            # that hold only the weighted nodes take copies, and give the
+            # bits of trees that hold every node
+            nodes = slice(None)
         weights = beta[nodes]
         out = np.empty((self.rows.shape[0], self.cols.shape[0]))
         for r0, r1, c0, c1, tile in self._cross_blocks(nodes, nodes):
@@ -452,7 +466,10 @@ class NodeKernelCache:
 def kernel_columns(row_trees: list[PooledTree], col_trees: list[PooledTree],
                    beta: np.ndarray, variant: str,
                    cfg: KernelConfig) -> np.ndarray:
-    """Combined-kernel values between two tree lists, shape (rows, cols)."""
+    """Combined-kernel values between two tree lists, shape (rows, cols).
+    ``beta`` weighs the nodes the trees hold, one entry per held node:
+    trees pooled at the non-zero positions of a full weight vector give,
+    with those entries, the bits of the full trees and the full vector."""
     cache = NodeKernelCache(row_trees, cfg, col_trees)
     return cache.combined(beta, variant)
 

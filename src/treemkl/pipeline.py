@@ -88,7 +88,7 @@ def _l2_rows(arr: np.ndarray) -> np.ndarray:
 
 
 def _load_one(record: VideoRecord, root: str, cfg: PipelineConfig,
-              hierarchy: Hierarchy) -> PooledTree:
+              hierarchy: Hierarchy, nodes=None) -> PooledTree:
     rel = record.path_for(cfg.stream)
     if rel is None:
         raise MissingFeatures(
@@ -101,24 +101,27 @@ def _load_one(record: VideoRecord, root: str, cfg: PipelineConfig,
     if cfg.feature_norm == "l2":
         seq = type(seq)(video_id=seq.video_id, stream=seq.stream,
                         rows=_l2_rows(seq.rows))
-    tree = pool_sequence(seq, hierarchy)
+    tree = pool_sequence(seq, hierarchy, nodes)
     if cfg.node_norm == "l2":
         tree = PooledTree(video_id=tree.video_id, stream=tree.stream,
-                          depth=tree.depth, vectors=_l2_rows(tree.vectors))
+                          depth=tree.depth, vectors=_l2_rows(tree.vectors),
+                          nodes=tree.nodes)
     return tree
 
 
 def load_split_trees(manifest: DatasetManifest, root: str,
-                     cfg: PipelineConfig,
-                     split: str) -> tuple[list[PooledTree], np.ndarray]:
+                     cfg: PipelineConfig, split: str,
+                     nodes=None) -> tuple[list[PooledTree], np.ndarray]:
     """Pooled trees plus labels for one split of one stream, in manifest
-    order."""
+    order; the trees hold every node, or only the canonical positions
+    ``nodes`` (see :func:`pool_sequence`). Scoring passes the nodes a
+    model weights, training and ``pool`` pass none."""
     records = [r for r in manifest.split(split)
                if r.path_for(cfg.stream) is not None]
     if not records:
         raise EmptySplit(f"no {split} records carry a {cfg.stream} stream")
     hierarchy = Hierarchy(cfg.depth)
-    trees = [_load_one(r, root, cfg, hierarchy) for r in records]
+    trees = [_load_one(r, root, cfg, hierarchy, nodes) for r in records]
     return trees, np.array([r.label for r in records])
 
 
@@ -371,9 +374,18 @@ def train_dmkl_route(manifest: DatasetManifest, root: str,
 
 # --- evaluation -------------------------------------------------------------------
 
+def _weighted_nodes(artifact: ModelArtifact) -> np.ndarray:
+    """The canonical positions of the nodes ``artifact`` weights: the only
+    ones scoring pools and holds, since the combined kernel reads no
+    other."""
+    return np.flatnonzero(artifact.beta)
+
+
 def _artifact_scores(artifact: ModelArtifact, test_trees: list[PooledTree],
                      manifest: DatasetManifest, root: str) -> np.ndarray:
-    """Decision scores, tests x classes in ``artifact.class_ids`` order."""
+    """Decision scores, tests x classes in ``artifact.class_ids`` order.
+    ``test_trees`` hold the artifact's weighted nodes, as the support
+    trees loaded here do."""
     by_id = manifest.by_id()
     missing = [v for v in artifact.support_ids if v not in by_id]
     if missing:
@@ -381,13 +393,14 @@ def _artifact_scores(artifact: ModelArtifact, test_trees: list[PooledTree],
             f"support videos absent from manifest: {missing[:5]}")
     cfg = artifact.pipeline
     hierarchy = Hierarchy(cfg.depth)
-    support_trees = [_load_one(by_id[v], root, cfg, hierarchy)
+    nodes = _weighted_nodes(artifact)
+    support_trees = [_load_one(by_id[v], root, cfg, hierarchy, nodes)
                      for v in artifact.support_ids]
     model = SvmModel(
         train_ids=artifact.support_ids,
         labels=np.array([by_id[v].label for v in artifact.support_ids]),
         class_ids=artifact.class_ids, alpha=artifact.alpha, b=artifact.b)
-    cols = kernel_columns(test_trees, support_trees, artifact.beta,
+    cols = kernel_columns(test_trees, support_trees, artifact.beta[nodes],
                           cfg.variant, artifact.kernel)
     return decision_scores(model, cols)
 
@@ -413,7 +426,7 @@ def evaluate_artifact(artifact: ModelArtifact, manifest: DatasetManifest,
                       root: str) -> dict:
     """Top-1 metrics of a trained artifact on the manifest's test split."""
     test_trees, truth = load_split_trees(manifest, root, artifact.pipeline,
-                                         "test")
+                                         "test", _weighted_nodes(artifact))
     scores = _artifact_scores(artifact, test_trees, manifest, root)
     preds = artifact.class_ids[np.argmax(scores, axis=1)]
     metrics = _metrics(preds, truth, manifest.label_names)
@@ -458,7 +471,8 @@ def fuse_evaluate(art_a: ModelArtifact, art_m: ModelArtifact,
     _check_fusable(art_a, art_m)
     if mode == "score-avg":
         (test_a, truth), (test_m, _) = (
-            load_split_trees(manifest, root, art.pipeline, "test")
+            load_split_trees(manifest, root, art.pipeline, "test",
+                             _weighted_nodes(art))
             for art in (art_a, art_m))
         if [t.video_id for t in test_a] != [t.video_id for t in test_m]:
             raise ConfigMismatch("test splits differ between streams")
@@ -480,13 +494,16 @@ def _kernel_avg_predict(art_a: ModelArtifact, art_m: ModelArtifact,
                         manifest: DatasetManifest, root: str, weight: float):
     parts = []
     for art in (art_a, art_m):
-        cfg = art.pipeline
-        train_trees, labels = load_split_trees(manifest, root, cfg, "train")
-        test_trees, truth = load_split_trees(manifest, root, cfg, "test")
+        cfg, nodes = art.pipeline, _weighted_nodes(art)
+        train_trees, labels = load_split_trees(manifest, root, cfg, "train",
+                                               nodes)
+        test_trees, truth = load_split_trees(manifest, root, cfg, "test",
+                                             nodes)
         parts.append((
-            gram_matrix(train_trees, art.beta, cfg.variant, art.kernel),
-            kernel_columns(test_trees, train_trees, art.beta, cfg.variant,
-                           art.kernel),
+            gram_matrix(train_trees, art.beta[nodes], cfg.variant,
+                        art.kernel),
+            kernel_columns(test_trees, train_trees, art.beta[nodes],
+                           cfg.variant, art.kernel),
             ([t.video_id for t in train_trees],
              [t.video_id for t in test_trees])))
     (gram_a, cols_a, ids_a), (gram_m, cols_m, ids_m) = parts

@@ -42,7 +42,8 @@ def model(manifest):
     ("train-em", ["--depth", "3", "--variant", "avg", "--max-iters", "3"],
      ["em.em_fit", "em.beta_objective_coeffs", "svm.solve_dual"]),
     ("eval", ["--model", "{model}"],
-     ["pipeline.evaluate_artifact", "kernels.kernel_columns"]),
+     ["pipeline.evaluate_artifact", "kernels.kernel_columns",
+      "hierarchy.pool_sequence"]),
 ])
 def test_tracer_runs_and_records_spans(manifest, model, tmp_path, command,
                                        flags, spans):

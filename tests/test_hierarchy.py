@@ -5,6 +5,7 @@ from conftest import random_sequence
 from treemkl import errors
 from treemkl.hierarchy import (
     Hierarchy,
+    PooledTree,
     build_intervals,
     load_pooled_file,
     pool_sequence,
@@ -152,6 +153,43 @@ class TestPoolSequence:
         with pytest.raises(errors.InsufficientFrames):
             pool_sequence(seq, Hierarchy(4))
 
+    @pytest.mark.parametrize("nodes", [(0,), (1, 2), (3, 5, 6), (0, 4, 14),
+                                       tuple(range(15))])
+    def test_node_subset_is_bitwise_rows_of_full_tree(self, rng, nodes):
+        seq = random_sequence(rng, frames=67, dim=5)
+        full = pool_sequence(seq, Hierarchy(4))
+        part = pool_sequence(seq, Hierarchy(4), np.array(nodes))
+        assert full.nodes == tuple(range(15)) and part.nodes == nodes
+        assert part.depth == 4 and part.node_count == len(nodes)
+        np.testing.assert_array_equal(part.vectors, full.vectors[list(nodes)])
+
+    def test_node_subset_still_needs_every_leaf(self, rng):
+        # the intervals are laid out for the whole depth whatever is pooled
+        seq = random_sequence(rng, frames=3, dim=2)
+        with pytest.raises(errors.InsufficientFrames) as full:
+            pool_sequence(seq, Hierarchy(4))
+        with pytest.raises(errors.InsufficientFrames) as root:
+            pool_sequence(seq, Hierarchy(4), [0])
+        assert str(root.value) == str(full.value)
+
+
+class TestPooledTreeNodes:
+    @pytest.mark.parametrize("nodes", [(), (1, 1), (2, 1), (-1, 0), (0, 7)])
+    def test_refuses_nodes_that_are_not_increasing_positions(self, nodes):
+        with pytest.raises(errors.ValidationError, match="not increasing"):
+            PooledTree("v", "appearance", 3, np.zeros((len(nodes), 2)), nodes)
+
+    def test_refuses_row_count_other_than_node_count(self):
+        with pytest.raises(errors.ValidationError, match="3 node vectors"):
+            PooledTree("v", "appearance", 3, np.zeros((3, 2)), (0, 1))
+        with pytest.raises(errors.ValidationError, match="7 nodes"):
+            PooledTree("v", "appearance", 3, np.zeros((3, 2)))
+
+    def test_root_needs_the_root_node(self):
+        tree = PooledTree("v", "appearance", 2, np.ones((2, 1)), (1, 2))
+        with pytest.raises(errors.ValidationError, match="no root"):
+            tree.root
+
 
 class TestPooledFile:
     def test_roundtrip(self, rng, tmp_path):
@@ -162,6 +200,16 @@ class TestPooledFile:
         back = load_pooled_file(path, video_id="v0")
         assert back.depth == 3
         np.testing.assert_allclose(back.vectors, tree.vectors, atol=1e-6)
+
+    def test_refuses_tree_without_every_node(self, rng, tmp_path):
+        # GPT1 stores 2**D - 1 vectors; a partial tree would read back
+        # as a shallower one
+        tree = pool_sequence(random_sequence(rng, frames=12, dim=3),
+                             Hierarchy(3), [3, 4, 5])
+        path = tmp_path / "v0.gpt"
+        with pytest.raises(errors.ValidationError, match="holds 3"):
+            write_pooled_file(tree, path)
+        assert not path.exists()
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "x.gpt"

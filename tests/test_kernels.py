@@ -22,6 +22,7 @@ from treemkl.kernels import (
     median_gamma,
     node_weights,
     node_weights_pullback,
+    stack_trees,
 )
 from treemkl.simplex import to_simplex
 
@@ -309,6 +310,29 @@ class TestFuseKernels:
         other = GramMatrix(values=np.eye(4), ids=("x0", "x1", "x2", "x3"))
         with pytest.raises(errors.IdMismatch):
             fuse_kernels(ka, other, 0.5)
+
+
+class TestHeldNodes:
+    """Trees that hold only some nodes stack and pair only with trees that
+    hold the same ones."""
+
+    def trees(self, rng, *node_sets):
+        return [PooledTree(f"v{i}", "appearance", 3,
+                           rng.standard_normal((len(nodes), 4)), nodes)
+                for i, nodes in enumerate(node_sets)]
+
+    def test_stack_trees_refuses_mixed_node_sets_naming_the_video(self, rng):
+        trees = self.trees(rng, (1, 2), (1, 2), (3, 4))
+        with pytest.raises(errors.ShapeMismatch,
+                           match=r"tree v2 holds nodes \(3, 4\), tree v0"):
+            stack_trees(trees)
+        stacked, ids = stack_trees(trees[:2])
+        assert stacked.shape == (2, 2, 4) and ids == ["v0", "v1"]
+
+    def test_cache_refuses_row_and_col_node_sets_that_differ(self, rng):
+        rows, cols = self.trees(rng, (1, 2), (3, 4))
+        with pytest.raises(errors.ShapeMismatch, match="node sets"):
+            NodeKernelCache([rows], RBF, [cols])
 
 
 class TestNodeKernelCache:

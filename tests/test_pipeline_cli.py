@@ -16,7 +16,7 @@ from oracles import artifact_scores_oracle
 from treemkl import cli, dmkl, errors, kernels, pipeline, svm
 from treemkl.cli import main
 from treemkl.dataio import (StreamFeatureSequence, load_feature_file,
-                            load_manifest)
+                            load_manifest, write_feature_file)
 from treemkl.dmkl import FW_GAP_TOL, ContrastiveConfig
 from treemkl.em import STOP_REASONS, EmConfig
 from treemkl.hierarchy import Hierarchy, PooledTree, pool_sequence
@@ -287,7 +287,10 @@ class TestScoringPath:
             ref, ref_classes = artifact_scores_oracle(
                 json.loads(path.read_text()), cols, art.support_ids,
                 np.array([by_id[v].label for v in art.support_ids]))
-            got = pipeline._artifact_scores(art, test_trees, manifest, root)
+            # scoring holds only the weighted nodes of its test trees
+            weighted, _ = pipeline.load_split_trees(
+                manifest, root, cfg, "test", np.flatnonzero(art.beta))
+            got = pipeline._artifact_scores(art, weighted, manifest, root)
             np.testing.assert_array_equal(art.class_ids, ref_classes)
             np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
             np.testing.assert_array_equal(np.argmax(got, axis=1),
@@ -323,9 +326,89 @@ class TestScoringPath:
             art.support_ids,
             np.array([by_id[v].label for v in art.support_ids]))
         test_trees, _ = pipeline.load_split_trees(manifest, str(data),
-                                                  art.pipeline, "test")
+                                                  art.pipeline, "test",
+                                                  np.flatnonzero(art.beta))
         got = pipeline._artifact_scores(art, test_trees, manifest, str(data))
         np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("variant", ["averaging", "concatenation"])
+    @pytest.mark.parametrize("beta", [
+        [0, 0, 0, 0, 1, 0, 0],                     # one node, 3:2
+        [0, 0, 0, 0.25, 0.25, 0.25, 0.25],         # one level
+        [0, 0.5, 0.5, 0, 0, 0, 0],                 # another level
+        [0.3, 0, 0.2, 0.1, 0, 0.4, 0],             # scattered nodes
+        [0.1, 0.2, 0.05, 0.15, 0.1, 0.25, 0.15]],  # every node
+        ids=["node", "level-3", "level-2", "scattered", "every"])
+    @pytest.mark.parametrize("norms", [("none", "none"), ("l2", "none"),
+                                       ("none", "l2")],
+                             ids=["raw", "feature-l2", "node-l2"])
+    def test_weighted_nodes_score_bit_for_bit_as_full_trees(
+            self, workspace, variant, beta, norms):
+        manifest = load_manifest(workspace / "data" / "manifest.jsonl")
+        root = str(workspace / "data")
+        by_id = manifest.by_id()
+        art = load_artifact(workspace / "dm_a" / "model.json")
+        cfg = dataclasses.replace(art.pipeline, variant=variant,
+                                  feature_norm=norms[0], node_norm=norms[1])
+        art = dataclasses.replace(art, pipeline=cfg, beta=np.array(beta))
+        nodes = np.flatnonzero(art.beta)
+
+        def split(name, held=None):
+            return pipeline.load_split_trees(manifest, root, cfg, name,
+                                             held)[0]
+
+        support = [pipeline._load_one(by_id[v], root, cfg,
+                                      Hierarchy(cfg.depth))
+                   for v in art.support_ids]
+        full = kernel_columns(split("test"), support, art.beta, variant,
+                              art.kernel)
+        weighted = split("test", nodes)
+        assert {t.nodes for t in weighted} == {tuple(nodes)}
+        cols = kernel_columns(
+            weighted, [pipeline._load_one(by_id[v], root, cfg,
+                                          Hierarchy(cfg.depth), nodes)
+                       for v in art.support_ids],
+            art.beta[nodes], variant, art.kernel)
+        np.testing.assert_array_equal(cols, full)
+        model = svm.SvmModel(
+            train_ids=art.support_ids,
+            labels=np.array([by_id[v].label for v in art.support_ids]),
+            class_ids=art.class_ids, alpha=art.alpha, b=art.b)
+        np.testing.assert_array_equal(
+            pipeline._artifact_scores(art, weighted, manifest, root),
+            svm.decision_scores(model, full))
+        # fuse-eval's kernel-avg mode retrains on the training Gram
+        np.testing.assert_array_equal(
+            kernels.gram_matrix(split("train", nodes), art.beta[nodes],
+                                variant, art.kernel).values,
+            kernels.gram_matrix(split("train"), art.beta, variant,
+                                art.kernel).values)
+
+    def test_short_test_video_fails_as_before_with_root_only_beta(
+            self, workspace, tmp_path, capsys):
+        # the intervals are laid out for the whole depth, so a video too
+        # short for the leaves is refused even if only the root is pooled
+        lines = manifest_objects(workspace)
+        test = next(i for i, obj in enumerate(lines)
+                    if i and obj["split"] == "test")
+        short = tmp_path / "short.gpf"
+        write_feature_file(StreamFeatureSequence(
+            lines[test]["video_id"], "appearance", np.ones((3, 8))), short)
+        lines[test]["appearance"] = str(short)
+        manifest = write_manifest_lines(tmp_path / "manifest.jsonl", lines)
+        doc = json.loads((workspace / "dm_a" / "model.json").read_text())
+        root_only = tmp_path / "root_only.json"
+        root_only.write_text(json.dumps(dict(doc, beta={
+            key: float(key == "1:1") for key in doc["beta"]})))
+        messages = []
+        for model in (workspace / "dm_a" / "model.json", root_only):
+            assert run_cli("eval", "--model", model, "--manifest", manifest,
+                           "--out", tmp_path / "o") == 2
+            err = capsys.readouterr().err
+            assert "frame_count=3 cannot fill depth=3 (4 leaves)" in err
+            assert "Traceback" not in err
+            messages.append(err)
+        assert messages[0] == messages[1]
 
     @pytest.mark.parametrize("mode,calls", [("eval", 1), ("score-avg", 2),
                                             ("kernel-avg", 1)])
