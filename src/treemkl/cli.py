@@ -12,6 +12,9 @@ does not converge.
 
 A flag left out keeps the default of the config field or parameter it
 sets; defaults and allowed values have one owner, not this parser.
+Each command imports the modules it runs when it runs, so the parser,
+``--help`` and ``report`` load no numpy, and no command loads the
+training modules of another.
 """
 
 from __future__ import annotations
@@ -22,28 +25,9 @@ import json
 import os
 import sys
 
-from .dataio import STREAMS, load_manifest
-from .dmkl import ContrastiveConfig
-from .em import EmConfig
+from .choices import (FUSION_MODES, INIT_SCHEMES, KERNEL_KINDS, NORMS, STREAMS,
+                      VARIANT_ALIASES)
 from .errors import EmptySplit, NoRuns, NumericalError, ValidationError
-from .hierarchy import write_pooled_file
-from .kernels import KERNEL_KINDS, VARIANT_ALIASES
-from .pipeline import (
-    FUSION_MODES,
-    NORMS,
-    PipelineConfig,
-    beta_level_rows,
-    evaluate_artifact,
-    fuse_evaluate,
-    load_artifact,
-    load_split_trees,
-    save_artifact,
-    train_dmkl_route,
-    train_em_route,
-)
-from .simplex import INIT_SCHEMES
-from .svm import TrainConfig
-from .synth import SynthSpec, gen_dataset
 
 
 class _OutDir:
@@ -101,7 +85,9 @@ def _config(cls, args):
     return cls(**_given(args, [f.name for f in dataclasses.fields(cls)]))
 
 
-def _pipeline_config(args) -> PipelineConfig:
+def _pipeline_config(args):
+    from .pipeline import PipelineConfig
+
     if "gamma" in args and args.gamma != "median":
         try:
             args.gamma = float(args.gamma)
@@ -115,6 +101,8 @@ def _pipeline_config(args) -> PipelineConfig:
 
 
 def cmd_gen_synth(args) -> int:
+    from .synth import SynthSpec, gen_dataset
+
     spec = _config(SynthSpec, args)
     out = _OutDir(args.out)
     manifest = gen_dataset(spec, args.out)
@@ -134,6 +122,10 @@ def cmd_gen_synth(args) -> int:
 
 
 def cmd_pool(args) -> int:
+    from .dataio import load_manifest
+    from .hierarchy import write_pooled_file
+    from .pipeline import load_split_trees
+
     out = _OutDir(args.out)
     manifest = load_manifest(args.manifest)
     root = _manifest_root(args.manifest)
@@ -151,6 +143,8 @@ def cmd_pool(args) -> int:
 
 
 def _emit_training(args, result) -> int:
+    from .pipeline import save_artifact
+
     out = _OutDir(args.out)
     save_artifact(result.artifact, out.target("model.json"))
     out.write_csv("trace.csv", result.trace_header, result.trace_rows)
@@ -160,6 +154,11 @@ def _emit_training(args, result) -> int:
 
 
 def cmd_train_em(args) -> int:
+    from .dataio import load_manifest
+    from .em import EmConfig
+    from .pipeline import train_em_route
+    from .svm import TrainConfig
+
     manifest = load_manifest(args.manifest)
     result = train_em_route(manifest, _manifest_root(args.manifest),
                             _pipeline_config(args), _config(EmConfig, args),
@@ -168,6 +167,11 @@ def cmd_train_em(args) -> int:
 
 
 def cmd_train_dmkl(args) -> int:
+    from .dataio import load_manifest
+    from .dmkl import ContrastiveConfig
+    from .pipeline import train_dmkl_route
+    from .svm import TrainConfig
+
     manifest = load_manifest(args.manifest)
     result = train_dmkl_route(manifest, _manifest_root(args.manifest),
                               _pipeline_config(args),
@@ -177,6 +181,9 @@ def cmd_train_dmkl(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from .dataio import load_manifest
+    from .pipeline import beta_level_rows, evaluate_artifact, load_artifact
+
     out = _OutDir(args.out)
     artifact = load_artifact(args.model)
     manifest = load_manifest(args.manifest)
@@ -189,6 +196,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_fuse_eval(args) -> int:
+    from .dataio import load_manifest
+    from .pipeline import fuse_evaluate, load_artifact
+
     out = _OutDir(args.out)
     art_a = load_artifact(args.model_a)
     art_m = load_artifact(args.model_m)

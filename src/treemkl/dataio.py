@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .choices import STREAMS
 from .errors import (
     BadMagic,
     DuplicateId,
@@ -53,7 +54,6 @@ from .errors import (
 
 GPF1_MAGIC = b"GPF1"
 GPT1_MAGIC = b"GPT1"
-STREAMS = ("appearance", "motion")
 SPLITS = ("train", "test")
 
 

@@ -53,6 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .choices import AVERAGING, CONCATENATION, KERNEL_KINDS, VARIANT_ALIASES
 from .errors import (
     DegenerateData,
     IdMismatch,
@@ -60,14 +61,6 @@ from .errors import (
     ValidationError,
 )
 from .hierarchy import PooledTree
-
-CONCATENATION = "concatenation"
-AVERAGING = "averaging"
-KERNEL_KINDS = ("rbf", "linear")
-
-# alias map accepted on CLI surfaces
-VARIANT_ALIASES = {"concat": CONCATENATION, "avg": AVERAGING,
-                   CONCATENATION: CONCATENATION, AVERAGING: AVERAGING}
 
 # largest (rows, cols, nodes) table the cache allocates, or (q, q) moment
 # matrix contrastive training allocates, in elements; larger ones are
@@ -134,9 +127,12 @@ class KernelConfig:
 def _kernel_matrix(X: np.ndarray, Y: np.ndarray, cfg: KernelConfig,
                    y_sq: np.ndarray | None = None) -> np.ndarray:
     """Pairwise kappa between rows of X (..., a, d) and rows of Y
-    (..., b, d), shape (..., a, b). The rbf kernel is evaluated in two
-    output-sized buffers beside the squared row norms of Y, which a
-    caller that reuses Y computes once and passes as ``y_sq``."""
+    (..., b, d), shape (..., a, b). The rbf kernel holds two output-sized
+    arrays, the product and the squared distances, beside the squared row
+    norms of Y, which a caller that reuses Y computes once and passes as
+    ``y_sq``. The broadcast add that fills the distances also takes numpy
+    iterator buffers, so the peak is about 2.25 outputs (one 75 x 870
+    kernel, ``y_sq`` given, under tracemalloc)."""
     dot = X @ np.swapaxes(Y, -1, -2)
     if cfg.kind == "linear":
         return dot

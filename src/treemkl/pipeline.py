@@ -5,7 +5,8 @@ pooling one stream of a dataset, resolving the kernel bandwidth,
 running either training route, writing and reading the model artifact
 (the one owner of its format), and scoring test splits (single stream
 or two-stream fusion). The CLI is a thin argument-parsing layer over
-these functions.
+these functions. Each training route imports its optimiser (``em`` or
+``dmkl``) when it runs, so scoring and ``pool`` never load them.
 """
 
 from __future__ import annotations
@@ -14,13 +15,12 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .dataio import (STREAMS, DatasetManifest, VideoRecord, _class_id,
-                     load_feature_file)
-from .dmkl import ContrastiveConfig, dmkl_fit
-from .em import EmConfig, em_fit
+from .choices import AVERAGING, CONCATENATION, FUSION_MODES, NORMS, STREAMS
+from .dataio import DatasetManifest, VideoRecord, _class_id, load_feature_file
 from .errors import (
     ArtifactMismatch,
     ConfigMismatch,
@@ -31,8 +31,6 @@ from .errors import (
 )
 from .hierarchy import Hierarchy, PooledTree, pool_sequence
 from .kernels import (
-    AVERAGING,
-    CONCATENATION,
     KernelConfig,
     canonical_variant,
     fuse_kernels,
@@ -49,8 +47,10 @@ from .svm import (
     train_one_vs_rest,
 )
 
-NORMS = ("none", "l2")
-FUSION_MODES = ("kernel-avg", "score-avg")
+if TYPE_CHECKING:
+    from .dmkl import ContrastiveConfig
+    from .em import EmConfig
+
 ARTIFACT_FORMAT = "treemkl-model-v1"
 
 
@@ -333,6 +333,8 @@ def _entropy(beta: np.ndarray) -> float:
 
 def train_em_route(manifest: DatasetManifest, root: str, cfg: PipelineConfig,
                    em_cfg: EmConfig, svm_cfg: TrainConfig) -> TrainOutput:
+    from .em import em_fit
+
     trees, labels = load_split_trees(manifest, root, cfg, "train")
     kernel_cfg = resolve_gamma(trees, cfg)
     result = em_fit(trees, labels, cfg.variant, kernel_cfg, em_cfg, svm_cfg)
@@ -352,6 +354,8 @@ def train_em_route(manifest: DatasetManifest, root: str, cfg: PipelineConfig,
 def train_dmkl_route(manifest: DatasetManifest, root: str,
                      cfg: PipelineConfig, contrastive_cfg: ContrastiveConfig,
                      svm_cfg: TrainConfig) -> TrainOutput:
+    from .dmkl import dmkl_fit
+
     trees, labels = load_split_trees(manifest, root, cfg, "train")
     kernel_cfg = resolve_gamma(trees, cfg)
     result = dmkl_fit(trees, labels, cfg.variant, contrastive_cfg,
@@ -381,24 +385,33 @@ def _weighted_nodes(artifact: ModelArtifact) -> np.ndarray:
     return np.flatnonzero(artifact.beta)
 
 
-def _artifact_scores(artifact: ModelArtifact, test_trees: list[PooledTree],
-                     manifest: DatasetManifest, root: str) -> np.ndarray:
-    """Decision scores, tests x classes in ``artifact.class_ids`` order.
-    ``test_trees`` hold the artifact's weighted nodes, as the support
-    trees loaded here do."""
+def _support_records(artifact: ModelArtifact,
+                     manifest: DatasetManifest) -> list[VideoRecord]:
+    """The manifest records of ``artifact``'s support videos, in its
+    column order; one absent raises :class:`ArtifactMismatch`. Scoring
+    asks for them before it reads any feature file."""
     by_id = manifest.by_id()
     missing = [v for v in artifact.support_ids if v not in by_id]
     if missing:
         raise ArtifactMismatch(
             f"support videos absent from manifest: {missing[:5]}")
+    return [by_id[v] for v in artifact.support_ids]
+
+
+def _artifact_scores(artifact: ModelArtifact, test_trees: list[PooledTree],
+                     support: list[VideoRecord], root: str) -> np.ndarray:
+    """Decision scores, tests x classes in ``artifact.class_ids`` order,
+    against the ``support`` records of :func:`_support_records`.
+    ``test_trees`` hold the artifact's weighted nodes, as the support
+    trees loaded here do."""
     cfg = artifact.pipeline
     hierarchy = Hierarchy(cfg.depth)
     nodes = _weighted_nodes(artifact)
-    support_trees = [_load_one(by_id[v], root, cfg, hierarchy, nodes)
-                     for v in artifact.support_ids]
+    support_trees = [_load_one(r, root, cfg, hierarchy, nodes)
+                     for r in support]
     model = SvmModel(
         train_ids=artifact.support_ids,
-        labels=np.array([by_id[v].label for v in artifact.support_ids]),
+        labels=np.array([r.label for r in support]),
         class_ids=artifact.class_ids, alpha=artifact.alpha, b=artifact.b)
     cols = kernel_columns(test_trees, support_trees, artifact.beta[nodes],
                           cfg.variant, artifact.kernel)
@@ -425,9 +438,10 @@ def _metrics(preds: np.ndarray, truth: np.ndarray,
 def evaluate_artifact(artifact: ModelArtifact, manifest: DatasetManifest,
                       root: str) -> dict:
     """Top-1 metrics of a trained artifact on the manifest's test split."""
+    support = _support_records(artifact, manifest)
     test_trees, truth = load_split_trees(manifest, root, artifact.pipeline,
                                          "test", _weighted_nodes(artifact))
-    scores = _artifact_scores(artifact, test_trees, manifest, root)
+    scores = _artifact_scores(artifact, test_trees, support, root)
     preds = artifact.class_ids[np.argmax(scores, axis=1)]
     metrics = _metrics(preds, truth, manifest.label_names)
     metrics["config"] = artifact.config
@@ -470,14 +484,16 @@ def fuse_evaluate(art_a: ModelArtifact, art_m: ModelArtifact,
         raise ValidationError(f"unknown fusion mode {mode!r}")
     _check_fusable(art_a, art_m)
     if mode == "score-avg":
+        support_a, support_m = (_support_records(art, manifest)
+                                for art in (art_a, art_m))
         (test_a, truth), (test_m, _) = (
             load_split_trees(manifest, root, art.pipeline, "test",
                              _weighted_nodes(art))
             for art in (art_a, art_m))
         if [t.video_id for t in test_a] != [t.video_id for t in test_m]:
             raise ConfigMismatch("test splits differ between streams")
-        fused = (weight * _artifact_scores(art_a, test_a, manifest, root) +
-                 (1.0 - weight) * _artifact_scores(art_m, test_m, manifest,
+        fused = (weight * _artifact_scores(art_a, test_a, support_a, root) +
+                 (1.0 - weight) * _artifact_scores(art_m, test_m, support_m,
                                                    root))
         preds = art_a.class_ids[np.argmax(fused, axis=1)]
     else:

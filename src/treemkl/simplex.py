@@ -19,12 +19,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .choices import INIT_SCHEMES
 from .errors import NonFinite, NotOnSimplex, ShapeMismatch, ValidationError
 
 SIMPLEX_TOL = 1e-9
-
-# weight initialisations accepted by SimplexWeights.init and the trainers
-INIT_SCHEMES = ("uniform", "random")
 
 
 def to_simplex(raw: np.ndarray) -> np.ndarray:

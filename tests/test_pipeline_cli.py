@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from oracles import artifact_scores_oracle
-from treemkl import cli, dmkl, errors, kernels, pipeline, svm
+from treemkl import cli, dataio, dmkl, em, errors, kernels, pipeline, svm
 from treemkl.cli import main
 from treemkl.dataio import (StreamFeatureSequence, load_feature_file,
                             load_manifest, write_feature_file)
@@ -290,7 +290,8 @@ class TestScoringPath:
             # scoring holds only the weighted nodes of its test trees
             weighted, _ = pipeline.load_split_trees(
                 manifest, root, cfg, "test", np.flatnonzero(art.beta))
-            got = pipeline._artifact_scores(art, weighted, manifest, root)
+            got = pipeline._artifact_scores(
+                art, weighted, pipeline._support_records(art, manifest), root)
             np.testing.assert_array_equal(art.class_ids, ref_classes)
             np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
             np.testing.assert_array_equal(np.argmax(got, axis=1),
@@ -328,7 +329,9 @@ class TestScoringPath:
         test_trees, _ = pipeline.load_split_trees(manifest, str(data),
                                                   art.pipeline, "test",
                                                   np.flatnonzero(art.beta))
-        got = pipeline._artifact_scores(art, test_trees, manifest, str(data))
+        got = pipeline._artifact_scores(
+            art, test_trees, pipeline._support_records(art, manifest),
+            str(data))
         np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("variant", ["averaging", "concatenation"])
@@ -375,7 +378,9 @@ class TestScoringPath:
             labels=np.array([by_id[v].label for v in art.support_ids]),
             class_ids=art.class_ids, alpha=art.alpha, b=art.b)
         np.testing.assert_array_equal(
-            pipeline._artifact_scores(art, weighted, manifest, root),
+            pipeline._artifact_scores(
+                art, weighted, pipeline._support_records(art, manifest),
+                root),
             svm.decision_scores(model, full))
         # fuse-eval's kernel-avg mode retrains on the training Gram
         np.testing.assert_array_equal(
@@ -906,18 +911,37 @@ class TestValidationExits:
         assert code == 2
         assert_one_error_line(capsys, str(bad), "not valid UTF-8")
 
-    def test_support_video_absent_from_manifest(self, workspace, tmp_path,
-                                                capsys):
-        model = workspace / "em_a" / "model.json"
+    def assert_refused_before_reading(self, workspace, tmp_path, capsys,
+                                      monkeypatch, run, *argv):
+        reads = []
+        monkeypatch.setattr(pipeline, "load_feature_file",
+                            lambda *a, **k: reads.append(a))
+        model = workspace / run / "model.json"
         gone = json.loads(model.read_text())["classes"]["1"]["support"][0]
         lines = [obj for obj in manifest_objects(workspace)
                  if obj.get("video_id") != gone["video_id"]]
         path = write_manifest_lines(tmp_path / "manifest.jsonl", lines)
-        code = run_cli("eval", "--model", model, "--manifest", path,
-                       "--out", tmp_path / "o")
+        code = run_cli(*argv, "--manifest", path, "--out", tmp_path / "o")
         assert code == 2
         assert_one_error_line(capsys, "support videos absent from manifest",
                               gone["video_id"])
+        # refused before any test feature file is read
+        assert reads == []
+
+    def test_support_video_absent_from_manifest(self, workspace, tmp_path,
+                                                capsys, monkeypatch):
+        self.assert_refused_before_reading(
+            workspace, tmp_path, capsys, monkeypatch, "em_a",
+            "eval", "--model", workspace / "em_a" / "model.json")
+
+    @pytest.mark.parametrize("run", ["dm_a", "dm_m"])
+    def test_fusion_support_video_absent_from_manifest(
+            self, workspace, tmp_path, capsys, monkeypatch, run):
+        self.assert_refused_before_reading(
+            workspace, tmp_path, capsys, monkeypatch, run,
+            "fuse-eval", "--model-a", workspace / "dm_a" / "model.json",
+            "--model-m", workspace / "dm_m" / "model.json",
+            "--mode", "score-avg")
 
     def test_fusion_over_different_class_sets(self, workspace, tmp_path,
                                               capsys):
@@ -1010,8 +1034,9 @@ class TestOutDirectory:
     def test_out_that_is_a_file_exits_before_reading(
             self, workspace, tmp_path, capsys, monkeypatch, command):
         reads = []
-        for name in ("load_manifest", "load_artifact"):
-            monkeypatch.setattr(cli, name, lambda *a, **k: reads.append(a))
+        for owner, name in ((dataio, "load_manifest"),
+                            (pipeline, "load_artifact")):
+            monkeypatch.setattr(owner, name, lambda *a, **k: reads.append(a))
         out = tmp_path / "out"
         out.write_text("kept\n")
         code = run_cli(command, *command_flags(workspace)[command],
@@ -1024,8 +1049,9 @@ class TestOutDirectory:
     def test_out_under_a_file_exits_before_reading(
             self, workspace, tmp_path, capsys, monkeypatch, command):
         reads = []
-        for name in ("load_manifest", "load_artifact"):
-            monkeypatch.setattr(cli, name, lambda *a, **k: reads.append(a))
+        for owner, name in ((dataio, "load_manifest"),
+                            (pipeline, "load_artifact")):
+            monkeypatch.setattr(owner, name, lambda *a, **k: reads.append(a))
         afile = tmp_path / "afile"
         afile.write_text("kept\n")
         out = afile / "sub" / "run"
@@ -1074,14 +1100,14 @@ class TestFlagsLeftOut:
         doc = json.loads((tmp_path / "d" / "dataset.json").read_text())
         assert doc["spec"] == dataclasses.asdict(SynthSpec())
 
-    @pytest.mark.parametrize("command, fit, route_arg, route_cfg", [
-        ("train-em", "em_fit", "em_cfg", EmConfig()),
-        ("train-dmkl", "dmkl_fit", "cfg", ContrastiveConfig())])
+    @pytest.mark.parametrize("command, owner, fit, route_arg, route_cfg", [
+        ("train-em", em, "em_fit", "em_cfg", EmConfig()),
+        ("train-dmkl", dmkl, "dmkl_fit", "cfg", ContrastiveConfig())])
     def test_training_configs(self, workspace, tmp_path, monkeypatch,
-                              command, fit, route_arg, route_cfg):
+                              command, owner, fit, route_arg, route_cfg):
         seen = {}
         real_load = pipeline.load_split_trees
-        real_fit = getattr(pipeline, fit)
+        real_fit = getattr(owner, fit)
 
         def load(manifest, root, cfg, split):
             seen["pipeline"] = cfg
@@ -1094,7 +1120,7 @@ class TestFlagsLeftOut:
             return real_fit(*args, **kwargs)
 
         monkeypatch.setattr(pipeline, "load_split_trees", load)
-        monkeypatch.setattr(pipeline, fit, spy)
+        monkeypatch.setattr(owner, fit, spy)
         out = tmp_path / "o"
         assert run_cli(command, *command_flags(workspace)[command],
                        "--out", out) == 0
@@ -1106,7 +1132,7 @@ class TestFlagsLeftOut:
     def test_pool_config(self, workspace, tmp_path, monkeypatch):
         seen = []
         real = pipeline.load_split_trees
-        monkeypatch.setattr(cli, "load_split_trees",
+        monkeypatch.setattr(pipeline, "load_split_trees",
                             lambda m, r, cfg, split: seen.append(cfg)
                             or real(m, r, cfg, split))
         assert run_cli("pool", *command_flags(workspace)["pool"],
@@ -1116,7 +1142,7 @@ class TestFlagsLeftOut:
     def test_fuse_eval_mode_and_weight(self, workspace, tmp_path,
                                        monkeypatch):
         calls = []
-        monkeypatch.setattr(cli, "fuse_evaluate",
+        monkeypatch.setattr(pipeline, "fuse_evaluate",
                             lambda *a, **k: calls.append(k)
                             or fuse_evaluate(*a, **k))
         out = tmp_path / "o"
@@ -1150,31 +1176,90 @@ LAZY_NUMPY_MODULES = ("numpy.ma", "numpy.polynomial")
 STARTUP_PROBE = """\
 import json, sys
 from treemkl.cli import main
-code = main(sys.argv[1:])
-print(json.dumps([code, [m for m in {lazy!r} if m in sys.modules]]))
-""".format(lazy=LAZY_NUMPY_MODULES)
+try:
+    code = main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps([code, sorted(sys.modules)]))
+"""
+
+# the treemkl modules each command loads: the parser's own, then what the
+# command runs
+PARSER_MODULES = {"cli", "choices", "errors"}
+SCORING_MODULES = PARSER_MODULES | {"dataio", "hierarchy", "kernels",
+                                    "pipeline", "simplex", "svm"}
+COMMAND_MODULES = {
+    "--help": PARSER_MODULES,
+    "report": PARSER_MODULES,
+    "gen-synth": PARSER_MODULES | {"dataio", "hierarchy", "synth"},
+    "pool": SCORING_MODULES,
+    "eval": SCORING_MODULES,
+    "fuse-eval": SCORING_MODULES,
+    "train-em": SCORING_MODULES | {"em"},
+    "train-dmkl": SCORING_MODULES | {"dmkl"},
+}
 
 
-@pytest.mark.parametrize("command",
-                         ["gen-synth", "train-em", "train-dmkl", "eval"])
-def test_command_imports_no_lazy_numpy_module(workspace, tmp_path, command):
-    # each command in a fresh interpreter, as the command line runs it
-    manifest = workspace / "data" / "manifest.jsonl"
-    flags = {
-        "gen-synth": [],
-        "train-em": ["--manifest", manifest, "--depth", 3, "--max-iters", 2],
-        "train-dmkl": ["--manifest", manifest, "--depth", 3, "--iters", 20],
-        "eval": ["--model", workspace / "em_a" / "model.json",
-                 "--manifest", manifest],
-    }[command]
+def fresh_interpreter(*argv):
+    """Runs ``python argv...`` with this package importable; its stdout."""
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(os.path.abspath(pipeline.__file__)))
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-c", STARTUP_PROBE, command,
-         *map(str, flags), "--out", str(tmp_path / "out")],
-        env=env, capture_output=True, text=True, timeout=300)
+    proc = subprocess.run([sys.executable, *map(str, argv)], env=env,
+                          capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
-    code, loaded = json.loads(proc.stdout.splitlines()[-1])
-    assert code == 0 and loaded == [], proc.stderr[-2000:]
+    return proc.stdout
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_MODULES))
+def test_command_imports_no_lazy_numpy_module(workspace, tmp_path, command):
+    # each command in a fresh interpreter, as the command line runs it
+    manifest = workspace / "data" / "manifest.jsonl"
+    runs = tmp_path / "runs"
+    (runs / "r").mkdir(parents=True)
+    (runs / "r" / "metrics.json").write_text(json.dumps(
+        {"overall_accuracy": 1.0, "config": {"route": "em"}}))
+    out = ["--out", tmp_path / "out"]
+    argv = {
+        "--help": [],
+        "report": ["--runs", runs, *out],
+        "gen-synth": out,
+        "pool": ["--manifest", manifest, "--depth", 3, *out],
+        "train-em": ["--manifest", manifest, "--depth", 3, "--max-iters", 2,
+                     *out],
+        "train-dmkl": ["--manifest", manifest, "--depth", 3, "--iters", 20,
+                       *out],
+        "eval": ["--model", workspace / "em_a" / "model.json",
+                 "--manifest", manifest, *out],
+        "fuse-eval": ["--model-a", workspace / "dm_a" / "model.json",
+                      "--model-m", workspace / "dm_m" / "model.json",
+                      "--manifest", manifest, *out],
+    }[command]
+    stdout = fresh_interpreter("-c", STARTUP_PROBE, command, *argv)
+    code, loaded = json.loads(stdout.splitlines()[-1])
+    assert code == 0
+    assert [m for m in LAZY_NUMPY_MODULES if m in loaded] == []
+    assert {m.split(".", 1)[1] for m in loaded
+            if m.startswith("treemkl.")} == COMMAND_MODULES[command]
+    if COMMAND_MODULES[command] == PARSER_MODULES:
+        assert "numpy" not in loaded
+
+
+def test_package_import_loads_no_module():
+    stdout = fresh_interpreter(
+        "-c", "import json, sys, treemkl; print(json.dumps(sorted("
+              "m for m in sys.modules if m.partition('.')[0] in "
+              "('numpy', 'treemkl'))))")
+    assert json.loads(stdout) == ["treemkl"]
+
+
+def test_public_names_are_their_owners_objects():
+    import treemkl
+    assert len(treemkl.__all__) == len(set(treemkl.__all__)) > 50
+    for name in treemkl.__all__:
+        value = getattr(treemkl, name)
+        owner = getattr(value, "__module__", "treemkl.choices")
+        assert getattr(sys.modules[owner], name) is value, name
+    with pytest.raises(AttributeError, match="no_such_name"):
+        treemkl.no_such_name
