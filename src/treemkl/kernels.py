@@ -18,33 +18,35 @@ stay in [0, 1].
 Computing a Gram matrix re-weights a fixed set of elementary node
 kernels, so :class:`NodeKernelCache` evaluates them once per (tree set,
 kernel config) and every ``beta``-dependent quantity afterwards is a
-cheap contraction. This pairwise table is the quadratic-cost core of the
-whole method. Every table is stored pair-major, ``(rows, cols, ...)``:
-one video pair's node kernels are contiguous, so a contraction with the
-weights is one matrix-vector product.
+cheap contraction. Every table is stored pair-major, ``(rows, cols,
+...)``: one video pair's node kernels are contiguous, so a contraction
+with the weights is one matrix-vector product.
 
-The averaging variant's cross kernels have ``nodes**2`` entries per
-pair, and no route holds them whole: they are computed one tile of row
-videos by column videos at a time and reduced as each tile is made. A
-tile spans at least ``_TILE_ROWS`` kernel rows, so each kernel product
-has a panel shape BLAS runs at full rate, and as many column videos as
-keep it within ``_BLOCK_ELEMENTS``. The alternating route ties the node
-weights per level, ``beta = M gamma``, and contracts each tile with
-``M`` on both node axes into a fixed level table with ``levels**2``
-entries per pair, whose contraction with
-``outer(gamma, gamma)`` is ``K``; concatenation's level table is
-``aligned() @ M``. The largest table any route allocates is therefore
-(rows, cols, nodes) or (rows, cols, levels**2), and the cache refuses
-one above ``_DENSE_LIMIT`` elements with a :class:`ValidationError`.
+The node kernels are computed one tile of row videos by column videos
+at a time and reduced as each tile is made; no route holds the
+averaging variant's ``nodes**2`` cross kernels per pair whole. A tile
+spans at least ``_TILE_ROWS`` kernel rows, so each kernel product has a
+panel shape BLAS runs at full rate, and as many column videos as keep
+it within ``_BLOCK_ELEMENTS``. Every product is a general matrix
+product of a copied row panel, so a value's bits do not depend on which
+nodes the trees hold or which weights are zero. There is one reducer,
+``level_table(tie, variant)``: it contracts each node axis with
+``tie``, evaluating only the nodes whose ``tie`` row is non-zero. The
+alternating route ties the node weights per level, ``beta = M gamma``,
+and builds the fixed table at ``tie = M``, with ``levels`` (concatenation)
+or ``levels**2`` (averaging) entries per pair; a combined kernel is the
+one-column table at ``tie = beta[:, None]``. The largest table any route
+allocates is (rows, cols, nodes), read by contrastive concatenation
+training, or (rows, cols, levels**2), and the cache refuses one above
+``_DENSE_LIMIT`` elements with a :class:`ValidationError`.
 
 Over one tree set (training) the node kernels are symmetric,
 ``kappa(a_im, a_ju) = kappa(a_ju, a_im)``, so the row videos ``r0:r1``
 are computed only against the videos from ``r0`` on: each video pair
 once, plus the lower half of the tiles' square on the diagonal. The
 pairs ``(j, i)`` with ``j >= r1`` are read from the same tile with the
-node axes swapped; ``aligned()`` is computed the same way, one node at
-a time, and mirrored. Between two tree sets (test columns) the tiles
-of each row range cover every column video.
+node axes swapped, or mirrored. Between two tree sets (test columns)
+the tiles of each row range cover every column video.
 """
 
 from __future__ import annotations
@@ -168,6 +170,10 @@ def _check_pair(a: PooledTree, b: PooledTree, beta: np.ndarray) -> np.ndarray:
     if a.depth != b.depth or a.dim != b.dim:
         raise ShapeMismatch(
             f"trees {a.video_id}/{b.video_id} have mismatched shapes")
+    if a.nodes != b.nodes:
+        raise ShapeMismatch(
+            f"tree {a.video_id} holds nodes {a.nodes}, tree {b.video_id} "
+            f"holds {b.nodes}")
     beta = np.asarray(beta, dtype=np.float64)
     if beta.shape != (a.node_count,):
         raise ShapeMismatch(
@@ -219,31 +225,29 @@ class GramMatrix:
 
 
 class NodeKernelCache:
-    """Elementary node kernels between two tree sets, computed once.
+    """Elementary node kernels between two tree sets, streamed in tiles.
 
-    The tables are pair-major. ``aligned()[i, j, m] = kappa(row_i[m],
-    col_j[m])`` is built once and kept. The averaging variant's cross
-    kernels ``kappa(row_i[m], col_j[n])`` are never kept: the one loop
-    that computes them, ``_cross_blocks``, streams tiles of at least
-    ``_TILE_ROWS`` kernel rows and at most ``_BLOCK_ELEMENTS`` elements,
-    and each consumer reduces a tile as it is made. ``table_blocks``
-    yields them pair-major, ``level_table(M, variant)`` contracts each
-    node axis with ``M`` into a fixed table, and ``combined(beta,
-    AVERAGING)`` reduces each tile to kernel values. So a training run
-    holds at most one table, and beside it tiles. ``combined``
-    evaluates only the nodes whose weight is
-    non-zero: the columns of ``aligned()`` for concatenation, both
-    node axes of the cross kernels for averaging. Every table is refused
-    above ``_DENSE_LIMIT`` elements before it is allocated. ``cross()``
-    and ``pair_blocks`` are test oracles that no route calls.
+    The tables are pair-major, and the cache keeps none but ``cross()``:
+    the one loop that computes them, ``_cross_blocks``, streams tiles of
+    at least ``_TILE_ROWS`` kernel rows and at most ``_BLOCK_ELEMENTS``
+    elements, each a general matrix product, and each consumer reduces a
+    tile as it is made. ``level_table(tie, variant)`` contracts each
+    node axis with ``tie`` into a fixed table, from the nodes whose
+    ``tie`` row is non-zero only, and ``combined(beta, variant)`` is its
+    one column at ``tie = beta[:, None]``. ``table_blocks`` yields the
+    variant's node table: ``aligned()[i, j, m] = kappa(row_i[m],
+    col_j[m])`` whole, or the cross kernels ``kappa(row_i[m], col_j[n])``
+    one tile at a time. So a run holds at most one table, and beside it
+    tiles. Every table is refused above ``_DENSE_LIMIT`` elements before
+    it is allocated. ``cross()`` and ``pair_blocks`` are test oracles
+    that no route calls.
 
     A cache over two tree sets streams every column video for each
     row tile. A cache over one tree set streams, for the row videos
     ``r0:r1``, only the column videos from ``r0`` on: ``aligned()``,
-    ``table_blocks``, both ``level_table`` variants and both ``combined``
-    variants cover the upper triangle of video pairs, and all but
-    ``table_blocks`` fill the lower one from it. ``cross()`` still
-    streams every column video.
+    ``table_blocks``, ``level_table`` and ``combined`` cover the upper
+    triangle of video pairs, and all but ``table_blocks`` fill the lower
+    one from it. ``cross()`` still streams every column video.
     """
 
     def __init__(self, row_trees: list[PooledTree], cfg: KernelConfig,
@@ -259,8 +263,6 @@ class NodeKernelCache:
                 raise ShapeMismatch(
                     "row/col trees have mismatched shapes or node sets")
         self.nodes = self.rows.shape[1]
-        self._every_node = self.nodes == 2 ** row_trees[0].depth - 1
-        self._aligned: np.ndarray | None = None
         self._cross: np.ndarray | None = None
 
     def _check_beta(self, beta: np.ndarray) -> np.ndarray:
@@ -283,17 +285,13 @@ class NodeKernelCache:
         return np.empty((nr, nc, width))
 
     def aligned(self) -> np.ndarray:
-        if self._aligned is None:
-            self._aligned = self._aligned_nodes(range(self.nodes))
-        return self._aligned
-
-    def _aligned_nodes(self, nodes) -> np.ndarray:
-        """The columns ``nodes`` of ``aligned()``, computed afresh; a
-        one-set cache computes the upper triangle and mirrors it."""
-        out = self._empty_table(len(nodes))
-        for k, node in enumerate(nodes):
+        """``aligned()[i, j, m] = kappa(row_i[m], col_j[m])``, computed
+        afresh one node at a time and not kept; a one-set cache computes
+        the upper triangle and mirrors it."""
+        out = self._empty_table(self.nodes)
+        for node in range(self.nodes):
             for r0, r1, c0, c1, tile in self._aligned_tiles(node):
-                out[r0:r1, c0:c1, k] = tile
+                out[r0:r1, c0:c1, node] = tile
         return self._mirrored(out)
 
     def _aligned_tiles(self, node: int):
@@ -318,10 +316,11 @@ class NodeKernelCache:
         tiles of at least ``_TILE_ROWS`` kernel rows (all of them when
         there are fewer), and each row tile's columns into tiles of at
         most ``_BLOCK_ELEMENTS`` elements, at least one column video
-        wide. A one-set cache starts the column tiles of row tile
-        ``r0:r1`` at ``c0 = r0`` unless ``all_cols``, else at 0; that
-        upper triangle of video pairs covers every pair only when both
-        node selections are the same."""
+        wide. Each row panel is copied, so every product is a general
+        matrix product, views or not. A one-set cache starts the column
+        tiles of row tile ``r0:r1`` at ``c0 = r0`` unless ``all_cols``,
+        else at 0; that upper triangle of video pairs covers every pair
+        only when both node selections are the same."""
         rows, cols = self.rows[:, row_nodes], self.cols[:, col_nodes]
         nr, a, d = rows.shape
         nc, m = cols.shape[:2]
@@ -334,7 +333,10 @@ class NodeKernelCache:
         width = max(1, _BLOCK_ELEMENTS // (-(-nr // count) * a * m))
         for t in range(count):
             r0, r1 = t * nr // count, (t + 1) * nr // count
-            x = rows[r0:r1].reshape(-1, d)
+            # a copy, so that a one-set tile whose row and column videos
+            # coincide is not one array times its own transpose, which BLAS
+            # would run as a symmetric rank-k update and round otherwise
+            x = rows[r0:r1].reshape(-1, d).copy()
             for c0 in range(r0 if upper else 0, nc, width):
                 c1 = min(c0 + width, nc)
                 yield r0, r1, c0, c1, _kernel_matrix(
@@ -373,9 +375,10 @@ class NodeKernelCache:
         """The variant's node kernels with each node axis contracted with
         ``tie``, shape (nodes, k): a pair-major table whose contraction
         with ``node_weights(gamma, variant)`` is the combined kernel at
-        ``beta = tie @ gamma``. Concatenation gives ``aligned() @ tie``,
-        (rows, cols, k), accumulated one node and one tile at a time
-        into the levels where ``tie`` is non-zero; averaging gives
+        ``beta = tie @ gamma``, from the node kernels of the nodes whose
+        ``tie`` row is non-zero only. Concatenation gives ``aligned() @
+        tie``, (rows, cols, k), accumulated one node and one tile at a
+        time into the levels where ``tie`` is non-zero; averaging gives
         ``T[i, j, l, l'] = sum_{m,n} tie[m, l] tie[n, l'] kappa(row_i[m],
         col_j[n])``, flattened to (rows, cols, k * k), from the streamed
         cross kernels contracted tile by tile on the column-node axis,
@@ -389,10 +392,11 @@ class NodeKernelCache:
             raise ShapeMismatch(
                 f"tie has shape {tie.shape} for {self.nodes} nodes")
         k = tie.shape[1]
+        held = np.flatnonzero(tie.any(axis=1))
         if canonical_variant(variant) == CONCATENATION:
             out = self._empty_table(k, "levels")
             out.fill(0.0)
-            for node in range(self.nodes):
+            for node in held:
                 levels = np.flatnonzero(tie[node])
                 for r0, r1, c0, c1, tile in self._aligned_tiles(node):
                     out[r0:r1, c0:c1, levels] += (tile[:, :, None]
@@ -402,7 +406,10 @@ class NodeKernelCache:
         nr, nc = out.shape[:2]
         table = out.reshape(nr, nc, k, k)
         mirror = self.cols is self.rows
-        for r0, r1, c0, c1, tile in self._cross_blocks():
+        if held.size == self.nodes:
+            held = slice(None)
+        tie = tie[held]
+        for r0, r1, c0, c1, tile in self._cross_blocks(held, held):
             r, a, c, m = tile.shape
             # (r, a, c, m) -> (r, a, c * k) -> (r, k, c * k) -> (r, c, k, k)
             partial = (tile.reshape(-1, m) @ tie).reshape(r, a, c * k)
@@ -416,33 +423,13 @@ class NodeKernelCache:
         return out
 
     def combined(self, beta: np.ndarray, variant: str) -> np.ndarray:
-        """Combined-kernel values, shape (rows, cols), from the node
-        kernels of the nodes with non-zero weight only; exactly symmetric
-        for an averaging one-set cache, whose upper triangle is computed
-        and mirrored."""
-        variant = canonical_variant(variant)
+        """Combined-kernel values, shape (rows, cols): the one-column
+        ``level_table(beta[:, None], variant)``, so only the nodes with
+        non-zero weight are evaluated; exactly symmetric over one tree
+        set, whose upper triangle is mirrored."""
         beta = self._check_beta(beta)
-        nodes = np.flatnonzero(beta)
-        dense = nodes.size == self.nodes
-        if variant == CONCATENATION:
-            if dense:
-                return contract_table(self.aligned(), beta)
-            return contract_table(self._aligned_nodes(nodes), beta[nodes])
-        if dense and self._every_node:
-            # views of every node, not copies. A one-set tile whose row
-            # and column videos coincide is then one array times its own
-            # transpose, which BLAS runs as a symmetric rank-k update and
-            # rounds otherwise than a general product of copies; so trees
-            # that hold only the weighted nodes take copies, and give the
-            # bits of trees that hold every node
-            nodes = slice(None)
-        weights = beta[nodes]
-        out = np.empty((self.rows.shape[0], self.cols.shape[0]))
-        for r0, r1, c0, c1, tile in self._cross_blocks(nodes, nodes):
-            out[r0:r1, c0:c1] = contract_table(
-                np.tensordot(weights, tile, axes=(0, 1)), weights)
-            del tile                    # freed before the next tile is made
-        return self._mirrored(out)
+        table = self.level_table(beta[:, None], variant)
+        return self._mirrored(table.reshape(table.shape[:2]))
 
     def pair_blocks(self, i_idx: np.ndarray, j_idx: np.ndarray,
                     variant: str) -> np.ndarray:

@@ -334,6 +334,13 @@ class TestHeldNodes:
         with pytest.raises(errors.ShapeMismatch, match="node sets"):
             NodeKernelCache([rows], RBF, [cols])
 
+    def test_combined_kernel_refuses_trees_that_hold_different_nodes(
+            self, rng):
+        a, b = self.trees(rng, (1, 2), (3, 4))
+        with pytest.raises(errors.ShapeMismatch,
+                           match=r"tree v0 holds nodes \(1, 2\), tree v1"):
+            combined_kernel(a, b, np.ones(2) / 2, AVERAGING, RBF)
+
 
 class TestNodeKernelCache:
     def test_combined_matches_gram(self, rng):
@@ -353,22 +360,33 @@ class TestNodeKernelCache:
                                                     small_tiles, variant,
                                                     two_sets):
         # a vertex and a three-node support against the untrimmed
-        # contraction, over ragged tiles
+        # contraction, over ragged tiles: combined's beta, and a level
+        # table whose tie rows outside the support are zero
         rows = random_trees(rng, n=7, depth=3)
         cols = random_trees(rng, n=5, depth=3) if two_sets else None
         evaluated = counting_kernel_matrix(monkeypatch)
         for support in ([2], [0, 4, 6]):
             beta = np.zeros(7)
             beta[support] = to_simplex(rng.standard_normal(len(support)))
+            tie = Hierarchy(3).level_matrix * (beta > 0)[:, None]
             oracle = NodeKernelCache(rows, RBF, cols)
-            expected = kernels.contract_table(
-                oracle.aligned() if variant == CONCATENATION
-                else oracle.cross(), node_weights(beta, variant))
-            evaluated.clear()
-            got = NodeKernelCache(rows, RBF, cols).combined(beta, variant)
-            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+            if variant == CONCATENATION:
+                node_table = oracle.aligned()
+                level_table = node_table @ tie
+            else:
+                node_table = oracle.cross()
+                level_table = np.einsum("ijmn,ml,nk->ijlk", node_table, tie,
+                                        tie).reshape(*node_table.shape[:2], 9)
             pairs = len(support) ** (1 if variant == CONCATENATION else 2)
-            assert sum(evaluated) <= 7 * (5 if two_sets else 7) * pairs
+            for run, expected in (
+                    (lambda c: c.combined(beta, variant),
+                     kernels.contract_table(node_table,
+                                            node_weights(beta, variant))),
+                    (lambda c: c.level_table(tie, variant), level_table)):
+                evaluated.clear()
+                got = run(NodeKernelCache(rows, RBF, cols))
+                np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+                assert sum(evaluated) <= 7 * (5 if two_sets else 7) * pairs
 
     def test_pair_blocks_match_elementary(self, rng):
         trees = random_trees(rng, n=5, depth=2)
@@ -522,6 +540,19 @@ class TestNodeKernelCache:
                                         node_weights(beta, AVERAGING)),
             rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("variant", [CONCATENATION, AVERAGING])
+    def test_combined_refuses_values_over_limit(self, rng, monkeypatch,
+                                                variant):
+        # combined's one-column level table is the only table it holds
+        cache = NodeKernelCache(random_trees(rng, n=7, depth=2), RBF,
+                                random_trees(rng, n=5, depth=2))
+        beta = to_simplex(rng.standard_normal(3))
+        monkeypatch.setattr(kernels, "_DENSE_LIMIT", 7 * 5 - 1)
+        with pytest.raises(errors.ValidationError, match="7 x 5 videos"):
+            cache.combined(beta, variant)
+        monkeypatch.setattr(kernels, "_DENSE_LIMIT", 7 * 5)
+        assert cache.combined(beta, variant).shape == (7, 5)
+
     def test_level_table_checks_tie_shape(self, rng):
         cache = NodeKernelCache(random_trees(rng, n=4, depth=2), RBF)
         with pytest.raises(errors.ShapeMismatch, match="3 nodes"):
@@ -581,6 +612,28 @@ class TestTiles:
                                  random_trees(rng, n=70, depth=4, dim=2)),
                  False)):
             self.check_tiles(cache, nodes, all_cols)
+
+    @pytest.mark.parametrize("depth", [2, 3, 4])
+    @pytest.mark.parametrize("n, dim, per_tile", [(6, 3, 2), (8, 16, 4),
+                                                  (12, 5, 3), (12, 64, 6)])
+    def test_views_and_copies_round_alike(self, rng, monkeypatch, depth, n,
+                                          dim, per_tile):
+        # row tiles of per_tile videos whose first column tile is the same
+        # videos: over views of every node that tile's kernel product is
+        # one array times its own transpose, over the node copies it is not
+        m = 2 ** depth - 1
+        monkeypatch.setattr(kernels, "_TILE_ROWS", per_tile * m)
+        monkeypatch.setattr(kernels, "_BLOCK_ELEMENTS", (per_tile * m) ** 2)
+        cache = NodeKernelCache(random_trees(rng, n=n, depth=depth, dim=dim),
+                                RBF)
+        every = np.arange(m)
+        views = list(cache._cross_blocks())
+        copies = list(cache._cross_blocks(every, every))
+        assert len(views) == len(copies)
+        assert any(r0 == c0 and r1 == c1 for r0, r1, c0, c1, _ in views)
+        for (*at, view), (*at_copy, copy) in zip(views, copies):
+            assert at == at_copy
+            np.testing.assert_array_equal(view, copy)
 
     @pytest.mark.parametrize("n", [7, 9, 10])
     def test_ragged_tiles(self, rng, small_tiles, n):
@@ -647,29 +700,43 @@ class TestCrossMemory:
         stacked = 60 * self.NODES * 4096 * 8
         assert peak <= stacked + 4 * kernels._BLOCK_ELEMENTS * 8
 
-    @pytest.mark.parametrize("route", ["em_fit", "dmkl_fit", "gram_matrix",
-                                       "kernel_columns", "level_table"])
-    def test_no_route_builds_cross_tensor(self, rng, monkeypatch, route):
+    @staticmethod
+    def run_route(rng, monkeypatch, route, variant, table):
+        """Run ``route`` under ``variant`` with the ``NodeKernelCache``
+        method ``table`` patched to fail."""
         trees = random_trees(rng, n=12, depth=3, dim=4)
         labels = np.array([1 + (i % 3) for i in range(12)])
         beta = to_simplex(rng.standard_normal(7))
 
-        def no_cross(cache):
-            raise AssertionError(f"{route} built the cross tensor")
+        def refuse(cache):
+            raise AssertionError(f"{route} called {table}")
 
-        monkeypatch.setattr(NodeKernelCache, "cross", no_cross)
+        monkeypatch.setattr(NodeKernelCache, table, refuse)
         runs = {
-            "em_fit": lambda: em_fit(trees, labels, AVERAGING, RBF,
+            "em_fit": lambda: em_fit(trees, labels, variant, RBF,
                                      EmConfig(max_iters=2)),
-            "dmkl_fit": lambda: dmkl_fit(trees, labels, AVERAGING,
+            "dmkl_fit": lambda: dmkl_fit(trees, labels, variant,
                                          ContrastiveConfig(iterations=2), RBF),
-            "gram_matrix": lambda: gram_matrix(trees, beta, AVERAGING, RBF),
+            "gram_matrix": lambda: gram_matrix(trees, beta, variant, RBF),
             "kernel_columns": lambda: kernel_columns(trees[:5], trees[5:],
-                                                     beta, AVERAGING, RBF),
+                                                     beta, variant, RBF),
             "level_table": lambda: NodeKernelCache(trees, RBF).level_table(
-                Hierarchy(3).level_matrix, AVERAGING),
+                Hierarchy(3).level_matrix, variant),
         }
         runs[route]()
+
+    @pytest.mark.parametrize("route", ["em_fit", "dmkl_fit", "gram_matrix",
+                                       "kernel_columns", "level_table"])
+    def test_no_route_builds_cross_tensor(self, rng, monkeypatch, route):
+        self.run_route(rng, monkeypatch, route, AVERAGING, "cross")
+
+    @pytest.mark.parametrize("route", ["em_fit", "gram_matrix",
+                                       "kernel_columns"])
+    def test_only_contrastive_training_builds_aligned_table(
+            self, rng, monkeypatch, route):
+        # concatenation scoring and the alternating route never build the
+        # (rows, cols, nodes) table; contrastive training reads it
+        self.run_route(rng, monkeypatch, route, CONCATENATION, "aligned")
 
     def assert_wide_rows_stream_in_three_blocks(self, rng, dim):
         """Peak minus output of the averaging ``level_table`` and
