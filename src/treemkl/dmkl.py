@@ -14,12 +14,13 @@ never binds and the loss is exactly quadratic in ``w = node_weights(beta)``:
 ``L(w) = w^T A w - 2 b^T w + c``, with ``A = sum_p c_p F_p F_p^T``,
 ``b`` and ``c`` the sums of ``c_p F_p`` and ``c_p`` over positive pairs,
 and ``F_p`` pair p's row of node kernels. These moments are built once;
-each step then costs O(q^2) for q = nodes or nodes**2, whatever the
-number of videos, and is a pairwise Frank-Wolfe step of exact length
-(Lacoste-Julien & Jaggi, NeurIPS 2015). ``dmkl_fit`` then frees the
-moments, builds one Gram matrix from the frozen weights and its own
-node-kernel cache, and trains the one-vs-rest machines on it in a single
-step.
+each step then costs O(q^2) for q = nodes (concatenation) or
+nodes(nodes+1)/2 (averaging, whose rows hold each unordered node pair
+once), whatever the number of videos, and is a pairwise Frank-Wolfe
+step of exact length (Lacoste-Julien & Jaggi, NeurIPS 2015).
+``dmkl_fit`` then frees the moments, builds one Gram matrix from the
+frozen weights and its own node-kernel cache, and trains the one-vs-rest
+machines on it in a single step.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .errors import ShapeMismatch, TooFewVideos, ValidationError
 from .hierarchy import PooledTree
 from .kernels import (
     _DENSE_LIMIT,
+    AVERAGING,
     KernelConfig,
     NodeKernelCache,
     canonical_variant,
@@ -54,6 +56,15 @@ from .svm import SvmModel, TrainConfig, one_vs_rest_classes, train_one_vs_rest
 # 2013), and measures first-order stationarity for averaging.
 FW_GAP_TOL = 1e-12
 STOP_REASONS = ("gap", "max_iters")
+
+# fewest pairs whose rows pair_moments adds to A in one product, and the
+# rows of A each product fills. A tile of depth-6 averaging kernels holds
+# 16 pairs, and a product per tile is bound by the traffic of the
+# (2016, 2016) A: on the README appearance data at depth 6 (2-core Xeon VM,
+# OpenBLAS on one thread) the moments took 5.9 s per tile, and 3.1 / 2.1 /
+# 1.8 / 1.8 / 1.7 s in batches of at least 64 / 128 / 256 / 512 / 1,024
+# pairs, then 1.5 s at 256 with only the upper triangle computed
+_MOMENT_PANEL = 256
 
 
 @dataclass(frozen=True)
@@ -127,6 +138,7 @@ class DmklResult:
     beta_trace: np.ndarray          # weights at start plus after each step
     stop_reason: str                # one of STOP_REASONS
     fw_gap: float                   # grad @ beta - min(grad) at the weights
+    kernel_table: tuple             # name and shape of the largest table held
 
 
 def pair_moments(cache: NodeKernelCache, table: _PairTable, variant: str,
@@ -138,7 +150,11 @@ def pair_moments(cache: NodeKernelCache, table: _PairTable, variant: str,
     node kernels, q = ``len(node_weights)``, is ``tile[i - r0, j - c0]``
     of the ``cache.table_blocks`` tile whose row range holds i and whose
     column range holds j (every pair has ``j > i``, in the upper triangle
-    the tiles cover). A (q, q) ``A`` over ``_DENSE_LIMIT`` is refused."""
+    the tiles cover). The rows are summed into ``A`` in batches of at
+    least ``_MOMENT_PANEL`` pairs, one panel of ``_MOMENT_PANEL`` rows of
+    ``A`` at a time from its diagonal on; the blocks left of the diagonal
+    panels are copied from those above them. A (q, q) ``A`` over
+    ``_DENSE_LIMIT`` is refused."""
     variant = canonical_variant(variant)
     q = node_weights(np.ones(cache.nodes), variant).size
     if q * q > _DENSE_LIMIT:
@@ -152,14 +168,44 @@ def pair_moments(cache: NodeKernelCache, table: _PairTable, variant: str,
             else np.where(pos, f / pos.sum(), (1.0 - f) / (~pos).sum()))
     coef_pos = np.where(pos, coef, 0.0)
     A, b = np.zeros((q, q)), np.zeros(q)
+    for at, rows in _pair_rows(cache, table, variant):
+        weighted = coef[at, None] * rows
+        # each panel of rows from its diagonal block on
+        for s in range(0, q, _MOMENT_PANEL):
+            e = s + _MOMENT_PANEL
+            A[s:e, s:] += rows[:, s:e].T @ weighted[:, s:]
+        b += coef_pos[at] @ rows
+    for s in range(_MOMENT_PANEL, q, _MOMENT_PANEL):
+        A[s:s + _MOMENT_PANEL, :s] = A[:s, s:s + _MOMENT_PANEL].T
+    return A, b, float(coef_pos.sum())
+
+
+def _pair_rows(cache: NodeKernelCache, table: _PairTable, variant: str):
+    """Yield ``(at, rows)``: indices into the pairs of ``table`` and those
+    pairs' rows of node kernels, gathered from whole
+    ``cache.table_blocks`` tiles until a batch holds at least
+    ``_MOMENT_PANEL`` pairs (the last batch may hold fewer)."""
+    batch, size = [], 0
     for r0, c0, tile in cache.table_blocks(variant):
         lo, hi = np.searchsorted(table.i, (r0, r0 + tile.shape[0]))
         j = table.j[lo:hi]
         at = lo + np.flatnonzero((j >= c0) & (j < c0 + tile.shape[1]))
-        rows = tile[table.i[at] - r0, table.j[at] - c0]
-        A += rows.T @ (coef[at, None] * rows)
-        b += coef_pos[at] @ rows
-    return A, b, float(coef_pos.sum())
+        batch.append((at, tile[table.i[at] - r0, table.j[at] - c0]))
+        size += at.size
+        if size >= _MOMENT_PANEL:
+            yield _joined(batch)
+            batch, size = [], 0
+    if batch:
+        yield _joined(batch)
+
+
+def _joined(batch: list) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(at, rows)`` of a batch of tiles: its one tile's as they are,
+    so the rows of the whole aligned table are not copied, else all its
+    tiles' joined."""
+    if len(batch) == 1:
+        return batch[0]
+    return tuple(map(np.concatenate, zip(*batch)))
 
 
 def segment_quartic(A: np.ndarray, b: np.ndarray, c: float, beta: np.ndarray,
@@ -227,13 +273,17 @@ def dmkl_fit(trees: list[PooledTree], labels: np.ndarray, variant: str,
         beta_trace.append(beta.copy())
     stop_reason = "gap" if fw_gap <= FW_GAP_TOL else "max_iters"
     weights = SimplexPoint(beta)
-    del A, b  # free the moments first: averaging's A is 126 MB at depth 6
+    # concatenation's moments are small beside the aligned table they sum
+    kernel_table = (("moments", A.shape) if variant == AVERAGING else
+                    ("aligned", (len(trees), len(trees), cache.nodes)))
+    del A, b  # free the moments first: averaging's A is 32.5 MB at depth 6
     gram = mirrored_gram(cache.combined(weights.beta, variant), cache.row_ids)
     return DmklResult(weights=weights,
                       model=train_one_vs_rest(gram, labels, svm_cfg),
                       loss_trace=np.asarray(loss_trace),
                       beta_trace=np.asarray(beta_trace),
-                      stop_reason=stop_reason, fw_gap=fw_gap)
+                      stop_reason=stop_reason, fw_gap=fw_gap,
+                      kernel_table=kernel_table)
 
 
 def dmkl_then_svm(trees: list[PooledTree], labels: np.ndarray, variant: str,

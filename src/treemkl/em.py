@@ -95,6 +95,7 @@ class EmResult:
     pair_updates: int               # over all those dual solves
     backtracks: int                 # rejected candidates
     stop_reason: str                # one of STOP_REASONS
+    kernel_table: tuple             # name and shape of the fixed table held
 
 
 def backtracked_eta(eta: float, rise: float, slope: float) -> float:
@@ -113,11 +114,12 @@ def beta_objective_coeffs(model: SvmModel, table: np.ndarray) -> np.ndarray:
     over the model's training videos with its dual solutions: with
     ``s_c`` row c of ``model.alpha * model.signs``, ``0.5 * sum_c s_c'
     table[:, :, p] s_c`` for each trailing index ``p``, in the shape of
-    the trailing axes. That is a non-negative vector for the aligned
-    node kernels or the concatenation level table, and a symmetric PSD
-    matrix (a Gram matrix of per-node or per-level function components)
-    for the cross tensor or the averaging level table reshaped square.
-    Minus its ``node_weights_pullback`` is ``em_fit``'s gradient.
+    the trailing axes. For the concatenation level table that is a
+    non-negative vector, one entry per level. For the averaging level
+    table it is the packed upper triangle, one entry per unordered
+    level pair, of a symmetric PSD matrix: the Gram matrix of the
+    per-level function components. Minus its ``node_weights_pullback``
+    is ``em_fit``'s gradient.
     """
     n = model.n_train
     table = np.asarray(table)
@@ -141,9 +143,10 @@ def em_fit(trees: list[PooledTree], labels: np.ndarray, variant: str,
     vertex the next step would move to, when both ``gamma`` and every
     ``alpha`` move less than ``param_tol`` in max-norm, or when no
     candidate of the line search keeps the objective from rising.
-    Holds one fixed level table and, beside it, n x n Grams;
-    ``NodeKernelCache`` raises :class:`ValidationError` before
-    allocating a table above ``kernels._DENSE_LIMIT`` elements.
+    Holds one fixed level table, (n, n, levels) for concatenation or
+    (n, n, levels * (levels + 1) / 2) for averaging, and, beside it,
+    n x n Grams; ``NodeKernelCache`` raises :class:`ValidationError`
+    before allocating a table above ``kernels._DENSE_LIMIT`` elements.
     """
     variant = canonical_variant(variant)
     labels = np.asarray(labels)
@@ -217,4 +220,5 @@ def em_fit(trees: list[PooledTree], labels: np.ndarray, variant: str,
                     beta_trace=np.asarray(gamma_trace) @ tie.T,
                     iterations=iterations, dual_solves=dual_solves,
                     pair_updates=pair_updates, backtracks=backtracks,
-                    stop_reason=stop_reason)
+                    stop_reason=stop_reason,
+                    kernel_table=("level_table", table.shape))

@@ -10,10 +10,14 @@ Two videos are compared through their pooled trees. With node weights
 
 Both are the weighted sum ``table @ node_weights(beta, variant)`` of
 node kernels; the variant enters only through which node pairs the
-table holds and their weights. Both are positive semi-definite for any
-non-negative ``beta`` because sums and products preserve PSD-ness; with
-an RBF elementary kernel and ``beta`` on the simplex all combined values
-stay in [0, 1].
+table holds and their weights. Since ``beta' K beta = beta' sym(K)
+beta`` with ``sym(K) = (K + K') / 2``, an averaging table holds each
+unordered node pair once: the upper triangle of ``sym(K)``, diagonal
+included, ``nodes * (nodes + 1) / 2`` entries per video pair, whose
+off-diagonal weights ``node_weights`` doubles. Both are positive
+semi-definite for any non-negative ``beta`` because sums and products
+preserve PSD-ness; with an RBF elementary kernel and ``beta`` on the
+simplex all combined values stay in [0, 1].
 
 Computing a Gram matrix re-weights a fixed set of elementary node
 kernels, so :class:`NodeKernelCache` evaluates them once per (tree set,
@@ -24,7 +28,7 @@ with the weights is one matrix-vector product.
 
 The node kernels are computed one tile of row videos by column videos
 at a time and reduced as each tile is made; no route holds the
-averaging variant's ``nodes**2`` cross kernels per pair whole. A tile
+averaging variant's cross kernels of every video pair whole. A tile
 spans at least ``_TILE_ROWS`` kernel rows, so each kernel product has a
 panel shape BLAS runs at full rate, and as many column videos as keep
 it within ``_BLOCK_ELEMENTS``. Every product is a general matrix
@@ -34,23 +38,26 @@ nodes the trees hold or which weights are zero. There is one reducer,
 ``tie``, evaluating only the nodes whose ``tie`` row is non-zero. The
 alternating route ties the node weights per level, ``beta = M gamma``,
 and builds the fixed table at ``tie = M``, with ``levels`` (concatenation)
-or ``levels**2`` (averaging) entries per pair; a combined kernel is the
-one-column table at ``tie = beta[:, None]``. The largest table any route
-allocates is (rows, cols, nodes), read by contrastive concatenation
-training, or (rows, cols, levels**2), and the cache refuses one above
-``_DENSE_LIMIT`` elements with a :class:`ValidationError`.
+or ``levels * (levels + 1) / 2`` (averaging) entries per pair; a
+combined kernel is the one-column table at ``tie = beta[:, None]``. The
+largest table any route allocates is (rows, cols, nodes), read by
+contrastive concatenation training, or (rows, cols, levels * (levels +
+1) / 2), and the cache refuses one above ``_DENSE_LIMIT`` elements with
+a :class:`ValidationError`.
 
 Over one tree set (training) the node kernels are symmetric,
 ``kappa(a_im, a_ju) = kappa(a_ju, a_im)``, so the row videos ``r0:r1``
 are computed only against the videos from ``r0`` on: each video pair
 once, plus the lower half of the tiles' square on the diagonal. The
-pairs ``(j, i)`` with ``j >= r1`` are read from the same tile with the
-node axes swapped, or mirrored. Between two tree sets (test columns)
-the tiles of each row range cover every column video.
+pairs ``(j, i)`` with ``j >= r1`` are copied from the pairs ``(i, j)``
+of the same tile as they are: an aligned or symmetrized entry reads the
+same either way round. Between two tree sets (test columns) the tiles
+of each row range cover every column video.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,21 +102,53 @@ def canonical_variant(name: str) -> str:
 
 def node_weights(beta: np.ndarray, variant: str) -> np.ndarray:
     """The variant's weight on each node pair of its table: ``beta`` for
-    concatenation, ``outer(beta, beta).ravel()`` for averaging."""
+    concatenation; for averaging, the packed upper triangle (see
+    :func:`_packed_sym`) of ``outer(beta, beta)`` with its off-diagonal
+    entries doubled, since the table holds each unordered pair once."""
     if canonical_variant(variant) == CONCATENATION:
         return beta
-    return np.outer(beta, beta).ravel()
+    i, j = _upper_pairs(beta.size)
+    w = beta[i] * beta[j]
+    w[i != j] *= 2.0
+    return w
 
 
 def node_weights_pullback(g: np.ndarray, beta: np.ndarray,
                           variant: str) -> np.ndarray:
     """Gradient in ``beta`` of ``g @ node_weights(beta, variant)``: ``g``
-    for concatenation, ``G @ beta + beta @ G`` with ``G`` the (nodes,
-    nodes) reshape of ``g`` for averaging."""
+    for concatenation, ``2 G @ beta`` for averaging, with ``G`` the
+    symmetric (nodes, nodes) matrix whose packed upper triangle is
+    ``g``."""
     if canonical_variant(variant) == CONCATENATION:
         return g
-    G = g.reshape(beta.size, beta.size)
-    return G @ beta + beta @ G
+    i, j = _upper_pairs(beta.size)
+    G = np.empty((beta.size, beta.size))
+    G[i, j] = g
+    G[j, i] = g
+    return 2.0 * (G @ beta)
+
+
+@functools.cache
+def _upper_pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(k)``, read-only: the row and column of each pair
+    ``i <= j`` of k nodes or levels, in the packed order. Made once per
+    ``k``, since making them takes about as long as packing one tile."""
+    i, j = np.triu_indices(k)
+    i.flags.writeable = j.flags.writeable = False
+    return i, j
+
+
+def _packed_sym(square: np.ndarray, out: np.ndarray | None = None
+                ) -> np.ndarray:
+    """The averaging tables' layout of ``square`` (..., k, k): the upper
+    triangle, diagonal included, of ``sym(S) = (S + S') / 2`` over the
+    last two axes of ``S = square``, row by row, shape (..., k * (k + 1)
+    / 2), written to ``out`` when given. The diagonal keeps its bits, so a one-column (k = 1)
+    table is ``square`` itself."""
+    i, j = _upper_pairs(square.shape[-1])
+    out = np.add(square[..., i, j], square[..., j, i], out=out)
+    out *= 0.5
+    return out
 
 
 @dataclass(frozen=True)
@@ -236,11 +275,11 @@ class NodeKernelCache:
     ``tie`` row is non-zero only, and ``combined(beta, variant)`` is its
     one column at ``tie = beta[:, None]``. ``table_blocks`` yields the
     variant's node table: ``aligned()[i, j, m] = kappa(row_i[m],
-    col_j[m])`` whole, or the cross kernels ``kappa(row_i[m], col_j[n])``
-    one tile at a time. So a run holds at most one table, and beside it
-    tiles. Every table is refused above ``_DENSE_LIMIT`` elements before
-    it is allocated. ``cross()`` and ``pair_blocks`` are test oracles
-    that no route calls.
+    col_j[m])`` whole, or the packed symmetrized cross kernels
+    ``kappa(row_i[m], col_j[n])`` one tile at a time. So a run holds at
+    most one table, and beside it tiles. Every table is refused above
+    ``_DENSE_LIMIT`` elements before it is allocated. ``cross()`` and
+    ``pair_blocks`` are test oracles that no route calls.
 
     A cache over two tree sets streams every column video for each
     row tile. A cache over one tree set streams, for the row videos
@@ -347,18 +386,17 @@ class NodeKernelCache:
         """Yield ``(r0, c0, tile)``: the variant's pair-major table of a
         one-set cache in tiles, pair (i, j) at ``tile[i - r0, j - c0]``,
         shape (row videos, col videos, q), q = ``node_weights``' length:
-        ``aligned()`` whole (r0 = c0 = 0, q = nodes) or the cross
-        kernels of the upper triangle of video pairs one
-        ``_cross_blocks`` tile at a time (q = nodes**2), never held
-        whole."""
+        ``aligned()`` whole (r0 = c0 = 0, q = nodes) or the packed
+        symmetrized cross kernels (``_packed_sym``, q = nodes * (nodes +
+        1) / 2) of the upper triangle of video pairs one
+        ``_cross_blocks`` tile at a time, never held whole."""
         if self.cols is not self.rows:
             raise ShapeMismatch("table_blocks needs a single tree set")
         if canonical_variant(variant) == CONCATENATION:
             yield 0, 0, self.aligned()
             return
         for r0, r1, c0, c1, tile in self._cross_blocks():
-            yield r0, c0, tile.transpose(0, 2, 1, 3).reshape(
-                r1 - r0, c1 - c0, self.nodes ** 2)
+            yield r0, c0, _packed_sym(tile.transpose(0, 2, 1, 3))
 
     def cross(self) -> np.ndarray:
         """The whole cross tensor, built once and kept; no route reads
@@ -380,13 +418,14 @@ class NodeKernelCache:
         tie``, (rows, cols, k), accumulated one node and one tile at a
         time into the levels where ``tie`` is non-zero; averaging gives
         ``T[i, j, l, l'] = sum_{m,n} tie[m, l] tie[n, l'] kappa(row_i[m],
-        col_j[n])``, flattened to (rows, cols, k * k), from the streamed
-        cross kernels contracted tile by tile on the column-node axis,
-        then on the row-node one. A one-set cache fills the lower
-        triangle of video pairs from the upper one: averaging fills
-        ``T[j, i]`` for ``j >= r1`` from tile ``r0:r1`` with the level
-        axes swapped. Refused above ``_DENSE_LIMIT`` elements before
-        allocation."""
+        col_j[n])``, from the streamed cross kernels contracted tile by
+        tile on the column-node axis, then on the row-node one, and
+        stores each tile's ``_packed_sym``, (rows, cols, k * (k + 1) /
+        2). A one-set cache fills the lower triangle of video pairs from
+        the upper one: averaging copies ``T[i, j]`` to ``T[j, i]`` for
+        ``j >= r1`` from tile ``r0:r1`` as it is, since swapping the
+        level axes leaves a symmetrized entry as it is. Refused above
+        ``_DENSE_LIMIT`` elements before allocation."""
         tie = np.asarray(tie, dtype=np.float64)
         if tie.ndim != 2 or tie.shape[0] != self.nodes:
             raise ShapeMismatch(
@@ -402,9 +441,7 @@ class NodeKernelCache:
                     out[r0:r1, c0:c1, levels] += (tile[:, :, None]
                                                   * tie[node, levels])
             return self._mirrored(out)
-        out = self._empty_table(k * k, "level pairs")
-        nr, nc = out.shape[:2]
-        table = out.reshape(nr, nc, k, k)
+        out = self._empty_table(k * (k + 1) // 2, "level pairs")
         mirror = self.cols is self.rows
         if held.size == self.nodes:
             held = slice(None)
@@ -413,13 +450,13 @@ class NodeKernelCache:
             r, a, c, m = tile.shape
             # (r, a, c, m) -> (r, a, c * k) -> (r, k, c * k) -> (r, c, k, k)
             partial = (tile.reshape(-1, m) @ tie).reshape(r, a, c * k)
-            table[r0:r1, c0:c1] = np.matmul(tie.T, partial).reshape(
+            square = np.matmul(tie.T, partial).reshape(
                 r, k, c, k).transpose(0, 2, 1, 3)
+            _packed_sym(square, out[r0:r1, c0:c1])
             if mirror and c1 > r1:
                 j0 = max(c0, r1)
-                table[j0:c1, r0:r1] = table[r0:r1, j0:c1].transpose(
-                    1, 0, 3, 2)
-            del tile, partial           # freed before the next tile is made
+                out[j0:c1, r0:r1] = out[r0:r1, j0:c1].transpose(1, 0, 2)
+            del tile, partial, square   # freed before the next tile is made
         return out
 
     def combined(self, beta: np.ndarray, variant: str) -> np.ndarray:
@@ -443,7 +480,7 @@ class NodeKernelCache:
                            self.rows[np.asarray(j_idx)], self.cfg)
         if canonical_variant(variant) == CONCATENATION:
             return k.diagonal(axis1=1, axis2=2).copy()
-        return k.reshape(k.shape[0], -1)
+        return _packed_sym(k)
 
 
 def kernel_columns(row_trees: list[PooledTree], col_trees: list[PooledTree],

@@ -331,6 +331,12 @@ def _entropy(beta: np.ndarray) -> float:
     return float(-(positive * np.log(positive)).sum()) + 0.0
 
 
+def _table_doc(name: str, shape: tuple) -> dict:
+    """``training.json``'s record of the fixed float64 table a run held."""
+    return {"name": name, "shape": list(shape),
+            "bytes": 8 * math.prod(shape)}
+
+
 def train_em_route(manifest: DatasetManifest, root: str, cfg: PipelineConfig,
                    em_cfg: EmConfig, svm_cfg: TrainConfig) -> TrainOutput:
     from .em import em_fit
@@ -348,7 +354,9 @@ def train_em_route(manifest: DatasetManifest, root: str, cfg: PipelineConfig,
                               "dual_solves": result.dual_solves,
                               "pair_updates": result.pair_updates,
                               "backtracks": result.backtracks,
-                              "stop_reason": result.stop_reason})
+                              "stop_reason": result.stop_reason,
+                              "kernel_table":
+                                  _table_doc(*result.kernel_table)})
 
 
 def train_dmkl_route(manifest: DatasetManifest, root: str,
@@ -373,7 +381,8 @@ def train_dmkl_route(manifest: DatasetManifest, root: str,
                         # where the gap bounds L - min L; for averaging
                         # it only measures stationarity
                         "fw_gap_bounds_suboptimality":
-                            cfg.variant == CONCATENATION})
+                            cfg.variant == CONCATENATION,
+                        "kernel_table": _table_doc(*result.kernel_table)})
 
 
 # --- evaluation -------------------------------------------------------------------

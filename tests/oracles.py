@@ -1,12 +1,12 @@
 """Independent reference implementations used only to check the library.
 
 Nothing here shares code with the package: the elementary kernel is
-evaluated one vector pair at a time, the QP oracles enumerate active
-sets or supports, gradients come from central finite differences, the
-softmax Jacobian is written out entry by entry, artifact scores are
-summed one class and one support video list at a time, and the
-reference dual solver rebuilds every KKT quantity from the gradient at
-each update.
+evaluated one vector pair at a time, a dense node table is packed one
+node pair at a time, the QP oracles enumerate active sets or supports,
+gradients come from central finite differences, the softmax Jacobian is
+written out entry by entry, artifact scores are summed one class and
+one support video list at a time, and the reference dual solver
+rebuilds every KKT quantity from the gradient at each update.
 """
 
 from __future__ import annotations
@@ -30,6 +30,19 @@ def elementary(x: np.ndarray, y: np.ndarray, cfg) -> float:
         return float(x @ y)
     d = x - y
     return float(np.exp(-cfg.gamma * (d @ d)))
+
+
+def pack_sym(K: np.ndarray) -> np.ndarray:
+    """Dense to packed: the averaging tables' layout of a table ``K`` of
+    shape (..., m, m). Entry p of the last axis is ``(K[..., a, c] +
+    K[..., c, a]) / 2`` for the p-th node pair a <= c, row by row
+    (a = 0 first), so the result has shape (..., m * (m + 1) / 2). With
+    ``beta``'s weights ``beta[a] * beta[c]``, doubled off the diagonal,
+    the packed entries sum to ``beta' K beta``."""
+    K = np.asarray(K, dtype=np.float64)
+    m = K.shape[-1]
+    return np.stack([(K[..., a, c] + K[..., c, a]) / 2.0
+                     for a in range(m) for c in range(a, m)], axis=-1)
 
 
 def central_difference(f, x: np.ndarray, step: float = 1e-5) -> np.ndarray:

@@ -208,8 +208,33 @@ class TestPairMoments:
             pair_moments(cache, _PairTable(np.array([1, 2, 3])),
                          CONCATENATION, 0.5)
 
+    def test_depth_6_averaging_moments_hold_each_node_pair_once(self, rng):
+        # 63 nodes: 2016 unordered node pairs, not 63**2 = 3969 ordered
+        # ones, so A spans several panels of rows, mirrored below its
+        # diagonal
+        trees = random_trees(rng, n=4, depth=6, frames=32, dim=2)
+        table = _PairTable(np.array([1, 1, 2, 2]))
+        A, b, c = pair_moments(NodeKernelCache(trees, RBF), table,
+                               AVERAGING, None)
+        assert A.shape == (2016, 2016) and b.shape == (2016,)
+        panel = dmkl._MOMENT_PANEL
+        assert 2016 > 2 * panel
+        np.testing.assert_array_equal(A[panel:, :panel], A[:panel, panel:].T)
+        np.testing.assert_allclose(A, A.T, rtol=0,
+                                   atol=1e-14 * np.abs(A).max())
+        # the quadratic form is the loss of per-pair combined kernels
+        for _ in range(3):
+            beta = to_simplex(rng.standard_normal(63))
+            w = node_weights(beta, AVERAGING)
+            k_vals = np.array([combined_kernel(trees[i], trees[j], beta,
+                                               AVERAGING, RBF)
+                               for i, j in zip(table.i, table.j)])
+            want = contrastive_loss(k_vals, table.y)
+            assert abs(w @ A @ w - 2.0 * (b @ w) + c - want) <= 1e-12 * want
+
     def test_moment_matrix_over_limit_rejected_unallocated(self, rng):
-        # depth 7 averaging: A would hold 127**4 elements, 2 GB
+        # depth 7 averaging: A would be (8128, 8128), one row per
+        # unordered pair of 127 nodes, 528 MB
         trees = random_trees(rng, n=3, depth=7, frames=64, dim=2)
         labels = np.array([1, 1, 2])
         cfg = ContrastiveConfig(iterations=1)

@@ -239,12 +239,12 @@ class TestEmFit:
         assert res.stop_reason == "max_iters" and res.backtracks == 0
 
     @pytest.mark.parametrize("variant, width, what",
-                             [(AVERAGING, 9, "level pairs"),
+                             [(AVERAGING, 6, "level pairs"),
                               (CONCATENATION, 3, "levels")])
     def test_tables_over_limit_rejected(self, rng, monkeypatch, variant,
                                         width, what):
-        # depth 3: an (n, n, 3 * 3) averaging table, (n, n, 3) for
-        # concatenation
+        # depth 3: an (n, n, 3 * 4 / 2) averaging table, one entry per
+        # unordered level pair, (n, n, 3) for concatenation
         trees = random_trees(rng, n=8, depth=3)
         labels = np.array([1 + (i % 2) for i in range(8)])
         monkeypatch.setattr(kernels, "_DENSE_LIMIT", 8 * 8 * width - 1)

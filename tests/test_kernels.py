@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_trees
-from oracles import central_difference, elementary
+from oracles import central_difference, elementary, pack_sym
 from treemkl import errors, kernels
 from treemkl.dmkl import ContrastiveConfig, _PairTable, dmkl_fit, pair_moments
 from treemkl.em import EmConfig, em_fit
@@ -232,6 +232,25 @@ class TestKernelGrad:
                 denom = max(float(np.linalg.norm(fd)), 1e-12)
                 assert np.linalg.norm(got - fd) / denom < 1e-6
 
+    @pytest.mark.parametrize("m", [1, 3, 7])
+    def test_averaging_weights_pack_each_node_pair_once(self, rng, m):
+        # any (m, m) block, symmetric or not, and any beta: the packed
+        # block weighted by node_weights is beta' K beta, and the pullback
+        # of the packed block is that quadratic's gradient
+        for _ in range(5):
+            K = rng.standard_normal((m, m))
+            beta = rng.standard_normal(m)
+            w = node_weights(beta, AVERAGING)
+            assert w.shape == (m * (m + 1) // 2,)
+            np.testing.assert_allclose(pack_sym(K) @ w, beta @ K @ beta,
+                                       rtol=1e-13, atol=1e-13)
+            got = node_weights_pullback(pack_sym(K), beta, AVERAGING)
+            np.testing.assert_allclose(got, (K + K.T) @ beta, rtol=0,
+                                       atol=1e-12)
+            fd = central_difference(
+                lambda b: pack_sym(K) @ node_weights(b, AVERAGING), beta)
+            np.testing.assert_allclose(got, fd, rtol=0, atol=1e-8)
+
     def test_shared_occurrence_gradients_agree_in_direction(self, rng):
         # network view of the averaging kernel: the weights enter twice
         # (row and column slot); averaging the two occurrence gradients
@@ -374,9 +393,9 @@ class TestNodeKernelCache:
                 node_table = oracle.aligned()
                 level_table = node_table @ tie
             else:
-                node_table = oracle.cross()
-                level_table = np.einsum("ijmn,ml,nk->ijlk", node_table, tie,
-                                        tie).reshape(*node_table.shape[:2], 9)
+                node_table = pack_sym(oracle.cross())
+                level_table = pack_sym(np.einsum(
+                    "ijmn,ml,nk->ijlk", oracle.cross(), tie, tie))
             pairs = len(support) ** (1 if variant == CONCATENATION else 2)
             for run, expected in (
                     (lambda c: c.combined(beta, variant),
@@ -396,16 +415,34 @@ class TestNodeKernelCache:
             cache = NodeKernelCache(trees, cfg)
             for variant in (CONCATENATION, AVERAGING):
                 blocks = cache.pair_blocks(i_idx, j_idx, variant)
+                # averaging: each unordered node pair once, symmetrized
                 pairs = ([(m, m) for m in range(3)]
                          if variant == CONCATENATION else
-                         [(m, n) for m in range(3) for n in range(3)])
+                         [(m, n) for m in range(3) for n in range(m, 3)])
                 assert blocks.shape == (3, len(pairs))
                 for b, (i, j) in enumerate(zip(i_idx, j_idx)):
+                    a, c = trees[i].vectors, trees[j].vectors
                     for p, (m, n) in enumerate(pairs):
-                        expected = elementary(trees[i].vectors[m],
-                                              trees[j].vectors[n], cfg)
+                        expected = (elementary(a[m], c[n], cfg)
+                                    + elementary(a[n], c[m], cfg)) / 2.0
                         np.testing.assert_allclose(blocks[b, p], expected,
                                                    atol=1e-12)
+
+    def test_table_blocks_pack_the_cross_tensor(self, rng, small_tiles):
+        # averaging tiles over ragged row and column tiles: the packed
+        # cross tensor of every video pair in the upper triangle
+        trees = random_trees(rng, n=7, depth=2)
+        for cfg in (RBF, LIN):
+            cache = NodeKernelCache(trees, cfg)
+            want = pack_sym(cache.cross())
+            covered = np.zeros((7, 7), dtype=bool)
+            for r0, c0, tile in cache.table_blocks(AVERAGING):
+                r, c, q = tile.shape
+                assert q == 6
+                np.testing.assert_allclose(tile, want[r0:r0 + r, c0:c0 + c],
+                                           rtol=0, atol=1e-12)
+                covered[r0:r0 + r, c0:c0 + c] = True
+            assert covered[np.triu_indices(7)].all()
 
     def test_cross_is_pair_major_across_tiles(self, rng, small_tiles):
         # row tiles of 2, 2 and 3 videos, each over column tiles of 3 and 2
@@ -427,15 +464,16 @@ class TestNodeKernelCache:
                                                rtol=0, atol=1e-12)
 
     def test_streamed_combined_matches_built(self, rng, small_tiles):
-        # the tile-by-tile reduction against the whole cross tensor
-        # contracted with outer(beta, beta), over ragged tiles
+        # the tile-by-tile reduction against the whole cross tensor,
+        # packed, contracted with the packed outer(beta, beta), over
+        # ragged tiles
         rows = random_trees(rng, n=7, depth=2)
         cols = random_trees(rng, n=5, depth=2)
         beta = to_simplex(rng.standard_normal(3))
         cache = NodeKernelCache(rows, RBF, cols)
         np.testing.assert_allclose(
             cache.combined(beta, AVERAGING),
-            kernels.contract_table(cache.cross(),
+            kernels.contract_table(pack_sym(cache.cross()),
                                    node_weights(beta, AVERAGING)),
             rtol=0, atol=1e-12)
 
@@ -456,8 +494,10 @@ class TestNodeKernelCache:
             if variant == CONCATENATION:
                 want = cache.aligned() @ tie
             else:
-                want = np.einsum("ijmn,ml,nk->ijlk", cache.cross(), tie,
-                                 tie).reshape(*got.shape[:2], 4)
+                # 2 levels: 3 unordered level pairs, not 4 ordered ones
+                want = pack_sym(np.einsum("ijmn,ml,nk->ijlk", cache.cross(),
+                                          tie, tie))
+                assert want.shape[2] == 3
             assert got.shape == want.shape and got.flags.c_contiguous
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
@@ -485,7 +525,7 @@ class TestNodeKernelCache:
                     k = np.array([[elementary(a.vectors[p], b.vectors[u], cfg)
                                    for u in range(m)] for p in range(m)])
                     np.testing.assert_allclose(table[i, j],
-                                               (tie.T @ k @ tie).ravel(),
+                                               pack_sym(tie.T @ k @ tie),
                                                rtol=0, atol=1e-12)
         labels = np.array([1, 2, 1, 3, 2, 3, 1, 2, 3])
         table = _PairTable(labels)
@@ -536,7 +576,7 @@ class TestNodeKernelCache:
         got = cache.combined(beta, AVERAGING)
         np.testing.assert_array_equal(got, got.T)
         np.testing.assert_allclose(
-            got, kernels.contract_table(cache.cross(),
+            got, kernels.contract_table(pack_sym(cache.cross()),
                                         node_weights(beta, AVERAGING)),
             rtol=0, atol=1e-12)
 
@@ -681,8 +721,9 @@ class TestCrossMemory:
         assert peak < 2.5 * 600 * 500 * 8
 
     def test_em_fit_averaging_holds_one_table(self, rng):
-        # the fixed (n, n, 4 * 4) level table, and beside it tiles of the
-        # cross kernels and n x n Grams
+        # the fixed (n, n, 4 * 5 / 2) level table, one entry per unordered
+        # level pair, and beside it tiles of the cross kernels and n x n
+        # Grams
         n = 200
         trees = random_trees(rng, n=n, depth=4, dim=4)
         labels = np.array([1 + (i % 2) for i in range(n)])
@@ -690,7 +731,7 @@ class TestCrossMemory:
         peak = self.peak_bytes(lambda: res.append(em_fit(
             trees, labels, AVERAGING, RBF, EmConfig(max_iters=2))))
         assert res[0].iterations >= 1
-        assert peak <= n * n * 16 * 8 + 4 * kernels._BLOCK_ELEMENTS * 8
+        assert peak <= n * n * 10 * 8 + 4 * kernels._BLOCK_ELEMENTS * 8
 
     def test_median_gamma_squares_in_blocks(self, rng):
         # 60 trees of 4,096-d node vectors: the stacked trees and a few
@@ -749,7 +790,7 @@ class TestCrossMemory:
         gram_bytes = 40 * 280 * 8
         for fn, out_bytes in (
                 (lambda: cache.level_table(Hierarchy(4).level_matrix,
-                                           AVERAGING), gram_bytes * 16),
+                                           AVERAGING), gram_bytes * 10),
                 (lambda: cache.combined(beta, AVERAGING), gram_bytes)):
             peak = self.peak_bytes(fn) - out_bytes
             assert peak < 3.5 * kernels._BLOCK_ELEMENTS * 8

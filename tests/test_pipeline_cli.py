@@ -136,7 +136,8 @@ class TestTrainingOutputs:
         summary = json.loads(
             (workspace / "em_a" / "training.json").read_text())
         assert set(summary) == {"iterations", "beta_entropy", "dual_solves",
-                                "pair_updates", "backtracks", "stop_reason"}
+                                "pair_updates", "backtracks", "stop_reason",
+                                "kernel_table"}
         assert summary["stop_reason"] in STOP_REASONS
         backtracks = summary["backtracks"]
         assert type(backtracks) is int and backtracks >= 0
@@ -145,7 +146,7 @@ class TestTrainingOutputs:
         summary = summary_of(workspace, "dm_a")
         assert set(summary) == {"iterations", "final_loss", "dual_solves",
                                 "pair_updates", "stop_reason", "fw_gap",
-                                "fw_gap_bounds_suboptimality"}
+                                "fw_gap_bounds_suboptimality", "kernel_table"}
         assert summary["stop_reason"] in dmkl.STOP_REASONS
         gap = summary["fw_gap"]
         assert type(gap) is float and gap >= 0.0
@@ -163,6 +164,23 @@ class TestTrainingOutputs:
                        "--positive-fraction", 0.5) == 0
         assert summary_of(tmp_path, "dm_c")[
             "fw_gap_bounds_suboptimality"] is True
+
+    def test_summary_names_the_table_it_held(self, workspace, tmp_path):
+        # depth 3: 3 levels and 7 nodes. Averaging holds each unordered
+        # level or node pair once: 6 level pairs, a (28, 28) moment matrix
+        manifest = workspace / "data" / "manifest.jsonl"
+        n = len(load_manifest(manifest).split("train"))
+        assert run_cli("train-dmkl", "--out", tmp_path / "dm_c",
+                       "--manifest", manifest, "--depth", 3,
+                       "--variant", "concat", "--iters", 20) == 0
+        for root, run, name, shape in (
+                (workspace, "em_a", "level_table", [n, n, 6]),
+                (workspace, "em_c", "level_table", [n, n, 3]),
+                (workspace, "dm_a", "moments", [28, 28]),
+                (tmp_path, "dm_c", "aligned", [n, n, 7])):
+            assert summary_of(root, run)["kernel_table"] == {
+                "name": name, "shape": shape,
+                "bytes": 8 * int(np.prod(shape))}
 
     def test_vertex_entropy_is_level_entropy(self, workspace):
         # a level-l vertex spreads beta evenly over the level's 2**(l-1)
@@ -563,14 +581,24 @@ class TestExitCodesAndWorkers:
 
     def test_contrastive_moments_over_limit_is_validation_exit(
             self, tmp_path, capsys):
+        # averaging's moment matrix has one row per unordered node pair:
+        # (2016, 2016) at depth 6, within the limit, and (8128, 8128) at
+        # depth 7, above it
         data = tmp_path / "data"
         assert run_cli("gen-synth", "--out", data, "--classes", 2,
                        "--per-class", 4, "--frames", 64, "--dim", 2) == 0
+        common = ["train-dmkl", "--manifest", data / "manifest.jsonl",
+                  "--variant", "avg"]
+        assert run_cli(*common, "--out", tmp_path / "d6", "--depth", 6,
+                       "--iters", 3) == 0
+        assert summary_of(tmp_path, "d6")["kernel_table"] == {
+            "name": "moments", "shape": [2016, 2016],
+            "bytes": 2016 * 2016 * 8}
+        capsys.readouterr()
         out = tmp_path / "o"
-        code = run_cli("train-dmkl", "--manifest", data / "manifest.jsonl",
-                       "--out", out, "--depth", 7, "--variant", "avg")
+        code = run_cli(*common, "--out", out, "--depth", 7)
         assert code == 2
-        assert_one_error_line(capsys, "moment matrix")
+        assert_one_error_line(capsys, "(8128, 8128) moment matrix")
         assert not (out / "model.json").exists()
 
     def test_concatenation_table_over_limit_is_validation_exit(
