@@ -34,7 +34,6 @@ _OWNERS = {
     "dmkl": (
         "ContrastiveConfig",
         "DmklResult",
-        "contrastive_loss",
         "dmkl_fit",
         "dmkl_then_svm",
         "loss_grad",

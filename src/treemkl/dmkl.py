@@ -29,11 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeMismatch, TooFewVideos, ValidationError
+from .errors import TooFewVideos, ValidationError
 from .hierarchy import PooledTree
 from .kernels import (
     _DENSE_LIMIT,
-    AVERAGING,
     KernelConfig,
     NodeKernelCache,
     canonical_variant,
@@ -95,35 +94,20 @@ class _PairTable:
         self.y = np.where(labels[self.i] == labels[self.j], 1.0, -1.0)
 
 
-def contrastive_loss(k_vals: np.ndarray, y: np.ndarray,
-                     margin: float = 0.0) -> float:
-    """Mean squared disagreement between kernel values and pair labels;
-    zero exactly when positives sit at 1 and negatives at or below the
-    margin. A per-pair oracle for the moment form."""
-    k_vals = np.asarray(k_vals, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if k_vals.shape != y.shape:
-        raise ShapeMismatch(f"{k_vals.shape} kernel values vs {y.shape} labels")
-    return float(np.mean(_residual(k_vals, y, margin) ** 2))
-
-
-def _residual(k_vals: np.ndarray, y: np.ndarray, margin: float) -> np.ndarray:
-    """Per-pair residual whose square is the pair loss: ``k - 1`` on
-    positive pairs, the hinge ``max(0, k - margin)`` on negative ones."""
-    return np.where(y > 0, k_vals - 1.0, np.maximum(0.0, k_vals - margin))
-
-
 def loss_grad(i: np.ndarray, j: np.ndarray, y: np.ndarray,
               cache: NodeKernelCache, weights: SimplexWeights, variant: str,
               margin: float = 0.0) -> tuple[float, np.ndarray]:
     """Loss over the pairs ``(i[p], j[p])`` with +/-1 labels ``y`` and
     its gradient w.r.t. the raw (pre-softmax) parameters, composing the
     pair losses, the kernel's weight dependence, and the simplex
-    Jacobian. The per-pair oracle for ``pair_moments``."""
+    Jacobian. A pair's residual, whose square is its loss, is ``k - 1``
+    on a positive pair and the hinge ``max(0, k - margin)`` on a negative
+    one. The per-pair oracle for ``pair_moments``."""
     variant = canonical_variant(variant)
     beta = weights.beta
     flat = cache.pair_blocks(i, j, variant)
-    resid = _residual(flat @ node_weights(beta, variant), y, margin)
+    k_vals = flat @ node_weights(beta, variant)
+    resid = np.where(y > 0, k_vals - 1.0, np.maximum(0.0, k_vals - margin))
     loss = float(np.mean(resid ** 2))
     de_dbeta = node_weights_pullback((2.0 * resid / y.size) @ flat,
                                      beta, variant)
@@ -138,7 +122,7 @@ class DmklResult:
     beta_trace: np.ndarray          # weights at start plus after each step
     stop_reason: str                # one of STOP_REASONS
     fw_gap: float                   # grad @ beta - min(grad) at the weights
-    kernel_table: tuple             # name and shape of the largest table held
+    kernel_table: tuple             # name and shape of the moment matrix
 
 
 def pair_moments(cache: NodeKernelCache, table: _PairTable, variant: str,
@@ -201,8 +185,7 @@ def _pair_rows(cache: NodeKernelCache, table: _PairTable, variant: str):
 
 def _joined(batch: list) -> tuple[np.ndarray, np.ndarray]:
     """The ``(at, rows)`` of a batch of tiles: its one tile's as they are,
-    so the rows of the whole aligned table are not copied, else all its
-    tiles' joined."""
+    not copied again, else all its tiles' joined."""
     if len(batch) == 1:
         return batch[0]
     return tuple(map(np.concatenate, zip(*batch)))
@@ -273,9 +256,7 @@ def dmkl_fit(trees: list[PooledTree], labels: np.ndarray, variant: str,
         beta_trace.append(beta.copy())
     stop_reason = "gap" if fw_gap <= FW_GAP_TOL else "max_iters"
     weights = SimplexPoint(beta)
-    # concatenation's moments are small beside the aligned table they sum
-    kernel_table = (("moments", A.shape) if variant == AVERAGING else
-                    ("aligned", (len(trees), len(trees), cache.nodes)))
+    kernel_table = ("moments", A.shape)
     del A, b  # free the moments first: averaging's A is 32.5 MB at depth 6
     gram = mirrored_gram(cache.combined(weights.beta, variant), cache.row_ids)
     return DmklResult(weights=weights,

@@ -27,23 +27,24 @@ cheap contraction. Every table is stored pair-major, ``(rows, cols,
 with the weights is one matrix-vector product.
 
 The node kernels are computed one tile of row videos by column videos
-at a time and reduced as each tile is made; no route holds the
-averaging variant's cross kernels of every video pair whole. A tile
-spans at least ``_TILE_ROWS`` kernel rows, so each kernel product has a
-panel shape BLAS runs at full rate, and as many column videos as keep
-it within ``_BLOCK_ELEMENTS``. Every product is a general matrix
-product of a copied row panel, so a value's bits do not depend on which
-nodes the trees hold or which weights are zero. There is one reducer,
+at a time and reduced as each tile is made; no route holds the node
+kernels of every video pair whole, for either variant. A tile spans at
+least ``_TILE_ROWS`` kernel rows, so each kernel product has a panel
+shape BLAS runs at full rate, and as many column videos as keep it
+within ``_BLOCK_ELEMENTS``. Every product is a general matrix product
+of a copied row panel, so a value's bits do not depend on which nodes
+the trees hold or which weights are zero. There is one reducer,
 ``level_table(tie, variant)``: it contracts each node axis with
 ``tie``, evaluating only the nodes whose ``tie`` row is non-zero. The
 alternating route ties the node weights per level, ``beta = M gamma``,
 and builds the fixed table at ``tie = M``, with ``levels`` (concatenation)
 or ``levels * (levels + 1) / 2`` (averaging) entries per pair; a
-combined kernel is the one-column table at ``tie = beta[:, None]``. The
-largest table any route allocates is (rows, cols, nodes), read by
-contrastive concatenation training, or (rows, cols, levels * (levels +
-1) / 2), and the cache refuses one above ``_DENSE_LIMIT`` elements with
-a :class:`ValidationError`.
+combined kernel is the one-column table at ``tie = beta[:, None]``.
+That level table is the largest table any route allocates, and the
+cache refuses one above ``_DENSE_LIMIT`` elements with a
+:class:`ValidationError`. Contrastive training reads the node table
+itself, (rows, cols, nodes) or (rows, cols, nodes * (nodes + 1) / 2),
+only in tiles.
 
 Over one tree set (training) the node kernels are symmetric,
 ``kappa(a_im, a_ju) = kappa(a_ju, a_im)``, so the row videos ``r0:r1``
@@ -71,7 +72,7 @@ from .errors import (
 )
 from .hierarchy import PooledTree
 
-# largest (rows, cols, nodes) table the cache allocates, or (q, q) moment
+# largest (rows, cols, width) table the cache allocates, or (q, q) moment
 # matrix contrastive training allocates, in elements; larger ones are
 # refused before allocation
 _DENSE_LIMIT = 2 ** 25
@@ -143,8 +144,8 @@ def _packed_sym(square: np.ndarray, out: np.ndarray | None = None
     """The averaging tables' layout of ``square`` (..., k, k): the upper
     triangle, diagonal included, of ``sym(S) = (S + S') / 2`` over the
     last two axes of ``S = square``, row by row, shape (..., k * (k + 1)
-    / 2), written to ``out`` when given. The diagonal keeps its bits, so a one-column (k = 1)
-    table is ``square`` itself."""
+    / 2), written to ``out`` when given. The diagonal keeps its bits, so
+    a one-column (k = 1) table is ``square`` itself."""
     i, j = _upper_pairs(square.shape[-1])
     out = np.add(square[..., i, j], square[..., j, i], out=out)
     out *= 0.5
@@ -274,19 +275,19 @@ class NodeKernelCache:
     node axis with ``tie`` into a fixed table, from the nodes whose
     ``tie`` row is non-zero only, and ``combined(beta, variant)`` is its
     one column at ``tie = beta[:, None]``. ``table_blocks`` yields the
-    variant's node table: ``aligned()[i, j, m] = kappa(row_i[m],
-    col_j[m])`` whole, or the packed symmetrized cross kernels
-    ``kappa(row_i[m], col_j[n])`` one tile at a time. So a run holds at
-    most one table, and beside it tiles. Every table is refused above
-    ``_DENSE_LIMIT`` elements before it is allocated. ``cross()`` and
-    ``pair_blocks`` are test oracles that no route calls.
+    variant's node table one tile at a time: the aligned kernels
+    ``kappa(row_i[m], col_j[m])`` of every node, or the packed
+    symmetrized cross kernels ``kappa(row_i[m], col_j[n])``. So a run
+    holds at most one table, and beside it tiles. Every table is refused
+    above ``_DENSE_LIMIT`` elements before it is allocated. ``cross()``
+    and ``pair_blocks`` are test oracles that no route calls.
 
     A cache over two tree sets streams every column video for each
     row tile. A cache over one tree set streams, for the row videos
-    ``r0:r1``, only the column videos from ``r0`` on: ``aligned()``,
-    ``table_blocks``, ``level_table`` and ``combined`` cover the upper
-    triangle of video pairs, and all but ``table_blocks`` fill the lower
-    one from it. ``cross()`` still streams every column video.
+    ``r0:r1``, only the column videos from ``r0`` on: ``table_blocks``,
+    ``level_table`` and ``combined`` cover the upper triangle of video
+    pairs, and the last two fill the lower one from it. ``cross()``
+    still streams every column video.
     """
 
     def __init__(self, row_trees: list[PooledTree], cfg: KernelConfig,
@@ -311,7 +312,7 @@ class NodeKernelCache:
                 f"beta has {beta.size} entries for {self.nodes} nodes")
         return beta
 
-    def _empty_table(self, width: int, what: str = "nodes") -> np.ndarray:
+    def _empty_table(self, width: int, what: str) -> np.ndarray:
         """An uninitialized (rows, cols, width) table, refused with
         :class:`ValidationError` above ``_DENSE_LIMIT`` elements; ``what``
         names the trailing axis in the message."""
@@ -323,21 +324,14 @@ class NodeKernelCache:
                 f"{_DENSE_LIMIT * 8}-byte limit")
         return np.empty((nr, nc, width))
 
-    def aligned(self) -> np.ndarray:
-        """``aligned()[i, j, m] = kappa(row_i[m], col_j[m])``, computed
-        afresh one node at a time and not kept; a one-set cache computes
-        the upper triangle and mirrors it."""
-        out = self._empty_table(self.nodes)
-        for node in range(self.nodes):
-            for r0, r1, c0, c1, tile in self._aligned_tiles(node):
-                out[r0:r1, c0:c1, node] = tile
-        return self._mirrored(out)
-
-    def _aligned_tiles(self, node: int):
+    def _aligned_tiles(self, node: int, stack: int = 1):
         """``_cross_blocks`` of the one node's aligned kernels, each tile
-        of shape (row videos, col videos)."""
+        of shape (row videos, col videos) and at most ``_BLOCK_ELEMENTS /
+        stack`` elements. Every node's tiles lie on one grid, since each
+        node's ``_cross_blocks`` sees one row node and one column node,
+        so ``stack`` nodes' tiles stacked fill at most one block."""
         at = slice(node, node + 1)
-        for r0, r1, c0, c1, tile in self._cross_blocks(at, at):
+        for r0, r1, c0, c1, tile in self._cross_blocks(at, at, stack=stack):
             yield r0, r1, c0, c1, tile[:, 0, :, 0]
 
     def _mirrored(self, table: np.ndarray) -> np.ndarray:
@@ -347,19 +341,20 @@ class NodeKernelCache:
         return _mirror_upper(table) if self.cols is self.rows else table
 
     def _cross_blocks(self, row_nodes=slice(None), col_nodes=slice(None),
-                      all_cols: bool = False):
+                      all_cols: bool = False, stack: int = 1):
         """Yield ``(r0, r1, c0, c1, tile)`` with ``tile[i, a, j, n] =
         kappa(row_{r0+i}[row_nodes][a], col_{c0+j}[col_nodes][n])``, shape
         (r1 - r0, row nodes, c1 - c0, col nodes): the only loop that
         computes cross kernels. The row videos are split evenly into
         tiles of at least ``_TILE_ROWS`` kernel rows (all of them when
         there are fewer), and each row tile's columns into tiles of at
-        most ``_BLOCK_ELEMENTS`` elements, at least one column video
-        wide. Each row panel is copied, so every product is a general
-        matrix product, views or not. A one-set cache starts the column
-        tiles of row tile ``r0:r1`` at ``c0 = r0`` unless ``all_cols``,
-        else at 0; that upper triangle of video pairs covers every pair
-        only when both node selections are the same."""
+        most ``_BLOCK_ELEMENTS / stack`` elements, at least one column
+        video wide, so that a consumer may stack ``stack`` of them. Each
+        row panel is copied, so every product is a general matrix
+        product, views or not. A one-set cache starts the column tiles of
+        row tile ``r0:r1`` at ``c0 = r0`` unless ``all_cols``, else at 0;
+        that upper triangle of video pairs covers every pair only when
+        both node selections are the same."""
         rows, cols = self.rows[:, row_nodes], self.cols[:, col_nodes]
         nr, a, d = rows.shape
         nc, m = cols.shape[:2]
@@ -369,7 +364,7 @@ class NodeKernelCache:
         parts = np.array_split(flat_c, -(-flat_c.size // _BLOCK_ELEMENTS))
         col_sq = np.concatenate([np.sum(p * p, axis=-1) for p in parts])
         count = max(1, nr // -(-_TILE_ROWS // a))
-        width = max(1, _BLOCK_ELEMENTS // (-(-nr // count) * a * m))
+        width = max(1, _BLOCK_ELEMENTS // (-(-nr // count) * a * m * stack))
         for t in range(count):
             r0, r1 = t * nr // count, (t + 1) * nr // count
             # a copy, so that a one-set tile whose row and column videos
@@ -383,17 +378,24 @@ class NodeKernelCache:
                     col_sq[c0 * m:c1 * m]).reshape(r1 - r0, a, c1 - c0, m)
 
     def table_blocks(self, variant: str):
-        """Yield ``(r0, c0, tile)``: the variant's pair-major table of a
-        one-set cache in tiles, pair (i, j) at ``tile[i - r0, j - c0]``,
-        shape (row videos, col videos, q), q = ``node_weights``' length:
-        ``aligned()`` whole (r0 = c0 = 0, q = nodes) or the packed
-        symmetrized cross kernels (``_packed_sym``, q = nodes * (nodes +
-        1) / 2) of the upper triangle of video pairs one
-        ``_cross_blocks`` tile at a time, never held whole."""
+        """Yield ``(r0, c0, tile)``: the variant's pair-major node table of
+        a one-set cache over the upper triangle of video pairs, one tile
+        of at most ``_BLOCK_ELEMENTS`` elements (unless one column video
+        wide) at a time and never held whole, pair (i, j) at ``tile[i -
+        r0, j - c0]``, shape (row videos, col videos, q), q =
+        ``node_weights``' length. Concatenation stacks every node's
+        ``_aligned_tiles`` on their shared grid, ``tile[..., m] =
+        kappa(row_i[m], col_j[m])``, q = nodes; averaging packs each
+        ``_cross_blocks`` tile's symmetrized cross kernels
+        (``_packed_sym``), q = nodes * (nodes + 1) / 2."""
         if self.cols is not self.rows:
             raise ShapeMismatch("table_blocks needs a single tree set")
         if canonical_variant(variant) == CONCATENATION:
-            yield 0, 0, self.aligned()
+            per_node = [self._aligned_tiles(node, self.nodes)
+                        for node in range(self.nodes)]
+            for tiles in zip(*per_node):
+                r0, _, c0, _, _ = tiles[0]
+                yield r0, c0, np.stack([tile for *_, tile in tiles], axis=-1)
             return
         for r0, r1, c0, c1, tile in self._cross_blocks():
             yield r0, c0, _packed_sym(tile.transpose(0, 2, 1, 3))
@@ -414,12 +416,13 @@ class NodeKernelCache:
         ``tie``, shape (nodes, k): a pair-major table whose contraction
         with ``node_weights(gamma, variant)`` is the combined kernel at
         ``beta = tie @ gamma``, from the node kernels of the nodes whose
-        ``tie`` row is non-zero only. Concatenation gives ``aligned() @
-        tie``, (rows, cols, k), accumulated one node and one tile at a
-        time into the levels where ``tie`` is non-zero; averaging gives
-        ``T[i, j, l, l'] = sum_{m,n} tie[m, l] tie[n, l'] kappa(row_i[m],
-        col_j[n])``, from the streamed cross kernels contracted tile by
-        tile on the column-node axis, then on the row-node one, and
+        ``tie`` row is non-zero only. Concatenation gives ``T[i, j] =
+        sum_m kappa(row_i[m], col_j[m]) tie[m]``, (rows, cols, k),
+        accumulated one node and one tile at a time into the levels where
+        ``tie`` is non-zero; averaging gives ``T[i, j, l, l'] =
+        sum_{m,n} tie[m, l] tie[n, l'] kappa(row_i[m], col_j[n])``, from
+        the streamed cross kernels contracted tile by tile on the
+        column-node axis, then on the row-node one, and
         stores each tile's ``_packed_sym``, (rows, cols, k * (k + 1) /
         2). A one-set cache fills the lower triangle of video pairs from
         the upper one: averaging copies ``T[i, j]`` to ``T[j, i]`` for
@@ -518,9 +521,10 @@ def mirrored_gram(values: np.ndarray, ids) -> GramMatrix:
 
 def _mirror_upper(values: np.ndarray) -> np.ndarray:
     """``values`` of shape (n, n, ...) with the upper triangle of its
-    first two axes copied onto the lower one, in place."""
-    iu = np.triu_indices(values.shape[0], k=1)
-    values[(iu[1], iu[0])] = values[iu]
+    first two axes copied onto the lower one, in place, one row at a time,
+    so that no index array or gathered copy is made."""
+    for i in range(values.shape[0] - 1):
+        values[i + 1:, i] = values[i, i + 1:]
     return values
 
 

@@ -1,12 +1,14 @@
 """Independent reference implementations used only to check the library.
 
 Nothing here shares code with the package: the elementary kernel is
-evaluated one vector pair at a time, a dense node table is packed one
-node pair at a time, the QP oracles enumerate active sets or supports,
-gradients come from central finite differences, the softmax Jacobian is
-written out entry by entry, artifact scores are summed one class and
-one support video list at a time, and the reference dual solver
-rebuilds every KKT quantity from the gradient at each update.
+evaluated one vector pair at a time, and so is the concatenation
+variant's whole node table, a dense node table is packed one node pair
+at a time, the contrastive loss is the mean of its per-pair terms, the
+QP oracles enumerate active sets or supports, gradients come from
+central finite differences, the softmax Jacobian is written out entry
+by entry, artifact scores are summed one class and one support video
+list at a time, and the reference dual solver rebuilds every KKT
+quantity from the gradient at each update.
 """
 
 from __future__ import annotations
@@ -30,6 +32,33 @@ def elementary(x: np.ndarray, y: np.ndarray, cfg) -> float:
         return float(x @ y)
     d = x - y
     return float(np.exp(-cfg.gamma * (d @ d)))
+
+
+def aligned(cache) -> np.ndarray:
+    """The concatenation variant's whole node table of a node-kernel
+    ``cache`` (its stacked ``rows`` and ``cols`` of shape (videos, nodes,
+    dim) and its kernel config ``cfg``): ``out[i, j, m] =
+    kappa(row_i[m], col_j[m])``, shape (rows, cols, nodes), one
+    :func:`elementary` kernel at a time. The dense reference the streamed
+    concatenation tiles and level tables are checked against."""
+    return np.array([[[elementary(a_m, b_m, cache.cfg)
+                       for a_m, b_m in zip(a, b)]
+                      for b in cache.cols] for a in cache.rows])
+
+
+def contrastive_loss(k_vals: np.ndarray, y: np.ndarray,
+                     margin: float = 0.0) -> float:
+    """Mean over pairs of the contrastive pair loss of kernel values
+    ``k_vals`` under +/-1 labels ``y``: ``(1 - k)^2`` on a positive pair,
+    ``max(0, k - margin)^2`` on a negative one. Zero exactly when
+    positives sit at 1 and negatives at or below the margin."""
+    k_vals = np.asarray(k_vals, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if k_vals.shape != y.shape:
+        raise ValueError(f"{k_vals.shape} kernel values vs {y.shape} labels")
+    terms = [(1.0 - k) ** 2 if label > 0 else max(0.0, k - margin) ** 2
+             for k, label in zip(k_vals.ravel(), y.ravel())]
+    return float(np.mean(terms))
 
 
 def pack_sym(K: np.ndarray) -> np.ndarray:

@@ -5,14 +5,13 @@ import pytest
 from numpy.polynomial import polynomial as P
 
 from conftest import random_trees
-from oracles import central_difference, simplex_qp_oracle
+from oracles import central_difference, contrastive_loss, simplex_qp_oracle
 from treemkl import dmkl, errors, kernels
 from treemkl.dmkl import (
     FW_GAP_TOL,
     STOP_REASONS,
     ContrastiveConfig,
     _PairTable,
-    contrastive_loss,
     dmkl_fit,
     dmkl_then_svm,
     loss_grad,
@@ -251,16 +250,19 @@ class TestPairMoments:
         assert res.weights.beta.size == 127
 
     def test_concatenation_table_over_limit_rejected(self, rng, monkeypatch):
-        # the aligned table, not the (7, 7) moment matrix, is over the limit
+        # 8 videos of 7 nodes: the moments read the (8, 8, 7) aligned
+        # kernels in tiles, so training needs only the 8 x 8 Gram under
+        # the limit, and is refused at the Gram above it
         trees = random_trees(rng, n=8, depth=3)
         labels = np.array([1 + (i % 2) for i in range(8)])
         cfg = ContrastiveConfig(iterations=1)
-        monkeypatch.setattr(kernels, "_DENSE_LIMIT", 8 * 8 * 7 - 1)
-        with pytest.raises(errors.ValidationError,
-                           match="8 videos and 7 nodes .* 3584 bytes"):
-            dmkl_fit(trees, labels, CONCATENATION, cfg, RBF)
-        monkeypatch.setattr(kernels, "_DENSE_LIMIT", 8 * 8 * 7)
+        monkeypatch.setattr(kernels, "_DENSE_LIMIT", 8 * 8)
+        assert 8 * 8 * 7 > kernels._DENSE_LIMIT
         dmkl_fit(trees, labels, CONCATENATION, cfg, RBF)
+        monkeypatch.setattr(kernels, "_DENSE_LIMIT", 8 * 8 - 1)
+        with pytest.raises(errors.ValidationError,
+                           match="8 x 8 videos and 1 levels .* 512 bytes"):
+            dmkl_fit(trees, labels, CONCATENATION, cfg, RBF)
 
     def test_non_rbf_kernel_rejected_before_cache(self, rng, monkeypatch):
         trees = random_trees(rng, n=4, depth=2)

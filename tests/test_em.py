@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_trees
-from oracles import averaging_coeffs_oracle
+from oracles import aligned, averaging_coeffs_oracle
 from treemkl import em, errors, kernels
 from treemkl.em import (BACKTRACK_RANGE, EmConfig, backtracked_eta,
                         beta_objective_coeffs, em_fit)
@@ -41,7 +41,7 @@ class TestBetaObjectiveCoeffs:
     def test_zero_alpha_gives_zero(self, rng):
         trees, labels, cache, model = trained_instance(rng)
         zero = dataclasses.replace(model, alpha=np.zeros_like(model.alpha))
-        c = beta_objective_coeffs(zero, cache.aligned())
+        c = beta_objective_coeffs(zero, aligned(cache))
         np.testing.assert_array_equal(c, np.zeros(cache.nodes))
         m = beta_objective_coeffs(zero, cache.cross())
         np.testing.assert_array_equal(m, np.zeros((cache.nodes, cache.nodes)))
@@ -50,15 +50,15 @@ class TestBetaObjectiveCoeffs:
         # each coefficient is a quadratic form in a PSD node kernel
         for _ in range(10):
             trees, labels, cache, model = trained_instance(rng)
-            c = beta_objective_coeffs(model, cache.aligned())
+            c = beta_objective_coeffs(model, aligned(cache))
             assert c.min() >= -1e-10
 
     def test_single_node_scalar(self, rng):
         trees, labels, cache, model = trained_instance(rng, depth=1)
-        c = beta_objective_coeffs(model, cache.aligned())
+        c = beta_objective_coeffs(model, aligned(cache))
         assert c.shape == (1,)
         signed = model.alpha * model.signs
-        expected = 0.5 * sum(s @ cache.aligned()[:, :, 0] @ s for s in signed)
+        expected = 0.5 * sum(s @ aligned(cache)[:, :, 0] @ s for s in signed)
         np.testing.assert_allclose(c[0], expected)
         assert c[0] >= 0
 
@@ -91,7 +91,7 @@ class TestBetaObjectiveCoeffs:
         got = -node_weights_pullback(
             beta_objective_coeffs(model, table).ravel(), gamma, variant)
         if variant == CONCATENATION:
-            node_grad = -beta_objective_coeffs(model, cache.aligned())
+            node_grad = -beta_objective_coeffs(model, aligned(cache))
         else:
             coeffs = averaging_coeffs_oracle(
                 model.alpha, labels, np.stack([t.vectors for t in trees]),
@@ -118,7 +118,7 @@ class TestBetaObjectiveCoeffs:
     def test_averaging_rejects_node_major_layout(self, rng):
         trees, labels, cache, model = trained_instance(rng)
         for node_major in (cache.cross().transpose(2, 3, 0, 1),
-                           cache.aligned().transpose(2, 0, 1)):
+                           aligned(cache).transpose(2, 0, 1)):
             with pytest.raises(errors.ShapeMismatch):
                 beta_objective_coeffs(model, node_major)
 

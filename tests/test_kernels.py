@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_trees
-from oracles import central_difference, elementary, pack_sym
+from oracles import aligned, central_difference, elementary, pack_sym
 from treemkl import errors, kernels
 from treemkl.dmkl import ContrastiveConfig, _PairTable, dmkl_fit, pair_moments
 from treemkl.em import EmConfig, em_fit
@@ -390,7 +390,7 @@ class TestNodeKernelCache:
             tie = Hierarchy(3).level_matrix * (beta > 0)[:, None]
             oracle = NodeKernelCache(rows, RBF, cols)
             if variant == CONCATENATION:
-                node_table = oracle.aligned()
+                node_table = aligned(oracle)
                 level_table = node_table @ tie
             else:
                 node_table = pack_sym(oracle.cross())
@@ -444,23 +444,48 @@ class TestNodeKernelCache:
                 covered[r0:r0 + r, c0:c0 + c] = True
             assert covered[np.triu_indices(7)].all()
 
+    @pytest.mark.parametrize("depth", [2, 3])
+    def test_table_blocks_tile_the_aligned_table(self, rng, monkeypatch,
+                                                 depth):
+        # concatenation tiles: every node's aligned kernels stacked, within
+        # one block. Each node's row tiles hold 2, 2 and 3 of the 7 videos
+        # (at least 2 kernel rows), each against the videos from its first
+        # on, in column tiles narrowed by the node count: 4 videos wide,
+        # ragged, at depth 2 (3 nodes) and 1 at depth 3 (7 nodes). Each
+        # pair of the upper triangle is computed once, plus the 1 + 1 + 3
+        # pairs below the diagonal of the square tiles
+        monkeypatch.setattr(kernels, "_BLOCK_ELEMENTS", 40)
+        monkeypatch.setattr(kernels, "_TILE_ROWS", 2)
+        nodes = 2 ** depth - 1
+        trees = random_trees(rng, n=7, depth=depth, frames=8)
+        evaluated = counting_kernel_matrix(monkeypatch)
+        for cfg in (RBF, LIN):
+            cache = NodeKernelCache(trees, cfg)
+            want = aligned(cache)
+            covered = np.zeros((7, 7), dtype=int)
+            evaluated.clear()
+            for r0, c0, tile in cache.table_blocks(CONCATENATION):
+                r, c, q = tile.shape
+                assert q == nodes and tile.size <= 40
+                np.testing.assert_allclose(tile, want[r0:r0 + r, c0:c0 + c],
+                                           rtol=0, atol=1e-12)
+                covered[r0:r0 + r, c0:c0 + c] += 1
+            upper = np.triu_indices(7)
+            np.testing.assert_array_equal(covered[upper], 1)
+            assert sum(evaluated) == (28 + 5) * nodes
+
     def test_cross_is_pair_major_across_tiles(self, rng, small_tiles):
         # row tiles of 2, 2 and 3 videos, each over column tiles of 3 and 2
         rows = random_trees(rng, n=7, depth=2)
         cols = random_trees(rng, n=5, depth=2)
         for cfg in (RBF, LIN):
-            cache = NodeKernelCache(rows, cfg, cols)
-            cross, aligned = cache.cross(), cache.aligned()
+            cross = NodeKernelCache(rows, cfg, cols).cross()
             assert cross.shape == (7, 5, 3, 3) and cross.flags.c_contiguous
-            assert aligned.shape == (7, 5, 3) and aligned.flags.c_contiguous
             for i, a in enumerate(rows):
                 for j, b in enumerate(cols):
                     expected = [[elementary(a.vectors[m], b.vectors[n], cfg)
                                  for n in range(3)] for m in range(3)]
                     np.testing.assert_allclose(cross[i, j], expected,
-                                               rtol=0, atol=1e-12)
-                    np.testing.assert_allclose(aligned[i, j],
-                                               np.diag(expected),
                                                rtol=0, atol=1e-12)
 
     def test_streamed_combined_matches_built(self, rng, small_tiles):
@@ -492,7 +517,7 @@ class TestNodeKernelCache:
             cache = NodeKernelCache(rows, cfg, cols)
             got = cache.level_table(tie, variant)
             if variant == CONCATENATION:
-                want = cache.aligned() @ tie
+                want = aligned(cache) @ tie
             else:
                 # 2 levels: 3 unordered level pairs, not 4 ordered ones
                 want = pack_sym(np.einsum("ijmn,ml,nk->ijlk", cache.cross(),
@@ -549,21 +574,12 @@ class TestNodeKernelCache:
         tie = Hierarchy(2).level_matrix
         evaluated = counting_kernel_matrix(monkeypatch)
         for cfg in (RBF, LIN):
+            cache = NodeKernelCache(trees, cfg)
             evaluated.clear()
-            aligned = NodeKernelCache(trees, cfg).aligned()
+            table = cache.level_table(tie, CONCATENATION)
             assert sum(evaluated) == (45 + 6) * m
-            np.testing.assert_array_equal(aligned, aligned.transpose(1, 0, 2))
-            for i, a in enumerate(trees):
-                for j, b in enumerate(trees):
-                    want = [elementary(a.vectors[p], b.vectors[p], cfg)
-                            for p in range(m)]
-                    np.testing.assert_allclose(aligned[i, j], want,
-                                               rtol=0, atol=1e-12)
-            evaluated.clear()
-            table = NodeKernelCache(trees, cfg).level_table(tie,
-                                                            CONCATENATION)
-            assert sum(evaluated) == (45 + 6) * m
-            np.testing.assert_allclose(table, aligned @ tie, rtol=0,
+            np.testing.assert_array_equal(table, table.transpose(1, 0, 2))
+            np.testing.assert_allclose(table, aligned(cache) @ tie, rtol=0,
                                        atol=1e-12)
 
     def test_streamed_combined_mirrors_its_upper_triangle(self, rng,
@@ -733,6 +749,18 @@ class TestCrossMemory:
         assert res[0].iterations >= 1
         assert peak <= n * n * 10 * 8 + 4 * kernels._BLOCK_ELEMENTS * 8
 
+    @pytest.mark.parametrize("shape", [(600, 600), (300, 300, 4), (1, 1)])
+    def test_mirror_upper_copies_in_place(self, rng, shape):
+        # row by row: no index arrays (two n(n-1)/2 int64 arrays) and no
+        # gathered copy of the upper triangle
+        values = rng.standard_normal(shape)
+        want = values.copy()
+        lower = np.tril_indices(shape[0], k=-1)
+        want[lower] = want.swapaxes(0, 1)[lower]
+        peak = self.peak_bytes(lambda: kernels._mirror_upper(values))
+        np.testing.assert_array_equal(values, want)
+        assert peak < 4096
+
     def test_median_gamma_squares_in_blocks(self, rng):
         # 60 trees of 4,096-d node vectors: the stacked trees and a few
         # blocks, not three 10,000 x 4,096 sample arrays (654 MB)
@@ -741,18 +769,33 @@ class TestCrossMemory:
         stacked = 60 * self.NODES * 4096 * 8
         assert peak <= stacked + 4 * kernels._BLOCK_ELEMENTS * 8
 
+    @pytest.mark.parametrize("depth", [4, 6])
+    def test_contrastive_concatenation_holds_no_node_table(self, rng,
+                                                           depth):
+        # the pair table and pair weights (about 3 n * n values) or the
+        # n x n Gram and its checks, and beside them a fixed number of
+        # tiles, whatever the node count: not the (n, n, nodes) aligned
+        # table, 15 or 63 times n * n values, nor its rows gathered
+        n = 240
+        trees = random_trees(rng, n=n, depth=depth, frames=2 ** depth,
+                             dim=4)
+        labels = np.array([1 + (i % 3) for i in range(n)])
+        res = []
+        peak = self.peak_bytes(lambda: res.append(dmkl_fit(
+            trees, labels, CONCATENATION, ContrastiveConfig(iterations=5),
+            RBF)))
+        assert res[0].kernel_table == ("moments", (2 ** depth - 1,) * 2)
+        assert peak <= 6 * n * n * 8 + 8 * kernels._BLOCK_ELEMENTS * 8
+
+    ROUTES = ["em_fit", "dmkl_fit", "gram_matrix", "kernel_columns",
+              "level_table"]
+
     @staticmethod
-    def run_route(rng, monkeypatch, route, variant, table):
-        """Run ``route`` under ``variant`` with the ``NodeKernelCache``
-        method ``table`` patched to fail."""
+    def run_route(rng, route, variant):
+        """Run ``route`` under ``variant`` over 12 trees of depth 3."""
         trees = random_trees(rng, n=12, depth=3, dim=4)
         labels = np.array([1 + (i % 3) for i in range(12)])
         beta = to_simplex(rng.standard_normal(7))
-
-        def refuse(cache):
-            raise AssertionError(f"{route} called {table}")
-
-        monkeypatch.setattr(NodeKernelCache, table, refuse)
         runs = {
             "em_fit": lambda: em_fit(trees, labels, variant, RBF,
                                      EmConfig(max_iters=2)),
@@ -766,18 +809,28 @@ class TestCrossMemory:
         }
         runs[route]()
 
-    @pytest.mark.parametrize("route", ["em_fit", "dmkl_fit", "gram_matrix",
-                                       "kernel_columns", "level_table"])
+    @pytest.mark.parametrize("route", ROUTES)
     def test_no_route_builds_cross_tensor(self, rng, monkeypatch, route):
-        self.run_route(rng, monkeypatch, route, AVERAGING, "cross")
+        def refuse(cache):
+            raise AssertionError(f"{route} called cross")
 
-    @pytest.mark.parametrize("route", ["em_fit", "gram_matrix",
-                                       "kernel_columns"])
-    def test_only_contrastive_training_builds_aligned_table(
-            self, rng, monkeypatch, route):
-        # concatenation scoring and the alternating route never build the
-        # (rows, cols, nodes) table; contrastive training reads it
-        self.run_route(rng, monkeypatch, route, CONCATENATION, "aligned")
+        monkeypatch.setattr(NodeKernelCache, "cross", refuse)
+        self.run_route(rng, route, AVERAGING)
+
+    @pytest.mark.parametrize("variant", [CONCATENATION, AVERAGING])
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_no_route_allocates_a_node_table(self, rng, monkeypatch, route,
+                                             variant):
+        # depth 3: the tables a route may allocate are 3 levels wide, 6
+        # level pairs or 1 column, never one entry per node (7)
+        empty_table = NodeKernelCache._empty_table
+
+        def guarded(cache, width, *args):
+            assert width != cache.nodes, f"{route} allocated a node table"
+            return empty_table(cache, width, *args)
+
+        monkeypatch.setattr(NodeKernelCache, "_empty_table", guarded)
+        self.run_route(rng, route, variant)
 
     def assert_wide_rows_stream_in_three_blocks(self, rng, dim):
         """Peak minus output of the averaging ``level_table`` and

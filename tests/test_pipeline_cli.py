@@ -177,7 +177,7 @@ class TestTrainingOutputs:
                 (workspace, "em_a", "level_table", [n, n, 6]),
                 (workspace, "em_c", "level_table", [n, n, 3]),
                 (workspace, "dm_a", "moments", [28, 28]),
-                (tmp_path, "dm_c", "aligned", [n, n, 7])):
+                (tmp_path, "dm_c", "moments", [7, 7])):
             assert summary_of(root, run)["kernel_table"] == {
                 "name": name, "shape": shape,
                 "bytes": 8 * int(np.prod(shape))}
