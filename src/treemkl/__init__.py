@@ -39,6 +39,7 @@ _OWNERS = {
         "loss_grad",
     ),
     "em": ("EmConfig", "EmResult", "beta_objective_coeffs", "em_fit"),
+    "loading": ("PoolConfig", "load_split_trees"),
     "kernels": (
         "GramMatrix",
         "KernelConfig",
@@ -57,7 +58,6 @@ _OWNERS = {
         "evaluate_artifact",
         "fuse_evaluate",
         "load_artifact",
-        "load_split_trees",
         "save_artifact",
         "train_dmkl_route",
         "train_em_route",

@@ -124,12 +124,12 @@ def cmd_gen_synth(args) -> int:
 def cmd_pool(args) -> int:
     from .dataio import load_manifest
     from .hierarchy import write_pooled_file
-    from .pipeline import load_split_trees
+    from .loading import PoolConfig, load_split_trees
 
     out = _OutDir(args.out)
     manifest = load_manifest(args.manifest)
     root = _manifest_root(args.manifest)
-    cfg = _pipeline_config(args)
+    cfg = _config(PoolConfig, args)
     for split in ("train", "test"):
         try:
             trees, _ = load_split_trees(manifest, root, cfg, split)

@@ -33,10 +33,10 @@ from .errors import TooFewVideos, ValidationError
 from .hierarchy import PooledTree
 from .kernels import (
     _DENSE_LIMIT,
+    GramMatrix,
     KernelConfig,
     NodeKernelCache,
     canonical_variant,
-    mirrored_gram,
     node_weights,
     node_weights_pullback,
 )
@@ -87,11 +87,23 @@ class ContrastiveConfig:
 
 class _PairTable:
     """Every pair i < j of a label vector, row-major, with its +/-1
-    same-class label; the contrastive route's one source of pairs."""
+    same-class label; the contrastive route's one source of pairs. The
+    videos ``i``, ``j`` are int32 and the labels ``y`` int8, 9 bytes a
+    pair, filled one row video at a time."""
 
     def __init__(self, labels: np.ndarray):
-        self.i, self.j = np.triu_indices(labels.size, k=1)
-        self.y = np.where(labels[self.i] == labels[self.j], 1.0, -1.0)
+        n = labels.size
+        count = n * (n - 1) // 2
+        self.i = np.empty(count, dtype=np.int32)
+        self.j = np.empty(count, dtype=np.int32)
+        self.y = np.empty(count, dtype=np.int8)
+        at = 0
+        for i in range(n - 1):
+            row = slice(at, at + n - 1 - i)
+            self.i[row] = i
+            self.j[row] = np.arange(i + 1, n, dtype=np.int32)
+            self.y[row] = np.where(labels[i + 1:] == labels[i], 1, -1)
+            at = row.stop
 
 
 def loss_grad(i: np.ndarray, j: np.ndarray, y: np.ndarray,
@@ -145,23 +157,29 @@ def pair_moments(cache: NodeKernelCache, table: _PairTable, variant: str,
         raise ValidationError(
             f"{variant} contrastive training needs a ({q}, {q}) moment "
             f"matrix of {q * q * 8} bytes, above the {_DENSE_LIMIT * 8} limit")
-    pos, f = table.y > 0, positive_fraction
-    if f is not None and (pos.all() or not pos.any()):
+    pairs, f = table.y.size, positive_fraction
+    positives = int(np.count_nonzero(table.y > 0))
+    if f is not None and positives in (0, pairs):
         raise TooFewVideos("rebalancing needs both pair polarities")
-    coef = (np.full(pos.size, 1.0 / pos.size) if f is None
-            else np.where(pos, f / pos.sum(), (1.0 - f) / (~pos).sum()))
-    coef_pos = np.where(pos, coef, 0.0)
+    # each pair's weight by polarity: positive, negative
+    if f is None:
+        coef = (1.0 / pairs, 1.0 / pairs)
+    else:
+        coef = (f / positives, (1.0 - f) / (pairs - positives))
     A, b = np.zeros((q, q)), np.zeros(q)
     for at, rows in _pair_rows(cache, table, variant):
-        weighted = coef[at, None] * rows
+        pos = table.y[at] > 0
+        weighted = np.where(pos, *coef)[:, None] * rows
         # each panel of rows from its diagonal block on
         for s in range(0, q, _MOMENT_PANEL):
             e = s + _MOMENT_PANEL
             A[s:e, s:] += rows[:, s:e].T @ weighted[:, s:]
-        b += coef_pos[at] @ rows
+        b += np.where(pos, coef[0], 0.0) @ rows
     for s in range(_MOMENT_PANEL, q, _MOMENT_PANEL):
         A[s:s + _MOMENT_PANEL, :s] = A[:s, s:s + _MOMENT_PANEL].T
-    return A, b, float(coef_pos.sum())
+    # summed over every pair at once, zeros included, so that numpy's
+    # pairwise summation orders it as it always has: c keeps its bits
+    return A, b, float(np.where(table.y > 0, coef[0], 0.0).sum())
 
 
 def _pair_rows(cache: NodeKernelCache, table: _PairTable, variant: str):
@@ -258,7 +276,8 @@ def dmkl_fit(trees: list[PooledTree], labels: np.ndarray, variant: str,
     weights = SimplexPoint(beta)
     kernel_table = ("moments", A.shape)
     del A, b  # free the moments first: averaging's A is 32.5 MB at depth 6
-    gram = mirrored_gram(cache.combined(weights.beta, variant), cache.row_ids)
+    gram = GramMatrix(values=cache.combined(weights.beta, variant),
+                      ids=cache.row_ids)
     return DmklResult(weights=weights,
                       model=train_one_vs_rest(gram, labels, svm_cfg),
                       loss_trace=np.asarray(loss_trace),

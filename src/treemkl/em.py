@@ -20,11 +20,12 @@ exact slope ``J'(0) = grad @ d``, clamped to ``[0.1 eta, 0.5 eta]``
 (SimpleMKL: Rakotomamonjy et al., JMLR 2008).
 
 Both variants hold one fixed table ``T = cache.level_table(M,
-variant)``, built once, and the variant enters only through
-``node_weights`` and its pullback: every Gram, start and candidates
-alike, is ``T @ node_weights(gamma, variant)``, and the gradient in
-``gamma`` at the current ``alpha`` is ``-node_weights_pullback(c, gamma,
-variant)`` with ``c = beta_objective_coeffs(model, T)`` (Danskin).
+variant)``, built once, that holds each unordered pair of training
+videos once, and the variant enters only through ``node_weights`` and
+its pullback: every Gram, start and candidates alike, is unpacked from
+``T @ node_weights(gamma, variant)``, and the gradient in ``gamma`` at
+the current ``alpha`` is ``-node_weights_pullback(c, gamma, variant)``
+with ``c = beta_objective_coeffs(model, T)`` (Danskin).
 
 Every candidate's dual solves start from the last accepted ``alpha``,
 which is feasible for any kernel and close to the candidate's optimum
@@ -43,13 +44,13 @@ import numpy as np
 from .errors import ShapeMismatch, ValidationError
 from .hierarchy import Hierarchy, PooledTree
 from .kernels import (
+    GramMatrix,
     KernelConfig,
     NodeKernelCache,
     canonical_variant,
-    contract_table,
-    mirrored_gram,
     node_weights,
     node_weights_pullback,
+    unpack_pairs,
 )
 from .simplex import INIT_SCHEMES, SimplexWeights
 from .svm import (SvmModel, TrainConfig, dual_objective, one_vs_rest_classes,
@@ -110,11 +111,16 @@ def backtracked_eta(eta: float, rise: float, slope: float) -> float:
 
 
 def beta_objective_coeffs(model: SvmModel, table: np.ndarray) -> np.ndarray:
-    """Alignment of each kernel of a pair-major (n, n, ...) ``table``
-    over the model's training videos with its dual solutions: with
-    ``s_c`` row c of ``model.alpha * model.signs``, ``0.5 * sum_c s_c'
-    table[:, :, p] s_c`` for each trailing index ``p``, in the shape of
-    the trailing axes. For the concatenation level table that is a
+    """Alignment of each kernel of a packed table over the model's
+    training videos with its dual solutions. ``table`` holds one row per
+    unordered video pair, ``(n * (n + 1) / 2, ...)``, pairs ``i <= j``
+    row by row (``kernels.unpack_pairs``), as a one-set
+    ``NodeKernelCache.level_table`` does: with ``T_p`` the symmetric n x
+    n matrix whose packed pairs are ``table[:, p]`` and ``s_c`` row c of
+    ``model.alpha * model.signs``, the result is ``0.5 * sum_c s_c' T_p
+    s_c`` for each trailing index ``p``, in the shape of the trailing
+    axes. It is summed one row video at a time, each pair off the
+    diagonal counted twice. For the concatenation level table that is a
     non-negative vector, one entry per level. For the averaging level
     table it is the packed upper triangle, one entry per unordered
     level pair, of a symmetric PSD matrix: the Gram matrix of the
@@ -123,14 +129,22 @@ def beta_objective_coeffs(model: SvmModel, table: np.ndarray) -> np.ndarray:
     """
     n = model.n_train
     table = np.asarray(table)
-    if table.shape[:2] != (n, n):
+    if table.ndim < 2 or table.shape[0] != n * (n + 1) // 2:
         raise ShapeMismatch(
-            f"table shape {table.shape} is not pair-major over {n} videos")
+            f"table shape {table.shape} does not hold the "
+            f"{n * (n + 1) // 2} video pairs of {n} videos")
     signed = model.alpha * model.signs
-    # contract the row videos in one GEMM, then the column videos
-    partial = signed @ table.reshape(n, -1)
-    quad = np.einsum("ci,cik->k", signed, partial.reshape(len(signed), n, -1))
-    return 0.5 * quad.reshape(table.shape[2:])
+    flat = table.reshape(table.shape[0], -1)
+    quad = np.zeros(flat.shape[1])
+    at = 0
+    for i in range(n):
+        # 0.5 sum_c s_c' T s_c = sum_{i <= j} g_ij T_ij, g_ij = sum_c s_ci
+        # s_cj off the diagonal and half that on it: row i's pairs (i, j)
+        weights = signed[:, i] @ signed[:, i:]
+        weights[0] *= 0.5
+        quad += weights @ flat[at:at + n - i]
+        at += n - i
+    return quad.reshape(table.shape[1:])
 
 
 def em_fit(trees: list[PooledTree], labels: np.ndarray, variant: str,
@@ -143,10 +157,12 @@ def em_fit(trees: list[PooledTree], labels: np.ndarray, variant: str,
     vertex the next step would move to, when both ``gamma`` and every
     ``alpha`` move less than ``param_tol`` in max-norm, or when no
     candidate of the line search keeps the objective from rising.
-    Holds one fixed level table, (n, n, levels) for concatenation or
-    (n, n, levels * (levels + 1) / 2) for averaging, and, beside it,
-    n x n Grams; ``NodeKernelCache`` raises :class:`ValidationError`
-    before allocating a table above ``kernels._DENSE_LIMIT`` elements.
+    Holds one fixed level table, one row per unordered video pair,
+    (n * (n + 1) / 2, levels) for concatenation or (n * (n + 1) / 2,
+    levels * (levels + 1) / 2) for averaging, and, beside it, n x n
+    Grams unpacked from its contractions; ``NodeKernelCache`` raises
+    :class:`ValidationError` before allocating a table above
+    ``kernels._DENSE_LIMIT`` elements.
     """
     variant = canonical_variant(variant)
     labels = np.asarray(labels)
@@ -162,9 +178,9 @@ def em_fit(trees: list[PooledTree], labels: np.ndarray, variant: str,
     def solve(weights, start):
         nonlocal dual_solves, pair_updates
         # objective: sum over classes of the optimal (negated) dual values
-        gram = mirrored_gram(
-            contract_table(table, node_weights(weights, variant)),
-            cache.row_ids)
+        gram = GramMatrix(
+            values=unpack_pairs(table @ node_weights(weights, variant)),
+            ids=cache.row_ids)
         model = train_one_vs_rest(gram, labels, svm_cfg, start)
         dual_solves += model.class_ids.size
         pair_updates += model.pair_updates

@@ -27,7 +27,8 @@ from .dataio import (
     _stem,
     _write_container,
 )
-from .errors import InsufficientFrames, NonFinite, ValidationError
+from .errors import (InsufficientFrames, NonFinite, ShapeMismatch,
+                     ValidationError)
 
 
 @dataclass(frozen=True)
@@ -199,12 +200,14 @@ def _node_bounds(frame_count: int,
 
 
 def pool_sequence(seq: StreamFeatureSequence, hierarchy: Hierarchy,
-                  nodes=None) -> PooledTree:
+                  nodes=None, out: np.ndarray | None = None) -> PooledTree:
     """Mean-pool ``seq`` over the node intervals of ``hierarchy``: every
     node, or only the canonical positions ``nodes`` (increasing). The
     intervals are laid out for the whole depth either way, so a sequence
     too short for its leaves raises :class:`InsufficientFrames` whichever
-    nodes are asked for.
+    nodes are asked for. The node vectors are written to ``out``, a
+    C-contiguous (nodes, dim) float64 array, when given, and the tree
+    holds it, marked read-only, as its ``vectors``.
 
     The root vector equals the global mean of all frames; deeper nodes
     average shorter, better-localized spans.
@@ -213,7 +216,15 @@ def pool_sequence(seq: StreamFeatureSequence, hierarchy: Hierarchy,
     if nodes is not None:
         nodes = tuple(int(n) for n in nodes)
         bounds, counts = [bounds[n] for n in nodes], counts[list(nodes)]
-    vectors = np.empty((len(bounds), seq.dim))
+    if out is None:
+        vectors = np.empty((len(bounds), seq.dim))
+    elif (out.shape != (len(bounds), seq.dim) or out.dtype != np.float64
+          or not out.flags.c_contiguous):
+        raise ShapeMismatch(
+            f"{seq.video_id}: out must be a C-contiguous float64 array of "
+            f"shape {(len(bounds), seq.dim)}, got {out.dtype} {out.shape}")
+    else:
+        vectors = out
     # the sum and the division of ndarray.mean, one pass per node
     for pos, (start, end) in enumerate(bounds):
         np.add.reduce(seq.rows[start:end], axis=0, out=vectors[pos])

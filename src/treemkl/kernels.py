@@ -49,16 +49,20 @@ only in tiles.
 Over one tree set (training) the node kernels are symmetric,
 ``kappa(a_im, a_ju) = kappa(a_ju, a_im)``, so the row videos ``r0:r1``
 are computed only against the videos from ``r0`` on: each video pair
-once, plus the lower half of the tiles' square on the diagonal. The
-pairs ``(j, i)`` with ``j >= r1`` are copied from the pairs ``(i, j)``
-of the same tile as they are: an aligned or symmetrized entry reads the
-same either way round. Between two tree sets (test columns) the tiles
-of each row range cover every column video.
+once, plus the lower half of the tiles' square on the diagonal. An
+aligned or symmetrized entry reads the same either way round, so a
+one-set table holds each unordered video pair once: its n * (n + 1) / 2
+pairs ``i <= j`` row by row, written from the tiles' upper triangle.
+Its contractions are unpacked into exactly symmetric n x n values
+(:func:`unpack_pairs`). Between two tree sets (test columns) the tiles
+of each row range cover every column video, and the table holds every
+(row, column) pair.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,9 +76,10 @@ from .errors import (
 )
 from .hierarchy import PooledTree
 
-# largest (rows, cols, width) table the cache allocates, or (q, q) moment
-# matrix contrastive training allocates, in elements; larger ones are
-# refused before allocation
+# largest (rows, cols, width) or packed (pairs, width) table the cache
+# allocates, n x n combined-kernel values, or (q, q) moment matrix
+# contrastive training allocates, in elements; larger ones are refused
+# before allocation
 _DENSE_LIMIT = 2 ** 25
 
 # elements of one tile of a kernel table (at least one column video), the
@@ -190,7 +195,10 @@ def _kernel_matrix(X: np.ndarray, Y: np.ndarray, cfg: KernelConfig,
 
 def stack_trees(trees: list[PooledTree]) -> tuple[np.ndarray, list[str]]:
     """Stack homogeneous trees, same depth, dim and held nodes, into an
-    (n, nodes, dim) array + id list."""
+    (n, nodes, dim) array + id list. Trees whose vectors are exactly the
+    rows of one array, in order, as :func:`treemkl.loading.load_trees`
+    pools them, are that array, returned as a read-only view and not
+    copied; any other list is stacked into a new array."""
     if not trees:
         raise ShapeMismatch("empty tree list")
     first = trees[0]
@@ -203,7 +211,25 @@ def stack_trees(trees: list[PooledTree]) -> tuple[np.ndarray, list[str]]:
             raise ShapeMismatch(
                 f"tree {t.video_id} holds nodes {t.nodes}, tree "
                 f"{first.video_id} holds {first.nodes}")
-    return np.stack([t.vectors for t in trees]), [t.video_id for t in trees]
+    ids = [t.video_id for t in trees]
+    block = first.vectors.base
+    if _rows_of(block, trees):
+        stacked = block.view()
+        stacked.flags.writeable = False
+        return stacked, ids
+    return np.stack([t.vectors for t in trees]), ids
+
+
+def _rows_of(block, trees: list[PooledTree]) -> bool:
+    """Whether the trees' vectors are the rows of the C-contiguous array
+    ``block``, all of them, in order."""
+    if not (isinstance(block, np.ndarray) and block.flags.c_contiguous
+            and block.shape == (len(trees), *trees[0].vectors.shape)):
+        return False
+    start, step = block.ctypes.data, block.strides[0]
+    return all(t.vectors.base is block
+               and t.vectors.ctypes.data == start + k * step
+               for k, t in enumerate(trees))
 
 
 def _check_pair(a: PooledTree, b: PooledTree, beta: np.ndarray) -> np.ndarray:
@@ -280,14 +306,18 @@ class NodeKernelCache:
     symmetrized cross kernels ``kappa(row_i[m], col_j[n])``. So a run
     holds at most one table, and beside it tiles. Every table is refused
     above ``_DENSE_LIMIT`` elements before it is allocated. ``cross()``
-    and ``pair_blocks`` are test oracles that no route calls.
+    and ``pair_blocks`` are test oracles that no route calls. The trees
+    are stacked by :func:`stack_trees`, which copies none that
+    :func:`treemkl.loading.load_trees` loaded.
 
     A cache over two tree sets streams every column video for each
-    row tile. A cache over one tree set streams, for the row videos
-    ``r0:r1``, only the column videos from ``r0`` on: ``table_blocks``,
+    row tile, and its level table holds every (row, column) video pair.
+    A cache over one tree set streams, for the row videos ``r0:r1``,
+    only the column videos from ``r0`` on: ``table_blocks``,
     ``level_table`` and ``combined`` cover the upper triangle of video
-    pairs, and the last two fill the lower one from it. ``cross()``
-    still streams every column video.
+    pairs. Its level table holds each of those pairs once, packed
+    (:func:`unpack_pairs`), and ``combined`` unpacks its one column into
+    the n x n values. ``cross()`` still streams every column video.
     """
 
     def __init__(self, row_trees: list[PooledTree], cfg: KernelConfig,
@@ -312,17 +342,26 @@ class NodeKernelCache:
                 f"beta has {beta.size} entries for {self.nodes} nodes")
         return beta
 
-    def _empty_table(self, width: int, what: str) -> np.ndarray:
-        """An uninitialized (rows, cols, width) table, refused with
-        :class:`ValidationError` above ``_DENSE_LIMIT`` elements; ``what``
-        names the trailing axis in the message."""
+    def _empty_table(self, width: int, what: str,
+                     packed: bool) -> np.ndarray:
+        """An uninitialized table of ``width`` entries per video pair:
+        ``packed`` (one tree set only), one row per unordered video pair,
+        (n * (n + 1) / 2, width) (see :func:`unpack_pairs`); else (rows,
+        cols, width). Refused with :class:`ValidationError` above
+        ``_DENSE_LIMIT`` elements; ``what`` names the trailing axis in
+        the message."""
         nr, nc = self.rows.shape[0], self.cols.shape[0]
-        if nr * nc * width > _DENSE_LIMIT:
+        if packed:
+            pairs = nr * (nr + 1) // 2
+            shape, videos = (pairs, width), f"{pairs} pairs of {nr} videos"
+        else:
+            shape, videos = (nr, nc, width), f"{nr} x {nc} videos"
+        size = math.prod(shape)
+        if size > _DENSE_LIMIT:
             raise ValidationError(
-                f"{nr} x {nc} videos and {width} {what} need a node-kernel "
-                f"table of {nr * nc * width * 8} bytes, above the "
-                f"{_DENSE_LIMIT * 8}-byte limit")
-        return np.empty((nr, nc, width))
+                f"{videos} and {width} {what} need a node-kernel table of "
+                f"{size * 8} bytes, above the {_DENSE_LIMIT * 8}-byte limit")
+        return np.empty(shape)
 
     def _aligned_tiles(self, node: int, stack: int = 1):
         """``_cross_blocks`` of the one node's aligned kernels, each tile
@@ -333,12 +372,6 @@ class NodeKernelCache:
         at = slice(node, node + 1)
         for r0, r1, c0, c1, tile in self._cross_blocks(at, at, stack=stack):
             yield r0, r1, c0, c1, tile[:, 0, :, 0]
-
-    def _mirrored(self, table: np.ndarray) -> np.ndarray:
-        """A pair-major table of a one-set cache with its upper triangle
-        of video pairs copied onto the lower one, in place; a two-set
-        table as it is."""
-        return _mirror_upper(table) if self.cols is self.rows else table
 
     def _cross_blocks(self, row_nodes=slice(None), col_nodes=slice(None),
                       all_cols: bool = False, stack: int = 1):
@@ -411,41 +444,70 @@ class NodeKernelCache:
             self._cross = out
         return self._cross
 
+    def _placed(self, r0: int, r1: int, c0: int, c1: int):
+        """Yield ``(dest, src)``: where a tile of the video pairs ``r0:r1``
+        x ``c0:c1`` goes in a table of :meth:`_empty_table`, ``table[dest]
+        = tile[src]`` with ``dest`` a tuple of slices. Over two tree sets
+        that is the whole tile at ``[r0:r1, c0:c1]``; over one, each tile
+        row's pairs ``(i, j)`` with ``j >= i``, at their rows of the
+        packed table, one slice per row video."""
+        if self.cols is not self.rows:
+            yield (slice(r0, r1), slice(c0, c1)), ...
+            return
+        n = self.rows.shape[0]
+        for i in range(r0, r1):
+            j0 = max(c0, i)
+            if j0 < c1:
+                # pair (i, j) of the packed table is row at + j
+                at = i * (n - 1) - i * (i - 1) // 2
+                yield ((slice(at + j0, at + c1),),
+                       (i - r0, slice(j0 - c0, None)))
+
     def level_table(self, tie: np.ndarray, variant: str) -> np.ndarray:
         """The variant's node kernels with each node axis contracted with
         ``tie``, shape (nodes, k): a pair-major table whose contraction
         with ``node_weights(gamma, variant)`` is the combined kernel at
         ``beta = tie @ gamma``, from the node kernels of the nodes whose
         ``tie`` row is non-zero only. Concatenation gives ``T[i, j] =
-        sum_m kappa(row_i[m], col_j[m]) tie[m]``, (rows, cols, k),
-        accumulated one node and one tile at a time into the levels where
-        ``tie`` is non-zero; averaging gives ``T[i, j, l, l'] =
+        sum_m kappa(row_i[m], col_j[m]) tie[m]``, k entries per video
+        pair, accumulated one node and one tile at a time into the levels
+        where ``tie`` is non-zero; averaging gives ``T[i, j, l, l'] =
         sum_{m,n} tie[m, l] tie[n, l'] kappa(row_i[m], col_j[n])``, from
         the streamed cross kernels contracted tile by tile on the
-        column-node axis, then on the row-node one, and
-        stores each tile's ``_packed_sym``, (rows, cols, k * (k + 1) /
-        2). A one-set cache fills the lower triangle of video pairs from
-        the upper one: averaging copies ``T[i, j]`` to ``T[j, i]`` for
-        ``j >= r1`` from tile ``r0:r1`` as it is, since swapping the
-        level axes leaves a symmetrized entry as it is. Refused above
-        ``_DENSE_LIMIT`` elements before allocation."""
+        column-node axis, then on the row-node one, and stores each
+        tile's ``_packed_sym``, k * (k + 1) / 2 entries per video pair.
+        Over two tree sets the table is (rows, cols, entries). Over one,
+        where ``T[j, i]`` equals ``T[i, j]`` (an aligned or symmetrized
+        entry reads the same either way round), it holds each unordered
+        video pair once: (n * (n + 1) / 2, entries), the pairs ``i <=
+        j`` row by row (see :func:`unpack_pairs`), written from the
+        upper triangle the tiles cover. Refused above ``_DENSE_LIMIT``
+        elements before allocation."""
         tie = np.asarray(tie, dtype=np.float64)
         if tie.ndim != 2 or tie.shape[0] != self.nodes:
             raise ShapeMismatch(
                 f"tie has shape {tie.shape} for {self.nodes} nodes")
         k = tie.shape[1]
         held = np.flatnonzero(tie.any(axis=1))
+        packed = self.cols is self.rows
         if canonical_variant(variant) == CONCATENATION:
-            out = self._empty_table(k, "levels")
+            out = self._empty_table(k, "levels", packed)
             out.fill(0.0)
+            placed = {}     # every node's tiles lie on one grid
             for node in held:
                 levels = np.flatnonzero(tie[node])
                 for r0, r1, c0, c1, tile in self._aligned_tiles(node):
-                    out[r0:r1, c0:c1, levels] += (tile[:, :, None]
-                                                  * tie[node, levels])
-            return self._mirrored(out)
-        out = self._empty_table(k * (k + 1) // 2, "level pairs")
-        mirror = self.cols is self.rows
+                    if (r0, c0) not in placed:
+                        placed[r0, c0] = list(self._placed(r0, r1, c0, c1))
+                    for level in levels:
+                        part = tile * tie[node, level]
+                        for dest, src in placed[r0, c0]:
+                            # in place through a view: out[...] += would
+                            # also write the view back
+                            into = out[dest + (level,)]
+                            into += part[src]
+            return out
+        out = self._empty_table(k * (k + 1) // 2, "level pairs", packed)
         if held.size == self.nodes:
             held = slice(None)
         tie = tie[held]
@@ -455,21 +517,27 @@ class NodeKernelCache:
             partial = (tile.reshape(-1, m) @ tie).reshape(r, a, c * k)
             square = np.matmul(tie.T, partial).reshape(
                 r, k, c, k).transpose(0, 2, 1, 3)
-            _packed_sym(square, out[r0:r1, c0:c1])
-            if mirror and c1 > r1:
-                j0 = max(c0, r1)
-                out[j0:c1, r0:r1] = out[r0:r1, j0:c1].transpose(1, 0, 2)
-            del tile, partial, square   # freed before the next tile is made
+            reduced = _packed_sym(square)
+            for dest, src in self._placed(r0, r1, c0, c1):
+                out[dest] = reduced[src]
+            # freed before the next tile is made
+            del tile, partial, square, reduced
         return out
 
     def combined(self, beta: np.ndarray, variant: str) -> np.ndarray:
         """Combined-kernel values, shape (rows, cols): the one-column
         ``level_table(beta[:, None], variant)``, so only the nodes with
-        non-zero weight are evaluated; exactly symmetric over one tree
-        set, whose upper triangle is mirrored."""
+        non-zero weight are evaluated. Over one tree set that table holds
+        each video pair once, and is unpacked into the values, exactly
+        symmetric; the (n, n) values are refused above ``_DENSE_LIMIT``
+        before any kernel is computed."""
         beta = self._check_beta(beta)
+        if self.cols is not self.rows:
+            table = self.level_table(beta[:, None], variant)
+            return table.reshape(table.shape[:2])
+        values = self._empty_table(1, "levels", False)[:, :, 0]
         table = self.level_table(beta[:, None], variant)
-        return self._mirrored(table.reshape(table.shape[:2]))
+        return unpack_pairs(table[:, 0], out=values)
 
     def pair_blocks(self, i_idx: np.ndarray, j_idx: np.ndarray,
                     variant: str) -> np.ndarray:
@@ -500,32 +568,33 @@ def kernel_columns(row_trees: list[PooledTree], col_trees: list[PooledTree],
 def gram_matrix(trees: list[PooledTree], beta: np.ndarray, variant: str,
                 cfg: KernelConfig) -> GramMatrix:
     """Pairwise combined kernel over one tree list, exactly symmetric
-    (upper triangle mirrored)."""
+    (each video pair computed once)."""
     cache = NodeKernelCache(trees, cfg)
-    return mirrored_gram(cache.combined(beta, variant), cache.row_ids)
+    return GramMatrix(values=cache.combined(beta, variant), ids=cache.row_ids)
 
 
-def contract_table(table: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """``table @ weights`` over the flattened trailing axes of a
-    pair-major (rows, cols, ...) table, shape (rows, cols)."""
-    rows, cols = table.shape[:2]
-    return (table.reshape(rows * cols, -1) @ weights).reshape(rows, cols)
-
-
-def mirrored_gram(values: np.ndarray, ids) -> GramMatrix:
-    """The Gram matrix of square combined-kernel ``values``, made exactly
-    symmetric by mirroring the upper triangle (in place); the one Gram
-    builder of ``gram_matrix`` and both training routes."""
-    return GramMatrix(values=_mirror_upper(values), ids=tuple(ids))
-
-
-def _mirror_upper(values: np.ndarray) -> np.ndarray:
-    """``values`` of shape (n, n, ...) with the upper triangle of its
-    first two axes copied onto the lower one, in place, one row at a time,
-    so that no index array or gathered copy is made."""
-    for i in range(values.shape[0] - 1):
-        values[i + 1:, i] = values[i, i + 1:]
-    return values
+def unpack_pairs(values: np.ndarray, out: np.ndarray | None = None
+                 ) -> np.ndarray:
+    """The symmetric (n, n) matrix whose packed video pairs are
+    ``values``: entry ``p`` of the n * (n + 1) / 2 is pair (i, j), i <=
+    j, row by row (i = 0 first), the layout of a one-set
+    :meth:`NodeKernelCache.level_table`. Written to ``out`` when given,
+    one row and its mirrored column at a time, so no index array is
+    made."""
+    pairs = values.shape[0]
+    n = (math.isqrt(8 * pairs + 1) - 1) // 2
+    if values.ndim != 1 or n * (n + 1) // 2 != pairs:
+        raise ShapeMismatch(
+            f"{values.shape} values are not the packed pairs of n videos")
+    if out is None:
+        out = np.empty((n, n))
+    at = 0
+    for i in range(n):
+        row = values[at:at + n - i]
+        out[i, i:] = row
+        out[i + 1:, i] = row[1:]
+        at += n - i
+    return out
 
 
 def median_gamma(trees: list[PooledTree], seed: int = 0) -> float:

@@ -1,12 +1,13 @@
 """End-to-end training and evaluation on manifest-described datasets.
 
-Glue between the file formats and the numerical modules: loading and
-pooling one stream of a dataset, resolving the kernel bandwidth,
-running either training route, writing and reading the model artifact
-(the one owner of its format), and scoring test splits (single stream
-or two-stream fusion). The CLI is a thin argument-parsing layer over
-these functions. Each training route imports its optimiser (``em`` or
-``dmkl``) when it runs, so scoring and ``pool`` never load them.
+Glue between the file formats and the numerical modules: resolving
+the kernel bandwidth, running either training route, writing and
+reading the model artifact (the one owner of its format), and scoring
+test splits (single stream or two-stream fusion), on trees that
+:mod:`treemkl.loading` loads and pools. The CLI is a thin
+argument-parsing layer over these functions. Each training route
+imports its optimiser (``em`` or ``dmkl``) when it runs, so scoring
+never loads them.
 """
 
 from __future__ import annotations
@@ -19,17 +20,15 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .choices import AVERAGING, CONCATENATION, FUSION_MODES, NORMS, STREAMS
-from .dataio import DatasetManifest, VideoRecord, _class_id, load_feature_file
+from .choices import AVERAGING, CONCATENATION, FUSION_MODES
+from .dataio import DatasetManifest, VideoRecord, _class_id
 from .errors import (
     ArtifactMismatch,
     ConfigMismatch,
-    EmptySplit,
-    MissingFeatures,
     MissingPath,
     ValidationError,
 )
-from .hierarchy import Hierarchy, PooledTree, pool_sequence
+from .hierarchy import Hierarchy, PooledTree
 from .kernels import (
     KernelConfig,
     canonical_variant,
@@ -38,6 +37,7 @@ from .kernels import (
     kernel_columns,
     median_gamma,
 )
+from .loading import PoolConfig, load_split_trees, load_trees
 from .simplex import check_on_simplex
 from .svm import (
     SvmModel,
@@ -55,24 +55,20 @@ ARTIFACT_FORMAT = "treemkl-model-v1"
 
 
 @dataclass(frozen=True)
-class PipelineConfig:
-    depth: int
+class PipelineConfig(PoolConfig):
+    """A training run's configuration: how its stream is pooled
+    (:class:`PoolConfig`), then the combine variant, the kernel and its
+    bandwidth (a number, or ``"median"`` for :func:`median_gamma`), and
+    the seed."""
+
     variant: str = AVERAGING
-    stream: str = "appearance"
     kernel_kind: str = "rbf"
     gamma: float | str = "median"
-    feature_norm: str = "none"
-    node_norm: str = "none"
     seed: int = 0
 
     def __post_init__(self):
-        if not (1 <= self.depth <= 8):
-            raise ValidationError(f"depth {self.depth} outside 1..8")
+        super().__post_init__()
         object.__setattr__(self, "variant", canonical_variant(self.variant))
-        if self.stream not in STREAMS:
-            raise ValidationError(f"unknown stream {self.stream!r}")
-        if self.feature_norm not in NORMS or self.node_norm not in NORMS:
-            raise ValidationError("norms must be 'none' or 'l2'")
         if self.seed < 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if isinstance(self.gamma, str) and self.gamma != "median":
@@ -80,49 +76,6 @@ class PipelineConfig:
         # the kernel's own rules; 1.0 stands in for the median bandwidth
         KernelConfig(self.kernel_kind,
                      1.0 if self.gamma == "median" else self.gamma)
-
-
-def _l2_rows(arr: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(arr, axis=1, keepdims=True)
-    return arr / np.where(norms > 0, norms, 1.0)
-
-
-def _load_one(record: VideoRecord, root: str, cfg: PipelineConfig,
-              hierarchy: Hierarchy, nodes=None) -> PooledTree:
-    rel = record.path_for(cfg.stream)
-    if rel is None:
-        raise MissingFeatures(
-            f"{record.video_id}: no {cfg.stream} stream in manifest")
-    path = rel if os.path.isabs(rel) else os.path.join(root, rel)
-    if not os.path.isfile(path):
-        raise MissingFeatures(
-            f"{record.video_id}: feature file {path} not found")
-    seq = load_feature_file(path, video_id=record.video_id, stream=cfg.stream)
-    if cfg.feature_norm == "l2":
-        seq = type(seq)(video_id=seq.video_id, stream=seq.stream,
-                        rows=_l2_rows(seq.rows))
-    tree = pool_sequence(seq, hierarchy, nodes)
-    if cfg.node_norm == "l2":
-        tree = PooledTree(video_id=tree.video_id, stream=tree.stream,
-                          depth=tree.depth, vectors=_l2_rows(tree.vectors),
-                          nodes=tree.nodes)
-    return tree
-
-
-def load_split_trees(manifest: DatasetManifest, root: str,
-                     cfg: PipelineConfig, split: str,
-                     nodes=None) -> tuple[list[PooledTree], np.ndarray]:
-    """Pooled trees plus labels for one split of one stream, in manifest
-    order; the trees hold every node, or only the canonical positions
-    ``nodes`` (see :func:`pool_sequence`). Scoring passes the nodes a
-    model weights, training and ``pool`` pass none."""
-    records = [r for r in manifest.split(split)
-               if r.path_for(cfg.stream) is not None]
-    if not records:
-        raise EmptySplit(f"no {split} records carry a {cfg.stream} stream")
-    hierarchy = Hierarchy(cfg.depth)
-    trees = [_load_one(r, root, cfg, hierarchy, nodes) for r in records]
-    return trees, np.array([r.label for r in records])
 
 
 def resolve_gamma(trees: list[PooledTree], cfg: PipelineConfig) -> KernelConfig:
@@ -414,10 +367,8 @@ def _artifact_scores(artifact: ModelArtifact, test_trees: list[PooledTree],
     ``test_trees`` hold the artifact's weighted nodes, as the support
     trees loaded here do."""
     cfg = artifact.pipeline
-    hierarchy = Hierarchy(cfg.depth)
     nodes = _weighted_nodes(artifact)
-    support_trees = [_load_one(r, root, cfg, hierarchy, nodes)
-                     for r in support]
+    support_trees = load_trees(support, root, cfg, nodes)
     model = SvmModel(
         train_ids=artifact.support_ids,
         labels=np.array([r.label for r in support]),

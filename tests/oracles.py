@@ -3,8 +3,9 @@
 Nothing here shares code with the package: the elementary kernel is
 evaluated one vector pair at a time, and so is the concatenation
 variant's whole node table, a dense node table is packed one node pair
-at a time, the contrastive loss is the mean of its per-pair terms, the
-QP oracles enumerate active sets or supports, gradients come from
+at a time and a pair-major table one video pair at a time, the
+contrastive loss is the mean of its per-pair terms, the QP oracles
+enumerate active sets or supports, gradients come from
 central finite differences, the softmax Jacobian is written out entry
 by entry, artifact scores are summed one class and one support video
 list at a time, and the reference dual solver rebuilds every KKT
@@ -72,6 +73,20 @@ def pack_sym(K: np.ndarray) -> np.ndarray:
     m = K.shape[-1]
     return np.stack([(K[..., a, c] + K[..., c, a]) / 2.0
                      for a in range(m) for c in range(a, m)], axis=-1)
+
+
+def pack_pairs(T: np.ndarray) -> np.ndarray:
+    """Dense to packed over video pairs: the one-set tables' layout of a
+    pair-major table ``T`` of shape (n, n, ...). Row p is ``(T[i, j] +
+    T[j, i]) / 2`` for the p-th video pair i <= j, row by row (i = 0
+    first), so the result has shape (n * (n + 1) / 2, ...). A quadratic
+    form ``s' T[:, :, ...] s`` is the sum over the packed rows weighted
+    ``s_i s_j``, doubled off the diagonal, and a symmetric ``T`` is its
+    upper triangle."""
+    T = np.asarray(T, dtype=np.float64)
+    n = T.shape[0]
+    return np.stack([(T[i, j] + T[j, i]) / 2.0
+                     for i in range(n) for j in range(i, n)])
 
 
 def central_difference(f, x: np.ndarray, step: float = 1e-5) -> np.ndarray:

@@ -67,6 +67,17 @@ class TestPairLabels:
             dmkl_fit(trees, np.array([1]), AVERAGING, ContrastiveConfig(),
                      RBF)
 
+    def test_compact_dtypes_row_major(self, rng):
+        labels = rng.integers(1, 4, size=30)
+        table = _PairTable(labels)
+        i, j = np.triu_indices(30, k=1)
+        assert (table.i.dtype, table.j.dtype, table.y.dtype) == (
+            np.int32, np.int32, np.int8)
+        np.testing.assert_array_equal(table.i, i)
+        np.testing.assert_array_equal(table.j, j)
+        np.testing.assert_array_equal(
+            table.y, np.where(labels[i] == labels[j], 1, -1))
+
     def test_pair_supply_exceeds_label_count(self):
         # n(n-1)/2 supervision signals from n labels
         labels = np.arange(20) % 4 + 1
@@ -160,7 +171,63 @@ class TestLossGrad:
         np.testing.assert_allclose(grad, expected, atol=1e-12)
 
 
+def parent_pair_moments(cache, labels, variant, positive_fraction):
+    """``pair_moments`` as it was written over full-length int64 pair
+    indices and float64 pair labels and weights: the reference its bits
+    are held to."""
+    i, j = np.triu_indices(labels.size, k=1)
+    table = type("Pairs", (), {})()
+    table.i, table.j = i, j
+    table.y = np.where(labels[i] == labels[j], 1.0, -1.0)
+    q = node_weights(np.ones(cache.nodes), variant).size
+    pos, f = table.y > 0, positive_fraction
+    coef = (np.full(pos.size, 1.0 / pos.size) if f is None
+            else np.where(pos, f / pos.sum(), (1.0 - f) / (~pos).sum()))
+    coef_pos = np.where(pos, coef, 0.0)
+    A, b = np.zeros((q, q)), np.zeros(q)
+    for at, rows in dmkl._pair_rows(cache, table, variant):
+        weighted = coef[at, None] * rows
+        for s in range(0, q, dmkl._MOMENT_PANEL):
+            e = s + dmkl._MOMENT_PANEL
+            A[s:e, s:] += rows[:, s:e].T @ weighted[:, s:]
+        b += coef_pos[at] @ rows
+    for s in range(dmkl._MOMENT_PANEL, q, dmkl._MOMENT_PANEL):
+        A[s:s + dmkl._MOMENT_PANEL, :s] = A[:s, s:s + dmkl._MOMENT_PANEL].T
+    return A, b, float(coef_pos.sum())
+
+
 class TestPairMoments:
+    @pytest.mark.parametrize("variant", [CONCATENATION, AVERAGING])
+    @pytest.mark.parametrize("fraction", [None, 0.5, 0.3])
+    def test_moments_keep_the_bits_of_full_length_weights(
+            self, rng, variant, fraction):
+        trees = random_trees(rng, n=61, depth=3, dim=4)
+        labels = rng.integers(1, 4, size=61)
+        cache = NodeKernelCache(trees, RBF)
+        got = pair_moments(cache, _PairTable(labels), variant, fraction)
+        want = parent_pair_moments(cache, labels, variant, fraction)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+
+    def test_pair_bookkeeping_peak(self, rng):
+        # 1,200 videos, 719,400 pairs: the int32 / int8 pair table and the
+        # polarity scalars, about 9 bytes a pair, with one full-length
+        # float64 sum at the end, not int64 indices, float64 labels and
+        # three full-length weight arrays (about 41 bytes a pair, more
+        # while np.triu_indices runs)
+        n = 1200
+        trees = random_trees(rng, n=n, depth=2, dim=4)
+        labels = np.arange(n) % 3 + 1
+        cache = NodeKernelCache(trees, RBF)
+        tracemalloc.start()
+        try:
+            pair_moments(cache, _PairTable(labels), CONCATENATION, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        pairs = n * (n - 1) // 2
+        assert peak <= 20 * pairs + 4 * kernels._BLOCK_ELEMENTS * 8
+
     @pytest.mark.parametrize("fraction", [0.5, None])
     @pytest.mark.parametrize("variant", [CONCATENATION, AVERAGING])
     def test_match_loss_grad_oracle(self, rng, monkeypatch, variant,

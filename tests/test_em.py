@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_trees
-from oracles import aligned, averaging_coeffs_oracle
+from oracles import aligned, averaging_coeffs_oracle, pack_pairs
 from treemkl import em, errors, kernels
 from treemkl.em import (BACKTRACK_RANGE, EmConfig, backtracked_eta,
                         beta_objective_coeffs, em_fit)
@@ -20,7 +20,7 @@ from treemkl.kernels import (
     node_weights_pullback,
 )
 from treemkl.simplex import INIT_SCHEMES, SimplexWeights, to_simplex
-from treemkl.svm import (TrainConfig, dual_objective, predict,
+from treemkl.svm import (SvmModel, TrainConfig, dual_objective, predict,
                          train_one_vs_rest)
 from treemkl.synth import SynthSpec, gen_sequences
 
@@ -41,21 +41,21 @@ class TestBetaObjectiveCoeffs:
     def test_zero_alpha_gives_zero(self, rng):
         trees, labels, cache, model = trained_instance(rng)
         zero = dataclasses.replace(model, alpha=np.zeros_like(model.alpha))
-        c = beta_objective_coeffs(zero, aligned(cache))
+        c = beta_objective_coeffs(zero, pack_pairs(aligned(cache)))
         np.testing.assert_array_equal(c, np.zeros(cache.nodes))
-        m = beta_objective_coeffs(zero, cache.cross())
+        m = beta_objective_coeffs(zero, pack_pairs(cache.cross()))
         np.testing.assert_array_equal(m, np.zeros((cache.nodes, cache.nodes)))
 
     def test_concat_coeffs_nonnegative(self, rng):
         # each coefficient is a quadratic form in a PSD node kernel
         for _ in range(10):
             trees, labels, cache, model = trained_instance(rng)
-            c = beta_objective_coeffs(model, aligned(cache))
+            c = beta_objective_coeffs(model, pack_pairs(aligned(cache)))
             assert c.min() >= -1e-10
 
     def test_single_node_scalar(self, rng):
         trees, labels, cache, model = trained_instance(rng, depth=1)
-        c = beta_objective_coeffs(model, aligned(cache))
+        c = beta_objective_coeffs(model, pack_pairs(aligned(cache)))
         assert c.shape == (1,)
         signed = model.alpha * model.signs
         expected = 0.5 * sum(s @ aligned(cache)[:, :, 0] @ s for s in signed)
@@ -65,13 +65,13 @@ class TestBetaObjectiveCoeffs:
     def test_averaging_matrix_psd(self, rng):
         for _ in range(10):
             trees, labels, cache, model = trained_instance(rng)
-            m = beta_objective_coeffs(model, cache.cross())
+            m = beta_objective_coeffs(model, pack_pairs(cache.cross()))
             np.testing.assert_allclose(m, m.T, atol=1e-12)
             assert np.linalg.eigvalsh(m)[0] >= -1e-8
 
     def test_averaging_matches_node_pair_oracle(self, rng):
         trees, labels, cache, model = trained_instance(rng, n=12, depth=3)
-        m = beta_objective_coeffs(model, cache.cross())
+        m = beta_objective_coeffs(model, pack_pairs(cache.cross()))
         ref = averaging_coeffs_oracle(model.alpha, labels,
                                       np.stack([t.vectors for t in trees]),
                                       RBF.gamma)
@@ -91,7 +91,8 @@ class TestBetaObjectiveCoeffs:
         got = -node_weights_pullback(
             beta_objective_coeffs(model, table).ravel(), gamma, variant)
         if variant == CONCATENATION:
-            node_grad = -beta_objective_coeffs(model, aligned(cache))
+            node_grad = -beta_objective_coeffs(model,
+                                               pack_pairs(aligned(cache)))
         else:
             coeffs = averaging_coeffs_oracle(
                 model.alpha, labels, np.stack([t.vectors for t in trees]),
@@ -110,17 +111,38 @@ class TestBetaObjectiveCoeffs:
         table = cache.level_table(tie, variant)
         for gamma in (to_simplex(rng.standard_normal(3)), np.eye(3)[2],
                       np.array([0.5, 0.0, 0.5])):
-            got = kernels.contract_table(table,
-                                         kernels.node_weights(gamma, variant))
+            got = kernels.unpack_pairs(
+                table @ kernels.node_weights(gamma, variant))
             want = cache.combined(tie @ gamma, variant)
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
-    def test_averaging_rejects_node_major_layout(self, rng):
+    def test_rejects_tables_not_packed_over_video_pairs(self, rng):
+        # node-major layouts, and the dense (n, n, ...) pair-major ones
         trees, labels, cache, model = trained_instance(rng)
-        for node_major in (cache.cross().transpose(2, 3, 0, 1),
-                           aligned(cache).transpose(2, 0, 1)):
-            with pytest.raises(errors.ShapeMismatch):
-                beta_objective_coeffs(model, node_major)
+        for unpacked in (cache.cross().transpose(2, 3, 0, 1),
+                         aligned(cache).transpose(2, 0, 1), cache.cross(),
+                         aligned(cache), pack_pairs(aligned(cache))[:-1]):
+            with pytest.raises(errors.ShapeMismatch, match="55 video pairs"):
+                beta_objective_coeffs(model, unpacked)
+
+    @pytest.mark.parametrize("n", [1, 2, 9, 30])
+    def test_packed_rows_match_dense_quadratic_forms(self, rng, n):
+        # each off-diagonal pair counted twice, the diagonal once: the
+        # quadratic forms of the dense symmetric tables, per trailing entry
+        labels = np.arange(n) % 3 + 1
+        classes = np.unique(labels)
+        model = SvmModel(train_ids=[f"v{i}" for i in range(n)],
+                         labels=labels, class_ids=classes,
+                         alpha=rng.uniform(0.0, 2.0, (classes.size, n)),
+                         b=np.zeros(classes.size))
+        dense = rng.standard_normal((n, n, 2, 3))
+        dense = dense + dense.transpose(1, 0, 2, 3)
+        signed = model.alpha * model.signs
+        want = 0.5 * np.einsum("ci,ijpq,cj->pq", signed, dense, signed)
+        got = beta_objective_coeffs(model, pack_pairs(dense))
+        assert got.shape == (2, 3)
+        np.testing.assert_allclose(got, want, rtol=0,
+                                   atol=1e-12 * np.abs(want).max())
 
 
 def synth_trees(seed, level=2, depth=None, per_class=25):
@@ -243,16 +265,17 @@ class TestEmFit:
                               (CONCATENATION, 3, "levels")])
     def test_tables_over_limit_rejected(self, rng, monkeypatch, variant,
                                         width, what):
-        # depth 3: an (n, n, 3 * 4 / 2) averaging table, one entry per
-        # unordered level pair, (n, n, 3) for concatenation
+        # depth 3: an (n * (n + 1) / 2, 3 * 4 / 2) averaging table, one
+        # entry per unordered video pair and level pair, (n * (n + 1) / 2,
+        # 3) for concatenation
         trees = random_trees(rng, n=8, depth=3)
         labels = np.array([1 + (i % 2) for i in range(8)])
-        monkeypatch.setattr(kernels, "_DENSE_LIMIT", 8 * 8 * width - 1)
+        monkeypatch.setattr(kernels, "_DENSE_LIMIT", 36 * width - 1)
         with pytest.raises(errors.ValidationError,
-                           match=f"8 videos and {width} {what} .* "
-                                 f"{8 * 8 * width * 8} bytes"):
+                           match=f"36 pairs of 8 videos and {width} {what} "
+                                 f".* {36 * width * 8} bytes"):
             em_fit(trees, labels, variant, RBF)
-        monkeypatch.setattr(kernels, "_DENSE_LIMIT", 8 * 8 * width)
+        monkeypatch.setattr(kernels, "_DENSE_LIMIT", 36 * width)
         em_fit(trees, labels, variant, RBF, EmConfig(max_iters=1))
 
     def test_single_class_rejected(self, rng):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import random_trees
-from oracles import aligned, central_difference, elementary, pack_sym
+from oracles import (aligned, central_difference, elementary, pack_pairs,
+                     pack_sym)
 from treemkl import errors, kernels
 from treemkl.dmkl import ContrastiveConfig, _PairTable, dmkl_fit, pair_moments
 from treemkl.em import EmConfig, em_fit
@@ -396,11 +397,12 @@ class TestNodeKernelCache:
                 node_table = pack_sym(oracle.cross())
                 level_table = pack_sym(np.einsum(
                     "ijmn,ml,nk->ijlk", oracle.cross(), tie, tie))
+            if not two_sets:
+                level_table = pack_pairs(level_table)
             pairs = len(support) ** (1 if variant == CONCATENATION else 2)
             for run, expected in (
                     (lambda c: c.combined(beta, variant),
-                     kernels.contract_table(node_table,
-                                            node_weights(beta, variant))),
+                     node_table @ node_weights(beta, variant)),
                     (lambda c: c.level_table(tie, variant), level_table)):
                 evaluated.clear()
                 got = run(NodeKernelCache(rows, RBF, cols))
@@ -498,8 +500,7 @@ class TestNodeKernelCache:
         cache = NodeKernelCache(rows, RBF, cols)
         np.testing.assert_allclose(
             cache.combined(beta, AVERAGING),
-            kernels.contract_table(pack_sym(cache.cross()),
-                                   node_weights(beta, AVERAGING)),
+            pack_sym(cache.cross()) @ node_weights(beta, AVERAGING),
             rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("two_sets", [False, True])
@@ -509,7 +510,8 @@ class TestNodeKernelCache:
         # row tiles of 2, 2 and 3 videos over column tiles of 3 videos:
         # a two-set cache's 5 columns end in a tile of 2, a one-set
         # cache's from each row tile's first video on in tiles of 1, 2
-        # and 3
+        # and 3. A one-set table holds each unordered video pair once:
+        # 28 rows for 7 videos, not 49
         rows = random_trees(rng, n=7, depth=2)
         cols = random_trees(rng, n=5, depth=2) if two_sets else None
         tie = Hierarchy(2).level_matrix
@@ -523,6 +525,9 @@ class TestNodeKernelCache:
                 want = pack_sym(np.einsum("ijmn,ml,nk->ijlk", cache.cross(),
                                           tie, tie))
                 assert want.shape[2] == 3
+            if not two_sets:
+                want = pack_pairs(want)
+                assert want.shape[0] == 28
             assert got.shape == want.shape and got.flags.c_contiguous
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
@@ -545,13 +550,14 @@ class TestNodeKernelCache:
             table = cache.level_table(tie, AVERAGING)
             assert len(evaluated) == 9
             assert sum(evaluated) == (45 + 6) * m * m
+            want = np.empty((n, n, 3))
             for i, a in enumerate(trees):
                 for j, b in enumerate(trees):
                     k = np.array([[elementary(a.vectors[p], b.vectors[u], cfg)
                                    for u in range(m)] for p in range(m)])
-                    np.testing.assert_allclose(table[i, j],
-                                               pack_sym(tie.T @ k @ tie),
-                                               rtol=0, atol=1e-12)
+                    want[i, j] = pack_sym(tie.T @ k @ tie)
+            np.testing.assert_allclose(table, pack_pairs(want), rtol=0,
+                                       atol=1e-12)
         labels = np.array([1, 2, 1, 3, 2, 3, 1, 2, 3])
         table = _PairTable(labels)
         cache = NodeKernelCache(trees, RBF)
@@ -567,7 +573,8 @@ class TestNodeKernelCache:
 
     def test_one_set_aligned_computes_each_pair_once(self, rng, monkeypatch):
         # one node at a time: row tiles of 2, 2, 2 and 3 of the 9 videos,
-        # each against the videos from its first on, then mirrored
+        # each against the videos from its first on, into the 45 rows of
+        # the packed table
         monkeypatch.setattr(kernels, "_TILE_ROWS", 2)
         n, m = 9, 3
         trees = random_trees(rng, n=n, depth=2)
@@ -578,23 +585,26 @@ class TestNodeKernelCache:
             evaluated.clear()
             table = cache.level_table(tie, CONCATENATION)
             assert sum(evaluated) == (45 + 6) * m
-            np.testing.assert_array_equal(table, table.transpose(1, 0, 2))
-            np.testing.assert_allclose(table, aligned(cache) @ tie, rtol=0,
-                                       atol=1e-12)
+            assert table.shape == (45, 2)
+            np.testing.assert_allclose(table, pack_pairs(aligned(cache) @ tie),
+                                       rtol=0, atol=1e-12)
 
-    def test_streamed_combined_mirrors_its_upper_triangle(self, rng,
-                                                          small_tiles):
-        # a one-set combined computes the upper triangle, which is what
-        # mirrored_gram reads, and mirrors it
+    @pytest.mark.parametrize("variant", [CONCATENATION, AVERAGING])
+    def test_streamed_combined_unpacks_its_upper_triangle(self, rng,
+                                                          small_tiles,
+                                                          variant):
+        # a one-set combined computes each video pair once, packed, and
+        # unpacks it into exactly symmetric values
         trees = random_trees(rng, n=7, depth=2)
         beta = to_simplex(rng.standard_normal(3))
         cache = NodeKernelCache(trees, RBF)
-        got = cache.combined(beta, AVERAGING)
+        got = cache.combined(beta, variant)
         np.testing.assert_array_equal(got, got.T)
+        node_table = (aligned(cache) if variant == CONCATENATION
+                      else pack_sym(cache.cross()))
         np.testing.assert_allclose(
-            got, kernels.contract_table(pack_sym(cache.cross()),
-                                        node_weights(beta, AVERAGING)),
-            rtol=0, atol=1e-12)
+            got, node_table @ node_weights(beta, variant), rtol=0,
+            atol=1e-12)
 
     @pytest.mark.parametrize("variant", [CONCATENATION, AVERAGING])
     def test_combined_refuses_values_over_limit(self, rng, monkeypatch,
@@ -737,9 +747,9 @@ class TestCrossMemory:
         assert peak < 2.5 * 600 * 500 * 8
 
     def test_em_fit_averaging_holds_one_table(self, rng):
-        # the fixed (n, n, 4 * 5 / 2) level table, one entry per unordered
-        # level pair, and beside it tiles of the cross kernels and n x n
-        # Grams
+        # the fixed (n * (n + 1) / 2, 4 * 5 / 2) level table, one entry per
+        # unordered video pair and level pair, and beside it tiles of the
+        # cross kernels and n x n Grams
         n = 200
         trees = random_trees(rng, n=n, depth=4, dim=4)
         labels = np.array([1 + (i % 2) for i in range(n)])
@@ -747,19 +757,23 @@ class TestCrossMemory:
         peak = self.peak_bytes(lambda: res.append(em_fit(
             trees, labels, AVERAGING, RBF, EmConfig(max_iters=2))))
         assert res[0].iterations >= 1
-        assert peak <= n * n * 10 * 8 + 4 * kernels._BLOCK_ELEMENTS * 8
+        assert peak <= (n * (n + 1) // 2 * 10 * 8
+                        + 4 * kernels._BLOCK_ELEMENTS * 8)
 
-    @pytest.mark.parametrize("shape", [(600, 600), (300, 300, 4), (1, 1)])
-    def test_mirror_upper_copies_in_place(self, rng, shape):
-        # row by row: no index arrays (two n(n-1)/2 int64 arrays) and no
-        # gathered copy of the upper triangle
-        values = rng.standard_normal(shape)
-        want = values.copy()
-        lower = np.tril_indices(shape[0], k=-1)
-        want[lower] = want.swapaxes(0, 1)[lower]
-        peak = self.peak_bytes(lambda: kernels._mirror_upper(values))
-        np.testing.assert_array_equal(values, want)
+    @pytest.mark.parametrize("n", [600, 2, 1])
+    def test_unpack_pairs_copies_row_by_row(self, rng, n):
+        # into the given values, row by row: no index arrays (two
+        # n(n+1)/2 int64 arrays) and no gathered copy of the pairs
+        dense = rng.standard_normal((n, n))
+        dense += dense.T
+        packed = pack_pairs(dense)
+        out = np.empty((n, n))
+        peak = self.peak_bytes(lambda: kernels.unpack_pairs(packed, out))
+        np.testing.assert_array_equal(out, dense)
+        np.testing.assert_array_equal(kernels.unpack_pairs(packed), dense)
         assert peak < 4096
+        with pytest.raises(errors.ShapeMismatch, match="packed pairs"):
+            kernels.unpack_pairs(np.append(packed, 0.0))
 
     def test_median_gamma_squares_in_blocks(self, rng):
         # 60 trees of 4,096-d node vectors: the stacked trees and a few

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from oracles import artifact_scores_oracle
-from treemkl import cli, dataio, dmkl, em, errors, kernels, pipeline, svm
+from treemkl import (cli, dataio, dmkl, em, errors, kernels, loading,
+                     pipeline, svm)
 from treemkl.cli import main
 from treemkl.dataio import (StreamFeatureSequence, load_feature_file,
                             load_manifest, write_feature_file)
@@ -167,15 +168,16 @@ class TestTrainingOutputs:
 
     def test_summary_names_the_table_it_held(self, workspace, tmp_path):
         # depth 3: 3 levels and 7 nodes. Averaging holds each unordered
-        # level or node pair once: 6 level pairs, a (28, 28) moment matrix
+        # level or node pair once: 6 level pairs, a (28, 28) moment matrix;
+        # the level table holds each unordered video pair once
         manifest = workspace / "data" / "manifest.jsonl"
         n = len(load_manifest(manifest).split("train"))
         assert run_cli("train-dmkl", "--out", tmp_path / "dm_c",
                        "--manifest", manifest, "--depth", 3,
                        "--variant", "concat", "--iters", 20) == 0
         for root, run, name, shape in (
-                (workspace, "em_a", "level_table", [n, n, 6]),
-                (workspace, "em_c", "level_table", [n, n, 3]),
+                (workspace, "em_a", "level_table", [n * (n + 1) // 2, 6]),
+                (workspace, "em_c", "level_table", [n * (n + 1) // 2, 3]),
                 (workspace, "dm_a", "moments", [28, 28]),
                 (tmp_path, "dm_c", "moments", [7, 7])):
             assert summary_of(root, run)["kernel_table"] == {
@@ -297,9 +299,8 @@ class TestScoringPath:
             cfg = art.pipeline
             test_trees, _ = pipeline.load_split_trees(manifest, root, cfg,
                                                       "test")
-            support_trees = [pipeline._load_one(by_id[v], root, cfg,
-                                                Hierarchy(cfg.depth))
-                             for v in art.support_ids]
+            support_trees = loading.load_trees(
+                [by_id[v] for v in art.support_ids], root, cfg)
             cols = kernel_columns(test_trees, support_trees, art.beta,
                                   cfg.variant, art.kernel)
             ref, ref_classes = artifact_scores_oracle(
@@ -314,6 +315,59 @@ class TestScoringPath:
             np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
             np.testing.assert_array_equal(np.argmax(got, axis=1),
                                           np.argmax(ref, axis=1))
+
+    def test_scores_from_one_array_are_bit_identical_to_copies(
+            self, workspace, monkeypatch):
+        # every tree a view of one loaded array, stacked without a copy,
+        # against the same trees each in its own array, stacked anew
+        manifest = load_manifest(workspace / "data" / "manifest.jsonl")
+        root = str(workspace / "data")
+        art_a, art_m = (load_artifact(workspace / run / "model.json")
+                        for run in ("dm_a", "dm_m"))
+        seen = []
+
+        def spy(name, pick):
+            real = getattr(pipeline, name)
+
+            def record(*args):
+                out = real(*args)
+                seen.append(pick(args, out).copy())
+                return out
+            monkeypatch.setattr(pipeline, name, record)
+
+        # scoring's kernel columns and scores; kernel-avg's Grams and the
+        # columns it predicts from
+        spy("kernel_columns", lambda args, out: out)
+        spy("decision_scores", lambda args, out: out)
+        spy("train_one_vs_rest", lambda args, out: args[0].values)
+        spy("predict", lambda args, out: args[1])
+
+        def scored():
+            seen.clear()
+            for art in (load_artifact(workspace / "em_a" / "model.json"),
+                        art_a):
+                evaluate_artifact(art, manifest, root)
+            for mode in ("score-avg", "kernel-avg"):
+                fuse_evaluate(art_a, art_m, manifest, root, mode=mode)
+            return list(seen)
+
+        views = scored()
+        load_trees, load_split_trees = (pipeline.load_trees,
+                                        pipeline.load_split_trees)
+
+        def copied(trees):
+            return [dataclasses.replace(t, vectors=t.vectors.copy())
+                    for t in trees]
+
+        monkeypatch.setattr(pipeline, "load_trees",
+                            lambda *a: copied(load_trees(*a)))
+        monkeypatch.setattr(pipeline, "load_split_trees",
+                            lambda *a: (copied(load_split_trees(*a)[0]),
+                                        load_split_trees(*a)[1]))
+        copies = scored()
+        assert len(views) == len(copies) == 12
+        for view, copy in zip(views, copies):
+            np.testing.assert_array_equal(view, copy)
 
     def test_l2_norms_reach_scoring(self, workspace, tmp_path):
         data = workspace / "data"
@@ -378,17 +432,14 @@ class TestScoringPath:
             return pipeline.load_split_trees(manifest, root, cfg, name,
                                              held)[0]
 
-        support = [pipeline._load_one(by_id[v], root, cfg,
-                                      Hierarchy(cfg.depth))
-                   for v in art.support_ids]
-        full = kernel_columns(split("test"), support, art.beta, variant,
-                              art.kernel)
+        support = [by_id[v] for v in art.support_ids]
+        full = kernel_columns(split("test"),
+                              loading.load_trees(support, root, cfg),
+                              art.beta, variant, art.kernel)
         weighted = split("test", nodes)
         assert {t.nodes for t in weighted} == {tuple(nodes)}
         cols = kernel_columns(
-            weighted, [pipeline._load_one(by_id[v], root, cfg,
-                                          Hierarchy(cfg.depth), nodes)
-                       for v in art.support_ids],
+            weighted, loading.load_trees(support, root, cfg, nodes),
             art.beta[nodes], variant, art.kernel)
         np.testing.assert_array_equal(cols, full)
         model = svm.SvmModel(
@@ -837,7 +888,7 @@ class TestValidationExits:
     def test_bad_manifest_line_exits_before_reading_features(
             self, workspace, tmp_path, capsys, monkeypatch, edit, needle):
         reads = []
-        monkeypatch.setattr(pipeline, "load_feature_file",
+        monkeypatch.setattr(loading, "load_feature_file",
                             lambda *a, **k: reads.append(a))
         lines = manifest_objects(workspace)
         edit(lines)
@@ -942,7 +993,7 @@ class TestValidationExits:
     def assert_refused_before_reading(self, workspace, tmp_path, capsys,
                                       monkeypatch, run, *argv):
         reads = []
-        monkeypatch.setattr(pipeline, "load_feature_file",
+        monkeypatch.setattr(loading, "load_feature_file",
                             lambda *a, **k: reads.append(a))
         model = workspace / run / "model.json"
         gone = json.loads(model.read_text())["classes"]["1"]["support"][0]
@@ -1159,13 +1210,13 @@ class TestFlagsLeftOut:
 
     def test_pool_config(self, workspace, tmp_path, monkeypatch):
         seen = []
-        real = pipeline.load_split_trees
-        monkeypatch.setattr(pipeline, "load_split_trees",
+        real = loading.load_split_trees
+        monkeypatch.setattr(loading, "load_split_trees",
                             lambda m, r, cfg, split: seen.append(cfg)
                             or real(m, r, cfg, split))
         assert run_cli("pool", *command_flags(workspace)["pool"],
                        "--out", tmp_path / "o") == 0
-        assert seen == [pipeline.PipelineConfig(depth=2)] * 2
+        assert seen == [loading.PoolConfig(depth=2)] * 2
 
     def test_fuse_eval_mode_and_weight(self, workspace, tmp_path,
                                        monkeypatch):
@@ -1214,13 +1265,13 @@ print(json.dumps([code, sorted(sys.modules)]))
 # the treemkl modules each command loads: the parser's own, then what the
 # command runs
 PARSER_MODULES = {"cli", "choices", "errors"}
-SCORING_MODULES = PARSER_MODULES | {"dataio", "hierarchy", "kernels",
-                                    "pipeline", "simplex", "svm"}
+POOL_MODULES = PARSER_MODULES | {"dataio", "hierarchy", "loading"}
+SCORING_MODULES = POOL_MODULES | {"kernels", "pipeline", "simplex", "svm"}
 COMMAND_MODULES = {
     "--help": PARSER_MODULES,
     "report": PARSER_MODULES,
     "gen-synth": PARSER_MODULES | {"dataio", "hierarchy", "synth"},
-    "pool": SCORING_MODULES,
+    "pool": POOL_MODULES,
     "eval": SCORING_MODULES,
     "fuse-eval": SCORING_MODULES,
     "train-em": SCORING_MODULES | {"em"},
