@@ -597,23 +597,22 @@ def unpack_pairs(values: np.ndarray, out: np.ndarray | None = None
     return out
 
 
-def median_gamma(trees: list[PooledTree], seed: int = 0) -> float:
+def median_gamma(trees: list[PooledTree]) -> float:
     """Bandwidth heuristic: 1 / median squared distance between aligned
-    node vectors of distinct trees, over a seeded sample of at most
-    ``_MEDIAN_GAMMA_CAP`` (pair, node) entries (all when fewer). The
-    sampled differences are squared in chunks of at most
-    ``_BLOCK_ELEMENTS`` elements, so its memory beside the stacked trees
-    does not grow with the feature dimension."""
+    node vectors of distinct trees, over at most ``_MEDIAN_GAMMA_CAP``
+    (pair, node) entries spaced evenly along the pair-major index (all
+    when fewer), so no random numbers are drawn. The sampled differences
+    are squared in chunks of at most ``_BLOCK_ELEMENTS`` elements, so its
+    memory beside the stacked trees does not grow with the feature
+    dimension."""
     if len(trees) < 2:
         raise ShapeMismatch("median_gamma needs at least 2 trees")
     vectors, _ = stack_trees(trees)
     n, m = vectors.shape[0], vectors.shape[1]
     total = n * (n - 1) // 2 * m
-    if total <= _MEDIAN_GAMMA_CAP:
-        picks = np.arange(total)
-    else:
-        rng = np.random.default_rng(seed)
-        picks = rng.choice(total, size=_MEDIAN_GAMMA_CAP, replace=False)
+    size = min(total, _MEDIAN_GAMMA_CAP)
+    # int64 overflows once size * total > 2**63: ~2.7M videos at depth 8
+    picks = np.arange(size) * total // size
     pair_idx, node_idx = np.divmod(picks, m)
     # linear upper-triangle index -> (i, j), row-major: row i holds the
     # pairs (i, i + 1) .. (i, n - 1) from index start[i] on

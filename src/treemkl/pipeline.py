@@ -59,7 +59,8 @@ class PipelineConfig(PoolConfig):
     """A training run's configuration: how its stream is pooled
     (:class:`PoolConfig`), then the combine variant, the kernel and its
     bandwidth (a number, or ``"median"`` for :func:`median_gamma`), and
-    the seed."""
+    the seed, which only draws a random ``--beta-init`` start: the
+    median bandwidth takes no random sample."""
 
     variant: str = AVERAGING
     kernel_kind: str = "rbf"
@@ -81,8 +82,7 @@ class PipelineConfig(PoolConfig):
 def resolve_gamma(trees: list[PooledTree], cfg: PipelineConfig) -> KernelConfig:
     if cfg.kernel_kind == "linear":
         return KernelConfig(kind="linear")
-    gamma = median_gamma(trees, seed=cfg.seed) if cfg.gamma == "median" \
-        else float(cfg.gamma)
+    gamma = median_gamma(trees) if cfg.gamma == "median" else float(cfg.gamma)
     return KernelConfig(kind="rbf", gamma=gamma)
 
 

@@ -280,28 +280,34 @@ class TestMedianGamma:
         with pytest.raises(errors.DegenerateData):
             median_gamma([t, dup])
 
-    def test_seeded_reproducibility(self, rng, monkeypatch):
-        # a cap below the 30 * 29 / 2 * 7 samples makes it draw a subset
-        monkeypatch.setattr(kernels, "_MEDIAN_GAMMA_CAP", 100)
-        trees = random_trees(rng, n=30, depth=3, frames=32, dim=8)
-        assert median_gamma(trees, seed=5) == median_gamma(trees, seed=5)
+    @staticmethod
+    def oracle(trees, picks):
+        # 1 / np.median over the given pair-major (pair, node) entries
+        vectors = np.stack([t.vectors for t in trees])
+        pair_idx, node_idx = np.divmod(np.asarray(picks), vectors.shape[1])
+        rows, cols = np.triu_indices(len(trees), k=1)
+        diff = (vectors[rows[pair_idx], node_idx]
+                - vectors[cols[pair_idx], node_idx])
+        return 1.0 / float(np.median(np.sum(diff * diff, axis=1)))
+
+    @pytest.mark.parametrize("cap", [315, 10_000])
+    def test_small_total_takes_every_entry(self, rng, monkeypatch, cap):
+        # 10 * 9 / 2 pairs x 7 nodes = 315 entries, at and under the cap
+        monkeypatch.setattr(kernels, "_MEDIAN_GAMMA_CAP", cap)
+        trees = random_trees(rng, n=10, depth=3, frames=32, dim=8)
+        assert median_gamma(trees) == self.oracle(trees, range(315))
 
     @pytest.mark.parametrize("cap", [100, 101])
     def test_chunked_median_is_bit_identical(self, rng, monkeypatch, cap):
         # chunks of 3 samples, the last one ragged, and an even and an odd
-        # sample count, against the whole sample's np.median
+        # sample count, against np.median over the evenly spaced entries
         monkeypatch.setattr(kernels, "_MEDIAN_GAMMA_CAP", cap)
         monkeypatch.setattr(kernels, "_BLOCK_ELEMENTS", 3 * 8 + 2)
         trees = random_trees(rng, n=30, depth=3, frames=32, dim=8)
-        vectors = np.stack([t.vectors for t in trees])
-        picks = np.random.default_rng(5).choice(30 * 29 // 2 * 7, size=cap,
-                                                replace=False)
-        pair_idx, node_idx = np.divmod(picks, 7)
-        rows, cols = np.triu_indices(30, k=1)
-        diff = (vectors[rows[pair_idx], node_idx]
-                - vectors[cols[pair_idx], node_idx])
-        want = 1.0 / float(np.median(np.sum(diff * diff, axis=1)))
-        assert median_gamma(trees, seed=5) == want
+        total = 30 * 29 // 2 * 7
+        picks = [k * total // cap for k in range(cap)]
+        assert set(np.diff(picks)) == {total // cap, total // cap + 1}
+        assert median_gamma(trees) == self.oracle(trees, picks)
 
 
 class TestFuseKernels:

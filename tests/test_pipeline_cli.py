@@ -1249,12 +1249,19 @@ def test_readme_command_line_flags_exist():
 
 
 # numpy imports these lazily, on first use, at tens of milliseconds each
-# (np.unique and np.median reach numpy.ma); no command needs them
+# (np.unique and np.median reach numpy.ma); no command needs them.
+# numpy.random, also lazy and about 6 MB resident, only gen-synth and a
+# random --beta-init start need
 LAZY_NUMPY_MODULES = ("numpy.ma", "numpy.polynomial")
 
 STARTUP_PROBE = """\
 import json, sys
 from treemkl.cli import main
+if sys.argv[1].startswith("train-"):
+    # fewer bandwidth samples than the small data's (pair, node) entries,
+    # as at real sizes, so training takes a subset
+    from treemkl import kernels
+    kernels._MEDIAN_GAMMA_CAP = 100
 try:
     code = main(sys.argv[1:])
 except SystemExit as exc:
@@ -1319,10 +1326,20 @@ def test_command_imports_no_lazy_numpy_module(workspace, tmp_path, command):
     code, loaded = json.loads(stdout.splitlines()[-1])
     assert code == 0
     assert [m for m in LAZY_NUMPY_MODULES if m in loaded] == []
+    assert ("numpy.random" in loaded) == (command == "gen-synth")
     assert {m.split(".", 1)[1] for m in loaded
             if m.startswith("treemkl.")} == COMMAND_MODULES[command]
     if COMMAND_MODULES[command] == PARSER_MODULES:
         assert "numpy" not in loaded
+
+
+def test_random_beta_start_loads_numpy_random(workspace, tmp_path):
+    stdout = fresh_interpreter(
+        "-c", STARTUP_PROBE, "train-em",
+        "--manifest", workspace / "data" / "manifest.jsonl", "--depth", 3,
+        "--max-iters", 2, "--beta-init", "random", "--out", tmp_path / "out")
+    code, loaded = json.loads(stdout.splitlines()[-1])
+    assert code == 0 and "numpy.random" in loaded
 
 
 def test_package_import_loads_no_module():
