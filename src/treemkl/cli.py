@@ -146,7 +146,9 @@ def _emit_training(args, result) -> int:
     from .pipeline import save_artifact
 
     out = _OutDir(args.out)
-    save_artifact(result.artifact, out.target("model.json"))
+    save_artifact(result.artifact, result.support_rows,
+                  out.target("model.json"))
+    out.files.append(result.artifact["support_file"])
     out.write_csv("trace.csv", result.trace_header, result.trace_rows)
     out.write_json("training.json", result.summary)
     out.finish()

@@ -197,8 +197,9 @@ def stack_trees(trees: list[PooledTree]) -> tuple[np.ndarray, list[str]]:
     """Stack homogeneous trees, same depth, dim and held nodes, into an
     (n, nodes, dim) array + id list. Trees whose vectors are exactly the
     rows of one array, in order, as :func:`treemkl.loading.load_trees`
-    pools them, are that array, returned as a read-only view and not
-    copied; any other list is stacked into a new array."""
+    pools them and as scoring views a model's stored support rows, are
+    that array, returned as a read-only view and not copied; any other
+    list is stacked into a new array."""
     if not trees:
         raise ShapeMismatch("empty tree list")
     first = trees[0]
@@ -212,22 +213,25 @@ def stack_trees(trees: list[PooledTree]) -> tuple[np.ndarray, list[str]]:
                 f"tree {t.video_id} holds nodes {t.nodes}, tree "
                 f"{first.video_id} holds {first.nodes}")
     ids = [t.video_id for t in trees]
-    block = first.vectors.base
-    if _rows_of(block, trees):
-        stacked = block.view()
+    if _rows_of(first.vectors.base, trees):
+        stacked = first.vectors.base.reshape(len(trees),
+                                             *first.vectors.shape)
         stacked.flags.writeable = False
         return stacked, ids
     return np.stack([t.vectors for t in trees]), ids
 
 
-def _rows_of(block, trees: list[PooledTree]) -> bool:
-    """Whether the trees' vectors are the rows of the C-contiguous array
-    ``block``, all of them, in order."""
-    if not (isinstance(block, np.ndarray) and block.flags.c_contiguous
-            and block.shape == (len(trees), *trees[0].vectors.shape)):
+def _rows_of(base, trees: list[PooledTree]) -> bool:
+    """Whether the trees' vectors are the rows of the C-contiguous
+    float64 array ``base``, all of them, in order: ``base`` holds them
+    as an (n, nodes, dim) block, as ``load_trees`` pools one, or flat,
+    as ``np.load`` reads one."""
+    if not (isinstance(base, np.ndarray) and base.flags.c_contiguous
+            and base.dtype == np.float64
+            and base.size == len(trees) * trees[0].vectors.size):
         return False
-    start, step = block.ctypes.data, block.strides[0]
-    return all(t.vectors.base is block
+    start, step = base.ctypes.data, trees[0].vectors.nbytes
+    return all(t.vectors.base is base
                and t.vectors.ctypes.data == start + k * step
                for k, t in enumerate(trees))
 

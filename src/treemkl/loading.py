@@ -4,10 +4,11 @@ A load pools its videos into the rows of one (videos, nodes, dim)
 float64 array, each in place: every returned tree's ``vectors`` is a
 read-only view of its row, and :func:`treemkl.kernels.stack_trees`
 hands the whole array to the kernels without copying it, so a run holds
-its pooled trees once. Training, scoring (test and support videos
-alike) and ``pool`` all load through :func:`load_trees`. The module
-imports only the file formats and the hierarchy, so ``pool`` loads no
-kernel, solver or training code.
+its pooled trees once. Training, scoring (test videos only: a model
+artifact stores its support videos' trees) and ``pool`` all load
+through :func:`load_trees`. The module imports only the file formats
+and the hierarchy, so ``pool`` loads no kernel, solver or training
+code.
 """
 
 from __future__ import annotations

@@ -4,10 +4,11 @@ Glue between the file formats and the numerical modules: resolving
 the kernel bandwidth, running either training route, writing and
 reading the model artifact (the one owner of its format), and scoring
 test splits (single stream or two-stream fusion), on trees that
-:mod:`treemkl.loading` loads and pools. The CLI is a thin
-argument-parsing layer over these functions. Each training route
-imports its optimiser (``em`` or ``dmkl``) when it runs, so scoring
-never loads them.
+:mod:`treemkl.loading` loads and pools. The artifact carries its
+support videos' pooled trees, so scoring pools only test videos. The
+CLI is a thin argument-parsing layer over these functions. Each
+training route imports its optimiser (``em`` or ``dmkl``) when it runs,
+so scoring never loads them.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .choices import AVERAGING, CONCATENATION, FUSION_MODES
-from .dataio import DatasetManifest, VideoRecord, _class_id
+from .dataio import DatasetManifest, _class_id
 from .errors import (
     ArtifactMismatch,
     ConfigMismatch,
@@ -36,8 +37,9 @@ from .kernels import (
     gram_matrix,
     kernel_columns,
     median_gamma,
+    stack_trees,
 )
-from .loading import PoolConfig, load_split_trees, load_trees
+from .loading import PoolConfig, load_split_trees
 from .simplex import check_on_simplex
 from .svm import (
     SvmModel,
@@ -51,7 +53,8 @@ if TYPE_CHECKING:
     from .dmkl import ContrastiveConfig
     from .em import EmConfig
 
-ARTIFACT_FORMAT = "treemkl-model-v1"
+ARTIFACT_FORMAT = "treemkl-model-v2"
+SUPPORT_FILE = "support.npy"
 
 
 @dataclass(frozen=True)
@@ -90,22 +93,34 @@ def resolve_gamma(trees: list[PooledTree], cfg: PipelineConfig) -> KernelConfig:
 
 def build_artifact(cfg: PipelineConfig, route: str, kernel_cfg: KernelConfig,
                    svm_cfg: TrainConfig, beta: np.ndarray, model: SvmModel,
-                   manifest: DatasetManifest) -> dict:
-    """Assemble the JSON-serializable trained-model artifact."""
+                   manifest: DatasetManifest, trees: list[PooledTree]
+                   ) -> tuple[dict, np.ndarray]:
+    """Assemble the JSON-serializable trained-model artifact and its
+    support rows, from the model's training ``trees`` (every node):
+    ``support_videos`` lists the videos with a positive ``alpha`` in some
+    class, in order of first appearance over the classes, and row k of
+    the (support videos, weighted nodes, dim) float64 rows holds video
+    k's pooled vectors at the nodes with non-zero ``beta``, the only
+    ones scoring reads."""
     hierarchy = Hierarchy(cfg.depth)
     beta = check_on_simplex(beta)
     beta_doc = {f"{l}:{k}": float(b)
                 for (l, k), b in zip(hierarchy.nodes, beta)}
-    classes = {}
+    classes, order = {}, {}
     for ci, c in enumerate(model.class_ids):
         support = np.flatnonzero(model.alpha[ci] > 0)
+        for i in support:
+            order.setdefault(int(i), len(order))
         classes[str(int(c))] = {
             "b": float(model.b[ci]),
             "support": [{"video_id": model.train_ids[i],
                          "alpha": float(model.alpha[ci, i])}
                         for i in support],
         }
-    return {
+    rows = list(order)
+    block, _ = stack_trees(trees)
+    support_rows = block[np.ix_(rows, np.flatnonzero(beta))]
+    doc = {
         "config": {
             "depth": cfg.depth,
             "variant": cfg.variant,
@@ -126,23 +141,36 @@ def build_artifact(cfg: PipelineConfig, route: str, kernel_cfg: KernelConfig,
         "classes": classes,
         "label_names": {str(k): v
                         for k, v in sorted(manifest.label_names.items())},
+        "support_videos": [{"video_id": model.train_ids[i],
+                            "label": int(model.labels[i])} for i in rows],
+        "support_file": SUPPORT_FILE,
         "format": ARTIFACT_FORMAT,
     }
+    return doc, support_rows
 
 
-def save_artifact(artifact: dict, path: str | os.PathLike) -> None:
+def save_artifact(artifact: dict, support_rows: np.ndarray,
+                  path: str | os.PathLike) -> None:
     """Write a :func:`build_artifact` document as one strict JSON file
-    (a non-finite number raises ``ValueError``)."""
+    at ``path`` (a non-finite number raises ``ValueError`` before any
+    file is written), then its support rows, with ``np.save``, to the
+    ``support_file`` it names beside ``path``."""
+    text = json.dumps(artifact, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(artifact, indent=2, sort_keys=True,
-                            allow_nan=False) + "\n")
+        fh.write(text + "\n")
+    support = os.path.join(os.path.dirname(path), artifact["support_file"])
+    with open(support, "wb") as fh:
+        np.save(fh, support_rows, allow_pickle=False)
 
 
 @dataclass(frozen=True)
 class ModelArtifact:
     """An artifact as :func:`load_artifact` checked it: ``config`` as
-    written, ``b`` and ``alpha`` rows by sorted class id, ``alpha`` columns
-    by support video, in order of first appearance over the classes."""
+    written, ``b`` and ``alpha`` rows by sorted class id; ``alpha``
+    columns, ``support_labels`` and the read-only ``support_rows``
+    follow ``support_ids``, the ``support_videos`` list. Row k of
+    ``support_rows`` holds support video k's pooled vectors at the nodes
+    ``beta`` weights."""
 
     config: dict
     pipeline: PipelineConfig
@@ -152,7 +180,9 @@ class ModelArtifact:
     class_ids: np.ndarray
     b: np.ndarray
     support_ids: list[str]
+    support_labels: np.ndarray
     alpha: np.ndarray
+    support_rows: np.ndarray
 
 
 # what an artifact entry of each kind must hold; JSON yields exact types
@@ -185,10 +215,10 @@ def _made(make, name: str, path, *args, **kwargs):
 
 
 def load_artifact(path: str | os.PathLike) -> ModelArtifact:
-    """Parse a :func:`save_artifact` file, checking once each entry that
-    evaluation reads; a missing or malformed one raises
-    :class:`ArtifactMismatch` naming its dotted key. A null
-    ``config.svm.c_box`` is the hard margin, ``inf``."""
+    """Parse a :func:`save_artifact` file and the support rows beside it,
+    checking once each entry that evaluation reads; a missing or
+    malformed one raises :class:`ArtifactMismatch` naming its dotted
+    key. A null ``config.svm.c_box`` is the hard margin, ``inf``."""
     if not os.path.isfile(path):
         raise MissingPath(f"{path}: no such model artifact")
     with open(path, "r", encoding="utf-8") as fh:
@@ -243,7 +273,25 @@ def load_artifact(path: str | os.PathLike) -> ModelArtifact:
         raise ArtifactMismatch(f"{path}: 'classes' needs at least 2 classes, "
                                f"each under one key, got keys "
                                f"{[key for _, key in keyed]}")
-    b, entries, columns = [], [], {}
+    listed = get("support_videos", "a list")
+    if not all(isinstance(sv, dict) and "video_id" in sv and "label" in sv
+               for sv in listed):
+        raise ArtifactMismatch(f"{path}: support_videos must list objects "
+                               f"with 'video_id' and 'label'")
+    columns, labels = {}, []
+    for i, sv in enumerate(listed):
+        at = f"support_videos.{i}."
+        vid = _checked(sv["video_id"], at + "video_id", "a string", path)
+        label = _checked(sv["label"], at + "label", "an integer", path)
+        if vid in columns:
+            raise ArtifactMismatch(f"{path}: {at + 'video_id'!r}: {vid!r} "
+                                   f"is listed twice")
+        if label not in ids:
+            raise ArtifactMismatch(f"{path}: {at + 'label'!r}: {label} is "
+                                   f"not a class id of 'classes'")
+        columns[vid] = i
+        labels.append(label)
+    b, entries = [], []
     for ci, (_, key) in enumerate(keyed):
         b.append(get(f"classes.{key}.b", "a finite number"))
         support = get(f"classes.{key}.support", "a list")
@@ -254,25 +302,66 @@ def load_artifact(path: str | os.PathLike) -> ModelArtifact:
         for i, sv in enumerate(support):
             at = f"classes.{key}.support.{i}."
             vid = _checked(sv["video_id"], at + "video_id", "a string", path)
-            entries.append((ci, columns.setdefault(vid, len(columns)),
+            if vid not in columns:
+                raise ArtifactMismatch(
+                    f"{path}: {at + 'video_id'!r}: {vid!r} is not listed in "
+                    f"'support_videos'")
+            entries.append((ci, columns[vid],
                             _checked(sv["alpha"], at + "alpha",
                                      "a finite number >= 0", path)))
-    if not columns:
+    if not entries:
         raise ArtifactMismatch(f"{path}: 'classes' lists no support video")
     alpha = np.zeros((len(keyed), len(columns)))
     for ci, j, a in entries:
         alpha[ci, j] = a
+    rows = _support_rows(path, get("support_file", "a string"),
+                         (len(columns), np.count_nonzero(beta)))
     return ModelArtifact(config, cfg, kernel, svm, beta, np.array(ids),
-                         np.array(b, dtype=np.float64), list(columns), alpha)
+                         np.array(b, dtype=np.float64), list(columns),
+                         np.array(labels), alpha, rows)
+
+
+def _support_rows(path, name: str, shape: tuple[int, int]) -> np.ndarray:
+    """The read-only float64 rows in the file ``name`` beside the artifact
+    at ``path``: finite, of ``shape`` (support videos, weighted nodes)
+    plus a feature dimension >= 1. A file that is missing, pickled, not
+    a ``.npy`` array or not such rows raises :class:`ArtifactMismatch`
+    naming ``support_file``."""
+    def refuse(why):
+        return ArtifactMismatch(f"{path}: 'support_file': {why}")
+
+    if name in ("", os.curdir, os.pardir) or os.path.basename(name) != name:
+        raise refuse(f"{name!r} is not a file name")
+    full = os.path.join(os.path.dirname(path), name)
+    if not os.path.isfile(full):
+        raise refuse(f"{full} not found")
+    with open(full, "rb") as fh:
+        try:
+            rows = np.load(fh, allow_pickle=False)
+        except (ValueError, EOFError) as exc:
+            raise refuse(f"{full} is not a .npy array: {exc}") from exc
+    if not isinstance(rows, np.ndarray):
+        raise refuse(f"{full} is not a .npy array")
+    if rows.dtype != np.float64:
+        raise refuse(f"{full} holds {rows.dtype} values, not float64")
+    if rows.ndim != 3 or rows.shape[:2] != shape or rows.shape[2] < 1:
+        raise refuse(f"{full} holds shape {rows.shape}, not {shape} "
+                     f"support videos x weighted nodes, by a dimension >= 1")
+    if not np.isfinite(rows).all():
+        raise refuse(f"{full} holds a non-finite value")
+    rows.flags.writeable = False
+    return rows
 
 
 # --- training routes ------------------------------------------------------------
 
 @dataclass(frozen=True)
 class TrainOutput:
-    """Model artifact, trace.csv header and rows, training.json summary."""
+    """Model artifact and its support rows, trace.csv header and rows,
+    training.json summary."""
 
     artifact: dict
+    support_rows: np.ndarray
     trace_header: list[str]
     trace_rows: list[list]
     summary: dict
@@ -290,6 +379,27 @@ def _table_doc(name: str, shape: tuple) -> dict:
             "bytes": 8 * math.prod(shape)}
 
 
+def _model_doc(model: SvmModel, svm_cfg: TrainConfig,
+               support_rows: np.ndarray) -> dict:
+    """``training.json``'s record of the final model: each class's dual
+    solve (its pair updates, KKT residual and objective, its support
+    videos and those at the upper bound ``c_box``), and the support rows
+    the artifact stores."""
+    videos, nodes, dim = support_rows.shape
+    return {
+        "final_duals": {
+            str(int(c)): {"pair_updates": sol.updates,
+                          "kkt_residual": sol.kkt_residual,
+                          "objective": sol.objective,
+                          "support": int(np.count_nonzero(sol.alpha > 0)),
+                          "bound_support": int(np.count_nonzero(
+                              sol.alpha == svm_cfg.c_box))}
+            for c, sol in zip(model.class_ids, model.duals)},
+        "support_trees": {"videos": videos, "nodes": nodes, "dim": dim,
+                          "bytes": support_rows.nbytes},
+    }
+
+
 def train_em_route(manifest: DatasetManifest, root: str, cfg: PipelineConfig,
                    em_cfg: EmConfig, svm_cfg: TrainConfig) -> TrainOutput:
     from .em import em_fit
@@ -297,19 +407,21 @@ def train_em_route(manifest: DatasetManifest, root: str, cfg: PipelineConfig,
     trees, labels = load_split_trees(manifest, root, cfg, "train")
     kernel_cfg = resolve_gamma(trees, cfg)
     result = em_fit(trees, labels, cfg.variant, kernel_cfg, em_cfg, svm_cfg)
-    artifact = build_artifact(cfg, "em", kernel_cfg, svm_cfg, result.beta,
-                              result.model, manifest)
+    artifact, support = build_artifact(cfg, "em", kernel_cfg, svm_cfg,
+                                       result.beta, result.model, manifest,
+                                       trees)
     rows = [[i, float(v), _entropy(b)] for i, (v, b) in
             enumerate(zip(result.objective_trace, result.beta_trace))]
-    return TrainOutput(artifact, ["iteration", "objective", "beta_entropy"],
-                       rows, {"iterations": result.iterations,
-                              "beta_entropy": _entropy(result.beta),
-                              "dual_solves": result.dual_solves,
-                              "pair_updates": result.pair_updates,
-                              "backtracks": result.backtracks,
-                              "stop_reason": result.stop_reason,
-                              "kernel_table":
-                                  _table_doc(*result.kernel_table)})
+    return TrainOutput(artifact, support,
+                       ["iteration", "objective", "beta_entropy"], rows,
+                       {"iterations": result.iterations,
+                        "beta_entropy": _entropy(result.beta),
+                        "dual_solves": result.dual_solves,
+                        "pair_updates": result.pair_updates,
+                        "backtracks": result.backtracks,
+                        "stop_reason": result.stop_reason,
+                        "kernel_table": _table_doc(*result.kernel_table),
+                        **_model_doc(result.model, svm_cfg, support)})
 
 
 def train_dmkl_route(manifest: DatasetManifest, root: str,
@@ -321,10 +433,11 @@ def train_dmkl_route(manifest: DatasetManifest, root: str,
     kernel_cfg = resolve_gamma(trees, cfg)
     result = dmkl_fit(trees, labels, cfg.variant, contrastive_cfg,
                       kernel_cfg, svm_cfg)
-    artifact = build_artifact(cfg, "dmkl", kernel_cfg, svm_cfg,
-                              result.weights.beta, result.model, manifest)
+    artifact, support = build_artifact(cfg, "dmkl", kernel_cfg, svm_cfg,
+                                       result.weights.beta, result.model,
+                                       manifest, trees)
     rows = [[i, float(v)] for i, v in enumerate(result.loss_trace)]
-    return TrainOutput(artifact, ["iteration", "loss"], rows,
+    return TrainOutput(artifact, support, ["iteration", "loss"], rows,
                        {"iterations": len(rows) - 1, "final_loss": rows[-1][1],
                         "dual_solves": result.model.class_ids.size,
                         "pair_updates": result.model.pair_updates,
@@ -335,7 +448,8 @@ def train_dmkl_route(manifest: DatasetManifest, root: str,
                         # it only measures stationarity
                         "fw_gap_bounds_suboptimality":
                             cfg.variant == CONCATENATION,
-                        "kernel_table": _table_doc(*result.kernel_table)})
+                        "kernel_table": _table_doc(*result.kernel_table),
+                        **_model_doc(result.model, svm_cfg, support)})
 
 
 # --- evaluation -------------------------------------------------------------------
@@ -347,31 +461,22 @@ def _weighted_nodes(artifact: ModelArtifact) -> np.ndarray:
     return np.flatnonzero(artifact.beta)
 
 
-def _support_records(artifact: ModelArtifact,
-                     manifest: DatasetManifest) -> list[VideoRecord]:
-    """The manifest records of ``artifact``'s support videos, in its
-    column order; one absent raises :class:`ArtifactMismatch`. Scoring
-    asks for them before it reads any feature file."""
-    by_id = manifest.by_id()
-    missing = [v for v in artifact.support_ids if v not in by_id]
-    if missing:
-        raise ArtifactMismatch(
-            f"support videos absent from manifest: {missing[:5]}")
-    return [by_id[v] for v in artifact.support_ids]
-
-
-def _artifact_scores(artifact: ModelArtifact, test_trees: list[PooledTree],
-                     support: list[VideoRecord], root: str) -> np.ndarray:
+def _artifact_scores(artifact: ModelArtifact,
+                     test_trees: list[PooledTree]) -> np.ndarray:
     """Decision scores, tests x classes in ``artifact.class_ids`` order,
-    against the ``support`` records of :func:`_support_records`.
-    ``test_trees`` hold the artifact's weighted nodes, as the support
-    trees loaded here do."""
+    against the artifact's support trees: read-only views of its
+    ``support_rows``, which the kernels read without copying.
+    ``test_trees`` hold the artifact's weighted nodes, as those rows
+    do."""
     cfg = artifact.pipeline
     nodes = _weighted_nodes(artifact)
-    support_trees = load_trees(support, root, cfg, nodes)
+    support_trees = [PooledTree(video_id=v, stream=cfg.stream,
+                                depth=cfg.depth, vectors=row,
+                                nodes=tuple(nodes))
+                     for v, row in zip(artifact.support_ids,
+                                       artifact.support_rows)]
     model = SvmModel(
-        train_ids=artifact.support_ids,
-        labels=np.array([r.label for r in support]),
+        train_ids=artifact.support_ids, labels=artifact.support_labels,
         class_ids=artifact.class_ids, alpha=artifact.alpha, b=artifact.b)
     cols = kernel_columns(test_trees, support_trees, artifact.beta[nodes],
                           cfg.variant, artifact.kernel)
@@ -397,11 +502,11 @@ def _metrics(preds: np.ndarray, truth: np.ndarray,
 
 def evaluate_artifact(artifact: ModelArtifact, manifest: DatasetManifest,
                       root: str) -> dict:
-    """Top-1 metrics of a trained artifact on the manifest's test split."""
-    support = _support_records(artifact, manifest)
+    """Top-1 metrics of a trained artifact on the manifest's test split;
+    only the test videos' feature files are read."""
     test_trees, truth = load_split_trees(manifest, root, artifact.pipeline,
                                          "test", _weighted_nodes(artifact))
-    scores = _artifact_scores(artifact, test_trees, support, root)
+    scores = _artifact_scores(artifact, test_trees)
     preds = artifact.class_ids[np.argmax(scores, axis=1)]
     metrics = _metrics(preds, truth, manifest.label_names)
     metrics["config"] = artifact.config
@@ -432,8 +537,8 @@ def fuse_evaluate(art_a: ModelArtifact, art_m: ModelArtifact,
                   mode: str = "kernel-avg", weight: float = 0.5) -> dict:
     """Two-stream fusion on the test split.
 
-    ``score-avg`` mixes the two artifacts' per-class decision scores.
-    ``kernel-avg`` convexly combines the two streams' Gram matrices
+    ``score-avg`` mixes the two artifacts' per-class decision scores,
+    reading only the test videos' feature files. ``kernel-avg`` convexly combines the two streams' Gram matrices
     (training and test columns alike) with each stream's own weights
     and bandwidth, then retrains the one-vs-rest duals on the fused
     kernel using the first artifact's solver settings.
@@ -444,17 +549,14 @@ def fuse_evaluate(art_a: ModelArtifact, art_m: ModelArtifact,
         raise ValidationError(f"unknown fusion mode {mode!r}")
     _check_fusable(art_a, art_m)
     if mode == "score-avg":
-        support_a, support_m = (_support_records(art, manifest)
-                                for art in (art_a, art_m))
         (test_a, truth), (test_m, _) = (
             load_split_trees(manifest, root, art.pipeline, "test",
                              _weighted_nodes(art))
             for art in (art_a, art_m))
         if [t.video_id for t in test_a] != [t.video_id for t in test_m]:
             raise ConfigMismatch("test splits differ between streams")
-        fused = (weight * _artifact_scores(art_a, test_a, support_a, root) +
-                 (1.0 - weight) * _artifact_scores(art_m, test_m, support_m,
-                                                   root))
+        fused = (weight * _artifact_scores(art_a, test_a) +
+                 (1.0 - weight) * _artifact_scores(art_m, test_m))
         preds = art_a.class_ids[np.argmax(fused, axis=1)]
     else:
         preds, truth = _kernel_avg_predict(art_a, art_m, manifest, root,

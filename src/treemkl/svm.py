@@ -257,18 +257,21 @@ def _one_vs_rest_signs(labels, class_ids) -> np.ndarray:
 @dataclass(frozen=True)
 class SvmModel:
     """One binary machine per class over a shared training set; row c of
-    ``signs``, derived and never passed, holds class c's +/-1 targets."""
+    ``signs``, derived and never passed, holds class c's +/-1 targets.
+    ``duals`` holds the solutions that trained it, one per class, or
+    none for a model assembled from an artifact."""
 
     train_ids: tuple[str, ...]
     labels: np.ndarray              # class id per training video
     class_ids: np.ndarray           # sorted distinct class ids
     alpha: np.ndarray               # (classes, n) dual coefficients
     b: np.ndarray                   # (classes,) shifts
-    pair_updates: int = 0           # over the classes' dual solves
+    duals: tuple[DualSolution, ...] = field(default=(), repr=False)
     signs: np.ndarray = field(init=False, repr=False)  # (classes, n)
 
     def __post_init__(self):
         object.__setattr__(self, "train_ids", tuple(self.train_ids))
+        object.__setattr__(self, "duals", tuple(self.duals))
         object.__setattr__(self, "signs", _one_vs_rest_signs(
             np.asarray(self.labels), np.asarray(self.class_ids)))
         for name in ("labels", "class_ids", "alpha", "b", "signs"):
@@ -281,6 +284,11 @@ class SvmModel:
     @property
     def n_train(self) -> int:
         return len(self.train_ids)
+
+    @property
+    def pair_updates(self) -> int:
+        """Pair updates over the classes' dual solves."""
+        return sum(sol.updates for sol in self.duals)
 
 
 def train_one_vs_rest(gram: GramMatrix, labels: np.ndarray,
@@ -300,7 +308,7 @@ def train_one_vs_rest(gram: GramMatrix, labels: np.ndarray,
     if start is not None and (start.train_ids != gram.ids
                               or not np.array_equal(start.signs, signs)):
         raise ValidationError("start model covers other videos or labels")
-    updates = 0
+    duals = []
     for ci, (c, y) in enumerate(zip(class_ids, signs)):
         try:
             sol = solve_dual(gram, y, cfg,
@@ -310,9 +318,9 @@ def train_one_vs_rest(gram: GramMatrix, labels: np.ndarray,
                                residual=exc.residual, updates=exc.updates) from exc
         alpha[ci] = sol.alpha
         b[ci] = sol.b
-        updates += sol.updates
+        duals.append(sol)
     return SvmModel(train_ids=gram.ids, labels=labels, class_ids=class_ids,
-                    alpha=alpha, b=b, pair_updates=updates)
+                    alpha=alpha, b=b, duals=duals)
 
 
 def decision_scores(model: SvmModel, k_cols: np.ndarray) -> np.ndarray:

@@ -3,7 +3,9 @@
 ``bench/tracer.py`` wraps package functions and methods by name; a
 rename or deletion in the package makes it fail before the command
 runs. This runs it in a child process, as the benchmark does, on tiny
-training runs of both routes and on ``eval`` of a tiny trained model.
+training runs of both routes and on ``eval`` of a tiny trained model,
+which reads one feature file per test video: the model carries its
+support videos' pooled trees.
 """
 
 import json
@@ -15,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from treemkl.cli import main
+from treemkl.dataio import load_manifest
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -42,7 +45,8 @@ def model(manifest):
     ("train-em", ["--depth", "3", "--variant", "avg", "--max-iters", "3"],
      ["em.em_fit", "em.beta_objective_coeffs", "svm.solve_dual"]),
     ("eval", ["--model", "{model}"],
-     ["pipeline.evaluate_artifact", "kernels.kernel_columns",
+     ["pipeline.evaluate_artifact", "pipeline.load_split_trees",
+      "kernels.kernel_columns", "dataio.load_feature_file",
       "hierarchy.pool_sequence"]),
 ])
 def test_tracer_runs_and_records_spans(manifest, model, tmp_path, command,
@@ -65,3 +69,7 @@ def test_tracer_runs_and_records_spans(manifest, model, tmp_path, command,
         assert doc["names"].get(name, {}).get("calls", 0) > 0, name
     if "svm.solve_dual" in spans:
         assert doc["counts"]["svm.solve_dual.pair_updates"] > 0
+    if command == "eval":
+        tests = len(load_manifest(manifest).split("test"))
+        for name in ("dataio.load_feature_file", "hierarchy.pool_sequence"):
+            assert doc["names"][name]["calls"] == tests, name

@@ -102,6 +102,9 @@ class TestTrainingOutputs:
         assert result.summary["dual_solves"] == len(updates)
         assert result.summary["pair_updates"] == sum(updates)
         assert len(updates) == 3 if run == "dm_a" else len(updates) > 3
+        # the final model's solves close the run
+        assert [d["pair_updates"] for d in
+                result.summary["final_duals"].values()] == updates[-3:]
         lines = (workspace / run / "trace.csv").read_text().splitlines()
         assert lines[0].split(",") == result.trace_header
         rows = [[float(cell) for cell in line.split(",")]
@@ -138,7 +141,8 @@ class TestTrainingOutputs:
             (workspace / "em_a" / "training.json").read_text())
         assert set(summary) == {"iterations", "beta_entropy", "dual_solves",
                                 "pair_updates", "backtracks", "stop_reason",
-                                "kernel_table"}
+                                "kernel_table", "final_duals",
+                                "support_trees"}
         assert summary["stop_reason"] in STOP_REASONS
         backtracks = summary["backtracks"]
         assert type(backtracks) is int and backtracks >= 0
@@ -147,7 +151,8 @@ class TestTrainingOutputs:
         summary = summary_of(workspace, "dm_a")
         assert set(summary) == {"iterations", "final_loss", "dual_solves",
                                 "pair_updates", "stop_reason", "fw_gap",
-                                "fw_gap_bounds_suboptimality", "kernel_table"}
+                                "fw_gap_bounds_suboptimality", "kernel_table",
+                                "final_duals", "support_trees"}
         assert summary["stop_reason"] in dmkl.STOP_REASONS
         gap = summary["fw_gap"]
         assert type(gap) is float and gap >= 0.0
@@ -204,8 +209,51 @@ class TestTrainingOutputs:
 
     def test_files_listing(self, workspace):
         listing = json.loads((workspace / "em_a" / "files.json").read_text())
-        assert "model.json" in listing["files"]
-        assert "trace.csv" in listing["files"]
+        assert listing["files"] == ["model.json", "support.npy", "trace.csv",
+                                    "training.json"]
+
+    @pytest.mark.parametrize("run", ["em_a", "em_c", "dm_a", "dm_m"])
+    def test_summary_records_final_duals_and_support_trees(self, workspace,
+                                                           run):
+        summary = summary_of(workspace, run)
+        doc = json.loads((workspace / run / "model.json").read_text())
+        c_box = doc["config"]["svm"]["c_box"]
+        assert set(summary["final_duals"]) == set(doc["classes"]) == {
+            "1", "2", "3"}
+        for key, dual in summary["final_duals"].items():
+            assert set(dual) == {"pair_updates", "kkt_residual",
+                                 "objective", "support", "bound_support"}
+            alphas = [sv["alpha"] for sv in doc["classes"][key]["support"]]
+            assert dual["support"] == len(alphas) > 0
+            assert dual["bound_support"] == alphas.count(c_box)
+            assert type(dual["pair_updates"]) is int
+            # a warm-started solve may need no update
+            assert 0 <= dual["pair_updates"] <= summary["pair_updates"]
+            assert dual["kkt_residual"] <= doc["config"]["svm"]["kkt_tol"]
+            assert type(dual["objective"]) is float and dual["objective"] < 0
+        if run.startswith("dm"):
+            assert sum(d["pair_updates"] for d in
+                       summary["final_duals"].values()) == \
+                summary["pair_updates"]
+        rows = np.load(workspace / run / "support.npy")
+        assert summary["support_trees"] == {
+            "videos": len(doc["support_videos"]),
+            "nodes": sum(b > 0 for b in doc["beta"].values()),
+            "dim": 8, "bytes": rows.nbytes}
+        assert rows.shape == tuple(summary["support_trees"][k]
+                                   for k in ("videos", "nodes", "dim"))
+
+    def test_bound_support_counts_alphas_at_c_box(self, workspace, tmp_path):
+        # a small box puts support videos on its bound
+        assert run_cli("train-dmkl", "--out", tmp_path / "m", "--manifest",
+                       workspace / "data" / "manifest.jsonl", "--depth", 3,
+                       "--iters", 20, "--c-box", 0.01) == 0
+        doc = json.loads((tmp_path / "m" / "model.json").read_text())
+        duals = summary_of(tmp_path, "m")["final_duals"]
+        for key, dual in duals.items():
+            alphas = [sv["alpha"] for sv in doc["classes"][key]["support"]]
+            assert dual["bound_support"] == alphas.count(0.01)
+        assert sum(d["bound_support"] for d in duals.values()) > 0
 
 
 class TestEval:
@@ -301,6 +349,15 @@ class TestScoringPath:
                                                       "test")
             support_trees = loading.load_trees(
                 [by_id[v] for v in art.support_ids], root, cfg)
+            # the stored rows are the support videos' pooled trees at the
+            # weighted nodes, bit for bit
+            np.testing.assert_array_equal(
+                art.support_rows,
+                kernels.stack_trees(support_trees)[0][
+                    :, np.flatnonzero(art.beta)])
+            np.testing.assert_array_equal(
+                art.support_labels,
+                [by_id[v].label for v in art.support_ids])
             cols = kernel_columns(test_trees, support_trees, art.beta,
                                   cfg.variant, art.kernel)
             ref, ref_classes = artifact_scores_oracle(
@@ -309,8 +366,7 @@ class TestScoringPath:
             # scoring holds only the weighted nodes of its test trees
             weighted, _ = pipeline.load_split_trees(
                 manifest, root, cfg, "test", np.flatnonzero(art.beta))
-            got = pipeline._artifact_scores(
-                art, weighted, pipeline._support_records(art, manifest), root)
+            got = pipeline._artifact_scores(art, weighted)
             np.testing.assert_array_equal(art.class_ids, ref_classes)
             np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
             np.testing.assert_array_equal(np.argmax(got, axis=1),
@@ -352,15 +408,12 @@ class TestScoringPath:
             return list(seen)
 
         views = scored()
-        load_trees, load_split_trees = (pipeline.load_trees,
-                                        pipeline.load_split_trees)
+        load_split_trees = pipeline.load_split_trees
 
         def copied(trees):
             return [dataclasses.replace(t, vectors=t.vectors.copy())
                     for t in trees]
 
-        monkeypatch.setattr(pipeline, "load_trees",
-                            lambda *a: copied(load_trees(*a)))
         monkeypatch.setattr(pipeline, "load_split_trees",
                             lambda *a: (copied(load_split_trees(*a)[0]),
                                         load_split_trees(*a)[1]))
@@ -368,6 +421,24 @@ class TestScoringPath:
         assert len(views) == len(copies) == 12
         for view, copy in zip(views, copies):
             np.testing.assert_array_equal(view, copy)
+
+    def test_support_trees_are_views_of_the_stored_rows(self, workspace,
+                                                        monkeypatch):
+        manifest = load_manifest(workspace / "data" / "manifest.jsonl")
+        art = load_artifact(workspace / "dm_a" / "model.json")
+        assert not art.support_rows.flags.writeable
+        seen = []
+        real = pipeline.kernel_columns
+        monkeypatch.setattr(pipeline, "kernel_columns",
+                            lambda *a: seen.append(a[1]) or real(*a))
+        evaluate_artifact(art, manifest, str(workspace / "data"))
+        (support,) = seen
+        assert [t.video_id for t in support] == art.support_ids
+        stacked, _ = kernels.stack_trees(support)
+        # the kernels read the loaded array in place
+        assert np.shares_memory(stacked, art.support_rows)
+        assert not stacked.flags.writeable
+        np.testing.assert_array_equal(stacked, art.support_rows)
 
     def test_l2_norms_reach_scoring(self, workspace, tmp_path):
         data = workspace / "data"
@@ -401,10 +472,14 @@ class TestScoringPath:
         test_trees, _ = pipeline.load_split_trees(manifest, str(data),
                                                   art.pipeline, "test",
                                                   np.flatnonzero(art.beta))
-        got = pipeline._artifact_scores(
-            art, test_trees, pipeline._support_records(art, manifest),
-            str(data))
+        got = pipeline._artifact_scores(art, test_trees)
         np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
+        # the stored rows are the normalized pooled trees, bit for bit
+        pooled = loading.load_trees([by_id[v] for v in art.support_ids],
+                                    str(data), art.pipeline)
+        np.testing.assert_array_equal(
+            art.support_rows,
+            kernels.stack_trees(pooled)[0][:, np.flatnonzero(art.beta)])
 
     @pytest.mark.parametrize("variant", ["averaging", "concatenation"])
     @pytest.mark.parametrize("beta", [
@@ -425,17 +500,24 @@ class TestScoringPath:
         art = load_artifact(workspace / "dm_a" / "model.json")
         cfg = dataclasses.replace(art.pipeline, variant=variant,
                                   feature_norm=norms[0], node_norm=norms[1])
-        art = dataclasses.replace(art, pipeline=cfg, beta=np.array(beta))
-        nodes = np.flatnonzero(art.beta)
+        nodes = np.flatnonzero(beta)
 
         def split(name, held=None):
             return pipeline.load_split_trees(manifest, root, cfg, name,
                                              held)[0]
 
         support = [by_id[v] for v in art.support_ids]
-        full = kernel_columns(split("test"),
-                              loading.load_trees(support, root, cfg),
-                              art.beta, variant, art.kernel)
+        support_trees = loading.load_trees(support, root, cfg)
+        # training gathers the stored rows from its every-node trees;
+        # pooling only the weighted nodes gives the same bits
+        gathered = kernels.stack_trees(support_trees)[0][:, nodes]
+        np.testing.assert_array_equal(
+            gathered, kernels.stack_trees(
+                loading.load_trees(support, root, cfg, nodes))[0])
+        art = dataclasses.replace(art, pipeline=cfg, beta=np.array(beta),
+                                  support_rows=gathered)
+        full = kernel_columns(split("test"), support_trees, art.beta,
+                              variant, art.kernel)
         weighted = split("test", nodes)
         assert {t.nodes for t in weighted} == {tuple(nodes)}
         cols = kernel_columns(
@@ -446,11 +528,8 @@ class TestScoringPath:
             train_ids=art.support_ids,
             labels=np.array([by_id[v].label for v in art.support_ids]),
             class_ids=art.class_ids, alpha=art.alpha, b=art.b)
-        np.testing.assert_array_equal(
-            pipeline._artifact_scores(
-                art, weighted, pipeline._support_records(art, manifest),
-                root),
-            svm.decision_scores(model, full))
+        np.testing.assert_array_equal(pipeline._artifact_scores(art, weighted),
+                                      svm.decision_scores(model, full))
         # fuse-eval's kernel-avg mode retrains on the training Gram
         np.testing.assert_array_equal(
             kernels.gram_matrix(split("train", nodes), art.beta[nodes],
@@ -471,9 +550,17 @@ class TestScoringPath:
         lines[test]["appearance"] = str(short)
         manifest = write_manifest_lines(tmp_path / "manifest.jsonl", lines)
         doc = json.loads((workspace / "dm_a" / "model.json").read_text())
-        root_only = tmp_path / "root_only.json"
-        root_only.write_text(json.dumps(dict(doc, beta={
-            key: float(key == "1:1") for key in doc["beta"]})))
+        # a root-only model stores its support videos' roots
+        art = load_artifact(workspace / "dm_a" / "model.json")
+        by_id = load_manifest(workspace / "data" / "manifest.jsonl").by_id()
+        roots = kernels.stack_trees(loading.load_trees(
+            [by_id[v] for v in art.support_ids], str(workspace / "data"),
+            art.pipeline, [0]))[0]
+        (tmp_path / "root_only").mkdir()
+        root_only = tmp_path / "root_only" / "model.json"
+        pipeline.save_artifact(dict(doc, beta={
+            key: float(key == "1:1") for key in doc["beta"]}), roots,
+            root_only)
         messages = []
         for model in (workspace / "dm_a" / "model.json", root_only):
             assert run_cli("eval", "--model", model, "--manifest", manifest,
@@ -507,6 +594,49 @@ class TestScoringPath:
         else:
             fuse_evaluate(art_a, art_m, manifest, root, mode=mode)
         assert len(seen) == calls
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--model", "em_a"],
+        ["fuse-eval", "--model-a", "dm_a", "--model-m", "dm_m",
+         "--mode", "score-avg"]], ids=["eval", "score-avg"])
+    @pytest.mark.parametrize("training", ["dropped", "deleted"])
+    def test_scoring_reads_only_test_frames(self, workspace, tmp_path,
+                                            monkeypatch, argv, training):
+        # the artifact carries its support trees: scoring needs neither
+        # the training records nor their feature files
+        argv = [workspace / a / "model.json" if a in ("em_a", "dm_a", "dm_m")
+                else a for a in argv]
+        data = workspace / "data"
+        lines = [json.loads(line) for line in
+                 (data / "manifest.jsonl").read_text().splitlines()]
+        test = [obj for obj in lines[1:] if obj["split"] == "test"]
+        copy = tmp_path / "data"
+        copy.mkdir()
+        kept = lines if training == "deleted" else lines[:1] + test
+        for obj in kept[1:]:
+            if obj["split"] == "test":
+                for stream in ("appearance", "motion"):
+                    (copy / obj[stream]).parent.mkdir(parents=True,
+                                                      exist_ok=True)
+                    (copy / obj[stream]).write_bytes(
+                        (data / obj[stream]).read_bytes())
+        manifest = write_manifest_lines(copy / "manifest.jsonl", kept)
+        reads = []
+        real = loading.load_feature_file
+        monkeypatch.setattr(loading, "load_feature_file",
+                            lambda *a, **k: reads.append(a) or real(*a, **k))
+        assert run_cli(*argv, "--manifest", data / "manifest.jsonl",
+                       "--out", tmp_path / "full") == 0
+        streams = 2 if argv[0] == "fuse-eval" else 1
+        assert len(reads) == streams * len(test)
+        reads.clear()
+        assert run_cli(*argv, "--manifest", manifest,
+                       "--out", tmp_path / "test_only") == 0
+        assert len(reads) == streams * len(test)
+        assert all(str(a[0]).startswith(str(copy)) for a in reads)
+        for name in ("metrics.json", "files.json"):
+            assert (tmp_path / "full" / name).read_bytes() == \
+                (tmp_path / "test_only" / name).read_bytes()
 
 
 class TestReport:
@@ -693,9 +823,12 @@ class TestExitCodesAndWorkers:
         art = load_artifact(out / "model.json")
         assert art.svm.c_box == np.inf
         # the round trip writes the same bytes again
-        again = tmp_path / "again.json"
-        pipeline.save_artifact(doc, again)
+        (tmp_path / "again").mkdir()
+        again = tmp_path / "again" / "model.json"
+        pipeline.save_artifact(doc, art.support_rows, again)
         assert again.read_text() == text
+        assert (tmp_path / "again" / "support.npy").read_bytes() == \
+            (out / "support.npy").read_bytes()
         assert run_cli("eval", "--model", out / "model.json",
                        "--manifest", workspace / "data" / "manifest.jsonl",
                        "--out", tmp_path / "eval") == 0
@@ -707,7 +840,10 @@ class TestExitCodesAndWorkers:
         doc = json.loads((workspace / "em_a" / "model.json").read_text())
         doc["config"]["svm"]["kkt_tol"] = np.inf
         with pytest.raises(ValueError):
-            pipeline.save_artifact(doc, tmp_path / "model.json")
+            pipeline.save_artifact(doc, np.zeros((1, 1, 1)),
+                                   tmp_path / "model.json")
+        # refused before any file is written
+        assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("flag, value", [
         ("--seed", "-1"), ("--dim", "-1"), ("--dim", "0"),
@@ -737,7 +873,8 @@ class TestExitCodesAndWorkers:
         ("config", "kernel", "kind"), ("config", "kernel", "gamma"),
         ("config", "svm", "c_box"), ("config", "svm", "kkt_tol"),
         ("config", "svm", "max_passes"), ("classes", "1", "b"),
-        ("classes", "2", "support")])
+        ("classes", "2", "support"), ("support_videos",),
+        ("support_file",)])
     def test_artifact_missing_key_is_named(self, workspace, tmp_path, keys):
         doc = json.loads((workspace / "em_a" / "model.json").read_text())
         node = doc
@@ -823,6 +960,70 @@ class TestExitCodesAndWorkers:
             with pytest.raises(errors.ArtifactMismatch,
                                match=r"classes\.1\.support must list"):
                 load_artifact(path)
+
+    @pytest.mark.parametrize("edit, named", [
+        (lambda d, rows, at: (at / "support.npy").unlink(),
+         "'support_file': {at}/support.npy not found"),
+        (lambda d, rows, at: np.save(at / "support.npy",
+                                     rows.astype(np.float32)),
+         "'support_file': {at}/support.npy holds float32 values"),
+        (lambda d, rows, at: np.save(at / "support.npy", rows[:-1]),
+         "'support_file': {at}/support.npy holds shape"),
+        (lambda d, rows, at: np.save(at / "support.npy", rows[:, :-1]),
+         "'support_file': {at}/support.npy holds shape"),
+        (lambda d, rows, at: np.save(at / "support.npy", rows[:, :, :0]),
+         "'support_file': {at}/support.npy holds shape"),
+        (lambda d, rows, at: np.save(at / "support.npy",
+                                     np.where(rows == rows.max(), np.inf,
+                                              rows)),
+         "'support_file': {at}/support.npy holds a non-finite value"),
+        (lambda d, rows, at: np.save(at / "support.npy",
+                                     np.array([{"rows": 1}], dtype=object),
+                                     allow_pickle=True),
+         "'support_file': {at}/support.npy is not a .npy array"),
+        (lambda d, rows, at: (at / "support.npy").write_bytes(b"rows"),
+         "'support_file': {at}/support.npy is not a .npy array"),
+        (lambda d, rows, at: d.update(support_file="../support.npy"),
+         "'support_file': '../support.npy' is not a file name"),
+        (lambda d, rows, at: d["support_videos"][0].update(label=4),
+         "'support_videos.0.label': 4 is not a class id of 'classes'"),
+        (lambda d, rows, at: d["support_videos"][0].update(label="1"),
+         "'support_videos.0.label' is not an integer"),
+        (lambda d, rows, at: d["support_videos"][1].update(
+            video_id=d["support_videos"][0]["video_id"]),
+         "'support_videos.1.video_id'"),
+        (lambda d, rows, at: d["support_videos"].pop(0),
+         "'classes.1.support.0.video_id'"),
+        (lambda d, rows, at: d["classes"]["1"]["support"][0].update(
+            video_id="unlisted"),
+         "'classes.1.support.0.video_id': 'unlisted' is not listed in "
+         "'support_videos'"),
+        (lambda d, rows, at: d.update(format="treemkl-model-v1"),
+         "format 'treemkl-model-v1', expected 'treemkl-model-v2'"),
+    ], ids=["missing", "float32", "few-rows", "few-nodes", "no-dim",
+            "non-finite", "pickled", "not-npy", "path", "label-4",
+            "label-str", "listed-twice", "unlisted-first", "unlisted",
+            "v1"])
+    def test_malformed_support_is_named(self, workspace, tmp_path, capsys,
+                                        edit, named):
+        doc = json.loads((workspace / "em_a" / "model.json").read_text())
+        rows = np.load(workspace / "em_a" / "support.npy")
+        at = tmp_path / "m"
+        at.mkdir()
+        (at / "support.npy").write_bytes(
+            (workspace / "em_a" / "support.npy").read_bytes())
+        edit(doc, rows, at)
+        (at / "model.json").write_text(json.dumps(doc))
+        named = named.format(at=at)
+        with pytest.raises(errors.ArtifactMismatch, match=re.escape(named)):
+            load_artifact(at / "model.json")
+        for argv in (["eval", "--model", at / "model.json"],
+                     ["fuse-eval", "--model-a", at / "model.json",
+                      "--model-m", at / "model.json"]):
+            code = run_cli(*argv, "--out", tmp_path / "o", "--manifest",
+                           workspace / "data" / "manifest.jsonl")
+            assert code == 2
+            assert_one_error_line(capsys, named)
 
     def test_eval_artifact_without_depth_is_validation_exit(
             self, workspace, tmp_path, capsys):
@@ -957,7 +1158,7 @@ class TestValidationExits:
 
     @pytest.mark.parametrize("text, needle", [
         ("{not json", "not valid JSON"),
-        (None, "format 'treemkl-model-v0', expected 'treemkl-model-v1'")])
+        (None, "format 'treemkl-model-v0', expected 'treemkl-model-v2'")])
     def test_artifact_unreadable(self, workspace, tmp_path, capsys, text,
                                  needle):
         if text is None:
@@ -990,44 +1191,17 @@ class TestValidationExits:
         assert code == 2
         assert_one_error_line(capsys, str(bad), "not valid UTF-8")
 
-    def assert_refused_before_reading(self, workspace, tmp_path, capsys,
-                                      monkeypatch, run, *argv):
-        reads = []
-        monkeypatch.setattr(loading, "load_feature_file",
-                            lambda *a, **k: reads.append(a))
-        model = workspace / run / "model.json"
-        gone = json.loads(model.read_text())["classes"]["1"]["support"][0]
-        lines = [obj for obj in manifest_objects(workspace)
-                 if obj.get("video_id") != gone["video_id"]]
-        path = write_manifest_lines(tmp_path / "manifest.jsonl", lines)
-        code = run_cli(*argv, "--manifest", path, "--out", tmp_path / "o")
-        assert code == 2
-        assert_one_error_line(capsys, "support videos absent from manifest",
-                              gone["video_id"])
-        # refused before any test feature file is read
-        assert reads == []
-
-    def test_support_video_absent_from_manifest(self, workspace, tmp_path,
-                                                capsys, monkeypatch):
-        self.assert_refused_before_reading(
-            workspace, tmp_path, capsys, monkeypatch, "em_a",
-            "eval", "--model", workspace / "em_a" / "model.json")
-
-    @pytest.mark.parametrize("run", ["dm_a", "dm_m"])
-    def test_fusion_support_video_absent_from_manifest(
-            self, workspace, tmp_path, capsys, monkeypatch, run):
-        self.assert_refused_before_reading(
-            workspace, tmp_path, capsys, monkeypatch, run,
-            "fuse-eval", "--model-a", workspace / "dm_a" / "model.json",
-            "--model-m", workspace / "dm_m" / "model.json",
-            "--mode", "score-avg")
-
     def test_fusion_over_different_class_sets(self, workspace, tmp_path,
                                               capsys):
-        doc = json.loads((workspace / "dm_m" / "model.json").read_text())
-        del doc["classes"]["3"]
-        model_m = tmp_path / "model.json"
-        model_m.write_text(json.dumps(doc))
+        # a motion model trained without class 3
+        lines = [obj for obj in manifest_objects(workspace)
+                 if obj.get("label") != 3 or obj["split"] == "test"]
+        manifest = write_manifest_lines(tmp_path / "manifest.jsonl", lines)
+        assert run_cli("train-dmkl", "--manifest", manifest, "--out",
+                       tmp_path / "m", "--stream", "motion", "--depth", 3,
+                       "--variant", "avg", "--iters", 20) == 0
+        model_m = tmp_path / "m" / "model.json"
+        assert set(json.loads(model_m.read_text())["classes"]) == {"1", "2"}
         code = run_cli("fuse-eval", "--model-a", workspace / "dm_a" /
                        "model.json", "--model-m", model_m,
                        "--manifest", workspace / "data" / "manifest.jsonl",
