@@ -3,8 +3,9 @@
 Subcommands: ``gen-synth``, ``pool``, ``train-em``, ``train-dmkl``,
 ``eval``, ``fuse-eval``, ``report``. Every command writes its outputs
 under ``--out`` together with a ``files.json`` listing, and reruns with
-identical inputs, flags, and seeds produce byte-identical files (no
-timestamps, sorted keys, deterministic float formatting).
+identical inputs, flags, and seeds at a fixed OpenBLAS thread count
+produce byte-identical files (no timestamps, sorted keys, deterministic
+float formatting); the thread count can move the last bits of BLAS sums.
 
 Exit codes: 0 on success, 2 for validation problems (bad files, flags,
 or data) and for a path that cannot be read or written, 3 when a solver

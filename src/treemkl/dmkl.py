@@ -189,7 +189,10 @@ def _pair_rows(cache: NodeKernelCache, table: _PairTable, variant: str):
     ``_MOMENT_PANEL`` pairs (the last batch may hold fewer)."""
     batch, size = [], 0
     for r0, c0, tile in cache.table_blocks(variant):
-        lo, hi = np.searchsorted(table.i, (r0, r0 + tile.shape[0]))
+        # keys of the column's own dtype: Python ints would make numpy
+        # cast the whole int32 column to int64 on every tile
+        keys = np.array((r0, r0 + tile.shape[0]), dtype=table.i.dtype)
+        lo, hi = np.searchsorted(table.i, keys)
         j = table.j[lo:hi]
         at = lo + np.flatnonzero((j >= c0) & (j < c0 + tile.shape[1]))
         batch.append((at, tile[table.i[at] - r0, table.j[at] - c0]))

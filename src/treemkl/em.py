@@ -159,8 +159,9 @@ def em_fit(trees: list[PooledTree], labels: np.ndarray, variant: str,
     candidate of the line search keeps the objective from rising.
     Holds one fixed level table, one row per unordered video pair,
     (n * (n + 1) / 2, levels) for concatenation or (n * (n + 1) / 2,
-    levels * (levels + 1) / 2) for averaging, and, beside it, n x n
-    Grams unpacked from its contractions; ``NodeKernelCache`` raises
+    levels * (levels + 1) / 2) for averaging, and, beside it, one n x n
+    Gram at a time, unpacked from its packed contraction, whose rows the
+    dual solves read without a copy; ``NodeKernelCache`` raises
     :class:`ValidationError` before allocating a table above
     ``kernels._DENSE_LIMIT`` elements.
     """

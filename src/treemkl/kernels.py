@@ -63,7 +63,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -266,31 +266,54 @@ def combined_kernel(a: PooledTree, b: PooledTree, beta: np.ndarray,
 
 @dataclass(frozen=True)
 class GramMatrix:
-    """Symmetric combined-kernel matrix over an ordered video set."""
+    """Symmetric combined-kernel matrix over an ordered video set.
+
+    The values are checked finite and symmetric within 1e-10 in blocks
+    of rows of at most ``_BLOCK_ELEMENTS`` elements, so no check makes
+    an n x n temporary, and are then read-only (not copied: no other
+    view may write them). ``exactly_symmetric``, derived and never
+    passed, says whether every entry has the bits of its mirror, so
+    that the rows are the columns; every Gram unpacked from packed
+    pairs (:func:`unpack_pairs`) has it."""
 
     values: np.ndarray
     ids: tuple[str, ...]
+    exactly_symmetric: bool = field(init=False, compare=False)
 
     def __post_init__(self):
         v = np.ascontiguousarray(np.asarray(self.values, dtype=np.float64))
         if v.ndim != 2 or v.shape[0] != v.shape[1]:
             raise ShapeMismatch(f"gram must be square, got {v.shape}")
-        if len(self.ids) != v.shape[0]:
-            raise ShapeMismatch(
-                f"{len(self.ids)} ids for {v.shape[0]} rows")
-        if not np.isfinite(v).all():
+        n = v.shape[0]
+        if len(self.ids) != n:
+            raise ShapeMismatch(f"{len(self.ids)} ids for {n} rows")
+        step = max(1, _BLOCK_ELEMENTS // max(1, n))
+        starts = range(0, n, step)
+        if not all(np.isfinite(v[r0:r0 + step]).all() for r0 in starts):
             raise ValidationError("gram contains non-finite entries")
-        if np.abs(v - v.T).max(initial=0.0) > 1e-10:
-            raise ValidationError("gram is not symmetric within 1e-10")
+        exact = True
+        for r0 in starts:
+            # rows r0:r0 + step right of the diagonal against their mirror
+            upper, mirror = v[r0:r0 + step, r0:], v[r0:, r0:r0 + step].T
+            # compared as bit patterns, so that -0.0 and 0.0 differ
+            if (upper.view(np.uint64) == mirror.view(np.uint64)).all():
+                continue
+            exact = False
+            diff = upper - mirror
+            if np.abs(diff, out=diff).max() > 1e-10:
+                raise ValidationError("gram is not symmetric within 1e-10")
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "ids", tuple(self.ids))
+        object.__setattr__(self, "exactly_symmetric", exact)
 
     @property
     def n(self) -> int:
         return self.values.shape[0]
 
     def min_eigenvalue(self) -> float:
+        """The smallest eigenvalue; no route calls it. Kept for the PSD
+        closure check of acceptance criterion c02 and its demo."""
         return float(np.linalg.eigvalsh(self.values)[0])
 
 
@@ -651,7 +674,8 @@ def fuse_kernels(gram_a: GramMatrix, gram_b: GramMatrix,
         raise IdMismatch("gram matrices cover different video sets")
     if not (0.0 <= weight <= 1.0):
         raise ValidationError(f"fusion weight {weight} outside [0, 1]")
-    return GramMatrix(values=weight * gram_a.values
-                      + (1.0 - weight) * gram_b.values,
-                      ids=gram_a.ids)
+    # the bits of w * A + (1 - w) * B, holding two n x n arrays, not three
+    values = weight * gram_a.values
+    values += (1.0 - weight) * gram_b.values
+    return GramMatrix(values=values, ids=gram_a.ids)
 

@@ -29,6 +29,13 @@ come out +0.0 where the textbook loop has -0.0). ``tests/oracles.py`` keeps that
 ``solve_dual_reference``. This needs finite values, so a kernel with a
 non-finite entry is rejected up front.
 
+The update reads two columns of ``K`` per step. A
+:class:`~treemkl.kernels.GramMatrix` whose entries have their mirrors'
+bits (every training Gram) is read by rows, which are its columns, as
+LIBSVM reads rows of its symmetric Q (Chang & Lin, ACM TIST 2011); any
+other kernel is read from one contiguous copy of ``K.T``. Either way
+the same values are read in the same order.
+
 The decision function of class ``c`` is
 ``g_c(v) = sum_i alpha_i^c y_ic K(v, v_i) + b_c`` and prediction takes
 the class with the highest score (ties break to the smallest class id).
@@ -100,7 +107,10 @@ def solve_dual(K, y: np.ndarray, cfg: TrainConfig = TrainConfig(),
     start), and two penalty vectors, ``up_pen`` (0 where ``y * alpha``
     may rise within the box, else -inf) and ``low_pen`` (0 where it may
     fall, else +inf), set from the start and then rewritten only at the
-    two updated coordinates. The columns of ``K`` are read from one
+    two updated coordinates. A ``GramMatrix`` that is
+    ``exactly_symmetric`` was checked finite when it was built, and its
+    columns are read as its rows, neither checked again nor copied; any
+    other ``K`` is checked finite, and its columns are read from one
     contiguous copy of ``K.T``.
 
     Raises :class:`ValidationError` for a kernel with a non-finite
@@ -110,6 +120,7 @@ def solve_dual(K, y: np.ndarray, cfg: TrainConfig = TrainConfig(),
     ``max_passes * n`` pair updates, or when ``c_box = inf`` and a step
     is unbounded.
     """
+    rows_are_cols = isinstance(K, GramMatrix) and K.exactly_symmetric
     K = _as_matrix(K)
     y = np.asarray(y, dtype=np.float64)
     n = y.size
@@ -119,12 +130,13 @@ def solve_dual(K, y: np.ndarray, cfg: TrainConfig = TrainConfig(),
         raise SingleClass("labels are all one class")
     if not np.all(np.abs(y) == 1.0):
         raise ValidationError("labels must be +/-1")
-    if not np.all(np.isfinite(K)):
+    if not rows_are_cols and not np.all(np.isfinite(K)):
         raise ValidationError("kernel matrix has a non-finite entry")
 
     c_box = cfg.c_box
     start = _feasible_start(alpha0, y, c_box)
-    cols = np.ascontiguousarray(K.T)  # row k holds column k of K
+    # row k holds column k of K
+    cols = K if rows_are_cols else np.ascontiguousarray(K.T)
     diag = K.diagonal().tolist()
     signs = y.tolist()
     # alpha as Python floats: the same IEEE arithmetic, cheaper per scalar

@@ -228,6 +228,24 @@ class TestPairMoments:
         pairs = n * (n - 1) // 2
         assert peak <= 20 * pairs + 4 * kernels._BLOCK_ELEMENTS * 8
 
+    def test_pair_rows_peak_is_tiles(self, rng):
+        # 1,200 videos, 719,400 pairs, drained: tiles, their masks and
+        # gathered rows, whatever the pair count; no room for a cast of
+        # the int32 pair column to int64 (8 bytes a pair) on any tile
+        n = 1200
+        trees = random_trees(rng, n=n, depth=2, dim=4)
+        cache = NodeKernelCache(trees, RBF)
+        table = _PairTable(np.arange(n) % 3 + 1)
+        tracemalloc.start()
+        try:
+            for _ in dmkl._pair_rows(cache, table, CONCATENATION):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        bound = 7 * kernels._BLOCK_ELEMENTS * 8
+        assert peak <= bound < 8 * table.i.size
+
     @pytest.mark.parametrize("fraction", [0.5, None])
     @pytest.mark.parametrize("variant", [CONCATENATION, AVERAGING])
     def test_match_loss_grad_oracle(self, rng, monkeypatch, variant,

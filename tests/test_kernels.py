@@ -26,6 +26,7 @@ from treemkl.kernels import (
     stack_trees,
 )
 from treemkl.simplex import to_simplex
+from treemkl.svm import TrainConfig
 
 RBF = KernelConfig(kind="rbf", gamma=0.7)
 LIN = KernelConfig(kind="linear")
@@ -198,6 +199,74 @@ class TestGramMatrix:
                  for a in rows])
             np.testing.assert_allclose(cols_k, direct, atol=1e-12)
 
+    # 600 videos: row blocks of 109 rows, the last from row 545 on
+    N = 600
+
+    def symmetric(self, rng):
+        values = rng.standard_normal((self.N, self.N))
+        return values + values.T
+
+    def ids(self):
+        return tuple(f"v{i}" for i in range(self.N))
+
+    def test_blocked_checks_refuse_late_entries(self, rng):
+        # rows from 560 on lie past the first block
+        assert kernels._BLOCK_ELEMENTS // self.N < 560
+        for at in ((599, 3), (3, 599), (599, 599)):
+            values = self.symmetric(rng)
+            values[at] = np.nan
+            with pytest.raises(errors.ValidationError,
+                               match="^gram contains non-finite entries$"):
+                GramMatrix(values=values, ids=self.ids())
+        for at in ((560, 590), (590, 560), (598, 599)):
+            values = self.symmetric(rng)
+            values[at] += 1e-9
+            with pytest.raises(errors.ValidationError,
+                               match=r"^gram is not symmetric within 1e-10$"):
+                GramMatrix(values=values, ids=self.ids())
+        # every block is checked finite before any is compared, as the
+        # whole-matrix checks were ordered
+        values = self.symmetric(rng)
+        values[1, 2] += 1.0
+        values[599, 0] = np.inf
+        with pytest.raises(errors.ValidationError, match="non-finite"):
+            GramMatrix(values=values, ids=self.ids())
+
+    def test_checks_make_no_full_size_temporary(self, rng):
+        # a block of bools, and for a Gram symmetric only within 1e-10 a
+        # block of differences, at a time: not the n x n bool array and
+        # the two n x n float arrays of abs(v - v.T)
+        within = self.symmetric(rng)
+        within[3, 4] += 1e-12
+        for v, blocks in ((self.symmetric(rng), 0.5), (within, 2)):
+            tracemalloc.start()
+            try:
+                GramMatrix(values=v, ids=self.ids())
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= blocks * kernels._BLOCK_ELEMENTS * 8
+            assert peak < v.nbytes / 2
+
+    def test_exactly_symmetric_is_derived_from_the_bits(self, rng):
+        trees = random_trees(rng, n=9, depth=3)
+        beta = to_simplex(rng.standard_normal(7))
+        for variant in (CONCATENATION, AVERAGING):
+            assert gram_matrix(trees, beta, variant, RBF).exactly_symmetric
+        values = self.symmetric(rng)
+        assert GramMatrix(values=values, ids=self.ids()).exactly_symmetric
+        within = self.symmetric(rng)
+        within[590, 560] += 1e-11
+        gram = GramMatrix(values=within, ids=self.ids())
+        assert not gram.exactly_symmetric
+        # -0.0 equals 0.0 but has other bits
+        zeros = np.zeros((2, 2))
+        zeros[0, 1] = -0.0
+        assert not GramMatrix(values=zeros, ids=("a", "b")).exactly_symmetric
+        assert GramMatrix(values=np.zeros((0, 0)), ids=()).exactly_symmetric
+        with pytest.raises(TypeError):
+            GramMatrix(values=values, ids=self.ids(), exactly_symmetric=True)
+
 
 def pair_grad(trees, beta, variant, cfg=RBF):
     """Production gradient in beta of K(trees[0], trees[1]): the pair's
@@ -330,6 +399,26 @@ class TestFuseKernels:
         fused = fuse_kernels(ka, km, 0.5)
         np.testing.assert_allclose(fused.values,
                                    0.5 * ka.values + 0.5 * km.values)
+
+    def test_bits_of_the_convex_combination_in_two_arrays(self, rng):
+        # w * A + (1 - w) * B bit for bit, exactly symmetric as A and B
+        # are, and built beside them in two n x n arrays, not three
+        n = 600
+        ids = tuple(f"v{i}" for i in range(n))
+        a, b = rng.standard_normal((2, n, n))
+        ka = GramMatrix(values=a + a.T, ids=ids)
+        km = GramMatrix(values=b + b.T, ids=ids)
+        for weight in (0.5, 0.3, 1.0 / 3.0, 0.0, 1.0):
+            tracemalloc.start()
+            try:
+                fused = fuse_kernels(ka, km, weight)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            want = weight * ka.values + (1.0 - weight) * km.values
+            assert fused.values.tobytes() == want.tobytes()
+            assert fused.exactly_symmetric
+            assert peak <= 2 * n * n * 8 + kernels._BLOCK_ELEMENTS * 8
 
     def test_id_mismatch(self, rng):
         ka, _ = self.grams(rng)
@@ -765,6 +854,26 @@ class TestCrossMemory:
         assert res[0].iterations >= 1
         assert peak <= (n * (n + 1) // 2 * 10 * 8
                         + 4 * kernels._BLOCK_ELEMENTS * 8)
+
+    @pytest.mark.parametrize("variant, width", [(AVERAGING, 10),
+                                                (CONCATENATION, 4)])
+    def test_em_fit_holds_one_gram_beside_its_table(self, rng, variant,
+                                                    width):
+        # the level table, the stacked trees, tiles, and one n x n Gram
+        # beside its packed contraction: no n x n temporaries for the
+        # Gram's checks, nor a transposed copy per dual solve
+        n = 400
+        trees = random_trees(rng, n=n, depth=4, dim=4)
+        labels = np.array([1 + (i % 2) for i in range(n)])
+        # one loose dual solve per class: the peak, not the optimum
+        peak = self.peak_bytes(lambda: em_fit(
+            trees, labels, variant, RBF, EmConfig(max_iters=0),
+            TrainConfig(kkt_tol=1e-2)))
+        table = n * (n + 1) // 2 * width * 8
+        gram = n * n * 8
+        stacked = n * self.NODES * 4 * 8
+        assert peak <= (table + 1.5 * gram + stacked
+                        + 2 * kernels._BLOCK_ELEMENTS * 8)
 
     @pytest.mark.parametrize("n", [600, 2, 1])
     def test_unpack_pairs_copies_row_by_row(self, rng, n):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -126,6 +127,55 @@ class TestSolveDual:
         m2 = train_one_vs_rest(scaled, labels, cfg)
         np.testing.assert_array_equal(predict(m1, gram.values),
                                       predict(m2, scaled.values))
+
+    @staticmethod
+    def bits(sol):
+        return (sol.alpha.tobytes(), sol.updates,
+                np.array([sol.b, sol.kkt_residual, sol.objective]).tobytes())
+
+    @staticmethod
+    def solve_peak(K, y, cfg):
+        tracemalloc.start()
+        try:
+            sol = solve_dual(K, y, cfg)
+            return sol, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_exactly_symmetric_gram_is_read_by_rows(self, rng):
+        # its rows are its columns: the solutions keep the bits of the
+        # same values passed as a plain array, without the n x n copy
+        n = 300
+        ids = tuple(f"v{i}" for i in range(n))
+        for c_box in (10.0, 0.5, 1e-3):
+            cfg = TrainConfig(c_box=c_box, kkt_tol=1e-6, max_passes=200)
+            K, y = random_psd_instance(rng, n)
+            gram = GramMatrix(values=(K + K.T) / 2, ids=ids)
+            assert gram.exactly_symmetric
+            sol, peak = self.solve_peak(gram, y, cfg)
+            plain, plain_peak = self.solve_peak(gram.values.copy(), y, cfg)
+            assert self.bits(sol) == self.bits(plain)
+            assert peak < gram.values.nbytes / 4 < gram.values.nbytes
+            assert plain_peak >= gram.values.nbytes
+
+    def test_gram_symmetric_within_tolerance_is_copied(self, rng):
+        # rows that are not bit for bit its columns are not read as such:
+        # the solution keeps the bits of the plain array's, which reads
+        # the columns of one copy of K.T
+        n = 300
+        ids = tuple(f"v{i}" for i in range(n))
+        K, y = random_psd_instance(rng, n)
+        values = (K + K.T) / 2 + 1e-11 * rng.standard_normal((n, n))
+        gram = GramMatrix(values=values, ids=ids)
+        assert not gram.exactly_symmetric
+        cfg = TrainConfig(c_box=10.0, kkt_tol=1e-6, max_passes=200)
+        sol, peak = self.solve_peak(gram, y, cfg)
+        plain = solve_dual(values.copy(), y, cfg)
+        assert self.bits(sol) == self.bits(plain)
+        assert peak >= gram.values.nbytes
+        # reading its rows would show: its transpose takes other bits
+        rows = solve_dual(GramMatrix(values=values.T.copy(), ids=ids), y, cfg)
+        assert self.bits(rows) != self.bits(plain)
 
     def test_matches_reference_loop_bit_for_bit(self, rng):
         # 240 seeded problems over rbf, linear and non-symmetric kernels,
