@@ -36,6 +36,8 @@ from .kernels import (
     GramMatrix,
     KernelConfig,
     NodeKernelCache,
+    _pair_of,
+    _pair_start,
     canonical_variant,
     node_weights,
     node_weights_pullback,
@@ -85,25 +87,27 @@ class ContrastiveConfig:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
 
 
+def _same_class(labels: np.ndarray) -> np.ndarray:
+    """Whether each pair i < j of ``labels`` shares a class, one byte a
+    pair, in the packed order of ``kernels._pair_start``."""
+    n = labels.size
+    same = np.empty(n * (n - 1) // 2, dtype=bool)
+    for i in range(n - 1):
+        row = slice(_pair_start(i, n - 1), _pair_start(i + 1, n - 1))
+        same[row] = labels[i + 1:] == labels[i]
+    return same
+
+
 class _PairTable:
-    """Every pair i < j of a label vector, row-major, with its +/-1
-    same-class label; the contrastive route's one source of pairs. The
-    videos ``i``, ``j`` are int32 and the labels ``y`` int8, 9 bytes a
-    pair, filled one row video at a time."""
+    """Every pair i < j of a label vector, packed, with its +/-1 label: the
+    int32 videos ``i``, ``j`` and int8 labels ``y`` that the per-pair
+    oracle :func:`loss_grad` reads. No route builds one."""
 
     def __init__(self, labels: np.ndarray):
         n = labels.size
-        count = n * (n - 1) // 2
-        self.i = np.empty(count, dtype=np.int32)
-        self.j = np.empty(count, dtype=np.int32)
-        self.y = np.empty(count, dtype=np.int8)
-        at = 0
-        for i in range(n - 1):
-            row = slice(at, at + n - 1 - i)
-            self.i[row] = i
-            self.j[row] = np.arange(i + 1, n, dtype=np.int32)
-            self.y[row] = np.where(labels[i + 1:] == labels[i], 1, -1)
-            at = row.stop
+        i, j = _pair_of(np.arange(n * (n - 1) // 2), n - 1)
+        self.i, self.j = i.astype(np.int32), (j + 1).astype(np.int32)
+        self.y = np.where(_same_class(labels), 1, -1).astype(np.int8)
 
 
 def loss_grad(i: np.ndarray, j: np.ndarray, y: np.ndarray,
@@ -137,28 +141,28 @@ class DmklResult:
     kernel_table: tuple             # name and shape of the moment matrix
 
 
-def pair_moments(cache: NodeKernelCache, table: _PairTable, variant: str,
+def pair_moments(cache: NodeKernelCache, labels: np.ndarray, variant: str,
                  positive_fraction: float | None
                  ) -> tuple[np.ndarray, np.ndarray, float]:
-    """``A``, ``b``, ``c`` of the margin-0 loss over the pairs of ``table``,
-    weighted ``f / |pos|`` or ``(1 - f) / |neg|`` by polarity for
-    ``positive_fraction = f``, else ``1 / |pairs|``. Pair (i, j)'s row of q
-    node kernels, q = ``len(node_weights)``, is ``tile[i - r0, j - c0]``
-    of the ``cache.table_blocks`` tile whose row range holds i and whose
-    column range holds j (every pair has ``j > i``, in the upper triangle
-    the tiles cover). The rows are summed into ``A`` in batches of at
-    least ``_MOMENT_PANEL`` pairs, one panel of ``_MOMENT_PANEL`` rows of
-    ``A`` at a time from its diagonal on; the blocks left of the diagonal
-    panels are copied from those above them. A (q, q) ``A`` over
-    ``_DENSE_LIMIT`` is refused."""
+    """``A``, ``b``, ``c`` of the margin-0 loss over the pairs i < j of the
+    cache's videos, of polarity set by ``labels``, weighted ``f / |pos|``
+    or ``(1 - f) / |neg|`` for ``positive_fraction = f``, else ``1 /
+    |pairs|``. Each pair's row of q = ``len(node_weights)`` node kernels
+    and its polarity are read off the tiles (:func:`_pair_rows`), and the
+    rows summed into ``A`` in batches of at least ``_MOMENT_PANEL`` pairs,
+    one panel of ``_MOMENT_PANEL`` rows of ``A`` at a time from its
+    diagonal on; the blocks left of the diagonal panels are copied from
+    those above them. Only ``c`` sums the :func:`_same_class` bytes of
+    every pair at once. A (q, q) ``A`` over ``_DENSE_LIMIT`` is refused."""
     variant = canonical_variant(variant)
     q = node_weights(np.ones(cache.nodes), variant).size
     if q * q > _DENSE_LIMIT:
         raise ValidationError(
             f"{variant} contrastive training needs a ({q}, {q}) moment "
             f"matrix of {q * q * 8} bytes, above the {_DENSE_LIMIT * 8} limit")
-    pairs, f = table.y.size, positive_fraction
-    positives = int(np.count_nonzero(table.y > 0))
+    same = _same_class(labels)
+    pairs, f = same.size, positive_fraction
+    positives = int(np.count_nonzero(same))
     if f is not None and positives in (0, pairs):
         raise TooFewVideos("rebalancing needs both pair polarities")
     # each pair's weight by polarity: positive, negative
@@ -167,8 +171,7 @@ def pair_moments(cache: NodeKernelCache, table: _PairTable, variant: str,
     else:
         coef = (f / positives, (1.0 - f) / (pairs - positives))
     A, b = np.zeros((q, q)), np.zeros(q)
-    for at, rows in _pair_rows(cache, table, variant):
-        pos = table.y[at] > 0
+    for pos, rows in _pair_rows(cache, labels, variant):
         weighted = np.where(pos, *coef)[:, None] * rows
         # each panel of rows from its diagonal block on
         for s in range(0, q, _MOMENT_PANEL):
@@ -179,33 +182,29 @@ def pair_moments(cache: NodeKernelCache, table: _PairTable, variant: str,
         A[s:s + _MOMENT_PANEL, :s] = A[:s, s:s + _MOMENT_PANEL].T
     # summed over every pair at once, zeros included, so that numpy's
     # pairwise summation orders it as it always has: c keeps its bits
-    return A, b, float(np.where(table.y > 0, coef[0], 0.0).sum())
+    return A, b, float(np.where(same, coef[0], 0.0).sum())
 
 
-def _pair_rows(cache: NodeKernelCache, table: _PairTable, variant: str):
-    """Yield ``(at, rows)``: indices into the pairs of ``table`` and those
-    pairs' rows of node kernels, gathered from whole
-    ``cache.table_blocks`` tiles until a batch holds at least
-    ``_MOMENT_PANEL`` pairs (the last batch may hold fewer)."""
-    batch, size = [], 0
+def _pair_rows(cache: NodeKernelCache, labels: np.ndarray, variant: str):
+    """Yield ``(pos, rows)``: whether each pair i < j is positive, and its
+    row ``tile[i - r0, j - c0]`` of a ``cache.table_blocks`` tile, row by
+    row, from whole tiles until a batch holds at least ``_MOMENT_PANEL``
+    pairs (the last batch may hold fewer)."""
+    batch = []
     for r0, c0, tile in cache.table_blocks(variant):
-        # keys of the column's own dtype: Python ints would make numpy
-        # cast the whole int32 column to int64 on every tile
-        keys = np.array((r0, r0 + tile.shape[0]), dtype=table.i.dtype)
-        lo, hi = np.searchsorted(table.i, keys)
-        j = table.j[lo:hi]
-        at = lo + np.flatnonzero((j >= c0) & (j < c0 + tile.shape[1]))
-        batch.append((at, tile[table.i[at] - r0, table.j[at] - c0]))
-        size += at.size
-        if size >= _MOMENT_PANEL:
+        r1, c1 = r0 + tile.shape[0], c0 + tile.shape[1]
+        upper = np.arange(c0, c1) > np.arange(r0, r1)[:, None]
+        same = labels[r0:r1, None] == labels[None, c0:c1]
+        batch.append((same[upper], tile[upper]))
+        if sum(pos.size for pos, _ in batch) >= _MOMENT_PANEL:
             yield _joined(batch)
-            batch, size = [], 0
+            batch = []
     if batch:
         yield _joined(batch)
 
 
 def _joined(batch: list) -> tuple[np.ndarray, np.ndarray]:
-    """The ``(at, rows)`` of a batch of tiles: its one tile's as they are,
+    """The ``(pos, rows)`` of a batch of tiles: its one tile's as they are,
     not copied again, else all its tiles' joined."""
     if len(batch) == 1:
         return batch[0]
@@ -253,8 +252,7 @@ def dmkl_fit(trees: list[PooledTree], labels: np.ndarray, variant: str,
     labels = np.asarray(labels)
     one_vs_rest_classes(labels, len(trees))
     cache = NodeKernelCache(trees, kernel_cfg)
-    A, b, c = pair_moments(cache, _PairTable(labels), variant,
-                           cfg.positive_fraction)
+    A, b, c = pair_moments(cache, labels, variant, cfg.positive_fraction)
     beta = SimplexWeights.init(cache.nodes, cfg.beta_init, cfg.seed).beta.copy()
     loss_trace, beta_trace = [], [beta.copy()]
     for step in range(cfg.iterations + 1):

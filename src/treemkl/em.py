@@ -47,6 +47,7 @@ from .kernels import (
     GramMatrix,
     KernelConfig,
     NodeKernelCache,
+    _pair_start,
     canonical_variant,
     node_weights,
     node_weights_pullback,
@@ -113,8 +114,8 @@ def backtracked_eta(eta: float, rise: float, slope: float) -> float:
 def beta_objective_coeffs(model: SvmModel, table: np.ndarray) -> np.ndarray:
     """Alignment of each kernel of a packed table over the model's
     training videos with its dual solutions. ``table`` holds one row per
-    unordered video pair, ``(n * (n + 1) / 2, ...)``, pairs ``i <= j``
-    row by row (``kernels.unpack_pairs``), as a one-set
+    unordered video pair, ``(n * (n + 1) / 2, ...)``, packed as
+    ``kernels._pair_start`` lays them out, as a one-set
     ``NodeKernelCache.level_table`` does: with ``T_p`` the symmetric n x
     n matrix whose packed pairs are ``table[:, p]`` and ``s_c`` row c of
     ``model.alpha * model.signs``, the result is ``0.5 * sum_c s_c' T_p
@@ -136,14 +137,12 @@ def beta_objective_coeffs(model: SvmModel, table: np.ndarray) -> np.ndarray:
     signed = model.alpha * model.signs
     flat = table.reshape(table.shape[0], -1)
     quad = np.zeros(flat.shape[1])
-    at = 0
     for i in range(n):
         # 0.5 sum_c s_c' T s_c = sum_{i <= j} g_ij T_ij, g_ij = sum_c s_ci
         # s_cj off the diagonal and half that on it: row i's pairs (i, j)
         weights = signed[:, i] @ signed[:, i:]
         weights[0] *= 0.5
-        quad += weights @ flat[at:at + n - i]
-        at += n - i
+        quad += weights @ flat[_pair_start(i, n):_pair_start(i + 1, n)]
     return quad.reshape(table.shape[1:])
 
 

@@ -51,9 +51,9 @@ Over one tree set (training) the node kernels are symmetric,
 are computed only against the videos from ``r0`` on: each video pair
 once, plus the lower half of the tiles' square on the diagonal. An
 aligned or symmetrized entry reads the same either way round, so a
-one-set table holds each unordered video pair once: its n * (n + 1) / 2
-pairs ``i <= j`` row by row, written from the tiles' upper triangle.
-Its contractions are unpacked into exactly symmetric n x n values
+one-set table holds each unordered video pair once, packed
+(:func:`_pair_start`) from the tiles' upper triangle, and its
+contractions are unpacked into exactly symmetric n x n values
 (:func:`unpack_pairs`). Between two tree sets (test columns) the tiles
 of each row range cover every column video, and the table holds every
 (row, column) pair.
@@ -142,6 +142,22 @@ def _upper_pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
     i, j = np.triu_indices(k)
     i.flags.writeable = j.flags.writeable = False
     return i, j
+
+
+def _pair_start(i, n: int):
+    """Where row ``i`` of the pairs i <= j of n videos, packed row by row
+    from i = 0, starts (elementwise for an int array): the one rule for
+    that layout. Pair (i, j) is at ``_pair_start(i, n) + j - i``. The
+    pairs i < j of n videos are the pairs i <= j - 1 of n - 1."""
+    return i * n - i * (i - 1) // 2
+
+
+def _pair_of(p: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(i, j)`` of the packed positions ``p`` among the pairs i <= j of
+    n videos: the inverse of :func:`_pair_start`."""
+    starts = _pair_start(np.arange(n), n)
+    i = np.searchsorted(starts, p, side="right") - 1
+    return i, p - starts[i] + i
 
 
 def _packed_sym(square: np.ndarray, out: np.ndarray | None = None
@@ -373,10 +389,9 @@ class NodeKernelCache:
                      packed: bool) -> np.ndarray:
         """An uninitialized table of ``width`` entries per video pair:
         ``packed`` (one tree set only), one row per unordered video pair,
-        (n * (n + 1) / 2, width) (see :func:`unpack_pairs`); else (rows,
-        cols, width). Refused with :class:`ValidationError` above
-        ``_DENSE_LIMIT`` elements; ``what`` names the trailing axis in
-        the message."""
+        (n * (n + 1) / 2, width) (:func:`_pair_start`); else (rows, cols,
+        width). Refused with :class:`ValidationError` above ``_DENSE_LIMIT``
+        elements; ``what`` names the trailing axis in the message."""
         nr, nc = self.rows.shape[0], self.cols.shape[0]
         if packed:
             pairs = nr * (nr + 1) // 2
@@ -482,13 +497,9 @@ class NodeKernelCache:
             yield (slice(r0, r1), slice(c0, c1)), ...
             return
         n = self.rows.shape[0]
-        for i in range(r0, r1):
-            j0 = max(c0, i)
-            if j0 < c1:
-                # pair (i, j) of the packed table is row at + j
-                at = i * (n - 1) - i * (i - 1) // 2
-                yield ((slice(at + j0, at + c1),),
-                       (i - r0, slice(j0 - c0, None)))
+        for i in range(r0, min(r1, c1)):
+            j0, at = max(c0, i), _pair_start(i, n) - i
+            yield (slice(at + j0, at + c1),), (i - r0, slice(j0 - c0, None))
 
     def level_table(self, tie: np.ndarray, variant: str) -> np.ndarray:
         """The variant's node kernels with each node axis contracted with
@@ -506,10 +517,9 @@ class NodeKernelCache:
         Over two tree sets the table is (rows, cols, entries). Over one,
         where ``T[j, i]`` equals ``T[i, j]`` (an aligned or symmetrized
         entry reads the same either way round), it holds each unordered
-        video pair once: (n * (n + 1) / 2, entries), the pairs ``i <=
-        j`` row by row (see :func:`unpack_pairs`), written from the
-        upper triangle the tiles cover. Refused above ``_DENSE_LIMIT``
-        elements before allocation."""
+        video pair once, (n * (n + 1) / 2, entries) packed
+        (:func:`_pair_start`) from the upper triangle the tiles cover.
+        Refused above ``_DENSE_LIMIT`` elements before allocation."""
         tie = np.asarray(tie, dtype=np.float64)
         if tie.ndim != 2 or tie.shape[0] != self.nodes:
             raise ShapeMismatch(
@@ -602,12 +612,11 @@ def gram_matrix(trees: list[PooledTree], beta: np.ndarray, variant: str,
 
 def unpack_pairs(values: np.ndarray, out: np.ndarray | None = None
                  ) -> np.ndarray:
-    """The symmetric (n, n) matrix whose packed video pairs are
-    ``values``: entry ``p`` of the n * (n + 1) / 2 is pair (i, j), i <=
-    j, row by row (i = 0 first), the layout of a one-set
-    :meth:`NodeKernelCache.level_table`. Written to ``out`` when given,
-    one row and its mirrored column at a time, so no index array is
-    made."""
+    """The symmetric (n, n) matrix whose n * (n + 1) / 2 video pairs i <=
+    j, packed as :func:`_pair_start` lays them out, are ``values``, as a
+    one-set :meth:`NodeKernelCache.level_table` holds them. Written to
+    ``out`` when given, one row and its mirrored column at a time, so no
+    index array is made."""
     pairs = values.shape[0]
     n = (math.isqrt(8 * pairs + 1) - 1) // 2
     if values.ndim != 1 or n * (n + 1) // 2 != pairs:
@@ -615,12 +624,9 @@ def unpack_pairs(values: np.ndarray, out: np.ndarray | None = None
             f"{values.shape} values are not the packed pairs of n videos")
     if out is None:
         out = np.empty((n, n))
-    at = 0
     for i in range(n):
-        row = values[at:at + n - i]
-        out[i, i:] = row
-        out[i + 1:, i] = row[1:]
-        at += n - i
+        row = values[_pair_start(i, n):_pair_start(i + 1, n)]
+        out[i, i:] = out[i:, i] = row
     return out
 
 
@@ -641,11 +647,8 @@ def median_gamma(trees: list[PooledTree]) -> float:
     # int64 overflows once size * total > 2**63: ~2.7M videos at depth 8
     picks = np.arange(size) * total // size
     pair_idx, node_idx = np.divmod(picks, m)
-    # linear upper-triangle index -> (i, j), row-major: row i holds the
-    # pairs (i, i + 1) .. (i, n - 1) from index start[i] on
-    start = np.concatenate(([0], np.cumsum(np.arange(n - 1, 0, -1))))
-    i_idx = np.searchsorted(start, pair_idx, side="right") - 1
-    j_idx = pair_idx - start[i_idx] + i_idx + 1
+    i_idx, j_idx = _pair_of(pair_idx, n - 1)
+    j_idx += 1
     # squared distances in chunks of at most one block; each row's sum is
     # the same whatever the chunk
     dist = np.empty(picks.size)

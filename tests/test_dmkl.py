@@ -44,8 +44,8 @@ RBF = KernelConfig("rbf", 0.6)
 
 
 def all_pairs(labels):
-    """Every pair of ``labels`` with its +/-1 label, from the contrastive
-    route's pair table."""
+    """Every pair of ``labels`` with its +/-1 label, from the pair table of
+    the per-pair oracle ``loss_grad``."""
     table = _PairTable(np.asarray(labels))
     return table.i, table.j, table.y
 
@@ -171,21 +171,39 @@ class TestLossGrad:
         np.testing.assert_allclose(grad, expected, atol=1e-12)
 
 
+def parent_rows(cache, i, j, variant):
+    """``(at, rows)`` batches of the sorted pairs ``(i[at], j[at])`` and
+    their rows of node kernels, each ``cache.table_blocks`` tile's pairs
+    found by a ``searchsorted`` walk over ``i``, joined until a batch holds
+    at least ``_MOMENT_PANEL`` pairs, as ``pair_moments`` once gathered
+    them."""
+    batch, size = [], 0
+    for r0, c0, tile in cache.table_blocks(variant):
+        lo, hi = np.searchsorted(i, (r0, r0 + tile.shape[0]))
+        inside = (j[lo:hi] >= c0) & (j[lo:hi] < c0 + tile.shape[1])
+        at = lo + np.flatnonzero(inside)
+        batch.append((at, tile[i[at] - r0, j[at] - c0]))
+        size += at.size
+        if size >= dmkl._MOMENT_PANEL:
+            yield tuple(map(np.concatenate, zip(*batch)))
+            batch, size = [], 0
+    if batch:
+        yield tuple(map(np.concatenate, zip(*batch)))
+
+
 def parent_pair_moments(cache, labels, variant, positive_fraction):
     """``pair_moments`` as it was written over full-length int64 pair
-    indices and float64 pair labels and weights: the reference its bits
-    are held to."""
+    indices and float64 pair labels and weights, its rows gathered by
+    ``parent_rows``: the reference its bits are held to."""
     i, j = np.triu_indices(labels.size, k=1)
-    table = type("Pairs", (), {})()
-    table.i, table.j = i, j
-    table.y = np.where(labels[i] == labels[j], 1.0, -1.0)
+    y = np.where(labels[i] == labels[j], 1.0, -1.0)
     q = node_weights(np.ones(cache.nodes), variant).size
-    pos, f = table.y > 0, positive_fraction
+    pos, f = y > 0, positive_fraction
     coef = (np.full(pos.size, 1.0 / pos.size) if f is None
             else np.where(pos, f / pos.sum(), (1.0 - f) / (~pos).sum()))
     coef_pos = np.where(pos, coef, 0.0)
     A, b = np.zeros((q, q)), np.zeros(q)
-    for at, rows in dmkl._pair_rows(cache, table, variant):
+    for at, rows in parent_rows(cache, i, j, variant):
         weighted = coef[at, None] * rows
         for s in range(0, q, dmkl._MOMENT_PANEL):
             e = s + dmkl._MOMENT_PANEL
@@ -197,54 +215,61 @@ def parent_pair_moments(cache, labels, variant, positive_fraction):
 
 
 class TestPairMoments:
+    @pytest.mark.parametrize("ragged", [False, True])
     @pytest.mark.parametrize("variant", [CONCATENATION, AVERAGING])
     @pytest.mark.parametrize("fraction", [None, 0.5, 0.3])
     def test_moments_keep_the_bits_of_full_length_weights(
-            self, rng, variant, fraction):
+            self, rng, monkeypatch, variant, fraction, ragged):
+        if ragged:
+            # 61 videos of 7 nodes: averaging streams 30 row tiles of 2 or
+            # 3 videos over column tiles of 6 videos, concatenation 4 row
+            # tiles of 15 or 16 over column tiles of 8; every diagonal
+            # tile holds a partial triangle of pairs
+            monkeypatch.setattr(kernels, "_BLOCK_ELEMENTS", 1000)
+            monkeypatch.setattr(kernels, "_TILE_ROWS", 14)
         trees = random_trees(rng, n=61, depth=3, dim=4)
         labels = rng.integers(1, 4, size=61)
         cache = NodeKernelCache(trees, RBF)
-        got = pair_moments(cache, _PairTable(labels), variant, fraction)
+        got = pair_moments(cache, labels, variant, fraction)
         want = parent_pair_moments(cache, labels, variant, fraction)
         for g, w in zip(got, want):
             np.testing.assert_array_equal(g, w)
 
     def test_pair_bookkeeping_peak(self, rng):
-        # 1,200 videos, 719,400 pairs: the int32 / int8 pair table and the
-        # polarity scalars, about 9 bytes a pair, with one full-length
-        # float64 sum at the end, not int64 indices, float64 labels and
-        # three full-length weight arrays (about 41 bytes a pair, more
-        # while np.triu_indices runs)
+        # 1,200 videos, 719,400 pairs: one polarity byte a pair, with one
+        # full-length float64 sum for c at the end, 9 bytes a pair; no
+        # room for a pair table of int32 videos beside them, nor for int64
+        # indices, float64 labels and full-length weight arrays
         n = 1200
         trees = random_trees(rng, n=n, depth=2, dim=4)
         labels = np.arange(n) % 3 + 1
         cache = NodeKernelCache(trees, RBF)
         tracemalloc.start()
         try:
-            pair_moments(cache, _PairTable(labels), CONCATENATION, 0.5)
+            pair_moments(cache, labels, CONCATENATION, 0.5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         pairs = n * (n - 1) // 2
-        assert peak <= 20 * pairs + 4 * kernels._BLOCK_ELEMENTS * 8
+        assert peak <= 10 * pairs + 4 * kernels._BLOCK_ELEMENTS * 8
 
     def test_pair_rows_peak_is_tiles(self, rng):
         # 1,200 videos, 719,400 pairs, drained: tiles, their masks and
-        # gathered rows, whatever the pair count; no room for a cast of
-        # the int32 pair column to int64 (8 bytes a pair) on any tile
+        # gathered rows, whatever the pair count; no room for an int64
+        # array over every pair (8 bytes a pair) on any tile
         n = 1200
         trees = random_trees(rng, n=n, depth=2, dim=4)
         cache = NodeKernelCache(trees, RBF)
-        table = _PairTable(np.arange(n) % 3 + 1)
+        labels = np.arange(n) % 3 + 1
         tracemalloc.start()
         try:
-            for _ in dmkl._pair_rows(cache, table, CONCATENATION):
+            for _ in dmkl._pair_rows(cache, labels, CONCATENATION):
                 pass
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         bound = 7 * kernels._BLOCK_ELEMENTS * 8
-        assert peak <= bound < 8 * table.i.size
+        assert peak <= bound < 8 * (n * (n - 1) // 2)
 
     @pytest.mark.parametrize("fraction", [0.5, None])
     @pytest.mark.parametrize("variant", [CONCATENATION, AVERAGING])
@@ -260,7 +285,7 @@ class TestPairMoments:
         table = _PairTable(labels)
         cache = NodeKernelCache(trees, RBF)
         oracle = NodeKernelCache(trees, RBF)
-        A, b, c = pair_moments(cache, table, variant, fraction)
+        A, b, c = pair_moments(cache, labels, variant, fraction)
         np.testing.assert_allclose(A, A.T, rtol=0,
                                    atol=1e-14 * np.abs(A).max())
         assert np.linalg.eigvalsh(A)[0] >= -1e-10 * np.trace(A)
@@ -289,16 +314,16 @@ class TestPairMoments:
         trees = random_trees(rng, n=3, depth=2)
         cache = NodeKernelCache(trees, RBF)
         with pytest.raises(errors.TooFewVideos):
-            pair_moments(cache, _PairTable(np.array([1, 2, 3])),
-                         CONCATENATION, 0.5)
+            pair_moments(cache, np.array([1, 2, 3]), CONCATENATION, 0.5)
 
     def test_depth_6_averaging_moments_hold_each_node_pair_once(self, rng):
         # 63 nodes: 2016 unordered node pairs, not 63**2 = 3969 ordered
         # ones, so A spans several panels of rows, mirrored below its
         # diagonal
         trees = random_trees(rng, n=4, depth=6, frames=32, dim=2)
-        table = _PairTable(np.array([1, 1, 2, 2]))
-        A, b, c = pair_moments(NodeKernelCache(trees, RBF), table,
+        labels = np.array([1, 1, 2, 2])
+        table = _PairTable(labels)
+        A, b, c = pair_moments(NodeKernelCache(trees, RBF), labels,
                                AVERAGING, None)
         assert A.shape == (2016, 2016) and b.shape == (2016,)
         panel = dmkl._MOMENT_PANEL
@@ -359,6 +384,19 @@ class TestPairMoments:
         with pytest.raises(errors.ValidationError, match="'linear'"):
             dmkl_fit(trees, np.array([1, 1, 2, 2]), AVERAGING,
                      ContrastiveConfig(), KernelConfig("linear"))
+
+
+    def test_builds_no_pair_table(self, rng, monkeypatch):
+        # the moments read each pair and its polarity off the tiles and
+        # the labels
+        def no_table(labels):
+            raise AssertionError("pair table built")
+
+        monkeypatch.setattr(dmkl, "_PairTable", no_table)
+        trees = random_trees(rng, n=8, depth=2)
+        res = dmkl_fit(trees, np.arange(8) % 2 + 1, AVERAGING,
+                       ContrastiveConfig(iterations=3), RBF)
+        assert res.loss_trace.size >= 1
 
 
 def synth_setup(seed, level=2, amplitude=1.5, per_class=25):
@@ -479,8 +517,8 @@ def fw_moments(seed, variant):
     contrastive fit rebalanced to ``positive_fraction`` 0.5."""
     train, y_train, *_ = synth_setup(seed, per_class=5)
     kcfg = KernelConfig("rbf", median_gamma(train))
-    A, b, c = pair_moments(NodeKernelCache(train, kcfg), _PairTable(y_train),
-                           variant, 0.5)
+    A, b, c = pair_moments(NodeKernelCache(train, kcfg), y_train, variant,
+                           0.5)
     return train, y_train, kcfg, (A, b, c)
 
 

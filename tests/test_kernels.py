@@ -379,6 +379,32 @@ class TestMedianGamma:
         assert median_gamma(trees) == self.oracle(trees, picks)
 
 
+class TestPackedPairs:
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 64])
+    def test_offsets_and_inverse_match_triu_indices(self, n):
+        # the pairs i <= j of n videos, row by row
+        i, j = np.triu_indices(n)
+        positions = np.arange(i.size)
+        np.testing.assert_array_equal(
+            kernels._pair_start(i, n) + j - i, positions)
+        starts = kernels._pair_start(np.arange(n + 1), n)
+        assert [kernels._pair_start(r, n) for r in range(n + 1)] == list(
+            starts)
+        assert starts[0] == 0 and starts[n] == i.size
+        got_i, got_j = kernels._pair_of(positions, n)
+        np.testing.assert_array_equal(got_i, i)
+        np.testing.assert_array_equal(got_j, j)
+        # the pairs i < j of n videos, as median_gamma reads them: the
+        # pairs i <= j - 1 of n - 1
+        i, j = np.triu_indices(n, k=1)
+        positions = np.arange(i.size)
+        np.testing.assert_array_equal(
+            kernels._pair_start(i, n - 1) + (j - 1) - i, positions)
+        got_i, got_j = kernels._pair_of(positions, n - 1)
+        np.testing.assert_array_equal(got_i, i)
+        np.testing.assert_array_equal(got_j + 1, j)
+
+
 class TestFuseKernels:
     def grams(self, rng):
         trees = random_trees(rng, n=4, depth=2)
@@ -657,7 +683,7 @@ class TestNodeKernelCache:
         table = _PairTable(labels)
         cache = NodeKernelCache(trees, RBF)
         evaluated.clear()
-        A, b, c = pair_moments(cache, table, AVERAGING, None)
+        A, b, c = pair_moments(cache, labels, AVERAGING, None)
         assert sum(evaluated) == (45 + 6) * m * m
         rows = cache.pair_blocks(table.i, table.j, AVERAGING)
         coef = 1.0 / table.y.size
