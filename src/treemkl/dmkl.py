@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TooFewVideos, ValidationError
+from .errors import ShapeMismatch, TooFewVideos, ValidationError
 from .hierarchy import PooledTree
 from .kernels import (
     _DENSE_LIMIT,
@@ -153,8 +153,12 @@ def pair_moments(cache: NodeKernelCache, labels: np.ndarray, variant: str,
     one panel of ``_MOMENT_PANEL`` rows of ``A`` at a time from its
     diagonal on; the blocks left of the diagonal panels are copied from
     those above them. Only ``c`` sums the :func:`_same_class` bytes of
-    every pair at once. A (q, q) ``A`` over ``_DENSE_LIMIT`` is refused."""
+    every pair at once. A (q, q) ``A`` over ``_DENSE_LIMIT`` is refused,
+    as are ``labels`` that are not one per cache video."""
     variant = canonical_variant(variant)
+    if np.shape(labels) != (len(cache.row_ids),):
+        raise ShapeMismatch(f"{np.size(labels)} labels for "
+                            f"{len(cache.row_ids)} videos")
     q = node_weights(np.ones(cache.nodes), variant).size
     if q * q > _DENSE_LIMIT:
         raise ValidationError(
@@ -178,6 +182,8 @@ def pair_moments(cache: NodeKernelCache, labels: np.ndarray, variant: str,
             e = s + _MOMENT_PANEL
             A[s:e, s:] += rows[:, s:e].T @ weighted[:, s:]
         b += np.where(pos, coef[0], 0.0) @ rows
+        # dropped before the next tile is made
+        del pos, rows, weighted
     for s in range(_MOMENT_PANEL, q, _MOMENT_PANEL):
         A[s:s + _MOMENT_PANEL, :s] = A[:s, s:s + _MOMENT_PANEL].T
     # summed over every pair at once, zeros included, so that numpy's
@@ -189,26 +195,41 @@ def _pair_rows(cache: NodeKernelCache, labels: np.ndarray, variant: str):
     """Yield ``(pos, rows)``: whether each pair i < j is positive, and its
     row ``tile[i - r0, j - c0]`` of a ``cache.table_blocks`` tile, row by
     row, from whole tiles until a batch holds at least ``_MOMENT_PANEL``
-    pairs (the last batch may hold fewer)."""
+    pairs (the last batch may hold fewer). A tile wholly above the
+    diagonal that makes a batch alone is yielded as its rows, a view of
+    the stream's reused tile, valid until the next batch is requested; a
+    batch of several tiles is joined from copies of them."""
     batch = []
     for r0, c0, tile in cache.table_blocks(variant):
         r1, c1 = r0 + tile.shape[0], c0 + tile.shape[1]
-        upper = np.arange(c0, c1) > np.arange(r0, r1)[:, None]
         same = labels[r0:r1, None] == labels[None, c0:c1]
-        batch.append((same[upper], tile[upper]))
-        if sum(pos.size for pos, _ in batch) >= _MOMENT_PANEL:
-            yield _joined(batch)
-            batch = []
+        if c0 >= r1:
+            pos, rows = same.ravel(), tile.reshape(-1, tile.shape[-1])
+        else:
+            upper = np.arange(c0, c1) > np.arange(r0, r1)[:, None]
+            pos, rows = same[upper], tile[upper]
+        if not batch and pos.size >= _MOMENT_PANEL:
+            yield pos, rows
+        else:
+            # kept past the next tile, which overwrites this one
+            if np.may_share_memory(rows, tile):
+                rows = rows.copy()
+            batch.append((pos, rows))
+            if sum(p.size for p, _ in batch) >= _MOMENT_PANEL:
+                yield _joined(batch)
+        # dropped before the next tile is made
+        del same, pos, rows
     if batch:
         yield _joined(batch)
 
 
 def _joined(batch: list) -> tuple[np.ndarray, np.ndarray]:
-    """The ``(pos, rows)`` of a batch of tiles: its one tile's as they are,
-    not copied again, else all its tiles' joined."""
-    if len(batch) == 1:
-        return batch[0]
-    return tuple(map(np.concatenate, zip(*batch)))
+    """The ``(pos, rows)`` of a batch of tiles joined, with ``batch``
+    emptied so that its parts are freed before the joined batch is
+    used."""
+    joined = tuple(map(np.concatenate, zip(*batch)))
+    batch.clear()
+    return joined
 
 
 def segment_quartic(A: np.ndarray, b: np.ndarray, c: float, beta: np.ndarray,

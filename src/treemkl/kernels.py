@@ -54,9 +54,10 @@ aligned or symmetrized entry reads the same either way round, so a
 one-set table holds each unordered video pair once, packed
 (:func:`_pair_start`) from the tiles' upper triangle, and its
 contractions are unpacked into exactly symmetric n x n values
-(:func:`unpack_pairs`). Between two tree sets (test columns) the tiles
-of each row range cover every column video, and the table holds every
-(row, column) pair.
+(:func:`unpack_pairs`); a combined kernel's tiles are written straight
+to the upper triangle of its n x n values, mirrored the same way.
+Between two tree sets (test columns) the tiles of each row range cover
+every column video, and the table holds every (row, column) pair.
 """
 
 from __future__ import annotations
@@ -86,6 +87,14 @@ _DENSE_LIMIT = 2 ** 25
 # unit in which tables are built or streamed, and of one chunk of
 # median_gamma's sample; bounds the working memory beside the table itself
 _BLOCK_ELEMENTS = 2 ** 16
+
+# elements of the one temporary with which the rbf kernel turns a tile's
+# product into kernel values in place, a chunk of the tile's rows at a time.
+# Per call overhead sets its size: one 75 x 870 tile at dim 16 (2-core Xeon
+# VM, OpenBLAS on one thread, best of 7 runs of 200 calls into one buffer)
+# took 415 / 339 / 325 / 289 us in chunks of 2^12 / 2^13 / 2^14 / 2^16
+# elements, so a quarter block costs 12% over one whole-tile pass
+_KERNEL_CHUNK = 2 ** 14
 
 # fewest kernel rows of a tile, when the row set has that many: panel shape,
 # not flop count, sets a GEMM's speed. The upper-triangle kernel GEMMs of 280
@@ -188,25 +197,51 @@ class KernelConfig:
 
 
 def _kernel_matrix(X: np.ndarray, Y: np.ndarray, cfg: KernelConfig,
-                   y_sq: np.ndarray | None = None) -> np.ndarray:
+                   y_sq: np.ndarray | None = None,
+                   out: np.ndarray | None = None) -> np.ndarray:
     """Pairwise kappa between rows of X (..., a, d) and rows of Y
-    (..., b, d), shape (..., a, b). The rbf kernel holds two output-sized
-    arrays, the product and the squared distances, beside the squared row
-    norms of Y, which a caller that reuses Y computes once and passes as
-    ``y_sq``. The broadcast add that fills the distances also takes numpy
-    iterator buffers, so the peak is about 2.25 outputs (one 75 x 870
-    kernel, ``y_sq`` given, under tracemalloc)."""
-    dot = X @ np.swapaxes(Y, -1, -2)
+    (..., b, d), shape (..., a, b), written to ``out`` when given (a
+    stream's reused tile buffer) and else to a new array. The product
+    goes into the output, and the rbf kernel turns it into distances
+    and kernel values in place, ``_KERNEL_CHUNK`` elements of rows at a
+    time, so its only other array is one chunk of ``x_sq + y_sq``: the
+    squared row norms of Y are computed here unless a caller that reuses
+    Y passes them as ``y_sq``. Each element goes through the same
+    operations whatever the chunk, so the bits do not depend on it."""
+    out = np.matmul(X, np.swapaxes(Y, -1, -2), out=out)
     if cfg.kind == "linear":
-        return dot
-    dot *= 2.0
+        return out
     if y_sq is None:
         y_sq = np.sum(Y * Y, axis=-1)
-    sq = np.sum(X * X, axis=-1)[..., :, None] + y_sq[..., None, :]
-    np.subtract(sq, dot, out=sq)
-    np.maximum(sq, 0.0, out=sq)
-    sq *= -cfg.gamma
-    return np.exp(sq, out=sq)
+    x_sq = np.sum(X * X, axis=-1)
+    step = max(1, _KERNEL_CHUNK // out.shape[-1])
+    for s in range(0, out.shape[-2], step):
+        part = out[..., s:s + step, :]
+        part *= 2.0
+        sq = x_sq[..., s:s + step, None] + y_sq[..., None, :]
+        np.subtract(sq, part, out=part)
+        np.maximum(part, 0.0, out=part)
+        part *= -cfg.gamma
+        np.exp(part, out=part)
+    return out
+
+
+class _TileBuffer:
+    """One flat float64 array that a stream reuses for every tile it
+    yields, so that making a tile allocates nothing once the largest
+    tile so far has been made: ``view(shape)`` is a view of its start,
+    and grows the array first when it is too small. A tile written to
+    it is valid only until the stream writes the next one."""
+
+    def __init__(self):
+        self._flat = np.empty(0)
+
+    def view(self, *shape: int) -> np.ndarray:
+        size = math.prod(shape)
+        if self._flat.size < size:
+            del self._flat      # let go first: two are never held at once
+            self._flat = np.empty(size)
+        return self._flat[:size].reshape(shape)
 
 
 def stack_trees(trees: list[PooledTree]) -> tuple[np.ndarray, list[str]]:
@@ -340,10 +375,14 @@ class NodeKernelCache:
     the one loop that computes them, ``_cross_blocks``, streams tiles of
     at least ``_TILE_ROWS`` kernel rows and at most ``_BLOCK_ELEMENTS``
     elements, each a general matrix product, and each consumer reduces a
-    tile as it is made. ``level_table(tie, variant)`` contracts each
-    node axis with ``tie`` into a fixed table, from the nodes whose
-    ``tie`` row is non-zero only, and ``combined(beta, variant)`` is its
-    one column at ``tie = beta[:, None]``. ``table_blocks`` yields the
+    tile as it is made. A stream computes every tile in one buffer that
+    it reuses, so a yielded tile, of ``_cross_blocks`` or of
+    ``table_blocks``, is valid only until the next one is requested, and
+    a consumer that keeps any of it copies it. ``level_table(tie,
+    variant)`` contracts each node axis with ``tie`` into a fixed table,
+    from the nodes whose ``tie`` row is non-zero only, and
+    ``combined(beta, variant)`` is its one column at ``tie = beta[:,
+    None]``. ``table_blocks`` yields the
     variant's node table one tile at a time: the aligned kernels
     ``kappa(row_i[m], col_j[m])`` of every node, or the packed
     symmetrized cross kernels ``kappa(row_i[m], col_j[n])``. So a run
@@ -359,8 +398,9 @@ class NodeKernelCache:
     only the column videos from ``r0`` on: ``table_blocks``,
     ``level_table`` and ``combined`` cover the upper triangle of video
     pairs. Its level table holds each of those pairs once, packed
-    (:func:`unpack_pairs`), and ``combined`` unpacks its one column into
-    the n x n values. ``cross()`` still streams every column video.
+    (:func:`unpack_pairs`), and ``combined`` writes its tiles into the
+    upper triangle of the n x n values and mirrors them, holding no
+    packed column. ``cross()`` still streams every column video.
     """
 
     def __init__(self, row_trees: list[PooledTree], cfg: KernelConfig,
@@ -429,7 +469,10 @@ class NodeKernelCache:
         product, views or not. A one-set cache starts the column tiles of
         row tile ``r0:r1`` at ``c0 = r0`` unless ``all_cols``, else at 0;
         that upper triangle of video pairs covers every pair only when
-        both node selections are the same."""
+        both node selections are the same. Every tile of one call is
+        written to the same :class:`_TileBuffer`, so a yielded tile is
+        valid only until the next one is requested: a consumer that keeps
+        any of its values past that copies them."""
         rows, cols = self.rows[:, row_nodes], self.cols[:, col_nodes]
         nr, a, d = rows.shape
         nc, m = cols.shape[:2]
@@ -440,6 +483,7 @@ class NodeKernelCache:
         col_sq = np.concatenate([np.sum(p * p, axis=-1) for p in parts])
         count = max(1, nr // -(-_TILE_ROWS // a))
         width = max(1, _BLOCK_ELEMENTS // (-(-nr // count) * a * m * stack))
+        buffer = _TileBuffer()
         for t in range(count):
             r0, r1 = t * nr // count, (t + 1) * nr // count
             # a copy, so that a one-set tile whose row and column videos
@@ -448,9 +492,10 @@ class NodeKernelCache:
             x = rows[r0:r1].reshape(-1, d).copy()
             for c0 in range(r0 if upper else 0, nc, width):
                 c1 = min(c0 + width, nc)
-                yield r0, r1, c0, c1, _kernel_matrix(
-                    x, flat_c[c0 * m:c1 * m], self.cfg,
-                    col_sq[c0 * m:c1 * m]).reshape(r1 - r0, a, c1 - c0, m)
+                tile = buffer.view((r1 - r0) * a, (c1 - c0) * m)
+                _kernel_matrix(x, flat_c[c0 * m:c1 * m], self.cfg,
+                               col_sq[c0 * m:c1 * m], tile)
+                yield r0, r1, c0, c1, tile.reshape(r1 - r0, a, c1 - c0, m)
 
     def table_blocks(self, variant: str):
         """Yield ``(r0, c0, tile)``: the variant's pair-major node table of
@@ -462,22 +507,30 @@ class NodeKernelCache:
         ``_aligned_tiles`` on their shared grid, ``tile[..., m] =
         kappa(row_i[m], col_j[m])``, q = nodes; averaging packs each
         ``_cross_blocks`` tile's symmetrized cross kernels
-        (``_packed_sym``), q = nodes * (nodes + 1) / 2."""
+        (``_packed_sym``), q = nodes * (nodes + 1) / 2. Every tile is
+        written to one reused buffer, as ``_cross_blocks``' are: it is
+        valid only until the next one is requested."""
         if self.cols is not self.rows:
             raise ShapeMismatch("table_blocks needs a single tree set")
+        buffer = _TileBuffer()
         if canonical_variant(variant) == CONCATENATION:
             per_node = [self._aligned_tiles(node, self.nodes)
                         for node in range(self.nodes)]
             for tiles in zip(*per_node):
-                r0, _, c0, _, _ = tiles[0]
-                yield r0, c0, np.stack([tile for *_, tile in tiles], axis=-1)
+                r0, r1, c0, c1, _ = tiles[0]
+                yield r0, c0, np.stack(
+                    [tile for *_, tile in tiles], axis=-1,
+                    out=buffer.view(r1 - r0, c1 - c0, self.nodes))
             return
+        q = self.nodes * (self.nodes + 1) // 2
         for r0, r1, c0, c1, tile in self._cross_blocks():
-            yield r0, c0, _packed_sym(tile.transpose(0, 2, 1, 3))
+            yield r0, c0, _packed_sym(tile.transpose(0, 2, 1, 3),
+                                      buffer.view(r1 - r0, c1 - c0, q))
 
     def cross(self) -> np.ndarray:
-        """The whole cross tensor, built once and kept; no route reads
-        it. The dense oracle the streamed tables are checked against."""
+        """The whole cross tensor, built once and kept, each tile copied
+        in as it is made; no route reads it. The dense oracle the
+        streamed tables are checked against."""
         if self._cross is None:
             m, nr, nc = self.nodes, self.rows.shape[0], self.cols.shape[0]
             out = np.empty((nr, nc, m, m))
@@ -486,14 +539,17 @@ class NodeKernelCache:
             self._cross = out
         return self._cross
 
-    def _placed(self, r0: int, r1: int, c0: int, c1: int):
+    def _placed(self, r0: int, r1: int, c0: int, c1: int, packed: bool):
         """Yield ``(dest, src)``: where a tile of the video pairs ``r0:r1``
         x ``c0:c1`` goes in a table of :meth:`_empty_table`, ``table[dest]
-        = tile[src]`` with ``dest`` a tuple of slices. Over two tree sets
-        that is the whole tile at ``[r0:r1, c0:c1]``; over one, each tile
-        row's pairs ``(i, j)`` with ``j >= i``, at their rows of the
-        packed table, one slice per row video."""
-        if self.cols is not self.rows:
+        = tile[src]`` with ``dest`` a tuple of slices. In a (rows, cols,
+        width) table that is the whole tile at ``[r0:r1, c0:c1]``; over
+        one tree set, whose tiles cover the upper triangle, a diagonal
+        tile's pairs j < i then land in the lower triangle, which the
+        caller mirrors over. In a ``packed`` table it is each tile row's
+        pairs ``(i, j)`` with ``j >= i``, at their rows of the packed
+        table, one slice per row video."""
+        if not packed:
             yield (slice(r0, r1), slice(c0, c1)), ...
             return
         n = self.rows.shape[0]
@@ -508,34 +564,46 @@ class NodeKernelCache:
         ``beta = tie @ gamma``, from the node kernels of the nodes whose
         ``tie`` row is non-zero only. Concatenation gives ``T[i, j] =
         sum_m kappa(row_i[m], col_j[m]) tie[m]``, k entries per video
-        pair, accumulated one node and one tile at a time into the levels
-        where ``tie`` is non-zero; averaging gives ``T[i, j, l, l'] =
-        sum_{m,n} tie[m, l] tie[n, l'] kappa(row_i[m], col_j[n])``, from
-        the streamed cross kernels contracted tile by tile on the
-        column-node axis, then on the row-node one, and stores each
-        tile's ``_packed_sym``, k * (k + 1) / 2 entries per video pair.
-        Over two tree sets the table is (rows, cols, entries). Over one,
-        where ``T[j, i]`` equals ``T[i, j]`` (an aligned or symmetrized
-        entry reads the same either way round), it holds each unordered
-        video pair once, (n * (n + 1) / 2, entries) packed
-        (:func:`_pair_start`) from the upper triangle the tiles cover.
-        Refused above ``_DENSE_LIMIT`` elements before allocation."""
+        pair; averaging gives ``T[i, j, l, l'] = sum_{m,n} tie[m, l]
+        tie[n, l'] kappa(row_i[m], col_j[n])``, stored as its
+        ``_packed_sym``, k * (k + 1) / 2 entries per video pair (see
+        :meth:`_contract`). Over two tree sets the table is (rows, cols,
+        entries). Over one, where ``T[j, i]`` equals ``T[i, j]`` (an
+        aligned or symmetrized entry reads the same either way round), it
+        holds each unordered video pair once, (n * (n + 1) / 2, entries)
+        packed (:func:`_pair_start`) from the upper triangle the tiles
+        cover. Refused above ``_DENSE_LIMIT`` elements before allocation."""
         tie = np.asarray(tie, dtype=np.float64)
         if tie.ndim != 2 or tie.shape[0] != self.nodes:
             raise ShapeMismatch(
                 f"tie has shape {tie.shape} for {self.nodes} nodes")
         k = tie.shape[1]
-        held = np.flatnonzero(tie.any(axis=1))
         packed = self.cols is self.rows
         if canonical_variant(variant) == CONCATENATION:
             out = self._empty_table(k, "levels", packed)
+        else:
+            out = self._empty_table(k * (k + 1) // 2, "level pairs", packed)
+        return self._contract(tie, variant, out)
+
+    def _contract(self, tie: np.ndarray, variant: str,
+                  out: np.ndarray) -> np.ndarray:
+        """Write :meth:`level_table`'s entries for ``tie`` to ``out``, a
+        table of :meth:`_empty_table`, packed when it is 2-d, and return
+        it. Concatenation accumulates one node and one tile at a time into
+        the levels where ``tie`` is non-zero; averaging contracts each
+        streamed cross-kernel tile on the column-node axis, then on the
+        row-node one, and stores its ``_packed_sym``."""
+        packed = out.ndim == 2
+        held = np.flatnonzero(tie.any(axis=1))
+        if canonical_variant(variant) == CONCATENATION:
             out.fill(0.0)
             placed = {}     # every node's tiles lie on one grid
             for node in held:
                 levels = np.flatnonzero(tie[node])
                 for r0, r1, c0, c1, tile in self._aligned_tiles(node):
                     if (r0, c0) not in placed:
-                        placed[r0, c0] = list(self._placed(r0, r1, c0, c1))
+                        placed[r0, c0] = list(
+                            self._placed(r0, r1, c0, c1, packed))
                     for level in levels:
                         part = tile * tie[node, level]
                         for dest, src in placed[r0, c0]:
@@ -543,8 +611,10 @@ class NodeKernelCache:
                             # also write the view back
                             into = out[dest + (level,)]
                             into += part[src]
+                        # freed before the next tile is made
+                        del part
             return out
-        out = self._empty_table(k * (k + 1) // 2, "level pairs", packed)
+        k = tie.shape[1]
         if held.size == self.nodes:
             held = slice(None)
         tie = tie[held]
@@ -555,26 +625,29 @@ class NodeKernelCache:
             square = np.matmul(tie.T, partial).reshape(
                 r, k, c, k).transpose(0, 2, 1, 3)
             reduced = _packed_sym(square)
-            for dest, src in self._placed(r0, r1, c0, c1):
+            for dest, src in self._placed(r0, r1, c0, c1, packed):
                 out[dest] = reduced[src]
             # freed before the next tile is made
-            del tile, partial, square, reduced
+            del partial, square, reduced
         return out
 
     def combined(self, beta: np.ndarray, variant: str) -> np.ndarray:
         """Combined-kernel values, shape (rows, cols): the one-column
         ``level_table(beta[:, None], variant)``, so only the nodes with
-        non-zero weight are evaluated. Over one tree set that table holds
-        each video pair once, and is unpacked into the values, exactly
-        symmetric; the (n, n) values are refused above ``_DENSE_LIMIT``
-        before any kernel is computed."""
+        non-zero weight are evaluated. Over one tree set the tiles' values
+        are written straight to the upper triangle of the (n, n) values,
+        which is then mirrored in place (:func:`_mirror_upper`), so they
+        are exactly symmetric and no packed column is held beside them;
+        the values are refused above ``_DENSE_LIMIT`` before any kernel
+        is computed. Beside the values the pass holds one reused tile
+        (``_cross_blocks``) and its contraction."""
         beta = self._check_beta(beta)
         if self.cols is not self.rows:
             table = self.level_table(beta[:, None], variant)
             return table.reshape(table.shape[:2])
-        values = self._empty_table(1, "levels", False)[:, :, 0]
-        table = self.level_table(beta[:, None], variant)
-        return unpack_pairs(table[:, 0], out=values)
+        values = self._contract(beta[:, None], variant,
+                                self._empty_table(1, "levels", False))
+        return _mirror_upper(values[:, :, 0])
 
     def pair_blocks(self, i_idx: np.ndarray, j_idx: np.ndarray,
                     variant: str) -> np.ndarray:
@@ -610,24 +683,30 @@ def gram_matrix(trees: list[PooledTree], beta: np.ndarray, variant: str,
     return GramMatrix(values=cache.combined(beta, variant), ids=cache.row_ids)
 
 
-def unpack_pairs(values: np.ndarray, out: np.ndarray | None = None
-                 ) -> np.ndarray:
+def unpack_pairs(values: np.ndarray) -> np.ndarray:
     """The symmetric (n, n) matrix whose n * (n + 1) / 2 video pairs i <=
     j, packed as :func:`_pair_start` lays them out, are ``values``, as a
-    one-set :meth:`NodeKernelCache.level_table` holds them. Written to
-    ``out`` when given, one row and its mirrored column at a time, so no
-    index array is made."""
-    pairs = values.shape[0]
+    one-set :meth:`NodeKernelCache.level_table` holds them. Written row by
+    row and then mirrored in place (:func:`_mirror_upper`), so no index
+    array is made."""
+    pairs = values.size
     n = (math.isqrt(8 * pairs + 1) - 1) // 2
     if values.ndim != 1 or n * (n + 1) // 2 != pairs:
         raise ShapeMismatch(
             f"{values.shape} values are not the packed pairs of n videos")
-    if out is None:
-        out = np.empty((n, n))
+    out = np.empty((n, n))
     for i in range(n):
-        row = values[_pair_start(i, n):_pair_start(i + 1, n)]
-        out[i, i:] = out[i:, i] = row
-    return out
+        out[i, i:] = values[_pair_start(i, n):_pair_start(i + 1, n)]
+    return _mirror_upper(out)
+
+
+def _mirror_upper(values: np.ndarray) -> np.ndarray:
+    """``values`` (n, n) with its strict lower triangle overwritten, in
+    place, by the mirror of its upper one, one column at a time, so that
+    every entry has the bits of its mirror and no index array is made."""
+    for i in range(values.shape[0]):
+        values[i + 1:, i] = values[i, i + 1:]
+    return values
 
 
 def median_gamma(trees: list[PooledTree]) -> float:

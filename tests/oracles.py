@@ -4,12 +4,12 @@ Nothing here shares code with the package: the elementary kernel is
 evaluated one vector pair at a time, and so is the concatenation
 variant's whole node table, a dense node table is packed one node pair
 at a time and a pair-major table one video pair at a time, the
-contrastive loss is the mean of its per-pair terms, the QP oracles
-enumerate active sets or supports, gradients come from
-central finite differences, the softmax Jacobian is written out entry
-by entry, artifact scores are summed one class and one support video
-list at a time, and the reference dual solver rebuilds every KKT
-quantity from the gradient at each update.
+contrastive loss is the mean of its per-pair terms, the kernel matrix
+is formed over whole arrays, the QP oracles enumerate active sets or
+supports, gradients come from central finite differences, the softmax
+Jacobian is written out entry by entry, artifact scores are summed one
+class and one support video list at a time, and the reference dual
+solver rebuilds every KKT quantity from the gradient at each update.
 """
 
 from __future__ import annotations
@@ -60,6 +60,24 @@ def contrastive_loss(k_vals: np.ndarray, y: np.ndarray,
     terms = [(1.0 - k) ** 2 if label > 0 else max(0.0, k - margin) ** 2
              for k, label in zip(k_vals.ravel(), y.ravel())]
     return float(np.mean(terms))
+
+
+def whole_array_kernels(X: np.ndarray, Y: np.ndarray, cfg) -> np.ndarray:
+    """kappa between the rows of X (..., a, d) and of Y (..., b, d), each
+    step over whole arrays: ``2 X Y'``, then ``(|x|^2 + |y|^2) - 2 X
+    Y'``, clipped at 0, times ``-gamma``, exponentiated (rbf), or ``X
+    Y'`` (linear). The bits the library's in-place, chunked kernel tiles
+    keep."""
+    dot = X @ np.swapaxes(Y, -1, -2)
+    if cfg.kind == "linear":
+        return dot
+    dot *= 2.0
+    sq = (np.sum(X * X, axis=-1)[..., :, None]
+          + np.sum(Y * Y, axis=-1)[..., None, :])
+    sq -= dot
+    sq = np.maximum(sq, 0.0)
+    sq *= -cfg.gamma
+    return np.exp(sq)
 
 
 def pack_sym(K: np.ndarray) -> np.ndarray:

@@ -235,6 +235,58 @@ class TestPairMoments:
         for g, w in zip(got, want):
             np.testing.assert_array_equal(g, w)
 
+    # (_TILE_ROWS, _BLOCK_ELEMENTS) over 90 videos of 7 nodes, each grid
+    # ragged: batches that are one tile's rows as they are, a view of the
+    # stream's reused tile wholly above the diagonal or a copy of a
+    # diagonal tile's upper triangle, and batches joined from several
+    # tiles, views among them, for averaging (70, 16000) and for
+    # concatenation (14, 4000); (14, 1000) joins every batch
+    @pytest.mark.parametrize("grid", [(70, 16000), (14, 4000), (14, 1000)])
+    @pytest.mark.parametrize("variant", [CONCATENATION, AVERAGING])
+    def test_reused_tiles_keep_the_bits(self, rng, monkeypatch, variant,
+                                        grid):
+        # a batch that held a view of the reused tile past the next tile
+        # would read the next tile's kernels
+        monkeypatch.setattr(kernels, "_TILE_ROWS", grid[0])
+        monkeypatch.setattr(kernels, "_BLOCK_ELEMENTS", grid[1])
+        trees = random_trees(rng, n=90, depth=3, dim=4)
+        labels = rng.integers(1, 4, size=90)
+        cache = NodeKernelCache(trees, RBF)
+        got = pair_moments(cache, labels, variant, 0.5)
+        want = parent_pair_moments(cache, labels, variant, 0.5)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+        # the Gram filled tile by tile and mirrored, against its packed
+        # column unpacked
+        beta = to_simplex(rng.standard_normal(7))
+        np.testing.assert_array_equal(
+            cache.combined(beta, variant),
+            kernels.unpack_pairs(cache.level_table(beta[:, None],
+                                                   variant)[:, 0]))
+
+    def test_labels_must_match_the_videos(self, rng):
+        cache = NodeKernelCache(random_trees(rng, n=6, depth=2), RBF)
+        for labels in (np.arange(8) % 2 + 1, np.arange(5) % 2 + 1):
+            with pytest.raises(errors.ShapeMismatch,
+                               match=f"{labels.size} labels for 6 videos"):
+                pair_moments(cache, labels, AVERAGING, None)
+
+    def test_averaging_moments_peak(self, rng):
+        # the dmkl-avg shape, 140 videos of 15 nodes at dim 16: one reused
+        # kernel tile and one reused packed tile, one batch of rows and
+        # its weighted copy, A and its panel update; not a new tile per
+        # stage per tile (about 5.9 blocks)
+        trees = random_trees(rng, n=140, depth=4, dim=16)
+        labels = np.arange(140) % 7 + 1
+        cache = NodeKernelCache(trees, RBF)
+        tracemalloc.start()
+        try:
+            pair_moments(cache, labels, AVERAGING, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5 * kernels._BLOCK_ELEMENTS * 8
+
     def test_pair_bookkeeping_peak(self, rng):
         # 1,200 videos, 719,400 pairs: one polarity byte a pair, with one
         # full-length float64 sum for c at the end, 9 bytes a pair; no
@@ -254,9 +306,11 @@ class TestPairMoments:
         assert peak <= 10 * pairs + 4 * kernels._BLOCK_ELEMENTS * 8
 
     def test_pair_rows_peak_is_tiles(self, rng):
-        # 1,200 videos, 719,400 pairs, drained: tiles, their masks and
-        # gathered rows, whatever the pair count; no room for an int64
-        # array over every pair (8 bytes a pair) on any tile
+        # 1,200 videos, 719,400 pairs, drained: the node streams' reused
+        # tiles (one block together), the reused stacked tile, a diagonal
+        # tile's gathered rows and the batch the loop still holds,
+        # whatever the pair count; no room for an int64 array over every
+        # pair (8 bytes a pair) on any tile, nor a new tile per stage
         n = 1200
         trees = random_trees(rng, n=n, depth=2, dim=4)
         cache = NodeKernelCache(trees, RBF)
@@ -268,7 +322,7 @@ class TestPairMoments:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        bound = 7 * kernels._BLOCK_ELEMENTS * 8
+        bound = 5 * kernels._BLOCK_ELEMENTS * 8
         assert peak <= bound < 8 * (n * (n - 1) // 2)
 
     @pytest.mark.parametrize("fraction", [0.5, None])

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import random_trees
 from oracles import (aligned, central_difference, elementary, pack_pairs,
-                     pack_sym)
+                     pack_sym, whole_array_kernels)
 from treemkl import errors, kernels
 from treemkl.dmkl import ContrastiveConfig, _PairTable, dmkl_fit, pair_moments
 from treemkl.em import EmConfig, em_fit
@@ -814,13 +814,41 @@ class TestTiles:
         cache = NodeKernelCache(random_trees(rng, n=n, depth=depth, dim=dim),
                                 RBF)
         every = np.arange(m)
-        views = list(cache._cross_blocks())
-        copies = list(cache._cross_blocks(every, every))
+        # each tile copied: the next one overwrites the stream's buffer
+        views = [(*at, tile.copy()) for *at, tile in cache._cross_blocks()]
+        copies = [(*at, tile.copy())
+                  for *at, tile in cache._cross_blocks(every, every)]
         assert len(views) == len(copies)
         assert any(r0 == c0 and r1 == c1 for r0, r1, c0, c1, _ in views)
         for (*at, view), (*at_copy, copy) in zip(views, copies):
             assert at == at_copy
             np.testing.assert_array_equal(view, copy)
+
+    @pytest.mark.parametrize("chunk", [1, 50, None])
+    def test_tiles_keep_the_bits_of_whole_array_kernels(self, rng,
+                                                        monkeypatch, chunk):
+        # every tile, made in the stream's one buffer a chunk of rows at a
+        # time, over ragged tiles of 2 or 3 row videos of 7 nodes and 6
+        # column videos, against the whole-array steps on its row panel
+        # and columns; and the batched oracle path, into a new array
+        monkeypatch.setattr(kernels, "_TILE_ROWS", 14)
+        monkeypatch.setattr(kernels, "_BLOCK_ELEMENTS", 1000)
+        if chunk is not None:
+            monkeypatch.setattr(kernels, "_KERNEL_CHUNK", chunk)
+        trees = random_trees(rng, n=13, depth=3, dim=5)
+        for cache in (NodeKernelCache(trees, RBF),
+                      NodeKernelCache(trees, RBF,
+                                      random_trees(rng, n=8, depth=3, dim=5)),
+                      NodeKernelCache(trees, LIN)):
+            d = cache.rows.shape[2]
+            for r0, r1, c0, c1, tile in cache._cross_blocks():
+                want = whole_array_kernels(
+                    cache.rows[r0:r1].reshape(-1, d).copy(),
+                    cache.cols[c0:c1].reshape(-1, d), cache.cfg)
+                np.testing.assert_array_equal(tile.reshape(want.shape), want)
+        X, Y = rng.standard_normal((2, 4, 6, 5))
+        np.testing.assert_array_equal(kernels._kernel_matrix(X, Y, RBF),
+                                      whole_array_kernels(X, Y, RBF))
 
     @pytest.mark.parametrize("n", [7, 9, 10])
     def test_ragged_tiles(self, rng, small_tiles, n):
@@ -903,18 +931,30 @@ class TestCrossMemory:
 
     @pytest.mark.parametrize("n", [600, 2, 1])
     def test_unpack_pairs_copies_row_by_row(self, rng, n):
-        # into the given values, row by row: no index arrays (two
-        # n(n+1)/2 int64 arrays) and no gathered copy of the pairs
+        # the values, written row by row: no index arrays (two n(n+1)/2
+        # int64 arrays) and no gathered copy of the pairs beside them
         dense = rng.standard_normal((n, n))
         dense += dense.T
         packed = pack_pairs(dense)
-        out = np.empty((n, n))
-        peak = self.peak_bytes(lambda: kernels.unpack_pairs(packed, out))
-        np.testing.assert_array_equal(out, dense)
-        np.testing.assert_array_equal(kernels.unpack_pairs(packed), dense)
-        assert peak < 4096
-        with pytest.raises(errors.ShapeMismatch, match="packed pairs"):
-            kernels.unpack_pairs(np.append(packed, 0.0))
+        got = []
+        peak = self.peak_bytes(
+            lambda: got.append(kernels.unpack_pairs(packed)))
+        np.testing.assert_array_equal(got[0], dense)
+        assert peak < n * n * 8 + 4096
+        for bad in (np.append(packed, 0.0), np.array(1.0)):
+            with pytest.raises(errors.ShapeMismatch, match="packed pairs"):
+                kernels.unpack_pairs(bad)
+
+    @pytest.mark.parametrize("variant", [CONCATENATION, AVERAGING])
+    def test_one_set_combined_holds_no_packed_column(self, rng, variant):
+        # 1,000 videos: the n x n values and, beside them, one reused tile
+        # and its contraction; no n * (n + 1) / 2 packed column (about 7.6
+        # blocks here)
+        n = 1000
+        cache = NodeKernelCache(random_trees(rng, n=n, depth=2, dim=4), RBF)
+        beta = to_simplex(rng.standard_normal(3))
+        peak = self.peak_bytes(lambda: cache.combined(beta, variant))
+        assert peak <= n * n * 8 + 3 * kernels._BLOCK_ELEMENTS * 8
 
     def test_median_gamma_squares_in_blocks(self, rng):
         # 60 trees of 4,096-d node vectors: the stacked trees and a few
