@@ -22,7 +22,7 @@ exact slope ``J'(0) = grad @ d``, clamped to ``[0.1 eta, 0.5 eta]``
 Both variants hold one fixed table ``T = cache.level_table(M,
 variant)``, built once, that holds each unordered pair of training
 videos once, and the variant enters only through ``node_weights`` and
-its pullback: every Gram, start and candidates alike, is unpacked from
+its pullback: every Gram, start and candidates alike, is written from
 ``T @ node_weights(gamma, variant)``, and the gradient in ``gamma`` at
 the current ``alpha`` is ``-node_weights_pullback(c, gamma, variant)``
 with ``c = beta_objective_coeffs(model, T)`` (Danskin).
@@ -49,13 +49,12 @@ from .kernels import (
     NodeKernelCache,
     _pair_start,
     canonical_variant,
+    contract_pairs,
     node_weights,
     node_weights_pullback,
-    unpack_pairs,
 )
 from .simplex import INIT_SCHEMES, SimplexWeights
-from .svm import (SvmModel, TrainConfig, dual_objective, one_vs_rest_classes,
-                  train_one_vs_rest)
+from .svm import SvmModel, TrainConfig, one_vs_rest_classes, train_one_vs_rest
 
 # rejected candidates an iteration tries before it gives up
 MAX_BACKTRACKS = 12
@@ -159,10 +158,10 @@ def em_fit(trees: list[PooledTree], labels: np.ndarray, variant: str,
     Holds one fixed level table, one row per unordered video pair,
     (n * (n + 1) / 2, levels) for concatenation or (n * (n + 1) / 2,
     levels * (levels + 1) / 2) for averaging, and, beside it, one n x n
-    Gram at a time, unpacked from its packed contraction, whose rows the
-    dual solves read without a copy; ``NodeKernelCache`` raises
-    :class:`ValidationError` before allocating a table above
-    ``kernels._DENSE_LIMIT`` elements.
+    Gram at a time, its contraction written in place (``contract_pairs``),
+    whose rows the dual solves read without a copy. ``NodeKernelCache``
+    refuses a table above ``kernels._DENSE_LIMIT`` elements before
+    allocating it (:class:`ValidationError`).
     """
     variant = canonical_variant(variant)
     labels = np.asarray(labels)
@@ -179,13 +178,12 @@ def em_fit(trees: list[PooledTree], labels: np.ndarray, variant: str,
         nonlocal dual_solves, pair_updates
         # objective: sum over classes of the optimal (negated) dual values
         gram = GramMatrix(
-            values=unpack_pairs(table @ node_weights(weights, variant)),
+            values=contract_pairs(table, node_weights(weights, variant)),
             ids=cache.row_ids)
         model = train_one_vs_rest(gram, labels, svm_cfg, start)
         dual_solves += model.class_ids.size
         pair_updates += model.pair_updates
-        return model, -sum(dual_objective(gram, a, y)
-                           for a, y in zip(model.alpha, model.signs))
+        return model, -sum(sol.objective for sol in model.duals)
 
     model, objective = solve(gamma, None)
     trace = [objective]

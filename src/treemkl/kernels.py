@@ -53,8 +53,8 @@ once, plus the lower half of the tiles' square on the diagonal. An
 aligned or symmetrized entry reads the same either way round, so a
 one-set table holds each unordered video pair once, packed
 (:func:`_pair_start`) from the tiles' upper triangle, and its
-contractions are unpacked into exactly symmetric n x n values
-(:func:`unpack_pairs`); a combined kernel's tiles are written straight
+contractions are written into exactly symmetric n x n values
+(:func:`contract_pairs`); a combined kernel's tiles are written straight
 to the upper triangle of its n x n values, mirrored the same way.
 Between two tree sets (test columns) the tiles of each row range cover
 every column video, and the table holds every (row, column) pair.
@@ -324,8 +324,8 @@ class GramMatrix:
     an n x n temporary, and are then read-only (not copied: no other
     view may write them). ``exactly_symmetric``, derived and never
     passed, says whether every entry has the bits of its mirror, so
-    that the rows are the columns; every Gram unpacked from packed
-    pairs (:func:`unpack_pairs`) has it."""
+    that the rows are the columns; every Gram contracted from packed
+    pairs (:func:`contract_pairs`) has it."""
 
     values: np.ndarray
     ids: tuple[str, ...]
@@ -398,7 +398,7 @@ class NodeKernelCache:
     only the column videos from ``r0`` on: ``table_blocks``,
     ``level_table`` and ``combined`` cover the upper triangle of video
     pairs. Its level table holds each of those pairs once, packed
-    (:func:`unpack_pairs`), and ``combined`` writes its tiles into the
+    (:func:`contract_pairs`), and ``combined`` writes its tiles into the
     upper triangle of the n x n values and mirrors them, holding no
     packed column. ``cross()`` still streams every column video.
     """
@@ -683,20 +683,22 @@ def gram_matrix(trees: list[PooledTree], beta: np.ndarray, variant: str,
     return GramMatrix(values=cache.combined(beta, variant), ids=cache.row_ids)
 
 
-def unpack_pairs(values: np.ndarray) -> np.ndarray:
-    """The symmetric (n, n) matrix whose n * (n + 1) / 2 video pairs i <=
-    j, packed as :func:`_pair_start` lays them out, are ``values``, as a
-    one-set :meth:`NodeKernelCache.level_table` holds them. Written row by
-    row and then mirrored in place (:func:`_mirror_upper`), so no index
-    array is made."""
-    pairs = values.size
+def contract_pairs(table: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The symmetric (n, n) matrix whose video pairs i <= j, packed as
+    :func:`_pair_start` lays them out, are ``table @ weights`` for a
+    one-set :meth:`NodeKernelCache.level_table`: the one product fills its
+    last n(n+1)/2 entries, row i's pairs move forward to ``[i, i:]``, ending
+    before any unread pair, and it is mirrored (:func:`_mirror_upper`)."""
+    pairs = table.shape[0] if table.ndim == 2 else 0
     n = (math.isqrt(8 * pairs + 1) - 1) // 2
-    if values.ndim != 1 or n * (n + 1) // 2 != pairs:
+    if table.ndim != 2 or n * (n + 1) // 2 != pairs:
         raise ShapeMismatch(
-            f"{values.shape} values are not the packed pairs of n videos")
+            f"{table.shape} table is not the packed pairs of n videos")
     out = np.empty((n, n))
+    packed = out.reshape(-1)[n * n - pairs:]
+    np.matmul(table, weights, out=packed)
     for i in range(n):
-        out[i, i:] = values[_pair_start(i, n):_pair_start(i + 1, n)]
+        out[i, i:] = packed[_pair_start(i, n):_pair_start(i + 1, n)]
     return _mirror_upper(out)
 
 

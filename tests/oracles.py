@@ -3,13 +3,14 @@
 Nothing here shares code with the package: the elementary kernel is
 evaluated one vector pair at a time, and so is the concatenation
 variant's whole node table, a dense node table is packed one node pair
-at a time and a pair-major table one video pair at a time, the
-contrastive loss is the mean of its per-pair terms, the kernel matrix
-is formed over whole arrays, the QP oracles enumerate active sets or
-supports, gradients come from central finite differences, the softmax
-Jacobian is written out entry by entry, artifact scores are summed one
-class and one support video list at a time, and the reference dual
-solver rebuilds every KKT quantity from the gradient at each update.
+at a time and a pair-major table one video pair at a time, packed video
+pairs are unpacked one row at a time, the contrastive loss is the mean
+of its per-pair terms, the kernel matrix is formed over whole arrays,
+the QP oracles enumerate active sets or supports, gradients come from
+central finite differences, the softmax Jacobian is written out entry
+by entry, artifact scores are summed one class and one support video
+list at a time, and the reference dual solver rebuilds every KKT
+quantity from the gradient at each update.
 """
 
 from __future__ import annotations
@@ -105,6 +106,30 @@ def pack_pairs(T: np.ndarray) -> np.ndarray:
     n = T.shape[0]
     return np.stack([(T[i, j] + T[j, i]) / 2.0
                      for i in range(n) for j in range(i, n)])
+
+
+def unpack_pairs(values: np.ndarray) -> np.ndarray:
+    """Packed to dense over video pairs: the symmetric (n, n) matrix whose
+    upper triangle, row by row (i = 0 first), is the 1-d ``values`` of
+    length n * (n + 1) / 2; the inverse of :func:`pack_pairs` on a
+    symmetric matrix. Each row is copied in, then each entry below the
+    diagonal from its mirror, so every entry has the bits of its packed
+    pair and no index array is made. The bit oracle of
+    ``kernels.contract_pairs`` at ``unpack_pairs(table @ w)``."""
+    values = np.asarray(values)
+    pairs = values.size
+    n = (math.isqrt(8 * pairs + 1) - 1) // 2
+    if values.ndim != 1 or n * (n + 1) // 2 != pairs:
+        raise ValueError(
+            f"{values.shape} values are not the packed pairs of n videos")
+    out = np.empty((n, n))
+    at = 0
+    for i in range(n):
+        out[i, i:] = values[at:at + n - i]
+        at += n - i
+    for j in range(n):
+        out[j + 1:, j] = out[j, j + 1:]
+    return out
 
 
 def central_difference(f, x: np.ndarray, step: float = 1e-5) -> np.ndarray:

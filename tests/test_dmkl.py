@@ -5,7 +5,8 @@ import pytest
 from numpy.polynomial import polynomial as P
 
 from conftest import random_trees
-from oracles import central_difference, contrastive_loss, simplex_qp_oracle
+from oracles import (central_difference, contrastive_loss, simplex_qp_oracle,
+                     unpack_pairs)
 from treemkl import dmkl, errors, kernels
 from treemkl.dmkl import (
     FW_GAP_TOL,
@@ -261,8 +262,7 @@ class TestPairMoments:
         beta = to_simplex(rng.standard_normal(7))
         np.testing.assert_array_equal(
             cache.combined(beta, variant),
-            kernels.unpack_pairs(cache.level_table(beta[:, None],
-                                                   variant)[:, 0]))
+            unpack_pairs(cache.level_table(beta[:, None], variant)[:, 0]))
 
     def test_labels_must_match_the_videos(self, rng):
         cache = NodeKernelCache(random_trees(rng, n=6, depth=2), RBF)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import random_trees
-from oracles import aligned, averaging_coeffs_oracle, pack_pairs
+from oracles import (aligned, averaging_coeffs_oracle, pack_pairs,
+                     unpack_pairs)
 from treemkl import em, errors, kernels
 from treemkl.em import (BACKTRACK_RANGE, EmConfig, backtracked_eta,
                         beta_objective_coeffs, em_fit)
@@ -111,8 +112,7 @@ class TestBetaObjectiveCoeffs:
         table = cache.level_table(tie, variant)
         for gamma in (to_simplex(rng.standard_normal(3)), np.eye(3)[2],
                       np.array([0.5, 0.0, 0.5])):
-            got = kernels.unpack_pairs(
-                table @ kernels.node_weights(gamma, variant))
+            got = unpack_pairs(table @ kernels.node_weights(gamma, variant))
             want = cache.combined(tie @ gamma, variant)
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 

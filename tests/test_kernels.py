@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -5,7 +8,7 @@ import pytest
 
 from conftest import random_trees
 from oracles import (aligned, central_difference, elementary, pack_pairs,
-                     pack_sym, whole_array_kernels)
+                     pack_sym, unpack_pairs, whole_array_kernels)
 from treemkl import errors, kernels
 from treemkl.dmkl import ContrastiveConfig, _PairTable, dmkl_fit, pair_moments
 from treemkl.em import EmConfig, em_fit
@@ -30,6 +33,25 @@ from treemkl.svm import TrainConfig
 
 RBF = KernelConfig(kind="rbf", gamma=0.7)
 LIN = KernelConfig(kind="linear")
+
+# run in a child process: contract_pairs against the oracle unpack_pairs(table
+# @ w), bit for bit, over every size and width; prints the cases checked
+CONTRACT_PAIRS_CHECK = """
+import numpy as np
+from oracles import unpack_pairs
+from treemkl.kernels import contract_pairs
+rng = np.random.default_rng(7)
+checked = 0
+for n in (1, 2, 3, 7, 64, 280, 281, 500):
+    for width in (1, 4, 10):
+        table = rng.standard_normal((n * (n + 1) // 2, width))
+        w = rng.random(width)
+        got, want = contract_pairs(table, w), unpack_pairs(table @ w)
+        assert got.shape == want.shape == (n, n), (n, width)
+        assert (got.view(np.uint64) == want.view(np.uint64)).all(), (n, width)
+        checked += 1
+print(checked)
+"""
 
 
 @pytest.fixture
@@ -403,6 +425,29 @@ class TestPackedPairs:
         got_i, got_j = kernels._pair_of(positions, n - 1)
         np.testing.assert_array_equal(got_i, i)
         np.testing.assert_array_equal(got_j + 1, j)
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_contract_pairs_keeps_the_bits_of_the_unpacked_product(
+            self, threads):
+        # the one product of the whole table, moved into place: the bits of
+        # the packed column unpacked, however OpenBLAS splits its rows
+        # among threads (products of row segments would not keep them)
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (os.path.dirname(os.path.dirname(kernels.__file__)),
+                        os.path.dirname(__file__),
+                        env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", CONTRACT_PAIRS_CHECK],
+                              env=env, capture_output=True, text=True,
+                              timeout=300)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout.split() == ["24"]
+
+    def test_contract_pairs_refuses_tables_not_packed_over_pairs(self):
+        for bad in (np.ones((7, 2)), np.ones(6), np.array(1.0),
+                    np.ones((3, 3, 1))):
+            with pytest.raises(errors.ShapeMismatch, match="packed pairs"):
+                kernels.contract_pairs(bad, np.ones(bad.shape[-1:]))
 
 
 class TestFuseKernels:
@@ -913,9 +958,10 @@ class TestCrossMemory:
                                                 (CONCATENATION, 4)])
     def test_em_fit_holds_one_gram_beside_its_table(self, rng, variant,
                                                     width):
-        # the level table, the stacked trees, tiles, and one n x n Gram
-        # beside its packed contraction: no n x n temporaries for the
-        # Gram's checks, nor a transposed copy per dual solve
+        # the level table, the stacked trees, tiles, and one n x n Gram,
+        # its contraction written in place: no packed column beside it, no
+        # n x n temporaries for its checks, nor a transposed copy per dual
+        # solve
         n = 400
         trees = random_trees(rng, n=n, depth=4, dim=4)
         labels = np.array([1 + (i % 2) for i in range(n)])
@@ -926,24 +972,35 @@ class TestCrossMemory:
         table = n * (n + 1) // 2 * width * 8
         gram = n * n * 8
         stacked = n * self.NODES * 4 * 8
-        assert peak <= (table + 1.5 * gram + stacked
-                        + 2 * kernels._BLOCK_ELEMENTS * 8)
+        # (the packed column alone is 1.22 blocks)
+        assert peak <= (table + gram + stacked
+                        + kernels._BLOCK_ELEMENTS * 8)
 
     @pytest.mark.parametrize("n", [600, 2, 1])
     def test_unpack_pairs_copies_row_by_row(self, rng, n):
-        # the values, written row by row: no index arrays (two n(n+1)/2
-        # int64 arrays) and no gathered copy of the pairs beside them
+        # the oracle's values, written row by row: no index arrays (two
+        # n(n+1)/2 int64 arrays) and no gathered copy of the pairs beside
+        # them
         dense = rng.standard_normal((n, n))
         dense += dense.T
         packed = pack_pairs(dense)
         got = []
-        peak = self.peak_bytes(
-            lambda: got.append(kernels.unpack_pairs(packed)))
+        peak = self.peak_bytes(lambda: got.append(unpack_pairs(packed)))
         np.testing.assert_array_equal(got[0], dense)
         assert peak < n * n * 8 + 4096
         for bad in (np.append(packed, 0.0), np.array(1.0)):
-            with pytest.raises(errors.ShapeMismatch, match="packed pairs"):
-                kernels.unpack_pairs(bad)
+            with pytest.raises(ValueError, match="packed pairs"):
+                unpack_pairs(bad)
+
+    @pytest.mark.parametrize("width", [1, 4])
+    def test_contract_pairs_writes_in_place(self, rng, width):
+        # 1,000 videos: the n x n values alone; no n * (n + 1) / 2 packed
+        # column (half as large again) beside them
+        n = 1000
+        table = rng.standard_normal((n * (n + 1) // 2, width))
+        w = rng.random(width)
+        peak = self.peak_bytes(lambda: kernels.contract_pairs(table, w))
+        assert peak < n * n * 8 + 4096
 
     @pytest.mark.parametrize("variant", [CONCATENATION, AVERAGING])
     def test_one_set_combined_holds_no_packed_column(self, rng, variant):
