@@ -148,9 +148,6 @@ class DatasetManifest:
             raise ValidationError(f"unknown split {which!r}")
         return [r for r in self.records if r.split == which]
 
-    def by_id(self) -> dict[str, VideoRecord]:
-        return {r.video_id: r for r in self.records}
-
 
 # --- GPF1/GPT1 container -----------------------------------------------------
 

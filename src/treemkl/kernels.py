@@ -26,20 +26,22 @@ cheap contraction. Every table is stored pair-major, ``(rows, cols,
 ...)``: one video pair's node kernels are contiguous, so a contraction
 with the weights is one matrix-vector product.
 
-The node kernels are computed one tile of row videos by column videos
-at a time and reduced as each tile is made; no route holds the node
-kernels of every video pair whole, for either variant. A tile spans at
-least ``_TILE_ROWS`` kernel rows, so each kernel product has a panel
-shape BLAS runs at full rate, and as many column videos as keep it
-within ``_BLOCK_ELEMENTS``. Every product is a general matrix product
-of a copied row panel, so a value's bits do not depend on which nodes
-the trees hold or which weights are zero. There is one reducer,
+The node kernels come from one stream of tiles of row videos by column
+videos, each reduced as it is made; no route holds the node kernels of
+every video pair whole. At each tile position the stream makes one tile
+per node group in turn, in one reused buffer: concatenation reads its
+aligned kernels as one-node groups, averaging its cross kernels as one
+group. A tile spans at least ``_TILE_ROWS`` kernel rows, so each kernel
+product has a panel shape BLAS runs at full rate, and as many column
+videos as keep it within ``_BLOCK_ELEMENTS``. Every product is a general
+matrix product of a copied row panel, so a value's bits do not depend on
+which nodes the trees hold or which weights are zero. There is one reducer,
 ``level_table(tie, variant)``: it contracts each node axis with
 ``tie``, evaluating only the nodes whose ``tie`` row is non-zero. The
 alternating route ties the node weights per level, ``beta = M gamma``,
 and builds the fixed table at ``tie = M``, with ``levels`` (concatenation)
-or ``levels * (levels + 1) / 2`` (averaging) entries per pair; a
-combined kernel is the one-column table at ``tie = beta[:, None]``.
+or ``levels * (levels + 1) / 2`` (averaging) entries per pair; combined
+kernel values are the same contraction at ``tie = beta[:, None]``.
 That level table is the largest table any route allocates, and the
 cache refuses one above ``_DENSE_LIMIT`` elements with a
 :class:`ValidationError`. Contrastive training reads the node table
@@ -51,13 +53,13 @@ Over one tree set (training) the node kernels are symmetric,
 are computed only against the videos from ``r0`` on: each video pair
 once, plus the lower half of the tiles' square on the diagonal. An
 aligned or symmetrized entry reads the same either way round, so a
-one-set table holds each unordered video pair once, packed
+level table holds each unordered video pair once, packed
 (:func:`_pair_start`) from the tiles' upper triangle, and its
 contractions are written into exactly symmetric n x n values
-(:func:`contract_pairs`); a combined kernel's tiles are written straight
-to the upper triangle of its n x n values, mirrored the same way.
+(:func:`contract_pairs`); combined values' tiles are written straight
+to the upper triangle of the n x n values, mirrored the same way.
 Between two tree sets (test columns) the tiles of each row range cover
-every column video, and the table holds every (row, column) pair.
+every column video, and only combined values are computed.
 """
 
 from __future__ import annotations
@@ -77,10 +79,9 @@ from .errors import (
 )
 from .hierarchy import PooledTree
 
-# largest (rows, cols, width) or packed (pairs, width) table the cache
-# allocates, n x n combined-kernel values, or (q, q) moment matrix
-# contrastive training allocates, in elements; larger ones are refused
-# before allocation
+# largest packed (pairs, width) level table, (rows, cols) combined-kernel
+# values, or (q, q) moment matrix contrastive training allocates, in
+# elements; larger ones are refused before allocation
 _DENSE_LIMIT = 2 ** 25
 
 # elements of one tile of a kernel table (at least one column video), the
@@ -371,36 +372,35 @@ class GramMatrix:
 class NodeKernelCache:
     """Elementary node kernels between two tree sets, streamed in tiles.
 
-    The tables are pair-major, and the cache keeps none but ``cross()``:
-    the one loop that computes them, ``_cross_blocks``, streams tiles of
-    at least ``_TILE_ROWS`` kernel rows and at most ``_BLOCK_ELEMENTS``
-    elements, each a general matrix product, and each consumer reduces a
-    tile as it is made. A stream computes every tile in one buffer that
-    it reuses, so a yielded tile, of ``_cross_blocks`` or of
-    ``table_blocks``, is valid only until the next one is requested, and
-    a consumer that keeps any of it copies it. ``level_table(tie,
-    variant)`` contracts each node axis with ``tie`` into a fixed table,
-    from the nodes whose ``tie`` row is non-zero only, and
-    ``combined(beta, variant)`` is its one column at ``tie = beta[:,
-    None]``. ``table_blocks`` yields the
-    variant's node table one tile at a time: the aligned kernels
-    ``kappa(row_i[m], col_j[m])`` of every node, or the packed
-    symmetrized cross kernels ``kappa(row_i[m], col_j[n])``. So a run
-    holds at most one table, and beside it tiles. Every table is refused
-    above ``_DENSE_LIMIT`` elements before it is allocated. ``cross()``
-    and ``pair_blocks`` are test oracles that no route calls. The trees
-    are stacked by :func:`stack_trees`, which copies none that
+    The tables are pair-major, and the cache keeps none but ``cross()``.
+    Every consumer reads the one stream that computes node kernels,
+    ``_cross_blocks(groups, stack)``, which makes each node group's tile
+    of a tile position in turn, each a general matrix product, in one
+    buffer that it reuses; each consumer reduces a tile as it is made. So
+    a yielded tile, of ``_cross_blocks`` or of ``table_blocks``, is valid
+    only until the next one is requested. ``level_table(tie, variant)``
+    contracts each node axis with ``tie`` into a fixed table, from the
+    nodes whose ``tie`` row is non-zero only, and ``combined(beta,
+    variant)`` writes the same contraction at ``tie = beta[:, None]`` as
+    (rows, cols) values. ``table_blocks`` yields the variant's node table
+    one tile at a time: the aligned kernels ``kappa(row_i[m], col_j[m])``
+    of every node, read as one-node groups, or the packed symmetrized
+    cross kernels ``kappa(row_i[m], col_j[n])``, read as one group. So a
+    run holds at most one table, and beside it tiles. Every table is
+    refused above ``_DENSE_LIMIT`` elements before it is allocated.
+    ``cross()`` and ``pair_blocks`` are test oracles that no route calls.
+    The trees are stacked by :func:`stack_trees`, which copies none that
     :func:`treemkl.loading.load_trees` loaded.
 
-    A cache over two tree sets streams every column video for each
-    row tile, and its level table holds every (row, column) video pair.
-    A cache over one tree set streams, for the row videos ``r0:r1``,
-    only the column videos from ``r0`` on: ``table_blocks``,
-    ``level_table`` and ``combined`` cover the upper triangle of video
-    pairs. Its level table holds each of those pairs once, packed
-    (:func:`contract_pairs`), and ``combined`` writes its tiles into the
+    A cache over two tree sets streams every column video for each row
+    tile, and gives combined values only. A cache over one tree set
+    streams, for the row videos ``r0:r1``, only the column videos from
+    ``r0`` on, so every consumer covers the upper triangle of video
+    pairs: the level table holds each of those pairs once, packed
+    (:func:`contract_pairs`), ``combined`` writes its tiles into the
     upper triangle of the n x n values and mirrors them, holding no
-    packed column. ``cross()`` still streams every column video.
+    packed column, and ``cross()`` fills each pair below the diagonal
+    from its mirror.
     """
 
     def __init__(self, row_trees: list[PooledTree], cfg: KernelConfig,
@@ -445,57 +445,51 @@ class NodeKernelCache:
                 f"{size * 8} bytes, above the {_DENSE_LIMIT * 8}-byte limit")
         return np.empty(shape)
 
-    def _aligned_tiles(self, node: int, stack: int = 1):
-        """``_cross_blocks`` of the one node's aligned kernels, each tile
-        of shape (row videos, col videos) and at most ``_BLOCK_ELEMENTS /
-        stack`` elements. Every node's tiles lie on one grid, since each
-        node's ``_cross_blocks`` sees one row node and one column node,
-        so ``stack`` nodes' tiles stacked fill at most one block."""
-        at = slice(node, node + 1)
-        for r0, r1, c0, c1, tile in self._cross_blocks(at, at, stack=stack):
-            yield r0, r1, c0, c1, tile[:, 0, :, 0]
-
-    def _cross_blocks(self, row_nodes=slice(None), col_nodes=slice(None),
-                      all_cols: bool = False, stack: int = 1):
-        """Yield ``(r0, r1, c0, c1, tile)`` with ``tile[i, a, j, n] =
-        kappa(row_{r0+i}[row_nodes][a], col_{c0+j}[col_nodes][n])``, shape
-        (r1 - r0, row nodes, c1 - c0, col nodes): the only loop that
-        computes cross kernels. The row videos are split evenly into
-        tiles of at least ``_TILE_ROWS`` kernel rows (all of them when
-        there are fewer), and each row tile's columns into tiles of at
-        most ``_BLOCK_ELEMENTS / stack`` elements, at least one column
-        video wide, so that a consumer may stack ``stack`` of them. Each
-        row panel is copied, so every product is a general matrix
-        product, views or not. A one-set cache starts the column tiles of
-        row tile ``r0:r1`` at ``c0 = r0`` unless ``all_cols``, else at 0;
-        that upper triangle of video pairs covers every pair only when
-        both node selections are the same. Every tile of one call is
-        written to the same :class:`_TileBuffer`, so a yielded tile is
-        valid only until the next one is requested: a consumer that keeps
-        any of its values past that copies them."""
-        rows, cols = self.rows[:, row_nodes], self.cols[:, col_nodes]
-        nr, a, d = rows.shape
-        nc, m = cols.shape[:2]
-        upper = self.cols is self.rows and not all_cols
-        flat_c = cols.reshape(nc * m, d)
+    def _cross_blocks(self, groups: list, stack: int = 1):
+        """Yield ``(r0, r1, c0, c1, tiles)`` at each tile position: the
+        only loop that computes node kernels. ``tiles`` yields, for each
+        node group ``g`` of ``groups`` in turn (a slice or index array of
+        nodes, all of one size ``a``), ``tile[i, u, j, v] =
+        kappa(row_{r0+i}[g][u], col_{c0+j}[g][v])``, shape (r1 - r0, a,
+        c1 - c0, a). The row videos are split evenly into tiles of at
+        least ``_TILE_ROWS`` kernel rows (all of them when there are
+        fewer), and each row tile's columns into tiles of at most
+        ``_BLOCK_ELEMENTS / stack`` elements, at least one column video
+        wide, so that a consumer may stack ``stack`` of them. A one-set
+        cache starts the column tiles of row tile ``r0:r1`` at ``c0 =
+        r0``, else at 0. Every tile is written to one :class:`_TileBuffer`:
+        it is valid only until the next one is requested, and ``tiles`` is
+        read to its end before the next position."""
+        nr, nc, d = self.rows.shape[0], self.cols.shape[0], self.rows.shape[2]
+        cols = [self.cols[:, g].reshape(-1, d) for g in groups]
         # squared norms in row chunks of about one block each
-        parts = np.array_split(flat_c, -(-flat_c.size // _BLOCK_ELEMENTS))
-        col_sq = np.concatenate([np.sum(p * p, axis=-1) for p in parts])
+        cols_sq = [np.concatenate([
+            np.sum(p * p, axis=-1)
+            for p in np.array_split(c, -(-c.size // _BLOCK_ELEMENTS))])
+            for c in cols]
+        a = cols[0].shape[0] // nc
         count = max(1, nr // -(-_TILE_ROWS // a))
-        width = max(1, _BLOCK_ELEMENTS // (-(-nr // count) * a * m * stack))
+        width = max(1, _BLOCK_ELEMENTS // (-(-nr // count) * a * a * stack))
         buffer = _TileBuffer()
+
+        def tiles(r0, r1, c0, c1):
+            for g, flat, sq in zip(groups, cols, cols_sq):
+                # a copy, so that a one-set tile whose row and column videos
+                # coincide is not one array times its own transpose, which
+                # BLAS would run as a symmetric rank-k update and round
+                # otherwise; dropped before the yield: one panel at a time
+                x = self.rows[r0:r1, g].reshape(-1, d).copy()
+                tile = buffer.view(x.shape[0], (c1 - c0) * a)
+                _kernel_matrix(x, flat[c0 * a:c1 * a], self.cfg,
+                               sq[c0 * a:c1 * a], tile)
+                del x
+                yield tile.reshape(r1 - r0, a, c1 - c0, a)
+
         for t in range(count):
             r0, r1 = t * nr // count, (t + 1) * nr // count
-            # a copy, so that a one-set tile whose row and column videos
-            # coincide is not one array times its own transpose, which BLAS
-            # would run as a symmetric rank-k update and round otherwise
-            x = rows[r0:r1].reshape(-1, d).copy()
-            for c0 in range(r0 if upper else 0, nc, width):
+            for c0 in range(r0 if self.cols is self.rows else 0, nc, width):
                 c1 = min(c0 + width, nc)
-                tile = buffer.view((r1 - r0) * a, (c1 - c0) * m)
-                _kernel_matrix(x, flat_c[c0 * m:c1 * m], self.cfg,
-                               col_sq[c0 * m:c1 * m], tile)
-                yield r0, r1, c0, c1, tile.reshape(r1 - r0, a, c1 - c0, m)
+                yield r0, r1, c0, c1, tiles(r0, r1, c0, c1)
 
     def table_blocks(self, variant: str):
         """Yield ``(r0, c0, tile)``: the variant's pair-major node table of
@@ -503,39 +497,42 @@ class NodeKernelCache:
         of at most ``_BLOCK_ELEMENTS`` elements (unless one column video
         wide) at a time and never held whole, pair (i, j) at ``tile[i -
         r0, j - c0]``, shape (row videos, col videos, q), q =
-        ``node_weights``' length. Concatenation stacks every node's
-        ``_aligned_tiles`` on their shared grid, ``tile[..., m] =
-        kappa(row_i[m], col_j[m])``, q = nodes; averaging packs each
-        ``_cross_blocks`` tile's symmetrized cross kernels
-        (``_packed_sym``), q = nodes * (nodes + 1) / 2. Every tile is
-        written to one reused buffer, as ``_cross_blocks``' are: it is
+        ``node_weights``' length. Concatenation copies each one-node
+        group's tile into its node's column, ``tile[..., m] =
+        kappa(row_i[m], col_j[m])``, q = nodes; averaging packs its one
+        group's symmetrized cross kernels (``_packed_sym``), q = nodes *
+        (nodes + 1) / 2. Every tile is written to one reused buffer: it is
         valid only until the next one is requested."""
         if self.cols is not self.rows:
             raise ShapeMismatch("table_blocks needs a single tree set")
         buffer = _TileBuffer()
         if canonical_variant(variant) == CONCATENATION:
-            per_node = [self._aligned_tiles(node, self.nodes)
-                        for node in range(self.nodes)]
-            for tiles in zip(*per_node):
-                r0, r1, c0, c1, _ = tiles[0]
-                yield r0, c0, np.stack(
-                    [tile for *_, tile in tiles], axis=-1,
-                    out=buffer.view(r1 - r0, c1 - c0, self.nodes))
+            one_node = [slice(m, m + 1) for m in range(self.nodes)]
+            for r0, r1, c0, c1, tiles in self._cross_blocks(one_node,
+                                                            self.nodes):
+                out = buffer.view(r1 - r0, c1 - c0, self.nodes)
+                for m, tile in enumerate(tiles):
+                    out[:, :, m] = tile[:, 0, :, 0]
+                yield r0, c0, out
             return
         q = self.nodes * (self.nodes + 1) // 2
-        for r0, r1, c0, c1, tile in self._cross_blocks():
+        for r0, r1, c0, c1, (tile,) in self._cross_blocks([slice(None)]):
             yield r0, c0, _packed_sym(tile.transpose(0, 2, 1, 3),
                                       buffer.view(r1 - r0, c1 - c0, q))
 
     def cross(self) -> np.ndarray:
         """The whole cross tensor, built once and kept, each tile copied
-        in as it is made; no route reads it. The dense oracle the
-        streamed tables are checked against."""
+        in as it is made, and over one tree set each pair below the
+        tiles' upper triangle from its mirror; no route reads it. The
+        dense oracle the streamed tables are checked against."""
         if self._cross is None:
             m, nr, nc = self.nodes, self.rows.shape[0], self.cols.shape[0]
             out = np.empty((nr, nc, m, m))
-            for r0, r1, c0, c1, tile in self._cross_blocks(all_cols=True):
+            for r0, r1, c0, c1, (tile,) in self._cross_blocks([slice(None)]):
                 out[r0:r1, c0:c1] = tile.transpose(0, 2, 1, 3)
+            if self.cols is self.rows:
+                for i in range(nr):
+                    out[i, :i] = out[:i, i].transpose(0, 2, 1)
             self._cross = out
         return self._cross
 
@@ -558,55 +555,55 @@ class NodeKernelCache:
             yield (slice(at + j0, at + c1),), (i - r0, slice(j0 - c0, None))
 
     def level_table(self, tie: np.ndarray, variant: str) -> np.ndarray:
-        """The variant's node kernels with each node axis contracted with
-        ``tie``, shape (nodes, k): a pair-major table whose contraction
-        with ``node_weights(gamma, variant)`` is the combined kernel at
-        ``beta = tie @ gamma``, from the node kernels of the nodes whose
-        ``tie`` row is non-zero only. Concatenation gives ``T[i, j] =
-        sum_m kappa(row_i[m], col_j[m]) tie[m]``, k entries per video
-        pair; averaging gives ``T[i, j, l, l'] = sum_{m,n} tie[m, l]
-        tie[n, l'] kappa(row_i[m], col_j[n])``, stored as its
-        ``_packed_sym``, k * (k + 1) / 2 entries per video pair (see
-        :meth:`_contract`). Over two tree sets the table is (rows, cols,
-        entries). Over one, where ``T[j, i]`` equals ``T[i, j]`` (an
-        aligned or symmetrized entry reads the same either way round), it
-        holds each unordered video pair once, (n * (n + 1) / 2, entries)
-        packed (:func:`_pair_start`) from the upper triangle the tiles
-        cover. Refused above ``_DENSE_LIMIT`` elements before allocation."""
+        """The variant's node kernels of a one-set cache with each node
+        axis contracted with ``tie``, shape (nodes, k): a pair-major table
+        whose contraction with ``node_weights(gamma, variant)`` is the
+        combined kernel at ``beta = tie @ gamma``, from the node kernels
+        of the nodes whose ``tie`` row is non-zero only. Concatenation
+        gives ``T[i, j] = sum_m kappa(row_i[m], row_j[m]) tie[m]``, k
+        entries per video pair; averaging gives ``T[i, j, l, l'] =
+        sum_{m,n} tie[m, l] tie[n, l'] kappa(row_i[m], row_j[n])``, stored
+        as its ``_packed_sym``, k * (k + 1) / 2 entries. Since ``T[j, i]``
+        equals ``T[i, j]``, the table holds each unordered video pair
+        once, (n * (n + 1) / 2, entries), packed (:func:`_pair_start`).
+        A two-set cache is refused, as ``table_blocks`` refuses one, and
+        so is a table above ``_DENSE_LIMIT`` elements, before allocation."""
+        if self.cols is not self.rows:
+            raise ShapeMismatch("level_table needs a single tree set")
         tie = np.asarray(tie, dtype=np.float64)
         if tie.ndim != 2 or tie.shape[0] != self.nodes:
             raise ShapeMismatch(
                 f"tie has shape {tie.shape} for {self.nodes} nodes")
         k = tie.shape[1]
-        packed = self.cols is self.rows
         if canonical_variant(variant) == CONCATENATION:
-            out = self._empty_table(k, "levels", packed)
+            out = self._empty_table(k, "levels", True)
         else:
-            out = self._empty_table(k * (k + 1) // 2, "level pairs", packed)
+            out = self._empty_table(k * (k + 1) // 2, "level pairs", True)
         return self._contract(tie, variant, out)
 
     def _contract(self, tie: np.ndarray, variant: str,
                   out: np.ndarray) -> np.ndarray:
         """Write :meth:`level_table`'s entries for ``tie`` to ``out``, a
         table of :meth:`_empty_table`, packed when it is 2-d, and return
-        it. Concatenation accumulates one node and one tile at a time into
-        the levels where ``tie`` is non-zero; averaging contracts each
-        streamed cross-kernel tile on the column-node axis, then on the
-        row-node one, and stores its ``_packed_sym``."""
+        it: zeros, with no kernel computed, when every ``tie`` row is
+        zero. At each tile position, placed once, concatenation adds each
+        weighted node's tile into the levels where ``tie`` is non-zero;
+        averaging contracts the weighted nodes' tile on the column-node
+        axis, then on the row-node one, and stores its ``_packed_sym``."""
         packed = out.ndim == 2
         held = np.flatnonzero(tie.any(axis=1))
+        if not held.size:
+            out.fill(0.0)
+            return out
         if canonical_variant(variant) == CONCATENATION:
             out.fill(0.0)
-            placed = {}     # every node's tiles lie on one grid
-            for node in held:
-                levels = np.flatnonzero(tie[node])
-                for r0, r1, c0, c1, tile in self._aligned_tiles(node):
-                    if (r0, c0) not in placed:
-                        placed[r0, c0] = list(
-                            self._placed(r0, r1, c0, c1, packed))
-                    for level in levels:
-                        part = tile * tie[node, level]
-                        for dest, src in placed[r0, c0]:
+            one_node = [slice(m, m + 1) for m in held]
+            for r0, r1, c0, c1, tiles in self._cross_blocks(one_node):
+                placed = list(self._placed(r0, r1, c0, c1, packed))
+                for node, tile in zip(held, tiles):
+                    for level in np.flatnonzero(tie[node]):
+                        part = tile[:, 0, :, 0] * tie[node, level]
+                        for dest, src in placed:
                             # in place through a view: out[...] += would
                             # also write the view back
                             into = out[dest + (level,)]
@@ -618,7 +615,7 @@ class NodeKernelCache:
         if held.size == self.nodes:
             held = slice(None)
         tie = tie[held]
-        for r0, r1, c0, c1, tile in self._cross_blocks(held, held):
+        for r0, r1, c0, c1, (tile,) in self._cross_blocks([held]):
             r, a, c, m = tile.shape
             # (r, a, c, m) -> (r, a, c * k) -> (r, k, c * k) -> (r, c, k, k)
             partial = (tile.reshape(-1, m) @ tie).reshape(r, a, c * k)
@@ -632,8 +629,8 @@ class NodeKernelCache:
         return out
 
     def combined(self, beta: np.ndarray, variant: str) -> np.ndarray:
-        """Combined-kernel values, shape (rows, cols): the one-column
-        ``level_table(beta[:, None], variant)``, so only the nodes with
+        """Combined-kernel values, shape (rows, cols): ``level_table``'s
+        contraction at ``tie = beta[:, None]``, so only the nodes with
         non-zero weight are evaluated. Over one tree set the tiles' values
         are written straight to the upper triangle of the (n, n) values,
         which is then mirrored in place (:func:`_mirror_upper`), so they
@@ -642,12 +639,9 @@ class NodeKernelCache:
         is computed. Beside the values the pass holds one reused tile
         (``_cross_blocks``) and its contraction."""
         beta = self._check_beta(beta)
-        if self.cols is not self.rows:
-            table = self.level_table(beta[:, None], variant)
-            return table.reshape(table.shape[:2])
-        values = self._contract(beta[:, None], variant,
-                                self._empty_table(1, "levels", False))
-        return _mirror_upper(values[:, :, 0])
+        values = self._contract(beta[:, None], variant, self._empty_table(
+            1, "levels", False))[:, :, 0]
+        return _mirror_upper(values) if self.cols is self.rows else values
 
     def pair_blocks(self, i_idx: np.ndarray, j_idx: np.ndarray,
                     variant: str) -> np.ndarray:

@@ -546,8 +546,8 @@ class TestNodeKernelCache:
                                                     small_tiles, variant,
                                                     two_sets):
         # a vertex and a three-node support against the untrimmed
-        # contraction, over ragged tiles: combined's beta, and a level
-        # table whose tie rows outside the support are zero
+        # contraction, over ragged tiles: combined's beta, and a one-set
+        # level table whose tie rows outside the support are zero
         rows = random_trees(rng, n=7, depth=3)
         cols = random_trees(rng, n=5, depth=3) if two_sets else None
         evaluated = counting_kernel_matrix(monkeypatch)
@@ -563,13 +563,13 @@ class TestNodeKernelCache:
                 node_table = pack_sym(oracle.cross())
                 level_table = pack_sym(np.einsum(
                     "ijmn,ml,nk->ijlk", oracle.cross(), tie, tie))
+            runs = [(lambda c: c.combined(beta, variant),
+                     node_table @ node_weights(beta, variant))]
             if not two_sets:
-                level_table = pack_pairs(level_table)
+                runs.append((lambda c: c.level_table(tie, variant),
+                             pack_pairs(level_table)))
             pairs = len(support) ** (1 if variant == CONCATENATION else 2)
-            for run, expected in (
-                    (lambda c: c.combined(beta, variant),
-                     node_table @ node_weights(beta, variant)),
-                    (lambda c: c.level_table(tie, variant), level_table)):
+            for run, expected in runs:
                 evaluated.clear()
                 got = run(NodeKernelCache(rows, RBF, cols))
                 np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
@@ -669,20 +669,17 @@ class TestNodeKernelCache:
             pack_sym(cache.cross()) @ node_weights(beta, AVERAGING),
             rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("two_sets", [False, True])
     @pytest.mark.parametrize("variant", [CONCATENATION, AVERAGING])
     def test_level_table_is_node_table_contracted_with_tie(
-            self, rng, small_tiles, variant, two_sets):
-        # row tiles of 2, 2 and 3 videos over column tiles of 3 videos:
-        # a two-set cache's 5 columns end in a tile of 2, a one-set
-        # cache's from each row tile's first video on in tiles of 1, 2
-        # and 3. A one-set table holds each unordered video pair once:
-        # 28 rows for 7 videos, not 49
+            self, rng, small_tiles, variant):
+        # row tiles of 2, 2 and 3 videos, each over the videos from its
+        # first on in column tiles of 3 videos, the last ones ragged. The
+        # table holds each unordered video pair once: 28 rows for 7
+        # videos, not 49
         rows = random_trees(rng, n=7, depth=2)
-        cols = random_trees(rng, n=5, depth=2) if two_sets else None
         tie = Hierarchy(2).level_matrix
         for cfg in (RBF, LIN):
-            cache = NodeKernelCache(rows, cfg, cols)
+            cache = NodeKernelCache(rows, cfg)
             got = cache.level_table(tie, variant)
             if variant == CONCATENATION:
                 want = aligned(cache) @ tie
@@ -691,9 +688,8 @@ class TestNodeKernelCache:
                 want = pack_sym(np.einsum("ijmn,ml,nk->ijlk", cache.cross(),
                                           tie, tie))
                 assert want.shape[2] == 3
-            if not two_sets:
-                want = pack_pairs(want)
-                assert want.shape[0] == 28
+            want = pack_pairs(want)
+            assert want.shape[0] == 28
             assert got.shape == want.shape and got.flags.c_contiguous
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
@@ -790,35 +786,87 @@ class TestNodeKernelCache:
         with pytest.raises(errors.ShapeMismatch, match="3 nodes"):
             cache.level_table(Hierarchy(3).level_matrix, AVERAGING)
 
+    @pytest.mark.parametrize("variant", [CONCATENATION, AVERAGING])
+    def test_level_table_refuses_two_tree_sets(self, rng, variant):
+        # the level table is alternating training's, over its one
+        # training set; two sets meet only in combined values
+        cache = NodeKernelCache(random_trees(rng, n=4, depth=2), RBF,
+                                random_trees(rng, n=3, depth=2))
+        with pytest.raises(errors.ShapeMismatch, match="single tree set"):
+            cache.level_table(Hierarchy(2).level_matrix, variant)
+
+    @pytest.mark.parametrize("variant", [CONCATENATION, AVERAGING])
+    def test_all_zero_weights_compute_no_kernel(self, rng, monkeypatch,
+                                                variant):
+        # no node held: every entry point returns its zeros, in its
+        # shape, and evaluates no node kernel
+        rows = random_trees(rng, n=7, depth=2)
+        cols = random_trees(rng, n=5, depth=2)
+        zero = np.zeros(3)
+        tie = np.zeros((3, 2))
+        width = 2 if variant == CONCATENATION else 3
+        evaluated = counting_kernel_matrix(monkeypatch)
+        for run, shape in (
+                (lambda: gram_matrix(rows, zero, variant, RBF).values,
+                 (7, 7)),
+                (lambda: kernel_columns(rows, cols, zero, variant, RBF),
+                 (7, 5)),
+                (lambda: NodeKernelCache(rows, RBF).combined(zero, variant),
+                 (7, 7)),
+                (lambda: NodeKernelCache(rows, RBF, cols).combined(
+                    zero, variant), (7, 5)),
+                (lambda: NodeKernelCache(rows, RBF).level_table(tie,
+                                                                variant),
+                 (28, width))):
+            got = run()
+            assert got.shape == shape
+            np.testing.assert_array_equal(got, 0.0)
+        assert evaluated == []
+
+    def test_one_set_cross_mirrors_two_set_cross(self, rng, small_tiles):
+        # a one-set cache computes the upper triangle of video pairs and
+        # fills the rest from its mirror; a two-set cache over the same
+        # trees computes every pair
+        trees = random_trees(rng, n=7, depth=2)
+        for cfg in (RBF, LIN):
+            one = NodeKernelCache(trees, cfg).cross()
+            two = NodeKernelCache(trees, cfg, trees).cross()
+            assert one.shape == two.shape == (7, 7, 3, 3)
+            np.testing.assert_allclose(one, two, rtol=0, atol=1e-12)
+
 
 class TestTiles:
-    """The tiles of ``_cross_blocks``: at most ``_BLOCK_ELEMENTS``
-    elements unless one column video wide, at least ``_TILE_ROWS`` kernel
-    rows whenever the row set has that many, every video pair of a
-    two-set cache once, and of a one-set cache each row tile against the
-    videos from its first row video on, once."""
+    """The tiles of ``_cross_blocks``: at each tile position, each node
+    group's tile in turn, at most ``_BLOCK_ELEMENTS / stack`` elements
+    unless one column video wide, at least ``_TILE_ROWS`` kernel rows
+    whenever the row set has that many, every video pair of a two-set
+    cache once, and of a one-set cache each row tile against the videos
+    from its first row video on, once."""
 
     @staticmethod
-    def check_tiles(cache, nodes=slice(None), all_cols=False):
-        rows, cols = cache.rows[:, nodes], cache.cols[:, nodes]
-        (nr, a), (nc, m) = rows.shape[:2], cols.shape[:2]
+    def check_tiles(cache, groups=(slice(None),), stack=1):
+        nr, nc = cache.rows.shape[0], cache.cols.shape[0]
+        a = cache.rows[0, groups[0]].shape[0]
         covered = np.zeros((nr, nc), dtype=int)
         row_tiles = set()
-        for r0, r1, c0, c1, tile in cache._cross_blocks(nodes, nodes,
-                                                        all_cols):
-            assert tile.shape == (r1 - r0, a, c1 - c0, m)
-            assert tile.size <= kernels._BLOCK_ELEMENTS or c1 - c0 == 1
+        for r0, r1, c0, c1, tiles in cache._cross_blocks(list(groups),
+                                                         stack):
+            for g, tile in zip(groups, tiles, strict=True):
+                assert tile.shape == (r1 - r0, a, c1 - c0, a)
+                assert (tile.size * stack <= kernels._BLOCK_ELEMENTS
+                        or c1 - c0 == 1)
+                want = kernels._kernel_matrix(cache.rows[r0:r1, None, g],
+                                              cache.cols[None, c0:c1, g],
+                                              cache.cfg)
+                np.testing.assert_allclose(tile.transpose(0, 2, 1, 3), want,
+                                           rtol=0, atol=1e-12)
             assert (r1 - r0) * a >= min(kernels._TILE_ROWS, nr * a)
             row_tiles.add((r0, r1))
             covered[r0:r1, c0:c1] += 1
-            want = kernels._kernel_matrix(rows[r0:r1, None],
-                                          cols[None, c0:c1], cache.cfg)
-            np.testing.assert_allclose(tile.transpose(0, 2, 1, 3), want,
-                                       rtol=0, atol=1e-12)
         starts = sorted(row_tiles)
         assert [r0 for r0, _ in starts] == [0] + [r1 for _, r1 in starts[:-1]]
         assert starts[-1][1] == nr
-        if cache.cols is not cache.rows or all_cols:
+        if cache.cols is not cache.rows:
             np.testing.assert_array_equal(covered, 1)
             return
         for r0, r1 in starts:
@@ -837,13 +885,31 @@ class TestTiles:
         trees = random_trees(rng, n=n, depth=4, dim=2)
         if isinstance(nodes, np.ndarray):
             nodes = nodes + 7       # leaves of a depth-4 tree
-        for cache, all_cols in (
-                (NodeKernelCache(trees, RBF), False),
-                (NodeKernelCache(trees, RBF), True),
-                (NodeKernelCache(trees, LIN,
-                                 random_trees(rng, n=70, depth=4, dim=2)),
-                 False)):
-            self.check_tiles(cache, nodes, all_cols)
+        for cache in (NodeKernelCache(trees, RBF),
+                      NodeKernelCache(trees, LIN,
+                                      random_trees(rng, n=70, depth=4,
+                                                   dim=2))):
+            self.check_tiles(cache, (nodes,))
+
+    @pytest.mark.parametrize("n", [7, 130])
+    def test_one_node_groups_share_one_grid(self, rng, n):
+        # concatenation's stream: every node a group of its own, each
+        # position's tiles in node order, on the grid of one node's stream
+        # narrowed by the node count, all in one buffer
+        trees = random_trees(rng, n=n, depth=3, dim=2)
+        one_node = [slice(m, m + 1) for m in range(7)]
+        for cache in (NodeKernelCache(trees, RBF),
+                      NodeKernelCache(trees, RBF,
+                                      random_trees(rng, n=9, depth=3,
+                                                   dim=2))):
+            self.check_tiles(cache, one_node, stack=7)
+            grid = [at for *at, _ in cache._cross_blocks(one_node[:1], 7)]
+            starts = []
+            for *at, tiles in cache._cross_blocks(one_node, 7):
+                starts.append(at)
+                first, *rest = [tile.ctypes.data for tile in tiles]
+                assert rest == [first] * 6
+            assert starts == grid
 
     @pytest.mark.parametrize("depth", [2, 3, 4])
     @pytest.mark.parametrize("n, dim, per_tile", [(6, 3, 2), (8, 16, 4),
@@ -860,9 +926,10 @@ class TestTiles:
                                 RBF)
         every = np.arange(m)
         # each tile copied: the next one overwrites the stream's buffer
-        views = [(*at, tile.copy()) for *at, tile in cache._cross_blocks()]
+        views = [(*at, tile.copy())
+                 for *at, (tile,) in cache._cross_blocks([slice(None)])]
         copies = [(*at, tile.copy())
-                  for *at, tile in cache._cross_blocks(every, every)]
+                  for *at, (tile,) in cache._cross_blocks([every])]
         assert len(views) == len(copies)
         assert any(r0 == c0 and r1 == c1 for r0, r1, c0, c1, _ in views)
         for (*at, view), (*at_copy, copy) in zip(views, copies):
@@ -886,7 +953,8 @@ class TestTiles:
                                       random_trees(rng, n=8, depth=3, dim=5)),
                       NodeKernelCache(trees, LIN)):
             d = cache.rows.shape[2]
-            for r0, r1, c0, c1, tile in cache._cross_blocks():
+            for r0, r1, c0, c1, (tile,) in cache._cross_blocks(
+                    [slice(None)]):
                 want = whole_array_kernels(
                     cache.rows[r0:r1].reshape(-1, d).copy(),
                     cache.cols[c0:c1].reshape(-1, d), cache.cfg)
@@ -902,7 +970,7 @@ class TestTiles:
                       NodeKernelCache(trees, RBF,
                                       random_trees(rng, n=5, depth=2))):
             for nodes in (slice(None), slice(1, 2)):
-                self.check_tiles(cache, nodes)
+                self.check_tiles(cache, (nodes,))
 
 
 class TestCrossMemory:
@@ -1085,18 +1153,20 @@ class TestCrossMemory:
         self.run_route(rng, route, variant)
 
     def assert_wide_rows_stream_in_three_blocks(self, rng, dim):
-        """Peak minus output of the averaging ``level_table`` and
-        ``combined`` over 40 x 280 trees of depth 4, below 3.5 blocks."""
+        """Peak minus output of the averaging ``level_table`` over 280
+        trees of depth 4 and ``combined`` over 40 x 280, below 3.5
+        blocks."""
+        wide = random_trees(rng, n=280, depth=4, dim=dim)
+        one_set = NodeKernelCache(wide, RBF)
         cache = NodeKernelCache(random_trees(rng, n=40, depth=4, dim=dim),
-                                RBF, random_trees(rng, n=280, depth=4,
-                                                  dim=dim))
+                                RBF, wide)
         assert 280 * self.NODES * dim > kernels._BLOCK_ELEMENTS
         beta = to_simplex(rng.standard_normal(self.NODES))
-        gram_bytes = 40 * 280 * 8
         for fn, out_bytes in (
-                (lambda: cache.level_table(Hierarchy(4).level_matrix,
-                                           AVERAGING), gram_bytes * 10),
-                (lambda: cache.combined(beta, AVERAGING), gram_bytes)):
+                (lambda: one_set.level_table(Hierarchy(4).level_matrix,
+                                             AVERAGING),
+                 280 * 281 // 2 * 10 * 8),
+                (lambda: cache.combined(beta, AVERAGING), 40 * 280 * 8)):
             peak = self.peak_bytes(fn) - out_bytes
             assert peak < 3.5 * kernels._BLOCK_ELEMENTS * 8
 
@@ -1111,6 +1181,23 @@ class TestCrossMemory:
         # at dim 256 the columns' squares made at once would be about four
         # blocks; the pass makes them in row chunks of about one block
         self.assert_wide_rows_stream_in_three_blocks(rng, 256)
+
+    @pytest.mark.parametrize("depth", [4, 6])
+    def test_concatenation_tiles_stream_in_one_buffer(self, rng, depth):
+        # 140 videos at dim 128: at each tile position every node's
+        # aligned kernels are made in turn in one reused buffer, each from
+        # its own copied row panel, and copied into the stacked tile; not
+        # a tile buffer and a row panel held per node (4.4 blocks at depth
+        # 4, 11.1 at depth 6)
+        cache = NodeKernelCache(random_trees(rng, n=140, depth=depth,
+                                             frames=2 ** depth, dim=128),
+                                RBF)
+
+        def consume():
+            for _ in cache.table_blocks(CONCATENATION):
+                pass
+
+        assert self.peak_bytes(consume) < 2 * kernels._BLOCK_ELEMENTS * 8
 
     def test_streamed_combined_never_holds_tensor(self, rng):
         cache = self.cache(rng)

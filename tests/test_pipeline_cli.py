@@ -340,7 +340,7 @@ class TestScoringPath:
     def test_scores_match_per_class_oracle(self, workspace):
         manifest = load_manifest(workspace / "data" / "manifest.jsonl")
         root = str(workspace / "data")
-        by_id = manifest.by_id()
+        by_id = {r.video_id: r for r in manifest.records}
         for run in ("em_a", "dm_a", "dm_m"):
             path = workspace / run / "model.json"
             art = load_artifact(path)
@@ -461,7 +461,7 @@ class TestScoringPath:
                               unit_rows(tree.vectors))
 
         manifest = load_manifest(data / "manifest.jsonl")
-        by_id = manifest.by_id()
+        by_id = {r.video_id: r for r in manifest.records}
         cols = kernel_columns([l2_tree(r) for r in manifest.split("test")],
                               [l2_tree(by_id[v]) for v in art.support_ids],
                               art.beta, art.pipeline.variant, art.kernel)
@@ -496,7 +496,7 @@ class TestScoringPath:
             self, workspace, variant, beta, norms):
         manifest = load_manifest(workspace / "data" / "manifest.jsonl")
         root = str(workspace / "data")
-        by_id = manifest.by_id()
+        by_id = {r.video_id: r for r in manifest.records}
         art = load_artifact(workspace / "dm_a" / "model.json")
         cfg = dataclasses.replace(art.pipeline, variant=variant,
                                   feature_norm=norms[0], node_norm=norms[1])
@@ -552,7 +552,8 @@ class TestScoringPath:
         doc = json.loads((workspace / "dm_a" / "model.json").read_text())
         # a root-only model stores its support videos' roots
         art = load_artifact(workspace / "dm_a" / "model.json")
-        by_id = load_manifest(workspace / "data" / "manifest.jsonl").by_id()
+        by_id = {r.video_id: r for r in load_manifest(
+            workspace / "data" / "manifest.jsonl").records}
         roots = kernels.stack_trees(loading.load_trees(
             [by_id[v] for v in art.support_ids], str(workspace / "data"),
             art.pipeline, [0]))[0]
