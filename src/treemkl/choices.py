@@ -2,7 +2,7 @@
 that imports nothing, so the parser and ``report`` load no numerical code.
 
 The modules that check these values re-export them: ``dataio.STREAMS``,
-``pipeline.NORMS`` and ``pipeline.FUSION_MODES``, ``kernels.KERNEL_KINDS``,
+``loading.NORMS``, ``pipeline.FUSION_MODES``, ``kernels.KERNEL_KINDS``,
 ``kernels.VARIANT_ALIASES``, ``kernels.CONCATENATION`` and
 ``kernels.AVERAGING``, ``simplex.INIT_SCHEMES``.
 """

@@ -382,12 +382,13 @@ class NodeKernelCache:
     contracts each node axis with ``tie`` into a fixed table, from the
     nodes whose ``tie`` row is non-zero only, and ``combined(beta,
     variant)`` writes the same contraction at ``tie = beta[:, None]`` as
-    (rows, cols) values. ``table_blocks`` yields the variant's node table
-    one tile at a time: the aligned kernels ``kappa(row_i[m], col_j[m])``
-    of every node, read as one-node groups, or the packed symmetrized
-    cross kernels ``kappa(row_i[m], col_j[n])``, read as one group. So a
-    run holds at most one table, and beside it tiles. Every table is
-    refused above ``_DENSE_LIMIT`` elements before it is allocated.
+    (rows, cols) values; both reduce each tile position to one tile and
+    write it once (``_place``). ``table_blocks`` yields the variant's
+    node table one tile at a time: the aligned kernels ``kappa(row_i[m],
+    col_j[m])`` of every node, read as one-node groups, or the packed
+    symmetrized cross kernels ``kappa(row_i[m], col_j[n])``, read as one
+    group. So a run holds at most one table, and beside it tiles. Every
+    table is refused above ``_DENSE_LIMIT`` elements before allocation.
     ``cross()`` and ``pair_blocks`` are test oracles that no route calls.
     The trees are stacked by :func:`stack_trees`, which copies none that
     :func:`treemkl.loading.load_trees` loaded.
@@ -448,20 +449,22 @@ class NodeKernelCache:
     def _cross_blocks(self, groups: list, stack: int = 1):
         """Yield ``(r0, r1, c0, c1, tiles)`` at each tile position: the
         only loop that computes node kernels. ``tiles`` yields, for each
-        node group ``g`` of ``groups`` in turn (a slice or index array of
-        nodes, all of one size ``a``), ``tile[i, u, j, v] =
+        node group ``g`` of ``groups`` in turn (all of one size ``a``: a
+        slice of nodes, whose columns are viewed, or an index array, whose
+        columns are copied once), ``tile[i, u, j, v] =
         kappa(row_{r0+i}[g][u], col_{c0+j}[g][v])``, shape (r1 - r0, a,
-        c1 - c0, a). The row videos are split evenly into tiles of at
-        least ``_TILE_ROWS`` kernel rows (all of them when there are
-        fewer), and each row tile's columns into tiles of at most
-        ``_BLOCK_ELEMENTS / stack`` elements, at least one column video
-        wide, so that a consumer may stack ``stack`` of them. A one-set
-        cache starts the column tiles of row tile ``r0:r1`` at ``c0 =
-        r0``, else at 0. Every tile is written to one :class:`_TileBuffer`:
-        it is valid only until the next one is requested, and ``tiles`` is
-        read to its end before the next position."""
+        c1 - c0, a). The row videos are split evenly into tiles of at least
+        ``_TILE_ROWS`` kernel rows (all of them when there are fewer), and
+        each row tile's columns into tiles of at most ``_BLOCK_ELEMENTS /
+        stack`` elements, at least one column video wide, so that a
+        consumer may stack ``stack`` of them. A one-set cache starts the
+        column tiles of row tile ``r0:r1`` at ``c0 = r0``, else at 0.
+        Every tile is written to one :class:`_TileBuffer`: it is valid only
+        until the next one is requested, and ``tiles`` is read to its end
+        before the next position."""
         nr, nc, d = self.rows.shape[0], self.cols.shape[0], self.rows.shape[2]
-        cols = [self.cols[:, g].reshape(-1, d) for g in groups]
+        cols = [(self.cols[:, g] if isinstance(g, slice) else np.take(
+            self.cols, g, axis=1)).reshape(-1, d) for g in groups]
         # squared norms in row chunks of about one block each
         cols_sq = [np.concatenate([
             np.sum(p * p, axis=-1)
@@ -536,24 +539,6 @@ class NodeKernelCache:
             self._cross = out
         return self._cross
 
-    def _placed(self, r0: int, r1: int, c0: int, c1: int, packed: bool):
-        """Yield ``(dest, src)``: where a tile of the video pairs ``r0:r1``
-        x ``c0:c1`` goes in a table of :meth:`_empty_table`, ``table[dest]
-        = tile[src]`` with ``dest`` a tuple of slices. In a (rows, cols,
-        width) table that is the whole tile at ``[r0:r1, c0:c1]``; over
-        one tree set, whose tiles cover the upper triangle, a diagonal
-        tile's pairs j < i then land in the lower triangle, which the
-        caller mirrors over. In a ``packed`` table it is each tile row's
-        pairs ``(i, j)`` with ``j >= i``, at their rows of the packed
-        table, one slice per row video."""
-        if not packed:
-            yield (slice(r0, r1), slice(c0, c1)), ...
-            return
-        n = self.rows.shape[0]
-        for i in range(r0, min(r1, c1)):
-            j0, at = max(c0, i), _pair_start(i, n) - i
-            yield (slice(at + j0, at + c1),), (i - r0, slice(j0 - c0, None))
-
     def level_table(self, tie: np.ndarray, variant: str) -> np.ndarray:
         """The variant's node kernels of a one-set cache with each node
         axis contracted with ``tie``, shape (nodes, k): a pair-major table
@@ -584,49 +569,67 @@ class NodeKernelCache:
     def _contract(self, tie: np.ndarray, variant: str,
                   out: np.ndarray) -> np.ndarray:
         """Write :meth:`level_table`'s entries for ``tie`` to ``out``, a
-        table of :meth:`_empty_table`, packed when it is 2-d, and return
-        it: zeros, with no kernel computed, when every ``tie`` row is
-        zero. At each tile position, placed once, concatenation adds each
-        weighted node's tile into the levels where ``tie`` is non-zero;
+        table of :meth:`_empty_table`, and return it: zeros, with no kernel
+        computed, when every ``tie`` row is zero. Each tile position is
+        reduced to one tile, in one reused buffer, that :meth:`_place`
+        writes once: concatenation sums the weighted nodes' one-node tiles
+        in node order, from zeros, into the levels ``tie`` weighs them in;
         averaging contracts the weighted nodes' tile on the column-node
-        axis, then on the row-node one, and stores its ``_packed_sym``."""
-        packed = out.ndim == 2
+        axis, then on the row-node one, and packs it (``_packed_sym``)."""
         held = np.flatnonzero(tie.any(axis=1))
         if not held.size:
             out.fill(0.0)
             return out
-        if canonical_variant(variant) == CONCATENATION:
-            out.fill(0.0)
-            one_node = [slice(m, m + 1) for m in held]
-            for r0, r1, c0, c1, tiles in self._cross_blocks(one_node):
-                placed = list(self._placed(r0, r1, c0, c1, packed))
-                for node, tile in zip(held, tiles):
-                    for level in np.flatnonzero(tie[node]):
-                        part = tile[:, 0, :, 0] * tie[node, level]
-                        for dest, src in placed:
-                            # in place through a view: out[...] += would
-                            # also write the view back
-                            into = out[dest + (level,)]
-                            into += part[src]
-                        # freed before the next tile is made
-                        del part
-            return out
-        k = tie.shape[1]
-        if held.size == self.nodes:
-            held = slice(None)
-        tie = tie[held]
-        for r0, r1, c0, c1, (tile,) in self._cross_blocks([held]):
-            r, a, c, m = tile.shape
-            # (r, a, c, m) -> (r, a, c * k) -> (r, k, c * k) -> (r, c, k, k)
-            partial = (tile.reshape(-1, m) @ tie).reshape(r, a, c * k)
-            square = np.matmul(tie.T, partial).reshape(
-                r, k, c, k).transpose(0, 2, 1, 3)
-            reduced = _packed_sym(square)
-            for dest, src in self._placed(r0, r1, c0, c1, packed):
-                out[dest] = reduced[src]
-            # freed before the next tile is made
-            del partial, square, reduced
+        k, buffer = tie.shape[1], _TileBuffer()
+        aligned = canonical_variant(variant) == CONCATENATION
+        if aligned:
+            groups = [slice(m, m + 1) for m in held]
+        else:
+            groups = [slice(None) if held.size == self.nodes else held]
+            tie = tie[groups[0]]
+        for r0, r1, c0, c1, tiles in self._cross_blocks(groups):
+            reduced = buffer.view(r1 - r0, c1 - c0, out.shape[-1])
+            if aligned:
+                reduced.fill(0.0)
+                for tile, node in zip(tiles, held):
+                    *first, last = np.flatnonzero(tie[node])
+                    kernels = tile[:, 0, :, 0]
+                    for level in first:
+                        into = reduced[..., level]
+                        into += kernels * tie[node, level]
+                    # the last level scales the stream's tile in place
+                    kernels *= tie[node, last]
+                    into = reduced[..., last]
+                    into += kernels
+                del kernels, into
+            else:
+                (tile,) = tiles
+                r, a, c, m = tile.shape
+                # (r, a, c, m) -> (r, a, c k) -> (r, k, c k) -> (r, c, k, k)
+                partial = (tile.reshape(-1, m) @ tie).reshape(r, a, c * k)
+                square = np.matmul(tie.T, partial).reshape(r, k, c, k)
+                _packed_sym(square.transpose(0, 2, 1, 3), reduced)
+                del partial, square
+            self._place(out, r0, r1, c0, c1, reduced)
+            # drop the views: growing a buffer a view holds keeps two copies
+            del reduced, tile
         return out
+
+    def _place(self, out: np.ndarray, r0: int, r1: int, c0: int, c1: int,
+               tile: np.ndarray) -> None:
+        """Write ``tile``, the entries of the video pairs ``r0:r1`` x
+        ``c0:c1``, into ``out``, a table of :meth:`_empty_table`: the one
+        writer of both layouts. A (rows, cols, width) table takes it whole
+        at ``[r0:r1, c0:c1]`` (over one tree set the caller mirrors over a
+        diagonal tile's pairs j < i); a packed one takes each tile row's
+        pairs j >= i, one slice per row video (:func:`_pair_start`)."""
+        if out.ndim == 3:
+            out[r0:r1, c0:c1] = tile
+            return
+        n = self.rows.shape[0]
+        for i in range(r0, min(r1, c1)):
+            j0, at = max(c0, i), _pair_start(i, n) - i
+            out[at + j0:at + c1] = tile[i - r0, j0 - c0:]
 
     def combined(self, beta: np.ndarray, variant: str) -> np.ndarray:
         """Combined-kernel values, shape (rows, cols): ``level_table``'s

@@ -61,20 +61,17 @@ SUPPORT_FILE = "support.npy"
 class PipelineConfig(PoolConfig):
     """A training run's configuration: how its stream is pooled
     (:class:`PoolConfig`), then the combine variant, the kernel and its
-    bandwidth (a number, or ``"median"`` for :func:`median_gamma`), and
-    the seed, which only draws a random ``--beta-init`` start: the
-    median bandwidth takes no random sample."""
+    bandwidth (a number, or ``"median"`` for :func:`median_gamma`, which
+    takes no random sample). The seed of a random ``--beta-init`` start
+    belongs to the route's config (``EmConfig``, ``ContrastiveConfig``)."""
 
     variant: str = AVERAGING
     kernel_kind: str = "rbf"
     gamma: float | str = "median"
-    seed: int = 0
 
     def __post_init__(self):
         super().__post_init__()
         object.__setattr__(self, "variant", canonical_variant(self.variant))
-        if self.seed < 0:
-            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if isinstance(self.gamma, str) and self.gamma != "median":
             raise ValidationError("gamma must be a number or 'median'")
         # the kernel's own rules; 1.0 stands in for the median bandwidth
@@ -93,15 +90,15 @@ def resolve_gamma(trees: list[PooledTree], cfg: PipelineConfig) -> KernelConfig:
 
 def build_artifact(cfg: PipelineConfig, route: str, kernel_cfg: KernelConfig,
                    svm_cfg: TrainConfig, beta: np.ndarray, model: SvmModel,
-                   manifest: DatasetManifest, trees: list[PooledTree]
-                   ) -> tuple[dict, np.ndarray]:
-    """Assemble the JSON-serializable trained-model artifact and its
-    support rows, from the model's training ``trees`` (every node):
-    ``support_videos`` lists the videos with a positive ``alpha`` in some
-    class, in order of first appearance over the classes, and row k of
-    the (support videos, weighted nodes, dim) float64 rows holds video
-    k's pooled vectors at the nodes with non-zero ``beta``, the only
-    ones scoring reads."""
+                   manifest: DatasetManifest, trees: list[PooledTree],
+                   seed: int) -> tuple[dict, np.ndarray]:
+    """Assemble the JSON-serializable trained-model artifact, which keeps
+    the route config's ``seed``, and its support rows, from the model's
+    training ``trees`` (every node): ``support_videos`` lists the videos
+    with a positive ``alpha`` in some class, in order of first appearance
+    over the classes, and row k of the (support videos, weighted nodes,
+    dim) float64 rows holds video k's pooled vectors at the nodes with
+    non-zero ``beta``, the only ones scoring reads."""
     hierarchy = Hierarchy(cfg.depth)
     beta = check_on_simplex(beta)
     beta_doc = {f"{l}:{k}": float(b)
@@ -130,7 +127,7 @@ def build_artifact(cfg: PipelineConfig, route: str, kernel_cfg: KernelConfig,
                        "gamma": kernel_cfg.gamma},
             "feature_norm": cfg.feature_norm,
             "node_norm": cfg.node_norm,
-            "seed": cfg.seed,
+            "seed": seed,
             # null is the hard margin: JSON has no infinity
             "svm": {"c_box": svm_cfg.c_box if math.isfinite(svm_cfg.c_box)
                     else None,
@@ -409,7 +406,7 @@ def train_em_route(manifest: DatasetManifest, root: str, cfg: PipelineConfig,
     result = em_fit(trees, labels, cfg.variant, kernel_cfg, em_cfg, svm_cfg)
     artifact, support = build_artifact(cfg, "em", kernel_cfg, svm_cfg,
                                        result.beta, result.model, manifest,
-                                       trees)
+                                       trees, em_cfg.seed)
     rows = [[i, float(v), _entropy(b)] for i, (v, b) in
             enumerate(zip(result.objective_trace, result.beta_trace))]
     return TrainOutput(artifact, support,
@@ -435,7 +432,7 @@ def train_dmkl_route(manifest: DatasetManifest, root: str,
                       kernel_cfg, svm_cfg)
     artifact, support = build_artifact(cfg, "dmkl", kernel_cfg, svm_cfg,
                                        result.weights.beta, result.model,
-                                       manifest, trees)
+                                       manifest, trees, contrastive_cfg.seed)
     rows = [[i, float(v)] for i, v in enumerate(result.loss_trace)]
     return TrainOutput(artifact, support, ["iteration", "loss"], rows,
                        {"iterations": len(rows) - 1, "final_loss": rows[-1][1],

@@ -823,6 +823,22 @@ class TestNodeKernelCache:
             np.testing.assert_array_equal(got, 0.0)
         assert evaluated == []
 
+    @pytest.mark.parametrize("dim", [4, 128])
+    def test_concatenation_levels_sum_alike_in_any_table(self, rng,
+                                                         small_tiles, dim):
+        # a node that weighs two levels, a zero row, and levels reduced
+        # together or one per table: each level's column has the same bits
+        cache = NodeKernelCache(random_trees(rng, n=9, depth=3, dim=dim),
+                                RBF)
+        tie = rng.random((7, 3)) * Hierarchy(3).level_matrix
+        tie[2, 2] = 0.25
+        tie[4] = 0.0
+        table = cache.level_table(tie, CONCATENATION)
+        for level in range(3):
+            np.testing.assert_array_equal(
+                table[:, level],
+                cache.level_table(tie[:, [level]], CONCATENATION)[:, 0])
+
     def test_one_set_cross_mirrors_two_set_cross(self, rng, small_tiles):
         # a one-set cache computes the upper triangle of video pairs and
         # fills the rest from its mirror; a two-set cache over the same
@@ -1080,6 +1096,19 @@ class TestCrossMemory:
         beta = to_simplex(rng.standard_normal(3))
         peak = self.peak_bytes(lambda: cache.combined(beta, variant))
         assert peak <= n * n * 8 + 3 * kernels._BLOCK_ELEMENTS * 8
+
+    def test_sparse_beta_gathers_held_columns_once(self, rng):
+        # 600 trees at dim 128, 8 of 15 nodes weighted: beside the n x n
+        # values, the weighted nodes of every column tree in one copy (4.7
+        # MiB) and tiles; not a fancy-indexed copy laid out (nodes, videos,
+        # dim) and copied again into rows (9.4 MiB)
+        n = 600
+        cache = NodeKernelCache(random_trees(rng, n=n, depth=4, dim=128),
+                                RBF)
+        beta = np.zeros(self.NODES)
+        beta[::2] = to_simplex(rng.standard_normal(8))
+        peak = self.peak_bytes(lambda: cache.combined(beta, AVERAGING))
+        assert peak - n * n * 8 < 6 * 2 ** 20
 
     def test_median_gamma_squares_in_blocks(self, rng):
         # 60 trees of 4,096-d node vectors: the stacked trees and a few

@@ -95,7 +95,7 @@ class TestTrainingOutputs:
         monkeypatch.setattr(svm, "solve_dual", spy)
         result = getattr(pipeline, route)(
             load_manifest(manifest), str(manifest.parent),
-            pipeline.PipelineConfig(depth=3, variant="avg", seed=3),
+            pipeline.PipelineConfig(depth=3, variant="avg"),
             route_cfg, svm.TrainConfig())
         # every dual solve is counted, the alternating route's candidates
         # included; its 3 classes are solved once per Gram matrix
@@ -114,6 +114,20 @@ class TestTrainingOutputs:
             == result.summary
         assert json.loads((workspace / run / "model.json").read_text()) \
             == result.artifact
+
+    @pytest.mark.parametrize("route, route_cfg", [
+        ("train_em_route", EmConfig(max_iters=0, beta_init="random",
+                                    seed=7)),
+        ("train_dmkl_route", ContrastiveConfig(iterations=0,
+                                               beta_init="random", seed=7))])
+    def test_route_records_its_route_config_seed(self, workspace, route,
+                                                 route_cfg):
+        # the seed that drew the random start is the one model.json keeps
+        manifest = workspace / "data" / "manifest.jsonl"
+        result = getattr(pipeline, route)(
+            load_manifest(manifest), str(manifest.parent),
+            pipeline.PipelineConfig(depth=2), route_cfg, svm.TrainConfig())
+        assert result.artifact["config"]["seed"] == 7
 
     def test_trace_csv_headers(self, workspace):
         em_first = (workspace / "em_a" / "trace.csv").read_text().splitlines()
