@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .choices import CONCATENATION
 from .errors import ShapeMismatch, TooFewVideos, ValidationError
 from .hierarchy import PooledTree
 from .kernels import (
@@ -36,6 +37,7 @@ from .kernels import (
     GramMatrix,
     KernelConfig,
     NodeKernelCache,
+    _packed_sym,
     _pair_of,
     _pair_start,
     canonical_variant,
@@ -192,42 +194,53 @@ def pair_moments(cache: NodeKernelCache, labels: np.ndarray, variant: str,
 
 
 def _pair_rows(cache: NodeKernelCache, labels: np.ndarray, variant: str):
-    """Yield ``(pos, rows)``: whether each pair i < j is positive, and its
-    row ``tile[i - r0, j - c0]`` of a ``cache.table_blocks`` tile, row by
-    row, from whole tiles until a batch holds at least ``_MOMENT_PANEL``
-    pairs (the last batch may hold fewer). A tile wholly above the
-    diagonal that makes a batch alone is yielded as its rows, a view of
-    the stream's reused tile, valid until the next batch is requested; a
-    batch of several tiles is joined from copies of them."""
+    """Yield ``(pos, rows)``: whether each pair i < j of a one-set cache
+    is positive, and its row of the variant's node table, q =
+    ``len(node_weights)`` entries, row by row, from whole tile positions
+    until a batch holds at least ``_MOMENT_PANEL`` pairs (the last batch
+    may hold fewer). Each position of ``cache._cross_blocks`` is written
+    to a new C-contiguous (rows, cols, q) table: concatenation puts each
+    one-node group's tile in its node's column, on the grid narrowed by
+    the node count, averaging packs its one group's symmetrized cross
+    kernels (``_packed_sym``). The rows are that table's pairs above the
+    diagonal, so every batch is C-contiguous: the layout that keeps the
+    bits of ``b``'s product."""
+    if cache.cols is not cache.rows:
+        raise ShapeMismatch("pair rows need a single tree set")
+    if variant == CONCATENATION:
+        groups = [slice(m, m + 1) for m in range(cache.nodes)]
+    else:
+        groups = [slice(None)]
+    q = node_weights(np.ones(cache.nodes), variant).size
     batch = []
-    for r0, c0, tile in cache.table_blocks(variant):
-        r1, c1 = r0 + tile.shape[0], c0 + tile.shape[1]
+    for r0, r1, c0, c1, tiles in cache._cross_blocks(groups, len(groups)):
+        table = np.empty((r1 - r0, c1 - c0, q))
+        if variant == CONCATENATION:
+            for m, tile in enumerate(tiles):
+                table[:, :, m] = tile[:, 0, :, 0]
+        else:
+            (tile,) = tiles
+            _packed_sym(tile.transpose(0, 2, 1, 3), table)
         same = labels[r0:r1, None] == labels[None, c0:c1]
         if c0 >= r1:
-            pos, rows = same.ravel(), tile.reshape(-1, tile.shape[-1])
+            batch.append((same.ravel(), table.reshape(-1, q)))
         else:
             upper = np.arange(c0, c1) > np.arange(r0, r1)[:, None]
-            pos, rows = same[upper], tile[upper]
-        if not batch and pos.size >= _MOMENT_PANEL:
-            yield pos, rows
-        else:
-            # kept past the next tile, which overwrites this one
-            if np.may_share_memory(rows, tile):
-                rows = rows.copy()
-            batch.append((pos, rows))
-            if sum(p.size for p, _ in batch) >= _MOMENT_PANEL:
-                yield _joined(batch)
-        # dropped before the next tile is made
-        del same, pos, rows
+            batch.append((same[upper], table[upper]))
+        # dropped before the next position's table is made
+        del same, table
+        if sum(p.size for p, _ in batch) >= _MOMENT_PANEL:
+            yield _joined(batch)
     if batch:
         yield _joined(batch)
 
 
 def _joined(batch: list) -> tuple[np.ndarray, np.ndarray]:
-    """The ``(pos, rows)`` of a batch of tiles joined, with ``batch``
-    emptied so that its parts are freed before the joined batch is
-    used."""
-    joined = tuple(map(np.concatenate, zip(*batch)))
+    """The ``(pos, rows)`` of a batch of tile positions joined, or of its
+    one position as it is, with ``batch`` emptied so that its parts are
+    freed before the joined batch is used."""
+    joined = (batch[0] if len(batch) == 1
+              else tuple(map(np.concatenate, zip(*batch))))
     batch.clear()
     return joined
 

@@ -29,13 +29,15 @@ with the weights is one matrix-vector product.
 The node kernels come from one stream of tiles of row videos by column
 videos, each reduced as it is made; no route holds the node kernels of
 every video pair whole. At each tile position the stream makes one tile
-per node group in turn, in one reused buffer: concatenation reads its
-aligned kernels as one-node groups, averaging its cross kernels as one
-group. A tile spans at least ``_TILE_ROWS`` kernel rows, so each kernel
-product has a panel shape BLAS runs at full rate, and as many column
-videos as keep it within ``_BLOCK_ELEMENTS``. Every product is a general
-matrix product of a copied row panel, so a value's bits do not depend on
-which nodes the trees hold or which weights are zero. There is one reducer,
+per node group in turn, in one array it allocates once: concatenation
+reads its aligned kernels as one-node groups, averaging its cross
+kernels as one group. Each consumer reduces a tile into arrays of its
+own before the next one is made. A tile spans at least ``_TILE_ROWS``
+kernel rows, so each kernel product has a panel shape BLAS runs at full
+rate, and as many column videos as keep it within ``_BLOCK_ELEMENTS``.
+Every product is a general matrix product of a copied row panel, so a
+value's bits do not depend on which nodes the trees hold or which
+weights are zero. There is one reducer,
 ``level_table(tie, variant)``: it contracts each node axis with
 ``tie``, evaluating only the nodes whose ``tie`` row is non-zero. The
 alternating route ties the node weights per level, ``beta = M gamma``,
@@ -46,7 +48,7 @@ That level table is the largest table any route allocates, and the
 cache refuses one above ``_DENSE_LIMIT`` elements with a
 :class:`ValidationError`. Contrastive training reads the node table
 itself, (rows, cols, nodes) or (rows, cols, nodes * (nodes + 1) / 2),
-only in tiles.
+only in tiles, each written to a new array at its tile position.
 
 Over one tree set (training) the node kernels are symmetric,
 ``kappa(a_im, a_ju) = kappa(a_ju, a_im)``, so the row videos ``r0:r1``
@@ -202,8 +204,8 @@ def _kernel_matrix(X: np.ndarray, Y: np.ndarray, cfg: KernelConfig,
                    out: np.ndarray | None = None) -> np.ndarray:
     """Pairwise kappa between rows of X (..., a, d) and rows of Y
     (..., b, d), shape (..., a, b), written to ``out`` when given (a
-    stream's reused tile buffer) and else to a new array. The product
-    goes into the output, and the rbf kernel turns it into distances
+    view of a stream's one tile array) and else to a new array. The
+    product goes into the output, and the rbf kernel turns it into distances
     and kernel values in place, ``_KERNEL_CHUNK`` elements of rows at a
     time, so its only other array is one chunk of ``x_sq + y_sq``: the
     squared row norms of Y are computed here unless a caller that reuses
@@ -225,24 +227,6 @@ def _kernel_matrix(X: np.ndarray, Y: np.ndarray, cfg: KernelConfig,
         part *= -cfg.gamma
         np.exp(part, out=part)
     return out
-
-
-class _TileBuffer:
-    """One flat float64 array that a stream reuses for every tile it
-    yields, so that making a tile allocates nothing once the largest
-    tile so far has been made: ``view(shape)`` is a view of its start,
-    and grows the array first when it is too small. A tile written to
-    it is valid only until the stream writes the next one."""
-
-    def __init__(self):
-        self._flat = np.empty(0)
-
-    def view(self, *shape: int) -> np.ndarray:
-        size = math.prod(shape)
-        if self._flat.size < size:
-            del self._flat      # let go first: two are never held at once
-            self._flat = np.empty(size)
-        return self._flat[:size].reshape(shape)
 
 
 def stack_trees(trees: list[PooledTree]) -> tuple[np.ndarray, list[str]]:
@@ -376,19 +360,19 @@ class NodeKernelCache:
     Every consumer reads the one stream that computes node kernels,
     ``_cross_blocks(groups, stack)``, which makes each node group's tile
     of a tile position in turn, each a general matrix product, in one
-    buffer that it reuses; each consumer reduces a tile as it is made. So
-    a yielded tile, of ``_cross_blocks`` or of ``table_blocks``, is valid
-    only until the next one is requested. ``level_table(tie, variant)``
-    contracts each node axis with ``tie`` into a fixed table, from the
-    nodes whose ``tie`` row is non-zero only, and ``combined(beta,
-    variant)`` writes the same contraction at ``tie = beta[:, None]`` as
-    (rows, cols) values; both reduce each tile position to one tile and
-    write it once (``_place``). ``table_blocks`` yields the variant's
-    node table one tile at a time: the aligned kernels ``kappa(row_i[m],
-    col_j[m])`` of every node, read as one-node groups, or the packed
-    symmetrized cross kernels ``kappa(row_i[m], col_j[n])``, read as one
-    group. So a run holds at most one table, and beside it tiles. Every
-    table is refused above ``_DENSE_LIMIT`` elements before allocation.
+    array that it allocates once; a yielded tile is valid only until the
+    next one is requested, so each consumer reduces it as it is made,
+    into arrays of its own. ``level_table(tie, variant)`` contracts each
+    node axis with ``tie`` into a fixed table, from the nodes whose
+    ``tie`` row is non-zero only, and ``combined(beta, variant)`` writes
+    the same contraction at ``tie = beta[:, None]`` as (rows, cols)
+    values; both reduce each tile position to one new tile and write it
+    once (``_place``). Contrastive training
+    (:func:`treemkl.dmkl._pair_rows`) writes each position's node table,
+    the aligned kernels of every node or the packed symmetrized cross
+    kernels, to a new tile of its own. So a run holds at most one table,
+    and beside it tiles. Every table is refused above ``_DENSE_LIMIT``
+    elements before allocation.
     ``cross()`` and ``pair_blocks`` are test oracles that no route calls.
     The trees are stacked by :func:`stack_trees`, which copies none that
     :func:`treemkl.loading.load_trees` loaded.
@@ -459,9 +443,11 @@ class NodeKernelCache:
         stack`` elements, at least one column video wide, so that a
         consumer may stack ``stack`` of them. A one-set cache starts the
         column tiles of row tile ``r0:r1`` at ``c0 = r0``, else at 0.
-        Every tile is written to one :class:`_TileBuffer`: it is valid only
-        until the next one is requested, and ``tiles`` is read to its end
-        before the next position."""
+        Every tile is a view of one flat array, allocated once at the size
+        of the grid's largest tile: it is valid only until the next one is
+        requested, and ``tiles`` is read to its end before the next
+        position. A consumer that keeps values past that writes them to
+        arrays of its own."""
         nr, nc, d = self.rows.shape[0], self.cols.shape[0], self.rows.shape[2]
         cols = [(self.cols[:, g] if isinstance(g, slice) else np.take(
             self.cols, g, axis=1)).reshape(-1, d) for g in groups]
@@ -473,7 +459,7 @@ class NodeKernelCache:
         a = cols[0].shape[0] // nc
         count = max(1, nr // -(-_TILE_ROWS // a))
         width = max(1, _BLOCK_ELEMENTS // (-(-nr // count) * a * a * stack))
-        buffer = _TileBuffer()
+        buffer = np.empty(-(-nr // count) * a * min(width, nc) * a)
 
         def tiles(r0, r1, c0, c1):
             for g, flat, sq in zip(groups, cols, cols_sq):
@@ -482,7 +468,8 @@ class NodeKernelCache:
                 # BLAS would run as a symmetric rank-k update and round
                 # otherwise; dropped before the yield: one panel at a time
                 x = self.rows[r0:r1, g].reshape(-1, d).copy()
-                tile = buffer.view(x.shape[0], (c1 - c0) * a)
+                shape = x.shape[0], (c1 - c0) * a
+                tile = buffer[:math.prod(shape)].reshape(shape)
                 _kernel_matrix(x, flat[c0 * a:c1 * a], self.cfg,
                                sq[c0 * a:c1 * a], tile)
                 del x
@@ -493,35 +480,6 @@ class NodeKernelCache:
             for c0 in range(r0 if self.cols is self.rows else 0, nc, width):
                 c1 = min(c0 + width, nc)
                 yield r0, r1, c0, c1, tiles(r0, r1, c0, c1)
-
-    def table_blocks(self, variant: str):
-        """Yield ``(r0, c0, tile)``: the variant's pair-major node table of
-        a one-set cache over the upper triangle of video pairs, one tile
-        of at most ``_BLOCK_ELEMENTS`` elements (unless one column video
-        wide) at a time and never held whole, pair (i, j) at ``tile[i -
-        r0, j - c0]``, shape (row videos, col videos, q), q =
-        ``node_weights``' length. Concatenation copies each one-node
-        group's tile into its node's column, ``tile[..., m] =
-        kappa(row_i[m], col_j[m])``, q = nodes; averaging packs its one
-        group's symmetrized cross kernels (``_packed_sym``), q = nodes *
-        (nodes + 1) / 2. Every tile is written to one reused buffer: it is
-        valid only until the next one is requested."""
-        if self.cols is not self.rows:
-            raise ShapeMismatch("table_blocks needs a single tree set")
-        buffer = _TileBuffer()
-        if canonical_variant(variant) == CONCATENATION:
-            one_node = [slice(m, m + 1) for m in range(self.nodes)]
-            for r0, r1, c0, c1, tiles in self._cross_blocks(one_node,
-                                                            self.nodes):
-                out = buffer.view(r1 - r0, c1 - c0, self.nodes)
-                for m, tile in enumerate(tiles):
-                    out[:, :, m] = tile[:, 0, :, 0]
-                yield r0, c0, out
-            return
-        q = self.nodes * (self.nodes + 1) // 2
-        for r0, r1, c0, c1, (tile,) in self._cross_blocks([slice(None)]):
-            yield r0, c0, _packed_sym(tile.transpose(0, 2, 1, 3),
-                                      buffer.view(r1 - r0, c1 - c0, q))
 
     def cross(self) -> np.ndarray:
         """The whole cross tensor, built once and kept, each tile copied
@@ -551,8 +509,8 @@ class NodeKernelCache:
         as its ``_packed_sym``, k * (k + 1) / 2 entries. Since ``T[j, i]``
         equals ``T[i, j]``, the table holds each unordered video pair
         once, (n * (n + 1) / 2, entries), packed (:func:`_pair_start`).
-        A two-set cache is refused, as ``table_blocks`` refuses one, and
-        so is a table above ``_DENSE_LIMIT`` elements, before allocation."""
+        A two-set cache is refused, and so is a table above
+        ``_DENSE_LIMIT`` elements, before allocation."""
         if self.cols is not self.rows:
             raise ShapeMismatch("level_table needs a single tree set")
         tie = np.asarray(tie, dtype=np.float64)
@@ -571,16 +529,17 @@ class NodeKernelCache:
         """Write :meth:`level_table`'s entries for ``tie`` to ``out``, a
         table of :meth:`_empty_table`, and return it: zeros, with no kernel
         computed, when every ``tie`` row is zero. Each tile position is
-        reduced to one tile, in one reused buffer, that :meth:`_place`
-        writes once: concatenation sums the weighted nodes' one-node tiles
-        in node order, from zeros, into the levels ``tie`` weighs them in;
-        averaging contracts the weighted nodes' tile on the column-node
-        axis, then on the row-node one, and packs it (``_packed_sym``)."""
+        reduced to one new tile, which :meth:`_place` writes once and which
+        is dropped before the next position's is made: concatenation sums
+        the weighted nodes' one-node tiles in node order, from zeros, into
+        the levels ``tie`` weighs them in; averaging contracts the weighted
+        nodes' tile on the column-node axis, then on the row-node one, and
+        packs it (``_packed_sym``)."""
         held = np.flatnonzero(tie.any(axis=1))
         if not held.size:
             out.fill(0.0)
             return out
-        k, buffer = tie.shape[1], _TileBuffer()
+        k = tie.shape[1]
         aligned = canonical_variant(variant) == CONCATENATION
         if aligned:
             groups = [slice(m, m + 1) for m in held]
@@ -588,7 +547,7 @@ class NodeKernelCache:
             groups = [slice(None) if held.size == self.nodes else held]
             tie = tie[groups[0]]
         for r0, r1, c0, c1, tiles in self._cross_blocks(groups):
-            reduced = buffer.view(r1 - r0, c1 - c0, out.shape[-1])
+            reduced = np.empty((r1 - r0, c1 - c0, out.shape[-1]))
             if aligned:
                 reduced.fill(0.0)
                 for tile, node in zip(tiles, held):
@@ -611,8 +570,8 @@ class NodeKernelCache:
                 _packed_sym(square.transpose(0, 2, 1, 3), reduced)
                 del partial, square
             self._place(out, r0, r1, c0, c1, reduced)
-            # drop the views: growing a buffer a view holds keeps two copies
-            del reduced, tile
+            # dropped before the next position's is made: one at a time
+            del reduced
         return out
 
     def _place(self, out: np.ndarray, r0: int, r1: int, c0: int, c1: int,
@@ -639,8 +598,8 @@ class NodeKernelCache:
         which is then mirrored in place (:func:`_mirror_upper`), so they
         are exactly symmetric and no packed column is held beside them;
         the values are refused above ``_DENSE_LIMIT`` before any kernel
-        is computed. Beside the values the pass holds one reused tile
-        (``_cross_blocks``) and its contraction."""
+        is computed. Beside the values the pass holds the stream's tile
+        array (``_cross_blocks``) and one position's contraction."""
         beta = self._check_beta(beta)
         values = self._contract(beta[:, None], variant, self._empty_table(
             1, "levels", False))[:, :, 0]
@@ -650,8 +609,8 @@ class NodeKernelCache:
                     variant: str) -> np.ndarray:
         """The variant's node kernels for row/row index pairs, one flat
         row per pair, computed from the feature vectors; both index
-        arrays address ``row_trees``. The per-pair oracle for the
-        streamed ``table_blocks``."""
+        arrays address ``row_trees``. The per-pair oracle for the rows
+        :func:`treemkl.dmkl._pair_rows` reads off the stream."""
         if self.cols is not self.rows:
             raise ShapeMismatch("pair_blocks needs a single tree set")
         k = _kernel_matrix(self.rows[np.asarray(i_idx)],

@@ -5,8 +5,8 @@ import pytest
 from numpy.polynomial import polynomial as P
 
 from conftest import random_trees
-from oracles import (central_difference, contrastive_loss, simplex_qp_oracle,
-                     unpack_pairs)
+from oracles import (central_difference, contrastive_loss, pack_sym,
+                     simplex_qp_oracle, unpack_pairs)
 from treemkl import dmkl, errors, kernels
 from treemkl.dmkl import (
     FW_GAP_TOL,
@@ -174,16 +174,30 @@ class TestLossGrad:
 
 def parent_rows(cache, i, j, variant):
     """``(at, rows)`` batches of the sorted pairs ``(i[at], j[at])`` and
-    their rows of node kernels, each ``cache.table_blocks`` tile's pairs
-    found by a ``searchsorted`` walk over ``i``, joined until a batch holds
-    at least ``_MOMENT_PANEL`` pairs, as ``pair_moments`` once gathered
-    them."""
+    their rows of node kernels, joined until a batch holds at least
+    ``_MOMENT_PANEL`` pairs, as ``pair_moments`` once gathered them. Each
+    tile position's node table is built from its ``_cross_blocks`` tiles:
+    concatenation stacks copies of its one-node tiles, on the grid
+    narrowed by the node count, and averaging packs its cross tile with
+    ``pack_sym``. The position's pairs are found by a ``searchsorted``
+    walk over ``i``."""
+    if variant == CONCATENATION:
+        groups = [slice(m, m + 1) for m in range(cache.nodes)]
+    else:
+        groups = [slice(None)]
     batch, size = [], 0
-    for r0, c0, tile in cache.table_blocks(variant):
-        lo, hi = np.searchsorted(i, (r0, r0 + tile.shape[0]))
-        inside = (j[lo:hi] >= c0) & (j[lo:hi] < c0 + tile.shape[1])
+    for r0, r1, c0, c1, tiles in cache._cross_blocks(groups, len(groups)):
+        if variant == CONCATENATION:
+            # copies: every tile of a position is a view of one array
+            table = np.stack([tile[:, 0, :, 0].copy() for tile in tiles],
+                             axis=-1)
+        else:
+            (tile,) = tiles
+            table = pack_sym(tile.transpose(0, 2, 1, 3))
+        lo, hi = np.searchsorted(i, (r0, r1))
+        inside = (j[lo:hi] >= c0) & (j[lo:hi] < c1)
         at = lo + np.flatnonzero(inside)
-        batch.append((at, tile[i[at] - r0, j[at] - c0]))
+        batch.append((at, table[i[at] - r0, j[at] - c0]))
         size += at.size
         if size >= dmkl._MOMENT_PANEL:
             yield tuple(map(np.concatenate, zip(*batch)))
@@ -237,17 +251,19 @@ class TestPairMoments:
             np.testing.assert_array_equal(g, w)
 
     # (_TILE_ROWS, _BLOCK_ELEMENTS) over 90 videos of 7 nodes, each grid
-    # ragged: batches that are one tile's rows as they are, a view of the
-    # stream's reused tile wholly above the diagonal or a copy of a
-    # diagonal tile's upper triangle, and batches joined from several
-    # tiles, views among them, for averaging (70, 16000) and for
-    # concatenation (14, 4000); (14, 1000) joins every batch
-    @pytest.mark.parametrize("grid", [(70, 16000), (14, 4000), (14, 1000)])
+    # ragged: batches that are one tile position's rows as they are, a
+    # view of its table wholly above the diagonal or a copy of a diagonal
+    # table's upper triangle, and batches joined from several positions,
+    # views among them, for averaging (70, 16000) and for concatenation
+    # (14, 4000); (14, 1000) joins every batch
+    GRIDS = [(70, 16000), (14, 4000), (14, 1000)]
+
+    @pytest.mark.parametrize("grid", GRIDS)
     @pytest.mark.parametrize("variant", [CONCATENATION, AVERAGING])
     def test_reused_tiles_keep_the_bits(self, rng, monkeypatch, variant,
                                         grid):
-        # a batch that held a view of the reused tile past the next tile
-        # would read the next tile's kernels
+        # a batch that held a view of the stream's one tile array past the
+        # next tile would read the next tile's kernels
         monkeypatch.setattr(kernels, "_TILE_ROWS", grid[0])
         monkeypatch.setattr(kernels, "_BLOCK_ELEMENTS", grid[1])
         trees = random_trees(rng, n=90, depth=3, dim=4)
@@ -264,6 +280,33 @@ class TestPairMoments:
             cache.combined(beta, variant),
             unpack_pairs(cache.level_table(beta[:, None], variant)[:, 0]))
 
+    @pytest.mark.parametrize("grid", GRIDS)
+    @pytest.mark.parametrize("variant", [CONCATENATION, AVERAGING])
+    def test_pair_rows_are_c_contiguous(self, rng, monkeypatch, variant,
+                                        grid):
+        # b's product reads each batch's rows as they are laid out: rows
+        # with the pair axis innermost give b other bits. Every batch is
+        # C-contiguous float64 (pairs, q), each pair once, and holds at
+        # least _MOMENT_PANEL pairs but the last
+        monkeypatch.setattr(kernels, "_TILE_ROWS", grid[0])
+        monkeypatch.setattr(kernels, "_BLOCK_ELEMENTS", grid[1])
+        cache = NodeKernelCache(random_trees(rng, n=90, depth=3, dim=4), RBF)
+        q = node_weights(np.ones(7), variant).size
+        batches = list(dmkl._pair_rows(cache, np.arange(90) % 3, variant))
+        assert sum(pos.size for pos, _ in batches) == 90 * 89 // 2
+        for k, (pos, rows) in enumerate(batches):
+            assert rows.dtype == np.float64 and rows.flags.c_contiguous
+            assert rows.shape == (pos.size, q)
+            assert pos.size >= dmkl._MOMENT_PANEL or k == len(batches) - 1
+
+    def test_pair_rows_need_one_tree_set(self, rng):
+        cache = NodeKernelCache(random_trees(rng, n=6, depth=2), RBF,
+                                random_trees(rng, n=4, depth=2))
+        for variant in (CONCATENATION, AVERAGING):
+            with pytest.raises(errors.ShapeMismatch,
+                               match="single tree set"):
+                next(dmkl._pair_rows(cache, np.arange(6) % 2, variant))
+
     def test_labels_must_match_the_videos(self, rng):
         cache = NodeKernelCache(random_trees(rng, n=6, depth=2), RBF)
         for labels in (np.arange(8) % 2 + 1, np.arange(5) % 2 + 1):
@@ -272,10 +315,10 @@ class TestPairMoments:
                 pair_moments(cache, labels, AVERAGING, None)
 
     def test_averaging_moments_peak(self, rng):
-        # the dmkl-avg shape, 140 videos of 15 nodes at dim 16: one reused
-        # kernel tile and one reused packed tile, one batch of rows and
-        # its weighted copy, A and its panel update; not a new tile per
-        # stage per tile (about 5.9 blocks)
+        # the dmkl-avg shape, 140 videos of 15 nodes at dim 16: the
+        # stream's one kernel tile array and one position's packed table,
+        # one batch of rows and its weighted copy, A and its panel update;
+        # not a new tile per stage per tile (about 5.9 blocks)
         trees = random_trees(rng, n=140, depth=4, dim=16)
         labels = np.arange(140) % 7 + 1
         cache = NodeKernelCache(trees, RBF)
@@ -306,9 +349,9 @@ class TestPairMoments:
         assert peak <= 10 * pairs + 4 * kernels._BLOCK_ELEMENTS * 8
 
     def test_pair_rows_peak_is_tiles(self, rng):
-        # 1,200 videos, 719,400 pairs, drained: the node streams' reused
-        # tiles (one block together), the reused stacked tile, a diagonal
-        # tile's gathered rows and the batch the loop still holds,
+        # 1,200 videos, 719,400 pairs, drained: the stream's one tile
+        # array (one block), one position's stacked table, a diagonal
+        # table's gathered rows and the batch the loop still holds,
         # whatever the pair count; no room for an int64 array over every
         # pair (8 bytes a pair) on any tile, nor a new tile per stage
         n = 1200

@@ -10,7 +10,8 @@ from conftest import random_trees
 from oracles import (aligned, central_difference, elementary, pack_pairs,
                      pack_sym, unpack_pairs, whole_array_kernels)
 from treemkl import errors, kernels
-from treemkl.dmkl import ContrastiveConfig, _PairTable, dmkl_fit, pair_moments
+from treemkl.dmkl import (ContrastiveConfig, _PairTable, _pair_rows, dmkl_fit,
+                          pair_moments)
 from treemkl.em import EmConfig, em_fit
 from treemkl.hierarchy import Hierarchy, PooledTree
 from treemkl.kernels import (
@@ -596,51 +597,68 @@ class TestNodeKernelCache:
                         np.testing.assert_allclose(blocks[b, p], expected,
                                                    atol=1e-12)
 
-    def test_table_blocks_pack_the_cross_tensor(self, rng, small_tiles):
-        # averaging tiles over ragged row and column tiles: the packed
-        # cross tensor of every video pair in the upper triangle
+    @staticmethod
+    def pair_rows(cache, variant):
+        """``(i, j, rows)``: ``_pair_rows`` of the labels 0, 1, 2, 0, ...
+        drained, and the pairs i < j in the order it reads them, from the
+        positions of the variant's grid (its tiles left unmade, so no
+        kernel is computed), each position's pairs row by row; checks
+        each pair's polarity and that each pair appears once."""
+        labels = np.arange(cache.rows.shape[0]) % 3
+        pos, rows = map(np.concatenate,
+                        zip(*_pair_rows(cache, labels, variant)))
+        groups = ([slice(m, m + 1) for m in range(cache.nodes)]
+                  if variant == CONCATENATION else [slice(None)])
+        i, j = [], []
+        for r0, r1, c0, c1, _ in cache._cross_blocks(groups, len(groups)):
+            ii, jj = np.meshgrid(np.arange(r0, r1), np.arange(c0, c1),
+                                 indexing="ij")
+            i.append(ii[jj > ii])
+            j.append(jj[jj > ii])
+        i, j = np.concatenate(i), np.concatenate(j)
+        np.testing.assert_array_equal(pos, labels[i] == labels[j])
+        # each pair once
+        assert sorted(zip(i, j)) == list(zip(*np.triu_indices(labels.size,
+                                                              1)))
+        return i, j, rows
+
+    def test_pair_rows_pack_the_cross_tensor(self, rng, small_tiles):
+        # averaging rows over ragged row and column tiles: the packed
+        # cross tensor of every video pair above the diagonal
         trees = random_trees(rng, n=7, depth=2)
         for cfg in (RBF, LIN):
             cache = NodeKernelCache(trees, cfg)
             want = pack_sym(cache.cross())
-            covered = np.zeros((7, 7), dtype=bool)
-            for r0, c0, tile in cache.table_blocks(AVERAGING):
-                r, c, q = tile.shape
-                assert q == 6
-                np.testing.assert_allclose(tile, want[r0:r0 + r, c0:c0 + c],
-                                           rtol=0, atol=1e-12)
-                covered[r0:r0 + r, c0:c0 + c] = True
-            assert covered[np.triu_indices(7)].all()
+            i, j, rows = self.pair_rows(cache, AVERAGING)
+            assert rows.shape == (21, 6)
+            np.testing.assert_allclose(rows, want[i, j], rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("depth", [2, 3])
-    def test_table_blocks_tile_the_aligned_table(self, rng, monkeypatch,
-                                                 depth):
-        # concatenation tiles: every node's aligned kernels stacked, within
-        # one block. Each node's row tiles hold 2, 2 and 3 of the 7 videos
-        # (at least 2 kernel rows), each against the videos from its first
-        # on, in column tiles narrowed by the node count: 4 videos wide,
-        # ragged, at depth 2 (3 nodes) and 1 at depth 3 (7 nodes). Each
-        # pair of the upper triangle is computed once, plus the 1 + 1 + 3
-        # pairs below the diagonal of the square tiles
+    def test_pair_rows_tile_the_aligned_table(self, rng, monkeypatch, depth):
+        # concatenation rows: every node's aligned kernels stacked, each
+        # tile position within one block. Each node's row tiles hold 2, 2
+        # and 3 of the 7 videos (at least 2 kernel rows), each against the
+        # videos from its first on, in column tiles narrowed by the node
+        # count: 4 videos wide, ragged, at depth 2 (3 nodes) and 1 at
+        # depth 3 (7 nodes). Each pair of the upper triangle is computed
+        # once, plus the 1 + 1 + 3 pairs below the diagonal of the square
+        # tiles
         monkeypatch.setattr(kernels, "_BLOCK_ELEMENTS", 40)
         monkeypatch.setattr(kernels, "_TILE_ROWS", 2)
         nodes = 2 ** depth - 1
         trees = random_trees(rng, n=7, depth=depth, frames=8)
         evaluated = counting_kernel_matrix(monkeypatch)
+        one_node = [slice(m, m + 1) for m in range(nodes)]
         for cfg in (RBF, LIN):
             cache = NodeKernelCache(trees, cfg)
             want = aligned(cache)
-            covered = np.zeros((7, 7), dtype=int)
             evaluated.clear()
-            for r0, c0, tile in cache.table_blocks(CONCATENATION):
-                r, c, q = tile.shape
-                assert q == nodes and tile.size <= 40
-                np.testing.assert_allclose(tile, want[r0:r0 + r, c0:c0 + c],
-                                           rtol=0, atol=1e-12)
-                covered[r0:r0 + r, c0:c0 + c] += 1
-            upper = np.triu_indices(7)
-            np.testing.assert_array_equal(covered[upper], 1)
+            i, j, rows = self.pair_rows(cache, CONCATENATION)
             assert sum(evaluated) == (28 + 5) * nodes
+            assert rows.shape == (21, nodes)
+            np.testing.assert_allclose(rows, want[i, j], rtol=0, atol=1e-12)
+            for r0, r1, c0, c1, _ in cache._cross_blocks(one_node, nodes):
+                assert (r1 - r0) * (c1 - c0) * nodes <= 40
 
     def test_cross_is_pair_major_across_tiles(self, rng, small_tiles):
         # row tiles of 2, 2 and 3 videos, each over column tiles of 3 and 2
@@ -911,7 +929,7 @@ class TestTiles:
     def test_one_node_groups_share_one_grid(self, rng, n):
         # concatenation's stream: every node a group of its own, each
         # position's tiles in node order, on the grid of one node's stream
-        # narrowed by the node count, all in one buffer
+        # narrowed by the node count, all in the stream's one tile array
         trees = random_trees(rng, n=n, depth=3, dim=2)
         one_node = [slice(m, m + 1) for m in range(7)]
         for cache in (NodeKernelCache(trees, RBF),
@@ -927,6 +945,27 @@ class TestTiles:
                 assert rest == [first] * 6
             assert starts == grid
 
+    @pytest.mark.parametrize("variant", [CONCATENATION, AVERAGING])
+    def test_one_tile_array_per_pass(self, rng, monkeypatch, variant):
+        # 61 videos of 7 nodes: averaging's grid has 30 row tiles of 2 or 3
+        # videos, concatenation's 4 of 15 or 16, each over ragged column
+        # tiles from its first video on. Every tile, the largest too, is
+        # a view of the one array the pass made its first tile in
+        monkeypatch.setattr(kernels, "_BLOCK_ELEMENTS", 1000)
+        monkeypatch.setattr(kernels, "_TILE_ROWS", 14)
+        cache = NodeKernelCache(random_trees(rng, n=61, depth=3, dim=4), RBF)
+        groups = ([slice(m, m + 1) for m in range(7)]
+                  if variant == CONCATENATION else [slice(None)])
+        heights, sizes, first = set(), set(), None
+        for r0, r1, c0, c1, tiles in cache._cross_blocks(groups,
+                                                         len(groups)):
+            heights.add(r1 - r0)
+            for tile in tiles:
+                first = tile if first is None else first
+                sizes.add(tile.size)
+                assert np.shares_memory(tile, first)
+        assert len(heights) == 2 and len(sizes) > 2
+
     @pytest.mark.parametrize("depth", [2, 3, 4])
     @pytest.mark.parametrize("n, dim, per_tile", [(6, 3, 2), (8, 16, 4),
                                                   (12, 5, 3), (12, 64, 6)])
@@ -941,7 +980,7 @@ class TestTiles:
         cache = NodeKernelCache(random_trees(rng, n=n, depth=depth, dim=dim),
                                 RBF)
         every = np.arange(m)
-        # each tile copied: the next one overwrites the stream's buffer
+        # each tile copied: the next one overwrites the stream's array
         views = [(*at, tile.copy())
                  for *at, (tile,) in cache._cross_blocks([slice(None)])]
         copies = [(*at, tile.copy())
@@ -955,7 +994,7 @@ class TestTiles:
     @pytest.mark.parametrize("chunk", [1, 50, None])
     def test_tiles_keep_the_bits_of_whole_array_kernels(self, rng,
                                                         monkeypatch, chunk):
-        # every tile, made in the stream's one buffer a chunk of rows at a
+        # every tile, made in the stream's one array a chunk of rows at a
         # time, over ragged tiles of 2 or 3 row videos of 7 nodes and 6
         # column videos, against the whole-array steps on its row panel
         # and columns; and the batched oracle path, into a new array
@@ -1088,9 +1127,9 @@ class TestCrossMemory:
 
     @pytest.mark.parametrize("variant", [CONCATENATION, AVERAGING])
     def test_one_set_combined_holds_no_packed_column(self, rng, variant):
-        # 1,000 videos: the n x n values and, beside them, one reused tile
-        # and its contraction; no n * (n + 1) / 2 packed column (about 7.6
-        # blocks here)
+        # 1,000 videos: the n x n values and, beside them, the stream's
+        # tile array and one position's contraction; no n * (n + 1) / 2
+        # packed column (about 7.6 blocks here)
         n = 1000
         cache = NodeKernelCache(random_trees(rng, n=n, depth=2, dim=4), RBF)
         beta = to_simplex(rng.standard_normal(3))
@@ -1213,18 +1252,20 @@ class TestCrossMemory:
 
     @pytest.mark.parametrize("depth", [4, 6])
     def test_concatenation_tiles_stream_in_one_buffer(self, rng, depth):
-        # 140 videos at dim 128: at each tile position every node's
-        # aligned kernels are made in turn in one reused buffer, each from
-        # its own copied row panel, and copied into the stacked tile; not
-        # a tile buffer and a row panel held per node (4.4 blocks at depth
-        # 4, 11.1 at depth 6)
+        # 140 videos at dim 128, on concatenation's grid narrowed by the
+        # node count: at each tile position every node's aligned kernels
+        # are made in turn in the stream's one tile array, each from its
+        # own copied row panel; not a tile buffer and a row panel held per
+        # node (4.4 blocks at depth 4, 11.1 at depth 6)
         cache = NodeKernelCache(random_trees(rng, n=140, depth=depth,
                                              frames=2 ** depth, dim=128),
                                 RBF)
+        one_node = [slice(m, m + 1) for m in range(cache.nodes)]
 
         def consume():
-            for _ in cache.table_blocks(CONCATENATION):
-                pass
+            for *_, tiles in cache._cross_blocks(one_node, len(one_node)):
+                for _ in tiles:
+                    pass
 
         assert self.peak_bytes(consume) < 2 * kernels._BLOCK_ELEMENTS * 8
 
