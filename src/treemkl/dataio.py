@@ -194,11 +194,11 @@ def _read_container(path: str | os.PathLike, magic: bytes,
         raise TrailingData(f"{path}: offset {need}: {len(data) - need} "
                            f"unexpected trailing bytes")
     raw = np.frombuffer(data, dtype="<f4", count=dim * count, offset=12)
-    values = raw.reshape(count, dim).astype(np.float64)
-    if not np.isfinite(values).all():
-        bad = int(np.flatnonzero(~np.isfinite(values.ravel()))[0])
+    # float32 -> float64 keeps finiteness, so the payload is checked as read
+    if not np.isfinite(raw).all():
+        bad = int(np.flatnonzero(~np.isfinite(raw))[0])
         raise NonFinite(f"{path}: offset {12 + 4 * bad}: non-finite value")
-    return values
+    return raw.reshape(count, dim).astype(np.float64)
 
 
 def _stem(path: str | os.PathLike) -> str:

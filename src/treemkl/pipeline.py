@@ -4,11 +4,11 @@ Glue between the file formats and the numerical modules: resolving
 the kernel bandwidth, running either training route, writing and
 reading the model artifact (the one owner of its format), and scoring
 test splits (single stream or two-stream fusion), on trees that
-:mod:`treemkl.loading` loads and pools. The artifact carries its
-support videos' pooled trees, so scoring pools only test videos. The
-CLI is a thin argument-parsing layer over these functions. Each
-training route imports its optimiser (``em`` or ``dmkl``) when it runs,
-so scoring never loads them.
+:mod:`treemkl.loading` loads and pools. A loaded artifact carries its
+:class:`~treemkl.svm.SvmModel` and its support videos' pooled trees,
+so scoring pools only test videos. The CLI is a thin argument-parsing
+layer over these functions. Each training route imports its optimiser
+(``em`` or ``dmkl``) when it runs, so scoring never loads them.
 """
 
 from __future__ import annotations
@@ -163,22 +163,18 @@ def save_artifact(artifact: dict, support_rows: np.ndarray,
 @dataclass(frozen=True)
 class ModelArtifact:
     """An artifact as :func:`load_artifact` checked it: ``config`` as
-    written, ``b`` and ``alpha`` rows by sorted class id; ``alpha``
-    columns, ``support_labels`` and the read-only ``support_rows``
-    follow ``support_ids``, the ``support_videos`` list. Row k of
-    ``support_rows`` holds support video k's pooled vectors at the nodes
-    ``beta`` weights."""
+    written, and the one-vs-rest ``model`` it scores with, whose
+    ``train_ids`` and ``labels`` are the ``support_videos`` list and
+    whose ``alpha`` is zero outside each class's ``support`` entries.
+    Row k of the read-only ``support_rows`` holds support video k's
+    pooled vectors at the nodes ``beta`` weights."""
 
     config: dict
     pipeline: PipelineConfig
     kernel: KernelConfig
     svm: TrainConfig
     beta: np.ndarray
-    class_ids: np.ndarray
-    b: np.ndarray
-    support_ids: list[str]
-    support_labels: np.ndarray
-    alpha: np.ndarray
+    model: SvmModel
     support_rows: np.ndarray
 
 
@@ -313,9 +309,10 @@ def load_artifact(path: str | os.PathLike) -> ModelArtifact:
         alpha[ci, j] = a
     rows = _support_rows(path, get("support_file", "a string"),
                          (len(columns), np.count_nonzero(beta)))
-    return ModelArtifact(config, cfg, kernel, svm, beta, np.array(ids),
-                         np.array(b, dtype=np.float64), list(columns),
-                         np.array(labels), alpha, rows)
+    model = SvmModel(train_ids=list(columns), labels=np.array(labels),
+                     class_ids=np.array(ids), alpha=alpha,
+                     b=np.array(b, dtype=np.float64))
+    return ModelArtifact(config, cfg, kernel, svm, beta, model, rows)
 
 
 def _support_rows(path, name: str, shape: tuple[int, int]) -> np.ndarray:
@@ -458,26 +455,22 @@ def _weighted_nodes(artifact: ModelArtifact) -> np.ndarray:
     return np.flatnonzero(artifact.beta)
 
 
-def _artifact_scores(artifact: ModelArtifact,
+def _support_columns(artifact: ModelArtifact,
                      test_trees: list[PooledTree]) -> np.ndarray:
-    """Decision scores, tests x classes in ``artifact.class_ids`` order,
-    against the artifact's support trees: read-only views of its
-    ``support_rows``, which the kernels read without copying.
-    ``test_trees`` hold the artifact's weighted nodes, as those rows
-    do."""
+    """The combined kernel, tests x support videos in
+    ``artifact.model.train_ids`` order, between ``test_trees`` and the
+    artifact's support trees: read-only views of its ``support_rows``,
+    which the kernels read without copying. ``test_trees`` hold the
+    artifact's weighted nodes, as those rows do."""
     cfg = artifact.pipeline
     nodes = _weighted_nodes(artifact)
     support_trees = [PooledTree(video_id=v, stream=cfg.stream,
                                 depth=cfg.depth, vectors=row,
                                 nodes=tuple(nodes))
-                     for v, row in zip(artifact.support_ids,
+                     for v, row in zip(artifact.model.train_ids,
                                        artifact.support_rows)]
-    model = SvmModel(
-        train_ids=artifact.support_ids, labels=artifact.support_labels,
-        class_ids=artifact.class_ids, alpha=artifact.alpha, b=artifact.b)
-    cols = kernel_columns(test_trees, support_trees, artifact.beta[nodes],
+    return kernel_columns(test_trees, support_trees, artifact.beta[nodes],
                           cfg.variant, artifact.kernel)
-    return decision_scores(model, cols)
 
 
 def _metrics(preds: np.ndarray, truth: np.ndarray,
@@ -499,12 +492,11 @@ def _metrics(preds: np.ndarray, truth: np.ndarray,
 
 def evaluate_artifact(artifact: ModelArtifact, manifest: DatasetManifest,
                       root: str) -> dict:
-    """Top-1 metrics of a trained artifact on the manifest's test split;
-    only the test videos' feature files are read."""
+    """Top-1 metrics of the artifact model's :func:`predict` on the
+    manifest's test split; only the test videos' feature files are read."""
     test_trees, truth = load_split_trees(manifest, root, artifact.pipeline,
                                          "test", _weighted_nodes(artifact))
-    scores = _artifact_scores(artifact, test_trees)
-    preds = artifact.class_ids[np.argmax(scores, axis=1)]
+    preds = predict(artifact.model, _support_columns(artifact, test_trees))
     metrics = _metrics(preds, truth, manifest.label_names)
     metrics["config"] = artifact.config
     return metrics
@@ -525,7 +517,7 @@ def _check_fusable(art_a: ModelArtifact, art_m: ModelArtifact) -> None:
         va, vm = getattr(art_a.pipeline, key), getattr(art_m.pipeline, key)
         if va != vm:
             raise ConfigMismatch(f"artifacts disagree on {key}: {va} vs {vm}")
-    if not np.array_equal(art_a.class_ids, art_m.class_ids):
+    if not np.array_equal(art_a.model.class_ids, art_m.model.class_ids):
         raise ConfigMismatch("artifacts cover different class sets")
 
 
@@ -534,11 +526,12 @@ def fuse_evaluate(art_a: ModelArtifact, art_m: ModelArtifact,
                   mode: str = "kernel-avg", weight: float = 0.5) -> dict:
     """Two-stream fusion on the test split.
 
-    ``score-avg`` mixes the two artifacts' per-class decision scores,
-    reading only the test videos' feature files. ``kernel-avg`` convexly combines the two streams' Gram matrices
-    (training and test columns alike) with each stream's own weights
-    and bandwidth, then retrains the one-vs-rest duals on the fused
-    kernel using the first artifact's solver settings.
+    ``score-avg`` mixes the two artifact models' per-class decision
+    scores, reading only the test videos' feature files. ``kernel-avg``
+    convexly combines the two streams' Gram matrices (training and test
+    columns alike) with each stream's own weights and bandwidth, then
+    retrains the one-vs-rest duals on the fused kernel using the first
+    artifact's solver settings.
     """
     if not (0.0 <= weight <= 1.0):
         raise ValidationError(f"fusion weight {weight} outside [0, 1]")
@@ -552,9 +545,11 @@ def fuse_evaluate(art_a: ModelArtifact, art_m: ModelArtifact,
             for art in (art_a, art_m))
         if [t.video_id for t in test_a] != [t.video_id for t in test_m]:
             raise ConfigMismatch("test splits differ between streams")
-        fused = (weight * _artifact_scores(art_a, test_a) +
-                 (1.0 - weight) * _artifact_scores(art_m, test_m))
-        preds = art_a.class_ids[np.argmax(fused, axis=1)]
+        scores_a, scores_m = (
+            decision_scores(art.model, _support_columns(art, test))
+            for art, test in ((art_a, test_a), (art_m, test_m)))
+        fused = weight * scores_a + (1.0 - weight) * scores_m
+        preds = art_a.model.class_ids[np.argmax(fused, axis=1)]
     else:
         preds, truth = _kernel_avg_predict(art_a, art_m, manifest, root,
                                            weight)

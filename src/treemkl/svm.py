@@ -62,9 +62,10 @@ class TrainConfig:
     def __post_init__(self):
         if not (self.c_box > 0):
             raise ValidationError(f"c_box must be positive, got {self.c_box}")
-        if not (0 < self.kkt_tol < math.inf):
+        if not (0 < self.kkt_tol < 2):
             raise ValidationError(
-                f"kkt_tol must be positive and finite, got {self.kkt_tol}")
+                f"kkt_tol must be in (0, 2), got {self.kkt_tol}: at alpha = 0 "
+                f"the KKT residual is 2, so every dual would stop untrained")
         if self.max_passes < 1:
             raise ValidationError(f"max_passes must be >= 1, got {self.max_passes}")
 

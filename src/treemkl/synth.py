@@ -164,7 +164,6 @@ def _videos(spec: SynthSpec):
     detail_scale = spec.detail_sigma / np.sqrt(spec.dim)
     train_per_class = max(1, min(spec.per_class - 1,
                                  int(round(0.7 * spec.per_class))))
-    video_seeds = iter(video_ss.spawn(spec.total))
 
     for c in range(1, spec.num_classes + 1):
         signal = {stream: _signal_profile(spec.frames, level,
@@ -172,7 +171,8 @@ def _videos(spec: SynthSpec):
                                           spec.amplitude)
                   for stream, level in plan}
         for v in range(spec.per_class):
-            rng = np.random.default_rng(next(video_seeds))
+            # children are numbered in sequence: one spawn per video
+            rng = np.random.default_rng(video_ss.spawn(1)[0])
             for stream, buf in rows.items():
                 # the operations of noise_sigma * noise + signal, in place
                 rng.standard_normal(out=buf)

@@ -84,13 +84,14 @@ class TestFeatureFileRoundtrip:
 FORMATS = ((b"GPF1", load_feature_file), (b"GPT1", load_pooled_file))
 
 
-def assert_rejected(tmp_path, exc, payload):
-    """Both loaders raise ``exc`` on their own magic followed by
-    ``payload`` (``u32 dim | u32 count | floats``)."""
+def assert_rejected(tmp_path, exc, payload, match=None):
+    """Both loaders raise ``exc``, its message matching ``match``, on
+    their own magic followed by ``payload`` (``u32 dim | u32 count |
+    floats``)."""
     for magic, load in FORMATS:
         path = tmp_path / magic.decode()
         path.write_bytes(magic + payload)
-        with pytest.raises(exc):
+        with pytest.raises(exc, match=match):
             load(path)
 
 
@@ -122,9 +123,13 @@ class TestFeatureFileErrors:
                         + b"junk")
 
     def test_nonfinite_payload(self, tmp_path):
-        assert_rejected(tmp_path, errors.NonFinite,
-                        struct.pack("<II", 1, 3)
-                        + struct.pack("<3f", 1.0, np.inf, 2.0))
+        # the first non-finite float, the second of the payload, is named
+        # by its byte offset
+        for bad in (np.inf, -np.inf, np.nan):
+            assert_rejected(tmp_path, errors.NonFinite,
+                            struct.pack("<II", 1, 3)
+                            + struct.pack("<3f", 1.0, bad, np.inf),
+                            match="offset 16: non-finite value")
 
     def test_missing_file(self, tmp_path):
         for _, load in FORMATS:

@@ -58,6 +58,15 @@ def workspace(tmp_path_factory):
     return root
 
 
+@pytest.fixture(scope="session")
+def readme_data(tmp_path_factory):
+    """The README's two-stream dataset."""
+    data = tmp_path_factory.mktemp("readme") / "data"
+    assert run_cli("gen-synth", "--out", data, "--streams", 2,
+                   "--seed", 0) == 0
+    return data
+
+
 def summary_of(workspace, run):
     return json.loads((workspace / run / "training.json").read_text())
 
@@ -69,13 +78,44 @@ class TestTrainingOutputs:
         assert art.pipeline.depth == 3 and art.config["depth"] == 3
         assert art.pipeline.variant == "averaging"
         assert art.kernel.kind == "rbf" and art.kernel.gamma > 0
-        np.testing.assert_array_equal(art.class_ids, [1, 2, 3])
+        np.testing.assert_array_equal(art.model.class_ids, [1, 2, 3])
         assert art.beta.shape == (7,) and abs(art.beta.sum() - 1.0) < 1e-9
-        assert art.b.shape == (3,)
-        assert art.alpha.shape == (3, len(art.support_ids))
-        assert len(set(art.support_ids)) == len(art.support_ids)
+        assert art.model.b.shape == (3,)
+        assert art.model.alpha.shape == (3, len(art.model.train_ids))
+        assert len(set(art.model.train_ids)) == len(art.model.train_ids)
         assert list(json.loads(path.read_text())["beta"]) == [
             "1:1", "2:1", "2:2", "3:1", "3:2", "3:3", "3:4"]
+
+    @pytest.mark.parametrize("variant", ["avg", "concat"])
+    @pytest.mark.parametrize("command, flags", [
+        ("train-dmkl", ["--stream", "appearance",
+                        "--positive-fraction", 0.5]),
+        ("train-em", ["--stream", "motion"])], ids=["dmkl", "em"])
+    def test_loaded_model_holds_the_written_entries(self, readme_data,
+                                                    tmp_path, command,
+                                                    flags, variant):
+        # README-size runs: the model load_artifact builds holds every
+        # written entry bit for bit, and zeros outside each class's support
+        assert run_cli(command, "--manifest", readme_data / "manifest.jsonl",
+                       "--out", tmp_path, "--depth", 4, "--variant",
+                       variant, *flags) == 0
+        doc = json.loads((tmp_path / "model.json").read_text())
+        model = load_artifact(tmp_path / "model.json").model
+        listed = doc["support_videos"]
+        assert model.train_ids == tuple(sv["video_id"] for sv in listed)
+        np.testing.assert_array_equal(model.labels,
+                                      [sv["label"] for sv in listed])
+        keys = sorted(doc["classes"], key=int)
+        np.testing.assert_array_equal(model.class_ids, [int(k) for k in keys])
+        column = {v: j for j, v in enumerate(model.train_ids)}
+        for ci, key in enumerate(keys):
+            written = doc["classes"][key]
+            alpha = np.zeros(model.n_train)
+            for sv in written["support"]:
+                alpha[column[sv["video_id"]]] = sv["alpha"]
+            assert written["support"]
+            assert model.alpha[ci].tobytes() == alpha.tobytes()
+            assert model.b[ci].tobytes() == np.float64(written["b"]).tobytes()
 
     @pytest.mark.parametrize("run, route, route_cfg", [
         ("em_a", "train_em_route", EmConfig(max_iters=6, seed=3)),
@@ -362,7 +402,7 @@ class TestScoringPath:
             test_trees, _ = pipeline.load_split_trees(manifest, root, cfg,
                                                       "test")
             support_trees = loading.load_trees(
-                [by_id[v] for v in art.support_ids], root, cfg)
+                [by_id[v] for v in art.model.train_ids], root, cfg)
             # the stored rows are the support videos' pooled trees at the
             # weighted nodes, bit for bit
             np.testing.assert_array_equal(
@@ -370,18 +410,19 @@ class TestScoringPath:
                 kernels.stack_trees(support_trees)[0][
                     :, np.flatnonzero(art.beta)])
             np.testing.assert_array_equal(
-                art.support_labels,
-                [by_id[v].label for v in art.support_ids])
+                art.model.labels,
+                [by_id[v].label for v in art.model.train_ids])
             cols = kernel_columns(test_trees, support_trees, art.beta,
                                   cfg.variant, art.kernel)
             ref, ref_classes = artifact_scores_oracle(
-                json.loads(path.read_text()), cols, art.support_ids,
-                np.array([by_id[v].label for v in art.support_ids]))
+                json.loads(path.read_text()), cols, art.model.train_ids,
+                np.array([by_id[v].label for v in art.model.train_ids]))
             # scoring holds only the weighted nodes of its test trees
             weighted, _ = pipeline.load_split_trees(
                 manifest, root, cfg, "test", np.flatnonzero(art.beta))
-            got = pipeline._artifact_scores(art, weighted)
-            np.testing.assert_array_equal(art.class_ids, ref_classes)
+            got = svm.decision_scores(
+                art.model, pipeline._support_columns(art, weighted))
+            np.testing.assert_array_equal(art.model.class_ids, ref_classes)
             np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
             np.testing.assert_array_equal(np.argmax(got, axis=1),
                                           np.argmax(ref, axis=1))
@@ -405,8 +446,8 @@ class TestScoringPath:
                 return out
             monkeypatch.setattr(pipeline, name, record)
 
-        # scoring's kernel columns and scores; kernel-avg's Grams and the
-        # columns it predicts from
+        # kernel columns, score-avg's scores, kernel-avg's Grams, and the
+        # columns eval and kernel-avg predict from
         spy("kernel_columns", lambda args, out: out)
         spy("decision_scores", lambda args, out: out)
         spy("train_one_vs_rest", lambda args, out: args[0].values)
@@ -447,7 +488,7 @@ class TestScoringPath:
                             lambda *a: seen.append(a[1]) or real(*a))
         evaluate_artifact(art, manifest, str(workspace / "data"))
         (support,) = seen
-        assert [t.video_id for t in support] == art.support_ids
+        assert tuple(t.video_id for t in support) == art.model.train_ids
         stacked, _ = kernels.stack_trees(support)
         # the kernels read the loaded array in place
         assert np.shares_memory(stacked, art.support_rows)
@@ -477,19 +518,20 @@ class TestScoringPath:
         manifest = load_manifest(data / "manifest.jsonl")
         by_id = {r.video_id: r for r in manifest.records}
         cols = kernel_columns([l2_tree(r) for r in manifest.split("test")],
-                              [l2_tree(by_id[v]) for v in art.support_ids],
+                              [l2_tree(by_id[v]) for v in art.model.train_ids],
                               art.beta, art.pipeline.variant, art.kernel)
         ref, _ = artifact_scores_oracle(
             json.loads((tmp_path / "m" / "model.json").read_text()), cols,
-            art.support_ids,
-            np.array([by_id[v].label for v in art.support_ids]))
+            art.model.train_ids,
+            np.array([by_id[v].label for v in art.model.train_ids]))
         test_trees, _ = pipeline.load_split_trees(manifest, str(data),
                                                   art.pipeline, "test",
                                                   np.flatnonzero(art.beta))
-        got = pipeline._artifact_scores(art, test_trees)
+        got = svm.decision_scores(
+            art.model, pipeline._support_columns(art, test_trees))
         np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
         # the stored rows are the normalized pooled trees, bit for bit
-        pooled = loading.load_trees([by_id[v] for v in art.support_ids],
+        pooled = loading.load_trees([by_id[v] for v in art.model.train_ids],
                                     str(data), art.pipeline)
         np.testing.assert_array_equal(
             art.support_rows,
@@ -520,7 +562,7 @@ class TestScoringPath:
             return pipeline.load_split_trees(manifest, root, cfg, name,
                                              held)[0]
 
-        support = [by_id[v] for v in art.support_ids]
+        support = [by_id[v] for v in art.model.train_ids]
         support_trees = loading.load_trees(support, root, cfg)
         # training gathers the stored rows from its every-node trees;
         # pooling only the weighted nodes gives the same bits
@@ -538,12 +580,8 @@ class TestScoringPath:
             weighted, loading.load_trees(support, root, cfg, nodes),
             art.beta[nodes], variant, art.kernel)
         np.testing.assert_array_equal(cols, full)
-        model = svm.SvmModel(
-            train_ids=art.support_ids,
-            labels=np.array([by_id[v].label for v in art.support_ids]),
-            class_ids=art.class_ids, alpha=art.alpha, b=art.b)
-        np.testing.assert_array_equal(pipeline._artifact_scores(art, weighted),
-                                      svm.decision_scores(model, full))
+        np.testing.assert_array_equal(pipeline._support_columns(art, weighted),
+                                      full)
         # fuse-eval's kernel-avg mode retrains on the training Gram
         np.testing.assert_array_equal(
             kernels.gram_matrix(split("train", nodes), art.beta[nodes],
@@ -569,7 +607,7 @@ class TestScoringPath:
         by_id = {r.video_id: r for r in load_manifest(
             workspace / "data" / "manifest.jsonl").records}
         roots = kernels.stack_trees(loading.load_trees(
-            [by_id[v] for v in art.support_ids], str(workspace / "data"),
+            [by_id[v] for v in art.model.train_ids], str(workspace / "data"),
             art.pipeline, [0]))[0]
         (tmp_path / "root_only").mkdir()
         root_only = tmp_path / "root_only" / "model.json"
@@ -742,9 +780,12 @@ class TestExitCodesAndWorkers:
         ("train-dmkl", "--iters", "-1", "iterations"),
         ("train-dmkl", "--positive-fraction", "1", "positive_fraction"),
         # an infinite tolerance would be written into an artifact that
-        # load_artifact refuses
+        # load_artifact refuses, and one of 2 or more into an artifact
+        # with no support video
         ("train-em", "--kkt-tol", "inf", "kkt_tol"),
-        ("train-dmkl", "--kkt-tol", "inf", "kkt_tol")])
+        ("train-dmkl", "--kkt-tol", "inf", "kkt_tol"),
+        ("train-em", "--kkt-tol", "2", "kkt_tol"),
+        ("train-dmkl", "--kkt-tol", "2", "kkt_tol")])
     def test_bad_seed_or_rate_exits_before_loading(self, workspace, tmp_path,
                                                    capsys, monkeypatch,
                                                    command, flag, value,

@@ -32,7 +32,7 @@ def random_psd_instance(rng, n, scale=1.0):
             return K, y
 
 
-@pytest.mark.parametrize("kkt_tol", [math.inf, math.nan, 0.0, -1e-6])
+@pytest.mark.parametrize("kkt_tol", [math.inf, math.nan, 0.0, -1e-6, 2.0])
 def test_train_config_needs_finite_positive_kkt_tol(kkt_tol):
     with pytest.raises(errors.ValidationError, match="kkt_tol"):
         TrainConfig(kkt_tol=kkt_tol)

@@ -7,7 +7,8 @@ import pytest
 from treemkl import errors
 from treemkl.dataio import load_feature_file
 from treemkl.hierarchy import Hierarchy, pool_sequence
-from treemkl.synth import SynthSpec, gen_dataset, gen_sequences, misalign
+from treemkl.synth import (SynthSpec, _videos, gen_dataset, gen_sequences,
+                           misalign)
 
 
 class TestSpecValidation:
@@ -183,6 +184,24 @@ class TestGenDataset:
 
         peak(2)  # first-call allocations that no size repeats
         assert peak(32) - peak(8) < 256 * 64 * 8
+
+    def test_video_seeds_are_spawned_one_at_a_time(self):
+        # a video's seed is drawn when the video is: drawing 4,000 videos
+        # peaks no higher than drawing 1,000, where one seed spawned up
+        # front per video would add about 1 MiB
+        def peak(per_class):
+            spec = SynthSpec(num_classes=2, per_class=per_class, frames=4,
+                             dim=2, signal_level=2)
+            tracemalloc.start()
+            try:
+                for _ in _videos(spec):
+                    pass
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(2)  # first-call allocations that no size repeats
+        assert peak(2000) - peak(500) < 64 * 1024
 
     def test_writes_loadable_files(self, tmp_path):
         spec = SynthSpec(num_classes=2, per_class=3, frames=16, dim=4,
