@@ -165,8 +165,10 @@ def _write_container(path: str | os.PathLike, magic: bytes,
 
 
 def _read_container(path: str | os.PathLike, magic: bytes,
-                    count_name: str) -> np.ndarray:
-    """Load and validate a container as a (count, dim) float64 array.
+                    count_name: str, build):
+    """Load and validate a container, and return ``build`` of its
+    (count, dim) float64 array: the loader's dataclass, which refuses
+    non-finite values (float32 -> float64 keeps finiteness).
 
     Errors name the file and the byte offset where the problem was
     detected; ``count_name`` says what the rows are.
@@ -194,11 +196,13 @@ def _read_container(path: str | os.PathLike, magic: bytes,
         raise TrailingData(f"{path}: offset {need}: {len(data) - need} "
                            f"unexpected trailing bytes")
     raw = np.frombuffer(data, dtype="<f4", count=dim * count, offset=12)
-    # float32 -> float64 keeps finiteness, so the payload is checked as read
-    if not np.isfinite(raw).all():
-        bad = int(np.flatnonzero(~np.isfinite(raw))[0])
-        raise NonFinite(f"{path}: offset {12 + 4 * bad}: non-finite value")
-    return raw.reshape(count, dim).astype(np.float64)
+    values = raw.reshape(count, dim).astype(np.float64)
+    try:
+        return build(values)
+    except NonFinite:
+        bad = int(np.flatnonzero(~np.isfinite(values))[0])
+        raise NonFinite(
+            f"{path}: offset {12 + 4 * bad}: non-finite value") from None
 
 
 def _stem(path: str | os.PathLike) -> str:
@@ -215,10 +219,10 @@ def load_feature_file(path: str | os.PathLike, video_id: str | None = None,
                       stream: str = "appearance") -> StreamFeatureSequence:
     """Load and validate a GPF1 feature file; ``video_id`` defaults to
     the file stem."""
-    rows = _read_container(path, GPF1_MAGIC, "frame")
     if video_id is None:
         video_id = _stem(path)
-    return StreamFeatureSequence(video_id=video_id, stream=stream, rows=rows)
+    return _read_container(path, GPF1_MAGIC, "frame", lambda rows:
+                           StreamFeatureSequence(video_id, stream, rows))
 
 
 # --- manifests ----------------------------------------------------------------

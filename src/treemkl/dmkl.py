@@ -270,6 +270,14 @@ def quartic_argmin(coeffs: np.ndarray, t_max: float) -> float:
     return float(candidates[np.argmin(np.polyval(coeffs[::-1], candidates))])
 
 
+def require_rbf(kind: str) -> None:
+    """Contrastive training's kernel rule: only the rbf kernel, whose
+    values are > 0, makes the loss quadratic in the node weights."""
+    if kind != "rbf":
+        raise ValidationError("contrastive training needs the rbf kernel, "
+                              f"got kernel {kind!r}")
+
+
 def dmkl_fit(trees: list[PooledTree], labels: np.ndarray, variant: str,
              cfg: ContrastiveConfig, kernel_cfg: KernelConfig,
              svm_cfg: TrainConfig = TrainConfig()) -> DmklResult:
@@ -279,9 +287,7 @@ def dmkl_fit(trees: list[PooledTree], labels: np.ndarray, variant: str,
     node of smallest, by the exact minimizer along that segment, so it
     can drop a node to 0. The trace holds the loss before and after each
     step. The seed only draws a random start. Needs the rbf kernel."""
-    if kernel_cfg.kind != "rbf":
-        raise ValidationError("contrastive training needs the rbf kernel, "
-                              f"got kernel {kernel_cfg.kind!r}")
+    require_rbf(kernel_cfg.kind)
     variant = canonical_variant(variant)
     labels = np.asarray(labels)
     one_vs_rest_classes(labels, len(trees))

@@ -249,12 +249,14 @@ def load_pooled_file(path: str | os.PathLike, video_id: str | None = None,
                      stream: str = "appearance") -> PooledTree:
     """Load a GPT1 file, such as ``pool`` writes; its node count must be
     ``2**D - 1``."""
-    vectors = _read_container(path, GPT1_MAGIC, "node")
-    depth = vectors.shape[0].bit_length()
-    if 2 ** depth - 1 != vectors.shape[0]:
-        raise ValidationError(
-            f"{path}: node count {vectors.shape[0]} is not 2**D - 1")
     if video_id is None:
         video_id = _stem(path)
-    return PooledTree(video_id=video_id, stream=stream, depth=depth,
-                      vectors=vectors)
+
+    def full_tree(vectors):
+        depth = vectors.shape[0].bit_length()
+        if 2 ** depth - 1 != vectors.shape[0]:
+            raise ValidationError(
+                f"{path}: node count {vectors.shape[0]} is not 2**D - 1")
+        return PooledTree(video_id=video_id, stream=stream, depth=depth,
+                          vectors=vectors)
+    return _read_container(path, GPT1_MAGIC, "node", full_tree)

@@ -421,8 +421,9 @@ def train_em_route(manifest: DatasetManifest, root: str, cfg: PipelineConfig,
 def train_dmkl_route(manifest: DatasetManifest, root: str,
                      cfg: PipelineConfig, contrastive_cfg: ContrastiveConfig,
                      svm_cfg: TrainConfig) -> TrainOutput:
-    from .dmkl import dmkl_fit
+    from .dmkl import dmkl_fit, require_rbf
 
+    require_rbf(cfg.kernel_kind)
     trees, labels = load_split_trees(manifest, root, cfg, "train")
     kernel_cfg = resolve_gamma(trees, cfg)
     result = dmkl_fit(trees, labels, cfg.variant, contrastive_cfg,

@@ -13,21 +13,19 @@ removes the upper bound, matching the hard-margin formulation exactly;
 the finite default exists because real data is rarely separable.
 
 Each pair update costs a fixed number of length-n array operations.
-The textbook loop forms the gradient ``grad = Q @ alpha - 1``, then
-rebuilds the KKT index masks and the masked values of ``-y * grad``
-from scratch, although only two coordinates of ``alpha`` changed. Here
-the loop keeps ``vals = -y * grad`` itself and moves it by
-``t * (K[:, i] - K[:, j])``. Since ``y`` is +/-1 and rounding is
-symmetric in sign, this is bit for bit the negation of the textbook
-gradient update. The masks become two penalty vectors (0 or -inf, 0 or
-+inf), rewritten only at ``i`` and ``j``. Adding a penalty to a finite
-value gives that value or the infinity that ``np.where`` would have
-put there. So, from the same start, the pair choices, steps,
-``alpha``, update count and objective equal the textbook loop's bit for
-bit, and ``b`` and the KKT residual equal its values (an exact zero may
-come out +0.0 where the textbook loop has -0.0). ``tests/oracles.py`` keeps that loop as
-``solve_dual_reference``. This needs finite values, so a kernel with a
-non-finite entry is rejected up front.
+The textbook loop forms the gradient ``grad = Q @ alpha - 1`` and
+rebuilds the KKT masks and the masked values of ``-y * grad`` from
+scratch, although only two coordinates of ``alpha`` changed. Here the
+loop keeps the two masked vectors it searches: ``up`` (``-y * grad``
+where ``y * alpha`` may rise within the box, -inf elsewhere) and
+``low`` (the same where ``y * alpha`` may fall, +inf elsewhere). Both move by
+``t * (K[:, i] - K[:, j])``, which leaves the infinities as they are,
+and only ``i`` and ``j`` are masked again. As ``y`` is +/-1 and
+rounding is symmetric in sign, the finite entries move bit for bit as
+the negated textbook gradient update. So, from the same start, every
+result equals the textbook loop's bit for bit; ``tests/oracles.py``
+keeps that loop as ``solve_dual_reference``. This needs finite values,
+so a kernel with a non-finite entry is rejected up front.
 
 The update reads two columns of ``K`` per step. A
 :class:`~treemkl.kernels.GramMatrix` whose entries have their mirrors'
@@ -102,16 +100,15 @@ def solve_dual(K, y: np.ndarray, cfg: TrainConfig = TrainConfig(),
     unbounded support vectors, with a midpoint-of-KKT-bounds fallback
     when every support vector sits on a bound.
 
-    Each update costs a fixed number of length-n array operations. The
-    loop keeps ``vals = -y * grad`` itself (``grad = Q @ alpha - 1``),
-    which starts as ``y - K @ (alpha0 * y)`` (exactly ``y`` at the zero
-    start), and two penalty vectors, ``up_pen`` (0 where ``y * alpha``
-    may rise within the box, else -inf) and ``low_pen`` (0 where it may
-    fall, else +inf), set from the start and then rewritten only at the
-    two updated coordinates. A ``GramMatrix`` that is
-    ``exactly_symmetric`` was checked finite when it was built, and its
-    columns are read as its rows, neither checked again nor copied; any
-    other ``K`` is checked finite, and its columns are read from one
+    Each update costs six length-n array operations: the two searches,
+    the column difference, its scaling and its subtraction from ``up``
+    and from ``low``. Both start as ``-y * grad = y - K @ (alpha0 * y)``
+    (exactly ``y`` at the zero start), masked where ``y * alpha`` cannot
+    rise or fall; an update masks its two coordinates again from
+    whichever entry is finite (``c_box > 0`` leaves one). An
+    ``exactly_symmetric`` ``GramMatrix`` was checked finite when built,
+    and its columns are read as its rows, neither checked again nor
+    copied; any other ``K`` is checked finite and read from one
     contiguous copy of ``K.T``.
 
     Raises :class:`ValidationError` for a kernel with a non-finite
@@ -143,24 +140,19 @@ def solve_dual(K, y: np.ndarray, cfg: TrainConfig = TrainConfig(),
     # alpha as Python floats: the same IEEE arithmetic, cheaper per scalar
     alpha = start.tolist()
     # -y * grad = y - y * y * (K @ (alpha * y)), and y * y is exactly 1
-    vals = y - K @ (start * y)
-    up_pen = np.empty(n)
-    low_pen = np.empty(n)
-    for k in range(n):
-        up_pen[k], low_pen[k] = _penalties(alpha[k], signs[k], c_box)
-    up_vals = np.empty(n)
-    low_vals = np.empty(n)
+    up = y - K @ (start * y)
+    low = up.copy()
+    up[np.where(y > 0, start >= c_box, start <= 0)] = -np.inf
+    low[np.where(y > 0, start <= 0, start >= c_box)] = np.inf
     step = np.empty(n)
     max_updates = cfg.max_passes * n
     updates = 0
     stop = None
 
     while True:
-        np.add(vals, up_pen, out=up_vals)
-        np.add(vals, low_pen, out=low_vals)
-        i = int(up_vals.argmax())
-        j = int(low_vals.argmin())
-        residual = float(up_vals[i] - low_vals[j])
+        i = int(up.argmax())
+        j = int(low.argmin())
+        residual = float(up[i] - low[j])
         if residual <= cfg.kkt_tol:
             break
         if updates >= max_updates:
@@ -186,22 +178,27 @@ def solve_dual(K, y: np.ndarray, cfg: TrainConfig = TrainConfig(),
             break
         alpha[i] += t * y_i
         alpha[j] -= t * y_j
-        # grad moves by t * y * (K[:, i] - K[:, j]); as y is +/-1 and
-        # rounding is symmetric in sign, vals moves by exactly the negation
+        # -y * grad moves by exactly -t * (K[:, i] - K[:, j]) (see the
+        # module docstring); a finite step leaves the infinities as they are
         np.subtract(cols[i], cols[j], out=step)
         step *= t
-        vals -= step
-        up_pen[i], low_pen[i] = _penalties(alpha[i], y_i, c_box)
-        up_pen[j], low_pen[j] = _penalties(alpha[j], y_j, c_box)
+        up -= step
+        low -= step
+        for k, y_k in ((i, y_i), (j, y_j)):
+            # c_box > 0, so y_k * alpha_k may rise or fall: one is finite
+            v = low.item(k) if up.item(k) == -math.inf else up.item(k)
+            a = alpha[k]
+            up[k] = v if (a < c_box if y_k > 0 else a > 0) else -math.inf
+            low[k] = v if (a > 0 if y_k > 0 else a < c_box) else math.inf
         updates += 1
 
     alpha = np.array(alpha)
     if stop is not None:
         raise NotConverged(stop, alpha=alpha,
-                           b=_shift(alpha, vals, up_pen, low_pen, c_box),
+                           b=_shift(alpha, up, low, c_box),
                            residual=residual, updates=updates)
     np.clip(alpha, 0.0, c_box if math.isfinite(c_box) else None, out=alpha)
-    b = _shift(alpha, vals, up_pen, low_pen, c_box)
+    b = _shift(alpha, up, low, c_box)
     return DualSolution(alpha=alpha, b=b, updates=updates,
                         kkt_residual=residual,
                         objective=dual_objective(K, alpha, y))
@@ -225,24 +222,13 @@ def _feasible_start(alpha0, y: np.ndarray, c_box: float) -> np.ndarray:
     return start
 
 
-def _penalties(a, y, c_box) -> tuple[float, float]:
-    """(up, low) penalties of one coordinate with ``alpha = a``: up is
-    0 when ``y * a`` may rise within the box, else -inf; low is 0 when
-    it may fall, else +inf."""
-    rise = a < c_box if y > 0 else a > 0
-    fall = a > 0 if y > 0 else a < c_box
-    return (0.0 if rise else -math.inf), (0.0 if fall else math.inf)
-
-
-def _shift(alpha, vals, up_pen, low_pen, c_box, bound_tol=1e-9):
+def _shift(alpha, up, low, c_box, bound_tol=1e-9):
     interior = (alpha > bound_tol) & (alpha < c_box - bound_tol)
     if interior.any():
-        # stationarity gives b = -y_i * grad_i = vals_i on unbounded
-        # support vectors
-        return float(np.mean(vals[interior]))
-    hi = np.max(vals + up_pen)
-    lo = np.min(vals + low_pen)
-    return float((hi + lo) / 2.0)
+        # stationarity gives b = -y_i * grad_i on unbounded support
+        # vectors, which ``up`` holds there
+        return float(np.mean(up[interior]))
+    return float((up.max() + low.min()) / 2.0)
 
 
 def one_vs_rest_classes(labels: np.ndarray, n: int) -> np.ndarray:

@@ -785,7 +785,8 @@ class TestExitCodesAndWorkers:
         ("train-em", "--kkt-tol", "inf", "kkt_tol"),
         ("train-dmkl", "--kkt-tol", "inf", "kkt_tol"),
         ("train-em", "--kkt-tol", "2", "kkt_tol"),
-        ("train-dmkl", "--kkt-tol", "2", "kkt_tol")])
+        ("train-dmkl", "--kkt-tol", "2", "kkt_tol"),
+        ("train-dmkl", "--kernel", "linear", "rbf")])
     def test_bad_seed_or_rate_exits_before_loading(self, workspace, tmp_path,
                                                    capsys, monkeypatch,
                                                    command, flag, value,

@@ -22,6 +22,14 @@ from treemkl.svm import (
 BIG_C = TrainConfig(c_box=1e8, kkt_tol=1e-10, max_passes=500)
 
 
+def run_bits(alpha, updates, b, residual, objective):
+    """A dual run's outcome with each float as its bit pattern, so that
+    -0.0 and 0.0 differ; a stopped run has no objective (None)."""
+    return (alpha.tobytes(), updates, *(None if v is None
+                                        else np.float64(v).tobytes()
+                                        for v in (b, residual, objective)))
+
+
 def random_psd_instance(rng, n, scale=1.0):
     """Random PSD kernel + mixed labels."""
     X = rng.standard_normal((n, max(2, n // 2)))
@@ -210,14 +218,15 @@ class TestSolveDual:
                 continue
             try:
                 sol = solve_dual(K, y, cfg)
-                got = (sol.alpha.tobytes(), sol.b, sol.updates,
-                       sol.kkt_residual, sol.objective)
+                got = run_bits(sol.alpha, sol.updates, sol.b,
+                               sol.kkt_residual, sol.objective)
             except errors.NotConverged as exc:
-                got = (exc.alpha.tobytes(), exc.b, exc.updates,
-                       exc.residual, None)
+                got = run_bits(exc.alpha, exc.updates, exc.b,
+                               exc.residual, None)
                 stopped += 1
-            assert got == (ref.alpha.tobytes(), ref.b, ref.updates,
-                           ref.kkt_residual, ref.objective), f"trial {trial}"
+            assert got == run_bits(ref.alpha, ref.updates, ref.b,
+                                   ref.kkt_residual, ref.objective), \
+                f"trial {trial}"
             compared += 1
         assert compared >= 200 and stopped >= compared // 3 and unbounded
 
@@ -243,15 +252,16 @@ class TestSolveDual:
             cold = solve_dual_reference(K, y, c_box, 1e-6, passes)
             try:
                 sol = solve_dual(K, y, cfg, start)
-                got = (sol.alpha.tobytes(), sol.b, sol.updates,
-                       sol.kkt_residual, sol.objective)
+                got = run_bits(sol.alpha, sol.updates, sol.b,
+                               sol.kkt_residual, sol.objective)
                 fewer += sol.updates < cold.updates
             except errors.NotConverged as exc:
-                got = (exc.alpha.tobytes(), exc.b, exc.updates,
-                       exc.residual, None)
+                got = run_bits(exc.alpha, exc.updates, exc.b,
+                               exc.residual, None)
                 stopped += 1
-            assert got == (ref.alpha.tobytes(), ref.b, ref.updates,
-                           ref.kkt_residual, ref.objective), f"trial {trial}"
+            assert got == run_bits(ref.alpha, ref.updates, ref.b,
+                                   ref.kkt_residual, ref.objective), \
+                f"trial {trial}"
         assert stopped and fewer >= (90 - stopped) // 2
 
     def test_infeasible_start_rejected(self, rng):
