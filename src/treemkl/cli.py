@@ -59,10 +59,8 @@ class _OutDir:
                 fh.write(",".join(_csv_cell(v) for v in row) + "\n")
 
     def finish(self) -> None:
-        listing = {"files": sorted(self.files)}
-        with open(os.path.join(self.path, "files.json"), "w",
-                  encoding="utf-8") as fh:
-            fh.write(json.dumps(listing, indent=2, sort_keys=True) + "\n")
+        # the listing leaves out files.json itself
+        self.write_json("files.json", {"files": sorted(self.files)})
 
 
 def _csv_cell(value) -> str:
@@ -143,9 +141,17 @@ def cmd_pool(args) -> int:
     return 0
 
 
-def _emit_training(args, result) -> int:
+def _train(args, route, route_config) -> int:
+    """Run a training ``route`` with the flags' pipeline, route
+    (``route_config``) and solver configs, and write its outputs."""
+    from .dataio import load_manifest
     from .pipeline import save_artifact
+    from .svm import TrainConfig
 
+    manifest = load_manifest(args.manifest)
+    result = route(manifest, _manifest_root(args.manifest),
+                   _pipeline_config(args), _config(route_config, args),
+                   _config(TrainConfig, args))
     out = _OutDir(args.out)
     save_artifact(result.artifact, result.support_rows,
                   out.target("model.json"))
@@ -157,30 +163,17 @@ def _emit_training(args, result) -> int:
 
 
 def cmd_train_em(args) -> int:
-    from .dataio import load_manifest
     from .em import EmConfig
     from .pipeline import train_em_route
-    from .svm import TrainConfig
 
-    manifest = load_manifest(args.manifest)
-    result = train_em_route(manifest, _manifest_root(args.manifest),
-                            _pipeline_config(args), _config(EmConfig, args),
-                            _config(TrainConfig, args))
-    return _emit_training(args, result)
+    return _train(args, train_em_route, EmConfig)
 
 
 def cmd_train_dmkl(args) -> int:
-    from .dataio import load_manifest
     from .dmkl import ContrastiveConfig
     from .pipeline import train_dmkl_route
-    from .svm import TrainConfig
 
-    manifest = load_manifest(args.manifest)
-    result = train_dmkl_route(manifest, _manifest_root(args.manifest),
-                              _pipeline_config(args),
-                              _config(ContrastiveConfig, args),
-                              _config(TrainConfig, args))
-    return _emit_training(args, result)
+    return _train(args, train_dmkl_route, ContrastiveConfig)
 
 
 def cmd_eval(args) -> int:
@@ -242,9 +235,8 @@ def cmd_report(args) -> int:
     out.write_csv("report.csv", header, rows)
     widths = [max(len(str(r[i])) for r in rows + [header])
               for i in range(len(header))]
-    lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths))]
-    for r in rows:
-        lines.append("  ".join(str(v).ljust(w) for v, w in zip(r, widths)))
+    lines = ["  ".join(str(v).ljust(w) for v, w in zip(r, widths))
+             for r in [header, *rows]]
     with open(out.target("report.txt"), "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
     out.finish()

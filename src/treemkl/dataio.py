@@ -57,7 +57,7 @@ GPT1_MAGIC = b"GPT1"
 SPLITS = ("train", "test")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StreamFeatureSequence:
     """Per-frame feature vectors for one video and one stream.
 
@@ -97,6 +97,8 @@ class StreamFeatureSequence:
 
 @dataclass(frozen=True)
 class VideoRecord:
+    """One manifest entry: id, label, split and a feature file per stream."""
+
     video_id: str
     label: int
     appearance: str | None = None
@@ -118,6 +120,8 @@ class VideoRecord:
 
 @dataclass
 class DatasetManifest:
+    """Videos with unique ids, and class names by id, contiguous from 1."""
+
     records: list[VideoRecord]
     label_names: dict[int, str] = field(default_factory=dict)
 
@@ -305,10 +309,8 @@ def write_manifest(manifest: DatasetManifest, path: str | os.PathLike) -> None:
             sort_keys=True) + "\n")
         for rec in manifest.records:
             obj = {"video_id": rec.video_id, "label": rec.label,
-                   "split": rec.split}
-            if rec.appearance is not None:
-                obj["appearance"] = rec.appearance
-            if rec.motion is not None:
-                obj["motion"] = rec.motion
+                   "split": rec.split, "appearance": rec.appearance,
+                   "motion": rec.motion}
+            obj = {k: v for k, v in obj.items() if v is not None}
             fh.write(json.dumps(obj, sort_keys=True) + "\n")
 

@@ -72,6 +72,8 @@ _MOMENT_PANEL = 256
 
 @dataclass(frozen=True)
 class ContrastiveConfig:
+    """Settings of :func:`dmkl_fit`: step cap, start and pair weights."""
+
     iterations: int = 4000          # the step cap
     seed: int = 0
     positive_fraction: float | None = None
@@ -132,8 +134,10 @@ def loss_grad(i: np.ndarray, j: np.ndarray, y: np.ndarray,
     return loss, backprop_through_simplex(de_dbeta, beta)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DmklResult:
+    """Learned node weights, the model trained at them, and the run."""
+
     weights: SimplexPoint
     model: SvmModel
     loss_trace: np.ndarray

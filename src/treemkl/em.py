@@ -69,6 +69,8 @@ STOP_REASONS = ("single_node", "vertex", "no_accepted_step", "param_tol",
 
 @dataclass(frozen=True)
 class EmConfig:
+    """Settings of :func:`em_fit`: iteration cap, stop tolerance, start."""
+
     max_iters: int = 50
     param_tol: float = 1e-4
     beta_init: str = "uniform"
@@ -85,8 +87,10 @@ class EmConfig:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmResult:
+    """Learned node weights, the model trained at them, and the run."""
+
     beta: np.ndarray
     model: SvmModel
     objective_trace: np.ndarray

@@ -33,6 +33,8 @@ from .errors import (InsufficientFrames, NonFinite, ShapeMismatch,
 
 @dataclass(frozen=True)
 class Hierarchy:
+    """Binary tree of temporal segments; level l holds 2**(l - 1) nodes."""
+
     depth: int
 
     def __post_init__(self):
@@ -104,7 +106,7 @@ class NodeInterval:
     end: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PooledTree:
     """Node-wise mean vectors for one video and stream.
 

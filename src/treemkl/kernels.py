@@ -68,7 +68,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -187,6 +187,8 @@ def _packed_sym(square: np.ndarray, out: np.ndarray | None = None
 
 @dataclass(frozen=True)
 class KernelConfig:
+    """Elementary node kernel: linear, or rbf with a finite gamma > 0."""
+
     kind: str = "rbf"
     gamma: float | None = None
 
@@ -300,48 +302,46 @@ def combined_kernel(a: PooledTree, b: PooledTree, beta: np.ndarray,
     return float(beta @ cross @ beta)
 
 
-@dataclass(frozen=True)
-class GramMatrix:
-    """Symmetric combined-kernel matrix over an ordered video set.
+def check_symmetric(values: np.ndarray) -> None:
+    """Refuse float64 ``values`` that are not square (:class:`ShapeMismatch`)
+    or not finite and symmetric within 1e-10 (:class:`ValidationError`),
+    the rule of every kernel matrix, in row blocks of at most
+    ``_BLOCK_ELEMENTS`` elements, all checked finite first: no check
+    makes an n x n temporary."""
+    if values.ndim != 2 or values.shape[0] != values.shape[1]:
+        raise ShapeMismatch(f"gram must be square, got {values.shape}")
+    n = values.shape[0]
+    step = max(1, _BLOCK_ELEMENTS // max(1, n))
+    starts = range(0, n, step)
+    if not all(np.isfinite(values[r0:r0 + step]).all() for r0 in starts):
+        raise ValidationError("gram contains non-finite entries")
+    for r0 in starts:
+        # rows r0:r0 + step right of the diagonal against their mirror
+        upper = values[r0:r0 + step, r0:]
+        mirror = values[r0:, r0:r0 + step].T
+        if (upper == mirror).all():
+            continue
+        diff = upper - mirror
+        if np.abs(diff, out=diff).max() > 1e-10:
+            raise ValidationError("gram is not symmetric within 1e-10")
 
-    The values are checked finite and symmetric within 1e-10 in blocks
-    of rows of at most ``_BLOCK_ELEMENTS`` elements, so no check makes
-    an n x n temporary, and are then read-only (not copied: no other
-    view may write them). ``exactly_symmetric``, derived and never
-    passed, says whether every entry has the bits of its mirror, so
-    that the rows are the columns; every Gram contracted from packed
-    pairs (:func:`contract_pairs`) has it."""
+
+@dataclass(frozen=True, eq=False)
+class GramMatrix:
+    """Symmetric combined-kernel matrix over an ordered video set: its
+    values pass :func:`check_symmetric` and are marked read-only, uncopied."""
 
     values: np.ndarray
     ids: tuple[str, ...]
-    exactly_symmetric: bool = field(init=False, compare=False)
 
     def __post_init__(self):
         v = np.ascontiguousarray(np.asarray(self.values, dtype=np.float64))
-        if v.ndim != 2 or v.shape[0] != v.shape[1]:
-            raise ShapeMismatch(f"gram must be square, got {v.shape}")
-        n = v.shape[0]
-        if len(self.ids) != n:
-            raise ShapeMismatch(f"{len(self.ids)} ids for {n} rows")
-        step = max(1, _BLOCK_ELEMENTS // max(1, n))
-        starts = range(0, n, step)
-        if not all(np.isfinite(v[r0:r0 + step]).all() for r0 in starts):
-            raise ValidationError("gram contains non-finite entries")
-        exact = True
-        for r0 in starts:
-            # rows r0:r0 + step right of the diagonal against their mirror
-            upper, mirror = v[r0:r0 + step, r0:], v[r0:, r0:r0 + step].T
-            # compared as bit patterns, so that -0.0 and 0.0 differ
-            if (upper.view(np.uint64) == mirror.view(np.uint64)).all():
-                continue
-            exact = False
-            diff = upper - mirror
-            if np.abs(diff, out=diff).max() > 1e-10:
-                raise ValidationError("gram is not symmetric within 1e-10")
+        check_symmetric(v)
+        if len(self.ids) != v.shape[0]:
+            raise ShapeMismatch(f"{len(self.ids)} ids for {v.shape[0]} rows")
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "ids", tuple(self.ids))
-        object.__setattr__(self, "exactly_symmetric", exact)
 
     @property
     def n(self) -> int:

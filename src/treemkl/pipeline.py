@@ -160,7 +160,7 @@ def save_artifact(artifact: dict, support_rows: np.ndarray,
         np.save(fh, support_rows, allow_pickle=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModelArtifact:
     """An artifact as :func:`load_artifact` checked it: ``config`` as
     written, and the one-vs-rest ``model`` it scores with, whose
@@ -349,7 +349,7 @@ def _support_rows(path, name: str, shape: tuple[int, int]) -> np.ndarray:
 
 # --- training routes ------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrainOutput:
     """Model artifact and its support rows, trace.csv header and rows,
     training.json summary."""

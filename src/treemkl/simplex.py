@@ -66,7 +66,7 @@ def backprop_through_simplex(de_dbeta: np.ndarray, beta: np.ndarray) -> np.ndarr
     return beta * (de_dbeta - de_dbeta @ beta)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimplexPoint:
     """A read-only ``beta`` that passed :func:`check_on_simplex`."""
 
@@ -78,7 +78,7 @@ class SimplexPoint:
         object.__setattr__(self, "beta", beta)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimplexWeights:
     """Raw parameters and the simplex point they induce; ``beta`` is
     derived from ``raw`` on construction, so the two always agree."""

@@ -22,17 +22,14 @@ where ``y * alpha`` may rise within the box, -inf elsewhere) and
 ``t * (K[:, i] - K[:, j])``, which leaves the infinities as they are,
 and only ``i`` and ``j`` are masked again. As ``y`` is +/-1 and
 rounding is symmetric in sign, the finite entries move bit for bit as
-the negated textbook gradient update. So, from the same start, every
-result equals the textbook loop's bit for bit; ``tests/oracles.py``
-keeps that loop as ``solve_dual_reference``. This needs finite values,
-so a kernel with a non-finite entry is rejected up front.
+the negated textbook gradient update.
 
-The update reads two columns of ``K`` per step. A
-:class:`~treemkl.kernels.GramMatrix` whose entries have their mirrors'
-bits (every training Gram) is read by rows, which are its columns, as
-LIBSVM reads rows of its symmetric Q (Chang & Lin, ACM TIST 2011); any
-other kernel is read from one contiguous copy of ``K.T``. Either way
-the same values are read in the same order.
+Each update reads two columns of ``K`` as the rows they equal, as
+LIBSVM reads rows of its symmetric Q (Chang & Lin, ACM TIST 2011): ``K``
+must pass :func:`~treemkl.kernels.check_symmetric`, and is never copied.
+On a ``K`` whose rows have its columns' bits (every Gram built here),
+every result equals the textbook loop's bit for bit from the same start;
+``tests/oracles.py`` keeps that loop as ``solve_dual_reference``.
 
 The decision function of class ``c`` is
 ``g_c(v) = sum_i alpha_i^c y_ic K(v, v_i) + b_c`` and prediction takes
@@ -48,11 +45,13 @@ import numpy as np
 
 from .errors import (NotConverged, ShapeMismatch, SingleClass, TooFewVideos,
                      ValidationError)
-from .kernels import GramMatrix
+from .kernels import GramMatrix, check_symmetric
 
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Settings of one dual solve: box bound, KKT tolerance, pass budget."""
+
     c_box: float = 10.0
     kkt_tol: float = 1e-6
     max_passes: int = 200
@@ -68,8 +67,10 @@ class TrainConfig:
             raise ValidationError(f"max_passes must be >= 1, got {self.max_passes}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DualSolution:
+    """A converged dual solve, its work and its objective."""
+
     alpha: np.ndarray
     b: float
     updates: int
@@ -77,13 +78,8 @@ class DualSolution:
     objective: float
 
 
-def _as_matrix(kernel) -> np.ndarray:
-    values = getattr(kernel, "values", kernel)
-    return np.asarray(values, dtype=np.float64)
-
-
 def dual_objective(K, alpha: np.ndarray, y: np.ndarray) -> float:
-    K = _as_matrix(K)
+    K = np.asarray(getattr(K, "values", K), dtype=np.float64)
     ay = alpha * y
     return float(0.5 * ay @ K @ ay - alpha.sum())
 
@@ -101,25 +97,26 @@ def solve_dual(K, y: np.ndarray, cfg: TrainConfig = TrainConfig(),
     when every support vector sits on a bound.
 
     Each update costs six length-n array operations: the two searches,
-    the column difference, its scaling and its subtraction from ``up``
-    and from ``low``. Both start as ``-y * grad = y - K @ (alpha0 * y)``
+    the row difference, its scaling and its subtraction from ``up`` and
+    from ``low``. Both start as ``-y * grad = y - K @ (alpha0 * y)``
     (exactly ``y`` at the zero start), masked where ``y * alpha`` cannot
     rise or fall; an update masks its two coordinates again from
-    whichever entry is finite (``c_box > 0`` leaves one). An
-    ``exactly_symmetric`` ``GramMatrix`` was checked finite when built,
-    and its columns are read as its rows, neither checked again nor
-    copied; any other ``K`` is checked finite and read from one
-    contiguous copy of ``K.T``.
+    whichever entry is finite (``c_box > 0`` leaves one). A
+    ``GramMatrix`` was checked when built; any other ``K`` is checked
+    here.
 
-    Raises :class:`ValidationError` for a kernel with a non-finite
-    entry or an infeasible ``alpha0``, :class:`SingleClass` when only
-    one label is present and :class:`NotConverged` (carrying the best
-    iterate) when the KKT residual is still above ``kkt_tol`` after
-    ``max_passes * n`` pair updates, or when ``c_box = inf`` and a step
-    is unbounded.
+    Raises :class:`ValidationError` for a kernel that fails
+    :func:`~treemkl.kernels.check_symmetric` or an infeasible
+    ``alpha0``, :class:`SingleClass` when only one label is present and
+    :class:`NotConverged` (carrying the best iterate) when the KKT
+    residual is still above ``kkt_tol`` after ``max_passes * n`` pair
+    updates, or when ``c_box = inf`` and a step is unbounded.
     """
-    rows_are_cols = isinstance(K, GramMatrix) and K.exactly_symmetric
-    K = _as_matrix(K)
+    if isinstance(K, GramMatrix):
+        K = K.values
+    else:
+        K = np.asarray(K, dtype=np.float64)
+        check_symmetric(K)
     y = np.asarray(y, dtype=np.float64)
     n = y.size
     if K.shape != (n, n):
@@ -128,13 +125,9 @@ def solve_dual(K, y: np.ndarray, cfg: TrainConfig = TrainConfig(),
         raise SingleClass("labels are all one class")
     if not np.all(np.abs(y) == 1.0):
         raise ValidationError("labels must be +/-1")
-    if not rows_are_cols and not np.all(np.isfinite(K)):
-        raise ValidationError("kernel matrix has a non-finite entry")
 
     c_box = cfg.c_box
     start = _feasible_start(alpha0, y, c_box)
-    # row k holds column k of K
-    cols = K if rows_are_cols else np.ascontiguousarray(K.T)
     diag = K.diagonal().tolist()
     signs = y.tolist()
     # alpha as Python floats: the same IEEE arithmetic, cheaper per scalar
@@ -178,9 +171,9 @@ def solve_dual(K, y: np.ndarray, cfg: TrainConfig = TrainConfig(),
             break
         alpha[i] += t * y_i
         alpha[j] -= t * y_j
-        # -y * grad moves by exactly -t * (K[:, i] - K[:, j]) (see the
-        # module docstring); a finite step leaves the infinities as they are
-        np.subtract(cols[i], cols[j], out=step)
+        # -y * grad moves by exactly -t * (K[:, i] - K[:, j]), read as rows
+        # (see the module docstring); a finite step leaves the infinities
+        np.subtract(K[i], K[j], out=step)
         step *= t
         up -= step
         low -= step
@@ -253,7 +246,7 @@ def _one_vs_rest_signs(labels, class_ids) -> np.ndarray:
     return np.where(labels == class_ids[:, None], 1.0, -1.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SvmModel:
     """One binary machine per class over a shared training set; row c of
     ``signs``, derived and never passed, holds class c's +/-1 targets.

@@ -50,6 +50,8 @@ from .hierarchy import build_intervals
 
 @dataclass(frozen=True)
 class SynthSpec:
+    """Size, signal level, noise scales and seed of a synthetic dataset."""
+
     num_classes: int = 4
     per_class: int = 50
     frames: int = 32
@@ -85,13 +87,11 @@ class SynthSpec:
             raise SpecInvalid(
                 f"frames={self.frames} too short for signal level {deepest}")
 
-    @property
-    def total(self) -> int:
-        return self.num_classes * self.per_class
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SynthDataset:
+    """A synthetic dataset in memory, its sequences in video order."""
+
     spec: SynthSpec
     video_ids: list[str]
     labels: np.ndarray

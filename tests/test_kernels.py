@@ -30,7 +30,7 @@ from treemkl.kernels import (
     stack_trees,
 )
 from treemkl.simplex import to_simplex
-from treemkl.svm import TrainConfig
+from treemkl.svm import TrainConfig, solve_dual
 
 RBF = KernelConfig(kind="rbf", gamma=0.7)
 LIN = KernelConfig(kind="linear")
@@ -271,24 +271,31 @@ class TestGramMatrix:
             assert peak <= blocks * kernels._BLOCK_ELEMENTS * 8
             assert peak < v.nbytes / 2
 
-    def test_exactly_symmetric_is_derived_from_the_bits(self, rng):
+    def test_built_grams_are_mirrored_bit_for_bit(self, rng):
         trees = random_trees(rng, n=9, depth=3)
         beta = to_simplex(rng.standard_normal(7))
         for variant in (CONCATENATION, AVERAGING):
-            assert gram_matrix(trees, beta, variant, RBF).exactly_symmetric
-        values = self.symmetric(rng)
-        assert GramMatrix(values=values, ids=self.ids()).exactly_symmetric
+            v = gram_matrix(trees, beta, variant, RBF).values
+            assert v.tobytes() == v.T.tobytes()
+
+    def test_one_rule_for_grams_and_the_solver(self, rng):
+        # GramMatrix and solve_dual's plain kernels pass or fail the same
+        # check_symmetric: within 1e-10, -0.0 against 0.0, and empty pass
         within = self.symmetric(rng)
         within[590, 560] += 1e-11
-        gram = GramMatrix(values=within, ids=self.ids())
-        assert not gram.exactly_symmetric
-        # -0.0 equals 0.0 but has other bits
         zeros = np.zeros((2, 2))
         zeros[0, 1] = -0.0
-        assert not GramMatrix(values=zeros, ids=("a", "b")).exactly_symmetric
-        assert GramMatrix(values=np.zeros((0, 0)), ids=()).exactly_symmetric
-        with pytest.raises(TypeError):
-            GramMatrix(values=values, ids=self.ids(), exactly_symmetric=True)
+        for values in (within, zeros, np.zeros((0, 0))):
+            kernels.check_symmetric(values)
+        y = np.where(np.arange(self.N) % 2, 1.0, -1.0)
+        for at, value, match in (((590, 560), 1e-9, "symmetric"),
+                                 ((3, 599), np.nan, "non-finite")):
+            values = self.symmetric(rng)
+            values[at] += value
+            for refused in (lambda: GramMatrix(values=values, ids=self.ids()),
+                            lambda: solve_dual(values, y)):
+                with pytest.raises(errors.ValidationError, match=match):
+                    refused()
 
 
 def pair_grad(trees, beta, variant, cfg=RBF):
@@ -489,7 +496,7 @@ class TestFuseKernels:
                 tracemalloc.stop()
             want = weight * ka.values + (1.0 - weight) * km.values
             assert fused.values.tobytes() == want.tobytes()
-            assert fused.exactly_symmetric
+            assert want.tobytes() == want.T.tobytes()
             assert peak <= 2 * n * n * 8 + kernels._BLOCK_ELEMENTS * 8
 
     def test_id_mismatch(self, rng):

@@ -150,57 +150,67 @@ class TestSolveDual:
         finally:
             tracemalloc.stop()
 
-    def test_exactly_symmetric_gram_is_read_by_rows(self, rng):
-        # its rows are its columns: the solutions keep the bits of the
-        # same values passed as a plain array, without the n x n copy
+    def test_symmetric_kernel_is_read_by_rows_uncopied(self, rng):
+        # a plain array is checked in blocks and its rows read as its
+        # columns, as a Gram's are: the same bits, without the n x n copy
         n = 300
         ids = tuple(f"v{i}" for i in range(n))
         for c_box in (10.0, 0.5, 1e-3):
             cfg = TrainConfig(c_box=c_box, kkt_tol=1e-6, max_passes=200)
             K, y = random_psd_instance(rng, n)
-            gram = GramMatrix(values=(K + K.T) / 2, ids=ids)
-            assert gram.exactly_symmetric
-            sol, peak = self.solve_peak(gram, y, cfg)
-            plain, plain_peak = self.solve_peak(gram.values.copy(), y, cfg)
-            assert self.bits(sol) == self.bits(plain)
-            assert peak < gram.values.nbytes / 4 < gram.values.nbytes
-            assert plain_peak >= gram.values.nbytes
+            K = (K + K.T) / 2
+            plain, peak = self.solve_peak(K, y, cfg)
+            gram, gram_peak = self.solve_peak(GramMatrix(values=K, ids=ids),
+                                              y, cfg)
+            assert self.bits(plain) == self.bits(gram)
+            assert max(peak, gram_peak) < K.nbytes / 4
 
-    def test_gram_symmetric_within_tolerance_is_copied(self, rng):
-        # rows that are not bit for bit its columns are not read as such:
-        # the solution keeps the bits of the plain array's, which reads
-        # the columns of one copy of K.T
+    def test_gram_symmetric_within_tolerance_is_read_by_rows(self, rng):
+        # rows that are not bit for bit its columns are still read as
+        # them: the transpose, whose rows are the columns, takes other bits
         n = 300
         ids = tuple(f"v{i}" for i in range(n))
         K, y = random_psd_instance(rng, n)
         values = (K + K.T) / 2 + 1e-11 * rng.standard_normal((n, n))
-        gram = GramMatrix(values=values, ids=ids)
-        assert not gram.exactly_symmetric
         cfg = TrainConfig(c_box=10.0, kkt_tol=1e-6, max_passes=200)
-        sol, peak = self.solve_peak(gram, y, cfg)
-        plain = solve_dual(values.copy(), y, cfg)
-        assert self.bits(sol) == self.bits(plain)
-        assert peak >= gram.values.nbytes
-        # reading its rows would show: its transpose takes other bits
-        rows = solve_dual(GramMatrix(values=values.T.copy(), ids=ids), y, cfg)
-        assert self.bits(rows) != self.bits(plain)
+        sol, peak = self.solve_peak(GramMatrix(values=values, ids=ids), y, cfg)
+        assert peak < values.nbytes / 4
+        assert self.bits(sol) == self.bits(solve_dual(values, y, cfg))
+        assert self.bits(sol) != self.bits(solve_dual(values.T, y, cfg))
+
+    def test_asymmetric_kernel_rejected(self, rng):
+        # its rows are not the columns the dual objective reads, so it is
+        # refused, not solved to a point above the optimum
+        for trial in range(18):
+            n = int(rng.integers(2, 7))
+            K, y = random_psd_instance(rng, n)
+            K = K + 0.05 * rng.standard_normal((n, n))
+            with pytest.raises(errors.ValidationError,
+                               match=r"^gram is not symmetric within 1e-10$"):
+                solve_dual(K, y, TrainConfig())
+        K, y = random_psd_instance(rng, 6)
+        K[1, 4] += 2e-10
+        with pytest.raises(errors.ValidationError, match="symmetric"):
+            solve_dual(K, y, TrainConfig())
+        K[1, 4] -= 1.5e-10
+        assert solve_dual(K, y, TrainConfig()).kkt_residual <= 1e-6
 
     def test_matches_reference_loop_bit_for_bit(self, rng):
-        # 240 seeded problems over rbf, linear and non-symmetric kernels,
-        # c_box in {inf, 10, 0.5, 1e-3} (1e-3 leaves no interior support
-        # vector, so the shift takes its fallback) and budgets of 1, 2 or
-        # 200 passes, so about half of them stop on the budget
+        # 240 seeded problems over rbf and linear kernels, and rbf kernels
+        # whose first two points, labelled apart, coincide (so the first
+        # step has no curvature), c_box in {inf, 10, 0.5, 1e-3} (1e-3
+        # leaves no interior support vector, so the shift takes its
+        # fallback) and budgets of 1, 2 or 200 passes, so about half of
+        # them stop on the budget
         compared = stopped = unbounded = 0
         for trial in range(240):
             n = int(rng.integers(2, 40))
             X = rng.standard_normal((n, int(rng.integers(1, 6))))
-            kind = ("rbf", "linear", "nonsym")[trial % 3]
-            if kind == "linear":
-                K = _kernel_matrix(X, X, KernelConfig("linear"))
-            else:
-                K = _kernel_matrix(X, X, KernelConfig("rbf", 0.5))
-                if kind == "nonsym":
-                    K = K + 0.05 * rng.standard_normal((n, n))
+            kind = ("rbf", "linear", "twin")[trial % 3]
+            if kind == "twin":
+                X[1] = X[0]
+            K = _kernel_matrix(X, X, KernelConfig("linear") if kind == "linear"
+                               else KernelConfig("rbf", 0.5))
             y = rng.choice([-1.0, 1.0], size=n)
             y[:2] = (1.0, -1.0)
             c_box = (math.inf, 10.0, 0.5, 1e-3)[(trial // 3) % 4]
