@@ -20,7 +20,8 @@ arithmetic is 64-bit throughout.
 format API: an upstream extractor writes each video's frames for one
 stream with the former, and the pipeline reads them with the latter.
 The package's own synthetic generator (``gen-synth``) writes the same
-container through a reused buffer, so no command calls the writer.
+container straight from the reused buffers it draws each video into, one
+set per drawing thread, so no command calls the writer.
 
 Manifest: JSON lines, one object per video with keys ``video_id``,
 ``label`` (int, classes are 1..C), optional ``appearance`` / ``motion``
@@ -159,7 +160,8 @@ def _write_container(path: str | os.PathLike, magic: bytes,
                      values: np.ndarray) -> None:
     """Write (count, dim) ``values`` as ``magic | u32 dim | u32 count |
     count*dim <f4``; loading recovers their float32 rounding bit-exactly."""
-    values32 = np.ascontiguousarray(values, dtype="<f4")
+    with np.errstate(over="ignore"):  # an overflow is refused just below
+        values32 = np.ascontiguousarray(values, dtype="<f4")
     if not np.isfinite(values32).all():
         raise NonFinite(f"{path}: values overflow float32")
     with open(path, "wb") as fh:

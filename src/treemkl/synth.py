@@ -23,15 +23,18 @@ Two-stream datasets put an independent copy of the construction in the
 motion stream one level deeper, so the streams carry complementary
 granularity.
 
-Generation holds one video at a time: each video draws from its own
-seed into reused buffers, and :func:`gen_dataset` writes its feature
-files before the next one is drawn, so memory does not grow with the
-dataset.
+Generation holds one video per thread: each video draws from its own
+seed into its thread's reused buffers, and :func:`gen_dataset` writes
+its feature files before the thread draws the next, so memory does not
+grow with the dataset. Videos of at least 2^14 values (frames x dim)
+per stream are drawn on every usable core, smaller ones on one thread;
+the output bytes do not depend on the number of threads.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +49,14 @@ from .dataio import (
 )
 from .errors import ShiftTooLarge, SpecInvalid
 from .hierarchy import build_intervals
+
+# values (frames x dim) of one video-stream from which gen_dataset draws
+# on every usable core; below it the threads cost more than they save
+_THREAD_MIN_VALUES = 2 ** 14
+
+# largest video-stream in values, the limit README states for tables, so
+# that no spec asks for buffers numpy cannot allocate
+_VIDEO_LIMIT = 2 ** 25
 
 
 @dataclass(frozen=True)
@@ -86,6 +97,10 @@ class SynthSpec:
         if self.frames < 2 ** (deepest - 1):
             raise SpecInvalid(
                 f"frames={self.frames} too short for signal level {deepest}")
+        if self.frames * self.dim > _VIDEO_LIMIT:
+            raise SpecInvalid(
+                f"frames * dim = {self.frames * self.dim} values per video "
+                f"exceeds the 2^25 limit")
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,33 +117,10 @@ class SynthDataset:
         return np.flatnonzero(np.asarray(self.splits) == which)
 
 
-def _signal_profile(frames: int, level: int, block_vectors: np.ndarray,
-                    amplitude: float) -> np.ndarray:
-    """Per-frame class signal at one level.
-
-    ``block_vectors`` holds one vector per sibling pair of level
-    intervals; each pair gets +vector on its first interval and -vector
-    on its second. At level 1 the single vector covers everything.
-    """
-    out = np.empty((frames, block_vectors.shape[-1]))
-    for iv in build_intervals(frames, level):
-        if iv.level == level:
-            sign = 1.0 if iv.index % 2 else -1.0
-            out[iv.start:iv.end] = (sign * amplitude
-                                    * block_vectors[(iv.index - 1) // 2])
-    return out
-
-
-def _detail_signs(frames: int, level: int) -> np.ndarray:
-    """(frames, 1) column of +1 on the first and -1 on the second half of
-    every level interval; times a detail vector, it cancels exactly at the
-    level's pooling (up to one frame when interval lengths are odd). The
-    halves are the level + 1 intervals, which cover every frame."""
-    out = np.empty((frames, 1))
-    for iv in build_intervals(frames, level + 1):
-        if iv.level == level + 1:
-            out[iv.start:iv.end] = 1.0 if iv.index % 2 else -1.0
-    return out
+def _intervals(frames: int, level: int) -> list[tuple[int, int, int]]:
+    """``(start, end, index)`` of each interval at ``level``."""
+    return [(iv.start, iv.end, iv.index)
+            for iv in build_intervals(frames, level) if iv.level == level]
 
 
 def _stream_plan(spec: SynthSpec) -> list[tuple[str, int]]:
@@ -138,13 +130,24 @@ def _stream_plan(spec: SynthSpec) -> list[tuple[str, int]]:
     return plan
 
 
-def _videos(spec: SynthSpec):
-    """Draw the dataset one video at a time, in manifest order.
+def _buffers(spec: SynthSpec) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """One thread's reused buffers: per stream the (frames, dim) float64
+    rows of the video being drawn, and one (frames, dim) buffer of the
+    offsets added to them."""
+    shape = (spec.frames, spec.dim)
+    return ({stream: np.empty(shape) for stream, _ in _stream_plan(spec)},
+            np.empty(shape))
 
-    Yields ``(video_id, label, split, rows)``, where ``rows`` maps each
-    stream to a (frames, dim) float64 buffer that the next video
-    overwrites. Each video draws from its own seed, per stream its
-    frames x dim noise and then its dim-sized detail vector.
+
+def _drawer(spec: SynthSpec):
+    """Return ``draw(k, rows, offsets)``, which draws video ``k`` (in
+    manifest order) into buffers from :func:`_buffers`, overwriting them,
+    and returns its ``(video_id, label, split)``.
+
+    Video ``k`` draws from its own seed, the k-th child of one
+    ``SeedSequence``, per stream its frames x dim noise and then its
+    dim-sized detail vector. No draw reads another's state, so videos may
+    be drawn in any order, on any thread, with the same bits.
     """
     root_ss = np.random.SeedSequence(spec.seed)
     vec_ss, video_ss = root_ss.spawn(2)
@@ -157,32 +160,68 @@ def _videos(spec: SynthSpec):
         raw = vec_rng.standard_normal((spec.num_classes, blocks, spec.dim))
         class_vectors[stream] = raw / np.linalg.norm(raw, axis=2, keepdims=True)
 
-    signs = {stream: _detail_signs(spec.frames, level)
-             for stream, level in plan}
-    rows = {stream: np.empty((spec.frames, spec.dim)) for stream, _ in plan}
-    detail_rows = np.empty((spec.frames, spec.dim))
+    # Per stream, each signal-level interval with its block of class
+    # vectors and whether it is negated: every sibling pair of intervals
+    # gets +amplitude * vector on the first and -amplitude * vector on the
+    # second; at level 1 the single vector covers everything.
+    signal = {stream: [(start, end, (index - 1) // 2, index % 2 == 0)
+                       for start, end, index in _intervals(spec.frames, level)]
+              for stream, level in plan}
+    signed_vectors = {stream: (spec.amplitude * v, -spec.amplitude * v)
+                      for stream, v in class_vectors.items()}
+    # Per stream, the halves of every signal-level interval (the level + 1
+    # intervals) and whether the detail vector is negated there: the flip
+    # cancels exactly at the signal level's pooling (up to one frame when
+    # interval lengths are odd).
+    halves = {stream: [(start, end, index % 2 == 0)
+                       for start, end, index in _intervals(spec.frames,
+                                                           level + 1)]
+              for stream, level in plan if spec.detail_sigma > 0}
     detail_scale = spec.detail_sigma / np.sqrt(spec.dim)
     train_per_class = max(1, min(spec.per_class - 1,
                                  int(round(0.7 * spec.per_class))))
 
-    for c in range(1, spec.num_classes + 1):
-        signal = {stream: _signal_profile(spec.frames, level,
-                                          class_vectors[stream][c - 1],
-                                          spec.amplitude)
-                  for stream, level in plan}
-        for v in range(spec.per_class):
-            # children are numbered in sequence: one spawn per video
-            rng = np.random.default_rng(video_ss.spawn(1)[0])
-            for stream, buf in rows.items():
-                # the operations of noise_sigma * noise + signal, in place
-                rng.standard_normal(out=buf)
-                buf *= spec.noise_sigma
-                buf += signal[stream]
-                if spec.detail_sigma > 0:
-                    detail = detail_scale * rng.standard_normal(spec.dim)
-                    buf += np.multiply(signs[stream], detail, out=detail_rows)
-            yield (f"synth_c{c:02d}_v{v:03d}", c,
-                   "train" if v < train_per_class else "test", rows)
+    def draw(k: int, rows: dict[str, np.ndarray],
+             offsets: np.ndarray) -> tuple[str, int, str]:
+        c, v = divmod(k, spec.per_class)
+        # the k-th spawn(1) child of video_ss, built without spawning
+        rng = np.random.default_rng(np.random.SeedSequence(
+            video_ss.entropy, spawn_key=(*video_ss.spawn_key, k),
+            pool_size=video_ss.pool_size))
+        # Offsets are written by assignment and then added whole: a
+        # broadcasting ufunc would allocate iteration buffers per call,
+        # up to 128 KiB, on every drawing thread.
+        for stream, buf in rows.items():
+            # the operations of noise_sigma * noise + signal, in place
+            rng.standard_normal(out=buf)
+            buf *= spec.noise_sigma
+            signed = signed_vectors[stream]
+            for start, end, block, negate in signal[stream]:
+                offsets[start:end] = signed[negate][c, block]
+            buf += offsets
+            if spec.detail_sigma > 0:
+                detail = detail_scale * rng.standard_normal(spec.dim)
+                flips = (detail, -detail)
+                for start, end, negate in halves[stream]:
+                    offsets[start:end] = flips[negate]
+                buf += offsets
+        return (f"synth_c{c + 1:02d}_v{v:03d}", c + 1,
+                "train" if v < train_per_class else "test")
+
+    return draw
+
+
+def _videos(spec: SynthSpec):
+    """Draw the dataset one video at a time, in manifest order.
+
+    Yields ``(video_id, label, split, rows)``, where ``rows`` maps each
+    stream to a (frames, dim) float64 buffer that the next video
+    overwrites.
+    """
+    draw = _drawer(spec)
+    rows, offsets = _buffers(spec)
+    for k in range(spec.num_classes * spec.per_class):
+        yield (*draw(k, rows, offsets), rows)
 
 
 def gen_sequences(spec: SynthSpec) -> SynthDataset:
@@ -207,22 +246,79 @@ def gen_sequences(spec: SynthSpec) -> SynthDataset:
                         splits=splits, sequences=sequences)
 
 
+def _usable_cores() -> int:
+    """The number of cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return os.cpu_count() or 1
+
+
 def gen_dataset(spec: SynthSpec, out_dir: str | os.PathLike) -> DatasetManifest:
     """Write feature files plus a manifest under ``out_dir`` and return
-    the manifest (70/30 stratified train/test split). Each video's files
-    are written as soon as it is drawn, so memory does not grow with the
-    dataset."""
+    the manifest (70/30 stratified train/test split).
+
+    Generation holds one video per thread: a thread draws a video into
+    its own reused buffers and writes its feature files before it takes
+    the next. Videos of at least 2^14 values (frames x dim) per stream
+    are drawn by one thread per usable core, but by no more threads than
+    hold 2^25 values per stream together; smaller ones are drawn by this
+    thread alone. Every video draws from its own seed, so the output bytes do
+    not depend on the number of threads. On failure no further video is
+    started, and once every thread has stopped, the error of the lowest
+    failing video, the one a single thread would have stopped at, is
+    raised.
+    """
     out_dir = os.fspath(out_dir)
     os.makedirs(os.path.join(out_dir, "features"), exist_ok=True)
-    records = []
-    for vid, label, split, rows in _videos(spec):
-        paths = {}
-        for stream, buf in rows.items():
-            paths[stream] = os.path.join("features", f"{vid}.{stream}.gpf")
-            _write_container(os.path.join(out_dir, paths[stream]),
-                             GPF1_MAGIC, buf)
-        records.append(VideoRecord(video_id=vid, label=label, split=split,
-                                   **paths))
+    draw = _drawer(spec)
+    count = spec.num_classes * spec.per_class
+    records: list[VideoRecord | None] = [None] * count
+    failures: dict[int, Exception] = {}
+    pending = iter(range(count))
+    lock = threading.Lock()
+    stop = threading.Event()
+
+    def work(rows, offsets):
+        while True:
+            with lock:
+                k = None if stop.is_set() else next(pending, None)
+            if k is None:
+                return
+            try:
+                vid, label, split = draw(k, rows, offsets)
+                paths = {}
+                for stream, buf in rows.items():
+                    paths[stream] = os.path.join("features",
+                                                 f"{vid}.{stream}.gpf")
+                    _write_container(os.path.join(out_dir, paths[stream]),
+                                     GPF1_MAGIC, buf)
+                records[k] = VideoRecord(video_id=vid, label=label,
+                                         split=split, **paths)
+            except Exception as exc:  # raised below, on the caller's thread
+                with lock:
+                    failures[k] = exc
+                    stop.set()
+
+    threads = 1
+    if spec.frames * spec.dim >= _THREAD_MIN_VALUES:
+        # together the threads hold no more than one video at the limit
+        threads = min(_usable_cores(), count,
+                      _VIDEO_LIMIT // (spec.frames * spec.dim))
+    # every thread's buffers exist for the whole loop, so the peak does
+    # not depend on when a helper starts or stops
+    buffers = [_buffers(spec) for _ in range(threads)]
+    helpers = [threading.Thread(target=work, args=b) for b in buffers[1:]]
+    for helper in helpers:
+        helper.start()
+    try:
+        work(*buffers[0])
+    finally:
+        stop.set()
+        for helper in helpers:
+            helper.join()
+    if failures:
+        raise failures[min(failures)]
     manifest = DatasetManifest(records=records)
     write_manifest(manifest, os.path.join(out_dir, "manifest.jsonl"))
     return manifest

@@ -79,6 +79,13 @@ class TestFeatureFileRoundtrip:
         with pytest.raises(errors.NonFinite):
             write_feature_file(seq, tmp_path / "bad.gpf")
 
+    def test_write_rejects_float32_overflow(self, tmp_path):
+        # finite in float64, infinite in float32: the typed error, not
+        # numpy's cast warning (which the test configuration raises)
+        with pytest.raises(errors.NonFinite, match="overflow float32"):
+            write_feature_file(make_seq([[1e39, 0.0]]), tmp_path / "big.gpf")
+        assert not (tmp_path / "big.gpf").exists()
+
 
 # the two formats that share one container: (magic, loader)
 FORMATS = ((b"GPF1", load_feature_file), (b"GPT1", load_pooled_file))

@@ -913,6 +913,23 @@ class TestExitCodesAndWorkers:
         assert_one_error_line(capsys, flag[2:].replace("-", "_"))
         assert not out.exists()
 
+    def test_video_too_large_exits_before_writing(self, tmp_path, capsys):
+        out = tmp_path / "data"
+        assert run_cli("gen-synth", "--out", out, "--frames", 100_000_000,
+                       "--dim", 100_000) == 2
+        assert_one_error_line(capsys, "frames * dim", "2^25")
+        assert not out.exists()
+
+    def test_float32_overflow_exits_with_one_line(self, tmp_path, capsys):
+        out = tmp_path / "data"
+        assert run_cli("gen-synth", "--out", out, "--classes", 2,
+                       "--per-class", 2, "--frames", 8, "--dim", 2,
+                       "--signal-level", 2, "--amplitude", "1e39") == 2
+        path = out / "features" / "synth_c01_v000.appearance.gpf"
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: values overflow float32\n"
+        assert not (out / "files.json").exists()
+
     @pytest.mark.parametrize("flag, value", [("--optimizer", "sgd"),
                                              ("--lr", "0.01")])
     def test_optimizer_flag_is_gone(self, workspace, tmp_path, capsys, flag,

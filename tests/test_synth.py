@@ -1,10 +1,13 @@
 import hashlib
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from treemkl import errors
+from treemkl import errors, synth
+from treemkl.cli import main
 from treemkl.dataio import load_feature_file
 from treemkl.hierarchy import Hierarchy, pool_sequence
 from treemkl.synth import (SynthSpec, _videos, gen_dataset, gen_sequences,
@@ -23,6 +26,17 @@ class TestSpecValidation:
     def test_rejects_bad_streams(self):
         with pytest.raises(errors.SpecInvalid):
             SynthSpec(streams=3)
+
+    def test_rejects_video_above_the_limit(self):
+        SynthSpec(frames=2 ** 21, dim=16)  # 2^25 values: accepted
+        with pytest.raises(errors.SpecInvalid, match="2\\^25"):
+            SynthSpec(frames=2 ** 21 + 1, dim=16)
+
+    def test_detail_free_spec_needs_no_level_below_the_signal(self, tmp_path):
+        spec = SynthSpec(num_classes=2, per_class=2, frames=4,
+                         signal_level=3, detail_sigma=0.0)
+        manifest = gen_dataset(spec, tmp_path)
+        assert_files_hold_the_rows(manifest, spec, tmp_path)
 
     @pytest.mark.parametrize("field, value, needle", [
         ("dim", -1, "dim"), ("dim", 0, "dim"),
@@ -151,24 +165,31 @@ GOLDEN_SHA256 = {
 }
 
 
+def digests(root):
+    return {path.relative_to(root).as_posix():
+            hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in root.rglob("*") if path.is_file()}
+
+
+def assert_files_hold_the_rows(manifest, spec, root):
+    data = gen_sequences(spec)
+    assert [r.video_id for r in manifest.records] == data.video_ids
+    assert [r.label for r in manifest.records] == data.labels.tolist()
+    assert [r.split for r in manifest.records] == data.splits
+    for stream, seqs in data.sequences.items():
+        for rec, seq in zip(manifest.records, seqs, strict=True):
+            back = load_feature_file(root / rec.path_for(stream))
+            np.testing.assert_array_equal(back.rows, seq.rows)
+
+
 class TestGenDataset:
     def test_files_match_golden_digests(self, tmp_path):
         gen_dataset(GOLDEN_SPEC, tmp_path)
-        digests = {path.relative_to(tmp_path).as_posix():
-                   hashlib.sha256(path.read_bytes()).hexdigest()
-                   for path in tmp_path.rglob("*") if path.is_file()}
-        assert digests == GOLDEN_SHA256
+        assert digests(tmp_path) == GOLDEN_SHA256
 
     def test_files_hold_the_in_memory_rows(self, tmp_path):
         manifest = gen_dataset(GOLDEN_SPEC, tmp_path)
-        data = gen_sequences(GOLDEN_SPEC)
-        assert [r.video_id for r in manifest.records] == data.video_ids
-        assert [r.label for r in manifest.records] == data.labels.tolist()
-        assert [r.split for r in manifest.records] == data.splits
-        for stream, seqs in data.sequences.items():
-            for rec, seq in zip(manifest.records, seqs, strict=True):
-                back = load_feature_file(tmp_path / rec.path_for(stream))
-                np.testing.assert_array_equal(back.rows, seq.rows)
+        assert_files_hold_the_rows(manifest, GOLDEN_SPEC, tmp_path)
 
     def test_peak_memory_does_not_grow_with_dataset(self, tmp_path):
         # videos are written as they are drawn: quadrupling the dataset
@@ -226,6 +247,112 @@ class TestGenDataset:
             assert sub.read_bytes() == other.read_bytes()
         assert (tmp_path / "a" / "manifest.jsonl").read_bytes() == \
             (tmp_path / "b" / "manifest.jsonl").read_bytes()
+
+
+def use_cores(monkeypatch, cores, gate=None):
+    """Make ``gen_dataset`` see ``cores`` usable cores (and, given, use
+    ``gate`` as its size gate); returns the list of specs it allocates
+    buffers for, one per drawing thread."""
+    monkeypatch.setattr(synth, "_usable_cores", lambda: cores)
+    if gate is not None:
+        monkeypatch.setattr(synth, "_THREAD_MIN_VALUES", gate)
+    allocated = []
+    real = synth._buffers
+
+    def buffers(spec):
+        allocated.append(spec)
+        return real(spec)
+
+    monkeypatch.setattr(synth, "_buffers", buffers)
+    return allocated
+
+
+class TestThreads:
+    """gen_dataset on several threads writes the bytes of one thread."""
+
+    @pytest.mark.parametrize("cores", [1, 2, 4])
+    def test_golden_digests(self, tmp_path, monkeypatch, cores):
+        allocated = use_cores(monkeypatch, cores, gate=0)
+        gen_dataset(GOLDEN_SPEC, tmp_path)
+        assert len(allocated) == cores
+        assert digests(tmp_path) == GOLDEN_SHA256
+
+    @pytest.mark.parametrize("cores", [1, 2, 4])
+    def test_videos_above_the_gate_hold_the_rows(self, tmp_path, monkeypatch,
+                                                 cores):
+        spec = SynthSpec(num_classes=2, per_class=3, frames=512, dim=32,
+                         streams=2, seed=4)
+        assert spec.frames * spec.dim >= synth._THREAD_MIN_VALUES
+        allocated = use_cores(monkeypatch, cores)
+        manifest = gen_dataset(spec, tmp_path)
+        assert len(allocated) == cores
+        assert_files_hold_the_rows(manifest, spec, tmp_path)
+
+    def test_videos_below_the_gate_use_one_thread(self, tmp_path,
+                                                  monkeypatch):
+        spec = SynthSpec(num_classes=2, per_class=3, frames=511, dim=32)
+        allocated = use_cores(monkeypatch, 4)
+        gen_dataset(spec, tmp_path)
+        assert len(allocated) == 1
+
+    def test_threads_together_hold_at_most_the_video_limit(self, tmp_path,
+                                                           monkeypatch):
+        spec = SynthSpec(num_classes=2, per_class=3, frames=512, dim=32)
+        allocated = use_cores(monkeypatch, 4)
+        monkeypatch.setattr(synth, "_VIDEO_LIMIT", 3 * 512 * 32 - 1)
+        gen_dataset(spec, tmp_path)
+        assert len(allocated) == 2
+
+    def test_more_threads_than_cores_lose_no_video(self, tmp_path,
+                                                   monkeypatch):
+        # two threads taking one index would leave another video unwritten
+        spec = SynthSpec(num_classes=3, per_class=40, frames=8, dim=2,
+                         signal_level=2, seed=9)
+        use_cores(monkeypatch, 8, gate=0)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            manifest = gen_dataset(spec, tmp_path)
+        finally:
+            sys.setswitchinterval(interval)
+        assert_files_hold_the_rows(manifest, spec, tmp_path)
+
+    def test_failure_names_the_lowest_failing_video(self, tmp_path,
+                                                    monkeypatch, capsys):
+        # every video overflows float32; on two threads video 0 is written
+        # only once video 1 has failed, so the later video fails first
+        out = tmp_path / "out"
+        argv = ["gen-synth", "--out", str(out), "--classes", "2",
+                "--per-class", "3", "--frames", "8", "--dim", "2",
+                "--signal-level", "2", "--amplitude", "1e39"]
+        use_cores(monkeypatch, 1, gate=0)
+        assert main(argv) == 2
+        serial = capsys.readouterr().err
+        assert serial == (f"error: {out / 'features'}"
+                          f"/synth_c01_v000.appearance.gpf: "
+                          f"values overflow float32\n")
+
+        use_cores(monkeypatch, 2, gate=0)
+        write = synth._write_container
+        later_failed = threading.Event()
+
+        def write_in_order(path, magic, values):
+            if "_v000." in path:
+                assert later_failed.wait(timeout=10)
+            try:
+                write(path, magic, values)
+            except errors.NonFinite:
+                if "_v001." in path:
+                    later_failed.set()
+                raise
+
+        monkeypatch.setattr(synth, "_write_container", write_in_order)
+        threads = threading.active_count()
+        assert main(argv) == 2
+        assert later_failed.is_set()
+        assert capsys.readouterr().err == serial
+        assert threading.active_count() == threads
+        assert not (out / "files.json").exists()
 
 
 class TestMisalign:
