@@ -157,12 +157,19 @@ class DatasetManifest:
 # --- GPF1/GPT1 container -----------------------------------------------------
 
 def _write_container(path: str | os.PathLike, magic: bytes,
-                     values: np.ndarray) -> None:
+                     values: np.ndarray, out: np.ndarray | None = None) -> None:
     """Write (count, dim) ``values`` as ``magic | u32 dim | u32 count |
-    count*dim <f4``; loading recovers their float32 rounding bit-exactly."""
+    count*dim <f4``; loading recovers their float32 rounding bit-exactly.
+
+    ``out``, a contiguous ``<f4`` array of the same shape, receives the
+    float32 rounding in place of a new array.
+    """
+    values32 = np.empty(values.shape, "<f4") if out is None else out
     with np.errstate(over="ignore"):  # an overflow is refused just below
-        values32 = np.ascontiguousarray(values, dtype="<f4")
-    if not np.isfinite(values32).all():
+        np.copyto(values32, values)
+    # min and max are non-finite exactly when some value is, and unlike
+    # isfinite they allocate nothing
+    if not (np.isfinite(values32.min()) and np.isfinite(values32.max())):
         raise NonFinite(f"{path}: values overflow float32")
     with open(path, "wb") as fh:
         fh.write(magic)

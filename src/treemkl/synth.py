@@ -27,8 +27,9 @@ Generation holds one video per thread: each video draws from its own
 seed into its thread's reused buffers, and :func:`gen_dataset` writes
 its feature files before the thread draws the next, so memory does not
 grow with the dataset. Videos of at least 2^14 values (frames x dim)
-per stream are drawn on every usable core, smaller ones on one thread;
-the output bytes do not depend on the number of threads.
+per stream are drawn on every usable core, up to 8 threads, smaller
+ones on one thread; the output bytes do not depend on the number of
+threads.
 """
 
 from __future__ import annotations
@@ -53,6 +54,11 @@ from .hierarchy import build_intervals
 # values (frames x dim) of one video-stream from which gen_dataset draws
 # on every usable core; below it the threads cost more than they save
 _THREAD_MIN_VALUES = 2 ** 14
+
+# most drawing threads: each live thread holds its own buffers, thread
+# state and the objects of the video it is drawing, so the thread count
+# bounds how far the peak memory can move with timing
+_MAX_THREADS = 8
 
 # largest video-stream in values, the limit README states for tables, so
 # that no spec asks for buffers numpy cannot allocate
@@ -130,19 +136,26 @@ def _stream_plan(spec: SynthSpec) -> list[tuple[str, int]]:
     return plan
 
 
-def _buffers(spec: SynthSpec) -> tuple[dict[str, np.ndarray], np.ndarray]:
-    """One thread's reused buffers: per stream the (frames, dim) float64
-    rows of the video being drawn, and one (frames, dim) buffer of the
-    offsets added to them."""
-    shape = (spec.frames, spec.dim)
-    return ({stream: np.empty(shape) for stream, _ in _stream_plan(spec)},
-            np.empty(shape))
+class _Buffers:
+    """One thread's reused buffers, each (frames, dim) float64: per stream
+    the rows of the video being drawn and the signal of class
+    ``signal_class`` added to them, and one of the detail flips; plus the
+    dim-sized detail vector and its negation."""
+
+    def __init__(self, spec: SynthSpec):
+        shape = (spec.frames, spec.dim)
+        streams = [stream for stream, _ in _stream_plan(spec)]
+        self.rows = {stream: np.empty(shape) for stream in streams}
+        self.signal = {stream: np.empty(shape) for stream in streams}
+        self.signal_class = None
+        self.flips = np.empty(shape)
+        self.detail = np.empty((2, spec.dim))
 
 
 def _drawer(spec: SynthSpec):
-    """Return ``draw(k, rows, offsets)``, which draws video ``k`` (in
-    manifest order) into buffers from :func:`_buffers`, overwriting them,
-    and returns its ``(video_id, label, split)``.
+    """Return ``draw(k, buffers)``, which draws video ``k`` (in manifest
+    order) into ``buffers.rows`` of a :class:`_Buffers`, overwriting
+    them, and returns its ``(video_id, label, split)``.
 
     Video ``k`` draws from its own seed, the k-th child of one
     ``SeedSequence``, per stream its frames x dim noise and then its
@@ -169,42 +182,50 @@ def _drawer(spec: SynthSpec):
               for stream, level in plan}
     signed_vectors = {stream: (spec.amplitude * v, -spec.amplitude * v)
                       for stream, v in class_vectors.items()}
-    # Per stream, the halves of every signal-level interval (the level + 1
-    # intervals) and whether the detail vector is negated there: the flip
-    # cancels exactly at the signal level's pooling (up to one frame when
-    # interval lengths are odd).
-    halves = {stream: [(start, end, index % 2 == 0)
-                       for start, end, index in _intervals(spec.frames,
-                                                           level + 1)]
-              for stream, level in plan if spec.detail_sigma > 0}
+    # Per stream and frame, 0 where the detail vector is added and 1 where
+    # it is negated: +1 on the first and -1 on the second half of every
+    # signal-level interval (the halves are the level + 1 intervals, which
+    # cover every frame), so the flip cancels exactly at the signal level's
+    # pooling (up to one frame when interval lengths are odd).
+    flip_rows = {}
+    if spec.detail_sigma > 0:
+        for stream, level in plan:
+            flips = flip_rows[stream] = np.empty(spec.frames, dtype=np.intp)
+            for start, end, index in _intervals(spec.frames, level + 1):
+                flips[start:end] = index % 2 == 0
     detail_scale = spec.detail_sigma / np.sqrt(spec.dim)
     train_per_class = max(1, min(spec.per_class - 1,
                                  int(round(0.7 * spec.per_class))))
 
-    def draw(k: int, rows: dict[str, np.ndarray],
-             offsets: np.ndarray) -> tuple[str, int, str]:
+    def draw(k: int, buffers: _Buffers) -> tuple[str, int, str]:
         c, v = divmod(k, spec.per_class)
         # the k-th spawn(1) child of video_ss, built without spawning
         rng = np.random.default_rng(np.random.SeedSequence(
             video_ss.entropy, spawn_key=(*video_ss.spawn_key, k),
             pool_size=video_ss.pool_size))
-        # Offsets are written by assignment and then added whole: a
-        # broadcasting ufunc would allocate iteration buffers per call,
-        # up to 128 KiB, on every drawing thread.
-        for stream, buf in rows.items():
+        if buffers.signal_class != c:  # rare: videos are taken in order
+            for stream, rows in buffers.signal.items():
+                signed = signed_vectors[stream]
+                for start, end, block, negate in signal[stream]:
+                    rows[start:end] = signed[negate][c, block]
+            buffers.signal_class = c
+        # Signal and flips are written by assignment and take and then added
+        # whole: a broadcasting ufunc would allocate iteration buffers per
+        # call, up to 128 KiB, on every drawing thread.
+        for stream, buf in buffers.rows.items():
             # the operations of noise_sigma * noise + signal, in place
             rng.standard_normal(out=buf)
             buf *= spec.noise_sigma
-            signed = signed_vectors[stream]
-            for start, end, block, negate in signal[stream]:
-                offsets[start:end] = signed[negate][c, block]
-            buf += offsets
+            buf += buffers.signal[stream]
             if spec.detail_sigma > 0:
-                detail = detail_scale * rng.standard_normal(spec.dim)
-                flips = (detail, -detail)
-                for start, end, negate in halves[stream]:
-                    offsets[start:end] = flips[negate]
-                buf += offsets
+                detail = buffers.detail
+                rng.standard_normal(out=detail[0])
+                detail[0] *= detail_scale
+                np.negative(detail[0], out=detail[1])
+                # mode="clip" writes out directly; "raise" buffers it
+                np.take(detail, flip_rows[stream], axis=0,
+                        out=buffers.flips, mode="clip")
+                buf += buffers.flips
         return (f"synth_c{c + 1:02d}_v{v:03d}", c + 1,
                 "train" if v < train_per_class else "test")
 
@@ -219,9 +240,9 @@ def _videos(spec: SynthSpec):
     overwrites.
     """
     draw = _drawer(spec)
-    rows, offsets = _buffers(spec)
+    buffers = _Buffers(spec)
     for k in range(spec.num_classes * spec.per_class):
-        yield (*draw(k, rows, offsets), rows)
+        yield (*draw(k, buffers), buffers.rows)
 
 
 def gen_sequences(spec: SynthSpec) -> SynthDataset:
@@ -259,15 +280,21 @@ def gen_dataset(spec: SynthSpec, out_dir: str | os.PathLike) -> DatasetManifest:
     the manifest (70/30 stratified train/test split).
 
     Generation holds one video per thread: a thread draws a video into
-    its own reused buffers and writes its feature files before it takes
-    the next. Videos of at least 2^14 values (frames x dim) per stream
-    are drawn by one thread per usable core, but by no more threads than
-    hold 2^25 values per stream together; smaller ones are drawn by this
-    thread alone. Every video draws from its own seed, so the output bytes do
-    not depend on the number of threads. On failure no further video is
-    started, and once every thread has stopped, the error of the lowest
-    failing video, the one a single thread would have stopped at, is
-    raised.
+    its own reused buffers and writes its feature files, through a reused
+    float32 buffer, before it takes the next. Videos of at least 2^14
+    values (frames x dim) per stream are drawn by one thread per usable
+    core, up to 8 threads and no more than hold 2^25 values per stream
+    together; smaller ones are drawn by this thread alone. The number of
+    threads does not depend on the number of videos, so neither does
+    memory, and every video draws from its own seed, so the output bytes
+    do not depend on the number of threads.
+
+    On failure no further video is started, and once every thread has
+    stopped, the error of the lowest failing video, the one a single
+    thread would have stopped at, is raised, and no manifest is written.
+    ``features/`` then holds the files of every earlier video, as after
+    one thread, plus those of any later video another thread had already
+    taken, which depend on the thread count and on timing.
     """
     out_dir = os.fspath(out_dir)
     os.makedirs(os.path.join(out_dir, "features"), exist_ok=True)
@@ -279,20 +306,20 @@ def gen_dataset(spec: SynthSpec, out_dir: str | os.PathLike) -> DatasetManifest:
     lock = threading.Lock()
     stop = threading.Event()
 
-    def work(rows, offsets):
+    def work(buffers, values32):
         while True:
             with lock:
                 k = None if stop.is_set() else next(pending, None)
             if k is None:
                 return
             try:
-                vid, label, split = draw(k, rows, offsets)
+                vid, label, split = draw(k, buffers)
                 paths = {}
-                for stream, buf in rows.items():
+                for stream, buf in buffers.rows.items():
                     paths[stream] = os.path.join("features",
                                                  f"{vid}.{stream}.gpf")
                     _write_container(os.path.join(out_dir, paths[stream]),
-                                     GPF1_MAGIC, buf)
+                                     GPF1_MAGIC, buf, out=values32)
                 records[k] = VideoRecord(video_id=vid, label=label,
                                          split=split, **paths)
             except Exception as exc:  # raised below, on the caller's thread
@@ -303,11 +330,12 @@ def gen_dataset(spec: SynthSpec, out_dir: str | os.PathLike) -> DatasetManifest:
     threads = 1
     if spec.frames * spec.dim >= _THREAD_MIN_VALUES:
         # together the threads hold no more than one video at the limit
-        threads = min(_usable_cores(), count,
+        threads = min(_usable_cores(), _MAX_THREADS,
                       _VIDEO_LIMIT // (spec.frames * spec.dim))
     # every thread's buffers exist for the whole loop, so the peak does
     # not depend on when a helper starts or stops
-    buffers = [_buffers(spec) for _ in range(threads)]
+    buffers = [(_Buffers(spec), np.empty((spec.frames, spec.dim), "<f4"))
+               for _ in range(threads)]
     helpers = [threading.Thread(target=work, args=b) for b in buffers[1:]]
     for helper in helpers:
         helper.start()

@@ -257,13 +257,13 @@ def use_cores(monkeypatch, cores, gate=None):
     if gate is not None:
         monkeypatch.setattr(synth, "_THREAD_MIN_VALUES", gate)
     allocated = []
-    real = synth._buffers
+    real = synth._Buffers
 
     def buffers(spec):
         allocated.append(spec)
         return real(spec)
 
-    monkeypatch.setattr(synth, "_buffers", buffers)
+    monkeypatch.setattr(synth, "_Buffers", buffers)
     return allocated
 
 
@@ -294,6 +294,32 @@ class TestThreads:
         allocated = use_cores(monkeypatch, 4)
         gen_dataset(spec, tmp_path)
         assert len(allocated) == 1
+
+    @pytest.mark.parametrize("cores, threads", [(6, 6), (64, 8)])
+    def test_thread_count_does_not_depend_on_the_video_count(
+            self, tmp_path, monkeypatch, cores, threads):
+        spec = SynthSpec(num_classes=2, per_class=2, frames=512, dim=32)
+        allocated = use_cores(monkeypatch, cores)
+        gen_dataset(spec, tmp_path)
+        assert len(allocated) == threads
+
+    @pytest.mark.parametrize("cores", [4, 64])
+    def test_peak_memory_does_not_grow_with_dataset(self, tmp_path,
+                                                    monkeypatch, cores):
+        # TestGenDataset's bound at a thread count of another host
+        use_cores(monkeypatch, cores)
+
+        def peak(per_class):
+            spec = SynthSpec(per_class=per_class, frames=256, dim=64)
+            tracemalloc.start()
+            try:
+                gen_dataset(spec, tmp_path / str(per_class))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(2)  # first-call allocations that no size repeats
+        assert peak(32) - peak(8) < 256 * 64 * 8
 
     def test_threads_together_hold_at_most_the_video_limit(self, tmp_path,
                                                            monkeypatch):
@@ -336,11 +362,11 @@ class TestThreads:
         write = synth._write_container
         later_failed = threading.Event()
 
-        def write_in_order(path, magic, values):
+        def write_in_order(path, magic, values, out):
             if "_v000." in path:
                 assert later_failed.wait(timeout=10)
             try:
-                write(path, magic, values)
+                write(path, magic, values, out=out)
             except errors.NonFinite:
                 if "_v001." in path:
                     later_failed.set()
